@@ -8,14 +8,15 @@ preserves that contract by construction — ties break on insertion
 sequence number at every level — and this module is the tripwire that
 keeps it true.
 
-It runs a fixed single-group workload TWICE in the same process and
-digests every replica's full log (term, ballot, op, client, seq, key),
-its applied table, and the run's completion/event counts into one
-SHA-256.  The two in-process digests must always match (schedule-order
-determinism); with ``PYTHONHASHSEED=0`` the digest is also stable
-across interpreter launches and machines, so a golden copy lives in
-``benchmarks/results/determinism_canary.json`` and CI compares every
-build against it (`--check`).
+It runs a fixed single-group workload TWICE in the same process for
+each of the eight `PROTOCOLS` and digests every replica's full log
+(term, ballot, op, client, seq, key), its applied table, and the run's
+completion/event counts into one SHA-256 per protocol.  The two
+in-process digests must always match (schedule-order determinism); with
+``PYTHONHASHSEED=0`` the digests are also stable across interpreter
+launches and machines, so a golden table (one row per protocol) lives
+in ``benchmarks/results/determinism_canary.json`` and CI compares every
+row of every build against it (`--check`).
 
     python -m repro.bench.determinism                 # run twice, print
     python -m repro.bench.determinism --check FILE    # also compare golden
@@ -29,9 +30,9 @@ import hashlib
 import json
 import os
 import sys
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.bench.harness import Cluster
+from repro.bench.harness import PROTOCOLS, Cluster
 from repro.bench.perf import single_group_spec
 
 #: The canary workload: small enough for CI (sub-second), large enough
@@ -42,28 +43,42 @@ CANARY_SCALE = 0.25
 CANARY_SEED = 0
 
 
-def state_digest(scale: float = CANARY_SCALE,
-                 seed: int = CANARY_SEED) -> Tuple[str, Dict[str, Any]]:
-    """Run the canary workload once; return (sha256 hex digest, summary).
+def _log_rows(replica) -> List[list]:
+    """A protocol-agnostic view of a replica's log: Raft's dense `log`
+    list row by row; MultiPaxos `instances` and Mencius `entries` (slot
+    -> Entry, holes possible) in slot order with the slot prepended."""
+    def row(entry):
+        command = entry.command
+        return [entry.term, entry.ballot, command.op.name,
+                command.client_id, command.seq, command.key]
+
+    log = getattr(replica, "log", None)
+    if log is not None:
+        return [row(entry) for entry in log]
+    slots = getattr(replica, "instances", None)
+    if slots is None:
+        slots = replica.entries
+    return [[index] + row(slots[index]) for index in sorted(slots)]
+
+
+def state_digest(scale: float = CANARY_SCALE, seed: int = CANARY_SEED,
+                 protocol: str = "raft") -> Tuple[str, Dict[str, Any]]:
+    """Run the canary workload once under `protocol`; return (sha256 hex
+    digest, summary).
 
     The digest covers, in canonical JSON (sorted keys, no whitespace):
     per-replica logs entry by entry, per-replica applied tables and
     counters, completed-op and simulator-event counts, and the final
     simulated clock.
     """
-    spec = single_group_spec(scale, seed)
+    spec = single_group_spec(scale, seed).with_(protocol=protocol)
     cluster = Cluster(spec)
     result = cluster.run()
     replicas = {}
     for name in sorted(cluster.replicas):
         replica = cluster.replicas[name]
         replicas[name] = {
-            "log": [
-                [entry.term, entry.ballot, entry.command.op.name,
-                 entry.command.client_id, entry.command.seq,
-                 entry.command.key]
-                for entry in replica.log
-            ],
+            "log": _log_rows(replica),
             "last_applied": replica.last_applied,
             "applied_count": replica.store.applied_count,
             "table": sorted(replica.store._table.items()),
@@ -79,8 +94,6 @@ def state_digest(scale: float = CANARY_SCALE,
     blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode()).hexdigest()
     summary = {
-        "scale": scale,
-        "seed": seed,
         "digest": digest,
         "completed": result.completed,
         "events": cluster.sim.events_processed,
@@ -89,64 +102,77 @@ def state_digest(scale: float = CANARY_SCALE,
     return digest, summary
 
 
-def run_canary(scale: float = CANARY_SCALE,
-               seed: int = CANARY_SEED) -> Dict[str, Any]:
-    """Run the workload twice; raise if the two digests differ."""
-    digest_a, summary = state_digest(scale, seed)
-    digest_b, _ = state_digest(scale, seed)
-    if digest_a != digest_b:
-        raise AssertionError(
-            f"same-seed runs diverged: {digest_a} != {digest_b}")
-    return summary
+def run_canary(scale: float = CANARY_SCALE, seed: int = CANARY_SEED,
+               protocols: Iterable[str] = tuple(PROTOCOLS)) -> Dict[str, Any]:
+    """Run the workload twice per protocol; raise if any pair of digests
+    differs.  Returns the digest table (one summary row per protocol)."""
+    rows = {}
+    for protocol in protocols:
+        digest_a, summary = state_digest(scale, seed, protocol)
+        digest_b, _ = state_digest(scale, seed, protocol)
+        if digest_a != digest_b:
+            raise AssertionError(
+                f"{protocol}: same-seed runs diverged: "
+                f"{digest_a} != {digest_b}")
+        rows[protocol] = summary
+    return {"scale": scale, "seed": seed, "protocols": rows}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.determinism",
-        description="Run the determinism canary (twice) and optionally "
-                    "compare/refresh the committed golden digest.")
+        description="Run the determinism canary (every protocol, twice) "
+                    "and optionally compare/refresh the committed golden "
+                    "digest table.")
     parser.add_argument("--scale", type=float, default=CANARY_SCALE)
     parser.add_argument("--seed", type=int, default=CANARY_SEED)
     parser.add_argument("--check", metavar="FILE", default=None,
-                        help="compare against a committed golden digest; "
-                             "exit non-zero on mismatch")
+                        help="compare every row against a committed golden "
+                             "table; exit non-zero on mismatch")
     parser.add_argument("--write", metavar="FILE", default=None,
-                        help="write the fresh digest as the new golden")
+                        help="write the fresh table as the new golden")
     args = parser.parse_args(argv)
 
-    summary = run_canary(args.scale, args.seed)
-    print(f"determinism canary: two same-seed runs agree "
-          f"(digest {summary['digest'][:16]}..., "
-          f"{summary['events']} events, {summary['completed']} ops)")
+    table = run_canary(args.scale, args.seed)
+    print("determinism canary: two same-seed runs agree for every protocol")
+    for protocol, row in table["protocols"].items():
+        print(f"  {protocol:<13} digest {row['digest'][:16]}...  "
+              f"{row['events']} events, {row['completed']} ops")
 
     if args.write is not None:
-        summary["python_hash_seed"] = os.environ.get("PYTHONHASHSEED", "")
+        table["python_hash_seed"] = os.environ.get("PYTHONHASHSEED", "")
         with open(args.write, "w") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
+            json.dump(table, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"wrote golden digest to {args.write}")
+        print(f"wrote golden digest table to {args.write}")
 
     if args.check is not None:
         with open(args.check) as handle:
             golden = json.load(handle)
         if (golden.get("scale") != args.scale
                 or golden.get("seed") != args.seed):
-            print(f"golden digest is for scale={golden.get('scale')} "
+            print(f"golden table is for scale={golden.get('scale')} "
                   f"seed={golden.get('seed')}, ran scale={args.scale} "
                   f"seed={args.seed}: not comparable", file=sys.stderr)
             return 2
         if os.environ.get("PYTHONHASHSEED") != "0":
-            # The cross-interpreter digest is only pinned under a pinned
-            # hash seed; without it only the in-process double run (above)
-            # is meaningful.
+            # The cross-interpreter digests are only pinned under a pinned
+            # hash seed; without it only the in-process double runs (above)
+            # are meaningful.
             print("PYTHONHASHSEED != 0: skipping golden comparison")
             return 0
-        if golden["digest"] != summary["digest"]:
-            print(f"DETERMINISM DRIFT: committed {golden['digest']}\n"
-                  f"                   fresh     {summary['digest']}",
-                  file=sys.stderr)
+        drifted = False
+        for protocol in sorted(set(golden["protocols"]) | set(table["protocols"])):
+            committed = golden["protocols"].get(protocol, {}).get("digest")
+            fresh = table["protocols"].get(protocol, {}).get("digest")
+            if committed != fresh:
+                drifted = True
+                print(f"DETERMINISM DRIFT [{protocol}]: committed {committed}\n"
+                      f"{'':>{22 + len(protocol)}}fresh     {fresh}",
+                      file=sys.stderr)
+        if drifted:
             return 1
-        print("golden digest matches")
+        print(f"all {len(golden['protocols'])} golden digests match")
     return 0
 
 

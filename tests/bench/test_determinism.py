@@ -1,10 +1,11 @@
-"""Determinism canary: same seed, same digest — always.
+"""Determinism canary: same seed, same digest — always, for every
+protocol.
 
-The in-process double run must agree unconditionally (schedule-order
-determinism is seed-only by construction).  The committed golden digest
-is additionally pinned across interpreter launches, but only under
-``PYTHONHASHSEED=0`` (the CI perf job's environment), so that
-comparison is gated on it."""
+The in-process double runs must agree unconditionally (schedule-order
+determinism is seed-only by construction).  The committed golden table
+(one digest per protocol) is additionally pinned across interpreter
+launches, but only under ``PYTHONHASHSEED=0`` (the CI perf job's
+environment), so that comparison is gated on it."""
 
 import json
 import os
@@ -13,16 +14,24 @@ import pathlib
 import pytest
 
 from repro.bench.determinism import run_canary, state_digest
+from repro.bench.harness import PROTOCOLS
 
 GOLDEN = (pathlib.Path(__file__).resolve().parents[2]
           / "benchmarks" / "results" / "determinism_canary.json")
 
 
+#: The Raft row predates the all-protocol table; extending the canary must
+#: not have moved it.
+RAFT_DIGEST = "3b0a4b4d158f6dd46a3a32fed759a3864fc4bbaf6c7a84795922020866a78e73"
+
+
 def test_two_same_seed_runs_produce_identical_digests():
-    # run_canary raises AssertionError if the double run diverges.
-    summary = run_canary(scale=0.25, seed=0)
-    assert summary["completed"] > 0
-    assert summary["events"] > 0
+    # run_canary raises AssertionError if any protocol's double run diverges.
+    table = run_canary(scale=0.25, seed=0)
+    assert set(table["protocols"]) == set(PROTOCOLS)
+    for row in table["protocols"].values():
+        assert row["completed"] > 0
+        assert row["events"] > 0
 
 
 def test_digest_is_seed_sensitive():
@@ -31,12 +40,23 @@ def test_digest_is_seed_sensitive():
     assert digest_a != digest_b
 
 
-def test_committed_golden_digest_matches():
+def test_golden_table_covers_every_protocol_and_keeps_the_raft_row():
+    golden = json.loads(GOLDEN.read_text())
+    assert set(golden["protocols"]) == set(PROTOCOLS)
+    assert golden["protocols"]["raft"]["digest"] == RAFT_DIGEST
+
+
+def test_committed_golden_digests_match():
     golden = json.loads(GOLDEN.read_text())
     if os.environ.get("PYTHONHASHSEED") != "0":
-        pytest.skip("cross-interpreter digest pinned only under "
+        pytest.skip("cross-interpreter digests pinned only under "
                     "PYTHONHASHSEED=0")
-    digest, summary = state_digest(golden["scale"], golden["seed"])
-    assert digest == golden["digest"], (
-        f"determinism drift vs committed canary: events "
-        f"{summary['events']} vs {golden['events']}")
+    drifted = {}
+    for protocol, row in golden["protocols"].items():
+        digest, summary = state_digest(golden["scale"], golden["seed"],
+                                       protocol)
+        if digest != row["digest"]:
+            drifted[protocol] = (summary["events"], row["events"])
+    assert not drifted, (
+        f"determinism drift vs committed canary (fresh, committed events): "
+        f"{drifted}")

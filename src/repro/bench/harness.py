@@ -24,8 +24,7 @@ from repro.protocols.mencius import (
     RaftStarMenciusReplica,
 )
 from repro.protocols.multipaxos import MultiPaxosReplica
-from repro.protocols.paxos_pql import PaxosPQLReplica
-from repro.protocols.pql import RaftStarPQLReplica
+from repro.protocols.quorum_lease import PaxosPQLReplica, RaftStarPQLReplica
 from repro.protocols.raft import RaftReplica
 from repro.protocols.raftstar import RaftStarReplica
 from repro.protocols.types import OpType

@@ -9,7 +9,13 @@ module only contains consensus logic:
   with replies routed back along the same path;
 * the apply pipeline into the replicated `KVStore` with exactly-once apply
   and reply completion;
-* hooks for tests/metrics (`on_apply_hooks`).
+* hooks for tests/metrics (`on_apply_hooks`);
+* what the leadered families (Raft, MultiPaxos) carry in common around
+  the ack -> commit -> apply loop: the randomized leader timeout, the
+  membership lifecycle (splice, retire, joiner -> voter, crash
+  save/restore), and the **kernel seam** — five no-op hooks both families
+  call at the same points of that loop, which an optimization overrides
+  once and binds to either family (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.kvstore.store import KVStore
 from repro.protocols.config import ClusterConfig
 from repro.protocols.messages import (
+    NO_HOLDERS,
     ClientReply,
     ClientRequest,
     ForwardBatch,
@@ -26,6 +33,7 @@ from repro.protocols.messages import (
 )
 from repro.protocols.types import Command, Entry, OpType
 from repro.sim.node import Node
+from repro.sim.rng import SplitRng
 
 RequestId = Tuple[str, int]
 
@@ -90,6 +98,13 @@ class ReplicaBase(Node):
         # `.epoch` and `.shard_map()` so rejections can tell a stale client
         # how far behind its routing table is — and ship the new map.
         self.shard_info = None
+
+        # Leader-failure detection for the leadered families (leaderless
+        # Mencius never arms it): see `_reset_leader_timeout`.
+        self._leader_timer = self.timer("leader-timeout")
+        root = getattr(network, "rng_root", None)
+        self._rng = (root if root is not None else SplitRng(0)).stream(
+            f"replica:{name}")
 
         self._handlers: Dict[type, Callable[[str, Any], None]] = {}
         self.register_handler(ClientRequest, self._on_client_request)
@@ -294,16 +309,16 @@ class ReplicaBase(Node):
     # -- apply pipeline --------------------------------------------------------
 
     def _fast_apply_eligible(self) -> bool:
-        """Whether a committed batch may bypass `apply_entry` and go to
-        `KVStore.apply_batch` wholesale: nobody is observing the applies
-        (no hooks — e.g. `ShardOwnership.on_apply`, which can flip the
-        store's key filter MID-batch — no obs collector) and nobody is
-        waiting for a completion (no client sessions, no relays).  Under
-        those conditions `apply_entry` reduces to `store.apply` plus the
-        `last_applied` bump, which is exactly what the batch path does."""
+        """Whether committed entries nobody waits on may skip `apply_entry`
+        and go straight to the store: nobody is observing the applies (no
+        hooks — e.g. `ShardOwnership.on_apply`, which can flip the store's
+        key filter MID-batch — no obs collector) and no CONFIG entry needs
+        `_on_config_applied` to fire at its log position.  For such an
+        entry `apply_entry` reduces to `store.apply` plus the
+        `last_applied` bump; entries with a pending requester still take
+        the full path (callers check `_clients` / `_relays` per entry)."""
         return (not self._membership_active and not self.on_apply_hooks
-                and self.obs is None and not self._clients
-                and not self._relays)
+                and self.obs is None)
 
     def apply_entry(self, index: int, entry: Entry) -> None:
         """Apply a committed entry to the state machine and complete the
@@ -373,10 +388,105 @@ class ReplicaBase(Node):
         value = self.store.read_local(command.key)
         self.complete(command, ok=True, value=value, local_read=True)
 
+    # -- the kernel seam (DESIGN.md §14) ------------------------------------------
+    #
+    # Five points of the ack -> commit -> apply loop that RaftReplica and
+    # MultiPaxosReplica both pass through, under the same names.  Four are
+    # defined here as no-ops.  The fifth, `_commit_gate`, is defined by
+    # each family because what it judges differs: Raft commits a prefix
+    # (`_commit_gate(candidate) -> highest index that may commit`),
+    # MultiPaxos chooses one instance (`_commit_gate(index) -> bool`).
+
+    def _entry_entered(self, index: int, command: Command) -> None:
+        """An entry entered the local log at `index`: appended or adopted
+        by a leader, accepted from one, installed by a catch-up snapshot,
+        or reloaded from stable storage on recovery."""
+        if command.op is OpType.CONFIG:
+            self._membership_active = True
+
+    def _ack_payload(self) -> frozenset:
+        """What this replica attaches to its appendOK / acceptOK."""
+        return NO_HOLDERS
+
+    def _ack_received(self, peer: str, message: Any) -> None:
+        """The leader received `peer`'s positive ack for its current
+        term/ballot; called before the ack is counted."""
+
+    def _frontier_advanced(self) -> None:
+        """The commit frontier was updated and everything below it applied
+        (MultiPaxos also calls this when an update moved nothing)."""
+
+    # -- leader timeout ------------------------------------------------------------
+
+    def _reset_leader_timeout(self) -> None:
+        """(Re)arm the randomized leader-failure timeout."""
+        if self.joining or self.retired:
+            # A freshly spliced-in replica must not disrupt the group with
+            # a term/ballot bump before a committed config makes it a
+            # voter; a retired replica must never campaign again.
+            self._leader_timer.cancel()
+            return
+        timeout = self._rng.randint(
+            self.config.election_timeout_min, self.config.election_timeout_max
+        )
+        self._leader_timer.arm(timeout, self._on_leader_timeout)
+
+    def _on_leader_timeout(self) -> None:
+        """Family-specific: start an election / phase 1."""
+        raise NotImplementedError
+
+    # -- dynamic membership: what both reconfiguration styles share ---------------
+
+    def _splice_peers(self, members) -> None:
+        """Point the replication fan-out at the active member set (sorted
+        for deterministic send order)."""
+        self.peers = sorted(m for m in members if m != self.name)
+
+    def _adopt_members(self, members) -> None:
+        """A completed config made `members` the group: splice the
+        fan-out, retire if this replica was removed, and let a joiner that
+        is now a committed voter into the election machinery."""
+        self._splice_peers(members)
+        if self.name not in members:
+            self._retire()
+        elif self.joining:
+            self.joining = False
+            if not self.is_leader:
+                self._reset_leader_timeout()
+
+    def _retire(self) -> None:
+        """This replica was removed by a completed config: fence every
+        client-facing path and stand down permanently (families extend
+        this with their own way of ceasing to lead)."""
+        self.retired = True
+        self.joining = False
+        self._leader_timer.cancel()
+
+    def _save_membership(self, view) -> None:
+        """Crash: the family's voter `view` and the membership state
+        survive (call with a copy if the view is mutable).  Re-applying
+        CONFIG entries during recovery replay is then idempotent: the
+        epoch guard in `_on_config_applied` skips completed transitions."""
+        if self._membership_active:
+            self.stable["membership"] = (
+                view, self.config_epoch, self.retired, list(self.peers))
+
+    def _restore_membership(self):
+        """Recovery: reinstall what `_save_membership` kept and return the
+        saved voter view (None when there was nothing to restore)."""
+        membership = self.stable.get("membership")
+        if membership is None:
+            return None
+        view, self.config_epoch, self.retired, peers = membership
+        self.peers = list(peers)
+        self._membership_active = True
+        return view
+
     # -- lifecycle ---------------------------------------------------------------
 
     def on_crash(self) -> None:
         self._forward_timer.cancel()
+        self._leader_timer.cancel()
         self._clients.clear()
         self._relays.clear()
         self._forward_buffer.clear()

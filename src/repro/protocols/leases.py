@@ -57,9 +57,7 @@ class LeaseManager:
         # members removed by a config change linger in `peers` as learners
         # for one lease duration so the commit wait drains, but granting
         # them fresh leases would keep them lease holders forever.
-        lease_peers = getattr(self.replica, "lease_peers", None)
-        targets = self.replica.peers if lease_peers is None else lease_peers()
-        for peer in targets:
+        for peer in self.replica.lease_peers():
             self.granted[peer] = expiry
             self.replica.send(peer, LeaseGrant(
                 grantor=self.replica.name, holder=peer, expiry=expiry,

@@ -509,11 +509,17 @@ class MenciusReplica(ReplicaBase):
 
 
 class RaftStarMenciusReplica(MenciusReplica):
-    """Raft*-Mencius: the ported optimization.  Recovery restamps adopted
-    entries with the recovery term (Raft*'s ballot-rewriting discipline,
-    Figure 15 BecomeLeader lines 11-13)."""
+    """Raft*-Mencius (Coordinated Raft*, Appendix A.4/B.6): the ported
+    optimization.  At runtime the port and its source are one
+    implementation under two registry names: recovery (`_on_promise`)
+    restamps every adopted entry with the recovery ballot — Raft*'s
+    ballot-rewriting discipline (Figure 15 BecomeLeader lines 11-13),
+    which is also what a Paxos proposer re-proposing under its own ballot
+    does."""
 
 
 class CoordinatedPaxosReplica(MenciusReplica):
-    """Coordinated Paxos (Mencius' substrate, Appendix B.5): identical
-    dynamics; accepted entries keep their original ballots on recovery."""
+    """Coordinated Paxos (Mencius' substrate, Appendix A.3/B.5): the same
+    implementation as `RaftStarMenciusReplica`, recovery restamping
+    included; the distinction lives in the specs (`repro.specs`), not
+    here."""

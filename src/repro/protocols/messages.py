@@ -35,6 +35,10 @@ HEADER_BYTES = 48
 #: envelope (see `HostEnvelope`): a (group, index) back-reference.
 DEDUP_REF_BYTES = 8
 
+#: The ack payload of a replica that grants no leases (every protocol but
+#: the PQL bindings): one shared empty set, never a per-message allocation.
+NO_HOLDERS: FrozenSet[str] = frozenset()
+
 
 def _entries_size(entries: Iterable[Entry]) -> int:
     return sum(entry.wire_size() for entry in entries)
@@ -234,8 +238,6 @@ class RequestVoteReply:
     # Raft* only: entries the voter has beyond the candidate's log
     # (Figure 2a lines 14-16).  Plain Raft leaves this empty.
     extra_entries: Dict[int, Entry] = field(default_factory=dict)
-    # Mencius/Coordinated Raft* only: the voter's skip tags for those entries.
-    extra_skip_tags: Dict[int, bool] = field(default_factory=dict)
     _size: int = _memo()
 
     def size_bytes(self) -> int:
@@ -255,10 +257,6 @@ class AppendEntries:
     # Built once by the sender as a tuple; never mutated in flight.
     entries: Tuple[Entry, ...]
     leader_commit: int
-    # Raft*-Mencius: whether the sender is the default leader for these
-    # indexes, and piggybacked skip announcements (owner -> skipped-below).
-    is_default: bool = False
-    skips: Dict[str, int] = field(default_factory=dict)
     _size: int = _memo()
     # CPU-cost memo: `(NodeCosts, cost)` written by `NodeCosts.cost`.  The
     # same object fans out to every peer (and interned heartbeats repeat
@@ -299,8 +297,6 @@ class AppendEntriesReply:
     # PQL: lease holders currently granted by this follower
     # (the 'leases granted by s' of Figure 7 line 16 / Figure 8 line 9).
     lease_holders: FrozenSet[str] = frozenset()
-    # Mencius: piggybacked skip announcement by the replier (owner -> below).
-    skips: Dict[str, int] = field(default_factory=dict)
 
     def size_bytes(self) -> int:
         return HEADER_BYTES
@@ -331,8 +327,6 @@ class Promise:
     acceptor: str
     instances: Dict[int, Entry]
     log_tail: int
-    # Mencius (Coordinated Paxos): skip tags for the reported instances.
-    skip_tags: Dict[int, bool] = field(default_factory=dict)
     _size: int = _memo()
 
     def size_bytes(self) -> int:
@@ -355,9 +349,6 @@ class Accept:
     proposer: str
     instances: Dict[int, Command]
     commit_index: int
-    # Mencius: proposer is default leader for these instances.
-    is_default: bool = False
-    skips: Dict[str, int] = field(default_factory=dict)
     _size: int = _memo()
     # CPU-cost memo: `(NodeCosts, cost)` written by `NodeCosts.cost`.  The
     # same object fans out to every peer (and interned heartbeats repeat
@@ -385,7 +376,6 @@ class Accepted:
     instance_ids: List[int]
     # PQL on Paxos: lease holders granted by this acceptor.
     lease_holders: FrozenSet[str] = frozenset()
-    skips: Dict[str, int] = field(default_factory=dict)
 
     def size_bytes(self) -> int:
         return HEADER_BYTES
@@ -837,20 +827,19 @@ def _bind_fast_constructors() -> None:
     `object.__new__` plus direct slot-descriptor stores, skipping the
     dataclass `__init__`'s per-field `__setattr__` name lookups.  Results
     are field-for-field equal to dataclass construction — including the
-    -1 size-memo sentinel and a FRESH (unshared) `skips` dict, matching
-    `field(default_factory=dict)` — property-tested in
+    -1 size-memo sentinel — property-tested in
     tests/protocols/test_fast_construct.py."""
     new = object.__new__
 
     (a_term, a_leader, a_prev, a_prev_term, a_entries, a_commit,
-     a_default, a_skips, a_size, a_cpu) = (
+     a_size, a_cpu) = (
         AppendEntries.__dict__[n].__set__
         for n in ("term", "leader", "prev_index", "prev_term", "entries",
-                  "leader_commit", "is_default", "skips", "_size", "_cpu"))
+                  "leader_commit", "_size", "_cpu"))
 
     def make_append(term: int, leader: str, prev_index: int, prev_term: int,
-                    entries: Tuple[Entry, ...], leader_commit: int,
-                    is_default: bool = False) -> AppendEntries:
+                    entries: Tuple[Entry, ...],
+                    leader_commit: int) -> AppendEntries:
         self = new(AppendEntries)
         a_term(self, term)
         a_leader(self, leader)
@@ -858,27 +847,25 @@ def _bind_fast_constructors() -> None:
         a_prev_term(self, prev_term)
         a_entries(self, entries)
         a_commit(self, leader_commit)
-        a_default(self, is_default)
-        a_skips(self, {})
         a_size(self, -1)
         a_cpu(self, None)
         return self
 
-    (r_term, r_follower, r_success, r_match, r_holders, r_skips) = (
+    (r_term, r_follower, r_success, r_match, r_holders) = (
         AppendEntriesReply.__dict__[n].__set__
         for n in ("term", "follower", "success", "match_index",
-                  "lease_holders", "skips"))
-    _no_holders: FrozenSet[str] = frozenset()
+                  "lease_holders"))
 
     def make_append_reply(term: int, follower: str, success: bool,
-                          match_index: int) -> AppendEntriesReply:
+                          match_index: int,
+                          lease_holders: FrozenSet[str] = NO_HOLDERS,
+                          ) -> AppendEntriesReply:
         self = new(AppendEntriesReply)
         r_term(self, term)
         r_follower(self, follower)
         r_success(self, success)
         r_match(self, match_index)
-        r_holders(self, _no_holders)
-        r_skips(self, {})
+        r_holders(self, lease_holders)
         return self
 
     (e_src, e_dst, e_items, e_beacon, e_size, e_dedup) = (

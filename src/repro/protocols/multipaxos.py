@@ -17,6 +17,7 @@ Structural differences from Raft that §3 calls out are visible here:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Set
 
 from repro.membership import DEFAULT_ALPHA, ConfigLog, is_quorum
@@ -79,14 +80,13 @@ class MultiPaxosReplica(ReplicaBase):
         # proposer state
         self.next_instance = 0
         self._promises: Dict[str, Promise] = {}
+        # acceptOKs for the CURRENT ballot, per unchosen instance: reset
+        # whenever the ballot changes (`_adopt_ballot`), dropped when the
+        # instance is chosen — bounded by the in-flight window.
         self._accept_counts: Dict[int, Set[str]] = {}
         self._accept_buffer: Dict[int, Command] = {}
-        self._prepare_timer = self.timer("prepare")
         self._heartbeat_timer = self.timer("heartbeat")
         self._flush_timer = self.timer("accept-flush")
-        from repro.protocols.raft import sim_rng_for
-
-        self._rng = sim_rng_for(self)
 
         self.register_handler(Prepare, self._on_prepare)
         self.register_handler(Promise, self._on_promise)
@@ -99,7 +99,7 @@ class MultiPaxosReplica(ReplicaBase):
         if config.initial_leader is not None:
             self._seed_initial_leader(config.initial_leader)
         else:
-            self._reset_prepare_timer()
+            self._reset_leader_timeout()
 
     # -- bootstrap --------------------------------------------------------------
 
@@ -110,7 +110,7 @@ class MultiPaxosReplica(ReplicaBase):
             self.phase1_succeeded = True
             self._heartbeat_timer.arm(self.config.heartbeat_interval, self._on_heartbeat)
         else:
-            self._reset_prepare_timer()
+            self._reset_leader_timeout()
 
     # -- helpers --------------------------------------------------------------------
 
@@ -131,7 +131,7 @@ class MultiPaxosReplica(ReplicaBase):
         # changes travel through real Prepare/Accept traffic.
         if (not self.phase1_succeeded and self.leader_id == leader
                 and self.ballot.round == term):
-            self._reset_prepare_timer()
+            self._reset_leader_timeout()
 
     def first_unchosen(self) -> int:
         index = self.commit_index + 1
@@ -139,24 +139,18 @@ class MultiPaxosReplica(ReplicaBase):
             index += 1
         return index
 
-    def _reset_prepare_timer(self) -> None:
-        if self.joining or self.retired:
-            # A spliced-in replica must not steal the ballot before a
-            # committed config makes it a voter; a retired replica must
-            # never propose again.
-            self._prepare_timer.cancel()
-            return
-        timeout = self._rng.randint(
-            self.config.election_timeout_min, self.config.election_timeout_max
-        )
-        self._prepare_timer.arm(timeout, self._start_phase1)
+    def _adopt_ballot(self, ballot: Ballot) -> None:
+        """Every ballot change goes through here.  An acceptOK counts only
+        toward the ballot it was sent for, so the ack sets start over."""
+        self.ballot = ballot
+        self.phase1_succeeded = False
+        self._accept_counts = {}
 
     # -- phase 1 ----------------------------------------------------------------------
 
-    def _start_phase1(self) -> None:
+    def _on_leader_timeout(self) -> None:
         """Phase1a: adopt a higher ballot and ask everyone to promise."""
-        self.ballot = self.ballot.next_for(self.name)
-        self.phase1_succeeded = False
+        self._adopt_ballot(self.ballot.next_for(self.name))
         self.leader_id = None
         self._promises = {}
         unchosen = self.first_unchosen()
@@ -170,15 +164,14 @@ class MultiPaxosReplica(ReplicaBase):
             instances={i: e.copy() for i, e in self.instances.items() if i >= unchosen},
             log_tail=self.log_tail,
         )
-        self._reset_prepare_timer()
+        self._reset_leader_timeout()
 
     def _on_prepare(self, src: str, msg: Prepare) -> None:
         if msg.ballot <= self.ballot:
             return  # Paxos acceptors simply ignore stale prepares
-        self.ballot = msg.ballot
-        self.phase1_succeeded = False
+        self._adopt_ballot(msg.ballot)
         self.leader_id = msg.proposer
-        self._reset_prepare_timer()
+        self._reset_leader_timeout()
         reply = Promise(
             ballot=msg.ballot,
             acceptor=self.name,
@@ -186,13 +179,8 @@ class MultiPaxosReplica(ReplicaBase):
                 i: e.copy() for i, e in self.instances.items() if i >= msg.unchosen
             },
             log_tail=self.log_tail,
-            skip_tags=self._promise_skip_tags(msg.unchosen),
         )
         self.send(src, reply)
-
-    def _promise_skip_tags(self, unchosen: int) -> Dict[int, bool]:
-        """Hook for Coordinated Paxos (Mencius)."""
-        return {}
 
     def _on_promise(self, src: str, msg: Promise) -> None:
         if msg.ballot != self.ballot or self.phase1_succeeded:
@@ -243,7 +231,7 @@ class MultiPaxosReplica(ReplicaBase):
         self.leader_id = self.name
         self.next_instance = end + 1
         self.trace.record(self.sim.now, self.name, "phase1ok", round=self.ballot.round)
-        self._prepare_timer.cancel()
+        self._leader_timer.cancel()
         if recovered:
             self._accept_buffer.update(recovered)
             self._flush_accepts()
@@ -255,8 +243,6 @@ class MultiPaxosReplica(ReplicaBase):
         if not self.phase1_succeeded:
             self.forward_to_leader(command)
             return
-        if command.op is OpType.CONFIG:
-            self._membership_active = True
         if (self._config_log is not None
                 and not self._config_log.window_open(self.next_instance,
                                                      self.commit_index)):
@@ -286,15 +272,11 @@ class MultiPaxosReplica(ReplicaBase):
             proposer=self.name,
             instances=batch,
             commit_index=self.commit_index,
-            is_default=self._accept_is_default(),
         )
         # Accept our own proposals first (the implicit self-accept).
         self._accept_locally(message)
         for peer in self.peers:
             self.send(peer, message)
-
-    def _accept_is_default(self) -> bool:
-        return False  # Coordinated Paxos hook
 
     def _on_heartbeat(self) -> None:
         if not self.phase1_succeeded:
@@ -324,83 +306,71 @@ class MultiPaxosReplica(ReplicaBase):
                 self._last_idle_commit = self.commit_index
         self._heartbeat_timer.arm(self.config.heartbeat_interval, self._on_heartbeat)
 
-    def _accept_locally(self, msg: Accept) -> None:
+    def _accept_into_log(self, msg: Accept) -> None:
+        """Phase2b's write: overwrite each instance with the proposer's
+        value and ballot (acceptors never erase)."""
         make = Entry.make
         round_ = msg.ballot.round
+        entered = self._entry_entered
         for index, command in msg.instances.items():
-            if command.op is OpType.CONFIG:
-                self._membership_active = True
             self.instances[index] = make(round_, command, round_)
             self.log_tail = max(self.log_tail, index)
-            self._record_acceptance(index, self.name, msg.ballot)
+            entered(index, command)
+
+    def _accept_locally(self, msg: Accept) -> None:
+        self._accept_into_log(msg)
+        for index in msg.instances:
+            self._record_acceptance(index, self.name)
 
     def _on_accept(self, src: str, msg: Accept) -> None:
         if msg.ballot < self.ballot:
             return
         if msg.ballot > self.ballot:
-            self.ballot = msg.ballot
-            self.phase1_succeeded = False
+            self._adopt_ballot(msg.ballot)
         self.leader_id = msg.proposer
-        self._reset_prepare_timer()
-        make = Entry.make
-        round_ = msg.ballot.round
-        for index, command in msg.instances.items():
-            if command.op is OpType.CONFIG:
-                self._membership_active = True
-            self.instances[index] = make(round_, command, round_)
-            self.log_tail = max(self.log_tail, index)
-            self._after_accept(index, command, msg)
+        self._reset_leader_timeout()
+        self._accept_into_log(msg)
         self._learn_commit_frontier(msg.commit_index)
         if msg.instances:
             self.send(src, Accepted(
                 ballot=msg.ballot,
                 acceptor=self.name,
                 instance_ids=sorted(msg.instances),
-                lease_holders=self._accepted_lease_holders(),
+                lease_holders=self._ack_payload(),
             ))
-
-    def _after_accept(self, index: int, command: Command, msg: Accept) -> None:
-        """Hook for Coordinated Paxos (skip tags / executable set)."""
-
-    def _accepted_lease_holders(self) -> frozenset:
-        """Hook for PQL-on-Paxos."""
-        return frozenset()
 
     def _on_accepted(self, src: str, msg: Accepted) -> None:
         if not self.phase1_succeeded or msg.ballot != self.ballot:
             return
-        self._note_accepted_reply(src, msg)
+        self._ack_received(msg.acceptor, msg)
         for index in msg.instance_ids:
-            self._record_acceptance(index, msg.acceptor, msg.ballot)
+            self._record_acceptance(index, msg.acceptor)
 
-    def _note_accepted_reply(self, src: str, msg: Accepted) -> None:
-        """Hook for PQL-on-Paxos (collect lease holders)."""
-
-    def _record_acceptance(self, index: int, acceptor: str, ballot: Ballot) -> None:
-        voters = self._accept_counts.setdefault(index, set())
-        voters.add(acceptor)
-        if self._config_log is not None:
-            # α-aware choosing: the voter set that governs THIS slot —
-            # acks from non-voters (a catching-up joiner, a retired
-            # replica) are inert.
-            if (is_quorum(self._config_log.voters_at(index), voters)
-                    and index not in self.chosen and self._may_choose(index)):
-                self._choose(index)
+    def _record_acceptance(self, index: int, acceptor: str) -> None:
+        """Count a current-ballot acceptOK.  Late acks for chosen
+        instances are ignored."""
+        if index in self.chosen:
             return
-        if len(voters) >= self.config.majority and index not in self.chosen:
-            if self._may_choose(index):
-                self._choose(index)
+        self._accept_counts.setdefault(index, set()).add(acceptor)
+        self._try_choose(index)
+
+    def _try_choose(self, index: int) -> None:
+        """Choose unchosen `index` if a quorum accepted it and the commit
+        gate lets it through."""
+        if (self._accept_quorum(index, self._accept_counts[index])
+                and self._commit_gate(index)):
+            self._choose(index)
 
     def _accept_quorum(self, index: int, voters: Set[str]) -> bool:
         """Whether `voters` is an accept quorum for `index` under the
-        config governing that slot (subclass re-check paths; the hot path
-        in `_record_acceptance` keeps its inline form)."""
+        config governing that slot — α-aware: acks from non-voters (a
+        catching-up joiner, a retired replica) are inert."""
         if self._config_log is not None:
             return is_quorum(self._config_log.voters_at(index), voters)
         return len(voters) >= self.config.majority
 
-    def _may_choose(self, index: int) -> bool:
-        """Hook for PQL-on-Paxos (lease-holder wait)."""
+    def _commit_gate(self, index: int) -> bool:
+        """Whether instance `index`, accepted by a quorum, may be chosen."""
         return True
 
     def _choose(self, index: int) -> None:
@@ -408,6 +378,7 @@ class MultiPaxosReplica(ReplicaBase):
         if entry is None:
             return
         self.chosen[index] = entry.command
+        self._accept_counts.pop(index, None)
         self._advance_commit_frontier()
 
     def _advance_commit_frontier(self) -> None:
@@ -416,8 +387,7 @@ class MultiPaxosReplica(ReplicaBase):
         # reduce to `store.apply` + the `last_applied` bump — no throwaway
         # Entry wrapper, no `apply_entry` frame.  Membership runs disable
         # the shortcut so CONFIG entries reach `_on_config_applied`.
-        fast = (not self._membership_active and not self.on_apply_hooks
-                and self.obs is None)
+        fast = self._fast_apply_eligible()
         clients = self._clients
         relays = self._relays
         chosen = self.chosen
@@ -444,6 +414,7 @@ class MultiPaxosReplica(ReplicaBase):
         if advanced and self.phase1_succeeded and not self._flush_timer.armed:
             # Let acceptors learn the new frontier promptly.
             self._flush_timer.arm(self.config.append_flush_interval, self._flush_accepts_or_learn)
+        self._frontier_advanced()
 
     def _flush_accepts_or_learn(self) -> None:
         if self._accept_buffer:
@@ -460,10 +431,11 @@ class MultiPaxosReplica(ReplicaBase):
             index = self.commit_index + 1
             entry = self.instances.get(index)
             if entry is None:
-                return  # hole: wait for a retransmit
+                break  # hole: wait for a retransmit
             self.chosen[index] = entry.command
             self.commit_index = index
             self.apply_entry(index, entry)
+        self._frontier_advanced()
 
     def _on_learn(self, src: str, msg: Learn) -> None:
         self._learn_commit_frontier(msg.commit_index)
@@ -490,25 +462,12 @@ class MultiPaxosReplica(ReplicaBase):
         self.config_epoch = change.epoch
         new = frozenset(change.new)
         joiners = new - frozenset([self.name, *self.peers])
-        self._splice_peers(new)
-        if self.name not in new:
-            self._retire()
-            return
-        if self.joining:
-            # This replica is now a committed voter: join the ballot
-            # machinery.
-            self.joining = False
-            if not self.phase1_succeeded:
-                self._reset_prepare_timer()
+        # `voters_at` keeps judging past slots by their governing config,
+        # so a removed replica's acks stay countable for the slots it
+        # still governs.
+        self._adopt_members(new)
         if self.phase1_succeeded and joiners:
             self._catch_up_new_peers(joiners)
-
-    def _splice_peers(self, members) -> None:
-        """Point the accept fan-out at the active member set (sorted for
-        deterministic send order).  `voters_at` keeps judging past slots
-        by their governing config, so a removed replica's acks stay
-        countable for the slots it still governs."""
-        self.peers = sorted(m for m in members if m != self.name)
 
     def _catch_up_new_peers(self, joiners) -> None:
         """Ship a fresh joiner the leader's contiguous instance prefix in
@@ -535,9 +494,8 @@ class MultiPaxosReplica(ReplicaBase):
             self.ballot = Ballot(msg.term, msg.sender)
             self.leader_id = msg.sender
             for index, entry in enumerate(msg.entries):
-                if entry.command.op is OpType.CONFIG:
-                    self._membership_active = True
                 self.instances[index] = entry
+                self._entry_entered(index, entry.command)
             self.log_tail = len(msg.entries) - 1
             self._learn_commit_frontier(msg.commit_index)
         self.send(src, CatchUpReply(
@@ -549,12 +507,8 @@ class MultiPaxosReplica(ReplicaBase):
         does the work — so the reply is just liveness news."""
 
     def _retire(self) -> None:
-        """This replica was removed by an effective config: fence every
-        client-facing path (`ReplicaBase`) and stand down permanently."""
-        self.retired = True
-        self.joining = False
+        super()._retire()
         self.phase1_succeeded = False
-        self._prepare_timer.cancel()
         self._heartbeat_timer.cancel()
         self._flush_timer.cancel()
 
@@ -562,21 +516,14 @@ class MultiPaxosReplica(ReplicaBase):
 
     def on_crash(self) -> None:
         super().on_crash()
-        for timer in (self._prepare_timer, self._heartbeat_timer, self._flush_timer):
-            timer.cancel()
+        self._heartbeat_timer.cancel()
+        self._flush_timer.cancel()
         self.stable["ballot"] = self.ballot
         self.stable["instances"] = {i: e.copy() for i, e in self.instances.items()}
         self.stable["log_tail"] = self.log_tail
-        if self._membership_active:
-            # Membership state survives the crash; re-applying CONFIG
-            # entries during recovery replay is then idempotent (epoch
-            # guard in `_on_config_applied`).
-            self.stable["membership"] = (
-                None if self._config_log is None else ConfigLog(
-                    initial=self._config_log.initial,
-                    alpha=self._config_log.alpha,
-                    entries=list(self._config_log.entries)),
-                self.config_epoch, self.retired, list(self.peers))
+        log = self._config_log  # mutable: the crash keeps a copy
+        self._save_membership(
+            None if log is None else replace(log, entries=list(log.entries)))
 
     def on_recover(self) -> None:
         self.ballot = self.stable.get("ballot", Ballot(0, ""))
@@ -592,13 +539,9 @@ class MultiPaxosReplica(ReplicaBase):
         self._accept_counts = {}
         self._accept_buffer = {}
         self._deferred_commands = []
-        membership = self.stable.get("membership")
-        if membership is not None:
-            config_log, self.config_epoch, self.retired, peers = membership
-            if config_log is not None:
-                self._config_log = ConfigLog(
-                    initial=config_log.initial, alpha=config_log.alpha,
-                    entries=list(config_log.entries))
-            self.peers = list(peers)
-            self._membership_active = True
-        self._reset_prepare_timer()
+        for index, entry in self.instances.items():
+            self._entry_entered(index, entry.command)
+        view = self._restore_membership()
+        if view is not None:
+            self._config_log = view
+        self._reset_leader_timeout()

@@ -32,7 +32,7 @@ from repro.protocols.messages import (
     RequestVote,
     RequestVoteReply,
 )
-from repro.protocols.types import NOP, Command, Entry, OpType
+from repro.protocols.types import Command, Entry, OpType
 
 MAX_BATCH_ENTRIES = 64
 
@@ -108,10 +108,8 @@ class RaftReplica(ReplicaBase):
         # membership changes is bit-identical to the pre-membership code.
         self._voters: Optional[VoterView] = None
 
-        self._election_timer = self.timer("election")
         self._heartbeat_timer = self.timer("heartbeat")
         self._flush_timer = self.timer("append-flush")
-        self._rng = sim_rng_for(self)
 
         self.register_handler(RequestVote, self._on_request_vote)
         self.register_handler(RequestVoteReply, self._on_vote_reply)
@@ -123,7 +121,7 @@ class RaftReplica(ReplicaBase):
         if config.initial_leader is not None:
             self._seed_initial_leader(config.initial_leader)
         else:
-            self._reset_election_timer()
+            self._reset_leader_timeout()
 
     # -- bootstrap ---------------------------------------------------------------
 
@@ -137,7 +135,7 @@ class RaftReplica(ReplicaBase):
             # Defer until every replica has registered with the network.
             self.sim.schedule(0, self._assume_leadership, True)
         else:
-            self._reset_election_timer()
+            self._reset_leader_timeout()
 
     # -- helpers --------------------------------------------------------------
 
@@ -169,19 +167,7 @@ class RaftReplica(ReplicaBase):
         # (term changes travel through real AppendEntries, as before).
         if term == self.current_term and self.role is Role.FOLLOWER:
             self.leader_id = leader
-            self._reset_election_timer()
-
-    def _reset_election_timer(self) -> None:
-        if self.joining or self.retired:
-            # A freshly spliced-in replica must not disrupt the group with
-            # a term bump before a committed config makes it a voter; a
-            # retired replica must never campaign again.
-            self._election_timer.cancel()
-            return
-        timeout = self._rng.randint(
-            self.config.election_timeout_min, self.config.election_timeout_max
-        )
-        self._election_timer.arm(timeout, self._on_election_timeout)
+            self._reset_leader_timeout()
 
     def _step_down(self, term: int, leader: Optional[str] = None) -> None:
         changed_term = term > self.current_term
@@ -194,11 +180,11 @@ class RaftReplica(ReplicaBase):
         self._batch_cache = None
         self._heartbeat_timer.cancel()
         self._flush_timer.cancel()
-        self._reset_election_timer()
+        self._reset_leader_timeout()
 
     # -- elections ---------------------------------------------------------------
 
-    def _on_election_timeout(self) -> None:
+    def _on_leader_timeout(self) -> None:
         self.role = Role.CANDIDATE
         self.current_term += 1
         self.voted_for = self.name
@@ -213,7 +199,7 @@ class RaftReplica(ReplicaBase):
         )
         for peer in self.peers:
             self.send(peer, message)
-        self._reset_election_timer()
+        self._reset_leader_timeout()
 
     def _log_up_to_date(self, msg: RequestVote) -> bool:
         my_last_term = self.term_at(self.last_index)
@@ -232,7 +218,7 @@ class RaftReplica(ReplicaBase):
         extras: Dict[int, Entry] = {}
         if granted:
             self.voted_for = msg.candidate
-            self._reset_election_timer()
+            self._reset_leader_timeout()
             extras = self._vote_extras(msg.last_log_index)
         self.send(
             src,
@@ -271,7 +257,7 @@ class RaftReplica(ReplicaBase):
     def _assume_leadership(self, initial: bool = False) -> None:
         self.role = Role.LEADER
         self.leader_id = self.name
-        self._election_timer.cancel()
+        self._leader_timer.cancel()
         self._batch_cache = None
         self._peer_state = {
             peer: _PeerState(next_index=self.last_index + 1,
@@ -340,9 +326,8 @@ class RaftReplica(ReplicaBase):
 
     def _append_to_log(self, command: Command) -> None:
         term = self.current_term
-        if command.op is OpType.CONFIG:
-            self._membership_active = True
         self.log.append(Entry.make(term, command, term))
+        self._entry_entered(len(self.log) - 1, command)
 
     def _append_config(self, change: ConfigChange) -> None:
         """Leader-originated config entry (the auto-appended `final`).
@@ -466,20 +451,14 @@ class RaftReplica(ReplicaBase):
         if msg.term > self.current_term or self.role is not Role.FOLLOWER:
             self._step_down(msg.term, leader=msg.leader)
         self.leader_id = msg.leader
-        self._reset_election_timer()
+        self._reset_leader_timeout()
 
         success, match = self._try_append(msg)
         if success:
             self._advance_commit_follower(min(msg.leader_commit, match))
-        self.send(src, self._make_append_reply(success, match))
-
-    def _make_append_reply(self, success: bool, match: int) -> AppendEntriesReply:
-        # Fresh construction, never interned: PQL mutates the reply
-        # (`lease_holders`) after this returns.
-        return AppendEntriesReply.make(
-            term=self.current_term, follower=self.name, success=success,
-            match_index=match,
-        )
+        self.send(src, AppendEntriesReply.make(
+            self.current_term, self.name, success, match,
+            self._ack_payload()))
 
     def _try_append(self, msg: AppendEntries) -> tuple:
         """Raft semantics: consistency check, erase conflicts, append.
@@ -487,6 +466,7 @@ class RaftReplica(ReplicaBase):
         if msg.prev_index >= 0 and self.term_at(msg.prev_index) != msg.prev_term:
             return False, min(self.last_index, msg.prev_index - 1)
         insert = msg.prev_index + 1
+        entered = self._entry_entered
         for offset, entry in enumerate(msg.entries):
             index = insert + offset
             if index <= self.last_index:
@@ -497,14 +477,14 @@ class RaftReplica(ReplicaBase):
                     self.log.append(entry)
             else:
                 self.log.append(entry)
-            if entry.command.op is OpType.CONFIG:
-                self._membership_active = True
+            entered(index, entry.command)
         return True, msg.prev_index + len(msg.entries)
 
     def _advance_commit_follower(self, new_commit: int) -> None:
         if new_commit > self.commit_index:
             self.commit_index = min(new_commit, self.last_index)
             self._apply_committed()
+            self._frontier_advanced()
 
     def _on_append_reply(self, src: str, msg: AppendEntriesReply) -> None:
         if msg.term > self.current_term:
@@ -518,7 +498,8 @@ class RaftReplica(ReplicaBase):
             if msg.match_index > state.match_index:
                 state.match_index = msg.match_index
             state.next_index = state.match_index + 1
-            self._leader_advance_commit(msg)
+            self._ack_received(peer, msg)
+            self._leader_advance_commit()
             self._send_append(peer)
         else:
             next_index = state.next_index - 1
@@ -535,9 +516,9 @@ class RaftReplica(ReplicaBase):
     def _handle_append_reject(self, peer: str, msg: AppendEntriesReply) -> None:
         """Hook for Raft* (reject-because-longer needs no-op padding)."""
 
-    def _leader_advance_commit(self, msg: AppendEntriesReply) -> None:
-        """Advance commit_index by majority counting; Raft restricts the
-        counted entry to the current term (§5.4.2)."""
+    def _leader_advance_commit(self) -> None:
+        """Advance commit_index to the highest majority-replicated index
+        the commit gate lets through."""
         if self._voters is not None:
             # Membership-aware commit rule: the highest index replicated
             # on a quorum of EVERY active voter group (one group when
@@ -560,15 +541,21 @@ class RaftReplica(ReplicaBase):
             # self: the f-th largest peer match (0-indexed from the end).
             candidate = matches[len(matches) - self.config.f]
             candidate = min(candidate, self.last_index)
-        while candidate > self.commit_index and not self._can_commit_at(candidate):
-            candidate -= 1
+        candidate = self._commit_gate(candidate)
         if candidate > self.commit_index:
             self.commit_index = candidate
             self._apply_committed()
+            self._frontier_advanced()
             self._schedule_flush()  # propagate the new commit index
 
-    def _can_commit_at(self, index: int) -> bool:
-        return self.term_at(index) == self.current_term
+    def _commit_gate(self, candidate: int) -> int:
+        """The highest index <= `candidate` (majority-replicated) that may
+        commit.  Raft restricts the counted entry to the current term
+        (§5.4.2)."""
+        while (candidate > self.commit_index
+               and self.term_at(candidate) != self.current_term):
+            candidate -= 1
+        return candidate
 
     # -- dynamic membership (joint consensus) -------------------------------------
     #
@@ -607,22 +594,13 @@ class RaftReplica(ReplicaBase):
             new = frozenset(change.new)
             self.config_epoch = change.epoch
             self._voters = VoterView.stable(new, change.epoch)
-            self._splice_peers(new)
-            if self.name not in new:
-                self._retire()
-            elif self.joining:
-                # This replica is now a committed voter: join the election
-                # machinery.
-                self.joining = False
-                if self.role is Role.FOLLOWER:
-                    self._reset_election_timer()
+            self._adopt_members(new)
 
     def _splice_peers(self, members) -> None:
-        """Point the replication fan-out at the active member set (sorted
-        for deterministic send order).  Leader-side records for new peers
-        are created on demand; records of removed peers become inert —
-        the membership-aware commit rule only consults voter names."""
-        self.peers = sorted(m for m in members if m != self.name)
+        """Leader-side records for new peers are created on demand;
+        records of removed peers become inert — the membership-aware
+        commit rule only consults voter names."""
+        super()._splice_peers(members)
         if self.role is Role.LEADER:
             for peer in self.peers:
                 self._peer(peer)
@@ -648,15 +626,14 @@ class RaftReplica(ReplicaBase):
         if msg.term > self.current_term or self.role is not Role.FOLLOWER:
             self._step_down(msg.term, leader=msg.sender)
         self.leader_id = msg.sender
-        self._reset_election_timer()
+        self._reset_leader_timeout()
         if not self.log:
             # Install is only ever wholesale into an EMPTY log (the fresh
             # joiner); a lagging rejoiner keeps its log and lets ordinary
             # append backtracking repair it.
             self.log = list(msg.entries)
-            if self._membership_active or any(
-                    entry.command.op is OpType.CONFIG for entry in self.log):
-                self._membership_active = True
+            for index, entry in enumerate(self.log):
+                self._entry_entered(index, entry.command)
             self._advance_commit_follower(
                 min(msg.commit_index, self.last_index))
         self.send(src, CatchUpReply(
@@ -675,17 +652,12 @@ class RaftReplica(ReplicaBase):
             state.next_index = msg.last_index + 1
             if state.sent_hwm < msg.last_index:
                 state.sent_hwm = msg.last_index
-            self._leader_advance_commit(None)
+            self._leader_advance_commit()
 
     def _retire(self) -> None:
-        """This replica was removed by a completed config: fence every
-        client-facing path (`ReplicaBase`) and stand down permanently."""
-        self.retired = True
-        self.joining = False
+        super()._retire()
         if self.role is Role.LEADER:
             self._step_down(self.current_term)
-        self._election_timer.cancel()
-        self._heartbeat_timer.cancel()
 
     # -- apply --------------------------------------------------------------------
 
@@ -694,8 +666,7 @@ class RaftReplica(ReplicaBase):
         applied = self.last_applied
         if commit <= applied:
             return
-        if (not self._membership_active and not self.on_apply_hooks
-                and self.obs is None):
+        if self._fast_apply_eligible():
             clients = self._clients
             relays = self._relays
             if not clients and not relays:
@@ -732,21 +703,13 @@ class RaftReplica(ReplicaBase):
 
     def on_crash(self) -> None:
         super().on_crash()
-        self._election_timer.cancel()
         self._heartbeat_timer.cancel()
         self._flush_timer.cancel()
         # Persist durable state (term, vote, log) across the crash.
         self.stable["term"] = self.current_term
         self.stable["voted_for"] = self.voted_for
         self.stable["log"] = [entry.copy() for entry in self.log]
-        if self._membership_active:
-            # Membership view survives the crash (VoterView is frozen, the
-            # peer list is rebuilt as a copy).  Re-applying CONFIG entries
-            # during recovery replay is then idempotent: the epoch guard in
-            # `_on_config_applied` skips completed transitions.
-            self.stable["membership"] = (
-                self._voters, self.config_epoch, self.retired,
-                list(self.peers))
+        self._save_membership(self._voters)  # VoterView is frozen
 
     def on_recover(self) -> None:
         self.current_term = self.stable.get("term", 0)
@@ -759,19 +722,9 @@ class RaftReplica(ReplicaBase):
         self.leader_id = None
         self._votes = set()
         self._batch_cache = None
-        membership = self.stable.get("membership")
-        if membership is not None:
-            self._voters, self.config_epoch, self.retired, peers = membership
-            self.peers = list(peers)
-            self._membership_active = True
-        self._reset_election_timer()
-
-
-def sim_rng_for(replica: ReplicaBase):
-    """Derive a deterministic per-replica RNG from the network's stream."""
-    from repro.sim.rng import SplitRng
-
-    root = getattr(replica.network, "rng_root", None)
-    if root is None:
-        root = SplitRng(0)
-    return root.stream(f"replica:{replica.name}")
+        for index, entry in enumerate(self.log):
+            self._entry_entered(index, entry.command)
+        view = self._restore_membership()
+        if view is not None:
+            self._voters = view
+        self._reset_leader_timeout()

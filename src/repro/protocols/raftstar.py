@@ -21,7 +21,7 @@ from typing import Dict
 
 from repro.protocols.messages import AppendEntries, AppendEntriesReply, RequestVoteReply
 from repro.protocols.raft import RaftReplica, Role
-from repro.protocols.types import NOP, Command, Entry, OpType
+from repro.protocols.types import Command, Entry, OpType
 
 
 class RaftStarReplica(RaftReplica):
@@ -53,9 +53,9 @@ class RaftStarReplica(RaftReplica):
                     self._pending_extras[index] = entry
         super()._on_vote_reply(src, msg)
 
-    def _on_election_timeout(self) -> None:
+    def _on_leader_timeout(self) -> None:
         self._pending_extras: Dict[int, Entry] = {}
-        super()._on_election_timeout()
+        super()._on_leader_timeout()
 
     def _assume_leadership(self, initial: bool = False) -> None:
         if not initial:
@@ -75,11 +75,10 @@ class RaftStarReplica(RaftReplica):
                 # instance).
                 self._append_to_log(self._padding_nop())
             entry = extras[index]
-            if entry.command.op is OpType.CONFIG:
-                self._membership_active = True
             self.log.append(Entry(
                 term=self.current_term, command=entry.command, ballot=self.current_term,
             ))
+            self._entry_entered(index, entry.command)
         self._pending_extras = {}
 
     def _padding_nop(self) -> Command:
@@ -104,14 +103,14 @@ class RaftStarReplica(RaftReplica):
             # its log is longer — erasing has no Paxos counterpart.
             return False, self.last_index
         insert = msg.prev_index + 1
+        entered = self._entry_entered
         for offset, entry in enumerate(msg.entries):
             index = insert + offset
             if index <= self.last_index:
                 self.log[index] = entry  # overwrite, never truncate
             else:
                 self.log.append(entry)
-            if entry.command.op is OpType.CONFIG:
-                self._membership_active = True
+            entered(index, entry.command)
         self._rewrite_ballots(msg.term)
         return True, msg.last_index
 
@@ -143,5 +142,5 @@ class RaftStarReplica(RaftReplica):
 
     # -- difference 2 consequence: no current-term commit restriction ------------
 
-    def _can_commit_at(self, index: int) -> bool:
-        return True
+    def _commit_gate(self, candidate: int) -> int:
+        return candidate

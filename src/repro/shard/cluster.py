@@ -525,10 +525,7 @@ class ShardedCluster:
             # committed config makes it a voter; `joining` is cleared by
             # the protocol when the final/alpha change applies.
             joiner.joining = True
-            for timer_name in ("_election_timer", "_prepare_timer"):
-                timer = getattr(joiner, timer_name, None)
-                if timer is not None:
-                    timer.cancel()
+            joiner._leader_timer.cancel()
             if spec.coalesce and new_host is not None:
                 self._mux_for(new_host, config).register(joiner, shard)
             ownership = ShardOwnership(shard, self.versioned, owned=True)

@@ -85,10 +85,7 @@ class Group:
             initial_leader=None)
         joiner = self.cls(name, self.sim, self.network, config)
         joiner.joining = True
-        for attr in ("_election_timer", "_prepare_timer"):
-            timer = getattr(joiner, attr, None)
-            if timer is not None:
-                timer.cancel()
+        joiner._leader_timer.cancel()
         self.replicas[name] = joiner
         return joiner
 

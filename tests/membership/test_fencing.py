@@ -14,8 +14,7 @@ holder status ages out instead of being renewed forever.
 import pytest
 
 from repro.protocols.messages import ConfigChange
-from repro.protocols.paxos_pql import PaxosPQLReplica
-from repro.protocols.pql import RaftStarPQLReplica
+from repro.protocols.quorum_lease import PaxosPQLReplica, RaftStarPQLReplica
 from repro.protocols.types import Consistency
 from repro.sim.units import ms, sec
 

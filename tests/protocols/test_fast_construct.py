@@ -5,8 +5,7 @@ stated as properties):
 * `Command.make` / `Entry.make` / `AppendEntries.make` /
   `AppendEntriesReply.make` / `HostEnvelope.make` produce objects
   field-for-field equal to dataclass construction — including `__eq__`,
-  `hash` where defined, the lazy wire-size memo, and a FRESH (unshared)
-  `skips` dict;
+  `hash` where defined, and the lazy wire-size memo;
 * the interned empty-heartbeat skeleton a Raft leader reuses across ticks
   equals what dataclass construction would have built for each tick;
 * `ReplicaBase._handle` (the specialized one-frame dispatch) routes every
@@ -90,18 +89,17 @@ def test_entry_make_equivalent(reference):
     prev_term=st.integers(min_value=-2, max_value=100),
     batch=st.lists(entries, max_size=4),
     leader_commit=st.integers(min_value=-1, max_value=1000),
-    is_default=st.booleans(),
 )
 @settings(max_examples=100, deadline=None)
 def test_append_entries_make_equivalent(term, prev_index, prev_term, batch,
-                                        leader_commit, is_default):
+                                        leader_commit):
     window = tuple(batch)
     reference = AppendEntries(
         term=term, leader="s0", prev_index=prev_index, prev_term=prev_term,
-        entries=window, leader_commit=leader_commit, is_default=is_default)
+        entries=window, leader_commit=leader_commit)
     made = AppendEntries.make(
         term=term, leader="s0", prev_index=prev_index, prev_term=prev_term,
-        entries=window, leader_commit=leader_commit, is_default=is_default)
+        entries=window, leader_commit=leader_commit)
     assert made == reference
     # The lazy memos start unset on both paths and agree once computed.
     assert made._size == reference._size == -1
@@ -110,27 +108,27 @@ def test_append_entries_make_equivalent(term, prev_index, prev_term, batch,
     assert made.command_count() == reference.command_count()
     assert made.last_index == reference.last_index
     assert list(made.entry_batch()) == list(reference.entry_batch())
-    # Fresh, unshared skips dict — matching field(default_factory=dict).
-    assert made.skips == {}
-    assert made.skips is not AppendEntries.make(
-        term=term, leader="s0", prev_index=prev_index, prev_term=prev_term,
-        entries=window, leader_commit=leader_commit).skips
 
 
 @given(
     term=st.integers(min_value=0, max_value=100),
     success=st.booleans(),
     match_index=st.integers(min_value=-1, max_value=1000),
+    holders=st.frozensets(keys, max_size=3),
 )
 @settings(max_examples=100, deadline=None)
-def test_append_reply_make_equivalent(term, success, match_index):
+def test_append_reply_make_equivalent(term, success, match_index, holders):
     reference = AppendEntriesReply(
         term=term, follower="s1", success=success, match_index=match_index)
     made = AppendEntriesReply.make(term, "s1", success, match_index)
     assert made == reference
     assert made.size_bytes() == reference.size_bytes()
     assert made.lease_holders == frozenset()
-    assert made.skips == {} and made.skips is not reference.skips
+    # The ack payload (PQL's granted lease holders) rides in `make` too.
+    assert AppendEntriesReply.make(
+        term, "s1", success, match_index, holders) == AppendEntriesReply(
+        term=term, follower="s1", success=success, match_index=match_index,
+        lease_holders=holders)
 
 
 @given(batch=st.lists(entries, min_size=0, max_size=5),

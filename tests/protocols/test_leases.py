@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocols.pql import RaftStarPQLReplica
+from repro.protocols.quorum_lease import RaftStarPQLReplica
 from repro.sim.units import ms, sec
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.protocols.messages import Accepted
 from repro.protocols.multipaxos import MultiPaxosReplica
+from repro.protocols.quorum_lease import PaxosPQLReplica
 from repro.protocols.types import Ballot
 
 
@@ -98,3 +100,54 @@ def test_stale_leader_demoted_on_higher_ballot(cluster_factory):
     cluster.run_ms(500)
     leaders = [r for r in cluster.values() if r.phase1_succeeded]
     assert len(leaders) == 1
+
+
+def test_acks_for_an_old_ballot_do_not_count_toward_a_quorum(cluster_factory):
+    """An acceptOK counts toward the ballot it was sent for only: two
+    ballot-2 acks plus one stale ballot-1 ack must not choose."""
+    cluster = cluster_factory(MultiPaxosReplica, n=5)
+    leader = cluster["s0"]
+    for cut_off in ("s2", "s3", "s4"):
+        cluster.network.block("s0", cut_off)
+    cmd = cluster.client.put("s0", "k", "v")
+    cluster.run_ms(10)
+    assert leader.ballot.round == 1
+    assert leader._accept_counts[0] == {"s0", "s1"}
+    # s0 re-runs phase 1 with s1 (and s4) cut off; s2 and s3 promise.
+    cluster.network.heal()
+    cluster.network.block("s0", "s1")
+    cluster.network.block("s0", "s4")
+    leader._on_leader_timeout()
+    while not leader.phase1_succeeded:
+        cluster.run_ms(0.1)
+    assert leader.ballot.round == 2
+    # The re-proposal reaches s2 and s3; only s2's acceptOK makes it back.
+    cluster.network.block("s3", "s0", bidirectional=False)
+    cluster.run_ms(20)
+    assert cluster["s3"].instances[0].ballot == 2
+    assert leader._accept_counts[0] == {"s0", "s2"}
+    assert 0 not in leader.chosen
+    assert cluster.client.reply_for(cmd) is None
+    # The third ballot-2 ack (s3 did accept at ballot 2) completes it.
+    leader._on_accepted("s3", Accepted(
+        ballot=leader.ballot, acceptor="s3", instance_ids=[0]))
+    assert 0 in leader.chosen
+    cluster.run_ms(5)
+    assert cluster.client.reply_for(cmd).ok
+
+
+@pytest.mark.parametrize("cls", [MultiPaxosReplica, PaxosPQLReplica])
+def test_ack_sets_are_bounded_by_the_in_flight_window(cluster_factory, cls):
+    """Ack sets live only while their instance is unchosen: 200 sequential
+    commits leave none behind (and late acks for chosen instances do not
+    bring them back)."""
+    cluster = cluster_factory(cls)
+    cluster.run_ms(100)
+    leader = cluster["s0"]
+    for i in range(200):
+        cluster.client.put("s0", f"k{i % 7}", str(i))
+        cluster.run_ms(5)
+        in_flight = leader.next_instance - leader.first_unchosen()
+        assert len(leader._accept_counts) <= in_flight
+    assert leader.commit_index == 199
+    assert leader._accept_counts == {}

@@ -1,71 +1,31 @@
-"""PQL on MultiPaxos — the optimization in its original home."""
+"""PQL on MultiPaxos: what the MultiPaxos binding of `QuorumLease` adds —
+the commit gate on one instance's ack set, instances choosing out of
+order.  Everything the delta decides for both families is in
+test_quorum_lease.py."""
 
-import pytest
-
-from repro.protocols.paxos_pql import PaxosPQLReplica
+from repro.protocols.quorum_lease import PaxosPQLReplica
 from repro.sim.units import ms
 
 
-def build(cluster_factory, **kwargs):
-    kwargs.setdefault("config_kwargs", {})
-    kwargs["config_kwargs"].setdefault("lease_duration", ms(500))
-    kwargs["config_kwargs"].setdefault("lease_renew_interval", ms(100))
-    return cluster_factory(PaxosPQLReplica, **kwargs)
-
-
-def test_acceptor_serves_local_read(cluster_factory):
-    cluster = build(cluster_factory)
+def test_later_instance_chosen_while_an_earlier_one_is_still_open(cluster_factory):
+    cluster = cluster_factory(PaxosPQLReplica, config_kwargs={
+        "lease_duration": ms(500), "lease_renew_interval": ms(100)})
     cluster.run_ms(100)
-    cluster.client.put("s0", "k", "v")
-    cluster.run_ms(150)
-    read = cluster.client.get("s2", "k")
+    leader = cluster["s0"]
+    first = leader.next_instance
+    # The Accept for `first` is lost on the way to both acceptors ...
+    cluster.network.block("s0", "s1")
+    cluster.network.block("s0", "s2")
+    stuck = cluster.client.put("s0", "a", "1")
+    cluster.run_ms(5)
+    cluster.network.heal()
+    # ... the next one gets through: every holder acks it, so it is chosen
+    # on its own ack set although the instance before it is not.
+    later = cluster.client.put("s0", "b", "2")
     cluster.run_ms(50)
-    reply = cluster.client.reply_for(read)
-    assert reply.ok and reply.local_read and reply.value == "v"
-    assert cluster["s2"].local_reads_served == 1
-
-
-def test_choose_waits_for_lease_holders(cluster_factory):
-    """The modified Learn: f+1 acceptances are not enough while an active
-    holder has not accepted."""
-    cluster = build(cluster_factory)
-    cluster.run_ms(100)
-    cluster["s2"].crash()
-    cmd = cluster.client.put("s0", "k", "v")
-    cluster.run_ms(150)
-    # s2 holds a valid lease; {s0,s1} alone must not choose
-    assert cluster.client.reply_for(cmd) is None
-    cluster.run_ms(900)  # lease lapses, majority suffices
-    assert cluster.client.reply_for(cmd) is not None
-
-
-def test_read_waits_for_pending_instance(cluster_factory):
-    cluster = build(cluster_factory)
-    cluster.run_ms(100)
-    replica = cluster["s1"]
-    replica._last_modified["hot"] = replica.commit_index + 50
-    read = cluster.client.get("s1", "hot")
-    cluster.run_ms(20)
-    assert cluster.client.reply_for(read) is None
-    replica._last_modified["hot"] = replica.commit_index
-    cluster.run_ms(100)
-    assert cluster.client.reply_for(read) is not None
-
-
-def test_lease_loss_falls_back_to_log_path(cluster_factory):
-    cluster = build(cluster_factory)
-    cluster.run_ms(100)
-    cluster.network.isolate("s2")
-    cluster.run_ms(900)
-    assert not cluster["s2"].leases.has_quorum_lease()
-
-
-def test_state_converges_across_acceptors(cluster_factory):
-    cluster = build(cluster_factory)
-    cluster.run_ms(100)
-    for i in range(4):
-        cluster.client.put("s0", f"k{i}", f"v{i}")
-    cluster.run_ms(400)
-    snaps = [replica.store.snapshot() for replica in cluster.values()]
-    assert snaps[0] == snaps[1] == snaps[2]
-    assert len(snaps[0]) == 4
+    assert first + 1 in leader.chosen and first not in leader.chosen
+    assert set(leader._accept_counts) == {first}
+    # Execution stays in instance order: neither write is acknowledged.
+    assert leader.commit_index == first - 1
+    assert cluster.client.reply_for(stuck) is None
+    assert cluster.client.reply_for(later) is None

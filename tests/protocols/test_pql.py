@@ -1,153 +1,25 @@
-"""Raft*-PQL: local reads, write waits, the ported LeaderLearn."""
+"""Raft*-PQL: what the Raft* binding of `QuorumLease` adds — the commit
+gate as a prefix `match_index` ceiling.  Everything the delta decides for
+both families is in test_quorum_lease.py."""
 
-import pytest
-
-from repro.protocols.pql import RaftStarPQLReplica
+from repro.protocols.quorum_lease import RaftStarPQLReplica
 from repro.sim.units import ms
 
 
-def build(cluster_factory, **kwargs):
-    kwargs.setdefault("config_kwargs", {})
-    kwargs["config_kwargs"].setdefault("lease_duration", ms(500))
-    kwargs["config_kwargs"].setdefault("lease_renew_interval", ms(100))
-    return cluster_factory(RaftStarPQLReplica, **kwargs)
-
-
-def test_follower_serves_read_locally(cluster_factory):
-    cluster = build(cluster_factory)
-    cluster.run_ms(100)
-    cmd = cluster.client.put("s0", "k", "v")
-    cluster.run_ms(100)
-    before = cluster["s2"].local_reads_served
-    read = cluster.client.get("s2", "k")
-    cluster.run_ms(50)
-    reply = cluster.client.reply_for(read)
-    assert reply is not None and reply.ok
-    assert reply.value == "v"
-    assert reply.local_read
-    assert cluster["s2"].local_reads_served == before + 1
-
-
-def test_leader_serves_read_locally_too(cluster_factory):
-    cluster = build(cluster_factory)
-    cluster.run_ms(100)
-    read = cluster.client.get("s0", "nope")
-    cluster.run_ms(50)
-    assert cluster.client.reply_for(read).local_read
-
-
-def test_local_read_fast_vs_log_read(cluster_factory):
-    """The Figure 9a effect on a LAN: lease reads skip the round trip."""
-    cluster = build(cluster_factory)
-    cluster.run_ms(100)
-    t0 = cluster.sim.now
-    read = cluster.client.get("s1", "k")
-    cluster.run_ms(100)
-    reply_time = next(t for t, _, r in cluster.client.replies
-                      if r.request_id == read.request_id)
-    assert reply_time - t0 < ms(4)  # ~1 local RTT, no consensus round
-
-
-def test_write_waits_for_all_lease_holders(cluster_factory):
-    """Commit requires acks from every active holder (Figure 8 LeaderLearn):
-    a crashed holder blocks writes until its leases expire."""
-    cluster = build(cluster_factory)
-    cluster.run_ms(100)
-    cluster["s2"].crash()
-    cmd = cluster.client.put("s0", "k", "v")
-    cluster.run_ms(150)
-    # s2 still holds an unexpired lease -> the write must NOT have committed
-    # yet even though {s0, s1} is a majority.
-    assert cluster.client.reply_for(cmd) is None
-    # After the lease expires, the write commits with the plain majority.
-    cluster.run_ms(800)
-    assert cluster.client.reply_for(cmd) is not None
-
-
-def test_read_waits_for_conflicting_write(cluster_factory):
-    """LocalRead's second condition: all entries modifying the key must be
-    at or below commitIndex (Figure 8 line 4)."""
-    cluster = build(cluster_factory)
-    cluster.run_ms(100)
-    follower = cluster["s1"]
-    # Inject a pending (uncommitted) write for the key into the follower's
-    # tracking, as if an append had arrived ahead of the commit.
-    follower._last_modified["hot"] = follower.commit_index + 100
-    read = cluster.client.get("s1", "hot")
-    cluster.run_ms(20)
-    assert cluster.client.reply_for(read) is None
-    assert len(follower._pending_reads) == 1
-    # Once the commit index catches up, the read completes.
-    follower._last_modified["hot"] = follower.commit_index
-    cluster.run_ms(100)
-    assert cluster.client.reply_for(read) is not None
-
-
-def test_read_without_lease_goes_through_log(cluster_factory):
-    cluster = build(cluster_factory)
-    cluster.run_ms(100)
-    cluster.network.isolate("s2")
-    cluster.run_ms(900)  # s2's lease lapses
-    assert not cluster["s2"].leases.has_quorum_lease()
-    cluster.network.heal()
-    # heal restores connectivity; before re-granting completes the next read
-    # falls back to the log path
-    read = cluster.client.get("s2", "k")
-    cluster.run_ms(5)
-    assert cluster["s2"].forwarded_reads >= 1 or cluster["s2"].local_reads_served == 0
-
-
-def test_writes_replicate_everywhere(cluster_factory):
-    cluster = build(cluster_factory)
-    cluster.run_ms(100)
-    for i in range(5):
-        cluster.client.put("s0", f"k{i}", f"v{i}")
-    cluster.run_ms(300)
-    for replica in cluster.values():
-        for i in range(5):
-            assert replica.store.read_local(f"k{i}") == f"v{i}"
-
-
-def test_lease_read_freshness_history(cluster_factory):
-    """End-to-end freshness: a read starting after a write completed sees it."""
-    from repro.kvstore.checker import HistoryChecker, HistoryEvent
-    from repro.protocols.types import OpType
-
-    cluster = build(cluster_factory)
-    checker = HistoryChecker()
-    for replica in cluster.values():
-        replica.on_apply_hooks.append(checker.record_apply)
-    cluster.run_ms(100)
-
-    write = cluster.client.put("s0", "x", "fresh")
-    cluster.run_ms(200)
-    write_end = next(t for t, _, r in cluster.client.replies
-                     if r.request_id == write.request_id)
-    read = cluster.client.get("s2", "x")
-    cluster.run_ms(100)
-    reply = cluster.client.reply_for(read)
-    assert reply.value == "fresh"
-
-    checker.record_event(HistoryEvent(
-        client="client", seq=write.seq, op=OpType.PUT, key="x", value="fresh",
-        start=0, end=write_end, server="s0"))
-    checker.record_event(HistoryEvent(
-        client="client", seq=read.seq, op=OpType.GET, key="x", value=reply.value,
-        start=write_end + 1, end=cluster.sim.now, server="s2", local_read=True))
-    assert checker.check_lease_read_freshness() == []
-
-
-def test_paxos_pql_mirror(cluster_factory):
-    """The optimization in its original home behaves the same way."""
-    from repro.protocols.paxos_pql import PaxosPQLReplica
-
-    cluster = cluster_factory(PaxosPQLReplica, config_kwargs={
+def test_commit_never_passes_the_slowest_holders_match_index(cluster_factory):
+    cluster = cluster_factory(RaftStarPQLReplica, config_kwargs={
         "lease_duration": ms(500), "lease_renew_interval": ms(100)})
     cluster.run_ms(100)
-    cmd = cluster.client.put("s0", "k", "v")
+    leader = cluster["s0"]
+    settled = leader.commit_index
+    # s2 stops receiving appends but keeps its (acked, unexpired) leases.
+    cluster.network.block("s0", "s2")
+    writes = [cluster.client.put("s0", f"k{i}", "v") for i in range(3)]
     cluster.run_ms(150)
-    assert cluster.client.reply_for(cmd).ok
-    read = cluster.client.get("s1", "k")
-    cluster.run_ms(50)
-    reply = cluster.client.reply_for(read)
-    assert reply.ok and reply.local_read and reply.value == "v"
+    assert leader._peer_state["s1"].match_index == leader.last_index
+    assert leader.commit_index == settled == leader._peer_state["s2"].match_index
+    assert all(cluster.client.reply_for(w) is None for w in writes)
+    # Once s2's holder status lapses the whole prefix commits at once.
+    cluster.run_ms(900)
+    assert leader.commit_index == leader.last_index
+    assert all(cluster.client.reply_for(w).ok for w in writes)

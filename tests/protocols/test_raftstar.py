@@ -116,7 +116,9 @@ def test_merged_entries_stamped_with_new_term(cluster_factory):
 def test_commit_without_current_term_restriction(cluster_factory):
     """Raft* commits any majority-replicated index — no §5.4.2 rule."""
     cluster = cluster_factory(RaftStarReplica)
-    assert cluster["s0"]._can_commit_at(0) is True
+    leader = cluster["s0"]
+    leader.log.append(_entry(0))  # old-term entry
+    assert leader._commit_gate(leader.last_index) == leader.last_index
 
 
 def test_raft_has_current_term_restriction(cluster_factory):
@@ -124,7 +126,7 @@ def test_raft_has_current_term_restriction(cluster_factory):
     cluster.run_ms(5)
     leader = cluster["s0"]
     leader.log.append(_entry(0))  # old-term entry
-    assert leader._can_commit_at(leader.last_index) is False
+    assert leader._commit_gate(leader.last_index) < leader.last_index
 
 
 def test_committed_survive_failover_raftstar(cluster_factory):

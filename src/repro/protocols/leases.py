@@ -14,6 +14,12 @@ before advancing the commit index.
 
 Grantors track holder liveness through `LeaseAck`s, so a crashed holder stops
 blocking writes within one lease duration.
+
+The two questions asked per operation — "do I hold a quorum lease?" and "who
+holds my grants?" — are answered from *deadlines* derived when a grant or an
+ack arrives (a few times per renew interval), not by walking the expiry
+tables per call: the answers only change at those arrivals or when a known
+expiry passes.
 """
 
 from __future__ import annotations
@@ -36,6 +42,14 @@ class LeaseManager:
         self.acked: Dict[str, int] = {}
         # grants I hold: grantor -> expiry
         self.held: Dict[str, int] = {}
+        # Derived from `held`: grants from `_quorum_size` replicas stay
+        # valid through `_quorum_until` (-1: fewer than that many held).
+        self._quorum_size = 0
+        self._quorum_until = -1
+        # Derived from `acked`: the holder set, exact through
+        # `_holders_until` (its earliest expiry; -1: recompute).
+        self._holders: FrozenSet[str] = frozenset()
+        self._holders_until = -1
         self._renew_timer = replica.timer("lease-renew")
 
     # -- grantor side -------------------------------------------------------
@@ -53,6 +67,8 @@ class LeaseManager:
         self.granted[self.replica.name] = expiry
         self.acked[self.replica.name] = expiry
         self.held[self.replica.name] = expiry
+        self._holders_until = -1
+        self._refresh_quorum()
         # A replica may fan out appends to more nodes than it leases to —
         # members removed by a config change linger in `peers` as learners
         # for one lease duration so the commit wait drains, but granting
@@ -66,18 +82,25 @@ class LeaseManager:
 
     def on_ack(self, message: LeaseAck) -> None:
         self.acked[message.holder] = max(self.acked.get(message.holder, 0), message.expiry)
+        self._holders_until = -1
 
     def active_holders(self) -> FrozenSet[str]:
-        """Holders of my grants that are still alive (acked recently)."""
+        """Holders of my grants that are still alive (acked recently).
+        The same frozenset is returned until an ack arrives or the
+        earliest expiry in it passes."""
         now = self.replica.sim.now
-        return frozenset(
-            holder for holder, expiry in self.acked.items() if expiry >= now
-        )
+        if now > self._holders_until:
+            live = {holder: expiry for holder, expiry in self.acked.items()
+                    if expiry >= now}
+            self._holders = frozenset(live)
+            self._holders_until = min(live.values(), default=now)
+        return self._holders
 
     # -- holder side -----------------------------------------------------------
 
     def on_grant(self, src: str, message: LeaseGrant) -> None:
         self.held[message.grantor] = max(self.held.get(message.grantor, 0), message.expiry)
+        self._refresh_quorum()
         self.replica.send(src, LeaseAck(
             holder=self.replica.name, grantor=message.grantor, expiry=message.expiry,
         ))
@@ -87,8 +110,18 @@ class LeaseManager:
         return sum(1 for expiry in self.held.values() if expiry >= now)
 
     def has_quorum_lease(self) -> bool:
-        """PQL Figure 8 line 3: validLeasesNum >= f + 1 (self included)."""
-        return self.valid_grant_count() >= self.replica.config.majority
+        """PQL Figure 8 line 3: validLeasesNum >= f + 1 (self included) —
+        i.e. the (f+1)-th latest held expiry has not passed."""
+        if self.replica.config.majority != self._quorum_size:
+            self._refresh_quorum()
+        return self.replica.sim.now <= self._quorum_until
+
+    def _refresh_quorum(self) -> None:
+        majority = self.replica.config.majority
+        expiries = sorted(self.held.values(), reverse=True)
+        self._quorum_size = majority
+        self._quorum_until = (expiries[majority - 1]
+                              if len(expiries) >= majority else -1)
 
     # -- fault handling ---------------------------------------------------------
 
@@ -97,3 +130,5 @@ class LeaseManager:
         self.granted.clear()
         self.acked.clear()
         self.held.clear()
+        self._holders_until = -1
+        self._quorum_until = -1

@@ -26,7 +26,7 @@ MultiPaxos — and, for MultiPaxos, a periodic re-check of gated instances
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.protocols.leases import LeaseManager
 from repro.protocols.messages import LeaseAck, LeaseGrant
@@ -54,9 +54,20 @@ class QuorumLease:
     def __init__(self, name, sim, network, config, trace=None) -> None:
         # key -> highest local log index holding a write to it
         self._last_modified: Dict[str, int] = {}
-        self._pending_reads: List[Command] = []
+        # Local reads waiting for their key's writes to commit, grouped by
+        # key: key -> [(arrival number, read), ...].  A drain tests each
+        # waiting key once, however many reads queue behind it.
+        self._pending_reads: Dict[str, List[Tuple[int, Command]]] = {}
+        self._read_arrivals = 0
         # peer -> (when, holders) from its latest ack ("received holders")
         self._reported_holders: Dict[str, Tuple[int, frozenset]] = {}
+        # `_awaited_holders()` memo: valid while the leases' own holder
+        # set is still the object `_awaited_own` and no report has gone
+        # stale (`_awaited_until`); a change to the reports resets
+        # `_awaited_own` to None.
+        self._awaited: FrozenSet[str] = frozenset()
+        self._awaited_own: Optional[FrozenSet[str]] = None
+        self._awaited_until = -1
         # Members removed by a config change but kept in the replication
         # fan-out until their last acked lease grants expire (see
         # `_splice_peers`).
@@ -82,18 +93,20 @@ class QuorumLease:
         # the log (`Command.allows_local_read`).
         if (command.is_read and command.allows_local_read
                 and self.leases.has_quorum_lease()):
-            if self._read_ready(command):
+            if self._key_ready(command.key):
                 self._serve(command)
             else:
-                self._pending_reads.append(command)
+                self._read_arrivals += 1
+                self._pending_reads.setdefault(command.key, []).append(
+                    (self._read_arrivals, command))
             return
         if command.is_read:
             self.forwarded_reads += 1
         super().submit_command(command)
 
-    def _read_ready(self, command: Command) -> bool:
+    def _key_ready(self, key: str) -> bool:
         """Every write to the key is committed and applied locally."""
-        last_mod = self._last_modified.get(command.key, -1)
+        last_mod = self._last_modified.get(key, -1)
         return self.last_applied >= last_mod and self.commit_index >= last_mod
 
     def _serve(self, command: Command) -> None:
@@ -109,19 +122,26 @@ class QuorumLease:
         self._drain_pending_reads()
 
     def _drain_pending_reads(self) -> None:
-        if not self._pending_reads:
+        waiting = self._pending_reads
+        if not waiting:
             return
-        still_waiting = []
-        for command in self._pending_reads:
-            if self._read_ready(command):
+        ready = {key for key in waiting if self._key_ready(key)}
+        if len(ready) == len(waiting) or self.leases.has_quorum_lease():
+            released = ready
+        else:
+            # Lost the lease while waiting: whatever is not ready falls
+            # back to the log path.
+            released = set(waiting)
+        # Serve in arrival order whatever the grouping: reply order feeds
+        # the shared network jitter stream, so any other order moves
+        # simulated numbers (DESIGN.md §14, cost contracts).
+        reads = sorted(read for key in released for read in waiting.pop(key))
+        for _, command in reads:
+            if command.key in ready:
                 self._serve(command)
-            elif not self.leases.has_quorum_lease():
-                # Lost the lease while waiting: fall back to the log path.
+            else:
                 self.forwarded_reads += 1
                 super().submit_command(command)
-            else:
-                still_waiting.append(command)
-        self._pending_reads = still_waiting
 
     def _sweep_pending_reads(self) -> None:
         self._drain_pending_reads()
@@ -136,22 +156,37 @@ class QuorumLease:
     # -- modified: Learn / LeaderLearn waits for every holder --------------------
 
     def _ack_received(self, peer: str, message: Any) -> None:
+        previous = self._reported_holders.get(peer)
+        if previous is None or previous[1] != message.lease_holders:
+            self._awaited_own = None
         self._reported_holders[peer] = (self.sim.now, message.lease_holders)
 
-    def _awaited_holders(self) -> Set[str]:
+    def _awaited_holders(self) -> FrozenSet[str]:
         """Received holders ∪ holders granted by the leader itself (the
         implicit ack), minus the leader.  Reports older than a lease
         duration are stale (their grants have expired) and are ignored.
         Each binding's `_commit_gate` holds an entry back until every one
         of these has acknowledged it, or its local reads could miss the
         write."""
-        holders = set(self.leases.active_holders())
-        horizon = self.sim.now - self.config.lease_duration
-        for reported_at, reported in self._reported_holders.values():
-            if reported_at >= horizon:
-                holders |= reported
-        holders.discard(self.name)
-        return holders
+        own = self.leases.active_holders()
+        now = self.sim.now
+        if own is not self._awaited_own or now > self._awaited_until:
+            duration = self.config.lease_duration
+            reports = self._reported_holders
+            # A stale report stays stale until a fresh ack replaces it,
+            # which re-enters it as new: drop it.
+            for peer in [peer for peer, (reported_at, _) in reports.items()
+                         if reported_at < now - duration]:
+                del reports[peer]
+            holders = set(own).union(
+                *(reported for _, reported in reports.values()))
+            holders.discard(self.name)
+            self._awaited = frozenset(holders)
+            self._awaited_own = own
+            self._awaited_until = duration + min(
+                (reported_at for reported_at, _ in reports.values()),
+                default=now)
+        return self._awaited
 
     def _recheck_commit(self) -> None:
         """Entries gated on a holder become committable once its leases
@@ -181,6 +216,7 @@ class QuorumLease:
     def _prune_lingering(self) -> None:
         for name in self._lingering:
             self._reported_holders.pop(name, None)
+        self._awaited_own = None
         self._lingering.clear()
         super()._splice_peers(self._current_voters())
 
@@ -218,6 +254,7 @@ class QuorumLease:
         self.leases.on_crash()
         self._linger_timer.cancel()
         self._reported_holders.clear()
+        self._awaited_own = None
         self._last_modified.clear()
 
     def on_recover(self) -> None:

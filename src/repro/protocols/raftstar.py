@@ -13,6 +13,12 @@ refinement mapping to MultiPaxos exists:
    sets the ballot of *all* covered entries to t (MultiPaxos proposers always
    overwrite the accepted ballot).  This removes the need for Raft's §5.4.2
    commit restriction: any majority-replicated index commits.
+
+   The rewrite costs O(new entries), not O(log): a *ballot watermark*
+   `(term, upto)` records that every `log[i]`, `i < upto`, already carries
+   ballot `term`.  Under the Figure 3 mapping that pair is the MultiPaxos
+   proposer's single ballot register — one value said once per log instead
+   of once per entry (DESIGN.md §14, cost contracts).
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ class RaftStarReplica(RaftReplica):
 
     def __init__(self, name, sim, network, config, trace=None) -> None:
         self._pending_extras: Dict[int, Entry] = {}
+        # Ballot watermark: every log[i], i < _ballot_upto, has ballot
+        # _ballot_term.  Always <= len(log); appends past it need no
+        # bookkeeping, an overwrite below it lowers it (`_try_append`).
+        self._ballot_term = -1
+        self._ballot_upto = 0
         super().__init__(name, sim, network, config, trace=trace)
 
     # -- difference 1: vote-reply extras and leader-side merge ------------------
@@ -54,7 +65,7 @@ class RaftStarReplica(RaftReplica):
         super()._on_vote_reply(src, msg)
 
     def _on_leader_timeout(self) -> None:
-        self._pending_extras: Dict[int, Entry] = {}
+        self._pending_extras = {}
         super()._on_leader_timeout()
 
     def _assume_leadership(self, initial: bool = False) -> None:
@@ -65,7 +76,7 @@ class RaftStarReplica(RaftReplica):
     def _merge_safe_entries(self) -> None:
         """Figure 2a lines 22-29: adopt the highest-ballot value per index
         beyond our own log, restamped with the current term."""
-        extras = getattr(self, "_pending_extras", {})
+        extras = self._pending_extras
         for index in sorted(extras):
             if index <= self.last_index:
                 continue  # our own entries are already the safe ones
@@ -103,6 +114,8 @@ class RaftStarReplica(RaftReplica):
             # its log is longer — erasing has no Paxos counterpart.
             return False, self.last_index
         insert = msg.prev_index + 1
+        if insert < self._ballot_upto:
+            self._ballot_upto = insert  # overwriting below the watermark
         entered = self._entry_entered
         for offset, entry in enumerate(msg.entries):
             index = insert + offset
@@ -119,12 +132,19 @@ class RaftStarReplica(RaftReplica):
         (Figure 2b lines 6-7).  Entries are *replaced*, never mutated in
         place — log entries are shared with in-flight messages and peer
         logs (the transport ships references, not copies), so an in-place
-        write here would rewrite another replica's state."""
+        write here would rewrite another replica's state.
+
+        Only entries above the watermark are visited while the term is
+        unchanged; a term change walks the whole log once."""
         log = self.log
-        for index, entry in enumerate(log):
+        start = self._ballot_upto if term == self._ballot_term else 0
+        for index in range(start, len(log)):
+            entry = log[index]
             if entry.ballot != term:
                 log[index] = Entry(term=entry.term, command=entry.command,
                                    ballot=term)
+        self._ballot_term = term
+        self._ballot_upto = len(log)
 
     def _append_to_log(self, command: Command) -> None:
         super()._append_to_log(command)
@@ -144,3 +164,13 @@ class RaftStarReplica(RaftReplica):
 
     def _commit_gate(self, candidate: int) -> int:
         return candidate
+
+    # -- lifecycle ------------------------------------------------------------------
+
+    def on_recover(self) -> None:
+        # The watermark is volatile and describes the log object lost in
+        # the crash, not whatever stable storage hands back.  (A catch-up
+        # install needs no reset: it only ever replaces an empty log,
+        # whose watermark is already 0.)
+        self._ballot_upto = 0
+        super().on_recover()

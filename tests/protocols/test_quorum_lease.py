@@ -106,11 +106,51 @@ def test_read_waits_for_conflicting_write(build):
     read = cluster.client.get("s1", "hot")
     cluster.run_ms(20)
     assert cluster.client.reply_for(read) is None
-    assert len(follower._pending_reads) == 1
+    assert [queued for _, queued in follower._pending_reads["hot"]] == [read]
     # Once the commit index catches up, the read completes.
     follower._last_modified["hot"] = follower.commit_index
     cluster.run_ms(100)
     assert cluster.client.reply_for(read) is not None
+
+
+def _uncached_awaited(replica):
+    """`_awaited_holders` as defined, walked per call: own live acked
+    grants ∪ every report younger than a lease duration, minus self."""
+    now = replica.sim.now
+    holders = {holder for holder, expiry in replica.leases.acked.items()
+               if expiry >= now}
+    horizon = now - replica.config.lease_duration
+    for reported_at, reported in replica._reported_holders.values():
+        if reported_at >= horizon:
+            holders |= reported
+    holders.discard(replica.name)
+    return holders
+
+
+def test_awaited_holders_memo_agrees_with_the_uncached_union(build):
+    """Across acks, a holder crashing (its report going stale and its
+    grants lapsing), and its return."""
+    cluster = build(n=5)
+    leader = cluster["s0"]
+
+    def run_and_compare(steps):
+        seen = set()
+        for i in range(steps):
+            cluster.client.put("s0", f"k{i % 3}", "v")  # keeps acks flowing
+            cluster.run_ms(7)
+            assert leader._awaited_holders() == _uncached_awaited(leader), \
+                cluster.sim.now
+            seen.add(leader._awaited_holders())
+        return seen
+
+    run_and_compare(30)
+    assert leader._awaited_holders() == {"s1", "s2", "s3", "s4"}
+    cluster["s4"].crash()
+    seen = run_and_compare(160)  # > 2 lease durations
+    assert frozenset({"s1", "s2", "s3"}) in seen
+    cluster["s4"].recover()
+    run_and_compare(60)
+    assert leader._awaited_holders() == {"s1", "s2", "s3", "s4"}
 
 
 def test_read_without_lease_goes_through_log(build):

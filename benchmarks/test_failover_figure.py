@@ -28,15 +28,12 @@ def test_coordinator_failover_figure(save_figure):
     assert all(not math.isnan(v) for v in summary["reshard_failover_ms"])
     for result in summary["txn_results"]:
         assert result.failovers > 0
-        assert result.safe, ex._txn_safety(result)
+        assert result.safe, result.describe()
         assert result.committed_total > 0 and result.commits_2pc > 0
     for result in summary["reshard_results"]:
         assert result.failovers > 0
         assert result.reshard_completed
-        assert result.acks_lost == 0
-        assert result.acks_duplicated == 0
-        assert result.duplicate_executions == 0
-        assert result.linearizable
+        assert result.safe, result.describe()
 
     # The headline: lease-path failover is sub-second.  Seeds whose kill
     # also takes the control-log leader's host pay one election more, so

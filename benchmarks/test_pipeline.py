@@ -63,3 +63,19 @@ def test_pipeline_open_loop_curve(benchmark, save_figure):
     # Every open-loop run linearizable, queueing delay included.
     for load in loads:
         assert table.cell(f"{load:g}", "linearizable") == "yes"
+
+
+@pytest.mark.slow
+def test_mencius_pipeline(benchmark, save_figure):
+    """The depth sweep replayed on the leaderless log, both execution
+    modes: a deep window fans in-flight commands out to every owner."""
+    table = benchmark.pedantic(
+        ex.mencius_pipeline, kwargs={"scale": bench_scale()},
+        rounds=1, iterations=1)
+    save_figure("mencius_pipeline", table.render())
+
+    for system in ("Mencius-100% (ordered)", "Mencius-0% (commutative)"):
+        assert table.cell(system, "depth 8") >= 2.0 * table.cell(system, "depth 1")
+        # The commutative mode may re-order between skips, but the full
+        # checker over client-observed events must not see it.
+        assert table.cell(system, "linearizable") == "yes"

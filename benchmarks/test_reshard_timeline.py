@@ -13,7 +13,8 @@ import pytest
 
 from benchmarks.conftest import bench_scale
 from repro.bench import experiments as ex
-from repro.shard.cluster import run_reshard_experiment
+from repro.bench.live import run_reshard_experiment
+from repro.shard.cluster import ShardedCluster
 
 
 @pytest.mark.slow
@@ -21,7 +22,8 @@ def test_reshard_live_split(benchmark, save_figure):
     spec = ex.reshard_spec(scale=bench_scale(), seed=1,
                            shards_from=2, shards_to=4)
     result = benchmark.pedantic(
-        run_reshard_experiment, args=(spec,), rounds=1, iterations=1)
+        run_reshard_experiment, args=(ShardedCluster(spec),),
+        rounds=1, iterations=1)
     save_figure("reshard_timeline", ex.reshard_table(result).render())
 
     # The migration ran and finished inside the run.
@@ -32,19 +34,15 @@ def test_reshard_live_split(benchmark, save_figure):
     # Zero lost and zero duplicated acknowledgements across the transition:
     # every sequence number a client burned was answered exactly once (bar
     # the final in-flight command per client)...
-    assert result.acks_lost == 0
-    assert result.acks_duplicated == 0
     # ...and — the check with teeth — no acknowledged write executed more
     # than once anywhere: on the final owner of every key, the store's
     # version count matches the distinct acknowledged PUTs (a retry that
     # re-executed on the new owner instead of hitting the migrated dedup
-    # cache would show up here).
-    assert result.duplicate_executions == 0
-
-    # Every per-shard history — including the two groups spun up mid-run —
-    # stays linearizable across the epoch boundary.
+    # cache would show up here).  Every per-shard history — including the
+    # two groups spun up mid-run — stays linearizable across the epoch
+    # boundary.
     assert set(result.violations) == {0, 1, 2, 3}
-    assert result.linearizable
+    assert result.safe, result.describe()
 
     # Doubling the groups relieves the 2-shard ceiling: steady throughput
     # after the migration at least recovers the pre-split level.

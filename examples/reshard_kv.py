@@ -20,7 +20,8 @@ Watch for three things in the output:
 Run:  PYTHONPATH=src python examples/reshard_kv.py
 """
 
-from repro.shard import ReshardSpec, run_reshard_experiment
+from repro.bench.live import ReshardSpec, run_reshard_experiment
+from repro.shard import ShardedCluster
 from repro.workload.ycsb import WorkloadConfig
 
 
@@ -39,11 +40,11 @@ def main():
     )
     print(f"== live reshard {spec.num_shards} -> {spec.reshard_to} at "
           f"t={spec.reshard_at_s:.1f}s, 4 KB writes, spread leaders ==\n")
-    result = run_reshard_experiment(spec)
+    result = run_reshard_experiment(ShardedCluster(spec))
 
     print("throughput timeline (0.5 s buckets):")
     done_s = result.migration_completed_s or float("inf")
-    for start, ops in result.timeline:
+    for start, ops, _p99 in result.timeline:
         if start < spec.reshard_at_s:
             phase = "pre-split"
         elif start < done_s:

@@ -22,7 +22,7 @@ serializable.
 Run:  PYTHONPATH=src python examples/txn_kv.py
 """
 
-from repro.shard import Nemesis, TxnSpec, run_txn_experiment
+from repro.shard import Nemesis, TxnCluster, TxnSpec
 from repro.workload.ycsb import WorkloadConfig
 
 
@@ -39,21 +39,18 @@ def main():
         txn_size=2, cross_shard_ratio=0.5,
     )
 
-    log_holder = {}
-
-    def nemesis(cluster):
-        nem = Nemesis(cluster, seed=11)
-        nem.leader_kill_at(2.5)          # a participant leader, mid-prepare
-        nem.coordinator_kill_at(3.5, 0)  # the Oregon coordinator, mid-commit
-        nem.leader_partition_at(5.0)     # a gray failure for good measure
-        log_holder["nemesis"] = nem
+    cluster = TxnCluster(spec)
+    nemesis = Nemesis(cluster, seed=11)
+    nemesis.leader_kill_at(2.5)          # a participant leader, mid-prepare
+    nemesis.coordinator_kill_at(3.5, 0)  # the Oregon coordinator, mid-commit
+    nemesis.leader_partition_at(5.0)     # a gray failure for good measure
 
     print(f"== {spec.num_shards} shards, {int(spec.cross_shard_ratio*100)}% "
           f"cross-shard 2-op transactions, under fire ==\n")
-    result = run_txn_experiment(spec, nemesis=nemesis)
+    result = cluster.run()
 
     print("fault schedule as it fired:")
-    for at_s, what in log_holder["nemesis"].log:
+    for at_s, what in nemesis.log:
         print(f"  t={at_s:5.2f}s  {what}")
 
     print(f"\ncommitted: {result.committed_total} transactions "

@@ -3,251 +3,76 @@
     python -m repro.bench                 # every figure, default scale
     python -m repro.bench --scale 1.0     # EXPERIMENTS.md numbers
     python -m repro.bench fig9c fig10a    # a subset
-    python -m repro.bench sharding --shards 1 4 --placement spread
-    python -m repro.bench reshard --reshard-at 4.0 --reshard-to 8
-    python -m repro.bench membership --membership-protocol multipaxos
-    python -m repro.bench mencius-pipeline --mencius-depth 1 4
-    python -m repro.bench txn --txn-shards 1 2 4 --cross-ratio 0 0.5
-    python -m repro.bench failover --scale 0.6
-    python -m repro.bench coalesce --coalesce both --coalesce-shards 4 8
-    python -m repro.bench tail --scale 0.2 --metrics-out out.jsonl
-    python -m repro.bench pipeline --obs
-    python -m repro.bench perf --scale 1.0 --perf-out BENCH_perf.json \
-        --perf-baseline benchmarks/results/BENCH_perf.json
+    python -m repro.bench --help          # every figure and its flags
 
 Installed via setup.py this is also the `repro-bench` console script.
-
-`perf` is the simulator-core microbenchmark (events/sec, sim-s per
-wall-s, profiler breakdown); it is excluded from the default "all
-figures" run — ask for it by name.  With `--perf-baseline` the run is
-compared against a committed BENCH_perf.json and exits non-zero when
-normalized events/sec drops more than `--perf-fail-threshold` below it
-(the CI perf smoke contract).
+The parser, the help text and the dispatch below are built from the
+figure registry (`repro.bench.figures.FIGURES`); a figure's flags, their
+defaults and range checks are declared there and nowhere else.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
-from repro.bench import experiments as ex
-from repro.bench import perf
-from repro.bench.report import render_all
-from repro.shard.placement import PLACEMENTS
-from repro.specs import mapping, variants
+from repro.bench.figures import FIGURES
 
-FIGURES = {
-    "fig3": lambda scale, seed: mapping.render(),
-    "fig6": lambda scale, seed: variants.render(),
-    "fig9ab": lambda scale, seed: render_all(ex.fig9_latency(scale, seed)),
-    "fig9c": lambda scale, seed: ex.fig9c_peak_throughput(scale, seed).render(),
-    "fig9d": lambda scale, seed: ex.fig9d_speedup(scale, seed).render(),
-    "fig10a": lambda scale, seed: ex.fig10a_throughput_8b(scale, seed).render(),
-    "fig10b": lambda scale, seed: ex.fig10b_throughput_4kb(scale, seed).render(),
-    "fig10c": lambda scale, seed: ex.fig10c_latency_8b(scale, seed).render(),
-    "fig10d": lambda scale, seed: ex.fig10d_latency_4kb(scale, seed).render(),
-    "pipeline": lambda scale, seed: ex.pipeline_figures(scale, seed),
-    "tail": lambda scale, seed: ex.tail_figure(scale, seed),
-    "sharding": lambda scale, seed: ex.sharding_scaling(scale, seed).render(),
-    "reshard": lambda scale, seed: ex.reshard_timeline(scale, seed).render(),
-    "membership": lambda scale, seed: ex.membership_timeline(scale, seed),
-    "mencius-pipeline": lambda scale, seed: ex.mencius_pipeline(
-        scale, seed).render(),
-    "txn": lambda scale, seed: ex.txn_figures(scale, seed),
-    "failover": lambda scale, seed: ex.coordinator_failover(
-        scale, seeds=(seed, seed + 1, seed + 2))[0].render(),
-    "coalesce": lambda scale, seed: ex.coalesce_figure(scale, seed).render(),
-    "perf": None,  # bound in main() (needs the parsed perf flags)
-}
 
-#: Figures run when none are named: everything but the perf microbench,
-#: which exists for before/after comparison, not the paper's evaluation.
-DEFAULT_FIGURES = [name for name in FIGURES if name != "perf"]
+def build_parser() -> argparse.ArgumentParser:
+    on_request = [name for name, figure in FIGURES.items()
+                  if figure.on_request]
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="Regenerate the paper's evaluation figures (and the "
+                    "beyond-the-paper ones: pipelining, sharding, live "
+                    "reshard and membership, transactions, coalescing).",
+        epilog="committed outputs (benchmarks/results/<name>.txt, written "
+               "by `pytest benchmarks --write-results`): " + "; ".join(
+                   f"{name}: {' '.join(figure.results)}"
+                   for name, figure in FIGURES.items() if figure.results))
+    parser.add_argument(
+        "figures", nargs="*", metavar="figure",
+        help=f"which figures to run, any of: {' '.join(FIGURES)} (default: "
+             f"all of them except {' '.join(on_request)}, which only "
+             f"run when named)")
+    parser.add_argument("--scale", type=float, default=0.6,
+                        help="client-count/duration scale: 1.0 reproduces "
+                             "the EXPERIMENTS.md numbers, smaller values "
+                             "give quicker runs with the same qualitative "
+                             "shapes (default: 0.6; REPRO_BENCH_SCALE plays "
+                             "the same role for the pytest benchmarks)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="experiment seed (default: 1)")
+    for figure in FIGURES.values():
+        if figure.options:
+            group = parser.add_argument_group(f"`{figure.name}` figure")
+            for option in figure.options:
+                option.add_to(group)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Regenerate the paper's evaluation figures.")
-    parser.add_argument("figures", nargs="*", choices=[[], *FIGURES][1:] or None,
-                        default=list(DEFAULT_FIGURES),
-                        help="which figures to run (default: all paper "
-                             "figures; `perf` only runs when named)")
-    parser.add_argument("--scale", type=float, default=0.6,
-                        help="client/duration scale (1.0 = EXPERIMENTS.md)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pipeline-depth", type=int, nargs="+",
-                        default=[1, 2, 4, 8], metavar="N",
-                        help="session pipeline depths for the pipeline "
-                             "figure's closed-loop sweep (default: 1 2 4 8)")
-    parser.add_argument("--offered-load", type=float, nargs="+",
-                        default=[200, 400, 800, 1600], metavar="R",
-                        help="aggregate open-loop arrival rates (ops/s) for "
-                             "the pipeline figure's latency-vs-load curve "
-                             "(default: 200 400 800 1600; NOT scaled by "
-                             "--scale — the knee is the point)")
-    parser.add_argument("--obs", action="store_true",
-                        help="collect observability (request spans, queue "
-                             "gauges, sim profile) on figures that support "
-                             "it — currently the pipeline open-loop curve; "
-                             "the tail figure always collects")
-    parser.add_argument("--metrics-out", metavar="FILE", default=None,
-                        help="tail figure: also dump the run's raw "
-                             "telemetry (records/spans/gauges/profile) as "
-                             "JSONL to FILE")
-    parser.add_argument("--tail-load", type=float, default=1600.0,
-                        metavar="R",
-                        help="tail figure: offered open-loop load in ops/s "
-                             "(default: 1600 — past the Raft knee, so "
-                             "queueing dominates the tail)")
-    parser.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4, 8],
-                        metavar="N",
-                        help="shard counts for the sharding figure "
-                             "(default: 1 2 4 8)")
-    parser.add_argument("--placement", default="both",
-                        choices=[*sorted(PLACEMENTS), "both"],
-                        help="leader placement for the sharding figure "
-                             "(default: both)")
-    parser.add_argument("--reshard-at", type=float, default=None, metavar="S",
-                        help="reshard figure: trigger the split S seconds "
-                             "into the run (default: 40%% of the duration)")
-    parser.add_argument("--reshard-from", type=int, default=2, metavar="N",
-                        help="reshard figure: starting shard count "
-                             "(default: 2)")
-    parser.add_argument("--reshard-to", type=int, default=4, metavar="N",
-                        help="reshard figure: shard count after the split "
-                             "(default: 4)")
-    parser.add_argument("--membership-protocol", default="raft",
-                        metavar="P",
-                        help="membership figure: protocol for the first "
-                             "timeline (default: raft; the contrast run "
-                             "picks the opposite reconfiguration family)")
-    parser.add_argument("--membership-at", type=float, default=None,
-                        metavar="S",
-                        help="membership figure: kill the host S seconds "
-                             "into the run (default: 30%% of the duration)")
-    parser.add_argument("--membership-alpha", type=int, default=0,
-                        metavar="A",
-                        help="membership figure: α window for the "
-                             "α-bounded run (default: 0 = protocol "
-                             "default)")
-    parser.add_argument("--mencius-depth", type=int, nargs="+",
-                        default=[1, 2, 4, 8], metavar="N",
-                        help="mencius-pipeline figure: session depths "
-                             "(default: 1 2 4 8)")
-    parser.add_argument("--txn-shards", type=int, nargs="+", default=[1, 2, 4],
-                        metavar="N",
-                        help="shard counts for the txn figure (default: 1 2 4)")
-    parser.add_argument("--cross-ratio", type=float, nargs="+",
-                        default=[0.0, 0.1, 0.5], metavar="R",
-                        help="cross-shard ratios for the txn figure "
-                             "(default: 0 0.1 0.5)")
-    parser.add_argument("--coalesce", default="both",
-                        choices=["on", "off", "both"],
-                        help="coalesce figure: which transport modes to run "
-                             "(default: both — the A/B the figure is about)")
-    parser.add_argument("--coalesce-shards", type=int, nargs="+",
-                        default=[2, 4, 8], metavar="N",
-                        help="shard counts for the coalesce figure "
-                             "(default: 2 4 8)")
-    parser.add_argument("--perf-out", metavar="FILE", default=None,
-                        help="perf figure: write the full report (all legs, "
-                             "profiles, calibration) as JSON to FILE")
-    parser.add_argument("--perf-baseline", metavar="FILE", default=None,
-                        help="perf figure: compare against a committed "
-                             "BENCH_perf.json (its post_refactor numbers)")
-    parser.add_argument("--perf-fail-threshold", type=float, default=0.30,
-                        metavar="R",
-                        help="perf figure: with --perf-baseline, exit "
-                             "non-zero when normalized events/sec drops "
-                             "more than R below the baseline (default: "
-                             "0.30)")
+    parser = build_parser()
     args = parser.parse_args(argv)
-    if any(depth < 1 for depth in args.pipeline_depth):
-        parser.error("--pipeline-depth values must be >= 1")
-    if any(rate <= 0 for rate in args.offered_load):
-        parser.error("--offered-load values must be positive")
-    if any(count < 1 for count in args.shards):
-        parser.error("--shards values must be >= 1")
-    if args.reshard_from < 1 or args.reshard_to < 1:
-        parser.error("--reshard-from/--reshard-to must be >= 1")
-    if args.membership_alpha < 0:
-        parser.error("--membership-alpha must be >= 0")
-    if any(depth < 1 for depth in args.mencius_depth):
-        parser.error("--mencius-depth values must be >= 1")
-    if any(count < 1 for count in args.txn_shards):
-        parser.error("--txn-shards values must be >= 1")
-    if any(not 0.0 <= ratio <= 1.0 for ratio in args.cross_ratio):
-        parser.error("--cross-ratio values must be in [0, 1]")
-    if args.tail_load <= 0:
-        parser.error("--tail-load must be positive")
-    if any(count < 1 for count in args.coalesce_shards):
-        parser.error("--coalesce-shards values must be >= 1")
-    if not 0.0 <= args.perf_fail_threshold < 1.0:
-        parser.error("--perf-fail-threshold must be in [0, 1)")
-
-    placements = (tuple(sorted(PLACEMENTS, reverse=True))
-                  if args.placement == "both" else (args.placement,))
-    coalesce_modes = (("off", "on") if args.coalesce == "both"
-                      else (args.coalesce,))
-    figures = dict(FIGURES)
-    figures["pipeline"] = lambda scale, seed: ex.pipeline_figures(
-        scale, seed, depths=tuple(args.pipeline_depth),
-        loads=tuple(args.offered_load), obs=args.obs)
-    figures["tail"] = lambda scale, seed: ex.tail_figure(
-        scale, seed, offered_load=args.tail_load,
-        metrics_out=args.metrics_out)
-    figures["sharding"] = lambda scale, seed: ex.sharding_scaling(
-        scale, seed, shard_counts=tuple(args.shards),
-        placements=placements).render()
-    figures["reshard"] = lambda scale, seed: ex.reshard_timeline(
-        scale, seed, shards_from=args.reshard_from,
-        shards_to=args.reshard_to, reshard_at_s=args.reshard_at).render()
-    figures["membership"] = lambda scale, seed: ex.membership_timeline(
-        scale, seed, protocol=args.membership_protocol,
-        replace_at_s=args.membership_at, alpha=args.membership_alpha)
-    figures["mencius-pipeline"] = lambda scale, seed: ex.mencius_pipeline(
-        scale, seed, depths=tuple(args.mencius_depth)).render()
-    figures["txn"] = lambda scale, seed: ex.txn_figures(
-        scale, seed, shard_counts=tuple(args.txn_shards),
-        cross_ratios=tuple(args.cross_ratio))
-    figures["coalesce"] = lambda scale, seed: ex.coalesce_figure(
-        scale, seed, shard_counts=tuple(args.coalesce_shards),
-        modes=coalesce_modes).render()
-
-    perf_state: dict = {}
-    if args.perf_baseline is not None:
-        with open(args.perf_baseline) as handle:
-            perf_state["baseline"] = json.load(handle)
-
-    def perf_figure(scale, seed):
-        report = perf.run_perf(scale, seed)
-        perf_state["report"] = report
-        return perf.render_perf(report, perf_state.get("baseline"))
-
-    figures["perf"] = perf_figure
-
-    for name in args.figures:
-        start = time.time()
-        print(figures[name](args.scale, args.seed))
-        print(f"[{name}: {time.time() - start:.1f}s]\n")
-
+    unknown = [name for name in args.figures if name not in FIGURES]
+    if unknown:
+        parser.error(f"unknown figure(s) {' '.join(unknown)}; choose from "
+                     f"{' '.join(FIGURES)}")
+    names = args.figures or [name for name, figure in FIGURES.items()
+                             if not figure.on_request]
     exit_code = 0
-    report = perf_state.get("report")
-    if report is not None:
-        if args.perf_out is not None:
-            with open(args.perf_out, "w") as handle:
-                json.dump(report, handle, indent=2)
-                handle.write("\n")
-        baseline = perf_state.get("baseline")
-        if baseline is not None:
-            ok, message = perf.check_regression(
-                report, baseline, args.perf_fail_threshold)
-            print(message)
-            if not ok:
-                exit_code = 1
+    for name in names:
+        figure = FIGURES[name]
+        start = time.time()
+        text, code = figure.run(
+            args.scale, args.seed,
+            **{option.keyword: option.value(args)
+               for option in figure.options})
+        print(text)
+        print(f"[{name}: {time.time() - start:.1f}s]\n")
+        exit_code = max(exit_code, code)
     return exit_code
 
 

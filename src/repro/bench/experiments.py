@@ -17,18 +17,21 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.bench.live import (
+    MembershipResult,
+    MembershipSpec,
+    ReshardResult,
+    ReshardSpec,
+    run_membership_experiment,
+    run_reshard_experiment,
+)
 from repro.bench.report import FigureTable, render_timelines
 from repro.obs import PHASE_LABELS, tail_budget
 from repro.protocols.types import Consistency
 from repro.membership import DEFAULT_ALPHA
 from repro.shard.cluster import (
-    MembershipResult,
-    MembershipSpec,
-    ReshardResult,
-    ReshardSpec,
+    ShardedCluster,
     ShardedSpec,
-    run_membership_experiment,
-    run_reshard_experiment,
     run_sharded_experiment,
 )
 from repro.shard.nemesis import Nemesis
@@ -47,48 +50,52 @@ PQL_SYSTEMS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _scaled(value: int, scale: float, minimum: int = 1) -> int:
-    return max(minimum, int(round(value * scale)))
+def _scaled(value: int, scale: float) -> int:
+    return max(1, int(round(value * scale)))
+
+
+def _trial(scale: float, seed: int, clients: int, duration_s: float,
+           warmup_s: float, **workload) -> dict:
+    """The spec fields of the trial shape every figure shares (§5: a fixed
+    run with warm-up and cool-down trimmed), scaled: the fleet shrinks
+    with `scale`, the run and its warm-up too but never below half."""
+    stretch = max(scale, 0.5)
+    return dict(clients_per_region=_scaled(clients, scale),
+                duration_s=duration_s * stretch, warmup_s=warmup_s * stretch,
+                cooldown_s=0.5, seed=seed,
+                workload=WorkloadConfig(**workload))
 
 
 # ---------------------------------------------------------------------------
 # Figure 9a / 9b: read and write latency (90% read, 5% conflict)
 # ---------------------------------------------------------------------------
 
+def _site_split(pcts: Tuple[str, ...]) -> List[Tuple[str, str]]:
+    """The paper's Leader/Followers latency split: the (group, percentile)
+    of each column, in column order."""
+    return [(group, pct) for group in ("leader", "followers") for pct in pcts]
+
+
 def fig9_latency(scale: float = 1.0, seed: int = 1) -> Tuple[FigureTable, FigureTable]:
-    workload = WorkloadConfig(read_fraction=0.9, conflict_rate=0.05)
+    split = _site_split(("p50", "p90", "p99"))
+    columns = ["system", *(f"{group} {pct}" for group, pct in split)]
     reads = FigureTable(
         figure="Figure 9a",
         title="Read latency, ms (50th/90th/99th percentile)",
-        columns=["system", "leader p50", "leader p90", "leader p99",
-                 "followers p50", "followers p90", "followers p99"],
+        columns=columns,
     )
     writes = FigureTable(
         figure="Figure 9b",
         title="Write latency, ms (50th/90th/99th percentile)",
-        columns=["system", "leader p50", "leader p90", "leader p99",
-                 "followers p50", "followers p90", "followers p99"],
+        columns=list(columns),
     )
     for label, protocol in PQL_SYSTEMS:
-        spec = ExperimentSpec(
-            protocol=protocol,
-            clients_per_region=_scaled(8, scale),
-            duration_s=6.0 * max(scale, 0.5),
-            warmup_s=1.5 * max(scale, 0.5),
-            cooldown_s=0.5,
-            workload=workload,
-            seed=seed,
-        )
-        result = run_experiment(spec)
+        result = run_experiment(ExperimentSpec(protocol=protocol, **_trial(
+            scale, seed, 8, 6.0, 1.5, read_fraction=0.9, conflict_rate=0.05)))
         for table, latency in ((reads, result.read_latency),
                                (writes, result.write_latency)):
-            table.add_row(
-                label,
-                latency["leader"]["p50"], latency["leader"]["p90"],
-                latency["leader"]["p99"],
-                latency["followers"]["p50"], latency["followers"]["p90"],
-                latency["followers"]["p99"],
-            )
+            table.add_row(label, *(latency[group][pct]
+                                   for group, pct in split))
     reads.notes.append("paper: PQL serves 90% of reads locally (~1 ms); "
                        "LL only at the leader; Raft/Raft* need 1 WAN RT")
     writes.notes.append("paper: PQL writes slightly higher (waits for lease "
@@ -110,16 +117,9 @@ def fig9c_peak_throughput(scale: float = 1.0, seed: int = 1) -> FigureTable:
     for label, protocol in PQL_SYSTEMS:
         cells: List[float] = []
         for read_fraction in read_fractions:
-            spec = ExperimentSpec(
-                protocol=protocol,
-                clients_per_region=_scaled(60, scale),
-                duration_s=5.0 * max(scale, 0.5),
-                warmup_s=1.5 * max(scale, 0.5),
-                cooldown_s=0.5,
-                workload=WorkloadConfig(read_fraction=read_fraction,
-                                        conflict_rate=0.05),
-                seed=seed,
-            )
+            spec = ExperimentSpec(protocol=protocol, **_trial(
+                scale, seed, 60, 5.0, 1.5,
+                read_fraction=read_fraction, conflict_rate=0.05))
             cells.append(run_experiment(spec).throughput_ops)
         table.add_row(label, *cells)
     table.notes.append("paper: Raft/Raft*/LL alike (leader CPU-bound); "
@@ -143,15 +143,9 @@ def fig9d_speedup(scale: float = 1.0, seed: int = 1,
     for conflict in conflict_rates:
         throughput: Dict[str, float] = {}
         for protocol in ("raftstar-pql", "raftstar"):
-            spec = ExperimentSpec(
-                protocol=protocol,
-                clients_per_region=_scaled(40, scale),
-                duration_s=5.0 * max(scale, 0.5),
-                warmup_s=1.5 * max(scale, 0.5),
-                cooldown_s=0.5,
-                workload=WorkloadConfig(read_fraction=0.9, conflict_rate=conflict),
-                seed=seed,
-            )
+            spec = ExperimentSpec(protocol=protocol, **_trial(
+                scale, seed, 40, 5.0, 1.5,
+                read_fraction=0.9, conflict_rate=conflict))
             throughput[protocol] = run_experiment(spec).throughput_ops
         speedup = (throughput["raftstar-pql"] / throughput["raftstar"]
                    if throughput["raftstar"] else float("nan"))
@@ -227,23 +221,18 @@ def fig10b_throughput_4kb(scale: float = 1.0, seed: int = 1) -> FigureTable:
 
 def fig10_latency(value_size: int, scale: float = 1.0, seed: int = 1) -> FigureTable:
     figure = "Figure 10c" if value_size <= 64 else "Figure 10d"
+    split = _site_split(("p50", "p90"))
     table = FigureTable(
         figure=figure,
         title=f"Write latency, ms ({'8 B' if value_size <= 64 else '4 KB'}, "
               f"50 clients/region)",
-        columns=["system", "leader p50", "leader p90",
-                 "followers p50", "followers p90"],
+        columns=["system", *(f"{group} {pct}" for group, pct in split)],
     )
     for label, protocol, extras in MENCIUS_SYSTEMS:
         spec = _mencius_spec(protocol, extras, _scaled(10, scale), value_size,
                              6.0 * max(scale, 0.5), seed)
-        result = run_experiment(spec)
-        latency = result.write_latency
-        table.add_row(
-            label,
-            latency["leader"]["p50"], latency["leader"]["p90"],
-            latency["followers"]["p50"], latency["followers"]["p90"],
-        )
+        latency = run_experiment(spec).write_latency
+        table.add_row(label, *(latency[group][pct] for group, pct in split))
     table.notes.append("'leader' = Oregon-region clients (Mencius has no "
                        "single leader); paper: Raft-Oregon's leader is "
                        "lowest (~79 ms); M-100% much higher (needs all "
@@ -268,28 +257,15 @@ def mencius_pipeline(scale: float = 1.0, seed: int = 1,
     fans in-flight commands out to every owner at once, and commutative
     execution re-orders non-conflicting commands between skips.  Same
     client fleet on every cell; only the per-session window differs."""
-    depths = tuple(depths)
-    base = min(depths)
-    table = FigureTable(
-        figure="Mencius-pipeline",
-        title="Pipelined Mencius: throughput (ops/s) vs session depth, "
-              "both execution modes, 3 sites, 50% reads",
-        columns=["system", *[f"depth {d}" for d in depths],
-                 f"d{max(depths)}/d{base}", "linearizable"],
-    )
-    for label, mode in (("Mencius-100% (ordered)", "ordered"),
-                        ("Mencius-0% (commutative)", "commutative")):
-        cells: Dict[int, float] = {}
-        clean = True
-        for depth in depths:
-            result = run_experiment(pipeline_spec(
-                scale, seed, "mencius", depth).with_(execution_mode=mode))
-            cells[depth] = result.throughput_ops
-            clean = clean and not result.violations
-        speedup = (cells[max(depths)] / cells[base] if cells[base]
-                   else float("nan"))
-        table.add_row(label, *[cells[d] for d in depths],
-                      round(speedup, 2), "yes" if clean else "NO")
+    table = _depth_sweep(
+        "Mencius-pipeline",
+        "Pipelined Mencius: throughput (ops/s) vs session depth, "
+        "both execution modes, 3 sites, 50% reads",
+        (("Mencius-100% (ordered)", "ordered"),
+         ("Mencius-0% (commutative)", "commutative")),
+        depths,
+        lambda mode, depth: pipeline_spec(
+            scale, seed, "mencius", depth).with_(execution_mode=mode))
     table.notes.append("'linearizable' = full HistoryChecker over "
                        "client-observed events in both modes — the "
                        "commutative mode may re-order between skip "
@@ -306,6 +282,10 @@ def mencius_pipeline(scale: float = 1.0, seed: int = 1,
 # as much a property of the client fleet as of the protocol; Marandi et al.
 # show in-flight client requests are the dominant Paxos throughput knob)
 # ---------------------------------------------------------------------------
+
+#: Session window of the open-loop figures (`pipeline`'s curve, `tail`):
+#: deep enough that the fleet, not the window, is never the limit.
+OPEN_LOOP_DEPTH = 8
 
 PIPELINE_SYSTEMS: Tuple[Tuple[str, str, Consistency], ...] = (
     ("Raft", "raft", Consistency.DEFAULT),
@@ -325,18 +305,39 @@ def pipeline_spec(scale: float, seed: int, protocol: str, depth: int,
         protocol=protocol,
         leader_site="oregon",
         topology=ec2_three_regions(),
-        clients_per_region=_scaled(clients_per_region, scale),
-        duration_s=6.0 * max(scale, 0.5),
-        warmup_s=1.5 * max(scale, 0.5),
-        cooldown_s=0.5,
-        workload=WorkloadConfig(read_fraction=0.5, conflict_rate=0.05),
-        seed=seed,
+        **_trial(scale, seed, clients_per_region, 6.0, 1.5,
+                 read_fraction=0.5, conflict_rate=0.05),
         check_history=True,
         full_check=True,
         pipeline_depth=depth,
         offered_load=offered_load,
         read_consistency=read_consistency,
     )
+
+
+def _depth_sweep(figure: str, title: str, systems, depths,
+                 spec_for) -> FigureTable:
+    """Closed-loop throughput at each session depth for every
+    ``(label, *key)`` system; `spec_for(*key, depth)` builds the trial."""
+    depths = tuple(depths)
+    base = min(depths)
+    table = FigureTable(
+        figure=figure, title=title,
+        columns=["system", *[f"depth {d}" for d in depths],
+                 f"d{max(depths)}/d{base}", "linearizable"],
+    )
+    for label, *key in systems:
+        cells: Dict[int, float] = {}
+        clean = True
+        for depth in depths:
+            result = run_experiment(spec_for(*key, depth))
+            cells[depth] = result.throughput_ops
+            clean = clean and not result.violations
+        speedup = (cells[max(depths)] / cells[base] if cells[base]
+                   else float("nan"))
+        table.add_row(label, *[cells[d] for d in depths],
+                      round(speedup, 2), "yes" if clean else "NO")
+    return table
 
 
 def pipeline_depth_sweep(scale: float = 1.0, seed: int = 1,
@@ -346,27 +347,13 @@ def pipeline_depth_sweep(scale: float = 1.0, seed: int = 1,
     commands in flight per client, so the same small fleet drives the
     leader to saturation — the claim (after Marandi et al.) that in-flight
     requests, not client count, set consensus throughput."""
-    depths = tuple(depths)
-    base = min(depths)
-    table = FigureTable(
-        figure="Pipeline",
-        title="Closed-loop throughput (ops/s) vs session pipeline depth, "
-              "3 sites, equal client count, 50% reads",
-        columns=["system", *[f"depth {d}" for d in depths],
-                 f"d{max(depths)}/d{base}", "linearizable"],
-    )
-    for label, protocol, consistency in PIPELINE_SYSTEMS:
-        cells: Dict[int, float] = {}
-        clean = True
-        for depth in depths:
-            result = run_experiment(pipeline_spec(
-                scale, seed, protocol, depth, read_consistency=consistency))
-            cells[depth] = result.throughput_ops
-            clean = clean and not result.violations
-        speedup = (cells[max(depths)] / cells[base] if cells[base]
-                   else float("nan"))
-        table.add_row(label, *[cells[d] for d in depths],
-                      round(speedup, 2), "yes" if clean else "NO")
+    table = _depth_sweep(
+        "Pipeline",
+        "Closed-loop throughput (ops/s) vs session pipeline depth, "
+        "3 sites, equal client count, 50% reads",
+        PIPELINE_SYSTEMS, depths,
+        lambda protocol, consistency, depth: pipeline_spec(
+            scale, seed, protocol, depth, read_consistency=consistency))
     table.notes.append("equal client fleet on every cell — only the "
                        "per-session window differs; depth 1 is the "
                        "pre-session closed-loop client")
@@ -380,7 +367,6 @@ def pipeline_depth_sweep(scale: float = 1.0, seed: int = 1,
 
 def pipeline_open_loop(scale: float = 1.0, seed: int = 1,
                        loads: Tuple[float, ...] = (200, 400, 800, 1600),
-                       depth: int = 8,
                        protocols: Tuple[Tuple[str, str], ...] = (
                            ("Raft", "raft"), ("MultiPaxos", "multipaxos")),
                        obs: bool = False) -> FigureTable:
@@ -393,8 +379,8 @@ def pipeline_open_loop(scale: float = 1.0, seed: int = 1,
     the full breakdown)."""
     table = FigureTable(
         figure="Pipeline-openloop",
-        title=f"Open-loop latency vs offered load (depth-{depth} sessions, "
-              "3 sites, 50% reads; latency from submission)",
+        title=f"Open-loop latency vs offered load (depth-{OPEN_LOOP_DEPTH} "
+              "sessions, 3 sites, 50% reads; latency from submission)",
         columns=["offered ops/s",
                  *[f"{label} {col}" for label, _ in protocols
                    for col in ("ops/s", "mean ms", "p99 ms", "p999 ms")],
@@ -407,7 +393,8 @@ def pipeline_open_loop(scale: float = 1.0, seed: int = 1,
         clean = True
         for label, protocol in protocols:
             result = run_experiment(pipeline_spec(
-                scale, seed, protocol, depth, offered_load=float(load),
+                scale, seed, protocol, OPEN_LOOP_DEPTH,
+                offered_load=float(load),
                 clients_per_region=4).with_(obs=obs))
             achieved = result.completion_throughput_ops
             mean_ms = result.overall_latency["mean"]
@@ -465,13 +452,11 @@ _TAIL_GAUGE_FAMILIES: Tuple[str, ...] = (
 )
 
 
-def _headline_gauges(gauges: Dict[str, List[Tuple[int, float]]],
-                     families: Tuple[str, ...] = _TAIL_GAUGE_FAMILIES,
-                     ) -> List[str]:
+def _headline_gauges(gauges: Dict[str, List[Tuple[int, float]]]) -> List[str]:
     """Pick the peak series of each gauge family (a family covers all
     per-host/per-replica series, e.g. `cpu_backlog_us.*`)."""
     picked: List[str] = []
-    for family in families:
+    for family in _TAIL_GAUGE_FAMILIES:
         candidates = [name for name in gauges
                       if name == family or name.startswith(f"{family}.")]
         if not candidates:
@@ -482,8 +467,7 @@ def _headline_gauges(gauges: Dict[str, List[Tuple[int, float]]],
 
 
 def tail_figure(scale: float = 1.0, seed: int = 1,
-                offered_load: float = 1600.0, depth: int = 8,
-                protocol: str = "raft",
+                offered_load: float = 1600.0,
                 metrics_out: Optional[str] = None) -> str:
     """The `tail` CLI figure: one open-loop run past the knee with spans,
     gauges and the sim profiler all on.  Reports the exemplar request at
@@ -492,7 +476,7 @@ def tail_figure(scale: float = 1.0, seed: int = 1,
     attribution), the queue gauges the waiting happened in, and the
     profiler's ranked wall-clock report.  `metrics_out` additionally dumps
     the raw telemetry (records/spans/gauges/profile) as JSONL."""
-    spec = pipeline_spec(scale, seed, protocol, depth,
+    spec = pipeline_spec(scale, seed, "raft", OPEN_LOOP_DEPTH,
                          offered_load=float(offered_load),
                          clients_per_region=4).with_(obs=True)
     result = run_experiment(spec)
@@ -511,9 +495,9 @@ def tail_figure(scale: float = 1.0, seed: int = 1,
     pct_names = list(budget)
     table = FigureTable(
         figure="Tail",
-        title=f"Phase-by-phase latency budget (ms), {protocol} at "
+        title=f"Phase-by-phase latency budget (ms), raft at "
               f"{offered_load:g} offered ops/s past the knee, "
-              f"depth-{depth} sessions, 3 sites",
+              f"depth-{OPEN_LOOP_DEPTH} sessions, 3 sites",
         columns=["phase", *pct_names, "the interval covers"],
     )
     seen = set()
@@ -562,8 +546,9 @@ def tail_figure(scale: float = 1.0, seed: int = 1,
         parts.append(obs.profiler.render())
     if metrics_out:
         lines = obs.dump(metrics_out, meta={
-            "figure": "tail", "protocol": protocol, "scale": scale,
-            "seed": seed, "offered_load": offered_load, "depth": depth,
+            "figure": "tail", "protocol": "raft", "scale": scale,
+            "seed": seed, "offered_load": offered_load,
+            "depth": OPEN_LOOP_DEPTH,
             "achieved_ops": result.completion_throughput_ops,
         })
         parts.append(f"telemetry: {lines} JSONL lines -> {metrics_out}")
@@ -582,7 +567,7 @@ def _shard_column(count: int) -> str:
 def sharding_scaling(scale: float = 1.0, seed: int = 1,
                      shard_counts: Tuple[int, ...] = (1, 2, 4, 8),
                      placements: Tuple[str, ...] = ("spread", "colocated"),
-                     protocol: str = "raft") -> FigureTable:
+                     ) -> FigureTable:
     """Aggregate committed throughput vs shard count, per leader placement.
 
     Fixed offered load (clients per region constant), network-bound 4 KB
@@ -592,11 +577,9 @@ def sharding_scaling(scale: float = 1.0, seed: int = 1,
     `colocated` funnels every group's replication through one region's
     uplink — the Figure 10b bottleneck again, one level up.
     """
-    workload = WorkloadConfig(read_fraction=0.1, conflict_rate=0.0,
-                              value_size=4096)
     table = FigureTable(
         figure="Sharding",
-        title=f"Aggregate throughput (ops/s) vs shard count, {protocol}, "
+        title="Aggregate throughput (ops/s) vs shard count, raft, "
               "4 KB writes, uniform keys",
         columns=["placement", *map(_shard_column, shard_counts), "linearizable"],
     )
@@ -605,15 +588,11 @@ def sharding_scaling(scale: float = 1.0, seed: int = 1,
         clean = True
         for count in shard_counts:
             spec = ShardedSpec(
-                protocol=protocol,
+                protocol="raft",
                 num_shards=count,
                 placement=placement,
-                clients_per_region=_scaled(60, scale),
-                duration_s=6.0 * max(scale, 0.5),
-                warmup_s=1.8 * max(scale, 0.5),
-                cooldown_s=0.5,
-                workload=workload,
-                seed=seed,
+                **_trial(scale, seed, 60, 6.0, 1.8, read_fraction=0.1,
+                         conflict_rate=0.0, value_size=4096),
                 check_history=True,
             )
             result = run_sharded_experiment(spec)
@@ -636,7 +615,7 @@ def sharding_scaling(scale: float = 1.0, seed: int = 1,
 # ---------------------------------------------------------------------------
 
 def coalesce_spec(scale: float = 1.0, seed: int = 1, num_shards: int = 8,
-                  coalesce: bool = True, protocol: str = "raft") -> ShardedSpec:
+                  coalesce: bool = True) -> ShardedSpec:
     """One host-multiplexed trial: every site runs ONE machine hosting all
     `num_shards` group replicas, leaders colocated in one region, 8 B
     CPU-bound writes.  The offered load is fixed (not scaled): the figure
@@ -644,16 +623,12 @@ def coalesce_spec(scale: float = 1.0, seed: int = 1, num_shards: int = 8,
     the bottleneck that coalescing amortizes — `scale` shortens the run.
     """
     return ShardedSpec(
-        protocol=protocol,
+        protocol="raft",
         num_shards=num_shards,
         placement="colocated",
-        clients_per_region=60,
-        workload=WorkloadConfig(read_fraction=0.1, conflict_rate=0.0,
-                                value_size=8),
-        duration_s=6.0 * max(scale, 0.5),
-        warmup_s=1.8 * max(scale, 0.5),
-        cooldown_s=0.5,
-        seed=seed,
+        **dict(_trial(scale, seed, 60, 6.0, 1.8, read_fraction=0.1,
+                      conflict_rate=0.0, value_size=8),
+               clients_per_region=60),  # the fixed offered load
         check_history=True,
         site_uplink_factor=None,
         hosts_per_site=1,
@@ -664,8 +639,7 @@ def coalesce_spec(scale: float = 1.0, seed: int = 1, num_shards: int = 8,
 
 def coalesce_figure(scale: float = 1.0, seed: int = 1,
                     shard_counts: Tuple[int, ...] = (2, 4, 8),
-                    modes: Tuple[str, ...] = ("off", "on"),
-                    protocol: str = "raft") -> FigureTable:
+                    modes: Tuple[str, ...] = ("off", "on")) -> FigureTable:
     """Throughput with and without cross-group coalescing, vs shard count,
     at colocated placement on one shared host per site.
 
@@ -677,8 +651,8 @@ def coalesce_figure(scale: float = 1.0, seed: int = 1,
     """
     table = FigureTable(
         figure="Coalesce",
-        title=f"Host-multiplexed throughput (ops/s) vs shard count, "
-              f"{protocol}, colocated leaders, 1 host/site, 8 B writes",
+        title="Host-multiplexed throughput (ops/s) vs shard count, "
+              "raft, colocated leaders, 1 host/site, 8 B writes",
         columns=["coalescing", *map(_shard_column, shard_counts),
                  "msgs/envelope", "linearizable"],
     )
@@ -691,8 +665,7 @@ def coalesce_figure(scale: float = 1.0, seed: int = 1,
         results[mode] = {}
         for count in shard_counts:
             result = run_sharded_experiment(coalesce_spec(
-                scale, seed, num_shards=count, coalesce=(mode == "on"),
-                protocol=protocol))
+                scale, seed, num_shards=count, coalesce=(mode == "on")))
             results[mode][count] = result
             clean = clean and result.linearizable and result.filtered == 0
             cells.append(result.throughput_ops)
@@ -732,27 +705,36 @@ def coalesce_figure(scale: float = 1.0, seed: int = 1,
 
 def reshard_spec(scale: float = 1.0, seed: int = 1,
                  shards_from: int = 2, shards_to: int = 4,
-                 reshard_at_s: Optional[float] = None,
-                 protocol: str = "raft") -> ReshardSpec:
+                 reshard_at_s: Optional[float] = None) -> ReshardSpec:
     """The reshard figure's trial: network-bound 4 KB writes saturating
     `shards_from` groups, split to `shards_to` mid-run under load."""
-    duration = 10.0 * max(scale, 0.5)
+    trial = _trial(scale, seed, 60, 10.0, 1.8, read_fraction=0.1,
+                   conflict_rate=0.0, value_size=4096)
     return ReshardSpec(
-        protocol=protocol,
+        protocol="raft",
         num_shards=shards_from,
         placement="spread",
-        clients_per_region=_scaled(60, scale),
-        workload=WorkloadConfig(read_fraction=0.1, conflict_rate=0.0,
-                                value_size=4096),
-        duration_s=duration,
-        warmup_s=1.8 * max(scale, 0.5),
-        cooldown_s=0.5,
-        seed=seed,
+        **trial,
         check_history=True,
         reshard_to=shards_to,
         reshard_at_s=(reshard_at_s if reshard_at_s is not None
-                      else 0.4 * duration),
+                      else 0.4 * trial["duration_s"]),
     )
+
+
+def _accounting_notes(result, change: str, twice: str = "",
+                      bounced: str = "commands") -> List[str]:
+    """The two notes a live-transition table ends with: the run's
+    `Accounting` spelled out, and the checker verdict across `change`."""
+    return [
+        f"ack accounting: {result.completed} completions, "
+        f"{result.acks_lost} lost, {result.acks_duplicated} duplicated, "
+        f"{result.duplicate_executions} writes executed twice{twice}; "
+        f"{result.redirects} redirects ({result.capped_redirects} hit the "
+        f"hop cap), {result.filtered} {bounced} bounced at apply",
+        f"per-shard HistoryChecker across the {change}: "
+        + ("all linearizable" if result.linearizable
+           else f"VIOLATIONS {result.violations}")]
 
 
 def reshard_table(result: ReshardResult) -> FigureTable:
@@ -765,7 +747,7 @@ def reshard_table(result: ReshardResult) -> FigureTable:
         columns=["t (s)", "ops/s", "phase"],
     )
     done_s = result.migration_completed_s or float("inf")
-    for start, ops in result.timeline:
+    for start, ops, _p99 in result.timeline:
         if start < spec.reshard_at_s:
             phase = f"pre-split ({spec.num_shards} shards)"
         elif start < done_s:
@@ -777,26 +759,18 @@ def reshard_table(result: ReshardResult) -> FigureTable:
         f"steady-state throughput: {result.pre_throughput:.1f} ops/s before "
         f"the split, {result.post_throughput:.1f} after; migration of "
         f"{result.moves} key ranges took {result.migration_ms:.0f} ms")
-    table.notes.append(
-        f"ack accounting: {result.completed} completions, "
-        f"{result.acks_lost} lost, {result.acks_duplicated} duplicated, "
-        f"{result.duplicate_executions} writes executed twice (store "
-        f"versions vs distinct acked PUTs); {result.redirects} redirects "
-        f"({result.capped_redirects} hit the hop cap), {result.filtered} "
-        f"boundary commands bounced at apply")
-    table.notes.append(
-        "per-shard HistoryChecker across the epoch change: "
-        + ("all linearizable" if result.linearizable
-           else f"VIOLATIONS {result.violations}"))
+    table.notes += _accounting_notes(
+        result, "epoch change", bounced="boundary commands",
+        twice=" (store versions vs distinct acked PUTs)")
     return table
 
 
 def reshard_timeline(scale: float = 1.0, seed: int = 1,
                      shards_from: int = 2, shards_to: int = 4,
                      reshard_at_s: Optional[float] = None) -> FigureTable:
-    return reshard_table(run_reshard_experiment(
+    return reshard_table(run_reshard_experiment(ShardedCluster(
         reshard_spec(scale, seed, shards_from=shards_from,
-                     shards_to=shards_to, reshard_at_s=reshard_at_s)))
+                     shards_to=shards_to, reshard_at_s=reshard_at_s))))
 
 
 # ---------------------------------------------------------------------------
@@ -812,46 +786,29 @@ ALPHA_FAMILY = ("multipaxos", "paxos-pql")
 
 
 def membership_spec(scale: float = 1.0, seed: int = 1,
-                    protocol: str = "raft", num_shards: int = 2,
+                    protocol: str = "raft",
                     replace_at_s: Optional[float] = None,
                     alpha: int = 0) -> MembershipSpec:
-    """The membership figure's trial: open-ended load over `num_shards`
-    groups on one machine per site; one machine dies permanently at
+    """The membership figure's trial: open-ended load over two groups
+    on one machine per site; one machine dies permanently at
     `replace_at_s` and is replaced live.  The run is long relative to the
     replacement so the post window measures steady state, not the dip."""
-    duration = 12.0 * max(scale, 0.5)
+    trial = _trial(scale, seed, 30, 12.0, 1.8, read_fraction=0.1,
+                   conflict_rate=0.0, value_size=1024)
     return MembershipSpec(
         protocol=protocol,
-        num_shards=num_shards,
+        num_shards=2,
         placement="spread",
-        clients_per_region=_scaled(30, scale),
-        workload=WorkloadConfig(read_fraction=0.1, conflict_rate=0.0,
-                                value_size=1024),
-        duration_s=duration,
-        warmup_s=1.8 * max(scale, 0.5),
-        cooldown_s=0.5,
-        seed=seed,
+        **trial,
         check_history=True,
         # A replaced machine never answers: the retry timeout is the
         # client-visible failover knob, so the figure uses a schedule
         # sized to the replacement, not the legacy 5 s constant.
         retry=RetryPolicy(retry_timeout=ms(800), retry_cap=sec(4)),
         replace_at_s=(replace_at_s if replace_at_s is not None
-                      else 0.3 * duration),
+                      else 0.3 * trial["duration_s"]),
         alpha=alpha,
     )
-
-
-def _membership_stall_s(result: MembershipResult) -> float:
-    """Unavailability proxy: total bucket time inside the replacement
-    window where throughput fell below half the pre-replacement rate."""
-    threshold = 0.5 * result.pre_throughput
-    done_s = result.replace_completed_s or result.spec.duration_s
-    stall = 0.0
-    for start, ops, _p99 in result.timeline:
-        if result.replace_started_s <= start < done_s and ops < threshold:
-            stall += 0.5
-    return stall
 
 
 def membership_table(result: MembershipResult) -> FigureTable:
@@ -885,21 +842,12 @@ def membership_table(result: MembershipResult) -> FigureTable:
         f"config_changes={result.config_changes} committed transitions "
         f"across {result.groups_changed} hosted groups; replacement took "
         f"{result.replacement_ms:.0f} ms, throughput stalled (<50% of "
-        f"pre) for {_membership_stall_s(result):.1f} s")
+        f"pre) for {result.stall_s:.1f} s")
     table.notes.append(
         f"steady-state throughput: {result.pre_throughput:.1f} ops/s "
         f"before the kill, {result.post_throughput:.1f} after the splice "
         f"({result.throughput_ratio:.2f}x)")
-    table.notes.append(
-        f"ack accounting: {result.completed} completions, "
-        f"{result.acks_lost} lost, {result.acks_duplicated} duplicated, "
-        f"{result.duplicate_executions} writes executed twice; "
-        f"{result.redirects} redirects ({result.capped_redirects} hit the "
-        f"hop cap), {result.filtered} commands bounced at apply")
-    table.notes.append(
-        "per-shard HistoryChecker across the config change: "
-        + ("all linearizable" if result.linearizable
-           else f"VIOLATIONS {result.violations}"))
+    table.notes += _accounting_notes(result, "config change")
     return table
 
 
@@ -914,16 +862,13 @@ def membership_contrast_table(joint: MembershipResult,
                  "post/pre tput", "sim events", "safe"],
     )
     for result in (joint, alpha):
-        safe = (result.replacement_completed and result.acks_lost == 0
-                and result.acks_duplicated == 0
-                and result.duplicate_executions == 0 and result.linearizable)
         table.add_row(
             result.kind, result.spec.protocol,
             f"{result.replacement_ms:.0f}",
-            f"{_membership_stall_s(result):.1f}",
+            f"{result.stall_s:.1f}",
             round(result.throughput_ratio, 2),
             result.events_processed,
-            "yes" if safe else "NO")
+            "yes" if result.replacement_completed and result.safe else "NO")
     table.notes.append(
         "joint logs TWO entries per group (joint, then final) and holds "
         "quorums over both configs in between — no unavailability window "
@@ -942,22 +887,24 @@ def membership_contrast_table(joint: MembershipResult,
 def membership_timeline(scale: float = 1.0, seed: int = 1,
                         protocol: str = "raft",
                         replace_at_s: Optional[float] = None,
-                        alpha: int = 0) -> str:
+                        alpha: int = 0,
+                        ) -> Tuple[List[FigureTable],
+                                   Dict[str, MembershipResult]]:
     """The full `membership` CLI figure: the requested protocol's
     replacement timeline, the opposite family's timeline, and the
-    joint-vs-α contrast over the pair."""
-    first = run_membership_experiment(membership_spec(
-        scale, seed, protocol=protocol, replace_at_s=replace_at_s,
-        alpha=alpha))
-    other = "multipaxos" if first.kind == "joint" else "raft"
-    second = run_membership_experiment(membership_spec(
-        scale, seed, protocol=other, replace_at_s=replace_at_s,
-        alpha=alpha))
-    joint, bounded = ((first, second) if first.kind == "joint"
-                      else (second, first))
-    return "\n\n".join([membership_table(first).render(),
-                        membership_table(second).render(),
-                        membership_contrast_table(joint, bounded).render()])
+    joint-vs-α contrast over the pair.  Also returns the two results,
+    keyed by reconfiguration style ("joint", "alpha")."""
+    def run(protocol: str) -> MembershipResult:
+        return run_membership_experiment(ShardedCluster(membership_spec(
+            scale, seed, protocol=protocol, replace_at_s=replace_at_s,
+            alpha=alpha)))
+
+    first = run(protocol)
+    second = run("multipaxos" if first.kind == "joint" else "raft")
+    by_kind = {first.kind: first, second.kind: second}
+    return [membership_table(first), membership_table(second),
+            membership_contrast_table(by_kind["joint"], by_kind["alpha"]),
+            ], by_kind
 
 
 # ---------------------------------------------------------------------------
@@ -968,39 +915,25 @@ def membership_timeline(scale: float = 1.0, seed: int = 1,
 
 
 def txn_spec(scale: float = 1.0, seed: int = 1, num_shards: int = 4,
-             cross_shard_ratio: float = 0.1, txn_size: int = 2,
-             protocol: str = "raft") -> TxnSpec:
-    """One transactional trial: `txn_size`-op transactions, 50 % reads,
-    64 B values, a cross-shard 2PC with probability `cross_shard_ratio`."""
+             cross_shard_ratio: float = 0.1) -> TxnSpec:
+    """One transactional trial: 2-op transactions, 50 % reads, 64 B
+    values, a cross-shard 2PC with probability `cross_shard_ratio`."""
     return TxnSpec(
-        protocol=protocol,
+        protocol="raft",
         num_shards=num_shards,
         placement="spread",
-        clients_per_region=_scaled(20, scale),
-        workload=WorkloadConfig(read_fraction=0.5, conflict_rate=0.0,
-                                value_size=64, records=10_000),
-        duration_s=6.0 * max(scale, 0.5),
-        warmup_s=1.5 * max(scale, 0.5),
-        cooldown_s=0.5,
-        seed=seed,
+        **_trial(scale, seed, 20, 6.0, 1.5, read_fraction=0.5,
+                 conflict_rate=0.0, value_size=64, records=10_000),
         check_history=True,
-        txn_size=txn_size,
+        txn_size=2,
         cross_shard_ratio=cross_shard_ratio,
     )
-
-
-def _txn_safety(result: TxnResult) -> str:
-    if result.safe:
-        return "yes"
-    return (f"NO (lost={result.acks_lost} dup={result.acks_duplicated} "
-            f"re-exec={result.duplicate_executions} "
-            f"ser={len(result.serializability_violations)})")
 
 
 def txn_scaling(scale: float = 1.0, seed: int = 1,
                 shard_counts: Tuple[int, ...] = (1, 2, 4),
                 cross_ratios: Tuple[float, ...] = (0.0, 0.1, 0.5),
-                protocol: str = "raft") -> FigureTable:
+                ) -> FigureTable:
     """Committed transactional throughput (ops/s = txns/s x txn_size) vs
     shard count, swept over the cross-shard ratio.  At 0 % every
     transaction takes the single-command fast path — one atomic log entry
@@ -1009,7 +942,7 @@ def txn_scaling(scale: float = 1.0, seed: int = 1,
     decision for half its transactions."""
     table = FigureTable(
         figure="Txn",
-        title=f"Transactional throughput (ops/s) vs shard count, {protocol}, "
+        title="Transactional throughput (ops/s) vs shard count, raft, "
               "2-op txns, 50% reads, 64 B values",
         columns=["cross-shard", *map(_shard_column, shard_counts),
                  "strict-serializable + zero lost/dup acks"],
@@ -1019,11 +952,10 @@ def txn_scaling(scale: float = 1.0, seed: int = 1,
         clean = "yes"
         for count in shard_counts:
             result = run_txn_experiment(txn_spec(
-                scale, seed, num_shards=count, cross_shard_ratio=ratio,
-                protocol=protocol))
+                scale, seed, num_shards=count, cross_shard_ratio=ratio))
             cells.append(result.ops_throughput)
             if not result.safe:
-                clean = _txn_safety(result)
+                clean = result.describe()
         table.add_row(f"{int(ratio * 100)}%", *cells, clean)
     table.notes.append("0% cross-shard = single-command fast path (one "
                        "atomic log entry per txn); 2PC prepares lock keys "
@@ -1053,21 +985,16 @@ def txn_fault_nemesis(cluster, seed: int = 1) -> Nemesis:
 
 def txn_faults(scale: float = 1.0, seed: int = 1, num_shards: int = 4,
                cross_shard_ratio: float = 0.5,
-               protocol: str = "raft") -> Tuple[FigureTable, TxnResult]:
+               ) -> Tuple[FigureTable, TxnResult]:
     """The 50 %-cross-shard trial re-run under the nemesis schedule."""
-    spec = txn_spec(scale, seed, num_shards=num_shards,
-                    cross_shard_ratio=cross_shard_ratio, protocol=protocol)
-    holder: Dict[str, Nemesis] = {}
-
-    def install(cluster) -> None:
-        holder["nemesis"] = txn_fault_nemesis(cluster, seed=seed)
-
-    result = run_txn_experiment(spec, nemesis=install)
-    nemesis = holder["nemesis"]
+    cluster = TxnCluster(txn_spec(scale, seed, num_shards=num_shards,
+                                  cross_shard_ratio=cross_shard_ratio))
+    nemesis = txn_fault_nemesis(cluster, seed=seed)
+    result = cluster.run()
     table = FigureTable(
         figure="Txn-faults",
         title=f"{int(cross_shard_ratio * 100)}% cross-shard transactions "
-              f"under faults ({protocol}, {num_shards} shards): leader kill "
+              f"under faults (raft, {num_shards} shards): leader kill "
               "mid-prepare, coordinator kill mid-commit, leader partition, "
               "coordinator HOST kill (failover to a standby)",
         columns=["metric", "value"],
@@ -1103,51 +1030,40 @@ def _host_kill_takeover_ms(nemesis: Nemesis, takeovers) -> float:
     return min(after) / 1e3 - kills[0] * 1e3
 
 
-def _txn_failover_trial(scale: float, seed: int, protocol: str):
+def _txn_failover_trial(scale: float, seed: int):
     """One transactional run whose busiest-site coordinator HOST dies with
     2PC in flight; returns (failover ms, result, nemesis)."""
-    spec = txn_spec(scale, seed, num_shards=2, cross_shard_ratio=0.6,
-                    protocol=protocol)
+    spec = txn_spec(scale, seed, num_shards=2, cross_shard_ratio=0.6)
     cluster = TxnCluster(spec)
     nemesis = Nemesis(cluster, seed=seed, host_down_s=0.4 * spec.duration_s)
     nemesis.coordinator_host_kill_at(0.45 * spec.duration_s, role="txn")
-    cluster.nemesis = nemesis
     result = cluster.run()
     latency_ms = _host_kill_takeover_ms(
         nemesis, [t for c in cluster.coordinators for t in c.takeovers])
     return latency_ms, result, nemesis
 
 
-def _reshard_failover_trial(scale: float, seed: int, protocol: str):
+def _reshard_failover_trial(scale: float, seed: int):
     """One live 2->4 reshard whose lease-holding driver's host dies
     mid-plan (donor leaders are crashed first so the plan is still in
     flight); returns (failover ms, result, nemesis)."""
-    spec = reshard_spec(scale, seed, protocol=protocol)
+    spec = reshard_spec(scale, seed)
     spec.duration_s += 4.0  # room to finish the stretched migration
-    holder: Dict[str, object] = {}
-
-    def install(cluster) -> None:
-        nemesis = Nemesis(cluster, seed=seed, leader_down_s=1.0,
-                          host_down_s=0.35 * spec.duration_s)
-        nemesis.leader_kill_at(spec.reshard_at_s + 0.1, shard=0)
-        nemesis.leader_kill_at(spec.reshard_at_s + 0.1, shard=1)
-        nemesis.coordinator_host_kill_at(spec.reshard_at_s + 1.6,
-                                         role="reshard")
-        cluster.nemesis = nemesis
-        holder["cluster"] = cluster
-        holder["nemesis"] = nemesis
-
-    result = run_reshard_experiment(spec, nemesis=install)
-    plane = holder["cluster"].coordinator
+    cluster = ShardedCluster(spec)
+    nemesis = Nemesis(cluster, seed=seed, leader_down_s=1.0,
+                      host_down_s=0.35 * spec.duration_s)
+    nemesis.leader_kill_at(spec.reshard_at_s + 0.1, shard=0)
+    nemesis.leader_kill_at(spec.reshard_at_s + 0.1, shard=1)
+    nemesis.coordinator_host_kill_at(spec.reshard_at_s + 1.6, role="reshard")
+    result = run_reshard_experiment(cluster)
     latency_ms = _host_kill_takeover_ms(
-        holder["nemesis"],
-        [t for c in plane.coordinators for t in c.takeovers])
-    return latency_ms, result, holder["nemesis"]
+        nemesis,
+        [t for c in cluster.coordinator.coordinators for t in c.takeovers])
+    return latency_ms, result, nemesis
 
 
 def coordinator_failover(scale: float = 1.0,
                          seeds: Tuple[int, ...] = (1, 2, 3),
-                         protocol: str = "raft"
                          ) -> Tuple[FigureTable, Dict[str, object]]:
     """The control-plane failover figure: kill the MACHINE under each
     plane's active coordinator mid-flight and measure how fast a hot
@@ -1164,7 +1080,7 @@ def coordinator_failover(scale: float = 1.0,
     election — that regime shows up as the slow tail of the sweep."""
     table = FigureTable(
         figure="Coordinator-failover",
-        title=f"Control-plane failover under machine kills ({protocol}): "
+        title="Control-plane failover under machine kills (raft): "
               "the active coordinator's host dies, a hot standby takes "
               "over through the replicated decision log",
         columns=["seed", "txn failover (ms)", "txn safe",
@@ -1175,19 +1091,15 @@ def coordinator_failover(scale: float = 1.0,
     txn_results: List[TxnResult] = []
     reshard_results: List[ReshardResult] = []
     for seed in seeds:
-        t_ms, t_result, t_nemesis = _txn_failover_trial(scale, seed, protocol)
-        r_ms, r_result, r_nemesis = _reshard_failover_trial(scale, seed,
-                                                            protocol)
+        t_ms, t_result, t_nemesis = _txn_failover_trial(scale, seed)
+        r_ms, r_result, r_nemesis = _reshard_failover_trial(scale, seed)
         txn_ms.append(t_ms)
         reshard_ms.append(r_ms)
         txn_results.append(t_result)
         reshard_results.append(r_result)
-        r_ok = (r_result.reshard_completed and r_result.acks_lost == 0
-                and r_result.acks_duplicated == 0
-                and r_result.duplicate_executions == 0
-                and r_result.linearizable)
-        table.add_row(seed, t_ms, _txn_safety(t_result), r_ms,
-                      "yes" if r_ok else "NO")
+        table.add_row(seed, t_ms, t_result.describe(), r_ms,
+                      r_result.describe() if r_result.reshard_completed
+                      else "NO")
         for at_s, what in t_nemesis.log:
             if "host_kill" in what:
                 table.notes.append(f"seed {seed} txn t={at_s:.2f}s {what}")

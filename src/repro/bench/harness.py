@@ -10,99 +10,34 @@ in seconds of wall-clock time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.kvstore.checker import HistoryChecker, HistoryEvent
 from repro.metrics.recorder import MetricsRecorder
-from repro.obs import Observability, ObsConfig, install_standard_gauges
-from repro.protocols.config import ClusterConfig, geo_cluster
-from repro.protocols.leaderlease import LeaderLeaseReplica
-from repro.protocols.mencius import (
-    CoordinatedPaxosReplica,
-    MenciusReplica,
-    RaftStarMenciusReplica,
-)
-from repro.protocols.multipaxos import MultiPaxosReplica
-from repro.protocols.quorum_lease import PaxosPQLReplica, RaftStarPQLReplica
-from repro.protocols.raft import RaftReplica
-from repro.protocols.raftstar import RaftStarReplica
+from repro.obs import Observability, install_standard_gauges
+from repro.protocols.config import geo_cluster
+from repro.protocols.registry import LEADERLESS, MENCIUS_PROTOCOLS, PROTOCOLS
 from repro.protocols.types import OpType
 from repro.sim.events import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import SplitRng
-from repro.sim.topology import Topology, ec2_five_regions
-from repro.sim.units import sec, to_sec
+from repro.sim.topology import ec2_five_regions
+from repro.sim.units import sec
 from repro.workload.clients import spawn_clients
-from repro.workload.plan import ClientPlan
-from repro.workload.session import RetryPolicy
-from repro.workload.ycsb import WorkloadConfig
-
-from repro.protocols.types import Consistency
-
-PROTOCOLS: Dict[str, type] = {
-    "raft": RaftReplica,
-    "raftstar": RaftStarReplica,
-    "raftstar-pql": RaftStarPQLReplica,
-    "leaderlease": LeaderLeaseReplica,
-    "multipaxos": MultiPaxosReplica,
-    "paxos-pql": PaxosPQLReplica,
-    "mencius": RaftStarMenciusReplica,
-    "coorpaxos": CoordinatedPaxosReplica,
-}
-
-MENCIUS_PROTOCOLS = {"mencius", "coorpaxos"}
-LEADERLESS = MENCIUS_PROTOCOLS
+from repro.workload.plan import FleetSpec
 
 
 @dataclass
-class ExperimentSpec:
-    """One trial's parameters."""
+class ExperimentSpec(FleetSpec):
+    """One single-group trial's parameters."""
 
-    protocol: str = "raft"
     leader_site: str = "oregon"
-    clients_per_region: int = 10
-    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    duration_s: float = 8.0
-    warmup_s: float = 2.0
-    cooldown_s: float = 1.0
-    seed: int = 1
-    topology: Optional[Topology] = None
     execution_mode: Optional[str] = None  # Mencius: "ordered"/"commutative"
-    check_history: bool = False
     # Run the FULL history check (prefix agreement + monotonic reads +
     # lease-read freshness over client-observed events) instead of prefix
     # agreement only — the pipelined figures assert this.
     full_check: bool = False
-    # -- client fleet (see `workload.plan.ClientPlan`) ----------------------
-    # Session pipeline window per client (1 = the legacy closed loop).
-    pipeline_depth: int = 1
-    # Aggregate open-loop arrival rate in ops/s (None = closed loop).
-    offered_load: Optional[float] = None
-    # Per-spec retry/backoff schedule for every client session.
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    # Default consistency level for the fleet's reads.
-    read_consistency: Consistency = Consistency.DEFAULT
-    # Share sim Hosts among each site's clients (None = private hosts).
-    client_hosts_per_site: Optional[int] = None
-    # Observability (repro.obs): collect request-lifecycle spans, queue
-    # gauges, and a sim profile for this run.  Off by default — when off,
-    # the only cost is one branch per instrumented point.
-    obs: bool = False
-    obs_config: Optional[ObsConfig] = None
-
-    def with_(self, **changes) -> "ExperimentSpec":
-        return replace(self, **changes)
-
-    def client_plan(self) -> ClientPlan:
-        return ClientPlan(
-            per_region=self.clients_per_region,
-            depth=self.pipeline_depth,
-            retry=self.retry,
-            read_consistency=self.read_consistency,
-            offered_load=self.offered_load,
-            hosts_per_site=self.client_hosts_per_site,
-        )
 
 
 @dataclass
@@ -196,8 +131,7 @@ class Cluster:
     def run(self) -> ExperimentResult:
         spec = self.spec
         self.sim.run(until=sec(spec.duration_s))
-        window_start = sec(spec.warmup_s)
-        window_end = sec(spec.duration_s - spec.cooldown_s)
+        window_start, window_end = spec.window()
         violations: List[str] = []
         if self.checker is not None:
             violations = (self.checker.check_all() if spec.full_check

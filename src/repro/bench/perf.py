@@ -39,11 +39,11 @@ machine) and `events_per_sec_normalized = events_per_sec / calibration`.
 Regression checks between machines (the CI perf job) compare the
 normalized number; same-machine before/after comparisons use the raw one.
 
-`python -m repro.bench perf` runs all legs, prints the figure, and
-writes `BENCH_perf.json` (see `--perf-out`); with `--perf-baseline FILE`
-it also compares against a committed baseline and, with
-`--perf-fail-threshold R`, exits non-zero on a worse-than-R regression —
-the CI perf job's contract.
+`python -m repro.bench perf` (`perf_figure`) runs all legs, prints the
+figure, and writes `BENCH_perf.json` (see `--perf-out`); with
+`--perf-baseline FILE` it also compares against a committed baseline and,
+with `--perf-fail-threshold R`, exits non-zero on a worse-than-R
+regression — the CI perf job's contract.
 """
 
 from __future__ import annotations
@@ -400,3 +400,25 @@ def check_regression(report: Dict[str, Any], baseline: Dict[str, Any],
         f"committed baseline ({comp['baseline_label']}); regression floor "
         f"is {floor:.2f}x")
     return ok, ("ok: " if ok else "REGRESSION: ") + message
+
+
+def perf_figure(scale: float = 1.0, seed: int = 0,
+                out: Optional[str] = None, baseline: Optional[str] = None,
+                fail_threshold: float = 0.30) -> Tuple[str, int]:
+    """The `perf` CLI figure: run the legs, write the full report as JSON
+    to `out`, and compare against the BENCH_perf.json at `baseline`.
+    Returns the rendered text and the exit code (1 = regression)."""
+    committed = None
+    if baseline is not None:
+        with open(baseline) as handle:
+            committed = json.load(handle)
+    report = run_perf(scale, seed)
+    text, code = render_perf(report, committed), 0
+    if out is not None:
+        with open(out, "w") as handle:
+            json.dump(report, handle, indent=2)
+            handle.write("\n")
+    if committed is not None:
+        ok, message = check_regression(report, committed, fail_threshold)
+        text, code = f"{text}\n{message}", 0 if ok else 1
+    return text, code

@@ -146,13 +146,7 @@ class DedupSession:
 
     @staticmethod
     def from_payload(payload) -> "DedupSession":
-        """Parse an exported session.  Accepts the current windowed format
-        and the legacy single-slot ``[seq, key, ok, value]`` list (treated
-        as a one-entry window with the floor just below it)."""
-        if isinstance(payload, (list, tuple)):
-            seq, key, ok, value = payload
-            return DedupSession(low_water=seq - 1, entries={
-                int(seq): (key, ApplyResult(ok=ok, value=value))})
+        """Parse a session as `export_payload` writes it."""
         entries = {
             int(seq): (key, ApplyResult(ok=ok, value=value))
             for seq, (key, ok, value) in payload.get("entries", {}).items()

@@ -12,7 +12,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.stats import summarize
 from repro.protocols.types import OpType
-from repro.sim.units import to_ms, to_sec
+from repro.sim.units import sec, to_ms, to_sec
+
+#: Width of one `MetricsRecorder.timeline` bucket, in simulated seconds —
+#: also the unit a figure's stall time is counted in.
+TIMELINE_BUCKET_S = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,6 +145,21 @@ class MetricsRecorder:
             group = key(record)
             counts[group] = counts.get(group, 0) + 1
         return {group: count / span for group, count in counts.items()}
+
+    def timeline(self, duration_s: float) -> List[Tuple[float, float, float]]:
+        """The run as `TIMELINE_BUCKET_S` buckets of completions, by ack
+        time: (bucket start in s, ops/s, p99 latency in ms — NaN for an
+        empty bucket).  The last bucket is cut at `duration_s`."""
+        buckets: List[Tuple[float, float, float]] = []
+        t = 0.0
+        while t < duration_s:
+            hi = min(t + TIMELINE_BUCKET_S, duration_s)
+            lat = sorted(r.latency_ms for r in self.records
+                         if sec(t) <= r.end < sec(hi))
+            p99 = lat[int(0.99 * (len(lat) - 1))] if lat else float("nan")
+            buckets.append((t, len(lat) / (hi - t), p99))
+            t = hi
+        return buckets
 
     @classmethod
     def merge(cls, recorders: "List[MetricsRecorder]") -> "MetricsRecorder":

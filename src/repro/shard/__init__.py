@@ -12,8 +12,9 @@ a first-class scaling knob.  This package is that layer:
   Figure 10b bottleneck at shard granularity; `spread` recovers the
   Mencius insight by round-robining leaders across regions);
 * `cluster` — N replica groups of any registered protocol over one shared
-  simulator/network/topology, with per-shard and aggregate stats, plus
-  **live resharding** (`ShardedCluster.reshard`, `run_reshard_experiment`);
+  simulator/network/topology, with per-shard and aggregate stats, the
+  run's ack/safety `Accounting`, plus **live resharding**
+  (`ShardedCluster.reshard`; instrumented in `repro.bench.live`);
 * `router` — shard-aware routing/redirect/transaction policies over the
   pipelined `workload.Session` (capped redirect-on-wrong-shard,
   epoch-refreshing routing tables, `ShardRoutedClient.transact` for
@@ -36,13 +37,11 @@ a first-class scaling knob.  This package is that layer:
 from repro.shard.control import ControlGroup, ReplicatedCoordinator
 
 from repro.shard.cluster import (
-    ReshardResult,
-    ReshardSpec,
+    Accounting,
     ShardedCluster,
     ShardedResult,
     ShardedSpec,
     UnsupportedProtocolError,
-    run_reshard_experiment,
     run_sharded_experiment,
 )
 from repro.shard.nemesis import Nemesis
@@ -70,6 +69,7 @@ from repro.shard.reshard import (
 from repro.shard.router import ShardRouter, ShardRoutedClient
 
 __all__ = [
+    "Accounting",
     "ControlGroup",
     "HashRangePartitioner",
     "LeaderPlacement",
@@ -80,8 +80,6 @@ __all__ = [
     "ReplicatedCoordinator",
     "ReshardControlPlane",
     "ReshardCoordinator",
-    "ReshardResult",
-    "ReshardSpec",
     "ShardOwnership",
     "ShardRoutedClient",
     "ShardRouter",
@@ -97,7 +95,6 @@ __all__ = [
     "VersionedPartitioner",
     "colocated",
     "plan_transition",
-    "run_reshard_experiment",
     "run_sharded_experiment",
     "run_txn_experiment",
     "spread",

@@ -22,7 +22,7 @@ migrates each moved hash range (records plus at-most-once dedup state)
 donor -> recipient through the groups' committed logs, and clients repair
 their routing tables from the epoch-stamped maps servers ship with
 redirects.  See `repro.shard.reshard` for the moving parts and
-`run_reshard_experiment` for the instrumented version.
+`repro.bench.live` for the instrumented experiments.
 
 `run_sharded_experiment` mirrors `repro.bench.run_experiment`: build, run,
 trim warm-up/cool-down, return aggregate and per-shard stats plus the
@@ -37,10 +37,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.kvstore.checker import HistoryChecker
 from repro.membership.driver import MembershipDriver
 from repro.metrics.recorder import MetricsRecorder
-from repro.obs import Observability, ObsConfig, install_standard_gauges
+from repro.obs import Observability, install_standard_gauges
 from repro.protocols.config import geo_cluster
 from repro.protocols.messages import ConfigChange
+from repro.protocols.multipaxos import MultiPaxosReplica
 from repro.protocols.mux import GroupMux, MuxDirectory
+from repro.protocols.registry import LEADERLESS, PROTOCOLS
 from repro.protocols.types import OpType
 from repro.shard.partition import VersionedPartitioner
 from repro.shard.placement import leader_sites
@@ -55,12 +57,9 @@ from repro.sim.events import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Host
 from repro.sim.rng import SplitRng
-from repro.protocols.types import Consistency
-from repro.sim.topology import HostPlan, Topology, ec2_five_regions
+from repro.sim.topology import HostPlan, ec2_five_regions
 from repro.sim.units import sec
-from repro.workload.plan import ClientPlan
-from repro.workload.session import RetryPolicy
-from repro.workload.ycsb import WorkloadConfig
+from repro.workload.plan import FleetSpec
 
 
 def shard_of_server(server: str) -> int:
@@ -74,21 +73,12 @@ class UnsupportedProtocolError(RuntimeError):
 
 
 @dataclass
-class ShardedSpec:
+class ShardedSpec(FleetSpec):
     """One sharded trial's parameters."""
 
-    protocol: str = "raft"
     num_shards: int = 4
     placement: str = "spread"
     colocated_site: str = "oregon"
-    clients_per_region: int = 10
-    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    duration_s: float = 8.0
-    warmup_s: float = 2.0
-    cooldown_s: float = 1.0
-    seed: int = 1
-    topology: Optional[Topology] = None
-    check_history: bool = False
     # Shared per-site WAN uplink, as a multiple of one node's NIC rate
     # (None disables the shared link entirely).
     site_uplink_factor: Optional[float] = 2.0
@@ -103,33 +93,6 @@ class ShardedSpec:
     # Implies hosts_per_site=1 when no host layout is given.
     coalesce: bool = False
     coalesce_flush_interval: Optional[int] = None
-    # -- client fleet (see `workload.plan.ClientPlan`) ----------------------
-    # Session pipeline window per client (1 = the legacy closed loop).
-    pipeline_depth: int = 1
-    # Aggregate open-loop arrival rate in ops/s (None = closed loop).
-    offered_load: Optional[float] = None
-    # Per-spec retry/backoff schedule for every client session.
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    # Default consistency for the fleet's reads.
-    read_consistency: Consistency = Consistency.DEFAULT
-    # Share sim Hosts among each site's clients (None = private hosts).
-    client_hosts_per_site: Optional[int] = None
-    # Observability (repro.obs): spans + gauges + profiler for this run.
-    obs: bool = False
-    obs_config: Optional[ObsConfig] = None
-
-    def with_(self, **changes) -> "ShardedSpec":
-        return replace(self, **changes)
-
-    def client_plan(self) -> ClientPlan:
-        return ClientPlan(
-            per_region=self.clients_per_region,
-            depth=self.pipeline_depth,
-            retry=self.retry,
-            read_consistency=self.read_consistency,
-            offered_load=self.offered_load,
-            hosts_per_site=self.client_hosts_per_site,
-        )
 
     @property
     def effective_hosts_per_site(self) -> Optional[int]:
@@ -170,6 +133,73 @@ class ShardedResult:
         carried = (self.counters.get("coalesce_messages", 0)
                    + self.counters.get("coalesce_beacon_beats", 0))
         return carried / envelopes
+
+
+@dataclass
+class Accounting:
+    """What a finished run owes its clients, computed in one place
+    (`ShardedCluster.accounting`).  The two ack identities are sanity
+    checks on the client machinery (one identity per issued operation, one
+    record per completion); the check with teeth is
+    `duplicate_executions`, which compares store versions against distinct
+    acknowledged writes and catches a retry re-executing somewhere instead
+    of being answered from the dedup cache."""
+
+    completed: int            # completions inside the steady window
+    acks_lost: int
+    acks_duplicated: int
+    duplicate_executions: int
+    redirects: int
+    capped_redirects: int
+    filtered: int
+    violations: Dict[int, List[str]]   # per-shard HistoryChecker verdicts
+    # Transactional runs only: the Elle-style cycle check's findings.
+    serializability_violations: List[str] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, cluster: "ShardedCluster", *, issued: int, acked: int,
+           outstanding: int, duplicate_executions: int,
+           violations: Dict[int, List[str]],
+           serializability_violations: Optional[List[str]] = None,
+           ) -> "Accounting":
+        """`issued`/`acked`/`outstanding` are fleet-wide sums in the
+        cluster's own unit of work (commands, or transactions)."""
+        clients = cluster.clients
+        return cls(
+            completed=len(cluster.metrics.window(*cluster.spec.window())),
+            acks_lost=issued - acked - outstanding,
+            acks_duplicated=len(cluster.metrics.records) - acked,
+            duplicate_executions=duplicate_executions,
+            redirects=sum(c.redirects for c in clients),
+            capped_redirects=sum(c.capped_redirects for c in clients),
+            filtered=cluster.filtered_count(),
+            violations=violations,
+            serializability_violations=serializability_violations or [],
+        )
+
+    @property
+    def linearizable(self) -> bool:
+        return all(not v for v in self.violations.values())
+
+    @property
+    def strict_serializable(self) -> bool:
+        return not self.serializability_violations
+
+    @property
+    def safe(self) -> bool:
+        return (self.linearizable and self.strict_serializable
+                and self.acks_lost == 0 and self.acks_duplicated == 0
+                and self.duplicate_executions == 0)
+
+    def describe(self) -> str:
+        """The verdict as a figure cell: "yes", or what broke."""
+        if self.safe:
+            return "yes"
+        histories = sum(len(v) for v in self.violations.values())
+        return (f"NO (lost={self.acks_lost} dup={self.acks_duplicated} "
+                f"re-exec={self.duplicate_executions} "
+                f"ser={len(self.serializability_violations)} "
+                f"history={histories})")
 
 
 class ShardedCluster:
@@ -277,10 +307,6 @@ class ShardedCluster:
         """One replica group for `shard`, wired with epoch-versioned
         ownership.  `owned=False` spins the group up empty (mid-reshard):
         it owns nothing until migrations import its ranges."""
-        # Defer to the registry at build time (shard -> bench -> shard would
-        # otherwise be an import cycle at module load).
-        from repro.bench.harness import LEADERLESS, PROTOCOLS
-
         spec = self.spec
         replica_cls = PROTOCOLS[spec.protocol]
         prefix = f"g{shard}_r"
@@ -352,8 +378,6 @@ class ShardedCluster:
         migration coordinator drives MIGRATE_OUT/IN through each group's
         leader (retrying until one answers), and a Mencius group has no
         leader to converge on — the transition would silently wedge."""
-        from repro.bench.harness import LEADERLESS
-
         if self.spec.protocol in LEADERLESS:
             raise UnsupportedProtocolError(
                 f"live resharding is not supported for leaderless protocol "
@@ -416,8 +440,6 @@ class ShardedCluster:
         joint consensus for the Raft family, α-bounded single-decree for
         the Paxos family.  Leaderless Mencius groups are refused — a
         config change must commit through a group leader."""
-        from repro.bench.harness import LEADERLESS, PROTOCOLS
-
         if self.spec.protocol in LEADERLESS:
             raise UnsupportedProtocolError(
                 f"live membership changes are not supported for leaderless "
@@ -425,8 +447,6 @@ class ShardedCluster:
                 f"commit through a group leader (and Mencius instance "
                 f"ownership is positional — a voter-set swap would reassign "
                 f"every open instance); use a leader-based protocol")
-        from repro.protocols.multipaxos import MultiPaxosReplica
-
         replica_cls = PROTOCOLS[self.spec.protocol]
         return ("alpha" if issubclass(replica_cls, MultiPaxosReplica)
                 else "joint")
@@ -496,8 +516,6 @@ class ShardedCluster:
         joiner (when `site` is given), then hand the encoded change to a
         `MembershipDriver` and watch the group's applies for completion
         (`final`/`alpha` at the target epoch)."""
-        from repro.bench.harness import PROTOCOLS
-
         spec = self.spec
         group = self.groups[shard]
         old_members = list(self.members[shard])
@@ -620,13 +638,60 @@ class ShardedCluster:
                    for replicas in self.groups.values()
                    for replica in replicas.values())
 
+    # -- safety accounting ---------------------------------------------------
+
+    def _writes(self) -> Tuple[Dict[str, set], Dict[str, int]]:
+        """Per key: the distinct acknowledged writes (requires
+        `check_history`) and how many writes are still in flight."""
+        acked: Dict[str, set] = {}
+        for checker in self.checkers.values():
+            for event in checker.events:
+                if event.op is OpType.PUT:
+                    acked.setdefault(event.key, set()).add(
+                        (event.client, event.seq))
+        in_flight: Dict[str, int] = {}
+        for client in self.clients:
+            for command in client.pending_commands():
+                if command.op is OpType.PUT:
+                    in_flight[command.key] = in_flight.get(command.key, 0) + 1
+        return acked, in_flight
+
+    def duplicate_execution_count(self) -> int:
+        """Acknowledged writes that executed more than once: for every
+        written key, the final owner group's version count must equal the
+        distinct acknowledged writes plus at most the still-in-flight
+        ones.  Any excess means a retry re-executed somewhere instead of
+        being answered from the (possibly migrated) dedup cache — the
+        failure the client-side ack identities cannot see."""
+        acked, in_flight = self._writes()
+        duplicates = 0
+        for key, acks in acked.items():
+            shard = self.partitioner.shard_of(key)
+            version = max((replica.store.version(key)
+                           for replica in self.groups[shard].values()),
+                          default=0)
+            duplicates += max(0, version - len(acks) - in_flight.get(key, 0))
+        return duplicates
+
+    def accounting(self) -> Accounting:
+        """Every ack of the run accounted for, plus the per-shard history
+        verdicts.  O(clients) beside the checker calls."""
+        clients = self.clients
+        return Accounting.of(
+            self,
+            issued=sum(c.seq for c in clients),
+            acked=sum(c.completed for c in clients),
+            outstanding=sum(c.in_flight_count for c in clients),
+            duplicate_executions=self.duplicate_execution_count(),
+            violations={shard: checker.check_all()
+                        for shard, checker in sorted(self.checkers.items())})
+
     # -- running ------------------------------------------------------------
 
     def run(self) -> ShardedResult:
         spec = self.spec
         self.sim.run(until=sec(spec.duration_s))
-        window_start = sec(spec.warmup_s)
-        window_end = sec(spec.duration_s - spec.cooldown_s)
+        window_start, window_end = spec.window()
         violations = {
             shard: checker.check_all()
             for shard, checker in sorted(self.checkers.items())
@@ -655,294 +720,3 @@ class ShardedCluster:
 
 def run_sharded_experiment(spec: ShardedSpec) -> ShardedResult:
     return ShardedCluster(spec).run()
-
-
-# ---------------------------------------------------------------------------
-# The reshard experiment: a live N -> M transition under load
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ReshardSpec(ShardedSpec):
-    """A sharded trial that resizes itself mid-run.
-
-    `num_shards` is the starting shard count; at `reshard_at_s` the cluster
-    transitions to `reshard_to` groups while clients keep issuing load.
-    """
-
-    reshard_to: int = 4
-    reshard_at_s: float = 3.0
-
-
-@dataclass
-class ReshardResult:
-    spec: ReshardSpec
-    pre_throughput: float   # steady window before the transition
-    post_throughput: float  # from migration completion to cool-down
-    timeline: List[Tuple[float, float]]  # (bucket start in s, ops/s)
-    migration_started_s: Optional[float]
-    migration_completed_s: Optional[float]
-    moves: int
-    completed: int
-    acks_lost: int
-    acks_duplicated: int
-    duplicate_executions: int
-    redirects: int
-    capped_redirects: int
-    filtered: int
-    final_epoch: Optional[int]
-    violations: Dict[int, List[str]]
-    leaders: Dict[int, str]
-    failovers: int = 0  # reshard-driver lease takeovers during the run
-
-    @property
-    def reshard_completed(self) -> bool:
-        return self.migration_completed_s is not None
-
-    @property
-    def migration_ms(self) -> float:
-        if not self.reshard_completed:
-            return float("nan")
-        return 1000.0 * (self.migration_completed_s - self.migration_started_s)
-
-    @property
-    def linearizable(self) -> bool:
-        return all(not v for v in self.violations.values())
-
-
-def duplicate_execution_count(cluster: ShardedCluster) -> int:
-    """Acknowledged writes that executed more than once (requires
-    `check_history`): for every written key, the final owner group's
-    version count must equal the distinct acknowledged PUTs plus at most
-    the still-in-flight ones.  Any excess means a retry re-executed
-    somewhere instead of being answered from the migrated dedup cache —
-    the failure the client-side ack identities cannot see."""
-    acked: Dict[str, set] = {}
-    for checker in cluster.checkers.values():
-        for event in checker.events:
-            if event.op is OpType.PUT:
-                acked.setdefault(event.key, set()).add((event.client, event.seq))
-    in_flight: Dict[str, int] = {}
-    for client in cluster.clients:
-        for command in client.pending_commands():
-            if command.op is OpType.PUT:
-                in_flight[command.key] = in_flight.get(command.key, 0) + 1
-    duplicates = 0
-    for key, acks in acked.items():
-        shard = cluster.partitioner.shard_of(key)
-        version = max((replica.store.version(key)
-                       for replica in cluster.groups[shard].values()),
-                      default=0)
-        duplicates += max(0, version - len(acks) - in_flight.get(key, 0))
-    return duplicates
-
-
-def run_reshard_experiment(spec: ReshardSpec,
-                           bucket_s: float = 0.5,
-                           nemesis=None) -> ReshardResult:
-    """Build a `num_shards`-group cluster, trigger a live transition to
-    `reshard_to` groups at `reshard_at_s`, and account for every ack.
-    `nemesis(cluster)`, when given, installs a fault schedule (leader
-    crashes, partitions — see `repro.shard.nemesis`) before the run."""
-    cluster = ShardedCluster(spec)
-    cluster.reshard(spec.reshard_to, at=sec(spec.reshard_at_s))
-    if nemesis is not None:
-        nemesis(cluster)
-    cluster.sim.run(until=sec(spec.duration_s))
-
-    metrics = cluster.metrics
-    window_end = sec(spec.duration_s - spec.cooldown_s)
-    pre = metrics.throughput_ops(sec(spec.warmup_s), sec(spec.reshard_at_s))
-    completed_s = (cluster.reshard_completed_at / 1e6
-                   if cluster.reshard_completed_at is not None else None)
-    post_start = sec(completed_s if completed_s is not None
-                     else spec.reshard_at_s)
-    post = metrics.throughput_ops(post_start, window_end)
-
-    timeline: List[Tuple[float, float]] = []
-    t = 0.0
-    while t < spec.duration_s:
-        hi = min(t + bucket_s, spec.duration_s)
-        count = sum(1 for r in metrics.records if sec(t) <= r.end < sec(hi))
-        timeline.append((t, count / (hi - t)))
-        t = hi
-
-    # Ack accounting.  The two client-side identities are sanity checks on
-    # the closed-loop machinery (one seq per command, one record per
-    # completion); the check with teeth is `duplicate_executions`, which
-    # compares store versions against distinct acknowledged writes and
-    # catches a retry re-executing on the new owner.
-    acks_lost = sum(c.seq - c.completed - c.in_flight_count
-                    for c in cluster.clients)
-    acks_duplicated = (len(metrics.records)
-                       - sum(c.completed for c in cluster.clients))
-
-    violations = {shard: checker.check_all()
-                  for shard, checker in sorted(cluster.checkers.items())}
-    return ReshardResult(
-        spec=spec,
-        pre_throughput=pre,
-        post_throughput=post,
-        timeline=timeline,
-        migration_started_s=(cluster.reshard_started_at / 1e6
-                             if cluster.reshard_started_at is not None else None),
-        migration_completed_s=completed_s,
-        moves=len(cluster.coordinator.moves) if cluster.coordinator else 0,
-        completed=len(metrics.window(sec(spec.warmup_s), window_end)),
-        acks_lost=acks_lost,
-        acks_duplicated=acks_duplicated,
-        duplicate_executions=duplicate_execution_count(cluster),
-        redirects=sum(c.redirects for c in cluster.clients),
-        capped_redirects=sum(c.capped_redirects for c in cluster.clients),
-        filtered=cluster.filtered_count(),
-        final_epoch=cluster.router.epoch,
-        violations=violations,
-        leaders=dict(cluster.leaders),
-        failovers=(cluster.coordinator.failovers
-                   if cluster.coordinator is not None else 0),
-    )
-
-
-# ---------------------------------------------------------------------------
-# The membership experiment: a live host replacement under load
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MembershipSpec(ShardedSpec):
-    """A sharded trial that loses a machine mid-run and splices in a
-    replacement through logged config changes.
-
-    At `replace_at_s` one data host is crashed permanently; a fresh host
-    is spawned in the same site and every group the dead machine served
-    drives a voter-set change swapping the dead replica for a new one
-    (joint consensus for the Raft family, α-bounded reconfiguration for
-    the Paxos family — chosen by the deployment's protocol).
-    """
-
-    replace_at_s: float = 3.0
-    # None picks the first data host (sorted) — deterministic per spec.
-    target_host: Optional[str] = None
-    # 0 uses the protocol default window (`membership.DEFAULT_ALPHA`).
-    alpha: int = 0
-
-    def __post_init__(self) -> None:
-        if self.hosts_per_site is None:
-            # Host replacement needs a machine layout: the machine, not
-            # the process, is the replacement unit.
-            self.hosts_per_site = 1
-
-
-@dataclass
-class MembershipResult:
-    spec: MembershipSpec
-    kind: str               # "joint" or "alpha"
-    pre_throughput: float   # steady window before the replacement
-    post_throughput: float  # from transition completion to cool-down
-    # (bucket start in s, ops/s, p99 latency ms — NaN for an empty bucket)
-    timeline: List[Tuple[float, float, float]]
-    replaced_host: str
-    replacement_host: Optional[str]
-    groups_changed: int     # config changes driven (one per hosted group)
-    config_changes: int     # completed transitions (final/alpha applied)
-    replace_started_s: float
-    replace_completed_s: Optional[float]
-    completed: int
-    acks_lost: int
-    acks_duplicated: int
-    duplicate_executions: int
-    redirects: int
-    capped_redirects: int
-    filtered: int
-    violations: Dict[int, List[str]]
-    events_processed: int = 0
-
-    @property
-    def replacement_completed(self) -> bool:
-        return (self.replace_completed_s is not None
-                and self.config_changes >= self.groups_changed)
-
-    @property
-    def replacement_ms(self) -> float:
-        if self.replace_completed_s is None:
-            return float("nan")
-        return 1000.0 * (self.replace_completed_s - self.replace_started_s)
-
-    @property
-    def throughput_ratio(self) -> float:
-        if not self.pre_throughput:
-            return float("nan")
-        return self.post_throughput / self.pre_throughput
-
-    @property
-    def linearizable(self) -> bool:
-        return all(not v for v in self.violations.values())
-
-
-def run_membership_experiment(spec: MembershipSpec,
-                              bucket_s: float = 0.5,
-                              nemesis=None) -> MembershipResult:
-    """Build the cluster, kill one data host at `replace_at_s`, splice in
-    a replacement through the protocol's own reconfiguration style, and
-    account for every ack across the window (same identities as the
-    reshard experiment: lost, duplicated, re-executed)."""
-    cluster = ShardedCluster(spec)
-    kind = cluster._change_kind()  # validate the protocol up front
-    target = spec.target_host or sorted(cluster.data_host_names)[0]
-    outcome: Dict[str, object] = {"new_host": None}
-
-    def go() -> None:
-        outcome["new_host"] = cluster.replace_host(target, alpha=spec.alpha)
-
-    cluster.sim.schedule_at(sec(spec.replace_at_s), go)
-    if nemesis is not None:
-        nemesis(cluster)
-    cluster.sim.run(until=sec(spec.duration_s))
-
-    metrics = cluster.metrics
-    window_end = sec(spec.duration_s - spec.cooldown_s)
-    pre = metrics.throughput_ops(sec(spec.warmup_s), sec(spec.replace_at_s))
-    completed_s = (cluster.membership_completed_at / 1e6
-                   if cluster.membership_completed_at is not None else None)
-    post_start = sec(completed_s if completed_s is not None
-                     else spec.replace_at_s)
-    post = metrics.throughput_ops(post_start, window_end)
-
-    timeline: List[Tuple[float, float, float]] = []
-    t = 0.0
-    while t < spec.duration_s:
-        hi = min(t + bucket_s, spec.duration_s)
-        lat = sorted(r.latency_ms for r in metrics.records
-                     if sec(t) <= r.end < sec(hi))
-        p99 = lat[int(0.99 * (len(lat) - 1))] if lat else float("nan")
-        timeline.append((t, len(lat) / (hi - t), p99))
-        t = hi
-
-    acks_lost = sum(c.seq - c.completed - c.in_flight_count
-                    for c in cluster.clients)
-    acks_duplicated = (len(metrics.records)
-                       - sum(c.completed for c in cluster.clients))
-    violations = {shard: checker.check_all()
-                  for shard, checker in sorted(cluster.checkers.items())}
-    return MembershipResult(
-        spec=spec,
-        kind=kind,
-        pre_throughput=pre,
-        post_throughput=post,
-        timeline=timeline,
-        replaced_host=target,
-        replacement_host=outcome["new_host"],
-        groups_changed=len(cluster.membership_drivers),
-        config_changes=metrics.counters.get("config_changes", 0),
-        replace_started_s=spec.replace_at_s,
-        replace_completed_s=completed_s,
-        completed=len(metrics.window(sec(spec.warmup_s), window_end)),
-        acks_lost=acks_lost,
-        acks_duplicated=acks_duplicated,
-        duplicate_executions=duplicate_execution_count(cluster),
-        redirects=sum(c.redirects for c in cluster.clients),
-        capped_redirects=sum(c.capped_redirects for c in cluster.clients),
-        filtered=cluster.filtered_count(),
-        violations=violations,
-        events_processed=cluster.sim.events_processed,
-    )

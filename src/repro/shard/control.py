@@ -57,6 +57,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.metrics.recorder import MetricsRecorder
 from repro.protocols.config import geo_cluster
 from repro.protocols.messages import ClientReply, ClientRequest
+from repro.protocols.registry import LEADERLESS, PROTOCOLS
 from repro.protocols.types import Command, OpType
 from repro.sim.node import Host, Node, NodeCosts
 from repro.sim.units import ms, sec
@@ -156,9 +157,6 @@ class ControlGroup:
                  initial_leader_site: Optional[str] = None,
                  initial_owner: Optional[str] = None,
                  costs: Optional[NodeCosts] = None) -> None:
-        # Deferred registry import (shard -> bench -> shard cycle).
-        from repro.bench.harness import LEADERLESS, PROTOCOLS
-
         if protocol in LEADERLESS:
             # The journal needs a leader to converge on quickly; a
             # leaderless data plane still gets a leader-based control log

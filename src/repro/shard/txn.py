@@ -61,13 +61,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.kvstore.checker import TxnEvent, check_strict_serializability
 from repro.metrics.recorder import MetricsRecorder, RequestRecord
 from repro.protocols.messages import ClientReply, ClientRequest, TxnReply, TxnRequest
 from repro.protocols.types import Command, OpType
-from repro.shard.cluster import ShardedCluster, ShardedSpec
+from repro.shard.cluster import Accounting, ShardedCluster, ShardedSpec
 from repro.shard.control import ControlGroup, ReplicatedCoordinator
 from repro.shard.router import ShardRoutedClient, ShardRouter, TxnOps
 from repro.sim.node import NodeCosts
@@ -742,12 +742,14 @@ class TxnSpec(ShardedSpec):
     cross_shard_ratio: float = 0.1
 
 
-@dataclass
-class TxnResult:
+@dataclass(kw_only=True)
+class TxnResult(Accounting):
+    """The run's `Accounting` (in transactions: `completed` counts the
+    transactions committed inside the window) plus the 2PC measurements."""
+
     spec: TxnSpec
     txn_throughput: float     # committed transactions per second
     ops_throughput: float     # txn_throughput * txn_size (op-comparable)
-    committed: int            # committed transactions inside the window
     committed_total: int
     latency_ms: Dict[str, float]
     single_shard: int
@@ -756,28 +758,17 @@ class TxnResult:
     attempt_aborts: int
     waits: int
     recoveries: int
-    acks_lost: int
-    acks_duplicated: int
-    duplicate_executions: int
-    serializability_violations: List[str]
-    prefix_violations: Dict[int, List[str]]
     locks_left: int
-    redirects: int
-    filtered: int
     leaders: Dict[int, str]
     events_processed: int
     failovers: int = 0
 
     @property
-    def strict_serializable(self) -> bool:
-        return not self.serializability_violations
-
-    @property
-    def safe(self) -> bool:
-        return (self.strict_serializable
-                and all(not v for v in self.prefix_violations.values())
-                and self.acks_lost == 0 and self.acks_duplicated == 0
-                and self.duplicate_executions == 0)
+    def prefix_violations(self) -> Dict[int, List[str]]:
+        """The per-shard verdicts under the name the txn figures use: a
+        transactional run checks log-prefix agreement per group, and
+        strict serializability across them."""
+        return self.violations
 
 
 class TxnWorkloadClient(ShardRoutedClient):
@@ -942,30 +933,36 @@ class TxnCluster(ShardedCluster):
                 orders[key] = best
         return orders
 
-    def duplicate_execution_count(self) -> int:
-        """Acked writes that installed more than once: on every key's owner
-        group, the store's version count must equal the distinct
-        acknowledged transactional writes plus at most the ones still in
-        flight at the end of the run."""
+    def _writes(self) -> Tuple[Dict[str, set], Dict[str, int]]:
+        """Per key: the distinct acknowledged transactional writes and the
+        ones still in flight at the end of the run."""
         acked: Dict[str, set] = {}
         for event in self.txn_events:
             for op, key, value in event.ops:
                 if op == "put":
                     acked.setdefault(key, set()).add((event.txn_id, value))
-        allowance: Dict[str, int] = {}
+        in_flight: Dict[str, int] = {}
         for client in self.clients:
             for op, key, _value in client.pending_ops():
                 if op == "put":
-                    allowance[key] = allowance.get(key, 0) + 1
-        duplicates = 0
-        for key, writes in acked.items():
-            shard = self.partitioner.shard_of(key)
-            version = max((replica.store.version(key)
-                           for replica in self.groups[shard].values()),
-                          default=0)
-            duplicates += max(0, version - len(writes)
-                              - allowance.get(key, 0))
-        return duplicates
+                    in_flight[key] = in_flight.get(key, 0) + 1
+        return acked, in_flight
+
+    def accounting(self) -> Accounting:
+        """The same record in transactions: the ack identities count
+        transactions, each group is checked for prefix agreement, and the
+        committed history as a whole for strict serializability."""
+        clients = self.clients
+        return Accounting.of(
+            self,
+            issued=sum(c.txns_issued for c in clients),
+            acked=sum(c.txns_committed for c in clients),
+            outstanding=sum(c.txns_outstanding for c in clients),
+            duplicate_executions=self.duplicate_execution_count(),
+            violations={shard: checker.check_prefix_agreement()
+                        for shard, checker in sorted(self.checkers.items())},
+            serializability_violations=check_strict_serializability(
+                self.txn_events, self.write_orders()))
 
     def locks_left(self) -> int:
         """Prepared locks still held when the run ends (bounded by the
@@ -979,22 +976,13 @@ class TxnCluster(ShardedCluster):
     def run(self) -> TxnResult:  # type: ignore[override]
         spec = self.spec
         self.sim.run(until=sec(spec.duration_s))
-        window_start = sec(spec.warmup_s)
-        window_end = sec(spec.duration_s - spec.cooldown_s)
+        window_start, window_end = spec.window()
         txn_throughput = self.metrics.throughput_ops(window_start, window_end)
-        acks_lost = sum(c.txns_issued - c.txns_committed - c.txns_outstanding
-                        for c in self.clients)
-        acks_duplicated = (len(self.metrics.records)
-                           - sum(c.txns_committed for c in self.clients))
-        violations = check_strict_serializability(self.txn_events,
-                                                  self.write_orders())
-        prefix = {shard: checker.check_prefix_agreement()
-                  for shard, checker in sorted(self.checkers.items())}
         return TxnResult(
+            **vars(self.accounting()),
             spec=spec,
             txn_throughput=txn_throughput,
             ops_throughput=txn_throughput * spec.txn_size,
-            committed=len(self.metrics.window(window_start, window_end)),
             committed_total=sum(c.txns_committed for c in self.clients),
             latency_ms=self.metrics.latency_summary_ms(window_start, window_end),
             single_shard=sum(c.single_shard_txns for c in self.clients),
@@ -1003,25 +991,12 @@ class TxnCluster(ShardedCluster):
             attempt_aborts=sum(c.attempt_aborts for c in self.coordinators),
             waits=self.metrics.counters.get("txn_waits", 0),
             recoveries=sum(c.recoveries for c in self.coordinators),
-            acks_lost=acks_lost,
-            acks_duplicated=acks_duplicated,
-            duplicate_executions=self.duplicate_execution_count(),
-            serializability_violations=violations,
-            prefix_violations=prefix,
             locks_left=self.locks_left(),
-            redirects=sum(c.redirects for c in self.clients),
-            filtered=self.filtered_count(),
             leaders=dict(self.leaders),
             events_processed=self.sim.events_processed,
             failovers=sum(c.failovers for c in self.coordinators),
         )
 
 
-def run_txn_experiment(spec: TxnSpec,
-                       nemesis: Optional[Callable] = None) -> TxnResult:
-    """Build a transactional cluster, optionally install a nemesis fault
-    schedule (`nemesis(cluster)` before the run starts), and run it."""
-    cluster = TxnCluster(spec)
-    if nemesis is not None:
-        nemesis(cluster)
-    return cluster.run()
+def run_txn_experiment(spec: TxnSpec) -> TxnResult:
+    return TxnCluster(spec).run()

@@ -22,16 +22,24 @@ session knobs:
 
 Layers keep their own client classes; they hand `spawn` a factory
 ``make(name, site, rng, host, rate)`` and the plan does the rest.
+
+`FleetSpec` is the trial-level face of the same knobs: the fields every
+experiment spec shares (protocol, fleet, steady window, observability),
+declared once for the single-group and the sharded harness to extend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.obs import ObsConfig
 from repro.protocols.types import Consistency
 from repro.sim.node import Host
+from repro.sim.topology import Topology
+from repro.sim.units import sec
 from repro.workload.session import RetryPolicy
+from repro.workload.ycsb import WorkloadConfig
 
 
 @dataclass(frozen=True)
@@ -88,3 +96,54 @@ class ClientPlan:
                     rng=rng_root.stream(f"client:{name}"),
                     host=host, rate=rate))
         return clients
+
+
+@dataclass
+class FleetSpec:
+    """What every trial specifies, whichever harness builds it: the
+    protocol, the client fleet, the run length with its warm-up/cool-down
+    trim (§5's methodology), and the observability switch."""
+
+    protocol: str = "raft"
+    clients_per_region: int = 10
+    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
+    duration_s: float = 8.0
+    warmup_s: float = 2.0
+    cooldown_s: float = 1.0
+    seed: int = 1
+    topology: Optional[Topology] = None
+    check_history: bool = False
+    # -- client fleet (see `ClientPlan`) ------------------------------------
+    # Session pipeline window per client (1 = the legacy closed loop).
+    pipeline_depth: int = 1
+    # Aggregate open-loop arrival rate in ops/s (None = closed loop).
+    offered_load: Optional[float] = None
+    # Per-spec retry/backoff schedule for every client session.
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    # Default consistency level for the fleet's reads.
+    read_consistency: Consistency = Consistency.DEFAULT
+    # Share sim Hosts among each site's clients (None = private hosts).
+    client_hosts_per_site: Optional[int] = None
+    # Observability (repro.obs): collect request-lifecycle spans, queue
+    # gauges, and a sim profile for this run.  Off by default — when off,
+    # the only cost is one branch per instrumented point.
+    obs: bool = False
+    obs_config: Optional[ObsConfig] = None
+
+    def with_(self, **changes):
+        return replace(self, **changes)
+
+    def client_plan(self) -> ClientPlan:
+        return ClientPlan(
+            per_region=self.clients_per_region,
+            depth=self.pipeline_depth,
+            retry=self.retry,
+            read_consistency=self.read_consistency,
+            offered_load=self.offered_load,
+            hosts_per_site=self.client_hosts_per_site,
+        )
+
+    def window(self) -> Tuple[int, int]:
+        """The steady-state window in sim microseconds: the run with its
+        warm-up and cool-down trimmed."""
+        return sec(self.warmup_s), sec(self.duration_s - self.cooldown_s)

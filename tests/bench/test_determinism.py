@@ -14,7 +14,7 @@ import pathlib
 import pytest
 
 from repro.bench.determinism import run_canary, state_digest
-from repro.bench.harness import PROTOCOLS
+from repro.protocols.registry import PROTOCOLS
 
 GOLDEN = (pathlib.Path(__file__).resolve().parents[2]
           / "benchmarks" / "results" / "determinism_canary.json")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.bench.harness import ExperimentSpec, PROTOCOLS, run_experiment
+from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.protocols.registry import PROTOCOLS
 from repro.workload.ycsb import WorkloadConfig
 
 

@@ -175,8 +175,9 @@ def test_migrated_window_respects_low_water(seqs):
     assert "zzz" not in recipient.write_order("k")
 
 
-def test_legacy_payload_parses_as_one_slot_window():
-    session = DedupSession.from_payload([7, "k", True, "cached"])
+def test_one_slot_window_payload_round_trips():
+    session = DedupSession.from_payload(
+        {"low_water": 6, "entries": {"7": ["k", True, "cached"]}})
     assert session.low_water == 6
     assert session.entries[7][0] == "k"
     assert session.entries[7][1].value == "cached"

@@ -154,10 +154,11 @@ def test_export_leaves_unrelated_state():
 def test_import_merges_windows_without_regressing():
     recipient = KVStore()
     recipient.apply(put("k2", "x", client="c", seq=10))
-    # A legacy single-slot session [seq, key, ok, value] imports as a
-    # one-entry window with the floor just below it.
+    # An older one-entry window (floor just below its only slot), as a
+    # retried MIGRATE_IN of an earlier export would deliver it.
     stale = {"table": {}, "versions": {},
-             "sessions": {"c": [3, "k", True, None]}}
+             "sessions": {"c": {"low_water": 2,
+                                "entries": {"3": ["k", True, None]}}}}
     recipient.import_range(stale)
     # The imported slot answers its own seq from cache...
     assert recipient.apply(put("k", "y", client="c", seq=3)).ok

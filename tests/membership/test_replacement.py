@@ -17,11 +17,11 @@ import os
 import pytest
 
 from repro.bench.experiments import membership_spec
+from repro.bench.live import run_membership_experiment
 from repro.shard.cluster import (
     ShardedCluster,
     ShardedSpec,
     UnsupportedProtocolError,
-    run_membership_experiment,
 )
 from repro.shard.nemesis import Nemesis
 from repro.sim.units import sec
@@ -40,7 +40,7 @@ def test_replace_host_contract(protocol, kind):
     """Kill one data machine mid-run, splice in a replacement through the
     protocol's own reconfiguration style, and check the ack contract."""
     spec = membership_spec(scale=SCALE, seed=3, protocol=protocol)
-    result = run_membership_experiment(spec)
+    result = run_membership_experiment(ShardedCluster(spec))
 
     assert result.kind == kind
     assert result.replacement_completed
@@ -70,15 +70,11 @@ def test_nemesis_host_replace_schedule(protocol):
                            # park the experiment's own trigger past the
                            # run end; the nemesis drives the replacement
                            replace_at_s=1000.0)
-    holder = {}
-
-    def install(cluster):
-        nemesis = Nemesis(cluster, seed=5)
-        nemesis.host_replace_at(0.3 * spec.duration_s)
-        cluster.nemesis = holder["nemesis"] = nemesis
-
-    result = run_membership_experiment(spec, nemesis=install)
-    assert holder["nemesis"].host_replaces == 1
+    cluster = ShardedCluster(spec)
+    nemesis = Nemesis(cluster, seed=5)
+    nemesis.host_replace_at(0.3 * spec.duration_s)
+    result = run_membership_experiment(cluster)
+    assert nemesis.host_replaces == 1
     assert result.config_changes >= 1
     assert result.acks_lost == 0
     assert result.acks_duplicated == 0

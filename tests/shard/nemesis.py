@@ -9,10 +9,8 @@ module holds the *schedules* the test-suite runs:
 * `txn_nemesis` — the same plus coordinator kills, aimed at the 2PC
   windows (mid-prepare, mid-commit) of the transactional cluster.
 
-Each is a factory returning an installer callable, matching the `nemesis=`
-parameter of `run_reshard_experiment` / `run_txn_experiment`; the created
-`Nemesis` is left on the cluster as `cluster.nemesis` so tests can assert
-against its action log.
+Each installs its schedule on a built (not yet run) cluster and returns
+the `Nemesis`, so tests can assert against its action log.
 """
 
 from __future__ import annotations
@@ -20,34 +18,30 @@ from __future__ import annotations
 from repro.shard.nemesis import Nemesis
 
 
-def reshard_nemesis(seed: int, window: tuple, events: int = 3,
-                    leader_down_s: float = 1.2, partition_s: float = 1.2):
+def reshard_nemesis(cluster, seed: int, window: tuple, events: int = 3,
+                    leader_down_s: float = 1.2,
+                    partition_s: float = 1.2) -> Nemesis:
     """Leader kills + partitions at `events` random times in `window`
     (seconds), meant to straddle the reshard trigger so migrations retry
     through elections."""
-
-    def install(cluster) -> None:
-        nemesis = Nemesis(cluster, seed=seed, leader_down_s=leader_down_s,
-                          partition_s=partition_s)
-        nemesis.random_schedule(events, window[0], window[1],
-                                kinds=("leader_kill", "leader_partition"))
-        cluster.nemesis = nemesis
-    return install
+    nemesis = Nemesis(cluster, seed=seed, leader_down_s=leader_down_s,
+                      partition_s=partition_s)
+    nemesis.random_schedule(events, window[0], window[1],
+                            kinds=("leader_kill", "leader_partition"))
+    return nemesis
 
 
-def txn_nemesis(seed: int, window: tuple, events: int = 3,
+def txn_nemesis(cluster, seed: int, window: tuple, events: int = 3,
                 coordinator_kills: int = 1, leader_down_s: float = 1.2,
-                partition_s: float = 1.2, coordinator_down_s: float = 1.0):
+                partition_s: float = 1.2,
+                coordinator_down_s: float = 1.0) -> Nemesis:
     """Random leader faults plus `coordinator_kills` coordinator crashes in
     `window`, forcing the fenced decision-log replay mid-2PC."""
-
-    def install(cluster) -> None:
-        nemesis = Nemesis(cluster, seed=seed, leader_down_s=leader_down_s,
-                          partition_s=partition_s,
-                          coordinator_down_s=coordinator_down_s)
-        nemesis.random_schedule(events, window[0], window[1],
-                                kinds=("leader_kill", "leader_partition"))
-        nemesis.random_schedule(coordinator_kills, window[0], window[1],
-                                kinds=("coordinator_kill",))
-        cluster.nemesis = nemesis
-    return install
+    nemesis = Nemesis(cluster, seed=seed, leader_down_s=leader_down_s,
+                      partition_s=partition_s,
+                      coordinator_down_s=coordinator_down_s)
+    nemesis.random_schedule(events, window[0], window[1],
+                            kinds=("leader_kill", "leader_partition"))
+    nemesis.random_schedule(coordinator_kills, window[0], window[1],
+                            kinds=("coordinator_kill",))
+    return nemesis

@@ -26,7 +26,8 @@ import os
 import pytest
 
 from repro.protocols.types import OpType
-from repro.shard.cluster import ReshardSpec, run_reshard_experiment
+from repro.bench.live import ReshardSpec, run_reshard_experiment
+from repro.shard.cluster import ShardedCluster
 from repro.shard.nemesis import Nemesis
 from repro.shard.txn import (SEQ_BITS, SEQ_SPAN, TxnCluster, TxnSpec,
                              _TxnState, seq_namespace)
@@ -111,7 +112,6 @@ def test_txn_coordinator_host_kill_fails_over_in_milliseconds():
     cluster = TxnCluster(spec)
     nemesis = Nemesis(cluster, seed=11, host_down_s=3.0)
     nemesis.coordinator_host_kill_at(3.0, role="txn")
-    cluster.nemesis = nemesis
     result = cluster.run()
 
     assert nemesis.host_kills == 1
@@ -149,17 +149,14 @@ def test_reshard_driver_host_kill_standby_resumes():
     driver dies).  A standby in another site must claim the role through
     the control journal and resume from the committed cursor; the machine
     stays dark for 3 s, so completion-before-restart proves the failover."""
-    spec = reshard_spec(5)
-
-    def install(cluster) -> None:
-        nemesis = Nemesis(cluster, seed=5, leader_down_s=1.2, host_down_s=3.0)
-        # Stretch the migration through donor elections...
-        nemesis.leader_kill_at(2.1, shard=0)
-        nemesis.leader_kill_at(2.1, shard=1)
-        # ...then kill the active driver once its lease is established.
-        nemesis.coordinator_host_kill_at(3.6, role="reshard")
-        cluster.nemesis = nemesis
-    result = run_reshard_experiment(spec, nemesis=install)
+    cluster = ShardedCluster(reshard_spec(5))
+    nemesis = Nemesis(cluster, seed=5, leader_down_s=1.2, host_down_s=3.0)
+    # Stretch the migration through donor elections...
+    nemesis.leader_kill_at(2.1, shard=0)
+    nemesis.leader_kill_at(2.1, shard=1)
+    # ...then kill the active driver once its lease is established.
+    nemesis.coordinator_host_kill_at(3.6, role="reshard")
+    result = run_reshard_experiment(cluster)
 
     assert result.reshard_completed
     assert result.final_epoch == 1
@@ -182,23 +179,21 @@ def test_reshard_completes_while_first_hop_host_is_down():
     dark."""
     spec = reshard_spec(3, hosts_per_site=1, duration_s=max(13.0, 13.0 * SCALE / 0.3))
     state = {}
+    cluster = ShardedCluster(spec)
+    nemesis = Nemesis(cluster, seed=3, host_down_s=10.0)
 
-    def install(cluster) -> None:
-        nemesis = Nemesis(cluster, seed=3, host_down_s=10.0)
-        cluster.nemesis = nemesis
-
-        def strike() -> None:
-            plane = cluster.coordinator
-            active = plane.active if plane is not None else None
-            if active is None or plane.done:  # pragma: no cover - tuning
-                return
-            move = plane.moves[min(active._step // 2, len(plane.moves) - 1)]
-            first_hop = cluster.groups[move.donor][
-                f"g{move.donor}_r_{active.site}"]
-            state["down_until"] = cluster.sim.now / 1e6 + 10.0
-            nemesis._host_kill(first_hop.host.name)
-        cluster.sim.schedule_at(sec(spec.reshard_at_s + 0.1), strike)
-    result = run_reshard_experiment(spec, nemesis=install)
+    def strike() -> None:
+        plane = cluster.coordinator
+        active = plane.active if plane is not None else None
+        if active is None or plane.done:  # pragma: no cover - tuning
+            return
+        move = plane.moves[min(active._step // 2, len(plane.moves) - 1)]
+        first_hop = cluster.groups[move.donor][
+            f"g{move.donor}_r_{active.site}"]
+        state["down_until"] = cluster.sim.now / 1e6 + 10.0
+        nemesis._host_kill(first_hop.host.name)
+    cluster.sim.schedule_at(sec(spec.reshard_at_s + 0.1), strike)
+    result = run_reshard_experiment(cluster)
 
     assert "down_until" in state  # the strike really fired mid-plan
     assert result.reshard_completed
@@ -222,7 +217,6 @@ def test_reshard_owner_planned_handoff_beats_lease_expiry():
     applies.  The ownership gap must be bounded by a control-log commit —
     strictly below `LEASE_EXPIRY`, the floor every unplanned lease-expiry
     failover has to wait out before a standby may even try to claim."""
-    from repro.shard.cluster import ShardedCluster
     from repro.shard.control import ReplicatedCoordinator
 
     spec = reshard_spec(9)
@@ -279,7 +273,6 @@ def test_coordinator_kills_mid_2pc_and_mid_reshard_same_run():
     nemesis.leader_kill_at(4.1, shard=0)
     nemesis.leader_kill_at(4.1, shard=1)
     nemesis.coordinator_host_kill_at(5.6, role="reshard")
-    cluster.nemesis = nemesis
     result = cluster.run()
 
     # Both planes actually failed over.

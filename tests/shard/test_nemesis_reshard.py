@@ -18,7 +18,8 @@ import os
 
 import pytest
 
-from repro.shard.cluster import ReshardSpec, run_reshard_experiment
+from repro.bench.live import ReshardSpec, run_reshard_experiment
+from repro.shard.cluster import ShardedCluster
 from repro.workload.ycsb import WorkloadConfig
 from tests.shard.nemesis import reshard_nemesis
 
@@ -42,9 +43,9 @@ def faulted_spec(seed: int) -> ReshardSpec:
 def test_reshard_survives_random_leader_faults(seed):
     """2->4 split with 3 leader kills/partitions at random times in the
     [1s, 5.5s] window (straddling the 2s reshard trigger)."""
-    spec = faulted_spec(seed)
-    result = run_reshard_experiment(
-        spec, nemesis=reshard_nemesis(seed, window=(1.0, 5.5)))
+    cluster = ShardedCluster(faulted_spec(seed))
+    reshard_nemesis(cluster, seed, window=(1.0, 5.5))
+    result = run_reshard_experiment(cluster)
 
     # The migration retried its way through elections and finished.
     assert result.reshard_completed

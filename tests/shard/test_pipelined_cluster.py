@@ -4,10 +4,10 @@ at depth > 1 exactly as they did for the closed-loop depth-1 clients."""
 
 import os
 
+from repro.bench.live import ReshardSpec, run_reshard_experiment
 from repro.shard.cluster import (
-    ReshardSpec,
+    ShardedCluster,
     ShardedSpec,
-    run_reshard_experiment,
     run_sharded_experiment,
 )
 from repro.shard.txn import TxnSpec, run_txn_experiment
@@ -56,7 +56,7 @@ def test_pipelined_reshard_keeps_every_ack_exactly_once():
         check_history=True, pipeline_depth=4,
         reshard_to=4, reshard_at_s=2.5,
     )
-    result = run_reshard_experiment(spec)
+    result = run_reshard_experiment(ShardedCluster(spec))
     assert result.reshard_completed
     assert result.completed > 0
     assert result.acks_lost == 0

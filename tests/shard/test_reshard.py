@@ -5,7 +5,7 @@ import json
 
 from repro.protocols.messages import ShardMap
 from repro.protocols.types import Command, OpType
-from repro.shard import ReshardSpec, run_reshard_experiment
+from repro.bench.live import ReshardSpec, run_reshard_experiment
 from repro.shard.cluster import ShardedCluster, ShardedSpec
 from repro.shard.partition import (
     HASH_SPACE,
@@ -147,7 +147,7 @@ def reshard_spec(**overrides):
 
 
 def test_live_split_loses_and_duplicates_nothing():
-    result = run_reshard_experiment(reshard_spec())
+    result = run_reshard_experiment(ShardedCluster(reshard_spec()))
     assert result.reshard_completed
     assert result.moves == 3
     assert result.acks_lost == 0
@@ -183,7 +183,7 @@ def test_after_split_stores_hold_only_new_map_keys():
 
 def test_merge_returns_ranges_to_surviving_groups():
     spec = reshard_spec(num_shards=4, reshard_to=2, duration_s=5.0)
-    result = run_reshard_experiment(spec)
+    result = run_reshard_experiment(ShardedCluster(spec))
     assert result.reshard_completed
     assert result.acks_lost == 0
     assert result.acks_duplicated == 0

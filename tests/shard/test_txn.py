@@ -293,9 +293,9 @@ def test_nemesis_random_faults_keep_txns_safe(seed):
     50% cross-shard load: every seed must keep the committed history
     strictly serializable with zero lost/duplicated acks and zero
     re-executed writes."""
-    spec = txn_spec(seed=seed, duration_s=8.0)
-    result = run_txn_experiment(
-        spec, nemesis=txn_nemesis(seed, window=(1.0, 5.0)))
+    cluster = TxnCluster(txn_spec(seed=seed, duration_s=8.0))
+    txn_nemesis(cluster, seed, window=(1.0, 5.0))
+    result = cluster.run()
     assert result.committed_total > 20
     assert result.acks_lost == 0
     assert result.acks_duplicated == 0

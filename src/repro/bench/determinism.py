@@ -9,12 +9,14 @@ sequence number at every level — and this module is the tripwire that
 keeps it true.
 
 It runs a fixed single-group workload TWICE in the same process for
-each of the eight `PROTOCOLS` and digests every replica's full log
+each of the eight `PROTOCOLS` (plus the labelled `VARIANTS`: a registry
+protocol in a mode the default row does not reach) and digests every
+replica's full log
 (term, ballot, op, client, seq, key), its applied table, and the run's
 completion/event counts into one SHA-256 per protocol.  The two
 in-process digests must always match (schedule-order determinism); with
 ``PYTHONHASHSEED=0`` the digests are also stable across interpreter
-launches and machines, so a golden table (one row per protocol) lives
+launches and machines, so a golden table (one row per label) lives
 in ``benchmarks/results/determinism_canary.json`` and CI compares every
 row of every build against it (`--check`).
 
@@ -34,6 +36,7 @@ from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.bench.harness import PROTOCOLS, Cluster
 from repro.bench.perf import single_group_spec
+from repro.workload.ycsb import WorkloadConfig
 
 #: The canary workload: small enough for CI (sub-second), large enough
 #: to elect a leader, replicate a few hundred entries, and exercise the
@@ -41,6 +44,19 @@ from repro.bench.perf import single_group_spec
 #: cancellation churn (timer resets) on the way.
 CANARY_SCALE = 0.25
 CANARY_SEED = 0
+
+#: Labelled rows beside the registry protocols: label -> spec overrides.
+#: `mencius-commutative` is the mode Figure 10's Raft*-M-0% and the
+#: ledger's `mencius-wan-4kb` run (write-only 4 KB values, answers as
+#: soon as a commit's prefix is known) — the default `mencius` row runs
+#: ordered execution over 8-byte values and never enters it.
+VARIANTS: Dict[str, Dict[str, Any]] = {
+    "mencius-commutative": dict(
+        protocol="mencius", execution_mode="commutative",
+        workload=WorkloadConfig(read_fraction=0.0, conflict_rate=0.0,
+                                value_size=4096)),
+}
+CANARY_ROWS: Tuple[str, ...] = tuple(PROTOCOLS) + tuple(VARIANTS)
 
 
 def _log_rows(replica) -> List[list]:
@@ -63,15 +79,16 @@ def _log_rows(replica) -> List[list]:
 
 def state_digest(scale: float = CANARY_SCALE, seed: int = CANARY_SEED,
                  protocol: str = "raft") -> Tuple[str, Dict[str, Any]]:
-    """Run the canary workload once under `protocol`; return (sha256 hex
-    digest, summary).
+    """Run the canary workload once under `protocol` (a registry name or
+    a `VARIANTS` label); return (sha256 hex digest, summary).
 
     The digest covers, in canonical JSON (sorted keys, no whitespace):
     per-replica logs entry by entry, per-replica applied tables and
     counters, completed-op and simulator-event counts, and the final
     simulated clock.
     """
-    spec = single_group_spec(scale, seed).with_(protocol=protocol)
+    spec = single_group_spec(scale, seed).with_(
+        **VARIANTS.get(protocol, {"protocol": protocol}))
     cluster = Cluster(spec)
     result = cluster.run()
     replicas = {}
@@ -103,9 +120,9 @@ def state_digest(scale: float = CANARY_SCALE, seed: int = CANARY_SEED,
 
 
 def run_canary(scale: float = CANARY_SCALE, seed: int = CANARY_SEED,
-               protocols: Iterable[str] = tuple(PROTOCOLS)) -> Dict[str, Any]:
-    """Run the workload twice per protocol; raise if any pair of digests
-    differs.  Returns the digest table (one summary row per protocol)."""
+               protocols: Iterable[str] = CANARY_ROWS) -> Dict[str, Any]:
+    """Run the workload twice per row; raise if any pair of digests
+    differs.  Returns the digest table (one summary row per label)."""
     rows = {}
     for protocol in protocols:
         digest_a, summary = state_digest(scale, seed, protocol)
@@ -121,7 +138,7 @@ def run_canary(scale: float = CANARY_SCALE, seed: int = CANARY_SEED,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.determinism",
-        description="Run the determinism canary (every protocol, twice) "
+        description="Run the determinism canary (every row, twice) "
                     "and optionally compare/refresh the committed golden "
                     "digest table.")
     parser.add_argument("--scale", type=float, default=CANARY_SCALE)
@@ -136,7 +153,7 @@ def main(argv=None) -> int:
     table = run_canary(args.scale, args.seed)
     print("determinism canary: two same-seed runs agree for every protocol")
     for protocol, row in table["protocols"].items():
-        print(f"  {protocol:<13} digest {row['digest'][:16]}...  "
+        print(f"  {protocol:<19} digest {row['digest'][:16]}...  "
               f"{row['events']} events, {row['completed']} ops")
 
     if args.write is not None:

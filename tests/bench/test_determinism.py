@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.bench.determinism import run_canary, state_digest
+from repro.bench.determinism import CANARY_ROWS, run_canary, state_digest
 from repro.protocols.registry import PROTOCOLS
 
 GOLDEN = (pathlib.Path(__file__).resolve().parents[2]
@@ -28,7 +28,7 @@ RAFT_DIGEST = "3b0a4b4d158f6dd46a3a32fed759a3864fc4bbaf6c7a84795922020866a78e73"
 def test_two_same_seed_runs_produce_identical_digests():
     # run_canary raises AssertionError if any protocol's double run diverges.
     table = run_canary(scale=0.25, seed=0)
-    assert set(table["protocols"]) == set(PROTOCOLS)
+    assert set(table["protocols"]) == set(CANARY_ROWS)
     for row in table["protocols"].values():
         assert row["completed"] > 0
         assert row["events"] > 0
@@ -42,8 +42,18 @@ def test_digest_is_seed_sensitive():
 
 def test_golden_table_covers_every_protocol_and_keeps_the_raft_row():
     golden = json.loads(GOLDEN.read_text())
-    assert set(golden["protocols"]) == set(PROTOCOLS)
+    assert set(golden["protocols"]) == set(CANARY_ROWS)
+    assert set(PROTOCOLS) < set(CANARY_ROWS)
     assert golden["protocols"]["raft"]["digest"] == RAFT_DIGEST
+
+
+def test_commutative_variant_is_a_different_run_from_the_ordered_row():
+    # The variant row exists because the `mencius` row never reaches
+    # `_advance_commutative`: same protocol, different digest.
+    golden = json.loads(GOLDEN.read_text())["protocols"]
+    assert (golden["mencius-commutative"]["digest"]
+            != golden["mencius"]["digest"])
+    assert golden["mencius-commutative"]["completed"] > 0
 
 
 def test_committed_golden_digests_match():

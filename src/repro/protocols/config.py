@@ -15,6 +15,10 @@ class ClusterConfig:
 
     `replicas` maps replica name -> site name.  Quorums are majorities
     (f = (n-1)//2, quorum = f+1), matching the paper's setup.
+
+    The membership is fixed at construction (`dataclasses.replace` builds
+    a new config): `names`, `n`, `f`, `majority` and `ranks` are derived
+    from `replicas` once, so the per-message paths read plain attributes.
     """
 
     replicas: Dict[str, str]
@@ -64,27 +68,24 @@ class ClusterConfig:
 
     costs: NodeCosts = field(default_factory=NodeCosts)
 
+    # Derived in `__post_init__`, never passed in.
+    names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
+    f: int = field(init=False, repr=False, compare=False)
+    majority: int = field(init=False, repr=False, compare=False)
+    #: replica name -> its round-robin rank (Mencius slot ownership).
+    ranks: Dict[str, int] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if not self.replicas:
             raise ValueError("a cluster needs at least one replica")
         if self.initial_leader is not None and self.initial_leader not in self.replicas:
             raise ValueError(f"initial leader {self.initial_leader!r} not in replica set")
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self.replicas)
-
-    @property
-    def n(self) -> int:
-        return len(self.replicas)
-
-    @property
-    def f(self) -> int:
-        return (self.n - 1) // 2
-
-    @property
-    def majority(self) -> int:
-        return self.f + 1
+        self.names = tuple(self.replicas)
+        self.n = len(self.names)
+        self.f = (self.n - 1) // 2
+        self.majority = self.f + 1
+        self.ranks = {name: rank for rank, name in enumerate(self.names)}
 
     def peers_of(self, name: str) -> Tuple[str, ...]:
         return tuple(replica for replica in self.replicas if replica != name)
@@ -100,8 +101,13 @@ class ClusterConfig:
 
     def owner_of(self, index: int) -> str:
         """Mencius round-robin instance ownership."""
-        names = self.names
-        return names[index % len(names)]
+        return self.names[index % self.n]
+
+    def slots_of(self, name: str, start: int, bound: int) -> range:
+        """The indexes in [start, bound) that `name` owns: an arithmetic
+        progression, so a scan visits the owner's slots only instead of
+        filtering the whole range through `owner_of`."""
+        return range(start + (self.ranks[name] - start) % self.n, bound, self.n)
 
     def owned_by(self, name: str, index: int) -> bool:
         return self.owner_of(index) == name

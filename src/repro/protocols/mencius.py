@@ -45,9 +45,15 @@ from repro.protocols.messages import (
 )
 from repro.protocols.types import Command, Entry, OpType
 
+# Per-slot status.  Only ever these three module objects — statuses move
+# between replicas in-process (`MenciusState`), never through a
+# serializer — so the per-message paths compare them by identity.
 STATUS_ACCEPTED = "accepted"
 STATUS_COMMITTED = "committed"
 STATUS_SKIPPED = "skipped"
+
+_PUT = OpType.PUT
+_NOP = OpType.NOP
 
 
 class MenciusReplica(ReplicaBase):
@@ -69,13 +75,13 @@ class MenciusReplica(ReplicaBase):
         super().__init__(name, sim, network, config, trace=trace)
         if execution_mode is not None:
             self.execution_mode = execution_mode
-        self.rank = list(config.names).index(name)
+        self.rank = config.ranks[name]
         self.entries: Dict[int, Entry] = {}
         self.status: Dict[int, str] = {}
         self.skip_tags: Dict[int, bool] = {}   # the ported skipTags array
         self.executable: Set[int] = set()      # the ported executable set
         self.next_own = self.rank              # my next unused owned index
-        self.frontier: Dict[str, int] = {n: list(config.names).index(n) for n in config.names}
+        self.frontier: Dict[str, int] = dict(config.ranks)
         self.promised: Dict[int, int] = {}     # per-index promised ballot
         self._acks: Dict[int, Set[str]] = {}
         self._batch: Dict[int, Entry] = {}
@@ -103,13 +109,8 @@ class MenciusReplica(ReplicaBase):
 
     # -- ownership helpers ----------------------------------------------------
 
-    def owner_of(self, index: int) -> str:
-        return self.config.owner_of(index)
-
     def _my_next_owned_at_or_above(self, index: int) -> int:
-        n = self.config.n
-        base = (index // n) * n + self.rank
-        return base if base >= index else base + n
+        return index + (self.rank - index) % self.config.n
 
     def leader_hint(self) -> Optional[str]:
         return self.name  # every replica serves its own clients
@@ -152,47 +153,71 @@ class MenciusReplica(ReplicaBase):
 
     def _on_append(self, src: str, msg: MenciusAppend) -> None:
         self._last_heard[msg.sender] = self.sim.now
+        items = msg.items
+        if not items:
+            # A commit-only broadcast (`_flush` with an empty batch):
+            # nothing to accept, nothing to ack.
+            self._note_frontier(msg.owner, msg.next_own)
+            self._note_commits(msg.committed)
+            self._maybe_skip_past(msg.next_own - 1)
+            self._advance()
+            return
+        ballot = msg.ballot
+        is_default = msg.is_default
+        promised = self.promised
+        status = self.status
+        entries = self.entries
         accepted_ids: List[int] = []
-        for index, entry in msg.items.items():
-            if msg.ballot < self.promised.get(index, 0):
+        for index, entry in items.items():
+            held = promised.get(index, 0)
+            if ballot < held:
                 continue
-            if self.status.get(index) in (STATUS_COMMITTED, STATUS_SKIPPED):
+            state = status.get(index)
+            if state is STATUS_COMMITTED or state is STATUS_SKIPPED:
                 accepted_ids.append(index)  # idempotent re-accept
                 continue
-            self.promised[index] = max(self.promised.get(index, 0), msg.ballot)
-            ousted = self.entries.get(index)
-            self.entries[index] = entry.copy()
-            self.status[index] = STATUS_ACCEPTED
-            if msg.is_default and entry.command.is_nop:
+            if ballot > held:
+                # (A ballot-0 promise over an absent entry reads the same
+                # through `.get(index, 0)` and is not stored.)
+                promised[index] = ballot
+            ousted = entries.get(index)
+            entries[index] = entry.copy()
+            if is_default and entry.command.op is _NOP:
                 # Coordinated Paxos: a default leader's no-op is learnable
                 # immediately (Figure 14 Phase2b lines 26-29).
                 self.skip_tags[index] = True
                 self.executable.add(index)
-                self.status[index] = STATUS_SKIPPED
+                status[index] = STATUS_SKIPPED
+            else:
+                status[index] = STATUS_ACCEPTED
             accepted_ids.append(index)
-            if (
-                ousted is not None
-                and not ousted.command.is_nop
-                and ousted.command.request_id != entry.command.request_id
-                and (ousted.command.request_id in self._clients
-                     or ousted.command.request_id in self._relays)
-            ):
-                # A recovery overwrote our pending command with a no-op:
-                # re-propose it at a fresh owned index.
-                self.submit_command(ousted.command)
+            if ousted is not None:
+                self._repropose_ousted(ousted, entry)
         self._note_frontier(msg.owner, msg.next_own)
         self._note_commits(msg.committed)
-        self._maybe_skip_past(max(msg.items) if msg.items else msg.next_own - 1)
-        if accepted_ids or msg.items:
-            # Commit notices are never piggybacked here: they must reach
-            # every replica, so they only travel on the broadcast path
-            # (_flush), never on a point-to-point ack.
-            self.send(src, MenciusAck(
-                acker=self.name, owner=msg.owner, ballot=msg.ballot,
-                indexes=accepted_ids, accepted=bool(accepted_ids),
-                next_own=self._advertised_frontier(),
-            ))
+        self._maybe_skip_past(max(items))
+        # Commit notices are never piggybacked here: they must reach
+        # every replica, so they only travel on the broadcast path
+        # (_flush), never on a point-to-point ack.
+        self.send(src, MenciusAck(
+            acker=self.name, owner=msg.owner, ballot=ballot,
+            indexes=accepted_ids, accepted=bool(accepted_ids),
+            next_own=self._advertised_frontier(),
+        ))
         self._advance()
+
+    def _repropose_ousted(self, ousted: Entry, entry: Entry) -> None:
+        """`entry` replaced `ousted` at its index.  If a recovery thereby
+        overwrote a command we still owe an answer for, re-propose it at a
+        fresh owned index."""
+        command = ousted.command
+        if (
+            not command.is_nop
+            and command.request_id != entry.command.request_id
+            and (command.request_id in self._clients
+                 or command.request_id in self._relays)
+        ):
+            self.submit_command(command)
 
     def _maybe_skip_past(self, seen_index: int) -> None:
         """On observing `seen_index` in use, skip our unused owned indexes
@@ -200,38 +225,48 @@ class MenciusReplica(ReplicaBase):
         if seen_index < self.next_own:
             return
         new_next = self._my_next_owned_at_or_above(seen_index + 1)
-        for index in range(self.next_own, new_next):
-            if self.owner_of(index) == self.name and index not in self.entries:
+        entries = self.entries
+        for index in self.config.slots_of(self.name, self.next_own, new_next):
+            if index not in entries:
                 self._mark_skipped(index)
         self.next_own = new_next
 
     def _mark_skipped(self, index: int) -> None:
-        self.entries[index] = Entry(term=0, command=Command(
-            op=OpType.NOP, client_id="__skip__", seq=index, value_size=0,
-        ), ballot=0)
+        self.entries[index] = Entry.make(0, Command.make(
+            op=_NOP, client_id="__skip__", seq=index, value_size=0,
+        ), 0)
         self.status[index] = STATUS_SKIPPED
         self.skip_tags[index] = True
         self.executable.add(index)
 
     def _on_ack(self, src: str, msg: MenciusAck) -> None:
-        self._last_heard[msg.acker] = self.sim.now
-        self._note_frontier(msg.acker, msg.next_own)
-        self._note_commits(msg.committed)
+        acker = msg.acker
+        self._last_heard[acker] = self.sim.now
+        self._note_frontier(acker, msg.next_own)
+        if msg.committed:
+            self._note_commits(msg.committed)
         if msg.accepted:
+            status = self.status
+            pending = self._acks
+            majority = self.config.majority
             for index in msg.indexes:
-                self._record_ack(index, msg.acker, msg.ballot)
+                state = status.get(index)
+                if state is STATUS_COMMITTED or state is STATUS_SKIPPED:
+                    continue
+                acks = pending.get(index)
+                if acks is None:
+                    acks = pending[index] = set()
+                acks.add(acker)
+                if len(acks) >= majority:
+                    # Committed: the ack set has done its job (later acks
+                    # for the index stop at the status test above).
+                    status[index] = STATUS_COMMITTED
+                    del pending[index]
+                    self._fresh_commits.append(index)
+                    if not self._flush_timer.armed:
+                        self._flush_timer.arm(
+                            self.config.append_flush_interval, self._flush)
         self._advance()
-
-    def _record_ack(self, index: int, acker: str, ballot: int) -> None:
-        if self.status.get(index) in (STATUS_COMMITTED, STATUS_SKIPPED):
-            return
-        acks = self._acks.setdefault(index, set())
-        acks.add(acker)
-        if len(acks) >= self.config.majority:
-            self.status[index] = STATUS_COMMITTED
-            self._fresh_commits.append(index)
-            if not self._flush_timer.armed:
-                self._flush_timer.arm(self.config.append_flush_interval, self._flush)
 
     # -- skip / commit dissemination ----------------------------------------------------
 
@@ -243,22 +278,16 @@ class MenciusReplica(ReplicaBase):
         if next_own <= old:
             return
         self.frontier[owner] = next_own
-        for index in range(old, next_own):
-            if self.owner_of(index) == owner and index not in self.entries:
-                self._mark_skipped_remote(index)
-
-    def _mark_skipped_remote(self, index: int) -> None:
-        self.entries[index] = Entry(term=0, command=Command(
-            op=OpType.NOP, client_id="__skip__", seq=index, value_size=0,
-        ), ballot=0)
-        self.status[index] = STATUS_SKIPPED
-        self.skip_tags[index] = True
-        self.executable.add(index)
+        entries = self.entries
+        for index in self.config.slots_of(owner, old, next_own):
+            if index not in entries:
+                self._mark_skipped(index)
 
     def _note_commits(self, indexes: List[int]) -> None:
+        status = self.status
         for index in indexes:
-            if self.status.get(index) != STATUS_SKIPPED:
-                self.status[index] = STATUS_COMMITTED
+            if status.get(index) is not STATUS_SKIPPED:
+                status[index] = STATUS_COMMITTED
 
     def _on_skip_notice(self, src: str, msg: SkipNotice) -> None:
         self._last_heard[msg.owner] = self.sim.now
@@ -283,19 +312,18 @@ class MenciusReplica(ReplicaBase):
 
     # -- execution -----------------------------------------------------------------------
 
-    def _resolved(self, index: int) -> bool:
-        return self.status.get(index) in (STATUS_COMMITTED, STATUS_SKIPPED)
-
-    def _known(self, index: int) -> bool:
-        return index in self.entries
-
     def _advance(self) -> None:
         # Ordered execution: apply the longest resolved prefix.  Commands
         # answered early in commutative mode have already been popped from
         # the pending tables, so apply_entry only updates the store for them.
-        while self._resolved(self._exec_frontier + 1):
-            self._exec_frontier += 1
-            self.apply_entry(self._exec_frontier, self.entries[self._exec_frontier])
+        status = self.status
+        index = self._exec_frontier + 1
+        state = status.get(index)
+        while state is STATUS_COMMITTED or state is STATUS_SKIPPED:
+            self._exec_frontier = index
+            self.apply_entry(index, self.entries[index])
+            index += 1
+            state = status.get(index)
         if self.execution_mode == "commutative":
             self._advance_commutative()
 
@@ -303,23 +331,29 @@ class MenciusReplica(ReplicaBase):
         """Commutative mode (Raft*-M-0%): answer a committed write as soon as
         every earlier index is *known* (proposal or skip seen) — conflict-free
         writes need not wait for earlier commits to execute."""
-        while True:
-            index = self._reply_frontier + 1
-            if not self._known(index):
-                return
-            status = self.status.get(index)
-            if status == STATUS_ACCEPTED and self.owner_of(index) == self.name:
-                return  # our own entry must commit before we answer it
-            self._reply_frontier = index
-            command = self.entries[index].command
-            if (
-                index > self._exec_frontier
-                and command.is_write
-                and status in (STATUS_COMMITTED, STATUS_SKIPPED)
-                and (command.request_id in self._clients
-                     or command.request_id in self._relays)
-            ):
-                self.complete(command, ok=True, value=None)
+        entries = self.entries
+        index = self._reply_frontier + 1
+        entry = entries.get(index)
+        if entry is None:
+            return  # the common case: the next index is not known yet
+        status = self.status
+        n = self.config.n
+        rank = self.rank
+        exec_frontier = self._exec_frontier
+        while entry is not None:
+            state = status.get(index)
+            if state is STATUS_ACCEPTED and index % n == rank:
+                break  # our own entry must commit before we answer it
+            if index > exec_frontier and (state is STATUS_COMMITTED
+                                          or state is STATUS_SKIPPED):
+                command = entry.command
+                if command.op is _PUT:
+                    rid = command.request_id
+                    if rid in self._clients or rid in self._relays:
+                        self.complete(command, ok=True, value=None)
+            index += 1
+            entry = entries.get(index)
+        self._reply_frontier = index - 1
 
     # -- crash recovery (revocation) --------------------------------------------------------
 
@@ -367,14 +401,8 @@ class MenciusReplica(ReplicaBase):
             if status == STATUS_SKIPPED:
                 self.skip_tags[index] = True
                 self.executable.add(index)
-            if (
-                ousted is not None
-                and not ousted.command.is_nop
-                and ousted.command.request_id != entry.command.request_id
-                and (ousted.command.request_id in self._clients
-                     or ousted.command.request_id in self._relays)
-            ):
-                self.submit_command(ousted.command)
+            if ousted is not None:
+                self._repropose_ousted(ousted, entry)
         self._advance()
 
     def _check_stalls(self) -> None:
@@ -382,7 +410,7 @@ class MenciusReplica(ReplicaBase):
         horizon = max(self.frontier.values()) if self.frontier else 0
         if stalled >= horizon and not self._batch:
             return
-        owner = self.owner_of(stalled)
+        owner = self.config.owner_of(stalled)
         if owner == self.name:
             return
         silent_for = self.sim.now - self._last_heard.get(owner, 0)
@@ -418,9 +446,7 @@ class MenciusReplica(ReplicaBase):
     def _make_promise(self, ballot: int, owner: str, start: int, end: int) -> MenciusPromise:
         accepted = {}
         skipped = []
-        for index in range(start, end):
-            if self.owner_of(index) != owner:
-                continue
+        for index in self.config.slots_of(owner, start, end):
             self.promised[index] = max(self.promised.get(index, 0), ballot)
             if self.status.get(index) == STATUS_SKIPPED:
                 skipped.append(index)
@@ -432,8 +458,8 @@ class MenciusReplica(ReplicaBase):
         )
 
     def _on_prepare(self, src: str, msg: MenciusPrepare) -> None:
-        for index in range(msg.start, msg.end):
-            if self.owner_of(index) == msg.owner and msg.ballot < self.promised.get(index, 0):
+        for index in self.config.slots_of(msg.owner, msg.start, msg.end):
+            if msg.ballot < self.promised.get(index, 0):
                 return  # already promised higher; ignore
         self.send(src, self._make_promise(msg.ballot, msg.owner, msg.start, msg.end))
 
@@ -447,8 +473,8 @@ class MenciusReplica(ReplicaBase):
         # Phase 2: propose the safest value per index (accepted value if any
         # promise reports one, else no-op).
         items: Dict[int, Entry] = {}
-        for index in range(state["start"], state["end"]):
-            if self.owner_of(index) != msg.owner or self._resolved(index):
+        for index in self.config.slots_of(msg.owner, state["start"], state["end"]):
+            if self.status.get(index) in (STATUS_COMMITTED, STATUS_SKIPPED):
                 continue
             best: Optional[Entry] = None
             for promise in state["promises"].values():
@@ -491,9 +517,6 @@ class MenciusReplica(ReplicaBase):
             i: (s if s != STATUS_COMMITTED else STATUS_ACCEPTED)
             for i, s in self.stable.get("status", {}).items()
         }
-        for i, s in self.stable.get("status", {}).items():
-            if s == STATUS_SKIPPED:
-                self.status[i] = STATUS_SKIPPED
         self.next_own = self.stable.get("next_own", self.rank)
         self.promised = dict(self.stable.get("promised", {}))
         self.reset_store()

@@ -49,6 +49,14 @@ def _memo() -> Any:
     return field(default=-1, init=False, repr=False, compare=False)
 
 
+def _cost_memo() -> Any:
+    """The `_cpu` slot: `(NodeCosts, cost)`, written by `NodeCosts.cost`,
+    read by `Node._receive`.  For classes whose INSTANCES reach more than
+    one receiver (a broadcast fans one object out; an interned heartbeat
+    repeats for many ticks), not for messages built per send."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
 # --------------------------------------------------------------------------
 # Client <-> replica
 # --------------------------------------------------------------------------
@@ -258,11 +266,7 @@ class AppendEntries:
     entries: Tuple[Entry, ...]
     leader_commit: int
     _size: int = _memo()
-    # CPU-cost memo: `(NodeCosts, cost)` written by `NodeCosts.cost`.  The
-    # same object fans out to every peer (and interned heartbeats repeat
-    # for many ticks) — one compute per cost table covers them all.
-    _cpu: Optional[tuple] = field(default=None, init=False, repr=False,
-                                  compare=False)
+    _cpu: Optional[tuple] = _cost_memo()
 
     def size_bytes(self) -> int:
         size = self._size
@@ -350,11 +354,7 @@ class Accept:
     instances: Dict[int, Command]
     commit_index: int
     _size: int = _memo()
-    # CPU-cost memo: `(NodeCosts, cost)` written by `NodeCosts.cost`.  The
-    # same object fans out to every peer (and interned heartbeats repeat
-    # for many ticks) — one compute per cost table covers them all.
-    _cpu: Optional[tuple] = field(default=None, init=False, repr=False,
-                                  compare=False)
+    _cpu: Optional[tuple] = _cost_memo()
 
     def size_bytes(self) -> int:
         size = self._size
@@ -388,6 +388,7 @@ class Learn:
     instance_ids: List[int]
     proposer: str
     commit_index: int
+    _cpu: Optional[tuple] = _cost_memo()
 
     def size_bytes(self) -> int:
         return HEADER_BYTES
@@ -539,6 +540,7 @@ class SkipNotice:
 
     owner: str
     below: int
+    _cpu: Optional[tuple] = _cost_memo()
 
     def size_bytes(self) -> int:
         return HEADER_BYTES
@@ -551,6 +553,7 @@ class CommitNotice:
 
     owner: str
     indexes: List[int]
+    _cpu: Optional[tuple] = _cost_memo()
 
     def size_bytes(self) -> int:
         return HEADER_BYTES + 4 * len(self.indexes)
@@ -572,6 +575,7 @@ class MenciusAppend:
     committed: List[int] = field(default_factory=list)
     is_default: bool = True
     _size: int = _memo()
+    _cpu: Optional[tuple] = _cost_memo()
 
     def size_bytes(self) -> int:
         size = self._size

@@ -420,10 +420,10 @@ class MultiPaxosReplica(ReplicaBase):
         if self._accept_buffer:
             self._flush_accepts()
         else:
+            learn = Learn(instance_ids=[], proposer=self.name,
+                          commit_index=self.commit_index)
             for peer in self.peers:
-                self.send(peer, Learn(
-                    instance_ids=[], proposer=self.name, commit_index=self.commit_index,
-                ))
+                self.send(peer, learn)
 
     def _learn_commit_frontier(self, commit_index: int) -> None:
         """A follower learns chosen-ness through the leader's frontier."""

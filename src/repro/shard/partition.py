@@ -27,13 +27,23 @@ HASH_SPACE = 1 << 32
 _POINT_CACHE: dict = {}
 
 
+_sha1 = hashlib.sha1
+_from_bytes = int.from_bytes
+
+
+def ring_point(key: str) -> int:
+    """A key's stable point on the hash ring, computed (not cached): for
+    one-pass bulk builds over keys most of which are never routed."""
+    return _from_bytes(_sha1(key.encode()).digest()[:4], "big")
+
+
 def key_point(key: str) -> int:
     """Map a key to its stable point on the hash ring."""
-    point = _POINT_CACHE.get(key)
-    if point is None:
-        digest = hashlib.sha1(key.encode()).digest()
-        point = _POINT_CACHE[key] = int.from_bytes(digest[:4], "big")
-    return point
+    try:
+        return _POINT_CACHE[key]
+    except KeyError:
+        point = _POINT_CACHE[key] = ring_point(key)
+        return point
 
 
 class Partitioner:

@@ -69,6 +69,7 @@ from repro.protocols.messages import ClientReply, ClientRequest, TxnReply, TxnRe
 from repro.protocols.types import Command, OpType
 from repro.shard.cluster import Accounting, ShardedCluster, ShardedSpec
 from repro.shard.control import ControlGroup, ReplicatedCoordinator
+from repro.shard.partition import ring_point
 from repro.shard.router import ShardRoutedClient, ShardRouter, TxnOps
 from repro.sim.node import NodeCosts
 from repro.sim.units import ms, sec
@@ -771,6 +772,30 @@ class TxnResult(Accounting):
         return self.violations
 
 
+#: (records, ring start of every shard) -> the workload's keys bucketed by
+#: owning shard.  A pure function of that key, so the 100,000-key pass runs
+#: once per process instead of once per `TxnCluster`.
+_KEY_POOLS: Dict[Tuple[int, Tuple[int, ...]], Dict[int, Tuple[str, ...]]] = {}
+
+
+def key_pools(partitioner, records: int) -> Dict[int, Tuple[str, ...]]:
+    """Workload keys ``k0 .. k<records-1>`` grouped by owning shard, each
+    pool in key-id order (clients index pools with RNG draws, so the order
+    is part of a run's identity); shards owning no key are left out.  The
+    pools are tuples: every cluster with the same map shares them."""
+    starts = tuple(partitioner.range_of(shard).start
+                   for shard in range(partitioner.num_shards))
+    pools = _KEY_POOLS.get((records, starts))
+    if pools is None:
+        buckets: List[List[str]] = [[] for _ in starts]
+        shard_of_point = partitioner.shard_of_point
+        for key in map(WorkloadConfig.key_name, range(records)):
+            buckets[shard_of_point(ring_point(key))].append(key)
+        pools = _KEY_POOLS[(records, starts)] = {
+            shard: tuple(keys) for shard, keys in enumerate(buckets) if keys}
+    return dict(pools)
+
+
 class TxnWorkloadClient(ShardRoutedClient):
     """A closed-loop client whose every iteration is one transaction.
 
@@ -780,7 +805,7 @@ class TxnWorkloadClient(ShardRoutedClient):
     key selection O(1) instead of rejection sampling the hash ring."""
 
     def __init__(self, name, sim, network, site, router, workload, sites,
-                 rng, metrics, pools: Dict[int, List[str]], txn_size: int,
+                 rng, metrics, pools: Dict[int, Sequence[str]], txn_size: int,
                  cross_shard_ratio: float, coordinator: str,
                  stop_at: Optional[int] = None, **session_kwargs) -> None:
         self._pools = pools
@@ -832,7 +857,7 @@ class TxnWorkloadClient(ShardRoutedClient):
 
 def spawn_txn_clients(sim, network, sites, router: ShardRouter,
                       per_region: int, workload, rng_root, metrics,
-                      pools: Dict[int, List[str]], txn_size: int,
+                      pools: Dict[int, Sequence[str]], txn_size: int,
                       cross_shard_ratio: float,
                       stop_at: Optional[int] = None,
                       plan=None) -> List[TxnWorkloadClient]:
@@ -888,11 +913,7 @@ class TxnCluster(ShardedCluster):
         self.txn_events: List[TxnEvent] = []
         # Per-shard key pools so single-shard transactions can draw all
         # their keys from one group without rejection sampling.
-        pools: Dict[int, List[str]] = {shard: [] for shard in self.groups}
-        for key_id in range(spec.workload.records):
-            key = WorkloadConfig.key_name(key_id)
-            pools[self.partitioner.shard_of(key)].append(key)
-        self._pools = {shard: keys for shard, keys in pools.items() if keys}
+        self._pools = key_pools(self.partitioner, spec.workload.records)
 
         def record_event(client, txn_id, ops, reads, start, end) -> None:
             self.txn_events.append(TxnEvent(

@@ -10,12 +10,12 @@ when it must replicate 4 KB entries to four followers (Figure 10b); the
 latency term is the WAN cost (Figures 9a/9b/10c/10d).  The NIC belongs to
 the *host* (`repro.sim.node.Host`): nodes sharing a host share its egress
 queue.  With the default one-private-host-per-node placement this is the
-original per-node NIC.
+original per-node NIC (`egress_free` is `Egress.free_at`; see `Link`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.sim.errors import UnknownNodeError
@@ -58,6 +58,34 @@ class NetworkConfig:
     fifo: bool = True
 
 
+class Egress:
+    """One serialization point (a host's NIC, a site's uplink): the time
+    until which it is committed, shared by every `Link` crossing it."""
+
+    __slots__ = ("free_at",)
+
+    def __init__(self) -> None:
+        self.free_at = 0
+
+
+class Link:
+    """What no single message changes about a directed (src, dst) pair,
+    resolved on its first send — `uplink` is None when unconfigured or
+    the pair stays inside one site — plus the pair's FIFO high-water
+    mark, the one field a send updates."""
+
+    __slots__ = ("node", "local", "base", "nic", "uplink", "last_arrival")
+
+    def __init__(self, node: "Node", local: bool, base: int, nic: Egress,
+                 uplink: Optional[Egress]) -> None:
+        self.node = node
+        self.local = local
+        self.base = base
+        self.nic = nic
+        self.uplink = uplink
+        self.last_arrival = -1
+
+
 class Network:
     """Delivers messages between registered nodes."""
 
@@ -74,23 +102,28 @@ class Network:
         self.rng_root = rng or SplitRng(0)
         self.rng = self.rng_root.stream("network")
         self._nodes: Dict[str, "Node"] = {}
-        self._egress_free: Dict[str, int] = {}
-        self._egress_key: Dict[str, str] = {}  # node name -> host NIC key
-        self._site_egress_free: Dict[str, int] = {}
-        self._last_arrival: Dict[Tuple[str, str], int] = {}
-        # Resolved-route cache: (src, dst) -> (src_site, dst_site, local,
-        # base one-way latency, local-hop delay).  Sites and the topology
-        # are fixed after registration, so the per-send site lookups and
-        # latency-table probes collapse to one dict hit.
-        self._paths: Dict[Tuple[str, str], Tuple[str, str, bool, int, int]] = {}
+        # host name -> its NIC; site name -> its uplink (created on the
+        # first cross-site send when a site bandwidth is configured).
+        self._nics: Dict[str, Egress] = {}
+        self._uplinks: Dict[str, Egress] = {}
+        # src name -> dst name -> the resolved link.  Sites, hosts and the
+        # topology are fixed once a name is registered, so a send is two
+        # dict hits plus arithmetic on the records the link points at.
+        self._links: Dict[str, Dict[str, Link]] = {}
         # Per-send constants, resolved once: the scheduler entry point and
         # the delivery callback (a bound method is re-created on every
-        # attribute access otherwise — one allocation per send).
+        # attribute access otherwise — one allocation per send), and the
+        # structural parts of the model (bandwidths, FIFO, jitter width,
+        # the local hop).  `config.loss_rate` alone is read per send:
+        # fault-injection tests turn loss on and off mid-run.
         self._schedule = sim.schedule
         self._deliver_cb = self._deliver
-        # NIC serialization cost in microseconds per byte (the config is
-        # never rewritten after construction).
+        self._random = self.rng.random
         self._us_per_byte = 1_000_000 / self.config.bandwidth_bytes_per_sec
+        self._site_bandwidth = self.config.site_bandwidth_bytes_per_sec
+        self._fifo = self.config.fifo
+        self._jitter = topology.jitter_fraction
+        self._local_us = topology.local_us
         self._blocked: Set[Tuple[str, str]] = set()
         self.messages_sent = 0
         self.messages_dropped = 0
@@ -99,11 +132,15 @@ class Network:
     # -- registration ------------------------------------------------------
 
     def register(self, node: "Node") -> None:
-        self._nodes[node.name] = node
-        host = getattr(node, "host", None)
-        key = host.name if host is not None else node.name
-        self._egress_key[node.name] = key
-        self._egress_free.setdefault(key, 0)
+        name = node.name
+        if name in self._nodes:
+            # The name is re-bound (possibly to another host or site):
+            # every link from or to it resolves again on its next send.
+            self._links.pop(name, None)
+            for links in self._links.values():
+                links.pop(name, None)
+        self._nodes[name] = node
+        self._nics.setdefault(node.host.name, Egress())
 
     def node(self, name: str) -> "Node":
         try:
@@ -114,6 +151,20 @@ class Network:
     @property
     def node_names(self):
         return list(self._nodes)
+
+    def _resolve(self, src: str, dst: str) -> Link:
+        """Build the (src, dst) link on the pair's first send."""
+        source, node = self._nodes[src], self.node(dst)
+        local = (src == dst or (self.config.deliver_local_instantly
+                                and source.site == node.site))
+        uplink = None
+        if self._site_bandwidth is not None and source.site != node.site:
+            uplink = self._uplinks.setdefault(source.site, Egress())
+        link = Link(node, local,
+                    0 if local else self.topology.latency(source.site, node.site),
+                    self._nics[source.host.name], uplink)
+        self._links.setdefault(src, {})[dst] = link
+        return link
 
     # -- fault injection ----------------------------------------------------
 
@@ -146,74 +197,66 @@ class Network:
 
     # -- delivery ------------------------------------------------------------
 
-    def send(self, src: str, dst: str, message, size_bytes: Optional[int] = None) -> None:
+    def send(self, src: str, dst: str, message) -> None:
         """Send `message` from node `src` to node `dst`.
 
         Messages to unknown destinations raise; messages across blocked links
         or hit by random loss are silently dropped (that is the point).
         """
-        nodes = self._nodes
-        if dst not in nodes:
-            raise UnknownNodeError(dst)
-        config = self.config
+        try:
+            link = self._links[src][dst]
+        except KeyError:
+            link = self._resolve(src, dst)
         self.messages_sent += 1
-        pair = (src, dst)
-        if self._blocked and pair in self._blocked:
+        if self._blocked and (src, dst) in self._blocked:
             self.messages_dropped += 1
             return
-        if config.loss_rate > 0 and self.rng.random() < config.loss_rate:
+        loss_rate = self.config.loss_rate
+        if loss_rate > 0 and self._random() < loss_rate:
             self.messages_dropped += 1
             return
 
-        # The memoized per-message size (protocols.messages) makes this a
-        # cache read for every message past its first charging site.
-        size = size_bytes if size_bytes is not None else payload_size_bytes(message)
+        # The per-message size memo (`_size`, protocols.messages), read
+        # without a call once warm — every send of a fan-out but the first.
+        size = getattr(message, "_size", -1)
+        if size < 0:
+            size = payload_size_bytes(message)
         self.bytes_sent += size
 
-        topology = self.topology
-        path = self._paths.get(pair)
-        if path is None:
-            src_site = nodes[src].site
-            dst_site = nodes[dst].site
-            local = (src == dst
-                     or (config.deliver_local_instantly and src_site == dst_site))
-            base = 0 if local else topology.latency(src_site, dst_site)
-            path = self._paths[pair] = (src_site, dst_site, local, base,
-                                        topology.local_us)
-        src_site, dst_site, local, base, local_us = path
-
-        if local:
-            self._schedule(local_us, self._deliver_cb, src, dst, message)
+        if link.local:
+            self._schedule(self._local_us, self._deliver_cb, src, link.node,
+                           message)
             return
 
-        now = self.sim.now
-        serialization = int(size * self._us_per_byte)
-        nic = self._egress_key.get(src, src)
-        egress_free = self._egress_free
-        depart = max(now, egress_free.get(nic, 0)) + serialization
-        egress_free[nic] = depart
-        if config.site_bandwidth_bytes_per_sec is not None and src_site != dst_site:
+        now = self.sim._now
+        nic = link.nic
+        depart = nic.free_at
+        if depart < now:
+            depart = now
+        depart += int(size * self._us_per_byte)
+        nic.free_at = depart
+        uplink = link.uplink
+        if uplink is not None:
             # The message also serializes through the site's shared uplink,
             # after it leaves the node's NIC.
-            site_serialization = int(
-                size / config.site_bandwidth_bytes_per_sec * 1_000_000)
-            depart = max(depart, self._site_egress_free.get(src_site, 0)) + site_serialization
-            self._site_egress_free[src_site] = depart
+            if depart < uplink.free_at:
+                depart = uplink.free_at
+            depart += int(size / self._site_bandwidth * 1_000_000)
+            uplink.free_at = depart
 
-        jitter = topology.jitter_fraction
+        jitter = self._jitter
         # jitter * random() draws the exact value uniform(0, jitter) would
         # (same underlying random() call), minus the method overhead.
-        factor = 1.0 + (jitter * self.rng.random() if jitter > 0 else 0.0)
-        arrive = depart + int(base * factor)
-        if config.fifo:
-            last_arrival = self._last_arrival
-            arrive = max(arrive, last_arrival.get(pair, arrive - 1) + 1)
-            last_arrival[pair] = arrive
-        self._schedule(arrive - now, self._deliver_cb, src, dst, message)
+        arrive = depart + (int(link.base * (1.0 + jitter * self._random()))
+                           if jitter > 0 else link.base)
+        if self._fifo:
+            if arrive <= link.last_arrival:
+                arrive = link.last_arrival + 1
+            link.last_arrival = arrive
+        self._schedule(arrive - now, self._deliver_cb, src, link.node, message)
 
-    def _deliver(self, src: str, dst: str, message) -> None:
-        node = self._nodes.get(dst)
-        if node is None or not node.alive:
+    def _deliver(self, src: str, node: "Node", message) -> None:
+        if not node.alive:
             self.messages_dropped += 1
             return
         node._receive(src, message)
@@ -221,8 +264,9 @@ class Network:
     def egress_backlog_us(self, name: str) -> int:
         """How far in the future the node's (host's) NIC is committed.
         Accepts a node name or a host name."""
-        nic = self._egress_key.get(name, name)
-        return max(0, self._egress_free.get(nic, 0) - self.sim.now)
+        node = self._nodes.get(name)
+        nic = self._nics.get(node.host.name if node is not None else name)
+        return max(0, nic.free_at - self.sim.now) if nic is not None else 0
 
     def link_blocked(self, src: str, dst: str) -> bool:
         """Whether traffic src -> dst is currently cut (partition/block).
@@ -232,15 +276,5 @@ class Network:
 
     def site_egress_backlog_us(self, site: str) -> int:
         """How far in the future the site's shared uplink is committed."""
-        return max(0, self._site_egress_free.get(site, 0) - self.sim.now)
-
-
-def _estimate_size(message) -> int:
-    """Default wire-size estimate for a message object.
-
-    Messages may define `size_bytes()`; otherwise a small constant header is
-    assumed (the CPU model's canonical fallback).  Protocol messages in
-    `repro.protocols.messages` all implement `size_bytes` so the bandwidth
-    model sees payload sizes.
-    """
-    return payload_size_bytes(message)
+        uplink = self._uplinks.get(site)
+        return max(0, uplink.free_at - self.sim.now) if uplink is not None else 0

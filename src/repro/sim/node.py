@@ -108,15 +108,12 @@ class NodeCosts:
             memo = message._cpu
             if memo is not None and memo[0] is self:
                 return memo[1]
-            size = int(message.size_bytes()) if shape[0] else 64
-            count = float(message.command_count()) if shape[1] else 0.0
-            value = int(self.per_message + self.per_command * count
-                        + self.per_byte * size)
-            message._cpu = (self, value)
-            return value
         size = int(message.size_bytes()) if shape[0] else 64
         count = float(message.command_count()) if shape[1] else 0.0
-        return int(self.per_message + self.per_command * count + self.per_byte * size)
+        value = int(self.per_message + self.per_command * count + self.per_byte * size)
+        if shape[2]:
+            message._cpu = (self, value)
+        return value
 
 
 class Host:
@@ -312,7 +309,14 @@ class Node:
         """Called by the network on arrival: queue the message on the CPU."""
         if not self.alive:
             return
-        cost = self.costs.cost(message)
+        costs = self.costs
+        # A fanned-out message already costed by an earlier receiver under
+        # the same cost table carries the answer (see `NodeCosts.cost`).
+        memo = getattr(message, "_cpu", None)
+        if memo is not None and memo[0] is costs:
+            cost = memo[1]
+        else:
+            cost = costs.cost(message)
         sim = self.sim
         host = self.host
         now = sim._now

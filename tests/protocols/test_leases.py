@@ -1,5 +1,7 @@
 """Quorum-lease manager."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.protocols.quorum_lease import RaftStarPQLReplica
@@ -165,12 +167,15 @@ def test_majority_change_recomputes_the_quorum_deadline(cluster_factory):
     assert s0.leases.valid_grant_count() == 3
     assert s0.leases.has_quorum_lease()
     # Grow the group to seven (majority 4): three grants no longer do.
-    cluster.config.replicas.update(s5="s5", s6="s6")
-    assert cluster.config.majority == 4
+    # A config's membership is fixed at construction, so a change of
+    # majority reaches the replica as a new config object.
+    five = cluster.config
+    s0.config = replace(five, replicas={**five.replicas, "s5": "s5", "s6": "s6"})
+    assert s0.config.majority == 4
     assert not s0.leases.has_quorum_lease()
     assert _uncached(s0)[0] is False
     # Shrink it back to three (majority 2).
-    for name in ("s3", "s4", "s5", "s6"):
-        del cluster.config.replicas[name]
+    s0.config = replace(five, replicas={n: n for n in ("s0", "s1", "s2")})
+    assert s0.config.majority == 2
     assert s0.leases.has_quorum_lease()
     assert _uncached(s0)[0] is True

@@ -10,15 +10,26 @@ A `HostEnvelope` additionally dedups entries shared across its items
 back-reference, and the saving is surfaced as `payload_dedup_bytes()`
 (accumulated by the mux into `coalesce_payload_dedup_bytes`)."""
 
+import pytest
+
 from repro.protocols.messages import (
     DEDUP_REF_BYTES,
     HEADER_BYTES,
+    Accept,
     AppendEntries,
+    CommitNotice,
     HostEnvelope,
+    Learn,
+    MenciusAck,
+    MenciusAppend,
     MuxedMessage,
+    SkipNotice,
 )
-from repro.protocols.types import Command, Entry, OpType
-from repro.sim.node import NodeCosts, payload_size_bytes
+from repro.protocols.types import Ballot, Command, Entry, OpType
+from repro.sim.events import Simulator
+from repro.sim.network import Network
+from repro.sim.node import Node, NodeCosts, payload_size_bytes
+from repro.sim.topology import symmetric_lan
 
 
 def _entry(key: str, seq: int = 0, command: Command = None) -> Entry:
@@ -110,3 +121,85 @@ def test_envelope_no_dedup_across_different_ballots():
         items=(MuxedMessage("g0_r_a", "g0_r_b", 0, msg_a),
                MuxedMessage("g1_r_a", "g1_r_b", 1, msg_b)))
     assert envelope.payload_dedup_bytes() == 0
+
+
+# -- CPU-cost memo: anything that reaches more than one receiver -------------
+
+
+class _Peer(Node):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.handled = []
+
+    def on_message(self, src, message):
+        self.handled.append((self.sim.now, message))
+
+
+def _fan_out(message, costs_of, monkeypatch):
+    """Send ONE `message` object from s0 to s1..s4; return the number of
+    `NodeCosts.cost` computations and the peers."""
+    sim = Simulator()
+    network = Network(sim, symmetric_lan(5))
+    peers = [_Peer(f"s{i}", sim, network, costs=costs_of(i)) for i in range(5)]
+    calls = []
+    real = NodeCosts.cost
+
+    def counting(self, msg):
+        calls.append(msg)
+        return real(self, msg)
+
+    monkeypatch.setattr(NodeCosts, "cost", counting)
+    for peer in peers[1:]:
+        network.send("s0", peer.name, message)
+    sim.run()
+    assert all(len(peer.handled) == 1 for peer in peers[1:])
+    return len(calls), peers
+
+
+def _mencius_append() -> MenciusAppend:
+    return MenciusAppend(sender="s0", owner="s0", ballot=0,
+                         items={0: _entry("k", 1), 5: _entry("k2", 2)},
+                         next_own=10, committed=[0])
+
+
+FANNED_OUT = [
+    _mencius_append,
+    lambda: SkipNotice(owner="s0", below=10),
+    lambda: CommitNotice(owner="s0", indexes=[0, 5]),
+    lambda: Learn(instance_ids=[], proposer="s0", commit_index=3),
+    lambda: Accept(ballot=Ballot(1, "s0"), proposer="s0",
+                   instances={0: _entry("k").command}, commit_index=-1),
+    lambda: _append([_entry("k")]),
+]
+
+
+@pytest.mark.parametrize("make", FANNED_OUT)
+def test_fanned_out_message_is_costed_once_per_cost_table(make, monkeypatch):
+    shared = NodeCosts()
+    message = make()
+    computed, peers = _fan_out(message, lambda i: shared, monkeypatch)
+    assert computed == 1
+    expected = NodeCosts().cost(make())
+    # Every receiver was still charged the full cost on its own CPU.
+    assert [peer.cpu_busy_us for peer in peers[1:]] == [expected] * 4
+    assert message._cpu == (shared, expected)
+
+
+def test_cost_memo_is_per_cost_table(monkeypatch):
+    """A message crossing cost tables is recomputed under each one — the
+    memo answers only for the table that wrote it."""
+    tables = [NodeCosts(per_message=10 * (i + 1)) for i in range(5)]
+    computed, peers = _fan_out(_mencius_append(), lambda i: tables[i],
+                               monkeypatch)
+    assert computed == 4
+    busy = [peer.cpu_busy_us for peer in peers[1:]]
+    assert busy == sorted(busy) and len(set(busy)) == 4
+
+
+def test_point_to_point_message_carries_no_cost_memo(monkeypatch):
+    """Built per send and delivered once: nothing to amortize, no slot."""
+    ack = MenciusAck(acker="s1", owner="s0", ballot=0, indexes=[0],
+                     accepted=True, next_own=6)
+    assert not hasattr(ack, "_cpu")
+    computed, _ = _fan_out(ack, lambda i: NodeCosts(), monkeypatch)
+    assert computed == 4

@@ -56,3 +56,38 @@ def test_invalid_arguments():
         HashRangePartitioner(0)
     with pytest.raises(ValueError):
         HashRangePartitioner(2).range_of(2)
+
+
+def test_key_pools_equal_the_per_key_bucketing_and_hash_once(monkeypatch):
+    """`TxnCluster`'s per-shard key pools: same keys in the same order as
+    bucketing key by key through `shard_of` (clients index the pools with
+    RNG draws), and the pass runs once per (records, ring boundaries)."""
+    from repro.shard import txn
+    from repro.shard.partition import VersionedPartitioner, ring_point
+
+    hashed = []
+
+    def counting(key):
+        hashed.append(key)
+        return ring_point(key)
+
+    monkeypatch.setattr(txn, "ring_point", counting)
+    monkeypatch.setattr(txn, "_KEY_POOLS", {})
+    records = 4_999
+    for shards in (1, 3, 4):
+        partitioner = VersionedPartitioner.initial(shards)
+        pools = txn.key_pools(partitioner, records)
+        reference = {shard: [] for shard in range(shards)}
+        for key_id in range(records):
+            key = WorkloadConfig.key_name(key_id)
+            reference[partitioner.shard_of(key)].append(key)
+        assert pools == {shard: tuple(keys)
+                         for shard, keys in reference.items() if keys}
+    assert len(hashed) == 3 * records
+    # Same map, another cluster: shared pools, no hashing; its own dict.
+    again = txn.key_pools(VersionedPartitioner.initial(4), records)
+    assert len(hashed) == 3 * records
+    assert again == pools and again is not pools
+    assert all(again[shard] is pools[shard] for shard in pools)
+    # The cached and the uncached point of a key are the same point.
+    assert all(key_point(key) == ring_point(key) for key in hashed[:200])

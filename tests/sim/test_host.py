@@ -86,6 +86,38 @@ def test_shared_host_shares_nic_egress():
     assert network.egress_backlog_us("a") == 2 * network2.egress_backlog_us("a")
 
 
+def test_nodes_and_mux_on_one_host_share_one_nic_record():
+    """Two replicas and the host's `GroupMux` are three senders behind one
+    NIC: the backlog reads the same by any of their names and by the
+    host's, and each one's sends queue behind the others'."""
+    from repro.protocols.mux import GroupMux, MuxDirectory
+
+    sim, network = build()
+    host = Host("box", sim, site="s0")
+    costs = NodeCosts(per_message=0, per_byte=0)
+    a = Recorder("a", sim, network, site="s0", costs=costs, host=host)
+    b = Recorder("b", sim, network, site="s0", costs=costs, host=host)
+    mux = GroupMux(host, sim, network, MuxDirectory(), flush_interval=500)
+    Recorder("far", sim, network, site="s1", costs=costs)
+
+    class Sized:
+        def size_bytes(self):
+            return 4096
+
+    one = None
+    for sender in (a, b, mux):
+        network.send(sender.name, "far", Sized())
+        backlogs = {network.egress_backlog_us(name)
+                    for name in ("a", "b", mux.name, "box")}
+        assert len(backlogs) == 1
+        one = one or backlogs.pop()
+    assert network.egress_backlog_us("box") == 3 * one
+    assert network.egress_backlog_us("far") == 0
+    links = network._links
+    assert (links["a"]["far"].nic is links["b"]["far"].nic
+            is links[mux.name]["far"].nic)
+
+
 def test_host_crash_takes_all_colocated_nodes_down_and_back():
     sim, network = build()
     host = Host("box", sim, site="s0")

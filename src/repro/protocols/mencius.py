@@ -181,7 +181,9 @@ class MenciusReplica(ReplicaBase):
                 # through `.get(index, 0)` and is not stored.)
                 promised[index] = ballot
             ousted = entries.get(index)
-            entries[index] = entry.copy()
+            # Entries are never mutated in place (recovery restamps by
+            # building new ones), so the sender's object is adopted as is.
+            entries[index] = entry
             if is_default and entry.command.op is _NOP:
                 # Coordinated Paxos: a default leader's no-op is learnable
                 # immediately (Figure 14 Phase2b lines 26-29).

@@ -39,11 +39,10 @@ def ring_point(key: str) -> int:
 
 def key_point(key: str) -> int:
     """Map a key to its stable point on the hash ring."""
-    try:
-        return _POINT_CACHE[key]
-    except KeyError:
+    point = _POINT_CACHE.get(key)
+    if point is None:
         point = _POINT_CACHE[key] = ring_point(key)
-        return point
+    return point
 
 
 class Partitioner:

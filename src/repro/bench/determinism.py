@@ -35,7 +35,8 @@ import sys
 from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.bench.harness import PROTOCOLS, Cluster
-from repro.bench.perf import single_group_spec
+from repro.bench.perf import sharded_txn_spec, single_group_spec
+from repro.shard.txn import TxnCluster
 from repro.workload.ycsb import WorkloadConfig
 
 #: The canary workload: small enough for CI (sub-second), large enough
@@ -44,6 +45,17 @@ from repro.workload.ycsb import WorkloadConfig
 #: cancellation churn (timer resets) on the way.
 CANARY_SCALE = 0.25
 CANARY_SEED = 0
+
+#: The one multi-group row, pinning the transaction path no other row
+#: reaches (overrides of `sharded_txn_spec`, run on a `TxnCluster`): two
+#: colocated shard groups behind a coalescing mux, a quarter of the
+#: transactions cross-shard 2PC, and a key space small enough (60
+#: records) that prepares conflict — so wait, die and abort-retry all
+#: run, not just the happy path.  Its digest additionally covers every
+#: log entry's value text and size (data groups and the coordinators'
+#: control journal alike), each store's lock table and decision log, and
+#: every acknowledged transaction with the values it read.
+TXN_ROW = "txn-2pc"
 
 #: Labelled rows beside the registry protocols: label -> spec overrides.
 #: `mencius-commutative` is the mode Figure 10's Raft*-M-0% and the
@@ -55,18 +67,22 @@ VARIANTS: Dict[str, Dict[str, Any]] = {
         protocol="mencius", execution_mode="commutative",
         workload=WorkloadConfig(read_fraction=0.0, conflict_rate=0.0,
                                 value_size=4096)),
+    TXN_ROW: dict(num_shards=2, workload=WorkloadConfig(
+        read_fraction=0.3, conflict_rate=0.0, value_size=8, records=60)),
 }
 CANARY_ROWS: Tuple[str, ...] = tuple(PROTOCOLS) + tuple(VARIANTS)
 
 
-def _log_rows(replica) -> List[list]:
+def _log_rows(replica, values: bool = False) -> List[list]:
     """A protocol-agnostic view of a replica's log: Raft's dense `log`
     list row by row; MultiPaxos `instances` and Mencius `entries` (slot
-    -> Entry, holes possible) in slot order with the slot prepended."""
+    -> Entry, holes possible) in slot order with the slot prepended.
+    `values` adds each command's value text and simulated size."""
     def row(entry):
         command = entry.command
         return [entry.term, entry.ballot, command.op.name,
-                command.client_id, command.seq, command.key]
+                command.client_id, command.seq, command.key] + (
+                    [command.value, command.value_size] if values else [])
 
     log = getattr(replica, "log", None)
     if log is not None:
@@ -87,19 +103,30 @@ def state_digest(scale: float = CANARY_SCALE, seed: int = CANARY_SEED,
     counters, completed-op and simulator-event counts, and the final
     simulated clock.
     """
-    spec = single_group_spec(scale, seed).with_(
-        **VARIANTS.get(protocol, {"protocol": protocol}))
-    cluster = Cluster(spec)
+    txn = protocol == TXN_ROW
+    if txn:
+        cluster = TxnCluster(
+            sharded_txn_spec(scale, seed).with_(**VARIANTS[protocol]))
+        members = dict(cluster.txn_control.replicas)
+        for group in cluster.groups.values():
+            members.update(group)
+    else:
+        cluster = Cluster(single_group_spec(scale, seed).with_(
+            **VARIANTS.get(protocol, {"protocol": protocol})))
+        members = cluster.replicas
     result = cluster.run()
     replicas = {}
-    for name in sorted(cluster.replicas):
-        replica = cluster.replicas[name]
+    for name in sorted(members):
+        replica, store = members[name], members[name].store
         replicas[name] = {
-            "log": _log_rows(replica),
+            "log": _log_rows(replica, values=txn),
             "last_applied": replica.last_applied,
-            "applied_count": replica.store.applied_count,
-            "table": sorted(replica.store._table.items()),
+            "applied_count": store.applied_count,
+            "table": sorted(store._table.items()),
         }
+        if txn:  # the 2PC participant state a table digest cannot see
+            replicas[name]["locks"] = sorted(store.locked_keys().items())
+            replicas[name]["decisions"] = sorted(store._decisions.items())
     state = {
         "scale": scale,
         "seed": seed,
@@ -108,6 +135,9 @@ def state_digest(scale: float = CANARY_SCALE, seed: int = CANARY_SEED,
         "sim_now": cluster.sim.now,
         "replicas": replicas,
     }
+    if txn:  # every acknowledged transaction, with the values it read
+        state["acked"] = [[event.txn_id, event.start, event.end, event.ops]
+                          for event in cluster.txn_events]
     blob = json.dumps(state, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode()).hexdigest()
     summary = {

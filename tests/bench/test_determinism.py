@@ -13,7 +13,16 @@ import pathlib
 
 import pytest
 
-from repro.bench.determinism import CANARY_ROWS, run_canary, state_digest
+from repro.bench.determinism import (
+    CANARY_ROWS,
+    CANARY_SCALE,
+    CANARY_SEED,
+    TXN_ROW,
+    VARIANTS,
+    run_canary,
+    state_digest,
+)
+from repro.bench.perf import sharded_txn_spec
 from repro.protocols.registry import PROTOCOLS
 
 GOLDEN = (pathlib.Path(__file__).resolve().parents[2]
@@ -54,6 +63,47 @@ def test_commutative_variant_is_a_different_run_from_the_ordered_row():
     assert (golden["mencius-commutative"]["digest"]
             != golden["mencius"]["digest"])
     assert golden["mencius-commutative"]["completed"] > 0
+
+
+def test_txn_row_pins_the_conflict_paths_not_just_the_happy_one():
+    # The row exists to guard the 2PC state machine: a golden run with no
+    # cross-shard commit, no died attempt or no waited prepare would leave
+    # those branches of `KVStore._apply_txn_prepare` unpinned.
+    from repro.shard.txn import TxnCluster
+
+    result = TxnCluster(sharded_txn_spec(CANARY_SCALE, CANARY_SEED).with_(
+        **VARIANTS[TXN_ROW])).run()
+    assert result.safe
+    assert result.commits_2pc > 0
+    assert result.attempt_aborts > 0
+    assert result.waits > 0
+    # Data groups and the coordinators' control journal are all digested.
+    row = json.loads(GOLDEN.read_text())["protocols"][TXN_ROW]
+    assert row["events"] == result.events_processed
+    assert {name.split("_")[0] for name in row["log_lengths"]} == {
+        "g0", "g1", "txnctl"}
+
+
+def test_txn_row_digest_covers_value_text():
+    # Same run, one byte of one command's value changed after the fact:
+    # the single-group rows would not notice, this one must.
+    from repro.bench import determinism
+
+    digest, _ = state_digest(protocol=TXN_ROW)
+    original = determinism._log_rows
+
+    def tampered(replica, values=False):
+        rows = original(replica, values)
+        if values and rows:
+            rows[-1][-2] = (rows[-1][-2] or "") + " "
+        return rows
+
+    determinism._log_rows = tampered
+    try:
+        other, _ = state_digest(protocol=TXN_ROW)
+    finally:
+        determinism._log_rows = original
+    assert other != digest
 
 
 def test_committed_golden_digests_match():

@@ -56,9 +56,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.protocols.types import Command, OpType
+from repro.protocols.types import Command, OpType, Payload, payload_of
 
 
 @dataclass(slots=True)
@@ -80,6 +80,22 @@ class ApplyResult:
 _OK = ApplyResult(ok=True)
 _WRONG_SHARD = ApplyResult(ok=False, wrong_shard=True)
 _CONFLICT = ApplyResult(ok=False, conflict=True)
+_DONE = ApplyResult(ok=True, value=Payload({"done": True}))  # phase-2 acks
+
+
+def _reply(command: Command, result: Mapping[str, Any]) -> ApplyResult:
+    """`result` as a JSON success, encoded once per command: the first store
+    to answer leaves its answer on the command's `Payload`; a later replica
+    takes it only if its OWN result is equal — one that diverged gives its
+    own.  The answer is a `Payload` too: its receiver reads it undecoded."""
+    value = command.value
+    memo = getattr(value, "memo", None)
+    if memo is not None and memo.value.data == result:
+        return memo
+    reply = ApplyResult(ok=True, value=Payload(result))
+    if memo is None and type(value) is Payload:
+        Payload.memo.__set__(value, reply)
+    return reply
 
 
 class DedupSession:
@@ -179,9 +195,13 @@ class KVStore:
         #    so every replica of the group holds identical copies) --------
         self._locks: Dict[str, str] = {}          # key -> holding txn handle
         self._staged: Dict[str, Dict[str, str]] = {}   # handle -> writes
-        self._txn_meta: Dict[str, Dict] = {}      # handle -> prepare metadata
-        self._decisions: Dict[str, Dict] = {}     # handle -> decision record
-        self._txn_commits: Dict[str, Dict] = {}   # txn id -> winning commit
+        # The three below hold the commands' own shared, frozen payloads
+        # by reference (`payload_of`); only `reads` is this replica's:
+        # handle -> (prepare payload, reads), handle -> decision record,
+        # txn id -> winning commit decision.
+        self._txn_meta: Dict[str, Tuple[Mapping, Dict]] = {}
+        self._decisions: Dict[str, Mapping] = {}
+        self._txn_commits: Dict[str, Mapping] = {}
         self._txn_fence: Dict[str, int] = {}      # coordinator -> min incarnation
         # Hash ranges a refused MIGRATE_OUT is draining: new prepares for
         # fenced keys die so the existing locks can clear and the export's
@@ -321,63 +341,58 @@ class KVStore:
 
     # -- transactions (2PC participant) --------------------------------------
 
-    @staticmethod
-    def _txn_json(**payload) -> str:
-        return json.dumps(payload, sort_keys=True)
-
     def _apply_txn_single(self, command: Command) -> ApplyResult:
         """A single-shard transaction: every op applies atomically in one
         log entry, respecting the 2PC lock table (so single-shard and
         cross-shard transactions serialize against each other)."""
-        ops = json.loads(command.value or "{}").get("ops", [])
+        ops = payload_of(command).get("ops", [])
         keys = [key for _, key, _ in ops]
         if any(not self.owns(key) for key in keys):
             self.filtered_count += 1
-            return ApplyResult(ok=False, wrong_shard=True)
+            return _WRONG_SHARD
         if any(key in self._locks for key in keys):
-            return ApplyResult(ok=False, conflict=True)
+            return _CONFLICT
         reads: Dict[str, Optional[str]] = {}
         for op, key, value in ops:
             if op == "get":
                 reads[key] = self._table.get(key)
             else:
                 self._put_local(key, value if value is not None else "")
-        return ApplyResult(ok=True, value=self._txn_json(reads=reads))
-
-    def _vote(self, vote: str, **extra) -> ApplyResult:
-        return ApplyResult(ok=True, value=self._txn_json(vote=vote, **extra))
+        return _reply(command, {"reads": reads})
 
     def _apply_txn_prepare(self, command: Command) -> ApplyResult:
         """Lock-stage-read-vote.  Deterministic per log position, so every
         replica of the group casts the identical vote and holds the
         identical lock table."""
-        meta = json.loads(command.value or "{}")
+        meta = payload_of(command)
         handle = meta["handle"]
         if meta["inc"] < self._txn_fence.get(meta["coord"], -1):
             # A prepare from a fenced (crashed) coordinator incarnation:
             # refusing it here is what keeps orphan locks impossible.
-            return self._vote("no", reason="fenced")
+            return _reply(command, {"vote": "no", "reason": "fenced"})
         if handle in self._staged:
             # Re-prepare of an already-granted attempt (lost reply, new
             # sequence number): idempotent re-vote.
-            return self._vote("yes", reads=self._txn_meta[handle]["reads"])
+            return _reply(command, {"vote": "yes",
+                                    "reads": self._txn_meta[handle][1]})
         keys = [key for _, key, _ in meta["ops"]]
         if any(not self.owns(key) for key in keys):
             self.filtered_count += 1
-            return self._vote("no", reason="wrong_shard")
+            return _reply(command, {"vote": "no", "reason": "wrong_shard"})
         if self._fenced(keys):
             # The key's range is draining for a refused migration: voting
             # no (die-and-retry) here is what lets the existing locks
             # clear — otherwise a steady 2PC stream could re-lock the
             # range forever and the export would never find its window.
-            return self._vote("no", reason="migrating")
+            return _reply(command, {"vote": "no", "reason": "migrating"})
         verdict = "yes"
         for key in keys:
             holder = self._locks.get(key)
             if holder is None:
                 continue
-            holder_meta = self._txn_meta.get(holder, {})
-            if (meta["ts"], handle) < (holder_meta.get("ts", -1), holder):
+            held = self._txn_meta.get(holder)
+            if (meta["ts"], handle) < (held[0].get("ts", -1) if held else -1,
+                                       holder):
                 # Requester is older: wait (its coordinator re-sends this
                 # prepare while the transaction keeps its other locks).
                 verdict = "wait" if verdict == "yes" else verdict
@@ -386,7 +401,7 @@ class KVStore:
                 # with the original ts, so its priority only ever ages).
                 verdict = "no"
         if verdict != "yes":
-            return self._vote(verdict, reason="conflict")
+            return _reply(command, {"vote": verdict, "reason": "conflict"})
         reads: Dict[str, Optional[str]] = {}
         writes: Dict[str, str] = {}
         for op, key, value in meta["ops"]:
@@ -397,26 +412,27 @@ class KVStore:
         for key in keys:
             self._locks[key] = handle
         self._staged[handle] = writes
-        self._txn_meta[handle] = dict(meta, reads=reads)
-        return self._vote("yes", reads=reads)
-
-    def _release(self, handle: str) -> None:
-        self._locks = {key: holder for key, holder in self._locks.items()
-                       if holder != handle}
+        self._txn_meta[handle] = (meta, reads)
+        return _reply(command, {"vote": "yes", "reads": reads})
 
     def _apply_txn_finish(self, command: Command, commit: bool) -> ApplyResult:
         """Phase 2: install (commit) or drop (abort) the staged writes and
         release the locks.  Idempotent — an unknown handle is a finished or
         never-prepared attempt, both of which are no-ops."""
-        handle = json.loads(command.value or "{}")["handle"]
+        handle = payload_of(command)["handle"]
         staged = self._staged.pop(handle, None)
         if staged is not None:
             if commit:
                 for key in sorted(staged):
                     self._put_local(key, staged[key])
-            self._release(handle)
-            self._txn_meta.pop(handle, None)
-        return ApplyResult(ok=True, value=self._txn_json(done=True))
+            # Release exactly the keys `handle` locked at prepare (its
+            # ops; the staged writes are a subset) — in place, not a
+            # rebuild over every lock held by anyone.
+            locks = self._locks
+            for _, key, _ in self._txn_meta.pop(handle)[0]["ops"]:
+                if locks.get(key) == handle:
+                    del locks[key]
+        return _DONE
 
     def _apply_txn_decide(self, command: Command) -> ApplyResult:
         """Record the coordinator's decision; the FIRST decision for a
@@ -433,7 +449,7 @@ class KVStore:
         client from the winner's result.  Abort decisions bind only their
         own handle — a presumed-abort of one attempt must not block the
         transaction from committing on a later attempt."""
-        meta = json.loads(command.value or "{}")
+        meta = payload_of(command)
         handle, txn = meta["handle"], meta.get("txn")
         existing = self._decisions.get(handle)
         if existing is None:
@@ -445,22 +461,25 @@ class KVStore:
                     meta = dict(meta, outcome="abort", winner=winner)
             self._decisions[handle] = meta
             existing = meta
-        return ApplyResult(ok=True, value=json.dumps(existing, sort_keys=True))
+        return _reply(command, existing)
 
     def _apply_txn_recover(self, command: Command) -> ApplyResult:
         """Fence the coordinator's crashed incarnations, then report every
         prepared transaction and logged decision it owns.  Ordered through
         the log, so any prepare committed before this query is visible in
         the report and any prepare still in flight behind it is fenced."""
-        meta = json.loads(command.value or "{}")
+        meta = payload_of(command)
         coord = meta["coord"]
         self._txn_fence[coord] = max(self._txn_fence.get(coord, -1), meta["inc"])
-        prepared = [self._txn_meta[handle] for handle in sorted(self._txn_meta)
-                    if self._txn_meta[handle].get("coord") == coord]
-        decisions = [self._decisions[handle] for handle in sorted(self._decisions)
-                     if self._decisions[handle].get("coord") == coord]
-        return ApplyResult(ok=True, value=self._txn_json(
-            prepared=prepared, decisions=decisions))
+        # Tuples, as a frozen payload carries arrays: `_reply` compares this
+        # report with the one the group's first replica left.
+        prepared = tuple(dict(held, reads=reads)
+                         for _, (held, reads) in sorted(self._txn_meta.items())
+                         if held.get("coord") == coord)
+        decisions = tuple(self._decisions[handle]
+                          for handle in sorted(self._decisions)
+                          if self._decisions[handle].get("coord") == coord)
+        return _reply(command, {"prepared": prepared, "decisions": decisions})
 
     # -- range migration ----------------------------------------------------
 
@@ -521,7 +540,7 @@ class KVStore:
         return len(payload.get("table", {}))
 
     def _apply_migrate_out(self, command: Command) -> ApplyResult:
-        meta = json.loads(command.value or "{}")
+        meta = payload_of(command)
         lo, hi = meta["lo"], meta["hi"]
         if self._range_locked(lo, hi):
             # A prepared (voted) 2PC transaction holds keys in the range.
@@ -554,8 +573,7 @@ class KVStore:
                    for point in points for lo, hi in self._migrate_fences)
 
     def _apply_migrate_in(self, command: Command) -> ApplyResult:
-        payload = json.loads(command.value or "{}")
-        imported = self.import_range(payload)
+        imported = self.import_range(payload_of(command))
         return ApplyResult(ok=True, value=str(imported))
 
     # -- reads / introspection ----------------------------------------------

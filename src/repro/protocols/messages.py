@@ -17,12 +17,12 @@ nothing mutates a message once it is in flight.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import (Any, Dict, FrozenSet, Iterable, List, NamedTuple,
                     Optional, Tuple)
 
-from repro.protocols.types import Ballot, Command, Entry, OpType
+from repro.protocols.types import (Ballot, Command, Entry, OpType, Payload,
+                                   payload_of)
 # The envelope charges through the cost model's own canonical fallbacks
 # (64 B / 0 commands for messages implementing neither hook), so a batch
 # costs exactly the command/byte work its parts would — what batching
@@ -457,17 +457,17 @@ class ConfigChange:
 
     def encode(self, client_id: str, seq: int) -> Command:
         """The CONFIG command carrying this change."""
-        value = json.dumps({
+        value = Payload({
             "kind": self.kind, "epoch": self.epoch,
             "new": sorted(self.new), "old": sorted(self.old),
             "alpha": self.alpha,
-        }, sort_keys=True)
+        })
         return Command(op=OpType.CONFIG, key="__config__", value=value,
                        client_id=client_id, seq=seq, value_size=len(value))
 
     @staticmethod
     def decode(command: Command) -> "ConfigChange":
-        record = json.loads(command.value or "{}")
+        record = payload_of(command)
         return ConfigChange(
             kind=record.get("kind", ""), epoch=record.get("epoch", 0),
             new=tuple(record.get("new", ())),

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 
 class OpType(enum.Enum):
@@ -181,6 +182,64 @@ _SHARD_CHECKED_OPS = frozenset({OpType.PUT, OpType.GET, OpType.TXN})
 
 
 NOP = Command(op=OpType.NOP, client_id="__nop__", seq=0, value_size=0)
+
+
+def _shared(*args, **kwargs):
+    raise TypeError("a command payload is shared by every replica that "
+                    "applies it and is never mutated")
+
+
+class _FrozenDict(dict):
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _shared
+    clear = pop = popitem = setdefault = update = _shared
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+# The canonical text of a payload.  One encoder for all of them:
+# `json.dumps(..., sort_keys=True)` builds a new one on every call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _freeze(node):
+    # A read-only private copy of a JSON structure (objects as dicts whose
+    # mutators raise, arrays as tuples) that encodes to the same text.
+    # Leaves are tested inline: a call per scalar doubles the cost.
+    if isinstance(node, dict):
+        if not set(map(type, node)) <= {str}:
+            # JSON would stringify the key: text and structure would differ.
+            raise TypeError(f"payload object keys must be strings: {node!r}")
+        return _FrozenDict({
+            key: value if type(value) in _SCALARS else _freeze(value)
+            for key, value in node.items()})
+    if isinstance(node, (list, tuple)):
+        return tuple([item if type(item) in _SCALARS else _freeze(item)
+                      for item in node])
+    return node  # a scalar subclass: the encoder has already vetted it
+
+
+class Payload(str):
+    """The value of a JSON-valued command: the canonical (sorted-keys) text
+    — all that `len`, `==`, hashing, wire sizes and digests see — carrying
+    in `data` the structure its sender encoded, frozen, which the replicas
+    applying the command share instead of each parsing the text; `memo` is
+    written only by `kvstore.store._reply`.  DESIGN.md §6, §12 rule 7."""
+
+    __slots__ = ("data", "memo")
+
+    def __new__(cls, data: Mapping[str, Any]) -> "Payload":
+        self = str.__new__(cls, _encode(data))
+        cls.data.__set__(self, _freeze(data))
+        return self
+
+    __setattr__ = __delattr__ = _shared
+
+
+def payload_of(carrier) -> Mapping[str, Any]:
+    """The decoded JSON `value` of a command or of the reply to one, decoded
+    nowhere else: a `Payload`'s shared structure, or a plain string parsed."""
+    value = carrier.value
+    return value.data if type(value) is Payload else json.loads(value or "{}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -51,14 +51,13 @@ wins each rotation no matter how many raced.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.recorder import MetricsRecorder
 from repro.protocols.config import geo_cluster
 from repro.protocols.messages import ClientReply, ClientRequest
 from repro.protocols.registry import LEADERLESS, PROTOCOLS
-from repro.protocols.types import Command, OpType
+from repro.protocols.types import Command, OpType, Payload, payload_of
 from repro.sim.node import Host, Node, NodeCosts
 from repro.sim.units import ms, sec
 from repro.workload.session import AckFloor, RetryPolicy
@@ -108,7 +107,7 @@ class ControlView:
         if (command.op is not OpType.PUT
                 or not command.client_id.startswith(CONTROL_CLIENT_PREFIX)):
             return
-        record = json.loads(command.value or "{}")
+        record = payload_of(command)
         kind = record.get("k")
         if kind == "lease":
             self._renew(record["o"], record["t"])
@@ -264,7 +263,7 @@ class ReplicatedCoordinator(Node):
         record suppressed by its predecessor's dedup entry."""
         seq = self.stable.get("ctl_seq", 0) + 1
         self.stable["ctl_seq"] = seq
-        value = json.dumps(dict(record, t=self.sim.now), sort_keys=True)
+        value = Payload(dict(record, t=self.sim.now))
         command = Command(
             op=OpType.PUT, key=f"ctl:{self.name}", value=value,
             client_id=f"{CONTROL_CLIENT_PREFIX}{self.name}", seq=seq,

@@ -43,12 +43,11 @@ wedges the migration.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.recorder import MetricsRecorder
 from repro.protocols.messages import ClientReply, ClientRequest, ShardMap
-from repro.protocols.types import Command, OpType
+from repro.protocols.types import Command, OpType, Payload, payload_of
 from repro.shard.control import ControlGroup, ReplicatedCoordinator
 from repro.shard.partition import (
     HashRangePartitioner,
@@ -111,19 +110,18 @@ class ShardOwnership:
     @staticmethod
     def _guarded_keys(command: Command) -> List[str]:
         if command.op is OpType.TXN:
-            ops = json.loads(command.value or "{}").get("ops", [])
-            return [key for _, key, _ in ops]
+            return [key for _, key, _ in payload_of(command).get("ops", [])]
         return [command.key]
 
     def on_apply(self, replica: str, index: int, command: Command) -> None:
         """`on_apply_hooks` hook: advance ownership when a migrate command
         applies.  Idempotent, so dedup-suppressed duplicates are harmless."""
         if command.op is OpType.MIGRATE_OUT:
-            meta = json.loads(command.value or "{}")
+            meta = payload_of(command)
             self._learn(meta)
             self.ranges = subtract_range(self.ranges, meta["lo"], meta["hi"])
         elif command.op is OpType.MIGRATE_IN:
-            meta = json.loads(command.value or "{}")
+            meta = payload_of(command)
             self._learn(meta)
             self.ranges = add_range(self.ranges, meta["lo"], meta["hi"])
 
@@ -304,7 +302,7 @@ class ReshardCoordinator(ReplicatedCoordinator):
         # snapshot, which is the blob the import needs.
         move_idx = self._step // 2
         move = self.moves[move_idx]
-        value = json.dumps(self._meta(move), sort_keys=True)
+        value = Payload(self._meta(move))
         self._issue(move.donor, Command(
             op=OpType.MIGRATE_OUT,
             key=f"reshard:{self.target.epoch}:{move.start}",
@@ -366,9 +364,8 @@ class ReshardCoordinator(ReplicatedCoordinator):
         command, self._command = self._command, None
         move_idx = (command.seq - 1) // 2
         if command.op is OpType.MIGRATE_OUT:
-            payload = json.loads(message.value or "{}")
-            payload.update(self._meta(self.moves[move_idx]))
-            blob = json.dumps(payload, sort_keys=True)
+            blob = Payload(dict(payload_of(message),
+                                **self._meta(self.moves[move_idx])))
             self._advance(2 * move_idx + 1)
             self._begin_import(move_idx, blob)
         else:

@@ -44,7 +44,6 @@ so transactions pipeline like everything else.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.kvstore.checker import HistoryEvent
@@ -56,7 +55,7 @@ from repro.protocols.messages import (
     TxnReply,
     TxnRequest,
 )
-from repro.protocols.types import Command, OpType
+from repro.protocols.types import Command, OpType, Payload, payload_of
 from repro.shard.partition import HashRangePartitioner, Partitioner, VersionedPartitioner
 from repro.workload.clients import ClosedLoopClient
 from repro.workload.openloop import PoissonArrivals
@@ -316,9 +315,7 @@ class ShardRoutedClient(ClosedLoopClient):
         shards = {self.router.shard_of(key) for _, key, _ in ops}
         if len(shards) == 1:
             self.single_shard_txns += 1
-            value = json.dumps({"ops": [list(op) for op in ops]},
-                               sort_keys=True)
-            self.submit("txn", ops[0][1], value)
+            self.submit("txn", ops[0][1], Payload({"ops": ops}))
             return
         if self.coordinator is None:
             raise RuntimeError(
@@ -369,7 +366,7 @@ class ShardRoutedClient(ClosedLoopClient):
         for command in self.pending_commands():
             if command.op is OpType.TXN:
                 ops.extend(tuple(op) for op in
-                           json.loads(command.value or "{}").get("ops", []))
+                           payload_of(command).get("ops", []))
             elif command.op is OpType.PUT:
                 ops.append(("put", command.key, command.value))
             elif command.op is OpType.GET:
@@ -380,8 +377,8 @@ class ShardRoutedClient(ClosedLoopClient):
                              start: int, end: int) -> None:
         if command.op is not OpType.TXN:
             return
-        reads = json.loads(reply.value or "{}").get("reads", {})
-        ops = json.loads(command.value or "{}").get("ops", [])
+        reads = payload_of(reply).get("reads", {})
+        ops = payload_of(command).get("ops", [])
         self._finish_txn(f"{self.name}:s{command.seq}", ops, reads, start, end)
 
     def _finish_txn(self, txn_id: str, ops, reads, start: int, end: int) -> None:

@@ -59,14 +59,13 @@ tracks plain sharded throughput.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.kvstore.checker import TxnEvent, check_strict_serializability
 from repro.metrics.recorder import MetricsRecorder, RequestRecord
 from repro.protocols.messages import ClientReply, ClientRequest, TxnReply, TxnRequest
-from repro.protocols.types import Command, OpType
+from repro.protocols.types import Command, OpType, Payload, payload_of
 from repro.shard.cluster import Accounting, ShardedCluster, ShardedSpec
 from repro.shard.control import ControlGroup, ReplicatedCoordinator
 from repro.shard.partition import ring_point
@@ -289,7 +288,7 @@ class TxnCoordinator(ReplicatedCoordinator):
         assert state.seq < state.seq_base + SEQ_SPAN, (
             f"{state.handle}: sequence namespace overflow — more than "
             f"2**{SEQ_BITS} commands issued at one fence epoch")
-        value = json.dumps(payload, sort_keys=True)
+        value = Payload(payload)
         return Command(op=op, key=f"txn:{state.handle}", value=value,
                        client_id=f"{TXN_CLIENT_PREFIX}{state.route}",
                        seq=state.seq, value_size=len(value),
@@ -352,7 +351,7 @@ class TxnCoordinator(ReplicatedCoordinator):
             # back off and re-send the same command — dedup makes it safe.
             self._resend_later(state, shard, state.pending[shard], self.BACKOFF)
             return
-        payload = json.loads(msg.value or "{}")
+        payload = payload_of(msg)
         if state.phase == "prepare":
             self._on_vote(state, shard, payload)
         elif state.phase == "decide":
@@ -629,7 +628,7 @@ class TxnCoordinator(ReplicatedCoordinator):
             return
         sweep = _Sweep(victim, fe)
         self._sweeps[client_id] = sweep
-        value = json.dumps({"coord": victim, "inc": fe}, sort_keys=True)
+        value = Payload({"coord": victim, "inc": fe})
         for shard in range(self.router.num_shards):
             command = Command(
                 op=OpType.TXN_RECOVER, key=f"txnrec:{victim}", value=value,
@@ -649,7 +648,7 @@ class TxnCoordinator(ReplicatedCoordinator):
         if not msg.ok:
             self._send_command(shard, sweep.pending[shard])
             return
-        payload = json.loads(msg.value or "{}")
+        payload = payload_of(msg)
         del sweep.pending[shard]
         for meta in payload.get("prepared", []):
             sweep.prepared[meta["handle"]] = meta
@@ -939,19 +938,19 @@ class TxnCluster(ShardedCluster):
         the key's owner group (replicas are prefix-consistent, so the
         longest log is the most complete)."""
         orders: Dict[str, List[str]] = {}
+        shard_of = self.partitioner.shard_of
         for shard, replicas in self.groups.items():
-            keys = set()
-            for replica in replicas.values():
-                keys |= set(replica.store._write_log)
-            for key in keys:
-                if self.partitioner.shard_of(key) != shard:
+            logs = [replica.store._write_log for replica in replicas.values()]
+            for key in set().union(*logs):
+                if shard_of(key) != shard:
                     continue
-                best: List[str] = []
-                for replica in replicas.values():
-                    order = replica.store.write_order(key)
+                # Lengths compared in place; only the winner is copied.
+                best: Sequence[str] = ()
+                for log in logs:
+                    order = log.get(key, ())
                     if len(order) > len(best):
                         best = order
-                orders[key] = best
+                orders[key] = list(best)
         return orders
 
     def _writes(self) -> Tuple[Dict[str, set], Dict[str, int]]:

@@ -387,3 +387,57 @@ def test_retransmit_of_evicted_txn_seq_is_dropped_not_reexecuted():
     assert owner_version(cluster, k1) == 2
     # and no fresh attempt was started for the stale id
     assert "c_manual:1" not in coordinator._active
+
+
+# -- end-of-run accounting ------------------------------------------------------
+
+
+def write_orders_by_copying(cluster):
+    """`TxnCluster.write_orders` as it was before it stopped copying every
+    replica's history of every key: the reference the in-place version
+    must equal element for element."""
+    orders = {}
+    for shard, replicas in cluster.groups.items():
+        keys = set()
+        for replica in replicas.values():
+            keys |= set(replica.store._write_log)
+        for key in keys:
+            if cluster.partitioner.shard_of(key) != shard:
+                continue
+            best = []
+            for replica in replicas.values():
+                order = replica.store.write_order(key)
+                if len(order) > len(best):
+                    best = order
+            orders[key] = best
+    return orders
+
+
+def test_write_orders_equal_the_copying_reference_and_alias_nothing():
+    cluster = TxnCluster(txn_spec(duration_s=3.0))
+    cluster.run()
+    # Replicas lag each other at the cut-off, so "longest wins" matters.
+    lengths = {len(replica.log) for replica in cluster.groups[0].values()}
+    assert len(lengths) > 1
+    orders = cluster.write_orders()
+    reference = write_orders_by_copying(cluster)
+    assert orders and list(orders.values()) != [[]] * len(orders)
+    assert orders == reference
+    assert all(type(order) is list for order in orders.values())
+    # The winner is copied once: the checker's input is not a store's log.
+    for key, order in orders.items():
+        order.append("scribble")
+    assert cluster.write_orders() == reference
+
+
+def test_write_orders_copies_one_history_per_key_not_one_per_replica(
+        monkeypatch):
+    from repro.kvstore.store import KVStore
+
+    cluster = TxnCluster(txn_spec(duration_s=2.0))
+    cluster.run()
+    copies = []
+    monkeypatch.setattr(KVStore, "write_order",
+                        lambda self, key: copies.append(key) or [])
+    orders = cluster.write_orders()
+    assert orders and copies == []

@@ -21,8 +21,6 @@ from repro.bench.figures import FIGURES
 
 
 def build_parser() -> argparse.ArgumentParser:
-    on_request = [name for name, figure in FIGURES.items()
-                  if figure.on_request]
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's evaluation figures (and the "
@@ -35,8 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "figures", nargs="*", metavar="figure",
         help=f"which figures to run, any of: {' '.join(FIGURES)} (default: "
-             f"all of them except {' '.join(on_request)}, which only "
-             f"run when named)")
+             f"all of them)")
     parser.add_argument("--scale", type=float, default=0.6,
                         help="client-count/duration scale: 1.0 reproduces "
                              "the EXPERIMENTS.md numbers, smaller values "
@@ -60,8 +57,7 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown figure(s) {' '.join(unknown)}; choose from "
                      f"{' '.join(FIGURES)}")
-    names = args.figures or [name for name, figure in FIGURES.items()
-                             if not figure.on_request]
+    names = args.figures or list(FIGURES)
     exit_code = 0
     for name in names:
         figure = FIGURES[name]

@@ -34,9 +34,9 @@ import os
 import sys
 from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.bench.harness import PROTOCOLS, Cluster
-from repro.bench.perf import sharded_txn_spec, single_group_spec
-from repro.shard.txn import TxnCluster
+from repro.bench.harness import PROTOCOLS, Cluster, ExperimentSpec
+from repro.shard.txn import TxnCluster, TxnSpec
+from repro.sim.units import ms
 from repro.workload.ycsb import WorkloadConfig
 
 #: The canary workload: small enough for CI (sub-second), large enough
@@ -71,6 +71,49 @@ VARIANTS: Dict[str, Dict[str, Any]] = {
         read_fraction=0.3, conflict_rate=0.0, value_size=8, records=60)),
 }
 CANARY_ROWS: Tuple[str, ...] = tuple(PROTOCOLS) + tuple(VARIANTS)
+
+
+def _scaled(value: int, scale: float) -> int:
+    return max(1, int(round(value * scale)))
+
+
+def single_group_spec(scale: float = 1.0, seed: int = 0) -> ExperimentSpec:
+    """One Raft group under pipelined closed-loop load (replication path)."""
+    return ExperimentSpec(
+        protocol="raft",
+        clients_per_region=_scaled(40, scale),
+        pipeline_depth=4,
+        workload=WorkloadConfig(read_fraction=0.5, conflict_rate=0.0,
+                                value_size=8),
+        duration_s=4.0 * max(scale, 0.25),
+        warmup_s=1.0 * max(scale, 0.25),
+        cooldown_s=0.5 * max(scale, 0.25),
+        seed=seed,
+    )
+
+
+def sharded_txn_spec(scale: float = 1.0, seed: int = 0) -> TxnSpec:
+    """Four colocated groups under multi-key transactional load: one
+    quarter of the transactions span two shards (2PC through the
+    coordinator), the rest take the single-shard atomic fast path."""
+    return TxnSpec(
+        protocol="raft",
+        num_shards=4,
+        placement="colocated",
+        clients_per_region=_scaled(24, scale),
+        workload=WorkloadConfig(read_fraction=0.1, conflict_rate=0.0,
+                                value_size=8),
+        duration_s=4.0 * max(scale, 0.25),
+        warmup_s=1.0 * max(scale, 0.25),
+        cooldown_s=0.5 * max(scale, 0.25),
+        seed=seed,
+        site_uplink_factor=None,
+        hosts_per_site=1,
+        coalesce=True,
+        coalesce_flush_interval=int(ms(2)),
+        txn_size=2,
+        cross_shard_ratio=0.25,
+    )
 
 
 def _log_rows(replica, values: bool = False) -> List[list]:

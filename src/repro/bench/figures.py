@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.bench import experiments as ex
-from repro.bench import perf
 from repro.bench.report import FigureTable, render_all
 from repro.protocols.registry import LEADERLESS, PROTOCOLS
 from repro.shard.placement import PLACEMENTS
@@ -83,8 +82,6 @@ class Figure:
     options: Tuple[Option, ...] = ()
     # Stems under benchmarks/results/ holding this figure's committed output.
     results: Tuple[str, ...] = ()
-    # Not part of the default "every figure" run: ask for it by name.
-    on_request: bool = False
 
 
 def _rendered(experiment: Callable) -> Callable[..., Tuple[str, int]]:
@@ -220,19 +217,5 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
                default=(2, 4, 8), metavar="N",
                help="shard counts; the offered load stays fixed "
                     "(saturation is the point), --scale shortens the run"),
-    )),
-    Figure("perf", perf.perf_figure, on_request=True, options=(
-        Option("--perf-out", "out", metavar="FILE",
-               help="write the full report (four legs with profiles, "
-                    "calibration score, normalized events/sec) as JSON"),
-        Option("--perf-baseline", "baseline", metavar="FILE",
-               help="compare against a committed BENCH_perf.json (its "
-                    "post_refactor numbers) and print the speedups"),
-        Option("--perf-fail-threshold", "fail_threshold", default=0.30,
-               metavar="R",
-               type=_checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-               help="with --perf-baseline, exit non-zero when normalized "
-                    "events/sec drops more than R below the baseline (the "
-                    "CI perf job's contract)"),
     )),
 )}

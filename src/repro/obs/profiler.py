@@ -29,17 +29,13 @@ from typing import Any, Dict, List, Optional
 class SimProfiler:
     """Opt-in per-event-kind wall-clock profiler for `Simulator.run`."""
 
-    def __init__(self, mux_detail: bool = False) -> None:
+    def __init__(self) -> None:
         # kind -> [count, wall_seconds]
         self.by_kind: Dict[str, List[float]] = {}
         # node name -> [count, wall_seconds] (for callbacks bound to nodes)
         self.by_node: Dict[str, List[float]] = {}
         self.events = 0
         self.wall_s = 0.0
-        # Opt-in: the mux times each inner message it unpacks from a
-        # `HostEnvelope` and reports it via `add_inner`, splitting the
-        # opaque `handle:HostEnvelope` bucket per inner payload type.
-        self.mux_detail = mux_detail
 
     # -- attachment ----------------------------------------------------------
 
@@ -78,19 +74,6 @@ class SimProfiler:
                     cell = self.by_node[node] = [0, 0.0]
                 cell[0] += 1
                 cell[1] += dt
-
-    def add_inner(self, kind: str, dt: float) -> None:
-        """Sub-attribute wall time already counted under a parent dispatch
-        (the mux's per-inner-type split of `handle:HostEnvelope`).  Only
-        the kind table is touched — `events`/`wall_s` belong to the parent
-        dispatch, so sub-rows OVERLAP their parent in the report (their
-        shares do not add to the total; they decompose the parent's row).
-        """
-        cell = self.by_kind.get(kind)
-        if cell is None:
-            cell = self.by_kind[kind] = [0, 0.0]
-        cell[0] += 1
-        cell[1] += dt
 
     @staticmethod
     def _kind(event) -> str:

@@ -115,40 +115,11 @@ class ReplicaBase(Node):
 
     def register_handler(self, message_type: type, handler: Callable[[str, Any], None]) -> None:
         self._handlers[message_type] = handler
-        # A host mux caches (replica, handler) pairs per inner-message type
-        # (GroupMux._inbound); a late registration must not leave a stale
-        # bound method in that cache.  In practice every protocol registers
-        # in __init__, before mux registration, so this never fires hot.
-        mux = self.mux
-        if mux is not None:
-            invalidate = getattr(mux, "invalidate_dispatch", None)
-            if invalidate is not None:
-                invalidate(self.name)
 
     def on_message(self, src: str, message: Any) -> None:
         handler = self._handlers.get(type(message))
         if handler is None:
             self.trace.record(self.sim.now, self.name, "unhandled", msg=type(message).__name__)
-            return
-        handler(src, message)
-
-    def _handle(self, src: str, message: Any, incarnation: int) -> None:
-        # Specialized dispatch: `Node._handle` -> `on_message` -> dict get
-        # collapsed into one frame.  The handler table holds methods bound
-        # once at construction, so the per-message work here is a single
-        # dict probe plus the call.  Must stay behaviorally identical to
-        # Node._handle + ReplicaBase.on_message (the equivalence test in
-        # tests/protocols/test_fast_construct.py drives both paths).
-        if not self.alive or self.incarnation != incarnation:
-            return
-        self.messages_handled += 1
-        if self.trace.enabled:
-            self.trace.record(self.sim.now, self.name, "recv", src=src,
-                              msg=type(message).__name__)
-        handler = self._handlers.get(type(message))
-        if handler is None:
-            self.trace.record(self.sim.now, self.name, "unhandled",
-                              msg=type(message).__name__)
             return
         handler(src, message)
 

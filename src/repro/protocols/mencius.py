@@ -234,7 +234,7 @@ class MenciusReplica(ReplicaBase):
         self.next_own = new_next
 
     def _mark_skipped(self, index: int) -> None:
-        self.entries[index] = Entry.make(0, Command.make(
+        self.entries[index] = Entry(0, Command(
             op=_NOP, client_id="__skip__", seq=index, value_size=0,
         ), 0)
         self.status[index] = STATUS_SKIPPED

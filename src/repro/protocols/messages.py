@@ -286,11 +286,6 @@ class AppendEntries:
     def last_index(self) -> int:
         return self.prev_index + len(self.entries)
 
-    # `AppendEntries.make(...)` / `AppendEntriesReply.make(...)` /
-    # `HostEnvelope.make(...)` are bound after the class bodies (see
-    # `_bind_fast_constructors`): direct slot stores, field-for-field
-    # equal to dataclass construction including the -1 size memo.
-
 
 @dataclass(slots=True)
 class AppendEntriesReply:
@@ -824,74 +819,3 @@ class HostEnvelope:
     def message_count(self) -> int:
         """Protocol messages this envelope replaces (beacon included)."""
         return len(self.items) + (1 if self.beacon is not None else 0)
-
-
-def _bind_fast_constructors() -> None:
-    """Attach `.make(...)` to the hot-path message classes: allocation via
-    `object.__new__` plus direct slot-descriptor stores, skipping the
-    dataclass `__init__`'s per-field `__setattr__` name lookups.  Results
-    are field-for-field equal to dataclass construction — including the
-    -1 size-memo sentinel — property-tested in
-    tests/protocols/test_fast_construct.py."""
-    new = object.__new__
-
-    (a_term, a_leader, a_prev, a_prev_term, a_entries, a_commit,
-     a_size, a_cpu) = (
-        AppendEntries.__dict__[n].__set__
-        for n in ("term", "leader", "prev_index", "prev_term", "entries",
-                  "leader_commit", "_size", "_cpu"))
-
-    def make_append(term: int, leader: str, prev_index: int, prev_term: int,
-                    entries: Tuple[Entry, ...],
-                    leader_commit: int) -> AppendEntries:
-        self = new(AppendEntries)
-        a_term(self, term)
-        a_leader(self, leader)
-        a_prev(self, prev_index)
-        a_prev_term(self, prev_term)
-        a_entries(self, entries)
-        a_commit(self, leader_commit)
-        a_size(self, -1)
-        a_cpu(self, None)
-        return self
-
-    (r_term, r_follower, r_success, r_match, r_holders) = (
-        AppendEntriesReply.__dict__[n].__set__
-        for n in ("term", "follower", "success", "match_index",
-                  "lease_holders"))
-
-    def make_append_reply(term: int, follower: str, success: bool,
-                          match_index: int,
-                          lease_holders: FrozenSet[str] = NO_HOLDERS,
-                          ) -> AppendEntriesReply:
-        self = new(AppendEntriesReply)
-        r_term(self, term)
-        r_follower(self, follower)
-        r_success(self, success)
-        r_match(self, match_index)
-        r_holders(self, lease_holders)
-        return self
-
-    (e_src, e_dst, e_items, e_beacon, e_size, e_dedup) = (
-        HostEnvelope.__dict__[n].__set__
-        for n in ("src_host", "dst_host", "items", "beacon", "_size",
-                  "_dedup"))
-
-    def make_envelope(src_host: str, dst_host: str,
-                      items: Tuple[MuxedMessage, ...] = (),
-                      beacon: Optional[HostBeacon] = None) -> HostEnvelope:
-        self = new(HostEnvelope)
-        e_src(self, src_host)
-        e_dst(self, dst_host)
-        e_items(self, items)
-        e_beacon(self, beacon)
-        e_size(self, -1)
-        e_dedup(self, -1)
-        return self
-
-    AppendEntries.make = staticmethod(make_append)
-    AppendEntriesReply.make = staticmethod(make_append_reply)
-    HostEnvelope.make = staticmethod(make_envelope)
-
-
-_bind_fast_constructors()

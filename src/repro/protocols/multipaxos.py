@@ -309,11 +309,10 @@ class MultiPaxosReplica(ReplicaBase):
     def _accept_into_log(self, msg: Accept) -> None:
         """Phase2b's write: overwrite each instance with the proposer's
         value and ballot (acceptors never erase)."""
-        make = Entry.make
         round_ = msg.ballot.round
         entered = self._entry_entered
         for index, command in msg.instances.items():
-            self.instances[index] = make(round_, command, round_)
+            self.instances[index] = Entry(round_, command, round_)
             self.log_tail = max(self.log_tail, index)
             entered(index, command)
 
@@ -403,7 +402,7 @@ class MultiPaxosReplica(ReplicaBase):
                     if self.commit_index > self.last_applied:
                         self.last_applied = self.commit_index
                     continue
-            self.apply_entry(self.commit_index, Entry.make(0, command))
+            self.apply_entry(self.commit_index, Entry(0, command))
         if advanced and self._deferred_commands:
             # The α window may have re-opened: re-submit in arrival order
             # (still-closed windows simply re-defer).

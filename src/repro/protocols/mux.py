@@ -44,8 +44,7 @@ tests/protocols/test_mux_properties.py).
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
 
 from repro.protocols.messages import HostBeacon, HostEnvelope, MuxedMessage
 from repro.sim.node import Host, Node, NodeCosts
@@ -93,12 +92,6 @@ class GroupMux(Node):
         # colocated, group).  Replica placement never changes after
         # registration; `register` clears it anyway for safety.
         self._routes: Dict[str, tuple] = {}
-        # Inbound dispatch cache: (dst replica, payload type) -> the
-        # pre-resolved (replica, bound handler) pair, so unpack skips the
-        # registry lookups after the first message of each kind.
-        # `ReplicaBase.register_handler` calls `invalidate_dispatch` on
-        # late (re-)registration.
-        self._inbound: Dict[Tuple[str, type], tuple] = {}
         self._pending_beacons: Dict[str, HostBeacon] = {}
         self._flush_timer = self.timer("mux-flush")
         self._beacon_timer = self.timer("mux-beacon")
@@ -169,7 +162,6 @@ class GroupMux(Node):
         dirty = self._dirty
         targets = sorted(dirty.union(beacons)) if beacons else sorted(dirty)
         dirty.clear()
-        make = HostEnvelope.make
         muxes = self.directory.muxes
         src_host = self.host.name
         for dst_mux in targets:
@@ -179,8 +171,8 @@ class GroupMux(Node):
                 buffer.clear()
             else:
                 items = ()
-            envelope = make(src_host, muxes[dst_mux].host.name,
-                            items, beacons.get(dst_mux))
+            envelope = HostEnvelope(src_host, muxes[dst_mux].host.name,
+                                    items, beacons.get(dst_mux))
             self._count("coalesce_envelopes")
             self._count("coalesce_messages", len(items))
             saved = envelope.payload_dedup_bytes()
@@ -229,64 +221,20 @@ class GroupMux(Node):
 
     # -- inbound -------------------------------------------------------------
 
-    def invalidate_dispatch(self, name: Optional[str] = None) -> None:
-        """Drop the inbound dispatch cache (a replica re-registered a
-        handler after construction).  Rare by construction — every
-        protocol registers in `__init__` — so a full clear is fine."""
-        self._inbound.clear()
-
     def on_message(self, src: str, message: Any) -> None:
         if not isinstance(message, HostEnvelope):
             return
-        # Unpack inline with the dispatch cache: semantically identical to
-        # `replica.deliver_direct(item.src, item.payload)` per item (alive
-        # check, handled counter, trace record, handler dispatch) minus the
-        # per-item registry lookups.  `deliver_direct` stays as the
-        # fallback for payload types with no registered handler.
-        profiler = self.sim.profiler
-        if profiler is not None and not profiler.mux_detail:
-            profiler = None
-        inbound = self._inbound
         local = self.local
-        now = self.sim.now
         for item in message.items:
-            dst = item.dst
-            payload = item.payload
-            payload_type = payload.__class__
-            cached = inbound.get((dst, payload_type))
-            if cached is None:
-                replica = local.get(dst)
-                if replica is None:
-                    # Network stats count wire transmissions (the envelope
-                    # was sent and delivered); the discarded inner item is
-                    # mux bookkeeping, like the raw transport dropping at a
-                    # dead process's doorstep.
-                    self._count("coalesce_items_dropped")
-                    continue
-                handlers = getattr(replica, "_handlers", None)
-                handler = (None if handlers is None
-                           else handlers.get(payload_type))
-                cached = inbound[(dst, payload_type)] = (replica, handler)
-            replica, handler = cached
-            if not replica.alive:
+            replica = local.get(item.dst)
+            if replica is None or not replica.alive:
+                # Network stats count wire transmissions (the envelope
+                # was sent and delivered); the discarded inner item is
+                # mux bookkeeping, like the raw transport dropping at a
+                # dead process's doorstep.
                 self._count("coalesce_items_dropped")
                 continue
-            if handler is None:
-                replica.deliver_direct(item.src, payload)
-                continue
-            replica.messages_handled += 1
-            trace = replica.trace
-            if trace.enabled:
-                trace.record(now, replica.name, "recv", src=item.src,
-                             msg=payload_type.__name__)
-            if profiler is None:
-                handler(item.src, payload)
-            else:
-                t0 = time.perf_counter()
-                handler(item.src, payload)
-                profiler.add_inner(
-                    f"handle:HostEnvelope/{payload_type.__name__}",
-                    time.perf_counter() - t0)
+            replica.deliver_direct(item.src, item.payload)
         if message.beacon is not None:
             for group in sorted(message.beacon.beats):
                 leader, term = message.beacon.beats[group]

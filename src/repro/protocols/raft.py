@@ -326,7 +326,7 @@ class RaftReplica(ReplicaBase):
 
     def _append_to_log(self, command: Command) -> None:
         term = self.current_term
-        self.log.append(Entry.make(term, command, term))
+        self.log.append(Entry(term, command, term))
         self._entry_entered(len(self.log) - 1, command)
 
     def _append_config(self, change: ConfigChange) -> None:
@@ -401,7 +401,7 @@ class RaftReplica(ReplicaBase):
                     or message.term != self.current_term
                     or message.prev_index != prev
                     or message.leader_commit != commit):
-                message = state.empty_append = AppendEntries.make(
+                message = state.empty_append = AppendEntries(
                     term=self.current_term,
                     leader=self.name,
                     prev_index=prev,
@@ -432,7 +432,7 @@ class RaftReplica(ReplicaBase):
         if state.sent_hwm < hwm:
             state.sent_hwm = hwm
         state.sent_commit = commit
-        self.send(peer, AppendEntries.make(
+        self.send(peer, AppendEntries(
             term=self.current_term,
             leader=self.name,
             prev_index=prev,
@@ -456,7 +456,7 @@ class RaftReplica(ReplicaBase):
         success, match = self._try_append(msg)
         if success:
             self._advance_commit_follower(min(msg.leader_commit, match))
-        self.send(src, AppendEntriesReply.make(
+        self.send(src, AppendEntriesReply(
             self.current_term, self.name, success, match,
             self._ack_payload()))
 

@@ -161,13 +161,6 @@ class Command:
         prepare time instead."""
         return self.op in _SHARD_CHECKED_OPS
 
-    # `Command.make(...)` — the hot-path constructor — is bound after the
-    # class body (see `_bind_fast_constructors`): it stores through the
-    # slot descriptors directly, skipping the frozen-dataclass `__init__`
-    # (one `object.__setattr__` name lookup per field).  Field-for-field
-    # equivalent to the dataclass path, property-tested in
-    # tests/protocols/test_fast_construct.py.
-
 
 # Hot-path op sets, built once (an inline tuple literal of enum members is
 # rebuilt on every membership test).
@@ -289,53 +282,3 @@ class Entry:
 
     def copy(self) -> "Entry":
         return Entry(term=self.term, command=self.command, ballot=self.ballot)
-
-
-def _bind_fast_constructors() -> None:
-    """Attach `Command.make` / `Entry.make`: allocation via
-    `object.__new__` plus direct slot-descriptor stores.
-
-    The generated dataclass `__init__` of a frozen slots class routes
-    every field through `object.__setattr__`, which re-resolves the slot
-    descriptor by name on each call; binding the descriptors' `__set__`
-    once here removes that lookup from the per-construction cost.  The
-    results are indistinguishable from dataclass construction (`__eq__`,
-    `hash`, every field and method) — the invariant the hot-path callers
-    and the equivalence property tests rely on.
-    """
-    new = object.__new__
-    (c_op, c_key, c_value, c_client, c_seq, c_vsize, c_alw, c_cons,
-     c_trace) = (Command.__dict__[name].__set__ for name in (
-         "op", "key", "value", "client_id", "seq", "value_size",
-         "acked_low_water", "consistency", "trace"))
-
-    def make_command(op: OpType, key: str = "",
-                     value: Optional[str] = None, client_id: str = "",
-                     seq: int = 0, value_size: int = 8,
-                     acked_low_water: int = -1,
-                     consistency: Consistency = Consistency.DEFAULT,
-                     trace: Optional[str] = None) -> Command:
-        self = new(Command)
-        c_op(self, op)
-        c_key(self, key)
-        c_value(self, value)
-        c_client(self, client_id)
-        c_seq(self, seq)
-        c_vsize(self, value_size)
-        c_alw(self, acked_low_water)
-        c_cons(self, consistency)
-        c_trace(self, trace)
-        return self
-
-    def make_entry(term: int, command: Command, ballot: int = -1) -> Entry:
-        self = new(Entry)
-        self.term = term
-        self.command = command
-        self.ballot = ballot
-        return self
-
-    Command.make = staticmethod(make_command)
-    Entry.make = staticmethod(make_entry)
-
-
-_bind_fast_constructors()

@@ -117,9 +117,6 @@ class Simulator:
         # Opt-in wall-clock profiler (repro.obs.profiler.SimProfiler).
         # None (the default) costs one attribute load + branch per event.
         self.profiler = None
-        # Pause the cyclic GC while run() drains (see `run`); set False to
-        # keep the collector's normal cadence.
-        self.gc_pause = True
 
     @property
     def now(self) -> int:
@@ -176,8 +173,7 @@ class Simulator:
         # dies by refcount — the structures that do form cycles (an event's
         # sim backref, a timer's event) are detached explicitly on pop or
         # cancel — so pausing trades no memory for a large constant factor.
-        # Set `gc_pause = False` to opt out.
-        gc_was_enabled = self.gc_pause and gc.isenabled()
+        gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         self._running = True

@@ -284,9 +284,7 @@ class Node:
         self.mux = None
         # The dispatch callback `_receive` schedules for every arriving
         # message, resolved once: attribute access re-creates a bound
-        # method per call otherwise, and this binds the most-derived
-        # override (`ReplicaBase._handle`) since subclass methods resolve
-        # through `self`.
+        # method per call otherwise.
         self._handle_cb = self._handle
         network.register(self)
 

@@ -19,7 +19,6 @@ from repro.protocols.types import Command, OpType
 from repro.sim.units import ms
 from repro.workload.plan import ClientPlan
 from repro.workload.session import (  # re-exported: the historical home
-    LEGACY_RETRY,
     RETRY_TIMEOUT,
     RetryPolicy,
     Session,
@@ -27,7 +26,7 @@ from repro.workload.session import (  # re-exported: the historical home
 from repro.workload.ycsb import WorkloadConfig
 
 __all__ = ["ClosedLoopClient", "spawn_clients", "RetryPolicy",
-           "RETRY_TIMEOUT", "LEGACY_RETRY"]
+           "RETRY_TIMEOUT"]
 
 
 class ClosedLoopClient(Session):

@@ -89,10 +89,6 @@ class RetryPolicy:
 #: The legacy resend timeout, kept as the default `RetryPolicy` base.
 RETRY_TIMEOUT = sec(5)
 
-#: A deterministic policy reproducing the pre-session fixed constants
-#: exactly (no growth, no jitter) — regression tests pin against this.
-LEGACY_RETRY = RetryPolicy(multiplier=1.0, jitter=0.0)
-
 
 class AckFloor:
     """The contiguous-acknowledgement floor of a pipelined namespace:
@@ -308,7 +304,7 @@ class Session(Node):
             value_size = len(qop.value)
         else:
             value_size = self._default_value_size
-        command = Command.make(
+        command = Command(
             op=_OPS[qop.kind], key=qop.key, value=qop.value,
             client_id=self.name, seq=seq, value_size=value_size,
             acked_low_water=self._ack_floor.floor, consistency=qop.consistency,

@@ -39,9 +39,6 @@ SAMPLE = {
     "--cross-ratio": (["0", "1"], (0.0, 1.0)),
     "--coalesce": (["on"], ("on",)),
     "--coalesce-shards": (["2"], (2,)),
-    "--perf-out": (["perf.json"], "perf.json"),
-    "--perf-baseline": (["base.json"], "base.json"),
-    "--perf-fail-threshold": (["0.5"], 0.5),
 }
 
 #: flag -> a value its range check (or choice list) must refuse
@@ -60,7 +57,6 @@ OUT_OF_RANGE = {
     "--cross-ratio": "1.5",
     "--coalesce": "maybe",
     "--coalesce-shards": "0",
-    "--perf-fail-threshold": "1.0",
 }
 
 
@@ -79,9 +75,7 @@ def calls(monkeypatch):
 def test_no_arguments_runs_every_default_figure(calls, capsys):
     assert main([]) == 0
     ran = [name for name, *_ in calls]
-    assert ran == [name for name, figure in FIGURES.items()
-                   if not figure.on_request]
-    assert "perf" in FIGURES and "perf" not in ran
+    assert ran == list(FIGURES)
     for name, scale, seed, options in calls:
         assert (scale, seed) == (0.6, 1)
         assert set(options) == {o.keyword for o in FIGURES[name].options}
@@ -102,6 +96,23 @@ def test_unknown_figure_is_rejected(calls, capsys):
         main(["fig3", "fig99"])
     assert exit_info.value.code == 2
     assert "fig99" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_the_retired_perf_figure_is_rejected_naming_the_valid_ones(calls,
+                                                                   capsys):
+    """The events/s microbenchmark is gone (the ledger under
+    `benchmarks/ledger/` is the one perf benchmark): asking for it is an
+    unknown-figure error, and its flags no longer parse."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["perf"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "perf" in err and all(name in err for name in FIGURES)
+    for flag in ("--perf-out", "--perf-baseline", "--perf-fail-threshold"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig3", flag, "x"])
+        assert exit_info.value.code == 2
     assert calls == []
 
 
@@ -136,9 +147,9 @@ def test_help_names_every_figure_and_every_flag():
 
 
 def test_a_failing_figure_sets_the_exit_code(calls, monkeypatch):
-    monkeypatch.setitem(FIGURES, "perf", replace(
-        FIGURES["perf"], run=lambda scale, seed, **options: ("slow", 1)))
-    assert main(["perf", "fig3"]) == 1
+    monkeypatch.setitem(FIGURES, "fig6", replace(
+        FIGURES["fig6"], run=lambda scale, seed, **options: ("broken", 1)))
+    assert main(["fig6", "fig3"]) == 1
     assert [name for name, *_ in calls] == ["fig3"]  # the rest still ran
 
 

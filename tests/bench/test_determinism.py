@@ -20,9 +20,9 @@ from repro.bench.determinism import (
     TXN_ROW,
     VARIANTS,
     run_canary,
+    sharded_txn_spec,
     state_digest,
 )
-from repro.bench.perf import sharded_txn_spec
 from repro.protocols.registry import PROTOCOLS
 
 GOLDEN = (pathlib.Path(__file__).resolve().parents[2]

@@ -10,6 +10,8 @@ and amortizing exactly (k-1) `per_message` units.
 import pytest
 
 from repro.metrics.recorder import MetricsRecorder
+from repro.protocols.base import ReplicaBase
+from repro.protocols.config import ClusterConfig
 from repro.protocols.messages import (
     HEADER_BYTES,
     AppendEntries,
@@ -194,6 +196,43 @@ def test_crashed_destination_drops_at_unpack():
     # bookkeeping, not a network drop (sent/dropped stay coherent).
     assert metrics.counters["coalesce_items_dropped"] == 1
     assert network.messages_dropped == 0
+
+
+def test_item_for_unknown_or_crashed_replica_is_counted_and_reaches_no_handler():
+    sim, network, metrics, muxes, members = build_pair()
+    members[(1, "s1")].crash()
+    muxes["s1"].on_message("mux.h0.s0", HostEnvelope("h0.s0", "h0.s1", items=(
+        MuxedMessage(src="g0_r_s0", dst="nobody", group=0, payload="lost"),
+        MuxedMessage(src="g1_r_s0", dst="g1_r_s1", group=1, payload="late"),
+        MuxedMessage(src="g0_r_s0", dst="g0_r_s1", group=0, payload="fine"),
+    )))
+    assert metrics.counters["coalesce_items_dropped"] == 2
+    assert members[(1, "s1")].received == []
+    assert members[(1, "s1")].messages_handled == 0
+    assert members[(0, "s1")].received == [("g0_r_s0", "fine")]
+
+
+def test_handler_registered_after_mux_registration_is_the_one_reached():
+    """Unpack goes through the replica's own dispatch, so the handler an
+    enveloped message reaches is whatever is registered when it arrives."""
+    sim, network, metrics, muxes, members = build_pair()
+    names = {"late_s0": "s0", "late_s1": "s1"}
+    config = ClusterConfig(replicas=names, hosts={
+        name: muxes[site].host for name, site in names.items()})
+    replicas = {name: ReplicaBase(name, sim, network, config)
+                for name in names}
+    for name, site in names.items():
+        muxes[site].register(replicas[name], 2)
+    early, late = [], []
+    receiver = replicas["late_s1"]
+    receiver.register_handler(Sized, lambda src, msg: early.append(src))
+    replicas["late_s0"].send("late_s1", Sized(8, 0.0))
+    sim.run()
+    receiver.register_handler(Sized, lambda src, msg: late.append(src))
+    replicas["late_s0"].send("late_s1", Sized(8, 0.0))
+    sim.run()
+    assert (early, late) == (["late_s0"], ["late_s0"])
+    assert metrics.counters["coalesce_envelopes"] == 2
 
 
 def test_host_crash_loses_the_buffered_flush():

@@ -25,6 +25,7 @@ from repro.protocols.messages import (
     MuxedMessage,
     SkipNotice,
 )
+from repro.protocols.raft import RaftReplica
 from repro.protocols.types import Ballot, Command, Entry, OpType
 from repro.sim.events import Simulator
 from repro.sim.network import Network
@@ -203,3 +204,27 @@ def test_point_to_point_message_carries_no_cost_memo(monkeypatch):
     assert not hasattr(ack, "_cpu")
     computed, _ = _fan_out(ack, lambda i: NodeCosts(), monkeypatch)
     assert computed == 4
+
+
+def test_interned_heartbeat_equals_fresh_construction(cluster_factory):
+    """The leader's reused empty-append skeleton is indistinguishable from
+    what per-tick dataclass construction would have built, and IS reused
+    (same object) while (term, prev, commit) hold still."""
+    cluster = cluster_factory(RaftReplica)
+    cluster.run_ms(400)  # settle leadership, several idle heartbeat ticks
+    leader = cluster["s0"]
+    assert leader.role.name == "LEADER"
+    peer = leader.peers[0]
+    state = leader._peer_state[peer]
+    interned = state.empty_append
+    assert interned is not None
+    fresh = AppendEntries(
+        term=leader.current_term, leader=leader.name,
+        prev_index=interned.prev_index,
+        prev_term=leader.term_at(interned.prev_index),
+        entries=(), leader_commit=interned.leader_commit)
+    assert interned == fresh
+    assert interned.size_bytes() == fresh.size_bytes()
+    # Force another idle heartbeat: the same object is reused.
+    leader._send_append(peer, heartbeat=True)
+    assert leader._peer_state[peer].empty_append is interned

@@ -102,15 +102,6 @@ def test_gc_paused_during_run_and_restored():
     assert gc.isenabled()
 
 
-def test_gc_pause_opt_out():
-    sim = Simulator()
-    sim.gc_pause = False
-    seen = []
-    sim.schedule(1, lambda: seen.append(gc.isenabled()))
-    sim.run()
-    assert seen == [True]
-
-
 def test_gc_already_disabled_stays_disabled():
     sim = Simulator()
     sim.schedule(1, lambda: None)

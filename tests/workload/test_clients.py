@@ -10,12 +10,15 @@ from repro.sim.rng import SplitRng
 from repro.sim.topology import symmetric_lan
 from repro.sim.units import ms, sec
 from repro.workload.clients import (
-    LEGACY_RETRY,
     ClosedLoopClient,
     RetryPolicy,
     spawn_clients,
 )
 from repro.workload.ycsb import WorkloadConfig
+
+#: No growth, no jitter: the fixed 20 ms backoff / 5 s resend schedule the
+#: send counts below assume.
+FIXED_RETRY = RetryPolicy(multiplier=1.0, jitter=0.0)
 
 
 class InstantServer(Node):
@@ -108,9 +111,9 @@ def test_duplicate_rejections_collapse_into_one_resend():
     retransmit answered twice, or a rejection racing the 5 s retry timer)
     permanently doubled the in-flight sends.  The per-request backoff
     timer (`arm` replaces) collapses duplicates into one pending resend.
-    (LEGACY_RETRY pins the fixed 20 ms schedule the counts assume.)"""
+    (FIXED_RETRY pins the fixed 20 ms schedule the counts assume.)"""
     sim, server, client, metrics = build(drop_first=10**9,  # server stays mute
-                                         retry=LEGACY_RETRY)
+                                         retry=FIXED_RETRY)
     sim.run(until=ms(20))
     assert server.seen == 1
     request_id = client.in_flight.request_id
@@ -127,10 +130,10 @@ def test_duplicate_rejections_collapse_into_one_resend():
 def test_many_duplicate_rejections_still_one_resend_per_round():
     """The multiplied-rejection storm: every rejection answered twice for
     many rounds must still produce one resend per ~20 ms backoff round,
-    not an exponentially growing herd.  (LEGACY_RETRY pins the fixed
+    not an exponentially growing herd.  (FIXED_RETRY pins the fixed
     20 ms backoff rounds the send counts assume.)"""
     sim, server, client, metrics = build(fail_first=8, duplicate_replies=True,
-                                         retry=LEGACY_RETRY)
+                                         retry=FIXED_RETRY)
     sim.run(until=ms(400))
     assert client.completed >= 1
     first_id = server.request_log[0]

@@ -14,7 +14,7 @@ from repro.sim.topology import symmetric_lan
 from repro.sim.units import ms, sec
 from repro.workload.clients import ClosedLoopClient
 from repro.workload.openloop import OpenLoopClient
-from repro.workload.session import LEGACY_RETRY, RetryPolicy, Session
+from repro.workload.session import RetryPolicy, Session
 from repro.workload.ycsb import WorkloadConfig
 
 WORKLOAD = WorkloadConfig(read_fraction=0.5, conflict_rate=0.0, records=10)
@@ -257,9 +257,10 @@ def test_retry_policy_jitter_spreads_delays():
 
 
 def test_legacy_retry_is_fixed_schedule():
+    fixed = RetryPolicy(multiplier=1.0, jitter=0.0)
     rng = SplitRng(7).stream("jitter")
-    assert {LEGACY_RETRY.backoff_delay(n, rng) for n in range(1, 9)} == {ms(20)}
-    assert LEGACY_RETRY.retry_delay(3, rng) == sec(5)
+    assert {fixed.backoff_delay(n, rng) for n in range(1, 9)} == {ms(20)}
+    assert fixed.retry_delay(3, rng) == sec(5)
 
 
 def test_rejection_storm_desynchronizes_with_jittered_backoff():

@@ -72,6 +72,17 @@ def update(name: str, var: str) -> Callable:
     return wrap
 
 
+def _canonical(value: Any) -> Any:
+    """Sort key for a domain element: natural order on scalars and tuples; a
+    set compares as its sorted elements (`<` on sets is only the subset
+    partial order, and iterating one follows the interpreter's hash seed)."""
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted(map(_canonical, value)))
+    if isinstance(value, tuple):
+        return tuple(map(_canonical, value))
+    return value
+
+
 @dataclass
 class Action:
     """A parameterized subaction: ∃ params ∈ domains : ∧ clauses.
@@ -107,14 +118,22 @@ class Action:
         return tuple(clause.var for clause in self.updates)
 
     def bindings(self, constants: Mapping, state: State) -> Iterator[Dict[str, Any]]:
-        """Enumerate parameter bindings (cartesian product of domains)."""
+        """Enumerate parameter bindings (cartesian product of domains).
+
+        A set-valued domain ("∃ m ∈ msgs") is enumerated sorted, so the order
+        successors are generated in — and with it which states a bounded run
+        reaches and which counterexample it reports first — is the same
+        under every `PYTHONHASHSEED`.
+        """
         if not self.params:
             yield {}
             return
         names = list(self.params)
         domains = []
         for name in names:
-            domain = list(self.params[name](constants, state))
+            domain = self.params[name](constants, state)
+            domain = (sorted(domain, key=_canonical)
+                      if isinstance(domain, (set, frozenset)) else list(domain))
             if not domain:
                 return
             domains.append(domain)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.action import Action
-from repro.core.state import State
+from repro.core.state import State, show
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class Transition:
     next_state: State
 
     def describe(self) -> str:
-        params = ", ".join(f"{k}={v!r}" for k, v in self.params)
+        params = ", ".join(f"{k}={show(v)}" for k, v in self.params)
         return f"{self.action}({params})"
 
 

@@ -11,6 +11,21 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, Mapping, Tuple
 
 
+def show(value: Any) -> str:
+    """`repr` with set elements sorted by their own rendering.
+
+    A frozenset iterates in hash order and strings hash differently per
+    interpreter run; a printed state or counterexample must not depend on
+    `PYTHONHASHSEED` (sorting the renderings works for any element type).
+    """
+    if isinstance(value, (set, frozenset)):
+        return "frozenset({%s})" % ", ".join(sorted(map(show, value))) if value else "frozenset()"
+    if isinstance(value, tuple):
+        inner = ", ".join(map(show, value))
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    return repr(value)
+
+
 class FMap(Mapping):
     """A small immutable mapping with value hashing.
 
@@ -69,7 +84,7 @@ class FMap(Mapping):
         return NotImplemented
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k!r}: {v!r}" for k, v in self._items)
+        inner = ", ".join(f"{k!r}: {show(v)}" for k, v in self._items)
         return f"FMap({{{inner}}})"
 
 
@@ -130,8 +145,8 @@ class State(Mapping):
         return NotImplemented
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._items)
+        inner = ", ".join(f"{k}={show(v)}" for k, v in self._items)
         return f"State({inner})"
 
     def pretty(self) -> str:
-        return "\n".join(f"  {k} = {v!r}" for k, v in self._items)
+        return "\n".join(f"  {k} = {show(v)}" for k, v in self._items)

@@ -85,7 +85,7 @@ def _promise_sets(c, s):
     for msg in s["msgs1b"]:
         by_ballot.setdefault(msg[1], []).append(msg)
     result = []
-    for msgs in by_ballot.values():
+    for _ballot, msgs in sorted(by_ballot.items()):
         senders = {m[0] for m in msgs}
         for size in range(1, len(msgs) + 1):
             for combo in itertools.combinations(sorted(msgs), size):

@@ -80,7 +80,7 @@ def _vote_sets(c, s):
     for msg in s["vmsgs1b"]:
         by_term.setdefault(msg[1], []).append(msg)
     result = []
-    for msgs in by_term.values():
+    for _term, msgs in sorted(by_term.items()):
         for size in range(1, len(msgs) + 1):
             for combo in itertools.combinations(sorted(msgs), size):
                 if len({m[0] for m in combo}) == len(combo):

@@ -112,6 +112,20 @@ def test_empty_domain_yields_no_bindings():
     assert list(action.bindings({}, State({"n": 0}))) == []
 
 
+def test_set_valued_domain_enumerates_sorted():
+    """Strings hash differently per interpreter run; the enumeration order
+    of "∃ m ∈ msgs" must not follow the set's iteration order."""
+    msgs = frozenset({("p2", 1), ("p0", 2), ("p1", 1), ("p0", 1)})
+    groups = frozenset({frozenset({"b", "c"}), frozenset({"a", "d"}),
+                        frozenset({"a"})})
+    action = Action(name="A", params={"m": lambda c, s: msgs,
+                                      "S": lambda c, s: groups})
+    seen = list(action.bindings({}, State({"n": 0})))
+    assert [b["m"] for b in seen[::3]] == sorted(msgs)
+    assert [b["S"] for b in seen[:3]] == [
+        frozenset({"a"}), frozenset({"a", "d"}), frozenset({"b", "c"})]
+
+
 def test_machine_rejects_bad_init_vars():
     machine = SpecMachine(
         name="bad", variables=("x",), constants={},

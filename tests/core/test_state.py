@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.state import FMap, State, fmap_const
+from repro.core.state import FMap, State, fmap_const, show
 
 
 def test_fmap_lookup_and_set():
@@ -68,6 +68,17 @@ def test_state_hash_equality():
 def test_state_pretty():
     text = State({"x": 1}).pretty()
     assert "x = 1" in text
+
+
+def test_rendering_sorts_set_elements():
+    votes = frozenset({(1, 1, "b"), (0, 1, "a"), (0, 2, "a")})
+    expected = "frozenset({(0, 1, 'a'), (0, 2, 'a'), (1, 1, 'b')})"
+    assert show(votes) == expected
+    assert show((votes,)) == f"({expected},)"
+    assert show(frozenset()) == "frozenset()"
+    state = State({"votes": FMap({"p0": votes}), "n": 1})
+    assert repr(state) == f"State(n=1, votes=FMap({{'p0': {expected}}}))"
+    assert f"votes = FMap({{'p0': {expected}}})" in state.pretty()
 
 
 @given(st.dictionaries(st.sampled_from("abcde"), st.integers(), min_size=1))

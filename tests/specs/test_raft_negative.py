@@ -1,6 +1,8 @@
 """§3's negative result: plain Raft does NOT refine MultiPaxos directly."""
 
-import pytest
+import os
+import subprocess
+import sys
 
 from repro.core.explorer import Explorer
 from repro.core.refinement import check_refinement
@@ -37,6 +39,36 @@ def test_counterexample_is_the_erasing_step():
                 erasing.append(failure)
     assert erasing, "expected an erasing counterexample"
     assert all(f.transition.action == "AcceptEntries" for f in erasing)
+
+
+_REPORT = """
+from repro.core.refinement import check_refinement
+from repro.specs import multipaxos as mp, raft as rf
+config = mp.default_config(n=3, values=("a",), max_ballot=2, max_index=1)
+result = check_refinement(rf.build(config), mp.build(config),
+                          rf.raft_to_multipaxos(config),
+                          max_states=15_000, max_high_steps=4)
+print(result.summary())
+for failure in result.failures:
+    print(failure.describe())
+"""
+
+
+def test_report_does_not_depend_on_the_hash_seed():
+    """The check stops at its third failure, so the counts and the
+    counterexamples it prints follow the exploration order; both must be
+    the same whatever `PYTHONHASHSEED` the interpreter started with."""
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _REPORT], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": os.pathsep.join(sys.path)})
+        for seed in ("1", "4242")
+    ]
+    reports = [run.communicate()[0] for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert "FAILS" in reports[0] and "AcceptEntries" in reports[0]
+    assert reports[0] == reports[1]
 
 
 def test_raft_spec_itself_is_safe():

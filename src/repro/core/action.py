@@ -151,6 +151,14 @@ class Action:
         }
         return state.assign(changes)
 
+    def rewritten(self, edits: Mapping[str, Optional[Clause]]) -> "Action":
+        """A derived action with conjuncts swapped (name -> replacement) or
+        deleted (name -> None) in place; names it does not hold are ignored
+        (`SpecMachine.derive` checks them against the whole spec)."""
+        kept = (edits.get(clause.name, clause) for clause in self.clauses)
+        return Action(name=self.name, params=dict(self.params),
+                      clauses=tuple(clause for clause in kept if clause is not None))
+
     def with_clauses(self, extra: Iterable[Clause], rename: Optional[str] = None) -> "Action":
         """A derived action with extra conjuncts (used by porting)."""
         return Action(

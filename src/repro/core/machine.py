@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.core.action import Action
+from repro.core.action import Action, Clause
 from repro.core.state import State, show
 
 
@@ -83,14 +83,24 @@ class SpecMachine:
     def successors(self, state: State) -> List[State]:
         return [t.next_state for t in self.transitions_from(state)]
 
-    def replaced(self, **changes) -> "SpecMachine":
-        """A shallow-modified copy (used when deriving optimized specs)."""
-        fields = {
-            "name": self.name,
-            "variables": self.variables,
-            "constants": dict(self.constants),
-            "init": self.init,
-            "actions": list(self.actions),
-        }
-        fields.update(changes)
-        return SpecMachine(**fields)
+    def derive(self, name: str, edits: Mapping[str, Optional[Clause]],
+               dropped_variables: Iterable[str] = ()) -> "SpecMachine":
+        """The spec obtained by editing this one's text: every clause named
+        in `edits` is swapped for its replacement — or deleted, when that is
+        None — wherever it occurs, and `dropped_variables` leave the state.
+        (Adding conjuncts is `Action.with_clauses`.)"""
+        known = {clause.name for action in self.actions for clause in action.clauses}
+        if not set(edits) <= known:
+            raise KeyError(f"{self.name} has no clause named "
+                           f"{sorted(set(edits) - known)}")
+        variables = tuple(v for v in self.variables if v not in dropped_variables)
+        actions = [action.rewritten(edits) for action in self.actions]
+        for action in actions:
+            if not set(action.written_vars) <= set(variables):
+                raise ValueError(f"{name}: {action.name!r} still writes a "
+                                 f"dropped variable")
+        return SpecMachine(
+            name=name, variables=variables, constants=self.constants,
+            init=lambda c: [state.restrict(variables) for state in self.init(c)],
+            actions=actions,
+        )

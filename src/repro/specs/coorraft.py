@@ -29,6 +29,7 @@ from repro.specs import coorpaxos
 from repro.specs import multipaxos as mp
 from repro.specs import raftstar as rs
 from repro.specs import rql
+from repro.specs.mapping import SPEC_CORRESPONDENCE
 
 
 def port_spec(constants) -> PortSpec:
@@ -37,7 +38,7 @@ def port_spec(constants) -> PortSpec:
     Phase1b, which reads its message parameter)."""
     spec = PortSpec(
         state_map=rs.raftstar_to_multipaxos(constants),
-        correspondence=rql.correspondence(),
+        correspondence=SPEC_CORRESPONDENCE,
         expansions=rql.expansions(constants),
         param_maps={
             # requestVote (candidate, term, lastIdx, lastBal) -> prepare

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, FrozenSet, Iterable, Tuple
 
-from repro.core.action import Action, Clause
+from repro.core.action import Clause
 from repro.core.machine import SpecMachine
 from repro.core.refinement import RefinementMapping
 from repro.core.state import State
@@ -66,28 +66,13 @@ def default_config(q1=None, q2=None, **kwargs) -> Dict[str, Any]:
 
 def build(constants: Dict[str, Any]) -> SpecMachine:
     """Flexible Paxos = MultiPaxos with the phase-1 quorum guard replaced."""
-    base = mp.build(constants)
     q1 = constants["q1"]
-
-    become_leader = base.action("BecomeLeader")
-    replaced = tuple(
-        Clause(
-            name="phase1-quorum-in-Q1",
-            kind="guard",
-            fn=lambda s, p: frozenset({m[0] for m in p["S"]} | {p["a"]}) in q1
-            or any(quorum <= frozenset({m[0] for m in p["S"]} | {p["a"]})
-                   for quorum in q1),
-        ) if clause.name == "quorum-with-self" else clause
-        for clause in become_leader.clauses
-    )
-    actions = [
-        action if action.name != "BecomeLeader" else Action(
-            name="BecomeLeader", params=dict(become_leader.params),
-            clauses=replaced,
-        )
-        for action in base.actions
-    ]
-    return base.replaced(name="FlexiblePaxos", actions=actions)
+    return mp.build(constants).derive("FlexiblePaxos", {
+        "quorum-with-self": Clause(
+            "phase1-quorum-in-Q1", "guard",
+            lambda s, p: any(quorum <= {m[0] for m in p["S"]} | {p["a"]}
+                             for quorum in q1)),
+    })
 
 
 # -- derived chosen-ness over Q2 and the safety invariant -----------------------

@@ -1,16 +1,19 @@
 """Figure 3: the mapping between Raft* and MultiPaxos, as data.
 
 The table is the paper's tabular artifact for §3; `render()` regenerates it
-(see `benchmarks/test_fig3_mapping.py`).  The *function* rows are also used
-as the correspondence input to the porting algorithm, and
-`verified_correspondence()` cross-checks the table against what the
-refinement checker actually observed.
+(see `benchmarks/test_fig3_mapping.py`).  `SPEC_CORRESPONDENCE` is its
+*function* section at the granularity of the executable specs, and the only
+statement of it: the refinement mapping's `action_map`
+(`raftstar.raftstar_to_multipaxos`) and the correspondence input of both
+ports (`rql.port_spec`, `coorraft.port_spec`) read it from here, and
+`tests/specs/test_mapping_variants.py` checks it against the two specs'
+action names and against what the Appendix C refinement run observed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -66,15 +69,14 @@ def render() -> str:
     return "\n".join(lines)
 
 
-def spec_correspondence() -> dict:
-    """The Figure 3 function table at the granularity of our executable
-    specs (where append/accept messages are folded into the propose/accept
-    subactions)."""
-    return {
-        "IncreaseTerm": ("IncreaseHighestBallot",),
-        "RequestVote": ("Phase1a",),
-        "ReceiveVote": ("Phase1b",),
-        "BecomeLeader": ("BecomeLeader",),
-        "ProposeEntries": ("Propose",),
-        "AcceptEntries": ("Accept",),
-    }
+#: Figure 3's function rows as Raft* action -> the MultiPaxos actions one
+#: step of it implies (append/accept messages are folded into the
+#: propose/accept subactions; LeaderLearn/Learn is derived, not an action).
+SPEC_CORRESPONDENCE: Dict[str, Tuple[str, ...]] = {
+    "IncreaseTerm": ("IncreaseHighestBallot",),
+    "RequestVote": ("Phase1a",),
+    "ReceiveVote": ("Phase1b",),
+    "BecomeLeader": ("BecomeLeader",),
+    "ProposeEntries": ("Propose",),
+    "AcceptEntries": ("Accept",),
+}

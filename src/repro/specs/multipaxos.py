@@ -78,20 +78,24 @@ def _msgs1a(c, s):
     return s["msgs1a"]
 
 
-def _promise_sets(c, s):
-    """Subsets of msgs1b (grouped by ballot) that could form a quorum —
-    enumerating per-ballot keeps this small."""
+def quorum_candidates(msgs1b) -> list:
+    """Subsets of 1b messages `(sender, ballot, ...)` with one ballot and
+    distinct senders — what a BecomeLeader can count.  Enumerating per
+    ballot keeps this small."""
     by_ballot: Dict[int, list] = {}
-    for msg in s["msgs1b"]:
+    for msg in msgs1b:
         by_ballot.setdefault(msg[1], []).append(msg)
     result = []
     for _ballot, msgs in sorted(by_ballot.items()):
-        senders = {m[0] for m in msgs}
         for size in range(1, len(msgs) + 1):
             for combo in itertools.combinations(sorted(msgs), size):
                 if len({m[0] for m in combo}) == len(combo):  # distinct senders
                     result.append(frozenset(combo))
     return result
+
+
+def _promise_sets(c, s):
+    return quorum_candidates(s["msgs1b"])
 
 
 def _proposed(c, s):

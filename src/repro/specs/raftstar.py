@@ -15,13 +15,9 @@ simplifications Appendix B/C themselves adopt, documented in DESIGN.md:
 * terms are proposer-owned (`t mod n`), matching the ballot discipline of
   our MultiPaxos spec.
 
-Raft-vs-Raft* differences live in two guards:
-* `no-erase`: an acceptor rejects appends that would shorten its log
-  (`lastIndex <= pe.lIndex`, Figure 2b line 16);
-* vote replies include extras / BecomeLeader merges safe values.
-
-`repro.specs.raft` relaxes these to plain Raft and demonstrates §3's
-negative result.
+This module is the only statement of the clauses Raft and Raft* share:
+`repro.specs.raft` is this machine minus Figure 2's blue text (`raft.BLUE`
+lists it by clause name) and demonstrates §3's negative result.
 
 State:
   term[a]     - currentTerm          (maps to ballot)
@@ -43,6 +39,7 @@ from repro.core.machine import SpecMachine
 from repro.core.refinement import RefinementMapping
 from repro.core.state import FMap, State, fmap_const
 from repro.specs import multipaxos as mp
+from repro.specs.mapping import SPEC_CORRESPONDENCE
 
 EMPTY_ENTRY = mp.EMPTY_ENTRY
 
@@ -74,18 +71,7 @@ def _pmsgs(c, s):
 
 
 def _vote_sets(c, s):
-    import itertools
-
-    by_term: Dict[int, list] = {}
-    for msg in s["vmsgs1b"]:
-        by_term.setdefault(msg[1], []).append(msg)
-    result = []
-    for _term, msgs in sorted(by_term.items()):
-        for size in range(1, len(msgs) + 1):
-            for combo in itertools.combinations(sorted(msgs), size):
-                if len({m[0] for m in combo}) == len(combo):
-                    result.append(frozenset(combo))
-    return result
+    return mp.quorum_candidates(s["vmsgs1b"])
 
 
 # -- log helpers -----------------------------------------------------------------
@@ -288,40 +274,35 @@ def log_as_instances(constants, log: Tuple) -> FMap:
     return FMap(entries)
 
 
+def figure3_state(constants, state: State, proposed: frozenset) -> State:
+    """Figure 3 on states: currentTerm -> ballot, isLeader ->
+    phase1Succeeded, entries -> instances, requestVote -> prepare,
+    requestVoteOK -> prepareOK; append messages have no Paxos-state
+    counterpart (they are implied accepts) and are dropped.  `proposed` is
+    passed in because plain Raft (`specs.raft`) has no such variable."""
+    return State({
+        "ballot": state["term"],
+        "leader": state["isleader"],
+        "logs": FMap({
+            a: log_as_instances(constants, state["rlog"][a])
+            for a in constants["acceptors"]
+        }),
+        "votes": state["votes"],
+        "proposed": proposed,
+        "msgs1a": frozenset((m[0], m[1]) for m in state["vmsgs1a"]),
+        "msgs1b": frozenset(
+            (m[0], m[1], log_as_instances(constants, m[2]))
+            for m in state["vmsgs1b"]
+        ),
+    })
+
+
 def raftstar_to_multipaxos(constants) -> RefinementMapping:
-    """Figure 3: currentTerm -> ballot, isLeader -> phase1Succeeded,
-    entries -> instances, requestVote -> prepare, requestVoteOK -> prepareOK;
-    append messages have no Paxos-state counterpart (they are implied
-    accepts) and are dropped."""
-
-    def state_map(state: State) -> State:
-        acceptors = constants["acceptors"]
-        return State({
-            "ballot": state["term"],
-            "leader": state["isleader"],
-            "logs": FMap({
-                a: log_as_instances(constants, state["rlog"][a]) for a in acceptors
-            }),
-            "votes": state["votes"],
-            "proposed": state["proposed"],
-            "msgs1a": frozenset((m[0], m[1]) for m in state["vmsgs1a"]),
-            "msgs1b": frozenset(
-                (m[0], m[1], log_as_instances(constants, m[2]))
-                for m in state["vmsgs1b"]
-            ),
-        })
-
+    """The Figure 3 refinement mapping (function rows: `specs.mapping`)."""
     return RefinementMapping(
         name="figure-3",
-        state_map=state_map,
-        action_map={
-            "IncreaseTerm": ("IncreaseHighestBallot",),
-            "RequestVote": ("Phase1a",),
-            "ReceiveVote": ("Phase1b",),
-            "BecomeLeader": ("BecomeLeader",),
-            "ProposeEntries": ("Propose",),
-            "AcceptEntries": ("Accept",),
-        },
+        state_map=lambda state: figure3_state(constants, state, state["proposed"]),
+        action_map=SPEC_CORRESPONDENCE,
     )
 
 

@@ -6,8 +6,8 @@ This module does not hand-write the optimized protocol: it calls
   A  = MultiPaxos (B.1)      A∆ = PQL (B.3)
   B  = Raft* (B.2)           f  = the Figure 3 mapping
 
-and returns B∆ = Raft*-PQL.  The correspondence and expansions encode the
-Figure 3 function table, including the one-to-many cases (one Raft*
+and returns B∆ = Raft*-PQL.  The correspondence is the Figure 3 function
+table (`specs.mapping`); the expansions add its one-to-many cases (one Raft*
 `ProposeEntries`/`AcceptEntries` step implies a Paxos `Propose`/`Accept`
 step per covered index).
 
@@ -33,18 +33,7 @@ from repro.core.refinement import RefinementMapping
 from repro.specs import multipaxos as mp
 from repro.specs import pql
 from repro.specs import raftstar as rs
-
-
-def correspondence() -> Dict[str, tuple]:
-    """The Figure 3 function table, B action -> implied A actions."""
-    return {
-        "IncreaseTerm": ("IncreaseHighestBallot",),
-        "RequestVote": ("Phase1a",),
-        "ReceiveVote": ("Phase1b",),
-        "BecomeLeader": ("BecomeLeader",),
-        "ProposeEntries": ("Propose",),
-        "AcceptEntries": ("Accept",),
-    }
+from repro.specs.mapping import SPEC_CORRESPONDENCE
 
 
 def expansions(constants) -> Dict[tuple, Any]:
@@ -84,7 +73,7 @@ def expansions(constants) -> Dict[tuple, Any]:
 def port_spec(constants) -> PortSpec:
     return PortSpec(
         state_map=rs.raftstar_to_multipaxos(constants),
-        correspondence=correspondence(),
+        correspondence=SPEC_CORRESPONDENCE,
         expansions=expansions(constants),
     )
 

@@ -106,6 +106,39 @@ def test_with_clauses_extends():
     assert extended.name == "A"
 
 
+def two_clause_machine():
+    step = Action(name="Step", clauses=(
+        Clause("g", "guard", lambda s, p: s["x"] < 2),
+        Clause("bump", "update", lambda s, p: s["x"] + 1, var="x"),
+        Clause("count", "update", lambda s, p: s["aux"] + 1, var="aux"),
+    ))
+    return SpecMachine(name="m", variables=("x", "aux"), constants={},
+                       init=lambda c: [State({"x": 0, "aux": 0})],
+                       actions=[step])
+
+
+def test_derive_swaps_and_drops_clauses_by_name():
+    derived = two_clause_machine().derive("m2", {
+        "bump": Clause("bump-twice", "update", lambda s, p: s["x"] + 2, var="x"),
+        "count": None,
+    }, dropped_variables=("aux",))
+    assert derived.name == "m2" and derived.variables == ("x",)
+    assert [c.name for c in derived.action("Step").clauses] == ["g", "bump-twice"]
+    (init,) = derived.initial_states()
+    assert init == State({"x": 0})
+    assert derived.successors(init) == [State({"x": 2})]
+
+
+def test_derive_rejects_an_unknown_clause_name():
+    with pytest.raises(KeyError, match="no-such-clause"):
+        two_clause_machine().derive("m2", {"no-such-clause": None})
+
+
+def test_derive_rejects_a_dropped_variable_that_is_still_written():
+    with pytest.raises(ValueError, match="dropped variable"):
+        two_clause_machine().derive("m2", {}, dropped_variables=("aux",))
+
+
 def test_empty_domain_yields_no_bindings():
     action = Action(name="A", params={"x": lambda c, s: []},
                     clauses=(Clause("g", "guard", lambda s, p: True),))

@@ -1,7 +1,7 @@
 """Figure 3 (mapping table) and Figure 6 (variant landscape) artifacts."""
 
-from repro.specs import mapping, variants
-from repro.specs.rql import correspondence
+from repro.core.refinement import check_refinement
+from repro.specs import coorraft, mapping, multipaxos as mp, raftstar as rs, rql, variants
 
 
 def test_figure3_sections_present():
@@ -29,10 +29,26 @@ def test_rows_filter():
     assert len(mapping.rows()) == len(mapping.FIGURE3)
 
 
-def test_spec_correspondence_matches_port_input():
-    """The correspondence used by the porting algorithm equals the Figure 3
-    function table at spec granularity."""
-    assert mapping.spec_correspondence() == correspondence()
+def test_function_table_names_real_actions_and_covers_the_refinement_run():
+    """The one statement of Figure 3's function rows is about the two specs
+    it claims to relate: its keys are Raft*'s actions, its values MultiPaxos
+    actions, both ports read this very table, and every correspondence the
+    Appendix C refinement run observed is a row of it."""
+    cfg = mp.default_config(n=3, values=("a", "b"), max_ballot=2, max_index=0)
+    table = mapping.SPEC_CORRESPONDENCE
+    low, high = rs.build(cfg), mp.build(cfg)
+    assert set(table) == {action.name for action in low.actions}
+    paxos_actions = {action.name for action in high.actions}
+    assert all(set(implied) <= paxos_actions for implied in table.values())
+    assert rql.port_spec(cfg).correspondence is table
+    assert coorraft.port_spec(cfg).correspondence is table
+
+    result = check_refinement(low, high, rs.raftstar_to_multipaxos(cfg),
+                              max_states=30_000, max_high_steps=3)
+    assert result.ok and result.complete
+    assert result.observed_correspondence  # the run took real steps
+    for action, implied in result.observed_correspondence.items():
+        assert implied <= set(table[action]), (action, implied)
 
 
 def test_figure6_nonmutating_count():

@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 from repro.core.explorer import Explorer
+from repro.core.optimization import diff_optimization
 from repro.core.refinement import check_refinement
 from repro.specs import multipaxos as mp
 from repro.specs import raft as rf
+from repro.specs import raftstar as rs
 
 
 def cfg():
@@ -39,6 +41,31 @@ def test_counterexample_is_the_erasing_step():
                 erasing.append(failure)
     assert erasing, "expected an erasing counterexample"
     assert all(f.transition.action == "AcceptEntries" for f in erasing)
+
+
+def test_raftstar_minus_raft_is_the_blue_text():
+    """`diff_optimization(raft, raftstar)` reads off Figure 2's colouring:
+    one new variable, the blue clauses and nothing else — and Raft* is a
+    *mutating* change to Raft (the merge writes the log), which is why §3
+    needs a refinement proof rather than the §4 port."""
+    config = cfg()
+    raft = rf.build(config)
+    diff = diff_optimization(raft, rs.build(config))
+    assert diff.new_variables == rf.BLUE_VARIABLES == ("proposed",)
+    black = {action.name: set(action.clauses) for action in raft.actions}
+    coloured = {
+        clause.name
+        for action in diff.optimized.actions
+        for clause in action.clauses if clause not in black[action.name]
+    }
+    assert coloured == set(rf.BLUE) == {
+        "merge-extra-entries", "one-value-per-ballot", "add-proposals",
+        "no-erase", "send-append", "record-votes"}
+    assert {a.name for a in diff.unchanged} == {
+        "IncreaseTerm", "RequestVote", "ReceiveVote"}
+    assert [m.optimized.name for m in diff.modified] == ["BecomeLeader"]
+    assert any("'rlog'" in write and "merge-extra-entries" in write
+               for write in diff.mutating_writes())
 
 
 _REPORT = """
@@ -76,9 +103,7 @@ def test_raft_spec_itself_is_safe():
     a separate matter) — it just is not a refinement of Paxos."""
     machine = rf.build(mp.default_config(n=3, values=("a",), max_ballot=2,
                                          max_index=0))
-    from repro.specs.raftstar import INVARIANTS as RS_INVARIANTS
-
     result = Explorer(machine, invariants={
-        "election-safety": RS_INVARIANTS["election-safety"]},
+        "election-safety": rs.INVARIANTS["election-safety"]},
         max_states=30_000).run()
     assert result.ok

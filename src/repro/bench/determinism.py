@@ -14,11 +14,11 @@ protocol in a mode the default row does not reach) and digests every
 replica's full log
 (term, ballot, op, client, seq, key), its applied table, and the run's
 completion/event counts into one SHA-256 per protocol.  The two
-in-process digests must always match (schedule-order determinism); with
-``PYTHONHASHSEED=0`` the digests are also stable across interpreter
-launches and machines, so a golden table (one row per label) lives
-in ``benchmarks/results/determinism_canary.json`` and CI compares every
-row of every build against it (`--check`).
+in-process digests must always match (schedule-order determinism), and
+the digests are stable across interpreter launches, hash seeds and
+machines, so a golden table (one row per label) lives in
+``benchmarks/results/determinism_canary.json`` and CI compares every row
+of every build against it (`--check`).
 
     python -m repro.bench.determinism                 # run twice, print
     python -m repro.bench.determinism --check FILE    # also compare golden
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from typing import Any, Dict, Iterable, List, Tuple
 
@@ -230,7 +229,6 @@ def main(argv=None) -> int:
               f"{row['events']} events, {row['completed']} ops")
 
     if args.write is not None:
-        table["python_hash_seed"] = os.environ.get("PYTHONHASHSEED", "")
         with open(args.write, "w") as handle:
             json.dump(table, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -245,12 +243,6 @@ def main(argv=None) -> int:
                   f"seed={golden.get('seed')}, ran scale={args.scale} "
                   f"seed={args.seed}: not comparable", file=sys.stderr)
             return 2
-        if os.environ.get("PYTHONHASHSEED") != "0":
-            # The cross-interpreter digests are only pinned under a pinned
-            # hash seed; without it only the in-process double runs (above)
-            # are meaningful.
-            print("PYTHONHASHSEED != 0: skipping golden comparison")
-            return 0
         drifted = False
         for protocol in sorted(set(golden["protocols"]) | set(table["protocols"])):
             committed = golden["protocols"].get(protocol, {}).get("digest")

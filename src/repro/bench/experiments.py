@@ -542,8 +542,7 @@ def tail_figure(scale: float = 1.0, seed: int = 1,
         parts.append("queue gauges (bucket maxima over the run; one line "
                      "per family's peak series):\n"
                      + render_timelines(obs.metrics.gauges, names=headline))
-    if obs.profiler is not None:
-        parts.append(obs.profiler.render())
+    parts.append(obs.profiler.render())
     if metrics_out:
         lines = obs.dump(metrics_out, meta={
             "figure": "tail", "protocol": "raft", "scale": scale,

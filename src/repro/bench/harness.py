@@ -108,7 +108,7 @@ class Cluster:
 
         self.obs: Optional[Observability] = None
         if spec.obs:
-            self.obs = Observability(self.sim, self.metrics, spec.obs_config)
+            self.obs = Observability(self.sim, self.metrics)
             self.obs.install(self.replicas.values())
             self.obs.install(self.clients)
             install_standard_gauges(

@@ -94,13 +94,8 @@ class SpecMachine:
             raise KeyError(f"{self.name} has no clause named "
                            f"{sorted(set(edits) - known)}")
         variables = tuple(v for v in self.variables if v not in dropped_variables)
-        actions = [action.rewritten(edits) for action in self.actions]
-        for action in actions:
-            if not set(action.written_vars) <= set(variables):
-                raise ValueError(f"{name}: {action.name!r} still writes a "
-                                 f"dropped variable")
         return SpecMachine(
             name=name, variables=variables, constants=self.constants,
             init=lambda c: [state.restrict(variables) for state in self.init(c)],
-            actions=actions,
+            actions=[action.rewritten(edits) for action in self.actions],
         )

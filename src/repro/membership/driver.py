@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.protocols.messages import ClientReply, ClientRequest, ConfigChange
+from repro.protocols.messages import ClientRequest, ConfigChange
 from repro.sim.node import Node, NodeCosts
 from repro.sim.units import ms, sec
-from repro.workload.session import RetryPolicy
+from repro.workload.session import RetryPolicy, RingRetry
 
 MEMBER_CLIENT_PREFIX = "__member__"
 
@@ -40,8 +40,6 @@ MEMBER_RETRY = RetryPolicy(retry_timeout=ms(500), retry_cap=sec(4),
 class MembershipDriver(Node):
     """Submits one config change to a group and retries until acked."""
 
-    ROTATE_AFTER = 2  # unanswered sends per replica before rotating
-
     def __init__(self, name, sim, network, site: str, ring: List[str],
                  change: ConfigChange, rng,
                  retry: RetryPolicy = MEMBER_RETRY,
@@ -51,43 +49,16 @@ class MembershipDriver(Node):
         self.change = change
         self.command = change.encode(f"{MEMBER_CLIENT_PREFIX}:{name}",
                                      change.epoch)
-        self.retry = retry
-        self.rng = rng
         self.on_ok = on_ok
         self.acked = False
         self.acked_at: Optional[int] = None
-        self._ring = list(ring)
-        self._ring_idx = 0
-        self._sends = 0
-        self._rejections = 0
-        self._retry_timer = self.timer("member-retry")
-        self.sim.schedule(0, self._send)
-
-    def _send(self) -> None:
-        if self.acked or not self.alive:
-            return
-        if self._sends and self._sends % self.ROTATE_AFTER == 0:
-            self._ring_idx = (self._ring_idx + 1) % len(self._ring)
-        self._sends += 1
-        self.send(self._ring[self._ring_idx],
-                  ClientRequest(command=self.command))
-        self._retry_timer.arm(
-            self.retry.retry_delay(self._sends - 1, self.rng), self._send)
+        self._retry = RingRetry(self, "member-retry", retry, rng)
+        self.sim.schedule(0, lambda: self._retry.start(
+            list(ring), ClientRequest(command=self.command)))
 
     def on_message(self, src: str, message) -> None:
-        if not isinstance(message, ClientReply) or self.acked:
+        if self._retry.acknowledged(message) is None:
             return
-        if message.request_id != self.command.request_id:
-            return  # stale reply of a superseded retry
-        if not message.ok:
-            # No leader yet (election in progress, or the hop retired):
-            # back off, then retry — the ring keeps rotating.
-            self._rejections += 1
-            self._retry_timer.arm(
-                self.retry.backoff_delay(self._rejections, self.rng),
-                self._send)
-            return
-        self._retry_timer.cancel()
         self.acked = True
         self.acked_at = self.sim.now
         if self.on_ok is not None:

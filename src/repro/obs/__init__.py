@@ -22,7 +22,6 @@ the results (`--metrics-out` JSONL via `repro.obs.sink`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.gauges import (DEFAULT_INTERVAL_US, GaugeSampler,
@@ -34,41 +33,28 @@ from repro.obs.spans import (BUDGET_OF, PHASE_KIND, PHASE_LABELS, Span,
 from repro.sim.trace import TraceLog
 
 __all__ = [
-    "BUDGET_OF", "DEFAULT_INTERVAL_US", "GaugeSampler", "ObsConfig",
+    "BUDGET_OF", "DEFAULT_INTERVAL_US", "GaugeSampler",
     "Observability", "PHASE_KIND", "PHASE_LABELS", "SimProfiler", "Span",
     "SpanReconstructor", "dump_jsonl", "install_standard_gauges",
     "load_jsonl", "tail_budget",
 ]
 
 
-@dataclass(frozen=True)
-class ObsConfig:
-    """Knobs for one run's observability."""
-
-    #: Ring-buffer capacity of the span log, in phase records (a request
-    #: produces ~10; the ring keeps the newest — the interesting — end).
-    span_capacity: int = 2_000_000
-    #: Simulated time between gauge samples.
-    gauge_interval_us: int = DEFAULT_INTERVAL_US
-    #: Attach the wall-clock profiler to the simulator.
-    profile: bool = True
+#: Ring-buffer capacity of the span log, in phase records (a request
+#: produces ~10; the ring keeps the newest — the interesting — end).
+SPAN_CAPACITY = 2_000_000
 
 
 class Observability:
-    """One run's telemetry: span log + gauge sampler + profiler."""
+    """One run's telemetry: span log + gauge sampler (one sample per
+    `DEFAULT_INTERVAL_US` of simulated time) + wall-clock profiler."""
 
-    def __init__(self, sim, metrics, config: Optional[ObsConfig] = None) -> None:
+    def __init__(self, sim, metrics) -> None:
         self.sim = sim
         self.metrics = metrics
-        self.config = config or ObsConfig()
-        self.span_log = TraceLog(enabled=True,
-                                 capacity=self.config.span_capacity,
-                                 ring=True)
-        self.sampler = GaugeSampler(sim, metrics,
-                                    interval_us=self.config.gauge_interval_us)
-        self.profiler: Optional[SimProfiler] = None
-        if self.config.profile:
-            self.profiler = SimProfiler().attach(sim)
+        self.span_log = TraceLog(enabled=True, capacity=SPAN_CAPACITY, ring=True)
+        self.sampler = GaugeSampler(sim, metrics)
+        self.profiler = SimProfiler().attach(sim)
 
     # -- recording (the hot path; nodes call this via `Node.obs_phase`) ------
 
@@ -102,5 +88,5 @@ class Observability:
             spans=self.reconstruct().spans(complete_only=False),
             gauges=self.metrics.gauges,
             counters=self.metrics.counters,
-            profile=self.profiler.report() if self.profiler else (),
+            profile=self.profiler.report(),
         )

@@ -12,10 +12,8 @@ majority within the last `lease_duration`.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict
 
-from repro.protocols.messages import AppendEntriesReply
-from repro.protocols.raft import Role
 from repro.protocols.raftstar import RaftStarReplica
 from repro.protocols.types import Command
 
@@ -34,13 +32,11 @@ class LeaderLeaseReplica(RaftStarReplica):
         super().__init__(name, sim, network, config, trace=trace)
         self.local_reads_served = 0
 
-    def _on_append_reply(self, src: str, msg: AppendEntriesReply) -> None:
-        if msg.term == self.current_term:
-            self._last_heard[msg.follower] = self.sim.now
-        super()._on_append_reply(src, msg)
+    def _ack_received(self, peer: str, message: Any) -> None:
+        self._last_heard[peer] = self.sim.now
 
     def has_leader_lease(self) -> bool:
-        if self.role is not Role.LEADER:
+        if not self.is_leader:
             return False
         horizon = self.sim.now - self.config.lease_duration
         fresh = sum(1 for at in self._last_heard.values() if at >= horizon)

@@ -258,7 +258,7 @@ class ShardedCluster:
 
         self.obs: Optional[Observability] = None
         if spec.obs:
-            self.obs = Observability(self.sim, self.metrics, spec.obs_config)
+            self.obs = Observability(self.sim, self.metrics)
             for shard, replicas in self.groups.items():
                 self.obs.install(replicas.values())
                 install_standard_gauges(

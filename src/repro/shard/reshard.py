@@ -37,8 +37,8 @@ committed cursor in milliseconds.  Resumption is idempotent end to end:
 
 Each step is sent with the jittered-exponential `RetryPolicy` every other
 client uses, and rotates across the target group's replicas in other sites
-after `ROTATE_AFTER` unanswered sends — a dead first-hop host no longer
-wedges the migration.
+after `RingRetry.ROTATE_AFTER` unanswered sends — a dead first-hop host no
+longer wedges the migration.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.recorder import MetricsRecorder
-from repro.protocols.messages import ClientReply, ClientRequest, ShardMap
+from repro.protocols.messages import ClientRequest, ShardMap
 from repro.protocols.types import Command, OpType, Payload, payload_of
 from repro.shard.control import ControlGroup, ReplicatedCoordinator
 from repro.shard.partition import (
@@ -60,7 +60,7 @@ from repro.shard.partition import (
 )
 from repro.sim.node import NodeCosts
 from repro.sim.units import ms, sec
-from repro.workload.session import RetryPolicy
+from repro.workload.session import RetryPolicy, RingRetry
 
 RESHARD_CLIENT = "__reshard__"
 
@@ -186,8 +186,6 @@ class ReshardCoordinator(ReplicatedCoordinator):
     appends (and full-log replay after a control-replica restart) are
     inert."""
 
-    ROTATE_AFTER = 2  # unanswered sends per replica before rotating sites
-
     def __init__(self, name, sim, network, site: str, control: ControlGroup,
                  target: VersionedPartitioner, moves: List[RangeMove],
                  plane: ReshardControlPlane, rng,
@@ -200,18 +198,13 @@ class ReshardCoordinator(ReplicatedCoordinator):
         self.target = target
         self.moves = list(moves)
         self.plane = plane
-        self.retry = retry
         # Per-transition dedup namespace: successive reshards must not hit
         # each other's cached step replies.
         self.client_id = f"{RESHARD_CLIENT}:e{target.epoch}"
         self._step = self.stable.get("step", 0)
-        self._command: Optional[Command] = None
-        self._ring: List[str] = []
-        self._ring_idx = 0
-        self._sends = 0
-        self._rejections = 0
+        # The migration step in flight (idle between steps).
+        self._step_retry = RingRetry(self, "reshard-retry", retry, rng)
         self._claiming = False
-        self._retry_timer = self.timer("reshard-retry")
         plane.coordinators.append(self)
         if self.is_owner:
             self.sim.schedule(0, self._drive)
@@ -237,7 +230,7 @@ class ReshardCoordinator(ReplicatedCoordinator):
             self.journal_lease()
             # Stall fallback: a takeover that raced a crash, or a recovery
             # with no step in flight, resumes here.
-            if self._command is None:
+            if self._step_retry.request is None:
                 self._drive()
         elif (self.view.owner is not None and not self._claiming
               and self.owner_lease_expired()):
@@ -277,7 +270,7 @@ class ReshardCoordinator(ReplicatedCoordinator):
         # Drain before transferring: the committed cursor then names the
         # exact step the receiver enters through, so the transfer never
         # races an in-flight export/import reply.
-        return self._command is None
+        return self._step_retry.request is None
 
     # -- driving the plan ----------------------------------------------------
 
@@ -288,7 +281,7 @@ class ReshardCoordinator(ReplicatedCoordinator):
 
     def _drive(self) -> None:
         if (not self.alive or not self.is_owner
-                or self._command is not None or self.plane.done
+                or self._step_retry.request is not None or self.plane.done
                 or self._handoff_to is not None):
             # A requested handoff stops new steps: the cursor drains, the
             # next lease tick journals the transfer claim, the receiver
@@ -318,7 +311,6 @@ class ReshardCoordinator(ReplicatedCoordinator):
             value_size=len(blob)))
 
     def _issue(self, shard: int, command: Command) -> None:
-        self._command = command
         # First hop is the group's replica in the coordinator's own site;
         # forwarding finds the leader, elections just delay the reply.
         # The ring continues through the other sites' replicas, so a dead
@@ -326,42 +318,19 @@ class ReshardCoordinator(ReplicatedCoordinator):
         sites = self.control.sites
         start = sites.index(self.site) if self.site in sites else 0
         ordered = sites[start:] + sites[:start]
-        self._ring = [f"g{shard}_r_{site}" for site in ordered]
-        self._ring_idx = 0
-        self._sends = 0
-        self._rejections = 0
-        self._send()
-
-    def _send(self) -> None:
-        if self._command is None or not self.alive:
-            return
-        if self._sends and self._sends % self.ROTATE_AFTER == 0:
-            self._ring_idx = (self._ring_idx + 1) % len(self._ring)
-        self._sends += 1
-        self.send(self._ring[self._ring_idx],
-                  ClientRequest(command=self._command,
-                                epoch=self.target.epoch))
-        self._retry_timer.arm(
-            self.retry.retry_delay(self._sends - 1, self.rng), self._send)
+        self._step_retry.start(
+            [f"g{shard}_r_{site}" for site in ordered],
+            ClientRequest(command=command, epoch=self.target.epoch))
 
     def on_message(self, src: str, message) -> None:
         if self.handle_control_reply(message):
             return
-        if not isinstance(message, ClientReply) or self._command is None:
+        # A rejection (e.g. a freshly spun-up group mid-election) backs
+        # off and retries — dedup makes the re-apply safe.
+        request = self._step_retry.acknowledged(message)
+        if request is None:
             return
-        if message.request_id != self._command.request_id:
-            return  # stale reply from a retried or superseded step
-        if not message.ok:
-            # No leader yet (e.g. a freshly spun-up group mid-election):
-            # jittered-exponential backoff, then retry — dedup makes the
-            # re-apply safe, and the send ring keeps rotating.
-            self._rejections += 1
-            self._retry_timer.arm(
-                self.retry.backoff_delay(self._rejections, self.rng),
-                self._send)
-            return
-        self._retry_timer.cancel()
-        command, self._command = self._command, None
+        command = request.command
         move_idx = (command.seq - 1) // 2
         if command.op is OpType.MIGRATE_OUT:
             blob = Payload(dict(payload_of(message),
@@ -387,7 +356,7 @@ class ReshardCoordinator(ReplicatedCoordinator):
 
     def on_crash(self) -> None:
         super().on_crash()
-        self._command = None
+        self._step_retry.abandon()
         self._claiming = False
 
     def on_recover(self) -> None:

@@ -54,7 +54,6 @@ class NetworkConfig:
     bandwidth_bytes_per_sec: float = 750e6 / 8 / 20.0
     site_bandwidth_bytes_per_sec: Optional[float] = None
     loss_rate: float = 0.0
-    deliver_local_instantly: bool = False
     fifo: bool = True
 
 
@@ -155,8 +154,7 @@ class Network:
     def _resolve(self, src: str, dst: str) -> Link:
         """Build the (src, dst) link on the pair's first send."""
         source, node = self._nodes[src], self.node(dst)
-        local = (src == dst or (self.config.deliver_local_instantly
-                                and source.site == node.site))
+        local = src == dst
         uplink = None
         if self._site_bandwidth is not None and source.site != node.site:
             uplink = self._uplinks.setdefault(source.site, Egress())

@@ -6,8 +6,8 @@ The table is the paper's tabular artifact for §3; `render()` regenerates it
 statement of it: the refinement mapping's `action_map`
 (`raftstar.raftstar_to_multipaxos`) and the correspondence input of both
 ports (`rql.port_spec`, `coorraft.port_spec`) read it from here, and
-`tests/specs/test_mapping_variants.py` checks it against the two specs'
-action names and against what the Appendix C refinement run observed.
+`tests/specs` checks it against the two specs' action names and against
+what the Appendix C refinement run observed.
 """
 
 from __future__ import annotations

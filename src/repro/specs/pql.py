@@ -95,8 +95,7 @@ def executable_set(state, constants) -> frozenset:
 
 # -- added subactions ------------------------------------------------------------
 
-def _acceptors(c, s):
-    return c["acceptors"]
+_acceptors = mp._acceptors
 
 
 def _holders(c, s):

@@ -50,16 +50,8 @@ def default_config(**kwargs) -> Dict[str, Any]:
 
 # -- domains ------------------------------------------------------------------
 
-def _acceptors(c, s):
-    return c["acceptors"]
-
-
-def _terms(c, s):
-    return range(1, c["max_ballot"] + 1)
-
-
-def _values(c, s):
-    return c["values"]
+# The constant domains are MultiPaxos's (a term is a ballot).
+_acceptors, _terms, _values = mp._acceptors, mp._ballots, mp._values
 
 
 def _vmsgs1a(c, s):

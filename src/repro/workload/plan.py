@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs import ObsConfig
 from repro.protocols.types import Consistency
 from repro.sim.node import Host
 from repro.sim.topology import Topology
@@ -56,7 +55,6 @@ class ClientPlan:
     # Share `hosts_per_site` sim Hosts among each site's clients
     # (None = legacy one-private-host-per-client).
     hosts_per_site: Optional[int] = None
-    name_prefix: str = "c"
 
     def session_kwargs(self) -> Dict:
         """The per-session constructor knobs this plan fixes fleet-wide."""
@@ -83,7 +81,7 @@ class ClientPlan:
         clients: List = []
         for site in sites:
             for i in range(self.per_region):
-                name = f"{self.name_prefix}_{site}_{i}"
+                name = f"c_{site}_{i}"  # also the client's RNG stream key
                 host = None
                 if self.hosts_per_site is not None:
                     host_name = f"ch{i % self.hosts_per_site}.{site}"
@@ -128,7 +126,6 @@ class FleetSpec:
     # gauges, and a sim profile for this run.  Off by default — when off,
     # the only cost is one branch per instrumented point.
     obs: bool = False
-    obs_config: Optional[ObsConfig] = None
 
     def with_(self, **changes):
         return replace(self, **changes)

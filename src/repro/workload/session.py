@@ -86,6 +86,70 @@ class RetryPolicy:
         return self._jittered(delay, rng)
 
 
+class RingRetry:
+    """One request from one node, re-sent around a ring of servers until it
+    is acknowledged: send to `ring[idx]`, move one server on after every
+    `ROTATE_AFTER` unanswered sends, re-arm the resend timeout per send, back
+    off after an explicit rejection.  The shape a membership driver's config
+    change and a reshard coordinator's migration step share.
+
+    Not for `ReplicatedCoordinator.journal` (no ring, many appends in
+    flight), `TxnCoordinator` (a tick sweep over its transactions, no timer
+    per request) or `ShardRoutedClient._send_txn` (the ring index belongs to
+    the client, not to a request): those loops differ in kind, so they stay
+    where they are rather than becoming modes of this one.
+    """
+
+    ROTATE_AFTER = 2  # unanswered sends per server before moving on
+
+    def __init__(self, node: Node, timer_name: str, policy: RetryPolicy,
+                 rng) -> None:
+        self.node = node
+        self.policy = policy
+        self.rng = rng
+        self.timer = node.timer(timer_name)
+        self.request: Optional[ClientRequest] = None  # None = idle
+
+    def start(self, ring: List[str], request: ClientRequest) -> None:
+        self.ring = ring
+        self.idx = self.sends = self.rejections = 0
+        self.request = request
+        self.send()
+
+    def send(self) -> None:
+        if self.request is None or not self.node.alive:
+            return
+        if self.sends and self.sends % self.ROTATE_AFTER == 0:
+            self.idx = (self.idx + 1) % len(self.ring)
+        self.sends += 1
+        self.node.send(self.ring[self.idx], self.request)
+        self.timer.arm(self.policy.retry_delay(self.sends - 1, self.rng),
+                       self.send)
+
+    def acknowledged(self, message) -> Optional[ClientRequest]:
+        """Feed a received message.  The ok reply to the request in flight
+        stops the loop and returns that request; a rejection (no leader
+        yet, a retired hop) backs off and retries — the ring keeps
+        rotating; anything else, a stale reply of a superseded request
+        included, is ignored."""
+        request = self.request
+        if (request is None or not isinstance(message, ClientReply)
+                or message.request_id != request.command.request_id):
+            return None
+        if not message.ok:
+            self.rejections += 1
+            self.timer.arm(
+                self.policy.backoff_delay(self.rejections, self.rng), self.send)
+            return None
+        self.timer.cancel()
+        self.request = None
+        return request
+
+    def abandon(self) -> None:
+        """The node crashed: a resend still queued finds nothing to send."""
+        self.request = None
+
+
 #: The legacy resend timeout, kept as the default `RetryPolicy` base.
 RETRY_TIMEOUT = sec(5)
 

@@ -134,11 +134,6 @@ def test_derive_rejects_an_unknown_clause_name():
         two_clause_machine().derive("m2", {"no-such-clause": None})
 
 
-def test_derive_rejects_a_dropped_variable_that_is_still_written():
-    with pytest.raises(ValueError, match="dropped variable"):
-        two_clause_machine().derive("m2", {}, dropped_variables=("aux",))
-
-
 def test_empty_domain_yields_no_bindings():
     action = Action(name="A", params={"x": lambda c, s: []},
                     clauses=(Clause("g", "guard", lambda s, p: True),))

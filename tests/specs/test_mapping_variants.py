@@ -1,6 +1,5 @@
 """Figure 3 (mapping table) and Figure 6 (variant landscape) artifacts."""
 
-from repro.core.refinement import check_refinement
 from repro.specs import coorraft, mapping, multipaxos as mp, raftstar as rs, rql, variants
 
 
@@ -29,26 +28,19 @@ def test_rows_filter():
     assert len(mapping.rows()) == len(mapping.FIGURE3)
 
 
-def test_function_table_names_real_actions_and_covers_the_refinement_run():
+def test_function_table_relates_the_two_specs_actions():
     """The one statement of Figure 3's function rows is about the two specs
     it claims to relate: its keys are Raft*'s actions, its values MultiPaxos
-    actions, both ports read this very table, and every correspondence the
-    Appendix C refinement run observed is a row of it."""
-    cfg = mp.default_config(n=3, values=("a", "b"), max_ballot=2, max_index=0)
+    actions, and both ports read this very table.  (That it covers what the
+    Appendix C refinement run observed is asserted on that run, in
+    `test_raftstar_spec.py::test_refinement_to_multipaxos_holds`.)"""
+    cfg = mp.default_config(n=3, values=("a",), max_ballot=1, max_index=0)
     table = mapping.SPEC_CORRESPONDENCE
-    low, high = rs.build(cfg), mp.build(cfg)
-    assert set(table) == {action.name for action in low.actions}
-    paxos_actions = {action.name for action in high.actions}
+    assert set(table) == {action.name for action in rs.build(cfg).actions}
+    paxos_actions = {action.name for action in mp.build(cfg).actions}
     assert all(set(implied) <= paxos_actions for implied in table.values())
     assert rql.port_spec(cfg).correspondence is table
     assert coorraft.port_spec(cfg).correspondence is table
-
-    result = check_refinement(low, high, rs.raftstar_to_multipaxos(cfg),
-                              max_states=30_000, max_high_steps=3)
-    assert result.ok and result.complete
-    assert result.observed_correspondence  # the run took real steps
-    for action, implied in result.observed_correspondence.items():
-        assert implied <= set(table[action]), (action, implied)
 
 
 def test_figure6_nonmutating_count():

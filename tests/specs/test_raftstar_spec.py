@@ -6,6 +6,7 @@ from repro.core.explorer import Explorer
 from repro.core.refinement import check_refinement
 from repro.specs import multipaxos as mp
 from repro.specs import raftstar as rs
+from repro.specs.mapping import SPEC_CORRESPONDENCE
 
 
 def tiny():
@@ -27,6 +28,11 @@ def test_refinement_to_multipaxos_holds():
     )
     assert result.ok, result.failures[:1]
     assert result.complete
+    # ...and every correspondence the run observed is a row of the one
+    # Figure 3 function table (`specs.mapping`), with no stutter-only action.
+    assert set(result.observed_correspondence) == set(SPEC_CORRESPONDENCE)
+    for action, implied in result.observed_correspondence.items():
+        assert implied <= set(SPEC_CORRESPONDENCE[action]), (action, implied)
 
 
 def test_up_to_date_comparison():

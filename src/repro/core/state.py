@@ -18,8 +18,8 @@ def show(value: Any) -> str:
     interpreter run; a printed state or counterexample must not depend on
     `PYTHONHASHSEED` (sorting the renderings works for any element type).
     """
-    if isinstance(value, (set, frozenset)):
-        return "frozenset({%s})" % ", ".join(sorted(map(show, value))) if value else "frozenset()"
+    if isinstance(value, frozenset) and value:
+        return "frozenset({%s})" % ", ".join(sorted(map(show, value)))
     if isinstance(value, tuple):
         inner = ", ".join(map(show, value))
         return f"({inner},)" if len(value) == 1 else f"({inner})"

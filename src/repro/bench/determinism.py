@@ -2,11 +2,10 @@
 
 The simulator's contract is bit-for-bit reproducibility: the same seed
 must produce the same event order, the same replica logs, and the same
-applied state, every run, on every machine.  The timer-wheel refactor
-(near-store batching, bucket cascade, lazy cancellation, compaction)
-preserves that contract by construction — ties break on insertion
-sequence number at every level — and this module is the tripwire that
-keeps it true.
+applied state, every run, on every machine.  The event queue (one heap
+keyed by `(time, seq)`, lazy cancellation, compaction) preserves that
+contract by construction — ties break on insertion sequence number —
+and this module is the tripwire that keeps it true.
 
 It runs a fixed single-group workload TWICE in the same process for
 each of the eight `PROTOCOLS` (plus the labelled `VARIANTS`: a registry
@@ -39,8 +38,8 @@ from repro.sim.units import ms
 from repro.workload.ycsb import WorkloadConfig
 
 #: The canary workload: small enough for CI (sub-second), large enough
-#: to elect a leader, replicate a few hundred entries, and exercise the
-#: wheel (election timers), the near store (replication traffic), and
+#: to elect a leader, replicate a few hundred entries, and exercise
+#: far-future election timers, same-tick replication traffic, and
 #: cancellation churn (timer resets) on the way.
 CANARY_SCALE = 0.25
 CANARY_SEED = 0

@@ -33,16 +33,15 @@ class MembershipSpec(ShardedSpec):
     """A sharded trial that loses a machine mid-run and splices in a
     replacement through logged config changes.
 
-    At `replace_at_s` one data host is crashed permanently; a fresh host
-    is spawned in the same site and every group the dead machine served
-    drives a voter-set change swapping the dead replica for a new one
-    (joint consensus for the Raft family, α-bounded reconfiguration for
-    the Paxos family — chosen by the deployment's protocol).
+    At `replace_at_s` the first data host by name (deterministic per spec)
+    is crashed permanently; a fresh host is spawned in the same site and
+    every group the dead machine served drives a voter-set change
+    swapping the dead replica for a new one (joint consensus for the Raft
+    family, α-bounded reconfiguration for the Paxos family — chosen by the
+    deployment's protocol).
     """
 
     replace_at_s: float = 3.0
-    # None picks the first data host (sorted) — deterministic per spec.
-    target_host: Optional[str] = None
     # 0 uses the protocol default window (`membership.DEFAULT_ALPHA`).
     alpha: int = 0
 
@@ -173,7 +172,7 @@ def run_membership_experiment(cluster: ShardedCluster) -> MembershipResult:
     own reconfiguration style, run, and account for every ack."""
     spec = cluster.spec
     kind = cluster._change_kind()  # validate the protocol up front
-    target = spec.target_host or sorted(cluster.data_host_names)[0]
+    target = sorted(cluster.data_host_names)[0]
     new_host: List[str] = []
     cluster.sim.schedule_at(
         sec(spec.replace_at_s),

@@ -7,12 +7,12 @@ the nodes' CPU model see realistic payload sizes (4 KB entries really cost
 Hot-path representation: every message class is a `slots=True` dataclass
 (no per-instance `__dict__`), entry batches are tuples built once by the
 sender, and non-constant `size_bytes()` results are memoized per instance
-in a `_size` slot.  The three charging sites — node CPU cost, the
-network's size estimate, and the mux envelope — all read that one cached
-number, so a message's size is computed exactly once no matter how many
-layers handle it.  The memo is safe because messages are frozen-in-
-practice: senders finish populating fields before the first send, and
-nothing mutates a message once it is in flight.
+in the `_size` slot of `SizedMessage`.  The three charging sites — node
+CPU cost, the network's size estimate, and the mux envelope — all read
+that one cached number, so a message's size is computed exactly once no
+matter how many layers handle it.  The memo is safe because messages are
+frozen-in-practice: senders finish populating fields before the first
+send, and nothing mutates a message once it is in flight.
 """
 
 from __future__ import annotations
@@ -49,6 +49,24 @@ def _memo() -> Any:
     return field(default=-1, init=False, repr=False, compare=False)
 
 
+@dataclass(slots=True)
+class SizedMessage:
+    """A message whose wire size depends on its payload: `HEADER_BYTES`
+    plus the subclass's `_payload_bytes()`, computed on first use and
+    memoized in the `_size` slot."""
+
+    _size: int = _memo()
+
+    def size_bytes(self) -> int:
+        size = self._size
+        if size < 0:
+            size = self._size = HEADER_BYTES + self._payload_bytes()
+        return size
+
+    def _payload_bytes(self) -> int:
+        raise NotImplementedError
+
+
 def _cost_memo() -> Any:
     """The `_cpu` slot: `(NodeCosts, cost)`, written by `NodeCosts.cost`,
     read by `Node._receive`.  For classes whose INSTANCES reach more than
@@ -80,19 +98,15 @@ class ShardMap:
 
 
 @dataclass(slots=True)
-class ClientRequest:
+class ClientRequest(SizedMessage):
     command: Command
     # The epoch of the partition map the client routed with (None for
     # unsharded deployments).  A server on a newer epoch ships its map back
     # with the rejection instead of just a shard id.
     epoch: Optional[int] = None
-    _size: int = _memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = HEADER_BYTES + self.command.wire_size()
-        return size
+    def _payload_bytes(self) -> int:
+        return self.command.wire_size()
 
     def command_count(self) -> float:
         # Client-facing handling is the expensive path (connection, parse,
@@ -101,7 +115,7 @@ class ClientRequest:
 
 
 @dataclass(slots=True)
-class ClientReply:
+class ClientReply(SizedMessage):
     request_id: Tuple[str, int]
     ok: bool
     value: Optional[str] = None
@@ -116,19 +130,15 @@ class ClientReply:
     # routing table rather than one key.
     epoch: Optional[int] = None
     shard_map: Optional[ShardMap] = None
-    _size: int = _memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            extra = (self.shard_map.size_bytes()
-                     if self.shard_map is not None else 0)
-            size = self._size = HEADER_BYTES + self.value_size + extra
-        return size
+    def _payload_bytes(self) -> int:
+        extra = (self.shard_map.size_bytes()
+                 if self.shard_map is not None else 0)
+        return self.value_size + extra
 
 
 @dataclass(slots=True)
-class TxnRequest:
+class TxnRequest(SizedMessage):
     """Client -> transaction coordinator: run `ops` atomically.
 
     `ops` is a list of ``(op, key, value)`` triples ("put"/"get", value
@@ -147,14 +157,9 @@ class TxnRequest:
     # coordinator may evict those committed-reply cache slots (the txn
     # counterpart of `Command.acked_low_water`).
     acked_low_water: int = -1
-    _size: int = _memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = HEADER_BYTES + sum(
-                24 + len(k) + (len(v) if v else 0) for _, k, v in self.ops)
-        return size
+    def _payload_bytes(self) -> int:
+        return sum(24 + len(k) + (len(v) if v else 0) for _, k, v in self.ops)
 
     def command_count(self) -> float:
         # Same client-facing cost profile as a ClientRequest.
@@ -162,7 +167,7 @@ class TxnRequest:
 
 
 @dataclass(slots=True)
-class TxnReply:
+class TxnReply(SizedMessage):
     """Coordinator -> client: the transaction's outcome.
 
     `committed` False with `ok` True means a clean abort the client may
@@ -175,18 +180,13 @@ class TxnReply:
     committed: bool = False
     reads: Dict[str, Optional[str]] = field(default_factory=dict)
     server: str = ""
-    _size: int = _memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = HEADER_BYTES + sum(
-                8 + (len(v) if v else 0) for v in self.reads.values())
-        return size
+    def _payload_bytes(self) -> int:
+        return sum(8 + (len(v) if v else 0) for v in self.reads.values())
 
 
 @dataclass(slots=True)
-class ForwardBatch:
+class ForwardBatch(SizedMessage):
     """A follower forwarding a batch of client commands to the leader
     (the etcd behaviour the paper keeps enabled: 'when a follower receives
     multiple requests from clients, it forwards them to the leader in a
@@ -194,32 +194,22 @@ class ForwardBatch:
 
     origin: str
     commands: List[Command]
-    _size: int = _memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = HEADER_BYTES + sum(
-                command.wire_size() for command in self.commands)
-        return size
+    def _payload_bytes(self) -> int:
+        return sum(command.wire_size() for command in self.commands)
 
     def command_count(self) -> int:
         return len(self.commands)
 
 
 @dataclass(slots=True)
-class ReplyRelay:
+class ReplyRelay(SizedMessage):
     """Leader -> origin follower: results for forwarded commands."""
 
     replies: List[ClientReply]
-    _size: int = _memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = HEADER_BYTES + sum(
-                reply.size_bytes() for reply in self.replies)
-        return size
+    def _payload_bytes(self) -> int:
+        return sum(reply.size_bytes() for reply in self.replies)
 
 
 # --------------------------------------------------------------------------
@@ -239,25 +229,20 @@ class RequestVote:
 
 
 @dataclass(slots=True)
-class RequestVoteReply:
+class RequestVoteReply(SizedMessage):
     term: int
     voter: str
     granted: bool
     # Raft* only: entries the voter has beyond the candidate's log
     # (Figure 2a lines 14-16).  Plain Raft leaves this empty.
     extra_entries: Dict[int, Entry] = field(default_factory=dict)
-    _size: int = _memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = HEADER_BYTES + _entries_size(
-                self.extra_entries.values())
-        return size
+    def _payload_bytes(self) -> int:
+        return _entries_size(self.extra_entries.values())
 
 
 @dataclass(slots=True)
-class AppendEntries:
+class AppendEntries(SizedMessage):
     term: int
     leader: str
     prev_index: int
@@ -265,14 +250,10 @@ class AppendEntries:
     # Built once by the sender as a tuple; never mutated in flight.
     entries: Tuple[Entry, ...]
     leader_commit: int
-    _size: int = _memo()
     _cpu: Optional[tuple] = _cost_memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = HEADER_BYTES + _entries_size(self.entries)
-        return size
+    def _payload_bytes(self) -> int:
+        return _entries_size(self.entries)
 
     def command_count(self) -> float:
         # Replicated entry processing is cheap relative to client handling.
@@ -319,21 +300,16 @@ class Prepare:
 
 
 @dataclass(slots=True)
-class Promise:
+class Promise(SizedMessage):
     """Phase1b reply: <'prepareOK', ballot, instances with id >= unchosen>."""
 
     ballot: Ballot
     acceptor: str
     instances: Dict[int, Entry]
     log_tail: int
-    _size: int = _memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = HEADER_BYTES + _entries_size(
-                self.instances.values())
-        return size
+    def _payload_bytes(self) -> int:
+        return _entries_size(self.instances.values())
 
     def entry_batch(self) -> Iterable[Entry]:
         """Entries eligible for cross-group envelope dedup."""
@@ -341,22 +317,18 @@ class Promise:
 
 
 @dataclass(slots=True)
-class Accept:
+class Accept(SizedMessage):
     """Phase2a: <'accept', instance, value, ballot>; batched over instances."""
 
     ballot: Ballot
     proposer: str
     instances: Dict[int, Command]
     commit_index: int
-    _size: int = _memo()
     _cpu: Optional[tuple] = _cost_memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = HEADER_BYTES + sum(
-                command.wire_size() for command in self.instances.values())
-        return size
+    def _payload_bytes(self) -> int:
+        return sum(command.wire_size()
+                   for command in self.instances.values())
 
     def command_count(self) -> float:
         return 0.25 * len(self.instances)
@@ -471,7 +443,7 @@ class ConfigChange:
 
 
 @dataclass(slots=True)
-class CatchUpSnapshot:
+class CatchUpSnapshot(SizedMessage):
     """Leader/proposer -> a joining replica: the full replicated state.
 
     Raft side: the whole log plus the commit index — the joiner replays
@@ -490,13 +462,9 @@ class CatchUpSnapshot:
     commit_index: int
     term: int = 0
     config: Optional[Dict[str, Any]] = None
-    _size: int = _memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = HEADER_BYTES + _entries_size(self.entries)
-        return size
+    def _payload_bytes(self) -> int:
+        return _entries_size(self.entries)
 
     def command_count(self) -> float:
         # State transfer is bulk work, same per-entry profile as an
@@ -555,7 +523,7 @@ class CommitNotice:
 
 
 @dataclass(slots=True)
-class MenciusAppend:
+class MenciusAppend(SizedMessage):
     """A (default or recovery) leader proposes values for specific global
     indexes.  `ballot` 0 marks the default leader's coordinated instances;
     recovery proposals carry a higher ballot.  `next_own` advertises the
@@ -569,16 +537,10 @@ class MenciusAppend:
     next_own: int
     committed: List[int] = field(default_factory=list)
     is_default: bool = True
-    _size: int = _memo()
     _cpu: Optional[tuple] = _cost_memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = (HEADER_BYTES
-                                 + _entries_size(self.items.values())
-                                 + 4 * len(self.committed))
-        return size
+    def _payload_bytes(self) -> int:
+        return _entries_size(self.items.values()) + 4 * len(self.committed)
 
     def command_count(self) -> float:
         return 0.25 * len(self.items)
@@ -617,18 +579,13 @@ class MenciusCatchup:
 
 
 @dataclass(slots=True)
-class MenciusState:
+class MenciusState(SizedMessage):
     """Catch-up reply: resolved entries (status committed/skipped only)."""
 
     items: Dict[int, Tuple[Entry, str]]
-    _size: int = _memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = HEADER_BYTES + _entries_size(
-                e for e, _ in self.items.values())
-        return size
+    def _payload_bytes(self) -> int:
+        return _entries_size(e for e, _ in self.items.values())
 
     def command_count(self) -> float:
         return 0.25 * len(self.items)
@@ -653,7 +610,7 @@ class MenciusPrepare:
 
 
 @dataclass(slots=True)
-class MenciusPromise:
+class MenciusPromise(SizedMessage):
     """Recovery phase-1 reply: accepted entries for the probed range."""
 
     ballot: int
@@ -663,14 +620,9 @@ class MenciusPromise:
     end: int
     accepted: Dict[int, Entry] = field(default_factory=dict)
     skipped: List[int] = field(default_factory=list)
-    _size: int = _memo()
 
-    def size_bytes(self) -> int:
-        size = self._size
-        if size < 0:
-            size = self._size = HEADER_BYTES + _entries_size(
-                self.accepted.values())
-        return size
+    def _payload_bytes(self) -> int:
+        return _entries_size(self.accepted.values())
 
     def entry_batch(self) -> Iterable[Entry]:
         """Entries eligible for cross-group envelope dedup."""

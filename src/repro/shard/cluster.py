@@ -78,7 +78,6 @@ class ShardedSpec(FleetSpec):
 
     num_shards: int = 4
     placement: str = "spread"
-    colocated_site: str = "oregon"
     # Shared per-site WAN uplink, as a multiple of one node's NIC rate
     # (None disables the shared link entirely).
     site_uplink_factor: Optional[float] = 2.0
@@ -220,7 +219,7 @@ class ShardedCluster:
         self.versioned = VersionedPartitioner.initial(spec.num_shards)
         self.partitioner = self.versioned  # the cluster's current map
         self.leaders = leader_sites(spec.placement, spec.num_shards,
-                                    self.topology.sites, home=spec.colocated_site)
+                                    self.topology.sites)
 
         # Host multiplexing: shared machines (and, with coalescing, the
         # per-host GroupMux transports) that group replicas are placed on.
@@ -394,8 +393,7 @@ class ShardedCluster:
             raise RuntimeError("a reshard is already in progress")
         target, moves = self.versioned.advanced(new_num_shards)
         new_leaders = leader_sites(self.spec.placement, new_num_shards,
-                                   self.topology.sites,
-                                   home=self.spec.colocated_site)
+                                   self.topology.sites)
         for shard in range(self.versioned.num_shards, new_num_shards):
             self.leaders[shard] = new_leaders[shard]
             self._build_group(shard, new_leaders[shard], target, owned=False)

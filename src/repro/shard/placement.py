@@ -17,18 +17,17 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Sequence
 
-# A policy takes (shard, sites) plus policy-specific keywords it is free
-# to ignore (`home` pins the colocated region); new policies only need to
-# be added to PLACEMENTS.
-LeaderPlacement = Callable[..., str]
+# A policy takes (shard, sites); new policies only need to be added to
+# PLACEMENTS.
+LeaderPlacement = Callable[[int, Sequence[str]], str]
 
 
-def colocated(shard: int, sites: Sequence[str], home: str = None, **_) -> str:
-    """All shard leaders in one region (default: the first site)."""
-    return home if home is not None else sites[0]
+def colocated(shard: int, sites: Sequence[str]) -> str:
+    """All shard leaders in the first site."""
+    return sites[0]
 
 
-def spread(shard: int, sites: Sequence[str], **_) -> str:
+def spread(shard: int, sites: Sequence[str]) -> str:
     """Leaders round-robined across regions."""
     return sites[shard % len(sites)]
 
@@ -39,8 +38,8 @@ PLACEMENTS: Dict[str, LeaderPlacement] = {
 }
 
 
-def leader_sites(policy: str, num_shards: int, sites: Sequence[str],
-                 home: str = None) -> Dict[int, str]:
+def leader_sites(policy: str, num_shards: int,
+                 sites: Sequence[str]) -> Dict[int, str]:
     """Resolve a named policy to a shard -> leader-site map."""
     try:
         placement = PLACEMENTS[policy]
@@ -48,5 +47,4 @@ def leader_sites(policy: str, num_shards: int, sites: Sequence[str],
         raise ValueError(
             f"unknown placement {policy!r}; choose from {sorted(PLACEMENTS)}"
         ) from None
-    return {shard: placement(shard, sites, home=home)
-            for shard in range(num_shards)}
+    return {shard: placement(shard, sites) for shard in range(num_shards)}

@@ -450,14 +450,14 @@ def spawn_sharded_clients(sim, network, sites, router: ShardRouter,
     if plan is None:
         plan = ClientPlan(per_region=per_region)
 
-    def make(name, site, rng, host, rate):
+    def make(name, site, rng, rate):
         if rate is not None:
             return OpenLoopShardRoutedClient(
                 name, sim, network, site, router, workload, sites, rng,
-                metrics, stop_at=stop_at, host=host, rate_per_sec=rate,
+                metrics, stop_at=stop_at, rate_per_sec=rate,
                 **plan.session_kwargs())
         return ShardRoutedClient(
             name, sim, network, site, router, workload, sites, rng, metrics,
-            stop_at=stop_at, host=host, **plan.session_kwargs())
+            stop_at=stop_at, **plan.session_kwargs())
 
     return plan.spawn(sim, sites, rng_root, make)

@@ -458,33 +458,24 @@ class TxnCoordinator(ReplicatedCoordinator):
         self._by_handle.pop(state.route, None)
         if self._active.get(state.txn_id) is state:
             del self._active[state.txn_id]
-        if state.phase == "commit":
-            self.commits += 1
-            self.metrics.incr("txn_commits")
+        committed = state.phase == "commit"
+        if committed or state.winner is not None:
+            # With a winner the transaction committed under a sibling
+            # attempt and our staged writes are dropped: to the client this
+            # IS a commit — answer with the winner's reads, and never retry.
             client, txn_seq = state.txn_id.rsplit(":", 1)
             reply = TxnReply(client=client, txn_seq=int(txn_seq), ok=True,
                              committed=True, reads=dict(state.reads),
                              server=self.name)
             self._cache_reply(state.txn_id, reply)
-            # Mirror the commit into the control journal so the hot
-            # standbys cache the reply too — a client that rotates to one
-            # after we die is answered from cache, not re-executed.
-            self.journal({"k": "txnd", "txn": state.txn_id,
-                          "reads": dict(state.reads)})
-            if state.client_node is not None:
-                if self.obs is not None:
-                    self.obs_phase(state.trace, "reply", ok=True)
-                self.send(state.client_node, reply)
-            return
-        if state.winner is not None:
-            # The transaction committed under a sibling attempt and our
-            # staged writes are dropped: to the client this IS a commit —
-            # answer with the winner's reads, and never retry.
-            client, txn_seq = state.txn_id.rsplit(":", 1)
-            reply = TxnReply(client=client, txn_seq=int(txn_seq), ok=True,
-                             committed=True, reads=dict(state.reads),
-                             server=self.name)
-            self._cache_reply(state.txn_id, reply)
+            if committed:
+                self.commits += 1
+                self.metrics.incr("txn_commits")
+                # Mirror the commit into the control journal so the hot
+                # standbys cache the reply too — a client that rotates to
+                # one after we die is answered from cache, not re-executed.
+                self.journal({"k": "txnd", "txn": state.txn_id,
+                              "reads": dict(state.reads)})
             if state.client_node is not None:
                 if self.obs is not None:
                     self.obs_phase(state.trace, "reply", ok=True)
@@ -867,7 +858,7 @@ def spawn_txn_clients(sim, network, sites, router: ShardRouter,
     if plan is None:
         plan = ClientPlan(per_region=per_region)
 
-    def make(name, site, rng, host, rate):
+    def make(name, site, rng, rate):
         if rate is not None:
             raise ValueError("transactional fleets are closed-loop: "
                              "offered_load is not supported for TxnSpec")
@@ -878,7 +869,7 @@ def spawn_txn_clients(sim, network, sites, router: ShardRouter,
             coordinator=f"txnco_{site}",
             coordinators=[f"txnco_{s}" for s in
                           [site] + [s for s in sites if s != site]],
-            stop_at=stop_at, host=host,
+            stop_at=stop_at,
             **plan.session_kwargs())
 
     return plan.spawn(sim, sites, rng_root, make)

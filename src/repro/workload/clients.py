@@ -80,22 +80,22 @@ def spawn_clients(sim, network, sites, server_of_site, per_region: int,
                   plan: Optional[ClientPlan] = None) -> List[ClosedLoopClient]:
     """Create `plan.per_region` clients in every site, each bound to its
     local server (`server_of_site[site]`).  The plan decides depth, retry
-    policy, consistency, open/closed loop, and host sharing; the default
-    plan reproduces the legacy closed-loop fleet."""
+    policy, consistency and open/closed loop; the default plan reproduces
+    the legacy closed-loop fleet."""
     if plan is None:
         plan = ClientPlan(per_region=per_region)
 
-    def make(name, site, rng, host, rate):
+    def make(name, site, rng, rate):
         if rate is not None:
             from repro.workload.openloop import OpenLoopClient  # lazy: cycle
 
             return OpenLoopClient(
                 name, sim, network, site, server_of_site[site], workload,
                 sites, rng, metrics, rate_per_sec=rate, stop_at=stop_at,
-                host=host, **plan.session_kwargs())
+                **plan.session_kwargs())
         return ClosedLoopClient(
             name, sim, network, site, server_of_site[site], workload,
-            sites, rng, metrics, stop_at=stop_at, host=host,
+            sites, rng, metrics, stop_at=stop_at,
             **plan.session_kwargs())
 
     return plan.spawn(sim, sites, rng_root, make)

@@ -13,15 +13,12 @@ session knobs:
   every session in the fleet;
 * `offered_load` — when set, the fleet is **open-loop**: each client
   submits on a Poisson clock at ``offered_load / fleet_size`` ops/s
-  instead of on completion;
-* `hosts_per_site` — when set, clients in a site share that many sim
-  `Host`s (machine ``ch<i % n>.<site>``) instead of one private host
-  each: the fleet contends on shared NICs and can be crashed per machine,
-  the ROADMAP's "host-multiplexed clients" item.  Client CPU cost stays
-  zero either way — the servers remain the measured resource.
+  instead of on completion.
 
-Layers keep their own client classes; they hand `spawn` a factory
-``make(name, site, rng, host, rate)`` and the plan does the rest.
+Every client runs on a private sim `Host` with zero CPU cost — the
+servers remain the measured resource.  Layers keep their own client
+classes; they hand `spawn` a factory ``make(name, site, rng, rate)`` and
+the plan does the rest.
 
 `FleetSpec` is the trial-level face of the same knobs: the fields every
 experiment spec shares (protocol, fleet, steady window, observability),
@@ -34,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.protocols.types import Consistency
-from repro.sim.node import Host
 from repro.sim.topology import Topology
 from repro.sim.units import sec
 from repro.workload.session import RetryPolicy
@@ -52,9 +48,6 @@ class ClientPlan:
     # Aggregate open-loop arrival rate (ops/s) across the whole fleet;
     # None = closed loop.
     offered_load: Optional[float] = None
-    # Share `hosts_per_site` sim Hosts among each site's clients
-    # (None = legacy one-private-host-per-client).
-    hosts_per_site: Optional[int] = None
 
     def session_kwargs(self) -> Dict:
         """The per-session constructor knobs this plan fixes fleet-wide."""
@@ -71,28 +64,18 @@ class ClientPlan:
 
     def spawn(self, sim, sites, rng_root,
               make: Callable[..., object]) -> List:
-        """Build the fleet: `make(name, site, rng, host, rate)` per client.
+        """Build the fleet: `make(name, site, rng, rate)` per client.
 
-        `host` is None (private host) or the shared machine this client
-        lives on; `rate` is None (closed loop) or the client's Poisson
-        arrival rate in ops/s."""
+        `rate` is None (closed loop) or the client's Poisson arrival rate
+        in ops/s."""
         rate = self.rate_per_client(sites)
-        hosts: Dict[str, Host] = {}
         clients: List = []
         for site in sites:
             for i in range(self.per_region):
                 name = f"c_{site}_{i}"  # also the client's RNG stream key
-                host = None
-                if self.hosts_per_site is not None:
-                    host_name = f"ch{i % self.hosts_per_site}.{site}"
-                    host = hosts.get(host_name)
-                    if host is None:
-                        host = Host(host_name, sim, site=site)
-                        hosts[host_name] = host
                 clients.append(make(
                     name=name, site=site,
-                    rng=rng_root.stream(f"client:{name}"),
-                    host=host, rate=rate))
+                    rng=rng_root.stream(f"client:{name}"), rate=rate))
         return clients
 
 
@@ -120,8 +103,6 @@ class FleetSpec:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     # Default consistency level for the fleet's reads.
     read_consistency: Consistency = Consistency.DEFAULT
-    # Share sim Hosts among each site's clients (None = private hosts).
-    client_hosts_per_site: Optional[int] = None
     # Observability (repro.obs): collect request-lifecycle spans, queue
     # gauges, and a sim profile for this run.  Off by default — when off,
     # the only cost is one branch per instrumented point.
@@ -137,7 +118,6 @@ class FleetSpec:
             retry=self.retry,
             read_consistency=self.read_consistency,
             offered_load=self.offered_load,
-            hosts_per_site=self.client_hosts_per_site,
         )
 
     def window(self) -> Tuple[int, int]:

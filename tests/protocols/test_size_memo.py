@@ -17,13 +17,25 @@ from repro.protocols.messages import (
     HEADER_BYTES,
     Accept,
     AppendEntries,
+    CatchUpSnapshot,
+    ClientReply,
+    ClientRequest,
     CommitNotice,
+    ForwardBatch,
     HostEnvelope,
     Learn,
     MenciusAck,
     MenciusAppend,
+    MenciusPromise,
+    MenciusState,
     MuxedMessage,
+    Promise,
+    ReplyRelay,
+    RequestVoteReply,
+    ShardMap,
     SkipNotice,
+    TxnReply,
+    TxnRequest,
 )
 from repro.protocols.raft import RaftReplica
 from repro.protocols.types import Ballot, Command, Entry, OpType
@@ -73,6 +85,58 @@ def test_memo_is_per_instance():
     # Re-reads return the cached values unchanged.
     assert small.size_bytes() == small.size_bytes()
     assert big.size_bytes() == big.size_bytes()
+
+
+def _command(key: str, seq: int, value: str = "v" * 10) -> Command:
+    return Command(op=OpType.PUT, key=key, value=value, client_id="c",
+                   seq=seq)
+
+
+_E1 = Entry(term=1, command=_command("k1", 1), ballot=1)
+_E2 = Entry(term=1, command=_command("key2", 2), ballot=1)
+
+#: Every memoized message class with a fixed instance and its wire size.
+SIZED = [
+    (lambda: ClientRequest(command=_command("k1", 1)), 82),
+    (lambda: ClientReply(request_id=("c", 1), ok=True, value="x",
+                         value_size=12,
+                         shard_map=ShardMap(epoch=2, num_shards=4)), 76),
+    (lambda: TxnRequest(client="c", txn_seq=1, ts=5,
+                        ops=[("put", "k1", "abc"), ("get", "k22", None)]),
+     104),
+    (lambda: TxnReply(client="c", txn_seq=1, ok=True, committed=True,
+                      reads={"k2": "vv", "k3": None}), 66),
+    (lambda: ForwardBatch(origin="s1", commands=[
+        _command("k1", 1), _command("key2", 2, "w")]), 118),
+    (lambda: ReplyRelay(replies=[
+        ClientReply(request_id=("c", 1), ok=True),
+        ClientReply(request_id=("c", 2), ok=True, value_size=100)]), 252),
+    (lambda: RequestVoteReply(term=2, voter="s1", granted=True,
+                              extra_entries={3: _E1}), 98),
+    (lambda: _append([_E1, _E2]), 150),
+    (lambda: Promise(ballot=Ballot(1, "s0"), acceptor="s1",
+                     instances={0: _E1, 1: _E2}, log_tail=2), 150),
+    (lambda: Accept(ballot=Ballot(1, "s0"), proposer="s0",
+                    instances={0: _command("k1", 1)}, commit_index=-1), 82),
+    (lambda: CatchUpSnapshot(sender="s0", entries=(_E1, _E2),
+                             commit_index=1), 150),
+    (lambda: MenciusAppend(sender="s0", owner="s0", ballot=0,
+                           items={0: _E1, 5: _E2}, next_own=10,
+                           committed=[0, 5]), 158),
+    (lambda: MenciusState(items={0: (_E1, "committed"),
+                                 1: (_E2, "skipped")}), 150),
+    (lambda: MenciusPromise(ballot=1, acceptor="s1", owner="s0", start=0,
+                            end=5, accepted={0: _E1}), 98),
+]
+
+
+@pytest.mark.parametrize("make,size", SIZED,
+                         ids=[type(make()).__name__ for make, _ in SIZED])
+def test_size_bytes_pinned(make, size):
+    message = make()
+    assert message.size_bytes() == size
+    # The second read is the memo, and the network reads it directly.
+    assert message.size_bytes() == message._size == size
 
 
 def test_envelope_dedups_shared_entries_across_groups():

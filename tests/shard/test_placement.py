@@ -9,7 +9,7 @@ SITES = ("oregon", "ohio", "ireland", "canada", "seoul")
 
 def test_colocated_pins_one_region():
     assert {colocated(shard, SITES) for shard in range(8)} == {"oregon"}
-    assert colocated(3, SITES, home="seoul") == "seoul"
+    assert colocated(3, SITES[::-1]) == "seoul"
 
 
 def test_spread_round_robins():
@@ -21,7 +21,7 @@ def test_spread_round_robins():
 def test_leader_sites_resolution():
     got = leader_sites("spread", 3, SITES)
     assert got == {0: "oregon", 1: "ohio", 2: "ireland"}
-    got = leader_sites("colocated", 3, SITES, home="canada")
+    got = leader_sites("colocated", 3, SITES[3:])
     assert got == {0: "canada", 1: "canada", 2: "canada"}
 
 

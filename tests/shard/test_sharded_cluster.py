@@ -4,6 +4,7 @@ import pytest
 
 from repro.shard import ShardedSpec, run_sharded_experiment
 from repro.shard.cluster import ShardedCluster, shard_of_server
+from repro.sim.topology import ec2_regions
 from repro.workload.ycsb import WorkloadConfig
 
 
@@ -37,9 +38,12 @@ def test_groups_have_distinct_names_and_leaders():
 
 
 def test_colocated_placement_pins_leaders():
+    # The first site, on a topology without Oregon too.
+    topology = ec2_regions(("seoul", "ohio", "ireland"))
     cluster = ShardedCluster(small_spec(placement="colocated",
-                                        colocated_site="seoul"))
-    assert set(cluster.leaders.values()) == {"seoul"}
+                                        topology=topology))
+    assert set(cluster.leaders.values()) == {topology.sites[0]}
+    assert cluster.leader_replica(1).name == "g1_r_seoul"
 
 
 def test_sharded_run_commits_and_stays_safe():

@@ -1,10 +1,13 @@
 """Event queue / simulator core."""
 
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.errors import SchedulingError
-from repro.sim.events import Simulator
+from repro.sim.events import COMPACT_THRESHOLD, Simulator
+from repro.sim.units import ms, sec
 
 
 def test_runs_in_time_order():
@@ -79,14 +82,54 @@ def test_run_until_is_inclusive():
     assert fired == ["at"]
 
 
-def test_max_events_bound():
+def test_cancelled_event_keeps_nothing_alive():
+    """A tombstone stays queued until popped, but releases its callback
+    and arguments at cancel time."""
+
+    class Payload:
+        pass
+
+    def arm(sim, captured, passed):
+        return sim.schedule(sec(5), lambda arg: (captured, arg), passed)
+
     sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(i + 1, fired.append, i)
-    processed = sim.run(max_events=3)
-    assert processed == 3
-    assert fired == [0, 1, 2]
+    captured, passed = Payload(), Payload()
+    refs = [weakref.ref(captured), weakref.ref(passed)]
+    event = arm(sim, captured, passed)
+    del captured, passed
+    assert all(ref() is not None for ref in refs)
+    event.cancel()
+    assert len(sim._queue) == 1
+    assert all(ref() is None for ref in refs)
+
+
+def test_retry_timer_churn_keeps_queue_bounded():
+    """Every acknowledged request cancels its 5 s retry timer: at ~2,000
+    ops/s for 60 s that is 120,000 tombstones, and compaction must keep
+    the queue within twice the live events (or the threshold)."""
+    sim = Simulator()
+    worst = []
+
+    def check():
+        bound = 2 * max(sim.pending(), COMPACT_THRESHOLD) + 1
+        worst.append(len(sim._queue) - bound)
+
+    def start(op):
+        timer = sim.schedule(sec(5), lambda: None)
+        # Completion 1-20 ms later acknowledges the op and cancels its
+        # retry timer.
+        sim.schedule(ms(1 + op % 20), complete, timer)
+        if op < 120_000:
+            sim.schedule(500, start, op + 1)
+        check()
+
+    def complete(timer):
+        timer.cancel()
+        check()
+
+    sim.schedule(0, start, 0)
+    sim.run(until=sec(60))
+    assert max(worst) <= 0
 
 
 def test_events_scheduled_during_run_execute():

@@ -1,34 +1,24 @@
-"""Timer-wheel internals: far-bucket cascade, same-tick batching,
+"""Event order across near and far timestamps, same-tick batching,
 cancelled-entry compaction, and the run-loop GC pause."""
 
 import gc
 
 import pytest
 
-from repro.sim.events import COMPACT_THRESHOLD, Simulator, WHEEL_BITS
+from repro.sim.events import COMPACT_THRESHOLD, Simulator
 
-HORIZON = 1 << WHEEL_BITS
-
-
-def test_far_event_lands_in_wheel_then_fires():
-    sim = Simulator()
-    fired = []
-    far = HORIZON * 3 + 17
-    sim.schedule(far, fired.append, "far")
-    assert not sim._at, "far event must not enter the near store"
-    assert sum(len(v) for v in sim._wheel.values()) == 1
-    sim.run()
-    assert fired == ["far"]
-    assert sim.now == far
+#: A span in microseconds: multiples of it are "far" next to the
+#: single-digit delays the tests mix them with.
+FAR = 4096
 
 
 def test_order_preserved_across_near_and_far():
     sim = Simulator()
     fired = []
-    sim.schedule(HORIZON * 2 + 5, fired.append, "c")
+    sim.schedule(FAR * 2 + 5, fired.append, "c")
     sim.schedule(3, fired.append, "a")
-    sim.schedule(HORIZON * 5, fired.append, "d")
-    sim.schedule(HORIZON - 1, fired.append, "b")
+    sim.schedule(FAR * 5, fired.append, "d")
+    sim.schedule(FAR - 1, fired.append, "b")
     sim.run()
     assert fired == ["a", "b", "c", "d"]
 
@@ -36,7 +26,7 @@ def test_order_preserved_across_near_and_far():
 def test_cascade_preserves_insertion_order_within_bucket():
     sim = Simulator()
     fired = []
-    when = HORIZON + 100
+    when = FAR + 100
     for tag in ("x", "y", "z"):
         sim.schedule(when, fired.append, tag)
     sim.run()
@@ -46,13 +36,13 @@ def test_cascade_preserves_insertion_order_within_bucket():
 def test_cancelled_far_event_dropped_at_cascade():
     sim = Simulator()
     fired = []
-    doomed = sim.schedule(HORIZON + 50, fired.append, "doomed")
-    sim.schedule(HORIZON + 60, fired.append, "kept")
+    doomed = sim.schedule(FAR + 50, fired.append, "doomed")
+    sim.schedule(FAR + 60, fired.append, "kept")
     doomed.cancel()
     sim.run()
     assert fired == ["kept"]
     assert sim.events_processed == 1
-    # The cascade dropped the tombstone without dispatch bookkeeping debt.
+    # The tombstone was skipped without leaving bookkeeping debt.
     assert sim._cancelled == 0
     assert sim.pending() == 0
 
@@ -76,7 +66,7 @@ def test_same_tick_appends_join_the_running_batch():
 def test_compaction_prunes_cancelled_backlog():
     sim = Simulator()
     keep = []
-    events = [sim.schedule(HORIZON + i, keep.append, i)
+    events = [sim.schedule(FAR + i, keep.append, i)
               for i in range(COMPACT_THRESHOLD + 2)]
     survivor = sim.schedule(5, keep.append, "live")
     for event in events:
@@ -85,7 +75,7 @@ def test_compaction_prunes_cancelled_backlog():
     # live events, so the queue was compacted in place: at most the
     # post-compaction stragglers remain, not the thousand-entry backlog.
     assert sim._cancelled <= 1
-    assert sum(len(v) for v in sim._wheel.values()) <= 1
+    assert len(sim._queue) <= 2
     assert sim.pending() == 1
     sim.run()
     assert keep == ["live"]
@@ -128,11 +118,11 @@ def test_gc_restored_when_callback_raises():
 def test_run_until_with_only_far_events_advances_clock():
     sim = Simulator()
     fired = []
-    sim.schedule(HORIZON * 4, fired.append, "late")
+    sim.schedule(FAR * 4, fired.append, "late")
     sim.run(until=100)
     assert sim.now == 100
     assert fired == []
-    sim.run(until=HORIZON * 10)
+    sim.run(until=FAR * 10)
     assert fired == ["late"]
 
 
@@ -140,7 +130,7 @@ def test_identical_schedules_produce_identical_order():
     def drive(sim, fired):
         events = {}
         for i in range(200):
-            delay = (i * 37) % (HORIZON * 3)
+            delay = (i * 37) % (FAR * 3)
             events[i] = sim.schedule(delay, fired.append, i)
         for i in range(0, 200, 3):
             events[i].cancel()

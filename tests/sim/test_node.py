@@ -69,8 +69,7 @@ def test_cpu_backlog_and_utilization():
     sim, net, node, peer = build()
     for _ in range(5):
         peer.send("s0", Sized())
-    sim.run(until=0)
-    sim.run(max_events=5)  # deliveries only
+    sim.run(until=0)  # deliveries only (rtt 0); handlers queued at +100us
     assert node.cpu_backlog_us() > 0
     sim.run()
     assert node.utilization(500) == 1.0
@@ -149,7 +148,7 @@ def test_crashed_node_does_not_send():
 def test_in_flight_work_dropped_on_crash():
     sim, net, node, peer = build()
     peer.send("s0", Sized())
-    sim.run(max_events=1)  # delivered, handler queued at +100us
+    sim.run(until=0)  # delivered (rtt 0), handler queued at +100us
     node.crash()
     sim.run()
     assert node.handled == []

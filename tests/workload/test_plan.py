@@ -1,4 +1,4 @@
-"""`ClientPlan`: the unified spawn path (naming, rng streams, host sharing,
+"""`ClientPlan`: the unified spawn path (naming, rng streams, private hosts,
 open-loop rate split)."""
 
 import pytest
@@ -59,33 +59,6 @@ def test_plan_threads_session_knobs():
         assert client.depth == 5
         assert client.retry is retry
         assert client.read_consistency is Consistency.LINEARIZABLE
-
-
-def test_plan_shares_client_hosts_per_site():
-    plan = ClientPlan(per_region=4, hosts_per_site=2)
-    sim, servers, clients, metrics = spawn(plan)
-    by_site = {}
-    for client in clients:
-        by_site.setdefault(client.site, set()).add(client.host.name)
-    # 4 clients per site share exactly 2 machines, named per convention
-    assert by_site["s0"] == {"ch0.s0", "ch1.s0"}
-    assert by_site["s1"] == {"ch0.s1", "ch1.s1"}
-    host = next(c.host for c in clients if c.host.name == "ch0.s0")
-    assert len(host.nodes) == 2
-    sim.run(until=ms(100))
-    assert all(c.completed > 0 for c in clients)
-
-
-def test_shared_client_host_crashes_as_one_machine():
-    plan = ClientPlan(per_region=4, hosts_per_site=2)
-    sim, servers, clients, metrics = spawn(plan)
-    sim.run(until=ms(20))
-    victim = next(c.host for c in clients if c.host.name == "ch0.s0")
-    victim.crash()
-    cohabitants = [c for c in clients if c.host is victim]
-    assert len(cohabitants) == 2
-    assert all(not c.alive for c in cohabitants)
-    assert all(c.alive for c in clients if c.host is not victim)
 
 
 def test_plan_open_loop_splits_offered_load():

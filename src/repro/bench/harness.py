@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.kvstore.checker import HistoryChecker, HistoryEvent
+from repro.kvstore.checker import HistoryChecker, record_client_events
 from repro.metrics.recorder import MetricsRecorder
 from repro.obs import Observability, install_standard_gauges
 from repro.protocols.config import geo_cluster
@@ -24,7 +24,7 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import SplitRng
 from repro.sim.topology import ec2_five_regions
 from repro.sim.units import sec
-from repro.workload.clients import spawn_clients
+from repro.workload.clients import ClosedLoopClient
 from repro.workload.plan import FleetSpec
 
 
@@ -93,18 +93,18 @@ class Cluster:
             for replica in self.replicas.values():
                 replica.on_apply_hooks.append(self.checker.record_apply)
 
-        server_of_site = {site: f"r_{site}" for site in self.topology.sites}
+        sites = self.topology.sites
         stop_at = sec(spec.duration_s)
-        self.clients = spawn_clients(
-            self.sim, self.network, self.topology.sites, server_of_site,
-            spec.clients_per_region, spec.workload, self.rng, self.metrics,
-            stop_at=stop_at, plan=spec.client_plan(),
-        )
+        self.clients = spec.client_plan().spawn(
+            sites, self.rng,
+            lambda name, site, rng, **knobs: ClosedLoopClient(
+                name, self.sim, self.network, site, f"r_{site}",
+                spec.workload, sites, rng, self.metrics, stop_at=stop_at,
+                **knobs))
         if self.checker is not None and spec.full_check:
             # Client-observed events feed the monotonic-read and lease-
             # freshness checks (the pipelined figures assert check_all).
-            for client in self.clients:
-                client.on_complete_hooks.append(self._record_event)
+            record_client_events(self.clients, lambda server: self.checker)
 
         self.obs: Optional[Observability] = None
         if spec.obs:
@@ -115,14 +115,6 @@ class Cluster:
                 self.obs.sampler, replicas=self.replicas.values(),
                 clients=self.clients, network=self.network)
             self.obs.sampler.start(stop_at=stop_at)
-
-    def _record_event(self, command, reply, start, end) -> None:
-        value = command.value if command.op is OpType.PUT else reply.value
-        self.checker.record_event(HistoryEvent(
-            client=command.client_id, seq=command.seq, op=command.op,
-            key=command.key, value=value, start=start, end=end,
-            server=reply.server, local_read=reply.local_read,
-        ))
 
     @property
     def leader_replica(self):

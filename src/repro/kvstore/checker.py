@@ -169,6 +169,32 @@ class HistoryChecker:
         )
 
 
+def record_client_events(clients, checker_of) -> None:
+    """Feed every success the `clients` complete into the `HistoryChecker`
+    that `checker_of(server)` names for the answering server (None: not
+    checked) — the client-visible events of the monotonic-read and
+    lease-freshness checks.  The one hook both harnesses install: a single
+    group maps every server to its checker, a sharded run each server to
+    its shard's, so events stay attributed correctly even while a reshard
+    moves keys between groups."""
+
+    def record(command: Command, reply, start: int, end: int) -> None:
+        if not command.is_data:
+            return  # transactions are checked by the txn-level checker
+        checker = checker_of(reply.server)
+        if checker is None:
+            return
+        value = command.value if command.op is OpType.PUT else reply.value
+        checker.record_event(HistoryEvent(
+            client=command.client_id, seq=command.seq, op=command.op,
+            key=command.key, value=value, start=start, end=end,
+            server=reply.server, local_read=reply.local_read,
+        ))
+
+    for client in clients:
+        client.on_complete_hooks.append(record)
+
+
 # ---------------------------------------------------------------------------
 # Strict serializability of multi-key transactions (repro.shard.txn)
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.kvstore.store import KVStore
-from repro.protocols.config import ClusterConfig
+from repro.protocols.config import BEACON_REFRESH_TICKS, ClusterConfig
 from repro.protocols.messages import (
     NO_HOLDERS,
     ClientReply,
@@ -50,14 +50,13 @@ class ReplicaBase(Node):
     # its coalesced messages) stay False and keep their real keepalives.
     beacon_mergeable = False
 
-    def __init__(self, name, sim, network, config: ClusterConfig, trace=None) -> None:
+    def __init__(self, name, sim, network, config: ClusterConfig) -> None:
         super().__init__(
             name,
             sim,
             network,
             site=config.site_of(name),
             costs=config.costs,
-            trace=trace,
             host=config.host_of(name),
         )
         self.config = config
@@ -119,8 +118,7 @@ class ReplicaBase(Node):
     def on_message(self, src: str, message: Any) -> None:
         handler = self._handlers.get(type(message))
         if handler is None:
-            self.trace.record(self.sim.now, self.name, "unhandled", msg=type(message).__name__)
-            return
+            return  # a message type this protocol does not speak
         handler(src, message)
 
     # -- client sessions -------------------------------------------------------
@@ -191,12 +189,12 @@ class ReplicaBase(Node):
 
     def beacon_refresh_due(self) -> bool:
         """Advance the heartbeat tick counter; every
-        `config.beacon_refresh_ticks`-th tick the leader sends REAL empty
+        `BEACON_REFRESH_TICKS`-th tick the leader sends REAL empty
         keepalives even to beacon-covered peers — the beacon replaces the
         timer reset but not the commit-frontier self-healing a dropped
         frontier broadcast needs.  Call once per heartbeat tick."""
         self._beacon_ticks += 1
-        return self._beacon_ticks % max(1, self.config.beacon_refresh_ticks) == 0
+        return self._beacon_ticks % BEACON_REFRESH_TICKS == 0
 
     def complete(self, command: Command, ok: bool, value: Optional[str],
                  local_read: bool = False, shard_hint: Optional[int] = None) -> None:

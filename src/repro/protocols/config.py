@@ -9,6 +9,21 @@ from repro.sim.node import Host, NodeCosts
 from repro.sim.units import ms, sec
 
 
+#: Leader-side micro-batching of appends (the etcd optimization kept on in
+#: §5): a leader flushes the appends of one interval in one round.
+APPEND_FLUSH_INTERVAL = ms(0.5)
+
+#: Every Nth heartbeat tick a leader sends REAL empty keepalives even to
+#: beacon-covered peers.  The beacon replaces the keepalive's timer reset
+#: but not its self-healing: an empty append/Accept also carries the commit
+#: frontier, and if the one message that advertised a new frontier was
+#: dropped (loss, a partition window), suppression would otherwise leave an
+#: idle follower behind forever.  The refresh bounds that staleness to
+#: BEACON_REFRESH_TICKS heartbeat intervals while keeping ~90% of the
+#: header amortization.
+BEACON_REFRESH_TICKS = 10
+
+
 @dataclass
 class ClusterConfig:
     """Static configuration of a replica group.
@@ -30,9 +45,8 @@ class ClusterConfig:
     election_timeout_max: int = ms(2000)
     heartbeat_interval: int = ms(100)
 
-    # Leader-side micro-batching of appends and follower-side batching of
-    # forwarded client requests (the etcd optimization kept on in §5).
-    append_flush_interval: int = ms(0.5)
+    # Follower-side batching of forwarded client requests (the etcd
+    # optimization kept on in §5; see `APPEND_FLUSH_INTERVAL`).
     forward_flush_interval: int = ms(2)
     forward_batch_max: int = 32
 
@@ -49,17 +63,7 @@ class ClusterConfig:
     # flush interval is the batching horizon for one envelope; coalescing
     # is off by default — the single-group figures run the original
     # one-message-one-send transport.
-    coalesce_enabled: bool = False
     coalesce_flush_interval: int = ms(0.5)
-    # Every Nth heartbeat tick a leader sends REAL empty keepalives even to
-    # beacon-covered peers.  The beacon replaces the keepalive's timer
-    # reset but not its self-healing: an empty append/Accept also carries
-    # the commit frontier, and if the one message that advertised a new
-    # frontier was dropped (loss, a partition window), suppression would
-    # otherwise leave an idle follower behind forever.  The refresh bounds
-    # that staleness to beacon_refresh_ticks heartbeat intervals while
-    # keeping ~90% of the header amortization.
-    beacon_refresh_ticks: int = 10
 
     # Machine placement: replica name -> the `Host` it runs on.  `None`
     # (the default) gives every replica a private host, the paper's

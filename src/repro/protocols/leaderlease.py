@@ -27,9 +27,9 @@ class LeaderLeaseReplica(RaftStarReplica):
     # an idle leader — keep the real keepalives.
     beacon_mergeable = False
 
-    def __init__(self, name, sim, network, config, trace=None) -> None:
+    def __init__(self, name, sim, network, config) -> None:
         self._last_heard: Dict[str, int] = {}
-        super().__init__(name, sim, network, config, trace=trace)
+        super().__init__(name, sim, network, config)
         self.local_reads_served = 0
 
     def _ack_received(self, peer: str, message: Any) -> None:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.protocols.base import ReplicaBase
-from repro.protocols.config import ClusterConfig
+from repro.protocols.config import APPEND_FLUSH_INTERVAL, ClusterConfig
 from repro.protocols.messages import (
     CommitNotice,
     MenciusAck,
@@ -70,9 +70,9 @@ class MenciusReplica(ReplicaBase):
     #: execution mode: "ordered" or "commutative"
     execution_mode = "ordered"
 
-    def __init__(self, name, sim, network, config: ClusterConfig, trace=None,
+    def __init__(self, name, sim, network, config: ClusterConfig,
                  execution_mode: Optional[str] = None) -> None:
-        super().__init__(name, sim, network, config, trace=trace)
+        super().__init__(name, sim, network, config)
         if execution_mode is not None:
             self.execution_mode = execution_mode
         self.rank = config.ranks[name]
@@ -134,7 +134,7 @@ class MenciusReplica(ReplicaBase):
         self._acks.setdefault(index, set()).add(self.name)
         self._batch[index] = entry
         if not self._flush_timer.armed:
-            self._flush_timer.arm(self.config.append_flush_interval, self._flush)
+            self._flush_timer.arm(APPEND_FLUSH_INTERVAL, self._flush)
 
     def _flush(self) -> None:
         self._flush_timer.cancel()
@@ -267,7 +267,7 @@ class MenciusReplica(ReplicaBase):
                     self._fresh_commits.append(index)
                     if not self._flush_timer.armed:
                         self._flush_timer.arm(
-                            self.config.append_flush_interval, self._flush)
+                            APPEND_FLUSH_INTERVAL, self._flush)
         self._advance()
 
     # -- skip / commit dissemination ----------------------------------------------------
@@ -309,7 +309,7 @@ class MenciusReplica(ReplicaBase):
         for peer in self.peers:
             self.send(peer, notice)
         if self._fresh_commits and not self._flush_timer.armed:
-            self._flush_timer.arm(self.config.append_flush_interval, self._flush)
+            self._flush_timer.arm(APPEND_FLUSH_INTERVAL, self._flush)
         self._skip_timer.arm(self.config.skip_interval, self._on_skip_tick)
 
     # -- execution -----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.membership import DEFAULT_ALPHA, ConfigLog, is_quorum
 from repro.protocols.base import ReplicaBase
-from repro.protocols.config import ClusterConfig
+from repro.protocols.config import APPEND_FLUSH_INTERVAL, ClusterConfig
 from repro.protocols.messages import (
     Accept,
     Accepted,
@@ -47,8 +47,8 @@ class MultiPaxosReplica(ReplicaBase):
     # (its Accepted replies carry lease-holder sets).
     beacon_mergeable = True
 
-    def __init__(self, name, sim, network, config: ClusterConfig, trace=None) -> None:
-        super().__init__(name, sim, network, config, trace=trace)
+    def __init__(self, name, sim, network, config: ClusterConfig) -> None:
+        super().__init__(name, sim, network, config)
         self.ballot = Ballot(0, "")
         self.phase1_succeeded = False
         self.leader_id: Optional[str] = None
@@ -154,7 +154,6 @@ class MultiPaxosReplica(ReplicaBase):
         self.leader_id = None
         self._promises = {}
         unchosen = self.first_unchosen()
-        self.trace.record(self.sim.now, self.name, "phase1a", round=self.ballot.round)
         for peer in self.peers:
             self.send(peer, Prepare(ballot=self.ballot, proposer=self.name, unchosen=unchosen))
         # Promise to ourselves.
@@ -230,7 +229,6 @@ class MultiPaxosReplica(ReplicaBase):
         self.phase1_succeeded = True
         self.leader_id = self.name
         self.next_instance = end + 1
-        self.trace.record(self.sim.now, self.name, "phase1ok", round=self.ballot.round)
         self._leader_timer.cancel()
         if recovered:
             self._accept_buffer.update(recovered)
@@ -259,7 +257,7 @@ class MultiPaxosReplica(ReplicaBase):
         if len(self._accept_buffer) >= MAX_ACCEPT_BATCH:
             self._flush_accepts()
         elif not self._flush_timer.armed:
-            self._flush_timer.arm(self.config.append_flush_interval, self._flush_accepts)
+            self._flush_timer.arm(APPEND_FLUSH_INTERVAL, self._flush_accepts)
 
     def _flush_accepts(self) -> None:
         self._flush_timer.cancel()
@@ -412,7 +410,7 @@ class MultiPaxosReplica(ReplicaBase):
                 self.submit_command(command)
         if advanced and self.phase1_succeeded and not self._flush_timer.armed:
             # Let acceptors learn the new frontier promptly.
-            self._flush_timer.arm(self.config.append_flush_interval, self._flush_accepts_or_learn)
+            self._flush_timer.arm(APPEND_FLUSH_INTERVAL, self._flush_accepts_or_learn)
         self._frontier_advanced()
 
     def _flush_accepts_or_learn(self) -> None:

@@ -51,7 +51,7 @@ class QuorumLease:
     #: arrived (None: the family's acks already do).
     commit_recheck_interval: Optional[int] = None
 
-    def __init__(self, name, sim, network, config, trace=None) -> None:
+    def __init__(self, name, sim, network, config) -> None:
         # key -> highest local log index holding a write to it
         self._last_modified: Dict[str, int] = {}
         # Local reads waiting for their key's writes to commit, grouped by
@@ -72,7 +72,7 @@ class QuorumLease:
         # fan-out until their last acked lease grants expire (see
         # `_splice_peers`).
         self._lingering: Set[str] = set()
-        super().__init__(name, sim, network, config, trace=trace)
+        super().__init__(name, sim, network, config)
         self._linger_timer = self.timer("pql-linger")
         self._read_sweep_timer = self.timer("read-sweep")
         self._commit_recheck_timer = self.timer("commit-recheck")

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 from repro.membership import VoterView
 from repro.protocols.base import ReplicaBase
-from repro.protocols.config import ClusterConfig
+from repro.protocols.config import APPEND_FLUSH_INTERVAL, ClusterConfig
 from repro.protocols.messages import (
     AppendEntries,
     AppendEntriesReply,
@@ -81,8 +81,8 @@ class RaftReplica(ReplicaBase):
     # (lease liveness, lease-holder sets) override this back to False.
     beacon_mergeable = True
 
-    def __init__(self, name, sim, network, config: ClusterConfig, trace=None) -> None:
-        super().__init__(name, sim, network, config, trace=trace)
+    def __init__(self, name, sim, network, config: ClusterConfig) -> None:
+        super().__init__(name, sim, network, config)
         self.current_term = 0
         self.voted_for: Optional[str] = None
         self.log: List[Entry] = []
@@ -190,7 +190,6 @@ class RaftReplica(ReplicaBase):
         self.voted_for = self.name
         self.leader_id = None
         self._votes = {self.name}
-        self.trace.record(self.sim.now, self.name, "candidate", term=self.current_term)
         message = RequestVote(
             term=self.current_term,
             candidate=self.name,
@@ -265,7 +264,6 @@ class RaftReplica(ReplicaBase):
             for peer in self.peers
         }
         self._peer_records = list(self._peer_state.values())
-        self.trace.record(self.sim.now, self.name, "leader", term=self.current_term)
         if not initial:
             # Commit-liveness no-op: gives the new term an entry to count.
             self._append_to_log(Command(
@@ -341,7 +339,7 @@ class RaftReplica(ReplicaBase):
 
     def _schedule_flush(self) -> None:
         if not self._flush_timer.armed:
-            self._flush_timer.arm(self.config.append_flush_interval, self._broadcast_appends)
+            self._flush_timer.arm(APPEND_FLUSH_INTERVAL, self._broadcast_appends)
 
     # -- replication -----------------------------------------------------------------
 

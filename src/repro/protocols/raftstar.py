@@ -33,14 +33,14 @@ from repro.protocols.types import Command, Entry, OpType
 class RaftStarReplica(RaftReplica):
     """A Raft* replica."""
 
-    def __init__(self, name, sim, network, config, trace=None) -> None:
+    def __init__(self, name, sim, network, config) -> None:
         self._pending_extras: Dict[int, Entry] = {}
         # Ballot watermark: every log[i], i < _ballot_upto, has ballot
         # _ballot_term.  Always <= len(log); appends past it need no
         # bookkeeping, an overwrite below it lowers it (`_try_append`).
         self._ballot_term = -1
         self._ballot_upto = 0
-        super().__init__(name, sim, network, config, trace=trace)
+        super().__init__(name, sim, network, config)
 
     # -- difference 1: vote-reply extras and leader-side merge ------------------
 

@@ -25,8 +25,8 @@ redirects.  See `repro.shard.reshard` for the moving parts and
 `repro.bench.live` for the instrumented experiments.
 
 `run_sharded_experiment` mirrors `repro.bench.run_experiment`: build, run,
-trim warm-up/cool-down, return aggregate and per-shard stats plus the
-per-shard `HistoryChecker` verdicts.
+trim warm-up/cool-down, return the run's `Accounting` (ack identities and
+the per-shard `HistoryChecker` verdicts) with aggregate and per-shard stats.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.kvstore.checker import HistoryChecker
+from repro.kvstore.checker import HistoryChecker, record_client_events
 from repro.membership.driver import MembershipDriver
 from repro.metrics.recorder import MetricsRecorder
 from repro.obs import Observability, install_standard_gauges
@@ -52,7 +52,7 @@ from repro.shard.reshard import (
     ReshardCoordinator,
     ShardOwnership,
 )
-from repro.shard.router import ShardRouter, checker_hook, spawn_sharded_clients
+from repro.shard.router import ShardRouter, ShardRoutedClient
 from repro.sim.events import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Host
@@ -98,40 +98,6 @@ class ShardedSpec(FleetSpec):
         if self.hosts_per_site is None and self.coalesce:
             return 1
         return self.hosts_per_site
-
-
-@dataclass
-class ShardedResult:
-    spec: ShardedSpec
-    throughput_ops: float
-    per_shard_throughput: Dict[int, float]
-    read_latency: Dict[str, float]
-    write_latency: Dict[str, float]
-    completed: int
-    redirects: int
-    filtered: int
-    violations: Dict[int, List[str]]
-    leaders: Dict[int, str]
-    events_processed: int
-    capped_redirects: int = 0
-    # Named event counters (coalesce_envelopes, coalesce_messages,
-    # coalesce_beacons, ... — see MetricsRecorder.counters).
-    counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def linearizable(self) -> bool:
-        return all(not v for v in self.violations.values())
-
-    @property
-    def messages_per_envelope(self) -> float:
-        """Header-amortization factor of the coalescing transport: protocol
-        messages (beacon beats included) carried per envelope sent."""
-        envelopes = self.counters.get("coalesce_envelopes", 0)
-        if not envelopes:
-            return 0.0
-        carried = (self.counters.get("coalesce_messages", 0)
-                   + self.counters.get("coalesce_beacon_beats", 0))
-        return carried / envelopes
 
 
 @dataclass
@@ -201,6 +167,33 @@ class Accounting:
                 f"history={histories})")
 
 
+@dataclass(kw_only=True)
+class ShardedResult(Accounting):
+    """The run's `Accounting` plus the throughput and latency aggregates."""
+
+    spec: ShardedSpec
+    throughput_ops: float
+    per_shard_throughput: Dict[int, float]
+    read_latency: Dict[str, float]
+    write_latency: Dict[str, float]
+    leaders: Dict[int, str]
+    events_processed: int
+    # Named event counters (coalesce_envelopes, coalesce_messages,
+    # coalesce_beacons, ... — see MetricsRecorder.counters).
+    counters: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def messages_per_envelope(self) -> float:
+        """Header-amortization factor of the coalescing transport: protocol
+        messages (beacon beats included) carried per envelope sent."""
+        envelopes = self.counters.get("coalesce_envelopes", 0)
+        if not envelopes:
+            return 0.0
+        carried = (self.counters.get("coalesce_messages", 0)
+                   + self.counters.get("coalesce_beacon_beats", 0))
+        return carried / envelopes
+
+
 class ShardedCluster:
     """A built sharded deployment: N groups, a router, sharded clients."""
 
@@ -249,11 +242,11 @@ class ShardedCluster:
         }
         self.router = ShardRouter(self.versioned, local_replica,
                                   sites=self.topology.sites)
-        self.clients = self._spawn_clients()
+        self.clients = self._build_fleet()
         if spec.check_history:
-            hook = checker_hook(self.checkers)
-            for client in self.clients:
-                client.on_complete_hooks.append(hook)
+            record_client_events(
+                self.clients,
+                lambda server: self.checkers.get(shard_of_server(server)))
 
         self.obs: Optional[Observability] = None
         if spec.obs:
@@ -290,16 +283,19 @@ class ShardedCluster:
         self.membership_completed_at: Optional[int] = None
         self._replaced_incarnations: Dict[str, int] = {}
 
-    def _spawn_clients(self):
+    def _build_fleet(self):
         """Build this deployment's client fleet through the spec's
         `ClientPlan` (the transactional cluster overrides this to spawn
         coordinators + transactional clients over the same plan)."""
         spec = self.spec
-        return spawn_sharded_clients(
-            self.sim, self.network, self.topology.sites, self.router,
-            spec.clients_per_region, spec.workload, self.rng, self.metrics,
-            stop_at=sec(spec.duration_s), plan=spec.client_plan(),
-        )
+        sites = self.topology.sites
+        stop_at = sec(spec.duration_s)
+        return spec.client_plan().spawn(
+            sites, self.rng,
+            lambda name, site, rng, **knobs: ShardRoutedClient(
+                name, self.sim, self.network, site, self.router,
+                spec.workload, sites, rng, self.metrics, stop_at=stop_at,
+                **knobs))
 
     def _build_group(self, shard: int, leader_site: str,
                      versioned: VersionedPartitioner, owned: bool) -> None:
@@ -320,10 +316,8 @@ class ShardedCluster:
             }
             self.data_host_names.update(
                 host.name for host in extra["hosts"].values())
-            if spec.coalesce:
-                extra["coalesce_enabled"] = True
-                if spec.coalesce_flush_interval is not None:
-                    extra["coalesce_flush_interval"] = spec.coalesce_flush_interval
+            if spec.coalesce and spec.coalesce_flush_interval is not None:
+                extra["coalesce_flush_interval"] = spec.coalesce_flush_interval
         config = geo_cluster(self.topology.sites, prefix=prefix,
                              initial_leader=leader, **extra)
         replicas = {
@@ -690,11 +684,8 @@ class ShardedCluster:
         spec = self.spec
         self.sim.run(until=sec(spec.duration_s))
         window_start, window_end = spec.window()
-        violations = {
-            shard: checker.check_all()
-            for shard, checker in sorted(self.checkers.items())
-        }
         return ShardedResult(
+            **vars(self.accounting()),
             spec=spec,
             throughput_ops=self.metrics.throughput_ops(window_start, window_end),
             per_shard_throughput=self.metrics.throughput_by(
@@ -704,14 +695,8 @@ class ShardedCluster:
                 window_start, window_end, lambda r: r.op is OpType.GET),
             write_latency=self.metrics.latency_summary_ms(
                 window_start, window_end, lambda r: r.op is OpType.PUT),
-            completed=len(self.metrics.window(window_start, window_end)),
-            redirects=sum(client.redirects for client in self.clients),
-            filtered=self.filtered_count(),
-            violations=violations,
             leaders=dict(self.leaders),
             events_processed=self.sim.events_processed,
-            capped_redirects=sum(client.capped_redirects
-                                 for client in self.clients),
             counters=dict(self.metrics.counters),
         )
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.kvstore.checker import HistoryEvent
 from repro.metrics.recorder import RequestRecord
 from repro.protocols.messages import (
     ClientReply,
@@ -58,8 +57,6 @@ from repro.protocols.messages import (
 from repro.protocols.types import Command, OpType, Payload, payload_of
 from repro.shard.partition import HashRangePartitioner, Partitioner, VersionedPartitioner
 from repro.workload.clients import ClosedLoopClient
-from repro.workload.openloop import PoissonArrivals
-from repro.workload.plan import ClientPlan
 from repro.workload.session import AckFloor, PendingRequest
 from repro.workload.ycsb import WorkloadConfig
 
@@ -411,53 +408,3 @@ class ShardRoutedClient(ClosedLoopClient):
             self._on_txn_reply(message)
             return
         super().on_message(src, message)
-
-
-class OpenLoopShardRoutedClient(PoissonArrivals, ShardRoutedClient):
-    """A shard-routed session fed by a Poisson arrival clock: same routing,
-    redirect, and transaction policies; open-loop generation."""
-
-
-def checker_hook(checkers):
-    """An `on_complete` hook recording each success into the serving shard's
-    `HistoryChecker` (client-visible events for the linearizability checks).
-    The shard is recovered from the answering server's name, so events stay
-    attributed correctly even while a reshard is moving keys between groups."""
-
-    def record(command: Command, reply: ClientReply, start: int, end: int) -> None:
-        if not command.is_data:
-            return  # transactions are checked by the txn-level checker
-        shard = int(reply.server.split("_", 1)[0][1:])
-        checker = checkers.get(shard)
-        if checker is None:
-            return
-        value = command.value if command.op is OpType.PUT else reply.value
-        checker.record_event(HistoryEvent(
-            client=command.client_id, seq=command.seq, op=command.op,
-            key=command.key, value=value, start=start, end=end,
-            server=reply.server, local_read=reply.local_read,
-        ))
-
-    return record
-
-
-def spawn_sharded_clients(sim, network, sites, router: ShardRouter,
-                          per_region: int, workload: WorkloadConfig,
-                          rng_root, metrics, stop_at: Optional[int] = None,
-                          plan: Optional[ClientPlan] = None,
-                          ) -> List[ShardRoutedClient]:
-    """Shard-routed clients in every site, spawned through a `ClientPlan`."""
-    if plan is None:
-        plan = ClientPlan(per_region=per_region)
-
-    def make(name, site, rng, rate):
-        if rate is not None:
-            return OpenLoopShardRoutedClient(
-                name, sim, network, site, router, workload, sites, rng,
-                metrics, stop_at=stop_at, rate_per_sec=rate,
-                **plan.session_kwargs())
-        return ShardRoutedClient(
-            name, sim, network, site, router, workload, sites, rng, metrics,
-            stop_at=stop_at, **plan.session_kwargs())
-
-    return plan.spawn(sim, sites, rng_root, make)

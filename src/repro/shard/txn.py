@@ -845,43 +845,19 @@ class TxnWorkloadClient(ShardRoutedClient):
         return ops
 
 
-def spawn_txn_clients(sim, network, sites, router: ShardRouter,
-                      per_region: int, workload, rng_root, metrics,
-                      pools: Dict[int, Sequence[str]], txn_size: int,
-                      cross_shard_ratio: float,
-                      stop_at: Optional[int] = None,
-                      plan=None) -> List[TxnWorkloadClient]:
-    """Transactional clients per site, each bound to its site-local
-    coordinator (``txnco_<site>``), spawned through a `ClientPlan`."""
-    from repro.workload.plan import ClientPlan
-
-    if plan is None:
-        plan = ClientPlan(per_region=per_region)
-
-    def make(name, site, rng, rate):
-        if rate is not None:
-            raise ValueError("transactional fleets are closed-loop: "
-                             "offered_load is not supported for TxnSpec")
-        return TxnWorkloadClient(
-            name, sim, network, site, router, workload, sites, rng, metrics,
-            pools=pools, txn_size=txn_size,
-            cross_shard_ratio=cross_shard_ratio,
-            coordinator=f"txnco_{site}",
-            coordinators=[f"txnco_{s}" for s in
-                          [site] + [s for s in sites if s != site]],
-            stop_at=stop_at,
-            **plan.session_kwargs())
-
-    return plan.spawn(sim, sites, rng_root, make)
-
-
 class TxnCluster(ShardedCluster):
     """A sharded deployment serving transactional load: one coordinator per
     site plus closed-loop clients issuing `txn_size`-op transactions."""
 
     spec: TxnSpec
 
-    def _spawn_clients(self) -> List:
+    def __init__(self, spec: TxnSpec) -> None:
+        if spec.offered_load is not None:
+            raise ValueError("transactional fleets are closed-loop: "
+                             "offered_load is not supported for TxnSpec")
+        super().__init__(spec)
+
+    def _build_fleet(self) -> List:
         spec = self.spec
         sites = self.topology.sites
         # The coordinators' own consensus group: one control replica per
@@ -912,12 +888,18 @@ class TxnCluster(ShardedCluster):
                            value if op == "put" else reads.get(key))
                           for op, key, value in ops)))
 
-        clients = spawn_txn_clients(
-            self.sim, self.network, self.topology.sites, self.router,
-            spec.clients_per_region, spec.workload, self.rng, self.metrics,
-            pools=self._pools, txn_size=spec.txn_size,
-            cross_shard_ratio=spec.cross_shard_ratio,
-            stop_at=sec(spec.duration_s), plan=spec.client_plan())
+        stop_at = sec(spec.duration_s)
+        clients = spec.client_plan().spawn(
+            sites, self.rng,
+            lambda name, site, rng, **knobs: TxnWorkloadClient(
+                name, self.sim, self.network, site, self.router,
+                spec.workload, sites, rng, self.metrics, pools=self._pools,
+                txn_size=spec.txn_size,
+                cross_shard_ratio=spec.cross_shard_ratio,
+                coordinator=f"txnco_{site}",
+                coordinators=[f"txnco_{s}" for s in
+                              [site] + [s for s in sites if s != site]],
+                stop_at=stop_at, **knobs))
         for client in clients:
             client.on_txn_complete_hooks.append(record_event)
         return clients

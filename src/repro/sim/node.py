@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.sim.errors import NodeStateError
-from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event, Simulator
@@ -260,7 +259,6 @@ class Node:
         network: "Network",
         site: Optional[str] = None,
         costs: Optional[NodeCosts] = None,
-        trace: Optional[TraceLog] = None,
         host: Optional[Host] = None,
     ) -> None:
         self.name = name
@@ -268,7 +266,6 @@ class Node:
         self.network = network
         self.site = site if site is not None else name
         self.costs = costs or NodeCosts()
-        self.trace = trace or TraceLog(enabled=False)
         # Request-lifecycle observability (repro.obs.Observability); None
         # (the default) makes every `obs_phase` call one branch.
         self.obs = None
@@ -294,9 +291,6 @@ class Node:
         """Send a message; does nothing if this node is crashed."""
         if not self.alive:
             return
-        if self.trace.enabled:
-            self.trace.record(self.sim.now, self.name, "send", dst=dst,
-                              msg=type(message).__name__)
         mux = self.mux
         if mux is not None and dst in mux.directory.replica_to_mux:
             mux.enqueue(self.name, dst, message)
@@ -332,9 +326,6 @@ class Node:
         if not self.alive or self.incarnation != incarnation:
             return
         self.messages_handled += 1
-        if self.trace.enabled:
-            self.trace.record(self.sim.now, self.name, "recv", src=src,
-                              msg=type(message).__name__)
         self.on_message(src, message)
 
     def deliver_direct(self, src: str, message: Any) -> None:
@@ -343,9 +334,6 @@ class Node:
         if not self.alive:
             return
         self.messages_handled += 1
-        if self.trace.enabled:
-            self.trace.record(self.sim.now, self.name, "recv", src=src,
-                              msg=type(message).__name__)
         self.on_message(src, message)
 
     def on_message(self, src: str, message: Any) -> None:
@@ -378,7 +366,6 @@ class Node:
             raise NodeStateError(f"{self.name} is already crashed")
         self.alive = False
         self.incarnation += 1
-        self.trace.record(self.sim.now, self.name, "crash")
         self.on_crash()
 
     def recover(self) -> None:
@@ -388,7 +375,6 @@ class Node:
         self.alive = True
         self.incarnation += 1
         self.host.node_recovered(self)
-        self.trace.record(self.sim.now, self.name, "recover")
         self.on_recover()
 
     def on_crash(self) -> None:

@@ -1,14 +1,13 @@
-"""Workload generation: pipelined client sessions and their drivers.
+"""Workload generation: pipelined client sessions and their driver.
 
 `Session` is the core (pipeline window, retry policy, consistency levels,
-at-most-once seq namespace); `ClosedLoopClient` and `OpenLoopClient` are
-generation policies over it; `ClientPlan` is the one spawn path every
-layer shares.
+at-most-once seq namespace); `ClosedLoopClient` is the generation policy
+over it — closed loop, or open loop when given a Poisson `rate_per_sec`;
+`ClientPlan` is the one spawn path every layer shares.
 """
 
 from repro.protocols.types import Consistency
-from repro.workload.clients import ClosedLoopClient, spawn_clients
-from repro.workload.openloop import OpenLoopClient
+from repro.workload.clients import ClosedLoopClient
 from repro.workload.plan import ClientPlan
 from repro.workload.session import RETRY_TIMEOUT, RetryPolicy, Session
 from repro.workload.ycsb import WorkloadConfig
@@ -17,10 +16,8 @@ __all__ = [
     "ClientPlan",
     "ClosedLoopClient",
     "Consistency",
-    "OpenLoopClient",
     "RETRY_TIMEOUT",
     "RetryPolicy",
     "Session",
     "WorkloadConfig",
-    "spawn_clients",
 ]

@@ -1,11 +1,7 @@
 """`ClientPlan`: the one way client fleets are spawned.
 
-Before the session API, every layer had its own copy of the spawn loop
-(`workload.clients.spawn_clients`, `shard.router.spawn_sharded_clients`,
-`shard.txn.spawn_txn_clients`, `ShardedCluster._spawn_clients`) — same
-naming convention, same rng-stream derivation, same per-site iteration,
-duplicated four times.  A `ClientPlan` owns that loop plus the fleet-wide
-session knobs:
+A `ClientPlan` owns the spawn loop every harness shares (naming, rng-stream
+derivation, per-site iteration) plus the fleet-wide session knobs:
 
 * `per_region` clients per site, named ``c_<site>_<i>`` with rng stream
   ``client:<name>`` (unchanged, so seeds reproduce);
@@ -16,9 +12,11 @@ session knobs:
   instead of on completion.
 
 Every client runs on a private sim `Host` with zero CPU cost — the
-servers remain the measured resource.  Layers keep their own client
-classes; they hand `spawn` a factory ``make(name, site, rng, rate)`` and
-the plan does the rest.
+servers remain the measured resource.  Each harness hands `spawn` a
+factory for its one client class, ``make(name, site, rng, **knobs)``, and
+the plan does the rest: the knobs are the session knobs above plus the
+client's `rate_per_sec` (None = closed loop), passed straight on to the
+`ClosedLoopClient` constructor.
 
 `FleetSpec` is the trial-level face of the same knobs: the fields every
 experiment spec shares (protocol, fleet, steady window, observability),
@@ -39,7 +37,7 @@ from repro.workload.ycsb import WorkloadConfig
 
 @dataclass(frozen=True)
 class ClientPlan:
-    """Fleet-wide client parameters, shared by every spawn path."""
+    """Fleet-wide client parameters, shared by every harness."""
 
     per_region: int = 10
     depth: int = 1
@@ -62,20 +60,18 @@ class ClientPlan:
             return None
         return self.offered_load / max(1, self.fleet_size(sites))
 
-    def spawn(self, sim, sites, rng_root,
-              make: Callable[..., object]) -> List:
-        """Build the fleet: `make(name, site, rng, rate)` per client.
-
-        `rate` is None (closed loop) or the client's Poisson arrival rate
-        in ops/s."""
-        rate = self.rate_per_client(sites)
+    def spawn(self, sites, rng_root, make: Callable[..., object]) -> List:
+        """Build the fleet: `make(name, site, rng, **knobs)` per client,
+        the knobs being `session_kwargs()` and `rate_per_sec` (None =
+        closed loop, else the client's Poisson arrival rate in ops/s)."""
+        knobs = dict(self.session_kwargs(),
+                     rate_per_sec=self.rate_per_client(sites))
         clients: List = []
         for site in sites:
             for i in range(self.per_region):
                 name = f"c_{site}_{i}"  # also the client's RNG stream key
                 clients.append(make(
-                    name=name, site=site,
-                    rng=rng_root.stream(f"client:{name}"), rate=rate))
+                    name, site, rng_root.stream(f"client:{name}"), **knobs))
         return clients
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.bench.harness import Cluster, ExperimentSpec, run_experiment
 from repro.protocols.registry import PROTOCOLS
 from repro.workload.ycsb import WorkloadConfig
 
@@ -34,6 +34,14 @@ def test_every_protocol_completes_requests(protocol):
     result = run_experiment(spec)
     assert result.completed > 0
     assert result.violations == []
+
+
+@pytest.mark.parametrize("full_check", [True, False])
+def test_full_check_records_client_events_through_the_shared_hook(full_check):
+    cluster = Cluster(small_spec(check_history=True, full_check=full_check))
+    cluster.run()
+    assert bool(cluster.checker.events) is full_check
+    assert cluster.checker.check_all() == []
 
 
 def test_throughput_positive():

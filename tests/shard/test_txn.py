@@ -65,6 +65,12 @@ def test_txn_experiment_commits_and_stays_safe():
     assert result.safe
 
 
+def test_txn_cluster_rejects_offered_load_at_construction():
+    with pytest.raises(ValueError, match="closed-loop"):
+        TxnCluster(TxnSpec(offered_load=100.0, num_shards=2,
+                           clients_per_region=1, duration_s=1.0))
+
+
 def test_zero_cross_ratio_never_touches_the_coordinator():
     result = run_txn_experiment(txn_spec(cross_shard_ratio=0.0))
     assert result.cross_shard == 0

@@ -9,11 +9,8 @@ from repro.sim.node import Node, NodeCosts
 from repro.sim.rng import SplitRng
 from repro.sim.topology import symmetric_lan
 from repro.sim.units import ms, sec
-from repro.workload.clients import (
-    ClosedLoopClient,
-    RetryPolicy,
-    spawn_clients,
-)
+from repro.workload.clients import ClosedLoopClient, RetryPolicy
+from repro.workload.plan import ClientPlan
 from repro.workload.ycsb import WorkloadConfig
 
 #: No growth, no jitter: the fixed 20 ms backoff / 5 s resend schedule the
@@ -182,8 +179,10 @@ def test_spawn_clients_per_region():
     InstantServer("s0", sim, net)
     InstantServer("s1", sim, net)
     metrics = MetricsRecorder()
-    clients = spawn_clients(sim, net, ["s0", "s1"], {"s0": "s0", "s1": "s1"},
-                            per_region=3, workload=WorkloadConfig(records=10),
-                            rng_root=SplitRng(1), metrics=metrics)
+    clients = ClientPlan(per_region=3).spawn(
+        ["s0", "s1"], SplitRng(1),
+        lambda name, site, rng, **knobs: ClosedLoopClient(
+            name, sim, net, site, site, WorkloadConfig(records=10),
+            ["s0", "s1"], rng, metrics, **knobs))
     assert len(clients) == 6
     assert {c.site for c in clients} == {"s0", "s1"}

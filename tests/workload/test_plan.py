@@ -1,16 +1,19 @@
 """`ClientPlan`: the unified spawn path (naming, rng streams, private hosts,
-open-loop rate split)."""
+open-loop rate split), shared by both cluster harnesses."""
 
 import pytest
 
+from repro.bench.harness import Cluster, ExperimentSpec
 from repro.metrics.recorder import MetricsRecorder
 from repro.protocols.types import Consistency
+from repro.shard.cluster import ShardedCluster, ShardedSpec
+from repro.shard.router import ShardRoutedClient
 from repro.sim.events import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import SplitRng
 from repro.sim.topology import symmetric_lan
 from repro.sim.units import ms, sec
-from repro.workload.clients import spawn_clients
+from repro.workload.clients import ClosedLoopClient
 from repro.workload.plan import ClientPlan
 from repro.workload.session import RetryPolicy
 from repro.workload.ycsb import WorkloadConfig
@@ -32,10 +35,11 @@ def spawn(plan, sites=("s0", "s1"), stop_at=None):
     servers = {site: WindowServer(f"srv_{site}", sim, net, site=site)
                for site in sites}
     metrics = MetricsRecorder()
-    clients = spawn_clients(
-        sim, net, list(sites), {s: f"srv_{s}" for s in sites},
-        per_region=plan.per_region, workload=WORKLOAD, rng_root=SplitRng(1),
-        metrics=metrics, stop_at=stop_at, plan=plan)
+    clients = plan.spawn(
+        list(sites), SplitRng(1),
+        lambda name, site, rng, **knobs: ClosedLoopClient(
+            name, sim, net, site, f"srv_{site}", WORKLOAD, list(sites), rng,
+            metrics, stop_at=stop_at, **knobs))
     return sim, servers, clients, metrics
 
 
@@ -68,3 +72,25 @@ def test_plan_open_loop_splits_offered_load():
     sim.run(until=sec(1))
     arrivals = sum(c.arrivals for c in clients)
     assert 280 <= arrivals <= 560  # ~400 expected over 1 s
+
+
+FLEET = dict(clients_per_region=1, duration_s=2.0, warmup_s=0.5,
+             cooldown_s=0.5, workload=WORKLOAD)
+
+
+@pytest.mark.parametrize("build, client_class", [
+    (lambda load: Cluster(ExperimentSpec(offered_load=load, **FLEET)),
+     ClosedLoopClient),
+    (lambda load: ShardedCluster(ShardedSpec(num_shards=2,
+                                             offered_load=load, **FLEET)),
+     ShardRoutedClient),
+], ids=["single-group", "sharded"])
+def test_open_loop_is_a_rate_on_each_harness_one_client_class(build,
+                                                              client_class):
+    cluster = build(500.0)
+    clients = cluster.clients
+    assert {type(client) for client in clients} == {client_class}
+    for client in clients:
+        assert client.rate_per_sec == pytest.approx(500.0 / len(clients))
+    cluster.sim.run(until=sec(1))
+    assert all(client.arrivals > 0 for client in clients)

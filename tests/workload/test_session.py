@@ -13,7 +13,6 @@ from repro.sim.rng import SplitRng
 from repro.sim.topology import symmetric_lan
 from repro.sim.units import ms, sec
 from repro.workload.clients import ClosedLoopClient
-from repro.workload.openloop import OpenLoopClient
 from repro.workload.session import RetryPolicy, Session
 from repro.workload.ycsb import WorkloadConfig
 
@@ -292,11 +291,17 @@ def build_open(rate, depth=4, stop_at=None):
                   config=NetworkConfig())
     server = WindowServer("s0", sim, net)
     metrics = MetricsRecorder()
-    client = OpenLoopClient(
+    client = ClosedLoopClient(
         "c0", sim, net, "s0", "s0", WORKLOAD, ["s0", "s1"],
         SplitRng(3).stream("c"), metrics, rate_per_sec=rate, depth=depth,
         stop_at=stop_at)
     return sim, server, client, metrics
+
+
+@pytest.mark.parametrize("rate", [0, -1])
+def test_open_loop_rate_must_be_positive(rate):
+    with pytest.raises(ValueError, match="rate_per_sec"):
+        build_open(rate=rate)
 
 
 def test_open_loop_arrival_rate_is_respected():

@@ -64,12 +64,18 @@ class HistoryChecker:
         """Return violation descriptions (empty list == safe)."""
         violations = []
         replicas = list(self.applied)
+        # Each replica's index -> command map is built once, not once per
+        # pair it takes part in.
+        by_index = {r: dict(self.applied[r]) for r in replicas}
+        indexes = {r: set(seq) for r, seq in by_index.items()}
         for i, a in enumerate(replicas):
+            seq_a = by_index[a]
             for b in replicas[i + 1:]:
-                seq_a = dict(self.applied[a])
-                seq_b = dict(self.applied[b])
-                for index in set(seq_a) & set(seq_b):
+                seq_b = by_index[b]
+                for index in indexes[a] & indexes[b]:
                     ca, cb = seq_a[index], seq_b[index]
+                    if ca is cb:  # one command, delivered to both
+                        continue
                     if (ca.client_id, ca.seq, ca.op, ca.key, ca.value) != (
                         cb.client_id,
                         cb.seq,

@@ -12,10 +12,14 @@ from the newest seq: a dropped reply can leave the oldest in-flight seq
 retrying long after far newer seqs applied, and its slot must survive
 until the client itself acks it (see DESIGN.md §8).
 
-Sharded deployments add two concerns:
+Sharded deployments add three concerns:
 
 * a **key filter** restricting the store to the keys its group owns (a
   safety net behind the router and the replica ownership guard);
+* a per-key **install order** of every write, kept only by a store with a
+  key filter: range migration ships it and the strict-serializability
+  checker reads it, while a single group's checker derives write order
+  from the applied commands — so a single-group store never grows one;
 * **range migration** (`MIGRATE_OUT` / `MIGRATE_IN` commands) for live
   resharding: a donor exports a hash range — the records *and* the
   dedup-window slots whose key lies in the range — and a recipient
@@ -23,7 +27,7 @@ Sharded deployments add two concerns:
   committed log so every replica of a group transitions at the same log
   position.
 
-Cross-shard transactions (`repro.shard.txn`) add a third: the store is one
+Cross-shard transactions (`repro.shard.txn`) add a fourth: the store is one
 **participant** in two-phase commit, and every 2PC step is itself a
 committed command, so the lock table and staged writes below are rebuilt
 identically on every replica of the group (and by crash-recovery replay):
@@ -56,7 +60,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.protocols.types import Command, OpType, Payload, payload_of
 
@@ -191,6 +196,10 @@ class KVStore:
         self.applied_count = 0
         self.key_filter = key_filter
         self.filtered_count = 0
+        # Per-key install order of every write (PUT or committed txn
+        # write), kept only by a shard member (see `set_key_filter`).
+        self._write_log: Optional[Dict[str, List[str]]] = (
+            None if key_filter is None else {})
         # -- 2PC participant state (all advanced only by applied commands,
         #    so every replica of the group holds identical copies) --------
         self._locks: Dict[str, str] = {}          # key -> holding txn handle
@@ -210,9 +219,6 @@ class KVStore:
         # across entries, so the snapshot at the export's log position
         # includes them.
         self._migrate_fences: set = set()         # {(lo, hi)}
-        # Per-key install order of every write (PUT or committed txn
-        # write), for the strict-serializability checker.
-        self._write_log: Dict[str, List[str]] = {}
 
     def set_key_filter(self, key_filter: Optional[Callable[[str], bool]]) -> None:
         """Restrict the store to the keys it owns (sharded deployments).
@@ -220,8 +226,15 @@ class KVStore:
         Commands for keys outside the filter fail with `ok=False` instead
         of mutating state — a safety net behind the router: with correct
         shard routing it never fires, and `filtered_count` stays 0.
+
+        Becoming a shard member also starts the per-key install order:
+        reshard ships it with a range and the strict-serializability
+        checker reads it.  Both sharded build paths set the filter before
+        the group applies anything, so the order is whole.
         """
         self.key_filter = key_filter
+        if key_filter is not None and self._write_log is None:
+            self._write_log = {}
 
     def owns(self, key: str) -> bool:
         return self.key_filter is None or self.key_filter(key)
@@ -334,10 +347,12 @@ class KVStore:
         self._table[key] = value
         versions = self._versions
         versions[key] = versions.get(key, 0) + 1
-        log = self._write_log.get(key)
-        if log is None:
-            log = self._write_log[key] = []
-        log.append(value)
+        write_log = self._write_log
+        if write_log is not None:
+            log = write_log.get(key)
+            if log is None:
+                log = write_log[key] = []
+            log.append(value)
 
     # -- transactions (2PC participant) --------------------------------------
 
@@ -500,7 +515,7 @@ class KVStore:
         # history prefix.  (Keys can have a write log without a live table
         # entry only transiently; sweep by hash range, not by `moved`.)
         write_log = {}
-        for key in sorted(self._write_log):
+        for key in sorted(self._write_log or ()):
             if lo <= key_point(key) < hi:
                 write_log[key] = self._write_log.pop(key)
         sessions = {}
@@ -530,10 +545,13 @@ class KVStore:
         higher floor never regresses)."""
         self._table.update(payload.get("table", {}))
         self._versions.update(payload.get("versions", {}))
-        for key, log in payload.get("write_log", {}).items():
-            # The imported history is the key's prefix: writes the importer
-            # somehow already has (none, under correct routing) stay after.
-            self._write_log[key] = list(log) + self._write_log.get(key, [])
+        write_log = self._write_log
+        if write_log is not None:
+            for key, log in payload.get("write_log", {}).items():
+                # The imported history is the key's prefix: writes the
+                # importer somehow already has (none, under correct
+                # routing) stay after.
+                write_log[key] = list(log) + write_log.get(key, [])
         for client, exported in payload.get("sessions", {}).items():
             session = self._sessions.setdefault(client, DedupSession())
             session.merge(DedupSession.from_payload(exported))
@@ -586,10 +604,24 @@ class KVStore:
         """Number of writes applied to `key` (used by safety checkers)."""
         return self._versions.get(key, 0)
 
+    def install_orders(self) -> Mapping[str, Sequence[str]]:
+        """Read-only view of every key's install order (key -> values in
+        apply order) — the per-key version order the strict-serializability
+        checker anchors on.  Only a shard member keeps one: on any other
+        store this raises rather than answer an empty order, which would
+        make that checker vacuous."""
+        if self._write_log is None:
+            raise RuntimeError(
+                "this store keeps no install order: only a shard member "
+                "(a store with a key filter) records one; a single group's "
+                "write order comes from its applied commands "
+                "(HistoryChecker)")
+        return MappingProxyType(self._write_log)
+
     def write_order(self, key: str) -> List[str]:
-        """Every value installed at `key`, in apply order (the per-key
-        version order the strict-serializability checker anchors on)."""
-        return list(self._write_log.get(key, []))
+        """Every value installed at `key`, in apply order (a copy; see
+        `install_orders`)."""
+        return list(self.install_orders().get(key, ()))
 
     def locked_keys(self) -> Dict[str, str]:
         """Current prepared-lock table (key -> holding handle)."""
@@ -610,28 +642,33 @@ class KVStore:
 
     def export_full(self) -> Dict:
         """The whole store as a catch-up snapshot: records, versions,
-        per-key install orders, and every client's dedup window —
+        per-key install orders (if kept), and every client's dedup window —
         everything a joining replica needs so that replaying the log
         suffix after the snapshot position reproduces the donor's state
         machine exactly (the property `tests/membership` pins with
         `digest`)."""
-        return {
+        snapshot = {
             "table": dict(self._table),
             "versions": dict(self._versions),
-            "write_log": {key: list(log)
-                          for key, log in self._write_log.items()},
             "sessions": {client: session.export_payload(dict(session.entries))
                          for client, session in sorted(self._sessions.items())},
             "applied": self.applied_count,
         }
+        if self._write_log is not None:
+            snapshot["write_log"] = {key: list(log)
+                                     for key, log in self._write_log.items()}
+        return snapshot
 
     def install_full(self, payload: Dict) -> None:
         """Install a catch-up snapshot into a FRESH store (replaces, not
-        merges — a joiner starts empty)."""
+        merges — a joiner starts empty).  The install order is taken only
+        if this store keeps one."""
         self._table = dict(payload.get("table", {}))
         self._versions = dict(payload.get("versions", {}))
-        self._write_log = {key: list(log)
-                          for key, log in payload.get("write_log", {}).items()}
+        if self._write_log is not None:
+            self._write_log = {
+                key: list(log)
+                for key, log in payload.get("write_log", {}).items()}
         self._sessions = {
             client: DedupSession.from_payload(exported)
             for client, exported in payload.get("sessions", {}).items()

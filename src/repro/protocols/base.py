@@ -328,7 +328,9 @@ class ReplicaBase(Node):
 
     def reset_store(self) -> None:
         """Fresh state machine for recovery replay, keeping the shard key
-        filter (ownership survives a crash; the applied state does not)."""
+        filter — and with it the install-order log a shard member keeps
+        (`KVStore.set_key_filter`): ownership survives a crash; the applied
+        state does not."""
         self.store = KVStore(key_filter=self.store.key_filter)
 
     def _on_config_applied(self, index: int, command: Command) -> None:

@@ -913,7 +913,8 @@ class TxnCluster(ShardedCluster):
         orders: Dict[str, List[str]] = {}
         shard_of = self.partitioner.shard_of
         for shard, replicas in self.groups.items():
-            logs = [replica.store._write_log for replica in replicas.values()]
+            logs = [replica.store.install_orders()
+                    for replica in replicas.values()]
             for key in set().union(*logs):
                 if shard_of(key) != shard:
                     continue

@@ -118,7 +118,9 @@ def migrate_roundtrip(store, lo, hi):
                               value=value, client_id="__reshard__", seq=1))
     assert out.ok
     payload = json.loads(out.value)
-    recipient = KVStore()
+    # Every MIGRATE_IN target is a shard member: it has a key filter, so
+    # it records per-key install order.
+    recipient = KVStore(key_filter=lambda key: True)
     in_value = json.dumps(payload)
     assert recipient.apply(Command(op=OpType.MIGRATE_IN, key="reshard:in",
                                    value=in_value, client_id="__reshard__",
@@ -162,7 +164,7 @@ def test_window_survives_migrate_roundtrip(ops, split):
 def test_migrated_window_respects_low_water(seqs):
     """The low-water mark travels with the export: seqs at or below it are
     duplicates on the recipient too."""
-    donor = KVStore()
+    donor = KVStore(key_filter=lambda key: True)
     top = max(seqs)
     for seq in sorted(set(seqs)):
         donor.apply(put("k", f"v{seq}", seq, lwm=seq - 1))

@@ -398,7 +398,7 @@ def test_single_shard_txn_applies_atomically_and_respects_locks():
 
 
 def test_write_order_records_install_order():
-    store = KVStore()
+    store = KVStore(key_filter=lambda key: True)  # a shard member
     store.apply(put("k", "v1", seq=1))
     store.apply(prepare("t:1#0.1", [("put", "k", "v2")], seq=1))
     store.apply(finish("t:1#0.1", OpType.TXN_COMMIT, seq=2))

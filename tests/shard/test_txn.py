@@ -406,7 +406,7 @@ def write_orders_by_copying(cluster):
     for shard, replicas in cluster.groups.items():
         keys = set()
         for replica in replicas.values():
-            keys |= set(replica.store._write_log)
+            keys |= set(replica.store.install_orders())
         for key in keys:
             if cluster.partitioner.shard_of(key) != shard:
                 continue

@@ -28,7 +28,10 @@ def run(protocol, mode=None):
     )
     cluster = Cluster(spec)
     result = cluster.run()
-    utils = {name.replace("r_", ""): replica.utilization(sec(spec.duration_s))
+    # Each replica runs on its own host here, so the host's busy time is
+    # the replica's.
+    elapsed = sec(spec.duration_s)
+    utils = {name.replace("r_", ""): min(1.0, replica.host.cpu_busy_us / elapsed)
              for name, replica in cluster.replicas.items()}
     return result, utils
 

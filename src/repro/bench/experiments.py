@@ -779,11 +779,6 @@ def reshard_timeline(scale: float = 1.0, seed: int = 1,
 # driven through the same harness so the two styles are comparable)
 # ---------------------------------------------------------------------------
 
-#: Protocols whose replicas reconfigure by the α-window rule; everything
-#: else voter-based uses joint consensus (the cluster validates for real).
-ALPHA_FAMILY = ("multipaxos", "paxos-pql")
-
-
 def membership_spec(scale: float = 1.0, seed: int = 1,
                     protocol: str = "raft",
                     replace_at_s: Optional[float] = None,

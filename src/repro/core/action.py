@@ -113,10 +113,6 @@ class Action:
     def updates(self) -> Tuple[Clause, ...]:
         return tuple(clause for clause in self.clauses if clause.kind == "update")
 
-    @property
-    def written_vars(self) -> Tuple[str, ...]:
-        return tuple(clause.var for clause in self.updates)
-
     def bindings(self, constants: Mapping, state: State) -> Iterator[Dict[str, Any]]:
         """Enumerate parameter bindings (cartesian product of domains).
 

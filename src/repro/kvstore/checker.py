@@ -46,7 +46,6 @@ class HistoryChecker:
     def __init__(self) -> None:
         self.applied: Dict[str, List[Tuple[int, Command]]] = {}
         self.events: List[HistoryEvent] = []
-        self._write_commit_times: Dict[Tuple[str, str], int] = {}
 
     # -- recording ----------------------------------------------------------
 
@@ -55,8 +54,6 @@ class HistoryChecker:
 
     def record_event(self, event: HistoryEvent) -> None:
         self.events.append(event)
-        if event.op is OpType.PUT:
-            self._write_commit_times[(event.key, event.value or "")] = event.end
 
     # -- checks ---------------------------------------------------------------
 

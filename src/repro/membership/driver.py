@@ -46,12 +46,10 @@ class MembershipDriver(Node):
                  on_ok: Optional[Callable[[], None]] = None) -> None:
         super().__init__(name, sim, network, site=site,
                          costs=NodeCosts(per_message=0, per_byte=0.0))
-        self.change = change
         self.command = change.encode(f"{MEMBER_CLIENT_PREFIX}:{name}",
                                      change.epoch)
         self.on_ok = on_ok
         self.acked = False
-        self.acked_at: Optional[int] = None
         self._retry = RingRetry(self, "member-retry", retry, rng)
         self.sim.schedule(0, lambda: self._retry.start(
             list(ring), ClientRequest(command=self.command)))
@@ -60,6 +58,5 @@ class MembershipDriver(Node):
         if self._retry.acknowledged(message) is None:
             return
         self.acked = True
-        self.acked_at = self.sim.now
         if self.on_ok is not None:
             self.on_ok()

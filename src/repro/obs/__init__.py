@@ -52,7 +52,7 @@ class Observability:
     def __init__(self, sim, metrics) -> None:
         self.sim = sim
         self.metrics = metrics
-        self.span_log = TraceLog(enabled=True, capacity=SPAN_CAPACITY, ring=True)
+        self.span_log = TraceLog(capacity=SPAN_CAPACITY)
         self.sampler = GaugeSampler(sim, metrics)
         self.profiler = SimProfiler().attach(sim)
 

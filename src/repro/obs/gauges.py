@@ -4,8 +4,8 @@ A `GaugeSampler` owns a list of named zero-argument probes and a sampling
 cadence.  Every `interval_us` of simulated time it reads each probe and
 appends `(now, value)` to the `MetricsRecorder`'s gauge series — the same
 recorder the request records and counters live in, so one object carries
-the whole run's telemetry and `MetricsRecorder.merge` aggregates sharded
-deployments' series side by side.
+the whole run's telemetry.  A sharded cluster has one recorder too: its
+groups' series sit side by side in it, told apart by a name prefix.
 
 The standard cluster gauges (`install_standard_gauges`) are the queues the
 latency budget drains through: host CPU backlog, NIC egress backlog, mux

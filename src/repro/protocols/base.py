@@ -23,7 +23,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.kvstore.store import KVStore
-from repro.protocols.config import BEACON_REFRESH_TICKS, ClusterConfig
+from repro.protocols.config import (BEACON_REFRESH_TICKS, FORWARD_BATCH_MAX,
+                                    FORWARD_FLUSH_INTERVAL, ClusterConfig)
 from repro.protocols.messages import (
     NO_HOLDERS,
     ClientReply,
@@ -243,10 +244,10 @@ class ReplicaBase(Node):
         if self.obs is not None:
             self.obs_phase(command.trace_id, "forward", leader=leader)
         self._forward_buffer.append(command)
-        if len(self._forward_buffer) >= self.config.forward_batch_max:
+        if len(self._forward_buffer) >= FORWARD_BATCH_MAX:
             self._flush_forwards()
         elif not self._forward_timer.armed:
-            self._forward_timer.arm(self.config.forward_flush_interval, self._flush_forwards)
+            self._forward_timer.arm(FORWARD_FLUSH_INTERVAL, self._flush_forwards)
 
     def _flush_forwards(self) -> None:
         self._forward_timer.cancel()

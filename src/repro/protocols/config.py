@@ -13,6 +13,17 @@ from repro.sim.units import ms, sec
 #: §5): a leader flushes the appends of one interval in one round.
 APPEND_FLUSH_INTERVAL = ms(0.5)
 
+#: Follower-side batching of forwarded client requests (the same etcd
+#: optimization): a follower flushes its forwards after this interval, or
+#: as soon as this many are buffered.
+FORWARD_FLUSH_INTERVAL = ms(2)
+FORWARD_BATCH_MAX = 32
+
+#: Mencius's suspicion period: the suspect check runs this often, an owner
+#: silent this long has its slots revoked, and a replica whose execution
+#: frontier is stuck this long asks its peers to catch it up.
+REVOKE_TIMEOUT = sec(1)
+
 #: Every Nth heartbeat tick a leader sends REAL empty keepalives even to
 #: beacon-covered peers.  The beacon replaces the keepalive's timer reset
 #: but not its self-healing: an empty append/Accept also carries the commit
@@ -45,18 +56,12 @@ class ClusterConfig:
     election_timeout_max: int = ms(2000)
     heartbeat_interval: int = ms(100)
 
-    # Follower-side batching of forwarded client requests (the etcd
-    # optimization kept on in §5; see `APPEND_FLUSH_INTERVAL`).
-    forward_flush_interval: int = ms(2)
-    forward_batch_max: int = 32
-
     # Quorum-lease parameters (§5.1: 2 s duration, renewed every 0.5 s).
     lease_duration: int = sec(2)
     lease_renew_interval: int = sec(0.5)
 
     # Mencius.
     skip_interval: int = ms(20)
-    revoke_timeout: int = sec(1)
 
     # Host-multiplexed deployments: cross-group coalescing of messages to
     # the same destination host (`repro.protocols.mux.GroupMux`).  The

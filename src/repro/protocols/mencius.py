@@ -32,7 +32,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.protocols.base import ReplicaBase
-from repro.protocols.config import APPEND_FLUSH_INTERVAL, ClusterConfig
+from repro.protocols.config import (APPEND_FLUSH_INTERVAL, REVOKE_TIMEOUT,
+                                    ClusterConfig)
 from repro.protocols.messages import (
     CommitNotice,
     MenciusAck,
@@ -95,7 +96,7 @@ class MenciusReplica(ReplicaBase):
         self._skip_timer = self.timer("skip")
         self._suspect_timer = self.timer("suspect")
         self._skip_timer.arm(config.skip_interval, self._on_skip_tick)
-        self._suspect_timer.arm(config.revoke_timeout, self._on_suspect_tick)
+        self._suspect_timer.arm(REVOKE_TIMEOUT, self._on_suspect_tick)
 
         self.register_handler(MenciusAppend, self._on_append)
         self.register_handler(MenciusAck, self._on_ack)
@@ -362,7 +363,7 @@ class MenciusReplica(ReplicaBase):
     def _on_suspect_tick(self) -> None:
         self._check_stalls()
         self._maybe_catch_up()
-        self._suspect_timer.arm(self.config.revoke_timeout, self._on_suspect_tick)
+        self._suspect_timer.arm(REVOKE_TIMEOUT, self._on_suspect_tick)
 
     # -- anti-entropy: catch up on resolved indexes we missed -------------------
 
@@ -376,7 +377,7 @@ class MenciusReplica(ReplicaBase):
             return
         behind = max(self.frontier.values()) - 1 > self._exec_frontier + 1
         stuck_for = self.sim.now - seen_at
-        if behind and stuck_for >= self.config.revoke_timeout:
+        if behind and stuck_for >= REVOKE_TIMEOUT:
             for peer in self.peers:
                 self.send(peer, MenciusCatchup(
                     requester=self.name, start=self._exec_frontier + 1))
@@ -416,7 +417,7 @@ class MenciusReplica(ReplicaBase):
         if owner == self.name:
             return
         silent_for = self.sim.now - self._last_heard.get(owner, 0)
-        if silent_for < self.config.revoke_timeout:
+        if silent_for < REVOKE_TIMEOUT:
             return
         # Only the lowest-ranked replica that is not the suspect initiates
         # recovery, to avoid duelling recoveries in the common case.
@@ -530,7 +531,7 @@ class MenciusReplica(ReplicaBase):
         self._fresh_commits = []
         self._recovering = {}
         self._skip_timer.arm(self.config.skip_interval, self._on_skip_tick)
-        self._suspect_timer.arm(self.config.revoke_timeout, self._on_suspect_tick)
+        self._suspect_timer.arm(REVOKE_TIMEOUT, self._on_suspect_tick)
 
 
 class RaftStarMenciusReplica(MenciusReplica):

@@ -70,8 +70,8 @@ class SizedMessage:
 def _cost_memo() -> Any:
     """The `_cpu` slot: `(NodeCosts, cost)`, written by `NodeCosts.cost`,
     read by `Node._receive`.  For classes whose INSTANCES reach more than
-    one receiver (a broadcast fans one object out; an interned heartbeat
-    repeats for many ticks), not for messages built per send."""
+    one receiver (a broadcast fans one object out), not for messages built
+    per send."""
     return field(default=None, init=False, repr=False, compare=False)
 
 
@@ -250,7 +250,6 @@ class AppendEntries(SizedMessage):
     # Built once by the sender as a tuple; never mutated in flight.
     entries: Tuple[Entry, ...]
     leader_commit: int
-    _cpu: Optional[tuple] = _cost_memo()
 
     def _payload_bytes(self) -> int:
         return _entries_size(self.entries)

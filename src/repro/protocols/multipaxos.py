@@ -58,11 +58,6 @@ class MultiPaxosReplica(ReplicaBase):
         # follower that missed the one frontier-news broadcast (loss, a
         # partition window) is healed within a bounded number of beats.
         self._last_idle_commit = -1
-        # Interned idle heartbeat: the empty Accept is identical from tick
-        # to tick while (ballot, commit_index) are unchanged, and nothing
-        # mutates an Accept after construction, so one object (with its
-        # memoized wire size) serves every idle beat of a quiet stretch.
-        self._idle_accept: Optional[Accept] = None
         self.instances: Dict[int, Entry] = {}  # accepted values
         self.chosen: Dict[int, Command] = {}
         self.commit_index = -1  # chosen-and-contiguous frontier
@@ -283,13 +278,8 @@ class MultiPaxosReplica(ReplicaBase):
         if self._accept_buffer:
             self._flush_accepts()
         else:
-            empty = self._idle_accept
-            if (empty is None or empty.ballot is not self.ballot
-                    or empty.commit_index != self.commit_index):
-                empty = self._idle_accept = Accept(
-                    ballot=self.ballot, proposer=self.name, instances={},
-                    commit_index=self.commit_index,
-                )
+            empty = Accept(ballot=self.ballot, proposer=self.name,
+                           instances={}, commit_index=self.commit_index)
             frontier_news = self.commit_index != self._last_idle_commit
             sent_any = False
             for peer in self.peers:

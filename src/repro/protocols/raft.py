@@ -49,17 +49,10 @@ class _PeerState:
     One slotted object instead of six parallel dicts (`next_index`,
     `match_index`, `_sent_hwm`, `_sent_commit`, `_hb_match`,
     `_last_progress`): the reply fast path touches most of these per
-    message, and one dict probe per reply replaces up to six.
-
-    `empty_append` interns the last empty-heartbeat `AppendEntries` sent
-    to this peer: heartbeats to a caught-up follower repeat the same
-    (term, prev, commit) for many ticks, so the same message object (and
-    its size memo) is reused until one of those fields moves.  Safe
-    because messages are frozen-in-practice — nothing mutates an
-    `AppendEntries` after construction (DESIGN.md §12)."""
+    message, and one dict probe per reply replaces up to six."""
 
     __slots__ = ("next_index", "match_index", "sent_hwm", "sent_commit",
-                 "hb_match", "last_progress", "empty_append")
+                 "hb_match", "last_progress")
 
     def __init__(self, next_index: int = 0, match_index: int = -1,
                  sent_hwm: int = -1, sent_commit: int = -1) -> None:
@@ -69,7 +62,6 @@ class _PeerState:
         self.sent_commit = sent_commit
         self.hb_match = -1
         self.last_progress = 0
-        self.empty_append: Optional[AppendEntries] = None
 
 
 class RaftReplica(ReplicaBase):
@@ -93,7 +85,7 @@ class RaftReplica(ReplicaBase):
         self._votes: set = set()
         # Leader-side per-peer replication state, one slotted record per
         # peer (next/match index, pipelining high-water marks, stall
-        # detection, interned heartbeat skeleton) — see `_PeerState`.
+        # detection) — see `_PeerState`.
         self._peer_state: Dict[str, _PeerState] = {}
         self._peer_records: List[_PeerState] = []
         # Entries-tuple reuse for `_send_append`: (start, stop, tuple) of
@@ -386,28 +378,19 @@ class RaftReplica(ReplicaBase):
             if not heartbeat and commit <= state.sent_commit:
                 return
             # Anchor the consistency check at a point the peer is known to
-            # have.  Intern the empty heartbeat: to a caught-up follower
-            # the same (term, prev, commit) repeats for many ticks, so the
-            # message object (and its size memo) is reused until one of
-            # those fields moves.
+            # have.
             prev = state.match_index
             if state.sent_hwm < prev:
                 state.sent_hwm = prev
             state.sent_commit = commit
-            message = state.empty_append
-            if (message is None
-                    or message.term != self.current_term
-                    or message.prev_index != prev
-                    or message.leader_commit != commit):
-                message = state.empty_append = AppendEntries(
-                    term=self.current_term,
-                    leader=self.name,
-                    prev_index=prev,
-                    prev_term=self.term_at(prev),
-                    entries=(),
-                    leader_commit=commit,
-                )
-            self.send(peer, message)
+            self.send(peer, AppendEntries(
+                term=self.current_term,
+                leader=self.name,
+                prev_index=prev,
+                prev_term=self.term_at(prev),
+                entries=(),
+                leader_commit=commit,
+            ))
             return
         # The message aliases the leader's log entries, and receivers
         # adopt those references into their own logs: safe because an

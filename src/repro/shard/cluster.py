@@ -616,9 +616,6 @@ class ShardedCluster:
 
     # -- introspection ------------------------------------------------------
 
-    def replicas_of(self, shard: int) -> Dict[str, object]:
-        return self.groups[shard]
-
     def leader_replica(self, shard: int):
         return self.groups[shard][f"g{shard}_r_{self.leaders[shard]}"]
 

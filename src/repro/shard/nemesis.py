@@ -42,9 +42,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.sim.rng import SplitRng
 from repro.sim.units import sec
 
-KINDS = ("leader_kill", "leader_partition", "coordinator_kill", "host_kill",
-         "coordinator_host_kill", "host_replace")
-
 
 class Nemesis:
     """Schedules seeded faults against a built cluster before `run()`."""

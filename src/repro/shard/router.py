@@ -250,10 +250,10 @@ class ShardRoutedClient(ClosedLoopClient):
             self.metrics.incr("capped_redirects")
             pending.redirect_hops = 0
             return False
-        # Cancel BOTH pending resend paths: a backoff armed by an earlier
-        # hintless rejection would otherwise fire after this redirect and
-        # send a duplicate concurrent request.
-        pending.cancel_timers()
+        # Cancel the pending resend: a backoff armed by an earlier hintless
+        # rejection would otherwise fire after this redirect and send a
+        # duplicate concurrent request.
+        pending.timer.cancel()
         pending.redirect_hops += 1
         self.redirects += 1
         self.metrics.incr("redirects")
@@ -275,25 +275,13 @@ class ShardRoutedClient(ClosedLoopClient):
         return self._txn_floor.floor
 
     @property
-    def txn_in_flight(self) -> Optional[TxnRequest]:
-        """The oldest un-answered cross-shard transaction (None if no 2PC
-        request is outstanding)."""
-        if not self._txn_pending:
-            return None
-        return self._txn_pending[min(self._txn_pending)].request
-
-    @property
-    def txn_in_flight_count(self) -> int:
-        return len(self._txn_pending)
-
-    @property
     def txns_outstanding(self) -> int:
         """Transactions issued but not yet acknowledged: cross-shard 2PC
         requests plus single-shard TXN commands in the window or queue."""
         pending_txns = sum(1 for pending in self._pending.values()
                            if pending.command.op is OpType.TXN)
-        queued_txns = sum(1 for qop in self._submit_queue
-                          if qop.kind == "txn")
+        queued_txns = sum(1 for queued in self._submit_queue
+                          if queued.kind == "txn")
         return len(self._txn_pending) + pending_txns + queued_txns
 
     def transact(self, ops: TxnOps) -> None:

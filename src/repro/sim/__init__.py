@@ -26,14 +26,13 @@ from repro.sim.topology import (
     uniform_topology,
 )
 from repro.sim.trace import TraceLog, TraceRecord
-from repro.sim.units import MICROSECOND, ms, sec, us, to_ms, to_sec
+from repro.sim.units import ms, sec, us, to_ms, to_sec
 
 __all__ = [
     "EC2_REGIONS",
     "Event",
     "Host",
     "HostPlan",
-    "MICROSECOND",
     "Network",
     "NetworkConfig",
     "Node",

@@ -100,9 +100,8 @@ class NodeCosts:
             )
         if shape[2]:
             # Per-object memo: the same message fanned out to several
-            # peers (or an interned heartbeat repeated across ticks) is
-            # costed once per cost table.  Guarded by identity on the
-            # `NodeCosts` instance — a cluster shares one table, but a
+            # peers is costed once per cost table.  Guarded by identity on
+            # the `NodeCosts` instance — a cluster shares one table, but a
             # message crossing tables (reshard traffic) recomputes.
             memo = message._cpu
             if memo is not None and memo[0] is self:
@@ -274,8 +273,6 @@ class Node:
         self.stable: Dict[str, Any] = {}  # survives crashes
         self.host = host if host is not None else Host(name, sim, site=self.site)
         self.host.attach(self)
-        self.cpu_busy_us = 0
-        self.messages_handled = 0
         # Multiplexed deployments: a `GroupMux` transport that intercepts
         # sends to replicas it covers (None = talk to the network directly).
         self.mux = None
@@ -318,14 +315,12 @@ class Node:
         done = start + cost
         host._cpu_free = done
         host.cpu_busy_us += cost
-        self.cpu_busy_us += cost
         sim.schedule(done - now, self._handle_cb, src, message,
                      self.incarnation)
 
     def _handle(self, src: str, message: Any, incarnation: int) -> None:
         if not self.alive or self.incarnation != incarnation:
             return
-        self.messages_handled += 1
         self.on_message(src, message)
 
     def deliver_direct(self, src: str, message: Any) -> None:
@@ -333,7 +328,6 @@ class Node:
         (the mux charges one envelope for many inner messages)."""
         if not self.alive:
             return
-        self.messages_handled += 1
         self.on_message(src, message)
 
     def on_message(self, src: str, message: Any) -> None:
@@ -388,12 +382,6 @@ class Node:
     def cpu_backlog_us(self) -> int:
         """How much queued CPU work the node's host has right now."""
         return self.host.cpu_backlog_us()
-
-    def utilization(self, elapsed_us: int) -> float:
-        """Fraction of `elapsed_us` spent busy (diagnostic)."""
-        if elapsed_us <= 0:
-            return 0.0
-        return min(1.0, self.cpu_busy_us / elapsed_us)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"

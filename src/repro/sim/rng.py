@@ -26,8 +26,3 @@ class SplitRng:
             digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
-
-    def fork(self, name: str) -> "SplitRng":
-        """Derive a child `SplitRng` (for nested components)."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{name}".encode()).digest()
-        return SplitRng(int.from_bytes(digest[:8], "big"))

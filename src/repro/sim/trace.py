@@ -1,16 +1,9 @@
-"""Structured trace log.
+"""Structured trace log: a ring of `TraceRecord`s.
 
-Disabled by default (zero overhead beyond one branch); tests and examples can
-enable it to assert on protocol behaviour ("the follower forwarded to the
-leader", "no append was sent after the partition") without reaching into
-replica internals.
-
-Capacity policy: by default a full log drops the *newest* records (cheap,
-and fine for "did X happen early in the run" assertions).  Long-running
-observability consumers (`repro.obs`) want the opposite — the interesting
-records are at the end of the run — so `ring=True` turns the log into a
-ring buffer that evicts the *oldest* record instead.  Both modes keep the
-`dropped` count so a truncated log is never mistaken for a complete one.
+The request-lifecycle span log (`repro.obs`) records phase timestamps
+here.  The interesting records are at the end of a run, so a full log
+evicts the *oldest* record, and the `dropped` count says how many went,
+so a truncated log is never mistaken for a complete one.
 """
 
 from __future__ import annotations
@@ -33,40 +26,17 @@ class TraceRecord:
 
 
 class TraceLog:
-    """Append-only sequence of `TraceRecord`s with simple query helpers."""
+    """A ring of at most `capacity` `TraceRecord`s (unbounded if None)."""
 
-    def __init__(self, enabled: bool = True, capacity: Optional[int] = None,
-                 ring: bool = False) -> None:
-        self.enabled = enabled
-        self.capacity = capacity
-        self.ring = ring
-        self.records: Deque[TraceRecord] = deque()
+    def __init__(self, capacity: Optional[int] = None) -> None:
+        self.records: Deque[TraceRecord] = deque(maxlen=capacity)
         self.dropped = 0
 
     def record(self, time: int, node: str, kind: str, **detail: Any) -> None:
-        if not self.enabled:
-            return
-        if self.capacity is not None and len(self.records) >= self.capacity:
-            self.dropped += 1
-            if not self.ring:
-                return  # drop-newest: the record never enters the log
-            self.records.popleft()  # ring: evict the oldest instead
-        self.records.append(TraceRecord(time, node, kind, detail))
-
-    def filter(self, node: Optional[str] = None, kind: Optional[str] = None) -> Iterator[TraceRecord]:
-        for rec in self.records:
-            if node is not None and rec.node != node:
-                continue
-            if kind is not None and rec.kind != kind:
-                continue
-            yield rec
-
-    def count(self, node: Optional[str] = None, kind: Optional[str] = None) -> int:
-        return sum(1 for _ in self.filter(node, kind))
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.dropped = 0
+        records = self.records
+        if len(records) == records.maxlen:
+            self.dropped += 1  # the append below evicts the oldest
+        records.append(TraceRecord(time, node, kind, detail))
 
     def __len__(self) -> int:
         return len(self.records)

@@ -5,8 +5,6 @@ event ordering exact and runs reproducible: there is no floating-point drift,
 and ties are broken by a deterministic sequence number.
 """
 
-MICROSECOND = 1
-
 
 def us(value: float) -> int:
     """Convert microseconds to simulator ticks (identity, rounded)."""

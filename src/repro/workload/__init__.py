@@ -9,14 +9,13 @@ over it — closed loop, or open loop when given a Poisson `rate_per_sec`;
 from repro.protocols.types import Consistency
 from repro.workload.clients import ClosedLoopClient
 from repro.workload.plan import ClientPlan
-from repro.workload.session import RETRY_TIMEOUT, RetryPolicy, Session
+from repro.workload.session import RetryPolicy, Session
 from repro.workload.ycsb import WorkloadConfig
 
 __all__ = [
     "ClientPlan",
     "ClosedLoopClient",
     "Consistency",
-    "RETRY_TIMEOUT",
     "RetryPolicy",
     "Session",
     "WorkloadConfig",

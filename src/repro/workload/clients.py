@@ -31,13 +31,12 @@ from typing import Optional
 from repro.metrics.recorder import MetricsRecorder
 from repro.sim.units import ms
 from repro.workload.session import (  # re-exported: the historical home
-    RETRY_TIMEOUT,
     RetryPolicy,
     Session,
 )
 from repro.workload.ycsb import WorkloadConfig
 
-__all__ = ["ClosedLoopClient", "RetryPolicy", "RETRY_TIMEOUT"]
+__all__ = ["ClosedLoopClient", "RetryPolicy"]
 
 
 class ClosedLoopClient(Session):

@@ -6,9 +6,11 @@ thin policy over.  It owns:
 * the **sequence namespace** — every operation gets the next seq, and the
   (client_id, seq) pair is the at-most-once identity the stores dedup on;
 * a **pipeline window** of up to `depth` concurrent in-flight commands.
-  Each in-flight request carries its own retry and rejection-backoff
-  timers, replies complete out of order (matched by request id), and stale
-  replies — retransmits of already-answered requests — are discarded;
+  Each operation is one `PendingRequest` record from submission to ack,
+  and an in-flight one carries one timer — the lost-reply resend or the
+  rejection backoff, never both at once; replies complete out of order
+  (matched by request id), and stale replies — retransmits of
+  already-answered requests — are discarded;
 * the **acked low-water mark**: the largest L such that every seq <= L is
   acknowledged.  Each outgoing command is stamped with it
   (`Command.acked_low_water`), which is what lets the server's windowed
@@ -43,7 +45,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.metrics.recorder import MetricsRecorder, RequestRecord
 from repro.protocols.messages import ClientReply, ClientRequest
 from repro.protocols.types import Command, Consistency, OpType
-from repro.sim.node import Host, Node, NodeCosts
+from repro.sim.node import Host, Node, NodeCosts, Timer
 from repro.sim.units import ms, sec
 
 
@@ -150,10 +152,6 @@ class RingRetry:
         self.request = None
 
 
-#: The legacy resend timeout, kept as the default `RetryPolicy` base.
-RETRY_TIMEOUT = sec(5)
-
-
 class AckFloor:
     """The contiguous-acknowledgement floor of a pipelined namespace:
     the largest L such that every seq <= L is acked, maintained under
@@ -175,32 +173,15 @@ class AckFloor:
 
 
 class PendingRequest:
-    """One in-flight slot of the pipeline window."""
+    """One operation of the session, from submission to acknowledgement:
+    queued until a window slot frees, then in flight.  `command`,
+    `server` and `timer` are set on admission; the one timer is either the
+    lost-reply resend or the rejection backoff — the two are never armed
+    together."""
 
-    __slots__ = ("command", "server", "submitted_at", "attempts",
-                 "rejections", "redirect_hops", "retry_timer", "backoff_timer",
-                 "on_done")
-
-    def __init__(self, command: Command, server: str, submitted_at: int,
-                 retry_timer, backoff_timer, on_done=None) -> None:
-        self.command = command
-        self.server = server
-        self.submitted_at = submitted_at  # entered the session (queue incl.)
-        self.attempts = 0                 # sends so far
-        self.rejections = 0               # consecutive ok=False replies
-        self.redirect_hops = 0            # consecutive shard redirects
-        self.retry_timer = retry_timer
-        self.backoff_timer = backoff_timer
-        self.on_done = on_done
-
-    def cancel_timers(self) -> None:
-        self.retry_timer.cancel()
-        self.backoff_timer.cancel()
-
-
-class _QueuedOp:
-    __slots__ = ("kind", "key", "value", "consistency", "submitted_at",
-                 "value_size", "on_done", "trace")
+    __slots__ = ("kind", "key", "value", "consistency", "value_size",
+                 "trace", "submitted_at", "on_done", "command", "server",
+                 "timer", "attempts", "rejections", "redirect_hops")
 
     def __init__(self, kind: str, key: str, value: Optional[str],
                  consistency: Consistency, submitted_at: int,
@@ -210,12 +191,18 @@ class _QueuedOp:
         self.key = key
         self.value = value
         self.consistency = consistency
-        self.submitted_at = submitted_at
         self.value_size = value_size
-        self.on_done = on_done
         # Span id allocated at submit time (before the seq exists), so the
         # queueing delay ahead of window admission is part of the span.
         self.trace = trace
+        self.submitted_at = submitted_at  # entered the session (queue incl.)
+        self.on_done = on_done
+        self.command: Optional[Command] = None
+        self.server: Optional[str] = None
+        self.timer: Optional[Timer] = None
+        self.attempts = 0                 # sends so far
+        self.rejections = 0               # consecutive ok=False replies
+        self.redirect_hops = 0            # consecutive shard redirects
 
 
 _OPS = {"get": OpType.GET, "put": OpType.PUT, "txn": OpType.TXN}
@@ -260,7 +247,7 @@ class Session(Node):
         # the vacuous floor is 0 (a floor of 0 evicts nothing server-side).
         self._ack_floor = AckFloor()
         self._pending: Dict[int, PendingRequest] = {}
-        self._submit_queue: Deque[_QueuedOp] = deque()
+        self._submit_queue: Deque[PendingRequest] = deque()
         # Called with (command, reply, start, end) on every success —
         # the sharded layer wires history checkers through this.
         self.on_complete_hooks: List[Callable] = []
@@ -345,14 +332,14 @@ class Session(Node):
             # "s" namespace: allocated per submission, disjoint from the
             # default `client:seq` trace ids commands fall back to.
             trace = f"{self.name}:s{self.submitted}"
-        qop = _QueuedOp(kind, key, value, consistency, self.sim.now,
-                        value_size, on_done, trace=trace)
+        pending = PendingRequest(kind, key, value, consistency, self.sim.now,
+                                 value_size, on_done, trace=trace)
         if trace is not None:
             self.obs_phase(trace, "submit", op=kind)
         if self.window_free:
-            self._admit(qop)
+            self._admit(pending)
         else:
-            self._submit_queue.append(qop)
+            self._submit_queue.append(pending)
 
     # -- window management ---------------------------------------------------
 
@@ -360,27 +347,24 @@ class Session(Node):
         self.seq += 1
         return self.seq
 
-    def _admit(self, qop: _QueuedOp) -> None:
+    def _admit(self, pending: PendingRequest) -> None:
         seq = self._next_seq()
-        if qop.value_size is not None:
-            value_size = qop.value_size
-        elif qop.kind == "txn" and qop.value is not None:
-            value_size = len(qop.value)
+        if pending.value_size is not None:
+            value_size = pending.value_size
+        elif pending.kind == "txn" and pending.value is not None:
+            value_size = len(pending.value)
         else:
             value_size = self._default_value_size
-        command = Command(
-            op=_OPS[qop.kind], key=qop.key, value=qop.value,
+        command = pending.command = Command(
+            op=_OPS[pending.kind], key=pending.key, value=pending.value,
             client_id=self.name, seq=seq, value_size=value_size,
-            acked_low_water=self._ack_floor.floor, consistency=qop.consistency,
-            trace=qop.trace)
-        pending = PendingRequest(
-            command, self._route(command), qop.submitted_at,
-            retry_timer=self.timer("retry"),
-            backoff_timer=self.timer("backoff"),
-            on_done=qop.on_done)
+            acked_low_water=self._ack_floor.floor,
+            consistency=pending.consistency, trace=pending.trace)
+        pending.server = self._route(command)
+        pending.timer = self.timer("retry")
         self._pending[seq] = pending
-        if qop.trace is not None:
-            self.obs_phase(qop.trace, "admit", seq=seq)
+        if pending.trace is not None:
+            self.obs_phase(pending.trace, "admit", seq=seq)
         self._send(pending)
 
     def _route(self, command: Command) -> str:
@@ -397,7 +381,7 @@ class Session(Node):
             self.obs_phase(pending.command.trace_id, "send",
                            server=pending.server, attempt=pending.attempts)
         self.send(pending.server, self._request_message(pending))
-        pending.retry_timer.arm(
+        pending.timer.arm(
             self.retry.retry_delay(pending.attempts - 1, self.rng),
             lambda: self._resend(pending))
 
@@ -420,18 +404,18 @@ class Session(Node):
         if pending is None or pending.command.request_id != message.request_id:
             return  # stale reply from an already-answered request
         if not message.ok:
-            # The request IS answered (a rejection): the lost-reply resend
-            # must stand down or it would race the backoff and double-send.
-            pending.retry_timer.cancel()
             if self.obs is not None:
                 self.obs_phase(pending.command.trace_id, "reject",
                                server=message.server)
             if self._on_reject(pending, message):
                 return  # a redirect policy re-sent it
             # No leader yet (or leadership changed mid-flight): back off and
-            # retry.  Re-arming the named timer dedupes duplicate rejections.
+            # retry.  The request IS answered, so the backoff takes the
+            # lost-reply resend's place on the one timer; a duplicate
+            # rejection re-arms it, and the lazy re-arm keeps the earlier
+            # backoff's queued event.
             pending.rejections += 1
-            pending.backoff_timer.arm(
+            pending.timer.arm(
                 self.retry.backoff_delay(pending.rejections, self.rng),
                 lambda: self._send(pending))
             return
@@ -447,7 +431,7 @@ class Session(Node):
 
     def _complete(self, pending: PendingRequest, message: ClientReply) -> None:
         command = pending.command
-        pending.cancel_timers()
+        pending.timer.cancel()
         del self._pending[command.seq]
         if self.obs is not None:
             self.obs_phase(command.trace_id, "complete")
@@ -488,6 +472,6 @@ class Session(Node):
 
     def on_crash(self) -> None:
         for pending in self._pending.values():
-            pending.cancel_timers()
+            pending.timer.cancel()
         self._pending.clear()
         self._submit_queue.clear()

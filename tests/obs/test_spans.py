@@ -18,7 +18,7 @@ def _log_request(log, trace, t0, phases=REQUEST):
 
 
 def make_log(n=3, spacing=1000):
-    log = TraceLog(enabled=True)
+    log = TraceLog()
     for i in range(n):
         _log_request(log, f"c:{i}", i * spacing)
     return log
@@ -67,7 +67,7 @@ def test_complete_only_filtering():
 
 
 def test_retry_accumulates_into_one_span():
-    log = TraceLog(enabled=True)
+    log = TraceLog()
     _log_request(log, "c:0", 0, (
         (0, "submit", "c"), (5, "admit", "c"), (6, "send", "c"),
         (30, "reject", "c"), (80, "send", "c"), (110, "server_recv", "r2"),

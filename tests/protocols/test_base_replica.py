@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.protocols import base
 from repro.protocols.base import ReplicaBase
 from repro.protocols.messages import ClientReply, ForwardBatch, ReplyRelay
 from repro.protocols.types import Command, Entry, OpType
@@ -48,10 +49,10 @@ def test_forwarded_client_reply_routed_back(cluster_factory):
                if r.request_id == cmd.request_id)
 
 
-def test_forward_batching_flushes_on_size(cluster_factory):
-    cluster = cluster_factory(EchoReplica, leader=None,
-                              config_kwargs={"forward_batch_max": 2,
-                                             "forward_flush_interval": ms(100)})
+def test_forward_batching_flushes_on_size(cluster_factory, monkeypatch):
+    monkeypatch.setattr(base, "FORWARD_BATCH_MAX", 2)
+    monkeypatch.setattr(base, "FORWARD_FLUSH_INTERVAL", ms(100))
+    cluster = cluster_factory(EchoReplica, leader=None)
     follower = cluster["s1"]
     sent = []
     original_send = follower.send
@@ -65,13 +66,13 @@ def test_forward_batching_flushes_on_size(cluster_factory):
     c1 = cluster.client.put("s1", "a", "1")
     c2 = cluster.client.put("s1", "b", "2")
     cluster.run_ms(10)  # well under the 100ms flush interval
-    assert sent == [2]  # flushed by reaching forward_batch_max
+    assert sent == [2]  # flushed by reaching FORWARD_BATCH_MAX
 
 
-def test_forward_flush_timer(cluster_factory):
-    cluster = cluster_factory(EchoReplica, leader=None,
-                              config_kwargs={"forward_batch_max": 100,
-                                             "forward_flush_interval": ms(5)})
+def test_forward_flush_timer(cluster_factory, monkeypatch):
+    monkeypatch.setattr(base, "FORWARD_BATCH_MAX", 100)
+    monkeypatch.setattr(base, "FORWARD_FLUSH_INTERVAL", ms(5))
+    cluster = cluster_factory(EchoReplica, leader=None)
     cmd = cluster.client.put("s2", "k", "v")
     cluster.run_ms(50)
     assert cluster.client.reply_for(cmd) is not None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.protocols import mencius
 from repro.protocols.mencius import (
     CoordinatedPaxosReplica,
     MenciusReplica,
@@ -12,12 +13,16 @@ from repro.protocols.mencius import (
 from repro.sim.units import ms, sec
 
 
+@pytest.fixture(autouse=True)
+def fast_revoke(monkeypatch):
+    monkeypatch.setattr(mencius, "REVOKE_TIMEOUT", ms(400))
+
+
 def build(cluster_factory, mode="ordered", **kwargs):
     kwargs.setdefault("leader", None)
     kwargs.setdefault("replica_kwargs", {"execution_mode": mode})
     kwargs.setdefault("config_kwargs", {})
     kwargs["config_kwargs"].setdefault("skip_interval", ms(10))
-    kwargs["config_kwargs"].setdefault("revoke_timeout", ms(400))
     return cluster_factory(RaftStarMenciusReplica, **kwargs)
 
 

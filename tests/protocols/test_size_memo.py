@@ -37,7 +37,6 @@ from repro.protocols.messages import (
     TxnReply,
     TxnRequest,
 )
-from repro.protocols.raft import RaftReplica
 from repro.protocols.types import Ballot, Command, Entry, OpType
 from repro.sim.events import Simulator
 from repro.sim.network import Network
@@ -234,7 +233,6 @@ FANNED_OUT = [
     lambda: Learn(instance_ids=[], proposer="s0", commit_index=3),
     lambda: Accept(ballot=Ballot(1, "s0"), proposer="s0",
                    instances={0: _entry("k").command}, commit_index=-1),
-    lambda: _append([_entry("k")]),
 ]
 
 
@@ -246,7 +244,7 @@ def test_fanned_out_message_is_costed_once_per_cost_table(make, monkeypatch):
     assert computed == 1
     expected = NodeCosts().cost(make())
     # Every receiver was still charged the full cost on its own CPU.
-    assert [peer.cpu_busy_us for peer in peers[1:]] == [expected] * 4
+    assert [peer.host.cpu_busy_us for peer in peers[1:]] == [expected] * 4
     assert message._cpu == (shared, expected)
 
 
@@ -257,38 +255,16 @@ def test_cost_memo_is_per_cost_table(monkeypatch):
     computed, peers = _fan_out(_mencius_append(), lambda i: tables[i],
                                monkeypatch)
     assert computed == 4
-    busy = [peer.cpu_busy_us for peer in peers[1:]]
+    busy = [peer.host.cpu_busy_us for peer in peers[1:]]
     assert busy == sorted(busy) and len(set(busy)) == 4
 
 
 def test_point_to_point_message_carries_no_cost_memo(monkeypatch):
-    """Built per send and delivered once: nothing to amortize, no slot."""
+    """Built per send and delivered once: nothing to amortize, no slot.
+    A Raft leader builds an `AppendEntries` per peer, heartbeats included."""
     ack = MenciusAck(acker="s1", owner="s0", ballot=0, indexes=[0],
                      accepted=True, next_own=6)
-    assert not hasattr(ack, "_cpu")
-    computed, _ = _fan_out(ack, lambda i: NodeCosts(), monkeypatch)
-    assert computed == 4
-
-
-def test_interned_heartbeat_equals_fresh_construction(cluster_factory):
-    """The leader's reused empty-append skeleton is indistinguishable from
-    what per-tick dataclass construction would have built, and IS reused
-    (same object) while (term, prev, commit) hold still."""
-    cluster = cluster_factory(RaftReplica)
-    cluster.run_ms(400)  # settle leadership, several idle heartbeat ticks
-    leader = cluster["s0"]
-    assert leader.role.name == "LEADER"
-    peer = leader.peers[0]
-    state = leader._peer_state[peer]
-    interned = state.empty_append
-    assert interned is not None
-    fresh = AppendEntries(
-        term=leader.current_term, leader=leader.name,
-        prev_index=interned.prev_index,
-        prev_term=leader.term_at(interned.prev_index),
-        entries=(), leader_commit=interned.leader_commit)
-    assert interned == fresh
-    assert interned.size_bytes() == fresh.size_bytes()
-    # Force another idle heartbeat: the same object is reused.
-    leader._send_append(peer, heartbeat=True)
-    assert leader._peer_state[peer].empty_append is interned
+    for message in (ack, _append([_entry("k")])):
+        assert not hasattr(message, "_cpu")
+        computed, _ = _fan_out(message, lambda i: NodeCosts(), monkeypatch)
+        assert computed == 4

@@ -72,7 +72,8 @@ def test_cpu_backlog_and_utilization():
     sim.run(until=0)  # deliveries only (rtt 0); handlers queued at +100us
     assert node.cpu_backlog_us() > 0
     sim.run()
-    assert node.utilization(500) == 1.0
+    # Five 100 us messages kept the host busy for the whole 500 us.
+    assert sim.now == 500 and node.host.cpu_busy_us == 500
 
 
 def test_timer_fires():

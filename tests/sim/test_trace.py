@@ -1,22 +1,6 @@
-"""Trace log."""
+"""Trace log: a ring of records."""
 
 from repro.sim.trace import TraceLog, TraceRecord
-
-
-def test_disabled_records_nothing():
-    log = TraceLog(enabled=False)
-    log.record(1, "n", "send")
-    assert len(log) == 0
-
-
-def test_record_and_filter():
-    log = TraceLog()
-    log.record(1, "a", "send", dst="b")
-    log.record(2, "b", "recv", src="a")
-    log.record(3, "a", "crash")
-    assert log.count(node="a") == 2
-    assert log.count(kind="recv") == 1
-    assert [r.time for r in log.filter(node="a")] == [1, 3]
 
 
 def test_capacity_drops_overflow():
@@ -27,37 +11,14 @@ def test_capacity_drops_overflow():
     assert log.dropped == 3
 
 
-def test_default_mode_keeps_the_oldest():
-    """At capacity the default log drops NEW records (the head of the run
-    is what a startup/election investigation wants)."""
-    log = TraceLog(capacity=2)
-    for i in range(5):
-        log.record(i, "n", "k")
-    assert [r.time for r in log] == [0, 1]
-    assert log.dropped == 3
-
-
 def test_ring_mode_keeps_the_newest():
-    """A ring log evicts the OLDEST record instead (a flight-recorder: the
-    span collector wants the end of the run, not the start)."""
-    log = TraceLog(capacity=2, ring=True)
+    """A full log evicts the OLDEST record (a flight-recorder: the span
+    collector wants the end of the run, not the start)."""
+    log = TraceLog(capacity=2)
     for i in range(5):
         log.record(i, "n", "k")
     assert [r.time for r in log] == [3, 4]
     assert log.dropped == 3
-
-
-def test_ring_mode_disabled_still_records_nothing():
-    log = TraceLog(enabled=False, capacity=2, ring=True)
-    log.record(1, "n", "k")
-    assert len(log) == 0 and log.dropped == 0
-
-
-def test_clear():
-    log = TraceLog()
-    log.record(1, "a", "x")
-    log.clear()
-    assert len(log) == 0 and log.dropped == 0
 
 
 def test_str_rendering():
@@ -70,3 +31,4 @@ def test_iteration():
     log.record(1, "a", "x")
     log.record(2, "b", "y")
     assert [r.node for r in log] == ["a", "b"]
+    assert log.dropped == 0

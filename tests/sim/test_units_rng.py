@@ -38,12 +38,5 @@ def test_stream_memoized():
     assert root.stream("a") is root.stream("a")
 
 
-def test_fork_derives_new_seed():
-    root = SplitRng(1)
-    child = root.fork("c")
-    assert child.seed != root.seed
-    assert child.stream("x").random() != root.stream("x").random()
-
-
 def test_different_seeds_differ():
     assert SplitRng(1).stream("x").random() != SplitRng(2).stream("x").random()

@@ -96,7 +96,7 @@ def test_no_leader_rejection_backs_off_and_retries_same_request():
 
 def test_lost_reply_retried_after_timeout():
     sim, server, client, metrics = build(drop_first=1)
-    sim.run(until=sec(6))  # RETRY_TIMEOUT is 5 s
+    sim.run(until=sec(6))  # the default retry timeout is 5 s
     assert client.completed > 0
     # the dropped request was re-sent, not abandoned
     assert server.request_log.count(server.request_log[0]) == 2

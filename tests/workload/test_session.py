@@ -217,6 +217,38 @@ def test_submit_queue_overflows_the_window_and_drains():
     assert session.queued_count == 0
 
 
+def test_one_record_and_one_timer_per_operation(monkeypatch):
+    """An operation is one record from submission to ack, and admitting it
+    creates one timer: the lost-reply resend and the rejection backoff
+    share it, so a rejection and its backoff resend create none."""
+    timers = []
+    real = Session.timer
+
+    def counting(self, name):
+        timers.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(Session, "timer", counting)
+    sim, server, session = manual_session(depth=2)
+    server.hold = True
+    for i in range(3):
+        session.put(f"k{i}", str(i))
+    queued = session._submit_queue[0]
+    assert len(timers) == 2
+    sim.run(until=ms(5))
+    (src, rejected), answered = server.held[0], server.held[1:]
+    server.held, server.hold = [], False
+    server._reply(src, rejected, ok=False)
+    for src, command in answered:
+        server._reply(src, command)
+    sim.run(until=ms(200))
+    assert session.completed == 3
+    assert server.request_log.count(rejected.request_id) == 2
+    assert len(timers) == 3
+    # The queued record is the one that was admitted and answered.
+    assert queued.command.key == "k2" and queued.attempts == 1
+
+
 def test_transact_needs_a_routing_policy():
     sim, server, session = manual_session()
     with pytest.raises(NotImplementedError):

@@ -233,6 +233,10 @@ FANNED_OUT = [
     lambda: Learn(instance_ids=[], proposer="s0", commit_index=3),
     lambda: Accept(ballot=Ballot(1, "s0"), proposer="s0",
                    instances={0: _entry("k").command}, commit_index=-1),
+    # MultiPaxos's idle keepalive: one empty Accept per tick, sent to every
+    # peer.
+    lambda: Accept(ballot=Ballot(1, "s0"), proposer="s0", instances={},
+                   commit_index=3),
 ]
 
 

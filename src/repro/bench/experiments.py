@@ -531,7 +531,7 @@ def tail_figure(scale: float = 1.0, seed: int = 1,
     table.notes.append(
         f"{len(spans)} complete spans "
         f"({len(recon.incomplete())} still in flight at run end, "
-        f"{obs.span_log.dropped} phase records ring-evicted); achieved "
+        f"{obs.dropped} phase records ring-evicted); achieved "
         f"{result.completion_throughput_ops:.0f} ops/s, measured latency "
         f"mean {result.overall_latency['mean']:.0f} / "
         f"p99 {result.overall_latency['p99']:.0f} / "

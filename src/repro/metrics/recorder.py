@@ -64,10 +64,6 @@ class MetricsRecorder:
     def gauge(self, name: str, time_us: int, value: float) -> None:
         self.gauges.setdefault(name, []).append((time_us, value))
 
-    def gauge_summary(self, name: str) -> Dict[str, float]:
-        """Summary statistics over one gauge series' sampled values."""
-        return summarize([value for _, value in self.gauges.get(name, [])])
-
     def window(self, start_us: int, end_us: int) -> List[RequestRecord]:
         return [r for r in self.records if r.start >= start_us and r.end <= end_us]
 
@@ -161,16 +157,3 @@ class MetricsRecorder:
             t = hi
         return buckets
 
-    @classmethod
-    def merge(cls, recorders: "List[MetricsRecorder]") -> "MetricsRecorder":
-        """Combine several groups' recorders into one aggregate view."""
-        merged = cls()
-        for recorder in recorders:
-            merged.records.extend(recorder.records)
-            merged.failures += recorder.failures
-            for name, count in recorder.counters.items():
-                merged.incr(name, count)
-            for name, samples in recorder.gauges.items():
-                merged.gauges.setdefault(name, []).extend(samples)
-        merged.records.sort(key=lambda r: r.end)
-        return merged

@@ -4,9 +4,9 @@ Three legs, one façade:
 
 * **Spans** — every client request carries a trace id; instrumented seams
   (session submit/admit/send, replica receive/append/commit/reply, shard
-  redirects, 2PC) record phase timestamps into a shared ring-buffer
-  `TraceLog`, and `SpanReconstructor`/`tail_budget` turn them into
-  per-request latency budgets (`repro.obs.spans`).
+  redirects, 2PC) append `(time, trace, phase, node)` tuples to one
+  ring, `Observability.span_log`, and `SpanReconstructor`/`tail_budget`
+  turn them into per-request latency budgets (`repro.obs.spans`).
 * **Gauges** — a `GaugeSampler` on the sim event loop samples queue depths
   (CPU/NIC/mux/session/locks/commit-lag) into the `MetricsRecorder`
   (`repro.obs.gauges`).
@@ -22,21 +22,21 @@ the results (`--metrics-out` JSONL via `repro.obs.sink`).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from repro.obs.gauges import (DEFAULT_INTERVAL_US, GaugeSampler,
                               install_standard_gauges)
 from repro.obs.profiler import SimProfiler
-from repro.obs.sink import dump_jsonl, load_jsonl
-from repro.obs.spans import (BUDGET_OF, PHASE_KIND, PHASE_LABELS, Span,
+from repro.obs.sink import dump_jsonl
+from repro.obs.spans import (BUDGET_OF, PHASE_LABELS, Span,
                              SpanReconstructor, tail_budget)
-from repro.sim.trace import TraceLog
 
 __all__ = [
     "BUDGET_OF", "DEFAULT_INTERVAL_US", "GaugeSampler",
-    "Observability", "PHASE_KIND", "PHASE_LABELS", "SimProfiler", "Span",
+    "Observability", "PHASE_LABELS", "SimProfiler", "Span",
     "SpanReconstructor", "dump_jsonl", "install_standard_gauges",
-    "load_jsonl", "tail_budget",
+    "tail_budget",
 ]
 
 
@@ -52,16 +52,22 @@ class Observability:
     def __init__(self, sim, metrics) -> None:
         self.sim = sim
         self.metrics = metrics
-        self.span_log = TraceLog(capacity=SPAN_CAPACITY)
+        # The span ring: `(time, trace, phase, node)` tuples.  A full ring
+        # evicts the oldest (the end of a run is the interesting part) and
+        # `dropped` counts the evictions, so a truncated log is never
+        # mistaken for a complete one.
+        self.span_log = deque(maxlen=SPAN_CAPACITY)
+        self.dropped = 0
         self.sampler = GaugeSampler(sim, metrics)
         self.profiler = SimProfiler().attach(sim)
 
     # -- recording (the hot path; nodes call this via `Node.obs_phase`) ------
 
-    def phase(self, time: int, node: str, trace: str, phase: str,
-              **detail) -> None:
-        self.span_log.record(time, node, PHASE_KIND,
-                             trace=trace, phase=phase, **detail)
+    def phase(self, time: int, trace: str, phase: str, node: str) -> None:
+        log = self.span_log
+        if len(log) == log.maxlen:
+            self.dropped += 1  # the append below evicts the oldest
+        log.append((time, trace, phase, node))
 
     # -- wiring --------------------------------------------------------------
 
@@ -78,13 +84,12 @@ class Observability:
     def tail_budget(self, pcts=(50.0, 99.0, 99.9)):
         return tail_budget(self.reconstruct().spans(), pcts)
 
-    def dump(self, path: str, meta: Optional[dict] = None,
-             include_records: bool = True) -> int:
+    def dump(self, path: str, meta: Optional[dict] = None) -> int:
         """Export the run's telemetry as JSONL; returns lines written."""
         return dump_jsonl(
             path,
             meta=meta,
-            records=self.metrics.records if include_records else (),
+            records=self.metrics.records,
             spans=self.reconstruct().spans(complete_only=False),
             gauges=self.metrics.gauges,
             counters=self.metrics.counters,

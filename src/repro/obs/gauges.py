@@ -1,7 +1,7 @@
 """Time-series gauges: cadence-driven sampling on the sim event loop.
 
-A `GaugeSampler` owns a list of named zero-argument probes and a sampling
-cadence.  Every `interval_us` of simulated time it reads each probe and
+A `GaugeSampler` owns a list of named zero-argument probes.  Every
+`DEFAULT_INTERVAL_US` of simulated time it reads each probe and
 appends `(now, value)` to the `MetricsRecorder`'s gauge series — the same
 recorder the request records and counters live in, so one object carries
 the whole run's telemetry.  A sharded cluster has one recorder too: its
@@ -19,19 +19,17 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.sim.units import ms
 
-#: Default sampling cadence (simulated time between samples).
+#: Sampling cadence (simulated time between samples).
 DEFAULT_INTERVAL_US = ms(50)
 
 
 class GaugeSampler:
     """Samples named probes on a fixed simulated-time cadence."""
 
-    def __init__(self, sim, metrics, interval_us: int = DEFAULT_INTERVAL_US) -> None:
+    def __init__(self, sim, metrics) -> None:
         self.sim = sim
         self.metrics = metrics
-        self.interval_us = max(1, int(interval_us))
         self.sources: List[Tuple[str, Callable[[], float]]] = []
-        self.samples_taken = 0
         self._stop_at: Optional[int] = None
         self._started = False
 
@@ -46,15 +44,14 @@ class GaugeSampler:
             return
         self._started = True
         self._stop_at = stop_at
-        self.sim.schedule(self.interval_us, self._tick)
+        self.sim.schedule(DEFAULT_INTERVAL_US, self._tick)
 
     def _tick(self) -> None:
         now = self.sim.now
         for name, probe in self.sources:
             self.metrics.gauge(name, now, float(probe()))
-        self.samples_taken += 1
-        if self._stop_at is None or now + self.interval_us <= self._stop_at:
-            self.sim.schedule(self.interval_us, self._tick)
+        if self._stop_at is None or now + DEFAULT_INTERVAL_US <= self._stop_at:
+            self.sim.schedule(DEFAULT_INTERVAL_US, self._tick)
 
 
 def install_standard_gauges(sampler: GaugeSampler, *, replicas=(),

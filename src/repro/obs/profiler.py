@@ -32,8 +32,6 @@ class SimProfiler:
     def __init__(self) -> None:
         # kind -> [count, wall_seconds]
         self.by_kind: Dict[str, List[float]] = {}
-        # node name -> [count, wall_seconds] (for callbacks bound to nodes)
-        self.by_node: Dict[str, List[float]] = {}
         self.events = 0
         self.wall_s = 0.0
 
@@ -42,10 +40,6 @@ class SimProfiler:
     def attach(self, sim) -> "SimProfiler":
         sim.profiler = self
         return self
-
-    def detach(self, sim) -> None:
-        if getattr(sim, "profiler", None) is self:
-            sim.profiler = None
 
     # -- the dispatch hook ---------------------------------------------------
 
@@ -67,13 +61,6 @@ class SimProfiler:
                 cell = self.by_kind[kind] = [0, 0.0]
             cell[0] += 1
             cell[1] += dt
-            node = self._node(event.callback)
-            if node is not None:
-                cell = self.by_node.get(node)
-                if cell is None:
-                    cell = self.by_node[node] = [0, 0.0]
-                cell[0] += 1
-                cell[1] += dt
 
     @staticmethod
     def _kind(event) -> str:
@@ -100,14 +87,6 @@ class SimProfiler:
                 return f"timer:{timer.name}"
         return name
 
-    @staticmethod
-    def _node(callback) -> Optional[str]:
-        owner = getattr(callback, "__self__", None)
-        if owner is None:
-            return None
-        node = getattr(owner, "node", owner)  # Timer._fire -> its node
-        return getattr(node, "name", None)
-
     # -- reporting -----------------------------------------------------------
 
     def report(self, top: Optional[int] = None) -> List[Dict[str, Any]]:
@@ -120,14 +99,6 @@ class SimProfiler:
         return [{"kind": kind, "count": int(count), "wall_s": wall,
                  "share": wall / total}
                 for kind, (count, wall) in ranked]
-
-    def node_report(self, top: Optional[int] = None) -> List[Dict[str, Any]]:
-        ranked = sorted(self.by_node.items(),
-                        key=lambda kv: (-kv[1][1], kv[0]))
-        if top is not None:
-            ranked = ranked[:top]
-        return [{"node": node, "count": int(count), "wall_s": wall}
-                for node, (count, wall) in ranked]
 
     def render(self, top: int = 12) -> str:
         lines = [f"SimProfiler: {self.events} events, "

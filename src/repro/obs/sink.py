@@ -10,7 +10,8 @@ One line per record, each a JSON object with a `type` discriminator:
     {"type": "profile", ...}     one profiler event-kind row
 
 JSONL (not one big JSON document) so a partial file from an interrupted run
-is still loadable line by line, and `jq`/pandas consume it directly.
+is still readable line by line (one `json.loads` per line), and `jq`/pandas
+consume it directly.
 """
 
 from __future__ import annotations
@@ -52,13 +53,3 @@ def dump_jsonl(path: str, *, meta: Optional[Dict[str, Any]] = None,
             emit({"type": "profile", **row})
     return lines
 
-
-def load_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Parse a telemetry file back into dicts (blank lines skipped)."""
-    rows: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as src:
-        for line in src:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows

@@ -27,10 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.stats import percentile
-from repro.sim.trace import TraceRecord
-
-#: Record kind used for span phase records inside a TraceLog.
-PHASE_KIND = "phase"
 
 #: Human explanation of the interval *starting* at each phase record.
 PHASE_LABELS: Dict[str, str] = {
@@ -145,21 +141,16 @@ class Span:
 
 
 class SpanReconstructor:
-    """Joins phase `TraceRecord`s into per-request `Span`s."""
+    """Joins `(time, trace, phase, node)` records into per-request
+    `Span`s."""
 
-    def __init__(self, records: Iterable[TraceRecord]) -> None:
+    def __init__(self, records: Iterable[Tuple[int, str, str, str]]) -> None:
         self._spans: Dict[str, Span] = {}
-        for rec in records:
-            if rec.kind != PHASE_KIND:
-                continue
-            trace = rec.detail.get("trace")
-            phase = rec.detail.get("phase")
-            if trace is None or phase is None:
-                continue
+        for time, trace, phase, node in records:
             span = self._spans.get(trace)
             if span is None:
                 span = self._spans[trace] = Span(trace)
-            span.events.append((rec.time, phase, rec.node))
+            span.events.append((time, phase, node))
 
     def span(self, trace: str) -> Optional[Span]:
         return self._spans.get(trace)

@@ -139,8 +139,7 @@ class ReplicaBase(Node):
             hint = self.ownership_guard(command)
             if hint is not None:
                 if self.obs is not None:
-                    self.obs_phase(command.trace_id, "reply", ok=False,
-                                   wrong_shard=True)
+                    self.obs_phase(command.trace_id, "reply")
                 self.send(src, self._wrong_shard_reply(command, hint,
                                                        message.epoch))
                 return
@@ -225,7 +224,7 @@ class ReplicaBase(Node):
         client = self._clients.pop(request_id, None)
         relay = None if client is not None else self._relays.pop(request_id, None)
         if self.obs is not None and (client is not None or relay is not None):
-            self.obs_phase(command.trace_id, "reply", ok=ok)
+            self.obs_phase(command.trace_id, "reply")
         if client is not None:
             self.send(client, reply)
             return
@@ -242,7 +241,7 @@ class ReplicaBase(Node):
             self.complete(command, ok=False, value=None)
             return
         if self.obs is not None:
-            self.obs_phase(command.trace_id, "forward", leader=leader)
+            self.obs_phase(command.trace_id, "forward")
         self._forward_buffer.append(command)
         if len(self._forward_buffer) >= FORWARD_BATCH_MAX:
             self._flush_forwards()
@@ -265,8 +264,7 @@ class ReplicaBase(Node):
     def _on_forward_batch(self, src: str, message: ForwardBatch) -> None:
         for command in message.commands:
             if self.obs is not None:
-                self.obs_phase(command.trace_id, "leader_recv",
-                               origin=message.origin)
+                self.obs_phase(command.trace_id, "leader_recv")
             self._relays[command.request_id] = message.origin
             self.submit_command(command)
 
@@ -317,7 +315,7 @@ class ReplicaBase(Node):
         rid = command.request_id
         if rid in self._clients or rid in self._relays:
             if self.obs is not None:
-                self.obs_phase(command.trace_id, "commit", index=index)
+                self.obs_phase(command.trace_id, "commit")
             hint = None
             if result.wrong_shard and self.ownership_guard is not None:
                 # The key migrated away between this command entering the

@@ -127,6 +127,8 @@ class MenciusReplica(ReplicaBase):
     # -- client path ---------------------------------------------------------------
 
     def submit_command(self, command: Command) -> None:
+        if self.obs is not None:
+            self.obs_phase(command.trace_id, "append")
         index = self.next_own
         self.next_own += self.config.n
         entry = Entry(term=0, command=command, ballot=0)

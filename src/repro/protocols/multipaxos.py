@@ -247,7 +247,7 @@ class MultiPaxosReplica(ReplicaBase):
         instance = self.next_instance
         self.next_instance += 1
         if self.obs is not None:
-            self.obs_phase(command.trace_id, "append", index=instance)
+            self.obs_phase(command.trace_id, "append")
         self._accept_buffer[instance] = command
         if len(self._accept_buffer) >= MAX_ACCEPT_BATCH:
             self._flush_accepts()

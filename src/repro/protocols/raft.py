@@ -308,7 +308,7 @@ class RaftReplica(ReplicaBase):
     def submit_command(self, command: Command) -> None:
         if self.role is Role.LEADER:
             if self.obs is not None:
-                self.obs_phase(command.trace_id, "append", index=len(self.log))
+                self.obs_phase(command.trace_id, "append")
             self._append_to_log(command)
             self._schedule_flush()
         else:

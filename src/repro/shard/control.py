@@ -51,7 +51,7 @@ wins each rotation no matter how many raced.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.recorder import MetricsRecorder
 from repro.protocols.config import geo_cluster
@@ -69,6 +69,10 @@ CONTROL_CLIENT_PREFIX = "__ctl__:"
 #: append must not stall failover for seconds.
 CONTROL_RETRY = RetryPolicy(retry_timeout=ms(250), retry_cap=sec(2),
                             backoff_base=ms(20), backoff_cap=ms(320))
+
+#: The control group's own election timeout range and heartbeat.
+CONTROL_ELECTION_TIMEOUT = (ms(400), ms(800))
+CONTROL_HEARTBEAT = ms(60)
 
 
 class ControlView:
@@ -151,11 +155,7 @@ class ControlGroup:
 
     def __init__(self, tag: str, sim, network, sites, protocol: str,
                  members: Optional[List[str]] = None,
-                 election_timeout: Tuple[int, int] = (ms(400), ms(800)),
-                 heartbeat: int = ms(60),
-                 initial_leader_site: Optional[str] = None,
-                 initial_owner: Optional[str] = None,
-                 costs: Optional[NodeCosts] = None) -> None:
+                 initial_owner: Optional[str] = None) -> None:
         if protocol in LEADERLESS:
             # The journal needs a leader to converge on quickly; a
             # leaderless data plane still gets a leader-based control log
@@ -170,16 +170,14 @@ class ControlGroup:
         self.hosts: Dict[str, Host] = {
             site: Host(f"{tag}_h_{site}", sim, site=site) for site in sites
         }
-        kwargs: Dict[str, Any] = dict(
-            initial_leader=f"{prefix}_{initial_leader_site or sites[0]}",
-            election_timeout_min=election_timeout[0],
-            election_timeout_max=election_timeout[1],
-            heartbeat_interval=heartbeat,
+        self.config = geo_cluster(
+            sites, prefix=prefix,
+            initial_leader=f"{prefix}_{sites[0]}",
+            election_timeout_min=CONTROL_ELECTION_TIMEOUT[0],
+            election_timeout_max=CONTROL_ELECTION_TIMEOUT[1],
+            heartbeat_interval=CONTROL_HEARTBEAT,
             hosts={f"{prefix}_{site}": self.hosts[site] for site in sites},
         )
-        if costs is not None:
-            kwargs["costs"] = costs
-        self.config = geo_cluster(sites, prefix=prefix, **kwargs)
         replica_cls = PROTOCOLS[protocol]
         self.replicas = {
             name: replica_cls(name, sim, network, self.config)

@@ -259,8 +259,7 @@ class ShardRoutedClient(ClosedLoopClient):
         self.metrics.incr("redirects")
         pending.server = target
         if self.obs is not None:
-            self.obs_phase(pending.command.trace_id, "redirect",
-                           target=target, hops=pending.redirect_hops)
+            self.obs_phase(pending.command.trace_id, "redirect")
         self._send(pending)
         return True
 
@@ -319,7 +318,7 @@ class ShardRoutedClient(ClosedLoopClient):
             # the same id from (client, txn_seq) and stamps it into every
             # child command, so all of the transaction's prepares/commits
             # across shards fold into this one span.
-            self.obs_phase(self._txn_trace(self.txn_seq), "submit", op="txn2pc")
+            self.obs_phase(self._txn_trace(self.txn_seq), "submit")
         self._send_txn(pending)
 
     def _txn_trace(self, txn_seq: int) -> str:
@@ -334,8 +333,7 @@ class ShardRoutedClient(ClosedLoopClient):
             self.coordinator = self._coordinator_ring[self._coordinator_idx]
             self.metrics.incr("coordinator_rotations")
         if self.obs is not None:
-            self.obs_phase(self._txn_trace(pending.request.txn_seq), "send",
-                           server=self.coordinator, attempt=pending.attempts)
+            self.obs_phase(self._txn_trace(pending.request.txn_seq), "send")
         self.send(self.coordinator, pending.request)
         pending.retry_timer.arm(
             self.retry.retry_delay(pending.attempts - 1, self.rng),

@@ -174,10 +174,9 @@ class TxnCoordinator(ReplicatedCoordinator):
     DIE_BACKOFF = ms(20)  # base backoff before retrying a died attempt
 
     def __init__(self, name, sim, network, site: str, router: ShardRouter,
-                 metrics: MetricsRecorder, rng, control: ControlGroup,
-                 costs: Optional[NodeCosts] = None) -> None:
+                 metrics: MetricsRecorder, rng, control: ControlGroup) -> None:
         super().__init__(name, sim, network, site, control, rng,
-                         metrics=metrics, costs=costs or NodeCosts())
+                         metrics=metrics, costs=NodeCosts())
         self.router = router
         # Fence epoch: commands stamped below the store-side fence are
         # refused.  Starts at 1; every recovery (and every takeover we
@@ -300,7 +299,7 @@ class TxnCoordinator(ReplicatedCoordinator):
 
     def _send_prepare(self, state: _TxnState, shard: int) -> None:
         if self.obs is not None:
-            self.obs_phase(state.trace, "txn_prepare", shard=shard)
+            self.obs_phase(state.trace, "txn_prepare")
         command = self._command(state, OpType.TXN_PREPARE, {
             "handle": state.handle, "txn": state.txn_id, "coord": self.name,
             "inc": self.epoch, "ts": state.ts,
@@ -405,7 +404,7 @@ class TxnCoordinator(ReplicatedCoordinator):
         decision the home log recorded FIRST, and we obey it."""
         state.phase = "decide"
         if self.obs is not None:
-            self.obs_phase(state.trace, "txn_decide", home=state.home)
+            self.obs_phase(state.trace, "txn_decide")
         command = self._command(state, OpType.TXN_DECIDE, self._decision_record(
             state, "commit"))
         state.pending = {state.home: command}
@@ -443,8 +442,7 @@ class TxnCoordinator(ReplicatedCoordinator):
     def _phase2(self, state: _TxnState, commit: bool) -> None:
         op = OpType.TXN_COMMIT if commit else OpType.TXN_ABORT
         if self.obs is not None:
-            self.obs_phase(state.trace,
-                           "txn_commit" if commit else "txn_abort")
+            self.obs_phase(state.trace, "txn_commit" if commit else "txn_abort")
         state.pending = {}
         state.waiting.clear()
         for shard in sorted(state.participants):
@@ -478,7 +476,7 @@ class TxnCoordinator(ReplicatedCoordinator):
                               "reads": dict(state.reads)})
             if state.client_node is not None:
                 if self.obs is not None:
-                    self.obs_phase(state.trace, "reply", ok=True)
+                    self.obs_phase(state.trace, "reply")
                 self.send(state.client_node, reply)
             return
         if not state.ops:

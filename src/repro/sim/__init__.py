@@ -25,7 +25,6 @@ from repro.sim.topology import (
     symmetric_lan,
     uniform_topology,
 )
-from repro.sim.trace import TraceLog, TraceRecord
 from repro.sim.units import ms, sec, us, to_ms, to_sec
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "SplitRng",
     "Timer",
     "Topology",
-    "TraceLog",
-    "TraceRecord",
     "ec2_five_regions",
     "ms",
     "sec",

@@ -334,12 +334,12 @@ class Node:
         """Override in subclasses."""
         raise NotImplementedError
 
-    def obs_phase(self, trace: Optional[str], phase: str, **detail: Any) -> None:
+    def obs_phase(self, trace: Optional[str], phase: str) -> None:
         """Record a request-lifecycle phase timestamp (no-op unless an
         `Observability` collector is installed and the command is traced)."""
         obs = self.obs
         if obs is not None and trace is not None:
-            obs.phase(self.sim.now, self.name, trace, phase, **detail)
+            obs.phase(self.sim.now, trace, phase, self.name)
 
     # -- timers ---------------------------------------------------------------
 

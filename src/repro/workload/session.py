@@ -335,7 +335,7 @@ class Session(Node):
         pending = PendingRequest(kind, key, value, consistency, self.sim.now,
                                  value_size, on_done, trace=trace)
         if trace is not None:
-            self.obs_phase(trace, "submit", op=kind)
+            self.obs_phase(trace, "submit")
         if self.window_free:
             self._admit(pending)
         else:
@@ -364,7 +364,7 @@ class Session(Node):
         pending.timer = self.timer("retry")
         self._pending[seq] = pending
         if pending.trace is not None:
-            self.obs_phase(pending.trace, "admit", seq=seq)
+            self.obs_phase(pending.trace, "admit")
         self._send(pending)
 
     def _route(self, command: Command) -> str:
@@ -378,8 +378,7 @@ class Session(Node):
     def _send(self, pending: PendingRequest) -> None:
         pending.attempts += 1
         if self.obs is not None:
-            self.obs_phase(pending.command.trace_id, "send",
-                           server=pending.server, attempt=pending.attempts)
+            self.obs_phase(pending.command.trace_id, "send")
         self.send(pending.server, self._request_message(pending))
         pending.timer.arm(
             self.retry.retry_delay(pending.attempts - 1, self.rng),
@@ -405,8 +404,7 @@ class Session(Node):
             return  # stale reply from an already-answered request
         if not message.ok:
             if self.obs is not None:
-                self.obs_phase(pending.command.trace_id, "reject",
-                               server=message.server)
+                self.obs_phase(pending.command.trace_id, "reject")
             if self._on_reject(pending, message):
                 return  # a redirect policy re-sent it
             # No leader yet (or leadership changed mid-flight): back off and

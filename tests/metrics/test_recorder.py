@@ -82,20 +82,6 @@ def test_throughput_by_groups_records():
     assert metrics.throughput_by(0, 0, key=lambda r: r.server) == {}
 
 
-def test_merge_combines_groups():
-    a, b = MetricsRecorder(), MetricsRecorder()
-    a.add(rec(100, 300))
-    a.add(rec(0, 10, ok=False))
-    b.add(rec(100, 200, site="seoul"))
-    merged = MetricsRecorder.merge([a, b])
-    # all records present, globally sorted by completion time
-    assert [r.end for r in merged.records] == [ms(200), ms(300)]
-    assert merged.failures == 1
-    assert merged.throughput_ops(0, sec(1)) == 2.0
-    # sources are untouched
-    assert len(a.records) == 1 and len(b.records) == 1
-
-
 # -- named counters (redirects, txn events, ...) ------------------------------
 
 
@@ -113,24 +99,6 @@ def test_incr_negative_and_zero_steps():
     metrics.incr("drift", by=0)
     metrics.incr("drift", by=-2)
     assert metrics.counters == {"drift": -2}
-
-
-def test_merge_sums_counters_across_groups():
-    a, b, c = MetricsRecorder(), MetricsRecorder(), MetricsRecorder()
-    a.incr("redirects", by=2)
-    b.incr("redirects", by=3)
-    b.incr("capped_redirects")
-    merged = MetricsRecorder.merge([a, b, c])
-    assert merged.counters == {"redirects": 5, "capped_redirects": 1}
-    # sources untouched
-    assert a.counters == {"redirects": 2}
-    assert b.counters == {"redirects": 3, "capped_redirects": 1}
-    assert c.counters == {}
-
-
-def test_merge_with_no_counters_still_empty():
-    merged = MetricsRecorder.merge([MetricsRecorder(), MetricsRecorder()])
-    assert merged.counters == {}
 
 
 def test_throughput_by_with_counters_untouched():

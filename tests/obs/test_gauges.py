@@ -5,21 +5,22 @@ import pytest
 from repro.bench.experiments import pipeline_spec
 from repro.bench.harness import run_experiment
 from repro.metrics.recorder import MetricsRecorder
-from repro.obs import GaugeSampler
+from repro.obs import DEFAULT_INTERVAL_US, GaugeSampler
 from repro.sim.events import Simulator
-from repro.sim.units import ms, sec
+from repro.sim.units import sec
 
 
 def test_sampler_cadence():
     sim, metrics = Simulator(), MetricsRecorder()
-    sampler = GaugeSampler(sim, metrics, interval_us=ms(10))
+    sampler = GaugeSampler(sim, metrics)
     ticks = iter(range(1000))
     sampler.add("depth", lambda: next(ticks))
-    sampler.start(stop_at=ms(100))
-    sim.run(until=ms(100))
+    sampler.start(stop_at=10 * DEFAULT_INTERVAL_US)
+    sim.run(until=10 * DEFAULT_INTERVAL_US)
     samples = metrics.gauges["depth"]
     assert len(samples) == 10
-    assert [t for t, _ in samples] == [ms(10) * i for i in range(1, 11)]
+    assert [t for t, _ in samples] == [DEFAULT_INTERVAL_US * i
+                                       for i in range(1, 11)]
     assert [v for _, v in samples] == [float(i) for i in range(10)]
 
 
@@ -27,42 +28,23 @@ def test_sampler_stop_at_bounds_the_tick():
     """The self-rescheduling tick must not outlive `stop_at`, or a bounded
     sim.run(until=...) horizon would never drain."""
     sim, metrics = Simulator(), MetricsRecorder()
-    sampler = GaugeSampler(sim, metrics, interval_us=ms(10))
+    sampler = GaugeSampler(sim, metrics)
     sampler.add("x", lambda: 0.0)
-    sampler.start(stop_at=ms(50))
+    sampler.start(stop_at=5 * DEFAULT_INTERVAL_US)
     sim.run(until=sec(10))  # a horizon far past stop_at
-    # Unbounded, the tick would have fired 1000 times to the horizon.
-    assert sampler.samples_taken == 5
-    assert all(t <= ms(50) for t, _ in metrics.gauges["x"])
+    # Unbounded, the tick would have fired 200 times to the horizon.
+    assert len(metrics.gauges["x"]) == 5
+    assert all(t <= 5 * DEFAULT_INTERVAL_US for t, _ in metrics.gauges["x"])
 
 
 def test_sampler_start_is_idempotent():
     sim, metrics = Simulator(), MetricsRecorder()
-    sampler = GaugeSampler(sim, metrics, interval_us=ms(10))
+    sampler = GaugeSampler(sim, metrics)
     sampler.add("x", lambda: 1.0)
-    sampler.start(stop_at=ms(30))
-    sampler.start(stop_at=ms(30))
-    sim.run(until=ms(30))
+    sampler.start(stop_at=3 * DEFAULT_INTERVAL_US)
+    sampler.start(stop_at=3 * DEFAULT_INTERVAL_US)
+    sim.run(until=3 * DEFAULT_INTERVAL_US)
     assert len(metrics.gauges["x"]) == 3  # not doubled
-
-
-def test_gauge_summary():
-    metrics = MetricsRecorder()
-    for t, v in enumerate([1.0, 5.0, 3.0]):
-        metrics.gauge("q", t, v)
-    summary = metrics.gauge_summary("q")
-    assert summary["count"] == 3 and summary["max"] == 5.0
-    assert metrics.gauge_summary("missing")["count"] == 0
-
-
-def test_merge_concatenates_gauges():
-    a, b = MetricsRecorder(), MetricsRecorder()
-    a.gauge("q", 1, 1.0)
-    b.gauge("q", 2, 2.0)
-    b.gauge("r", 2, 9.0)
-    merged = MetricsRecorder.merge([a, b])
-    assert merged.gauges["q"] == [(1, 1.0), (2, 2.0)]
-    assert merged.gauges["r"] == [(2, 9.0)]
 
 
 @pytest.fixture(scope="module")

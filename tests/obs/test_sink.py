@@ -1,11 +1,11 @@
-"""JSONL telemetry export: dump, reload, and the Observability facade."""
+"""JSONL telemetry export: dump, read back, and the Observability facade."""
 
 import json
 
 from repro.bench.experiments import pipeline_spec
 from repro.bench.harness import run_experiment
 from repro.metrics.recorder import RequestRecord
-from repro.obs import Span, dump_jsonl, load_jsonl
+from repro.obs import Span, dump_jsonl
 from repro.protocols.types import OpType
 
 
@@ -21,7 +21,8 @@ def test_round_trip(tmp_path):
         gauges={"q": [(5, 1.0), (10, 2.0)]}, counters={"redirects": 3},
         profile=[{"kind": "handle:X", "count": 4, "wall_s": 0.1,
                   "share": 1.0}])
-    rows = load_jsonl(path)
+    with open(path) as src:
+        rows = [json.loads(line) for line in src]
     assert lines == len(rows) == 6
     assert rows[0] == {"type": "meta", "figure": "test", "seed": 1}
     by_type = {row["type"]: row for row in rows}

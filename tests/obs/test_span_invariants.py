@@ -10,6 +10,7 @@ import pytest
 
 from repro.bench.experiments import pipeline_spec
 from repro.bench.harness import Cluster, run_experiment
+from repro.protocols.registry import PROTOCOLS
 from repro.shard.cluster import ShardedCluster, ShardedSpec
 from repro.shard.partition import Partitioner
 from repro.shard.router import ShardRoutedClient, ShardRouter
@@ -47,6 +48,26 @@ def test_every_completion_has_exactly_one_span(raft_result):
     for span in spans:
         client = span.trace.split(":")[0]
         assert (client, span.start, span.end) in records, span.trace
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_span_invariants_every_protocol(protocol):
+    """Every registry protocol records a full span: well formed, one per
+    completion, and a committed request passed through `append` first
+    (local lease reads answer `server_recv -> reply` and never commit)."""
+    spec = pipeline_spec(0.2, seed=3, protocol=protocol, depth=2).with_(
+        obs=True)
+    result = run_experiment(spec)
+    spans = result.obs.reconstruct().spans()
+    _assert_well_formed(spans)
+    records = {(r.client, r.start, r.end) for r in result.obs.metrics.records}
+    assert len(spans) == len(records)
+    committed = [s for s in spans if "commit" in s.phases]
+    assert committed, protocol
+    for span in committed:
+        phases = span.phases
+        assert "append" in phases[:phases.index("commit")], (span.trace,
+                                                            phases)
 
 
 class _SwappedPartitioner(Partitioner):

@@ -1,8 +1,10 @@
 """Span reconstruction and tail budgets over synthetic phase records."""
 
+import repro.obs
+from repro.metrics.recorder import MetricsRecorder
 from repro.metrics.stats import percentile
-from repro.obs import PHASE_KIND, Span, SpanReconstructor, tail_budget
-from repro.sim.trace import TraceLog
+from repro.obs import Observability, Span, SpanReconstructor, tail_budget
+from repro.sim.events import Simulator
 
 #: One clean leader-path request: (dt_us, phase, node).
 REQUEST = (
@@ -14,11 +16,11 @@ REQUEST = (
 
 def _log_request(log, trace, t0, phases=REQUEST):
     for dt, phase, node in phases:
-        log.record(t0 + dt, node, PHASE_KIND, trace=trace, phase=phase)
+        log.append((t0 + dt, trace, phase, node))
 
 
 def make_log(n=3, spacing=1000):
-    log = TraceLog()
+    log = []
     for i in range(n):
         _log_request(log, f"c:{i}", i * spacing)
     return log
@@ -33,10 +35,15 @@ def test_join_by_trace():
     assert spans[0].phases == [phase for _, phase, _ in REQUEST]
 
 
-def test_non_phase_records_are_ignored():
-    log = make_log(1)
-    log.record(5, "net", "send", dst="r1")  # a plain trace record
-    assert len(SpanReconstructor(log).spans()) == 1
+def test_span_ring_evicts_oldest_and_counts_drops(monkeypatch):
+    """A full ring evicts the OLDEST record (a flight recorder: the span
+    collector wants the end of the run, not the start) and counts it."""
+    monkeypatch.setattr(repro.obs, "SPAN_CAPACITY", 2)
+    obs = Observability(Simulator(), MetricsRecorder())
+    for t in range(5):
+        obs.phase(t, "c:0", "send", "c")
+    assert [record[0] for record in obs.span_log] == [3, 4]
+    assert obs.dropped == 3
 
 
 def test_phase_durations_sum_to_latency_exactly():
@@ -67,7 +74,7 @@ def test_complete_only_filtering():
 
 
 def test_retry_accumulates_into_one_span():
-    log = TraceLog()
+    log = []
     _log_request(log, "c:0", 0, (
         (0, "submit", "c"), (5, "admit", "c"), (6, "send", "c"),
         (30, "reject", "c"), (80, "send", "c"), (110, "server_recv", "r2"),

@@ -1,10 +1,7 @@
 """Span reconstruction and tail budgets over synthetic phase records."""
 
-import repro.obs
-from repro.metrics.recorder import MetricsRecorder
 from repro.metrics.stats import percentile
-from repro.obs import Observability, Span, SpanReconstructor, tail_budget
-from repro.sim.events import Simulator
+from repro.obs import Span, SpanReconstructor, tail_budget
 
 #: One clean leader-path request: (dt_us, phase, node).
 REQUEST = (
@@ -33,17 +30,6 @@ def test_join_by_trace():
     assert [s.trace for s in spans] == ["c:0", "c:1", "c:2"]
     assert all(len(s.events) == len(REQUEST) for s in spans)
     assert spans[0].phases == [phase for _, phase, _ in REQUEST]
-
-
-def test_span_ring_evicts_oldest_and_counts_drops(monkeypatch):
-    """A full ring evicts the OLDEST record (a flight recorder: the span
-    collector wants the end of the run, not the start) and counts it."""
-    monkeypatch.setattr(repro.obs, "SPAN_CAPACITY", 2)
-    obs = Observability(Simulator(), MetricsRecorder())
-    for t in range(5):
-        obs.phase(t, "c:0", "send", "c")
-    assert [record[0] for record in obs.span_log] == [3, 4]
-    assert obs.dropped == 3
 
 
 def test_phase_durations_sum_to_latency_exactly():

@@ -1,34 +1,28 @@
-"""Trace log: a ring of records."""
+"""The span log: a bounded ring of phase records on Observability."""
 
-from repro.sim.trace import TraceLog, TraceRecord
-
-
-def test_capacity_drops_overflow():
-    log = TraceLog(capacity=2)
-    for i in range(5):
-        log.record(i, "n", "k")
-    assert len(log) == 2
-    assert log.dropped == 3
+import repro.obs
+from repro.metrics.recorder import MetricsRecorder
+from repro.obs import Observability
+from repro.sim.events import Simulator
 
 
-def test_ring_mode_keeps_the_newest():
-    """A full log evicts the OLDEST record (a flight-recorder: the span
-    collector wants the end of the run, not the start)."""
-    log = TraceLog(capacity=2)
-    for i in range(5):
-        log.record(i, "n", "k")
-    assert [r.time for r in log] == [3, 4]
-    assert log.dropped == 3
+def _full_ring(monkeypatch):
+    monkeypatch.setattr(repro.obs, "SPAN_CAPACITY", 2)
+    obs = Observability(Simulator(), MetricsRecorder())
+    for t in range(5):
+        obs.phase(t, "c:0", "send", "c")
+    return obs
 
 
-def test_str_rendering():
-    rec = TraceRecord(5, "node", "send", {"dst": "x"})
-    assert "node" in str(rec) and "dst=x" in str(rec)
+def test_capacity_drops_overflow(monkeypatch):
+    obs = _full_ring(monkeypatch)
+    assert len(obs.span_log) == 2
+    assert obs.dropped == 3
 
 
-def test_iteration():
-    log = TraceLog()
-    log.record(1, "a", "x")
-    log.record(2, "b", "y")
-    assert [r.node for r in log] == ["a", "b"]
-    assert log.dropped == 0
+def test_ring_mode_keeps_the_newest(monkeypatch):
+    """A full ring evicts the OLDEST record (a flight recorder: the span
+    collector wants the end of the run, not the start) and counts it."""
+    obs = _full_ring(monkeypatch)
+    assert [record[0] for record in obs.span_log] == [3, 4]
+    assert obs.dropped == 3

@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.protocols.types import Command, OpType
@@ -41,7 +42,10 @@ class HistoryEvent:
 
 
 class HistoryChecker:
-    """Accumulates applies + client events, then checks invariants."""
+    """Accumulates applies + client events, then checks invariants.
+
+    The read checks rank a key's values by the longest applied stream
+    (`value_ranks`), not by whichever replica recorded first."""
 
     def __init__(self) -> None:
         self.applied: Dict[str, List[Tuple[int, Command]]] = {}
@@ -86,10 +90,30 @@ class HistoryChecker:
                         )
         return violations
 
+    def value_ranks(self) -> Dict[str, Dict[str, int]]:
+        """Per key, each written value's position in the key's install
+        order — the order both read checks rank values by.
+
+        Taken from the LONGEST applied stream: replicas agree on their
+        common prefix (`check_prefix_agreement`), so the longest stream is
+        the most complete, as in `TxnCluster.write_orders`.  A lagging
+        replica's stream — crashed, or cut off — would leave the newer
+        values unranked: a correct read of one would look stale, and a
+        read going back from one would pass.  Each read check builds it
+        afresh: one sorted pass over one stream."""
+        longest = max(self.applied.values(), key=len, default=())
+        ranks: Dict[str, Dict[str, int]] = {}
+        for _index, command in sorted(longest):
+            if command.op is OpType.PUT:
+                order = ranks.setdefault(command.key, {})
+                order.setdefault(command.value or "", len(order))
+        return ranks
+
     def check_monotonic_reads(self) -> List[str]:
         """Per client per key, observed written values never regress to an
         older version across NON-OVERLAPPING reads, assuming distinct
         values per write (the workload generator guarantees unique values).
+        Versions are ranked by `value_ranks` (the longest applied stream).
 
         Only reads ordered in real time constrain each other: a pipelined
         session keeps several reads of one key in flight at once, and two
@@ -99,15 +123,7 @@ class HistoryChecker:
         their own operations, so for them this is the old check exactly.)
         """
         violations = []
-        write_order: Dict[str, Dict[str, int]] = {}
-        for replica_applies in self.applied.values():
-            for index, command in sorted(replica_applies):
-                if command.op is OpType.PUT:
-                    order = write_order.setdefault(command.key, {})
-                    value = command.value or ""
-                    if value not in order:
-                        order[value] = len(order)
-            break  # one replica's order suffices given prefix agreement
+        write_order = self.value_ranks()
 
         # Per (client, key): completed reads as (end, running-max rank),
         # appended in end order so a bisect by start gives the newest
@@ -134,34 +150,45 @@ class HistoryChecker:
 
     def check_lease_read_freshness(self) -> List[str]:
         """A local read starting after a write completed must not return a
-        value older than that write (per key, unique values assumed)."""
+        value older than that write (per key, unique values assumed;
+        versions ranked by `value_ranks`).
+
+        Per key, the completed writes are sorted by end time under a
+        running maximum of their ranks, so each local read bisects on its
+        start time for the newest write completed before it began:
+        O((R + W) log W) for R local reads and W completed writes, and one
+        violation per stale read."""
         violations = []
-        completed_writes: List[HistoryEvent] = [
-            event for event in self.events if event.op is OpType.PUT
-        ]
-        # Build, per key, the value order from one replica's applies.
-        write_rank: Dict[str, Dict[str, int]] = {}
-        for replica_applies in self.applied.values():
-            for index, command in sorted(replica_applies):
-                if command.op is OpType.PUT:
-                    rank = write_rank.setdefault(command.key, {})
-                    rank.setdefault(command.value or "", len(rank))
-            break
+        write_rank = self.value_ranks()
+        writes: Dict[str, List[Tuple[int, int]]] = {}
+        for event in self.events:
+            if event.op is OpType.PUT:
+                rank = write_rank.get(event.key, {}).get(event.value or "")
+                if rank is not None:
+                    writes.setdefault(event.key, []).append((event.end, rank))
+        # key -> (write ends ascending, highest rank among writes so far)
+        sweeps: Dict[str, Tuple[List[int], List[int]]] = {}
+        for key, done in writes.items():
+            done.sort()
+            sweeps[key] = ([end for end, _rank in done],
+                           list(accumulate((rank for _end, rank in done), max)))
         for read in self.events:
             if read.op is not OpType.GET or not read.local_read:
                 continue
-            ranks = write_rank.get(read.key, {})
-            read_rank = ranks.get(read.value or "", -1)
-            for write in completed_writes:
-                if write.key != read.key or write.end > read.start:
-                    continue
-                write_rank_value = ranks.get(write.value or "")
-                if write_rank_value is not None and read_rank < write_rank_value:
-                    violations.append(
-                        f"stale lease read by {read.client}: key={read.key} "
-                        f"returned rank {read_rank} but write rank "
-                        f"{write_rank_value} completed before the read began"
-                    )
+            sweep = sweeps.get(read.key)
+            if sweep is None:
+                continue
+            ends, newest = sweep
+            before = bisect.bisect_right(ends, read.start)
+            if not before:
+                continue
+            read_rank = write_rank[read.key].get(read.value or "", -1)
+            if read_rank < newest[before - 1]:
+                violations.append(
+                    f"stale lease read by {read.client} seq {read.seq}: "
+                    f"key={read.key} returned rank {read_rank} but write rank "
+                    f"{newest[before - 1]} completed before the read began"
+                )
         return violations
 
     def check_all(self) -> List[str]:

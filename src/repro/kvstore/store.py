@@ -64,6 +64,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.protocols.types import Command, OpType, Payload, payload_of
+from repro.sim.sha import sha1
 
 
 @dataclass(slots=True)
@@ -679,10 +680,8 @@ class KVStore:
         """Stable content digest of the replicated state.  Two stores that
         processed the same committed commands — directly, or via a
         catch-up snapshot plus the log suffix — report the same digest."""
-        import hashlib
-
         payload = json.dumps(self.export_full(), sort_keys=True)
-        return hashlib.sha1(payload.encode()).hexdigest()
+        return sha1(payload.encode()).hexdigest()
 
     def __len__(self) -> int:
         return len(self._table)

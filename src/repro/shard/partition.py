@@ -13,9 +13,10 @@ computing ownership independently always agree.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
+
+from repro.sim.sha import sha1 as _sha1
 
 HASH_SPACE = 1 << 32
 
@@ -27,7 +28,6 @@ HASH_SPACE = 1 << 32
 _POINT_CACHE: dict = {}
 
 
-_sha1 = hashlib.sha1
 _from_bytes = int.from_bytes
 
 

@@ -59,6 +59,7 @@ tracks plain sharded throughput.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -760,27 +761,32 @@ class TxnResult(Accounting):
         return self.violations
 
 
-#: (records, ring start of every shard) -> the workload's keys bucketed by
-#: owning shard.  A pure function of that key, so the 100,000-key pass runs
-#: once per process instead of once per `TxnCluster`.
-_KEY_POOLS: Dict[Tuple[int, Tuple[int, ...]], Dict[int, Tuple[str, ...]]] = {}
+#: (records, ring start of every shard) -> the workload's key ids bucketed
+#: by owning shard.  A pure function of that key, so the 100,000-key pass
+#: runs once per process instead of once per `TxnCluster`.
+_KEY_POOLS: Dict[Tuple[int, Tuple[int, ...]], Dict[int, array]] = {}
 
 
-def key_pools(partitioner, records: int) -> Dict[int, Tuple[str, ...]]:
-    """Workload keys ``k0 .. k<records-1>`` grouped by owning shard, each
-    pool in key-id order (clients index pools with RNG draws, so the order
-    is part of a run's identity); shards owning no key are left out.  The
-    pools are tuples: every cluster with the same map shares them."""
+def key_pools(partitioner, records: int) -> Dict[int, array]:
+    """Workload key ids ``0 .. records-1`` grouped by owning shard, each
+    pool in id order (clients index pools with RNG draws, so the order is
+    part of a run's identity; `WorkloadConfig.key_name` turns an entry
+    into its key); shards owning no key are left out.  The pools are
+    ``array('I')``s of ids, not key strings — 4 bytes a key instead of
+    ~60 — and every cluster with the same map shares them, so nobody
+    may mutate one."""
     starts = tuple(partitioner.range_of(shard).start
                    for shard in range(partitioner.num_shards))
     pools = _KEY_POOLS.get((records, starts))
     if pools is None:
-        buckets: List[List[str]] = [[] for _ in starts]
+        buckets = [array("I") for _ in starts]
         shard_of_point = partitioner.shard_of_point
-        for key in map(WorkloadConfig.key_name, range(records)):
-            buckets[shard_of_point(ring_point(key))].append(key)
+        key_name = WorkloadConfig.key_name
+        for key_id in range(records):
+            buckets[shard_of_point(ring_point(key_name(key_id)))].append(
+                key_id)
         pools = _KEY_POOLS[(records, starts)] = {
-            shard: tuple(keys) for shard, keys in enumerate(buckets) if keys}
+            shard: ids for shard, ids in enumerate(buckets) if ids}
     return dict(pools)
 
 
@@ -793,7 +799,7 @@ class TxnWorkloadClient(ShardRoutedClient):
     key selection O(1) instead of rejection sampling the hash ring."""
 
     def __init__(self, name, sim, network, site, router, workload, sites,
-                 rng, metrics, pools: Dict[int, Sequence[str]], txn_size: int,
+                 rng, metrics, pools: Dict[int, Sequence[int]], txn_size: int,
                  cross_shard_ratio: float, coordinator: str,
                  stop_at: Optional[int] = None, **session_kwargs) -> None:
         self._pools = pools
@@ -828,14 +834,15 @@ class TxnWorkloadClient(ShardRoutedClient):
         used = set()
         for i, shard in enumerate(shards):
             pool = self._pools[shard]
-            key = pool[rng.randrange(len(pool))]
+            key_id = pool[rng.randrange(len(pool))]
             tries = 0
-            while key in used and tries < 8:
-                key = pool[rng.randrange(len(pool))]
+            while key_id in used and tries < 8:
+                key_id = pool[rng.randrange(len(pool))]
                 tries += 1
-            if key in used:
+            if key_id in used:
                 continue  # pool smaller than txn_size: drop the extra op
-            used.add(key)
+            used.add(key_id)
+            key = WorkloadConfig.key_name(key_id)
             if rng.random() < self.workload.read_fraction:
                 ops.append(("get", key, None))
             else:

@@ -9,8 +9,9 @@ stable.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+from repro.sim.sha import sha256
 
 
 class SplitRng:
@@ -23,6 +24,6 @@ class SplitRng:
     def stream(self, name: str) -> random.Random:
         """Return the (memoized) random stream for `name`."""
         if name not in self._streams:
-            digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
+            digest = sha256(f"{self.seed}:{name}".encode()).digest()
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]

@@ -1,5 +1,10 @@
 """History checker detects what it should and passes what it should."""
 
+import random
+import re
+
+import pytest
+
 from repro.kvstore.checker import HistoryChecker, HistoryEvent
 from repro.protocols.types import Command, OpType
 
@@ -79,6 +84,101 @@ def test_lease_freshness_ignores_concurrent_reads():
     checker.record_event(HistoryEvent("r", 1, OpType.GET, "k", "old", 20, 25, "b",
                                       local_read=True))
     assert checker.check_lease_read_freshness() == []
+
+
+def lagging_first(checker):
+    """s0 is recorded first but applied only v1 (it crashed, or was cut
+    off); s1 and s2 applied v1 and then v2."""
+    checker.record_apply("s0", 0, put("k", "v1", seq=1))
+    for replica in ("s1", "s2"):
+        checker.record_apply(replica, 0, put("k", "v1", seq=1))
+        checker.record_apply(replica, 1, put("k", "v2", seq=2))
+
+
+def test_lease_freshness_ranks_by_the_longest_applied_stream():
+    """A correct local read of v2, made after both writes completed, is
+    fresh even though the first-recorded replica never applied v2."""
+    checker = HistoryChecker()
+    lagging_first(checker)
+    checker.record_event(HistoryEvent("w", 1, OpType.PUT, "k", "v1", 0, 10, "s1"))
+    checker.record_event(HistoryEvent("w", 2, OpType.PUT, "k", "v2", 10, 20, "s1"))
+    checker.record_event(HistoryEvent("r", 1, OpType.GET, "k", "v2", 30, 35, "s2",
+                                      local_read=True))
+    assert checker.check_lease_read_freshness() == []
+    assert checker.check_all() == []
+    assert checker.value_ranks() == {"k": {"v1": 0, "v2": 1}}
+
+
+def test_monotonic_reads_ranks_by_the_longest_applied_stream():
+    """Reading v2 and then v1 in real time goes backwards, even though
+    the first-recorded replica never applied v2."""
+    checker = HistoryChecker()
+    lagging_first(checker)
+    checker.record_event(HistoryEvent("c", 1, OpType.GET, "k", "v2", 30, 35, "s1"))
+    checker.record_event(HistoryEvent("c", 2, OpType.GET, "k", "v1", 40, 45, "s0"))
+    violations = checker.check_monotonic_reads()
+    assert len(violations) == 1 and "rank 0 after 1" in violations[0]
+    assert checker.check_all() == violations
+
+
+def quadratic_stale_reads(checker):
+    """The reference: every local read tested against every completed
+    write of its key, R x W.  The (client, seq) of each stale read."""
+    ranks = checker.value_ranks()
+    stale = set()
+    for read in checker.events:
+        if read.op is not OpType.GET or not read.local_read:
+            continue
+        order = ranks.get(read.key, {})
+        read_rank = order.get(read.value or "", -1)
+        for write in checker.events:
+            if (write.op is OpType.PUT and write.key == read.key
+                    and write.end <= read.start):
+                write_rank = order.get(write.value or "")
+                if write_rank is not None and read_rank < write_rank:
+                    stale.add((read.client, read.seq))
+    return stale
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lease_freshness_sweep_equals_the_quadratic_check(seed):
+    """Same stale reads as testing every read against every write, one
+    violation each, on seeded histories with lagging replicas, concurrent
+    and unacked writes, reads of unknown values and of missing keys."""
+    rng = random.Random(seed)
+    checker = HistoryChecker()
+    keys = [f"k{i}" for i in range(rng.randint(1, 4))]
+    log = [put(rng.choice(keys), f"v{i}", seq=i) for i in range(rng.randint(0, 30))]
+    clean = seed % 2  # some replica applied the whole log, reads are fresh
+    lengths = [rng.randint(0, len(log)) for _ in range(3)]
+    if clean:
+        lengths[rng.randrange(3)] = len(log)
+    for replica, length in zip(("s0", "s1", "s2"), lengths):
+        for index, command in enumerate(log[:length]):
+            checker.record_apply(replica, index, command)
+    for command in log:
+        if rng.random() < 0.8:  # the rest were never acknowledged
+            end = rng.randint(0, 100)
+            checker.record_event(HistoryEvent(
+                "w", command.seq, OpType.PUT, command.key, command.value,
+                end - rng.randint(0, 10), end, "s0"))
+    for seq in range(rng.randint(0, 40)):
+        key = rng.choice(keys)
+        start = rng.randint(0, 110)
+        written = [c.value for c in log if c.key == key]
+        if written and (clean or rng.random() < 0.3):
+            value = written[-1]
+        else:
+            value = rng.choice(written + [None, "never-written"])
+        checker.record_event(HistoryEvent(
+            f"r{seq % 3}", seq, OpType.GET, key, value, start, start + 5,
+            "s1", local_read=rng.random() < 0.8))
+    violations = checker.check_lease_read_freshness()
+    expected = quadratic_stale_reads(checker)
+    assert len(violations) == len(expected)
+    flagged = {re.match(r"stale lease read by (\S+) seq (\d+):", v).groups()
+               for v in violations}
+    assert flagged == {(client, str(seq)) for client, seq in expected}
 
 
 def test_check_all_aggregates():

@@ -1,5 +1,7 @@
 """Hash-range partitioning."""
 
+from array import array
+
 import pytest
 
 from repro.shard.partition import HASH_SPACE, HashRangePartitioner, key_point
@@ -61,7 +63,8 @@ def test_invalid_arguments():
 def test_key_pools_equal_the_per_key_bucketing_and_hash_once(monkeypatch):
     """`TxnCluster`'s per-shard key pools: same keys in the same order as
     bucketing key by key through `shard_of` (clients index the pools with
-    RNG draws), and the pass runs once per (records, ring boundaries)."""
+    RNG draws), and the pass runs once per (records, ring boundaries).
+    A pool holds key ids in a compact array, read through `key_name`."""
     from repro.shard import txn
     from repro.shard.partition import VersionedPartitioner, ring_point
 
@@ -81,8 +84,11 @@ def test_key_pools_equal_the_per_key_bucketing_and_hash_once(monkeypatch):
         for key_id in range(records):
             key = WorkloadConfig.key_name(key_id)
             reference[partitioner.shard_of(key)].append(key)
-        assert pools == {shard: tuple(keys)
-                         for shard, keys in reference.items() if keys}
+        assert {shard: [WorkloadConfig.key_name(key_id) for key_id in pool]
+                for shard, pool in pools.items()} == {
+                    shard: keys for shard, keys in reference.items() if keys}
+        assert all(isinstance(pool, array) and pool.itemsize <= 4
+                   for pool in pools.values())
     assert len(hashed) == 3 * records
     # Same map, another cluster: shared pools, no hashing; its own dict.
     again = txn.key_pools(VersionedPartitioner.initial(4), records)

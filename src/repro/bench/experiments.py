@@ -300,7 +300,8 @@ def pipeline_spec(scale: float, seed: int, protocol: str, depth: int,
                   clients_per_region: int = 3) -> ExperimentSpec:
     """One pipelined trial on the tight-majority 3-site deployment
     (Oregon/Ohio/Canada, Oregon leads): few clients, `depth`-deep
-    sessions, full history check (client events + lease freshness)."""
+    sessions, full history check (prefix agreement + per-key
+    linearizability of client events)."""
     return ExperimentSpec(
         protocol=protocol,
         leader_site="oregon",
@@ -358,8 +359,8 @@ def pipeline_depth_sweep(scale: float = 1.0, seed: int = 1,
                        "per-session window differs; depth 1 is the "
                        "pre-session closed-loop client")
     table.notes.append("'linearizable' = full HistoryChecker (prefix "
-                       "agreement + monotonic reads + lease-read "
-                       "freshness over client-observed events); the PQL "
+                       "agreement + per-key real-time linearizability of "
+                       "every client-observed read and write); the PQL "
                        "row serves LEASE_LOCAL reads from leases while "
                        "pipelined")
     return table
@@ -599,8 +600,9 @@ def sharding_scaling(scale: float = 1.0, seed: int = 1,
             cells.append(result.throughput_ops)
         table.add_row(placement, *cells, "yes" if clean else "NO")
     table.notes.append("per-shard HistoryChecker: prefix agreement, "
-                       "monotonic reads, lease freshness — 'linearizable' "
-                       "covers every shard of every point")
+                       "per-key real-time linearizability of client reads "
+                       "and writes — 'linearizable' covers every shard of "
+                       "every point")
     table.notes.append("colocated pins every shard leader in one region; "
                        "its shared uplink caps aggregate throughput where "
                        "spread keeps scaling until the offered load is served")

@@ -34,8 +34,8 @@ class ExperimentSpec(FleetSpec):
 
     leader_site: str = "oregon"
     execution_mode: Optional[str] = None  # Mencius: "ordered"/"commutative"
-    # Run the FULL history check (prefix agreement + monotonic reads +
-    # lease-read freshness over client-observed events) instead of prefix
+    # Run the FULL history check (prefix agreement + per-key
+    # linearizability of client-observed events) instead of prefix
     # agreement only — the pipelined figures assert this.
     full_check: bool = False
 
@@ -102,8 +102,8 @@ class Cluster:
                 spec.workload, sites, rng, self.metrics, stop_at=stop_at,
                 **knobs))
         if self.checker is not None and spec.full_check:
-            # Client-observed events feed the monotonic-read and lease-
-            # freshness checks (the pipelined figures assert check_all).
+            # Client-observed events feed the per-key linearizability
+            # check (the pipelined figures assert check_all).
             record_client_events(self.clients, lambda server: self.checker)
 
         self.obs: Optional[Observability] = None

@@ -5,10 +5,10 @@ histories and verifies the invariants the protocols promise:
 
 * **committed-prefix agreement** — any two replicas' applied sequences agree
   on the common prefix (State Machine Safety);
-* **monotonic reads per client** — a client never observes a key going back
-  in version;
-* **lease-read freshness** — a local (lease) read returns a value at least as
-  new as every write committed before the read started (the PQL guarantee);
+* **per-key linearizability** (`check_linearizability`) — every acked GET
+  and PUT of a key, from any client and served by any path (lease-local or
+  log), fits one order that respects real time and the log's write order:
+  the PQL guarantee, judged by what clients saw;
 * **strict serializability of committed transactions**
   (`check_strict_serializability`) — the multi-key contract of the 2PC
   layer in `repro.shard.txn`, checked Elle-style over the per-key version
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +44,7 @@ class HistoryEvent:
 class HistoryChecker:
     """Accumulates applies + client events, then checks invariants.
 
-    The read checks rank a key's values by the longest applied stream
+    The read check ranks a key's values by the longest applied stream
     (`value_ranks`), not by whichever replica recorded first."""
 
     def __init__(self) -> None:
@@ -92,15 +92,15 @@ class HistoryChecker:
 
     def value_ranks(self) -> Dict[str, Dict[str, int]]:
         """Per key, each written value's position in the key's install
-        order — the order both read checks rank values by.
+        order — the order `check_linearizability` ranks values by.
 
         Taken from the LONGEST applied stream: replicas agree on their
         common prefix (`check_prefix_agreement`), so the longest stream is
         the most complete, as in `TxnCluster.write_orders`.  A lagging
         replica's stream — crashed, or cut off — would leave the newer
-        values unranked: a correct read of one would look stale, and a
-        read going back from one would pass.  Each read check builds it
-        afresh: one sorted pass over one stream."""
+        values unranked: a read of one would be skipped, and a read going
+        back from one would pass.  Built afresh per check: one sorted pass
+        over one stream."""
         longest = max(self.applied.values(), key=len, default=())
         ranks: Dict[str, Dict[str, int]] = {}
         for _index, command in sorted(longest):
@@ -109,104 +109,73 @@ class HistoryChecker:
                 order.setdefault(command.value or "", len(order))
         return ranks
 
-    def check_monotonic_reads(self) -> List[str]:
-        """Per client per key, observed written values never regress to an
-        older version across NON-OVERLAPPING reads, assuming distinct
-        values per write (the workload generator guarantees unique values).
-        Versions are ranked by `value_ranks` (the longest applied stream).
+    def check_linearizability(self) -> List[str]:
+        """Per key, the acked GETs and PUTs linearize in real time.
 
-        Only reads ordered in real time constrain each other: a pipelined
-        session keeps several reads of one key in flight at once, and two
-        *concurrent* reads may legitimately linearize in either order — so
-        a read is compared against the newest version observed by reads
-        that COMPLETED before it STARTED.  (Depth-1 clients never overlap
-        their own operations, so for them this is the old check exactly.)
-        """
+        Values are unique and the log fixes the write order, so each
+        event has a rank (`value_ranks`; a read of None ranks -1) and a
+        key's history is linearizable iff (Gibbons & Korach 1997, the
+        fixed-write-order case):
+
+        (A) no event precedes one of lower rank — a precedes b when
+            ``a.end < b.start``; an ack and an invoke at one tick are
+            concurrent;
+        (B) a read's write, when acked, starts before the read ends.
+
+        (A) is a sort by end under a running max rank and one bisect per
+        event on its start, O(n log n), one violation per offending event.
+        Events whose value has no rank (moved by a reshard, written by a
+        transaction) are skipped: dropping a write with all its reads
+        keeps the check sound.  Unacked writes constrain nothing."""
         violations = []
-        write_order = self.value_ranks()
-
-        # Per (client, key): completed reads as (end, running-max rank),
-        # appended in end order so a bisect by start gives the newest
-        # version any real-time-earlier read observed.
-        seen: Dict[Tuple[str, str], List[Tuple[int, int]]] = {}
-        for event in sorted(self.events, key=lambda e: (e.client, e.end)):
-            if event.op is not OpType.GET or event.value is None:
-                continue
-            order = write_order.get(event.key, {})
-            if event.value not in order:
-                continue
-            rank = order[event.value]
-            key = (event.client, event.key)
-            history = seen.setdefault(key, [])
-            index = bisect.bisect_right(history, (event.start, float("inf")))
-            if index > 0 and rank < history[index - 1][1]:
-                violations.append(
-                    f"client {event.client} read {event.key} going backwards: "
-                    f"rank {rank} after {history[index - 1][1]}"
-                )
-            running = max(rank, history[-1][1] if history else -1)
-            history.append((event.end, running))
-        return violations
-
-    def check_lease_read_freshness(self) -> List[str]:
-        """A local read starting after a write completed must not return a
-        value older than that write (per key, unique values assumed;
-        versions ranked by `value_ranks`).
-
-        Per key, the completed writes are sorted by end time under a
-        running maximum of their ranks, so each local read bisects on its
-        start time for the newest write completed before it began:
-        O((R + W) log W) for R local reads and W completed writes, and one
-        violation per stale read."""
-        violations = []
-        write_rank = self.value_ranks()
-        writes: Dict[str, List[Tuple[int, int]]] = {}
+        ranks = self.value_ranks()
+        by_key: Dict[str, List[Tuple[HistoryEvent, int]]] = {}
+        write_start: Dict[Tuple[str, int], int] = {}
         for event in self.events:
-            if event.op is OpType.PUT:
-                rank = write_rank.get(event.key, {}).get(event.value or "")
-                if rank is not None:
-                    writes.setdefault(event.key, []).append((event.end, rank))
-        # key -> (write ends ascending, highest rank among writes so far)
-        sweeps: Dict[str, Tuple[List[int], List[int]]] = {}
-        for key, done in writes.items():
-            done.sort()
-            sweeps[key] = ([end for end, _rank in done],
-                           list(accumulate((rank for _end, rank in done), max)))
-        for read in self.events:
-            if read.op is not OpType.GET or not read.local_read:
-                continue
-            sweep = sweeps.get(read.key)
-            if sweep is None:
-                continue
-            ends, newest = sweep
-            before = bisect.bisect_right(ends, read.start)
-            if not before:
-                continue
-            read_rank = write_rank[read.key].get(read.value or "", -1)
-            if read_rank < newest[before - 1]:
-                violations.append(
-                    f"stale lease read by {read.client} seq {read.seq}: "
-                    f"key={read.key} returned rank {read_rank} but write rank "
-                    f"{newest[before - 1]} completed before the read began"
-                )
+            if event.op is OpType.GET and event.value is None:
+                rank = -1
+            else:
+                rank = ranks.get(event.key, {}).get(event.value or "")
+                if rank is None:
+                    continue
+                if event.op is OpType.PUT:
+                    write_start[(event.key, rank)] = event.start
+            by_key.setdefault(event.key, []).append((event, rank))
+        for key, ranked in by_key.items():
+            ranked.sort(key=lambda item: item[0].end)
+            ends = [event.end for event, _rank in ranked]
+            newest = list(accumulate((rank for _event, rank in ranked), max))
+            for event, rank in ranked:
+                path = "lease-local" if event.local_read else "log"
+                kind = "read" if event.op is OpType.GET else "write"
+                before = bisect.bisect_left(ends, event.start)
+                if before and newest[before - 1] > rank:
+                    violations.append(
+                        f"{kind} by {event.client} seq {event.seq} ({path}): "
+                        f"key={key} has rank {rank} but rank "
+                        f"{newest[before - 1]} completed before it began")
+                if kind == "read" and rank >= 0:
+                    start = write_start.get((key, rank))
+                    if start is not None and start > event.end:
+                        violations.append(
+                            f"read by {event.client} seq {event.seq} "
+                            f"({path}): key={key} returned {event.value!r}, "
+                            f"whose write began at {start}, after the read "
+                            f"ended at {event.end}")
         return violations
 
     def check_all(self) -> List[str]:
-        return (
-            self.check_prefix_agreement()
-            + self.check_monotonic_reads()
-            + self.check_lease_read_freshness()
-        )
+        return self.check_prefix_agreement() + self.check_linearizability()
 
 
 def record_client_events(clients, checker_of) -> None:
     """Feed every success the `clients` complete into the `HistoryChecker`
     that `checker_of(server)` names for the answering server (None: not
-    checked) — the client-visible events of the monotonic-read and
-    lease-freshness checks.  The one hook both harnesses install: a single
-    group maps every server to its checker, a sharded run each server to
-    its shard's, so events stay attributed correctly even while a reshard
-    moves keys between groups."""
+    checked) — the client-visible events `check_linearizability` judges,
+    lease-local and log-served reads alike.  The one hook both harnesses
+    install: a single group maps every server to its checker, a sharded
+    run each server to its shard's, so events stay attributed correctly
+    even while a reshard moves keys between groups."""
 
     def record(command: Command, reply, start: int, end: int) -> None:
         if not command.is_data:

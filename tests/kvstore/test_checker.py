@@ -2,6 +2,8 @@
 
 import random
 import re
+from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 
@@ -42,7 +44,7 @@ def test_monotonic_reads_clean():
     checker.record_apply("a", 1, put("k", "v2", seq=2))
     checker.record_event(HistoryEvent("c", 1, OpType.GET, "k", "v1", 0, 10, "a"))
     checker.record_event(HistoryEvent("c", 2, OpType.GET, "k", "v2", 20, 30, "a"))
-    assert checker.check_monotonic_reads() == []
+    assert checker.check_all() == []
 
 
 def test_monotonic_reads_detects_regression():
@@ -51,8 +53,9 @@ def test_monotonic_reads_detects_regression():
     checker.record_apply("a", 1, put("k", "v2", seq=2))
     checker.record_event(HistoryEvent("c", 1, OpType.GET, "k", "v2", 0, 10, "a"))
     checker.record_event(HistoryEvent("c", 2, OpType.GET, "k", "v1", 20, 30, "a"))
-    violations = checker.check_monotonic_reads()
-    assert violations and "going backwards" in violations[0]
+    violations = checker.check_all()
+    assert len(violations) == 1
+    assert violations[0].startswith("read by c seq 2 (log): key=k has rank 0")
 
 
 def test_lease_freshness_clean():
@@ -61,7 +64,7 @@ def test_lease_freshness_clean():
     checker.record_event(HistoryEvent("w", 1, OpType.PUT, "k", "v1", 0, 10, "a"))
     checker.record_event(HistoryEvent("r", 1, OpType.GET, "k", "v1", 20, 25, "b",
                                       local_read=True))
-    assert checker.check_lease_read_freshness() == []
+    assert checker.check_all() == []
 
 
 def test_lease_freshness_detects_stale_read():
@@ -71,8 +74,9 @@ def test_lease_freshness_detects_stale_read():
     checker.record_event(HistoryEvent("w", 2, OpType.PUT, "k", "new", 0, 10, "a"))
     checker.record_event(HistoryEvent("r", 1, OpType.GET, "k", "old", 20, 25, "b",
                                       local_read=True))
-    violations = checker.check_lease_read_freshness()
-    assert violations and "stale lease read" in violations[0]
+    violations = checker.check_all()
+    assert len(violations) == 1
+    assert violations[0].startswith("read by r seq 1 (lease-local): key=k")
 
 
 def test_lease_freshness_ignores_concurrent_reads():
@@ -83,7 +87,7 @@ def test_lease_freshness_ignores_concurrent_reads():
     checker.record_event(HistoryEvent("w", 2, OpType.PUT, "k", "new", 0, 30, "a"))
     checker.record_event(HistoryEvent("r", 1, OpType.GET, "k", "old", 20, 25, "b",
                                       local_read=True))
-    assert checker.check_lease_read_freshness() == []
+    assert checker.check_all() == []
 
 
 def lagging_first(checker):
@@ -104,7 +108,7 @@ def test_lease_freshness_ranks_by_the_longest_applied_stream():
     checker.record_event(HistoryEvent("w", 2, OpType.PUT, "k", "v2", 10, 20, "s1"))
     checker.record_event(HistoryEvent("r", 1, OpType.GET, "k", "v2", 30, 35, "s2",
                                       local_read=True))
-    assert checker.check_lease_read_freshness() == []
+    assert checker.check_linearizability() == []
     assert checker.check_all() == []
     assert checker.value_ranks() == {"k": {"v1": 0, "v2": 1}}
 
@@ -116,35 +120,135 @@ def test_monotonic_reads_ranks_by_the_longest_applied_stream():
     lagging_first(checker)
     checker.record_event(HistoryEvent("c", 1, OpType.GET, "k", "v2", 30, 35, "s1"))
     checker.record_event(HistoryEvent("c", 2, OpType.GET, "k", "v1", 40, 45, "s0"))
-    violations = checker.check_monotonic_reads()
-    assert len(violations) == 1 and "rank 0 after 1" in violations[0]
+    violations = checker.check_linearizability()
+    assert len(violations) == 1 and "rank 0 but rank 1" in violations[0]
     assert checker.check_all() == violations
 
 
-def quadratic_stale_reads(checker):
-    """The reference: every local read tested against every completed
-    write of its key, R x W.  The (client, seq) of each stale read."""
+# -- planted violations: each flips exactly one verdict ------------------------
+
+
+def three_replicas(*values):
+    """A checker whose three replicas all applied PUTs of `values` to key
+    k, in that log order."""
+    checker = HistoryChecker()
+    for replica in ("s0", "s1", "s2"):
+        for index, value in enumerate(values):
+            checker.record_apply(replica, index, put("k", value, seq=index))
+    return checker
+
+
+def event(client, seq, op, value, start, end, local_read=False):
+    return HistoryEvent(client, seq, op, "k", value, start, end, "s0",
+                        local_read=local_read)
+
+
+def writes_a_then_b(read_start):
+    """A writes a (0-10) then b (12-20); B's log-served read of a starts
+    at `read_start`."""
+    checker = three_replicas("a", "b")
+    checker.record_event(event("A", 1, OpType.PUT, "a", 0, 10))
+    checker.record_event(event("A", 2, OpType.PUT, "b", 12, 20))
+    checker.record_event(event("B", 1, OpType.GET, "a", read_start, 40))
+    return checker
+
+
+def test_stale_log_served_read_is_a_violation():
+    violations = writes_a_then_b(read_start=30).check_all()
+    assert len(violations) == 1
+    assert violations[0].startswith("read by B seq 1 (log): key=k has rank 0")
+
+
+def test_read_concurrent_with_the_ack_may_see_the_older_value():
+    """The read is invoked at tick 20, the tick b is acked: concurrent."""
+    assert writes_a_then_b(read_start=20).check_all() == []
+
+
+def test_cross_client_regression_is_a_violation():
+    checker = three_replicas("a", "b")
+    checker.record_event(event("A", 1, OpType.PUT, "a", 0, 10))
+    checker.record_event(event("A", 2, OpType.PUT, "b", 12, 20))
+    checker.record_event(event("C", 1, OpType.GET, "b", 41, 50))
+    checker.record_event(event("D", 1, OpType.GET, "a", 60, 70))
+    violations = checker.check_all()
+    assert len(violations) == 1 and violations[0].startswith("read by D seq 1")
+
+
+def test_read_from_the_future_is_a_violation():
+    checker = three_replicas("a")
+    checker.record_event(event("R", 1, OpType.GET, "a", 0, 5))
+    checker.record_event(event("W", 1, OpType.PUT, "a", 10, 20))
+    violations = checker.check_all()
+    assert len(violations) == 1
+    assert "whose write began at 10, after the read ended at 5" in violations[0]
+
+
+def test_log_order_against_real_time_is_a_violation():
+    """x was acked before y was invoked, yet the log installs y first."""
+    checker = three_replicas("y", "x")
+    checker.record_event(event("W", 1, OpType.PUT, "x", 0, 10))
+    checker.record_event(event("V", 1, OpType.PUT, "y", 20, 30))
+    violations = checker.check_all()
+    assert len(violations) == 1
+    assert violations[0].startswith("write by V seq 1 (log): key=k has rank 0")
+
+
+def test_read_before_an_older_write_is_a_violation():
+    """The lease read of b completes before the write of a begins, but
+    the log installs a first."""
+    checker = three_replicas("a", "b")
+    checker.record_event(event("W", 2, OpType.PUT, "b", 5, 50))
+    checker.record_event(event("R", 1, OpType.GET, "b", 10, 20, local_read=True))
+    checker.record_event(event("W", 1, OpType.PUT, "a", 30, 40))
+    violations = checker.check_all()
+    assert len(violations) == 1
+    assert violations[0].startswith("write by W seq 1 (log): key=k has rank 0")
+
+
+def test_missing_key_read_after_a_completed_write_is_a_violation():
+    checker = three_replicas("a")
+    checker.record_event(event("W", 1, OpType.PUT, "a", 0, 10))
+    checker.record_event(event("R", 1, OpType.GET, None, 20, 30))
+    violations = checker.check_all()
+    assert len(violations) == 1
+    assert violations[0].startswith("read by R seq 1 (log): key=k has rank -1")
+
+
+# -- the sweep against references ----------------------------------------------
+
+
+def rank_of(event, ranks):
+    """The event's rank in its key's install order, or None if unranked."""
+    if event.op is OpType.GET and event.value is None:
+        return -1
+    return ranks.get(event.key, {}).get(event.value or "")
+
+
+def pairwise_violations(checker):
+    """The reference for the sweep: conditions (A) and (B) tested on every
+    pair of a key's ranked events.  One (client, seq) per violation."""
     ranks = checker.value_ranks()
-    stale = set()
-    for read in checker.events:
-        if read.op is not OpType.GET or not read.local_read:
-            continue
-        order = ranks.get(read.key, {})
-        read_rank = order.get(read.value or "", -1)
-        for write in checker.events:
-            if (write.op is OpType.PUT and write.key == read.key
-                    and write.end <= read.start):
-                write_rank = order.get(write.value or "")
-                if write_rank is not None and read_rank < write_rank:
-                    stale.add((read.client, read.seq))
-    return stale
+    ranked = [(e, rank_of(e, ranks)) for e in checker.events]
+    ranked = [(e, r) for e, r in ranked if r is not None]
+    flagged = []
+    for e, rank in ranked:
+        if any(f.key == e.key and f.end < e.start and other > rank
+               for f, other in ranked):
+            flagged.append((e.client, str(e.seq)))
+        if e.op is OpType.GET and any(
+                f.op is OpType.PUT and f.key == e.key and other == rank
+                and f.start > e.end for f, other in ranked):
+            flagged.append((e.client, str(e.seq)))
+    return sorted(flagged)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_lease_freshness_sweep_equals_the_quadratic_check(seed):
-    """Same stale reads as testing every read against every write, one
-    violation each, on seeded histories with lagging replicas, concurrent
-    and unacked writes, reads of unknown values and of missing keys."""
+    """The O(n log n) sweep flags the same events as testing conditions
+    (A) and (B) on every pair, on seeded histories with lagging replicas,
+    concurrent and unacked writes, and lease and log reads of unknown
+    values and of missing keys — up to 70 events, past what the
+    brute-force search below can take."""
     rng = random.Random(seed)
     checker = HistoryChecker()
     keys = [f"k{i}" for i in range(rng.randint(1, 4))]
@@ -173,12 +277,102 @@ def test_lease_freshness_sweep_equals_the_quadratic_check(seed):
         checker.record_event(HistoryEvent(
             f"r{seq % 3}", seq, OpType.GET, key, value, start, start + 5,
             "s1", local_read=rng.random() < 0.8))
-    violations = checker.check_lease_read_freshness()
-    expected = quadratic_stale_reads(checker)
-    assert len(violations) == len(expected)
-    flagged = {re.match(r"stale lease read by (\S+) seq (\d+):", v).groups()
-               for v in violations}
-    assert flagged == {(client, str(seq)) for client, seq in expected}
+    violations = checker.check_linearizability()
+    flagged = sorted(re.match(r"(?:read|write) by (\S+) seq (\d+) ", v).groups()
+                     for v in violations)
+    assert flagged == pairwise_violations(checker)
+
+
+def linearizable_by_search(checker):
+    """The reference for the conditions: try every order of key k's
+    events that respects real-time precedence, with writes in log order
+    and each read returning the latest earlier write (None before the
+    first).  A write with no event was never acked: it may take effect at
+    any time, in log order.  Events of values with no rank are left out,
+    as the checker leaves them out."""
+    ranks = checker.value_ranks()
+    events = [e for e in checker.events if rank_of(e, ranks) is not None]
+    rank = [rank_of(e, ranks) for e in events]
+    acked = {r for e, r in zip(events, rank) if e.op is OpType.PUT}
+    everything = (1 << len(events)) - 1
+    failed = set()
+
+    def search(placed, current):
+        """Can the unplaced events follow, with `current` the rank the key
+        holds (-1: missing)?"""
+        if placed == everything:
+            return True
+        if (placed, current) in failed:
+            return False
+        for i, e in enumerate(events):
+            if placed >> i & 1 or any(
+                    not placed >> j & 1 and f.end < e.start
+                    for j, f in enumerate(events)):
+                continue
+            # unacked writes in (current, target] take effect first
+            target = rank[i] - 1 if e.op is OpType.PUT else rank[i]
+            if target < current or any(current < a <= target for a in acked):
+                continue
+            if search(placed | 1 << i, rank[i]):
+                return True
+        failed.add((placed, current))
+        return False
+
+    return search(0, -1)
+
+
+def small_history(rng):
+    """At most 7 events on key k over three replicas, some lagging: writes
+    take effect at increasing points, each acked one around its point,
+    reads mostly return the value current at theirs.  Some reads return
+    another value, None or a value never written, and some intervals are
+    shifted."""
+    checker = HistoryChecker()
+    log = [f"v{i}" for i in range(rng.randint(0, 4))]
+    lengths = [rng.randint(0, len(log)) for _ in range(3)]
+    if rng.random() < 0.7:
+        lengths[rng.randrange(3)] = len(log)
+    for replica, length in zip(("s0", "s1", "s2"), lengths):
+        for index, value in enumerate(log[:length]):
+            checker.record_apply(replica, index, put("k", value, seq=index))
+    points = list(accumulate(rng.randint(0, 10) for _ in log))
+    events = []
+    for seq, (value, point) in enumerate(zip(log, points)):
+        if rng.random() < 0.75:  # the rest were never acknowledged
+            events.append(HistoryEvent(
+                "w", seq, OpType.PUT, "k", value, point - rng.randint(0, 4),
+                point + rng.randint(0, 4), "s0"))
+    for seq in range(7 - len(events) - rng.randint(0, 2)):
+        point = rng.randint(-2, (points or [0])[-1] + 4)
+        value = None
+        for written, at in zip(log, points):
+            if at <= point:
+                value = written
+        if rng.random() < 0.5:
+            value = rng.choice(log + [None, "never-written"])
+        events.append(HistoryEvent(
+            f"r{seq}", seq, OpType.GET, "k", value, point - rng.randint(0, 4),
+            point + rng.randint(0, 4), "s1", local_read=rng.random() < 0.5))
+    if events and rng.random() < 0.5:
+        i = rng.randrange(len(events))
+        shift = rng.randint(-10, 10)
+        events[i] = replace(events[i], start=events[i].start + shift,
+                            end=events[i].end + shift)
+    for e in events:
+        checker.record_event(e)
+    return checker
+
+
+def test_check_equals_a_brute_force_linearization_search():
+    """On 600 seeded histories the check is clean exactly when some
+    linearization exists: (A) and (B) are sound and complete."""
+    verdicts = []
+    for seed in range(600):
+        checker = small_history(random.Random(seed))
+        clean = checker.check_linearizability() == []
+        assert clean == linearizable_by_search(checker), seed
+        verdicts.append(clean)
+    assert 150 < sum(verdicts) < 450  # both verdicts well represented
 
 
 def test_check_all_aggregates():

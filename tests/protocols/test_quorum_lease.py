@@ -206,7 +206,7 @@ def test_lease_read_freshness_history(build):
     checker.record_event(HistoryEvent(
         client="client", seq=read.seq, op=OpType.GET, key="x", value=reply.value,
         start=write_end + 1, end=cluster.sim.now, server="s2", local_read=True))
-    assert checker.check_lease_read_freshness() == []
+    assert checker.check_all() == []
 
 
 def test_recovered_replica_leases_and_reads_again(build):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.kvstore.store import migrated_install_orders
 from repro.protocols.types import Command, OpType
 
 
@@ -99,14 +100,20 @@ class HistoryChecker:
         the most complete, as in `TxnCluster.write_orders`.  A lagging
         replica's stream — crashed, or cut off — would leave the newer
         values unranked: a read of one would be skipped, and a read going
-        back from one would pass.  Built afresh per check: one sorted pass
-        over one stream."""
+        back from one would pass.  Values a reshard moved in rank in the
+        order their `MIGRATE_IN` carries.  Built afresh per check: one
+        sorted pass over one stream."""
         longest = max(self.applied.values(), key=len, default=())
         ranks: Dict[str, Dict[str, int]] = {}
         for _index, command in sorted(longest):
             if command.op is OpType.PUT:
                 order = ranks.setdefault(command.key, {})
                 order.setdefault(command.value or "", len(order))
+            elif command.op is OpType.MIGRATE_IN:
+                for key, values in migrated_install_orders(command).items():
+                    order = ranks.setdefault(key, {})
+                    for value in values:
+                        order.setdefault(value, len(order))
         return ranks
 
     def check_linearizability(self) -> List[str]:
@@ -124,8 +131,8 @@ class HistoryChecker:
 
         (A) is a sort by end under a running max rank and one bisect per
         event on its start, O(n log n), one violation per offending event.
-        Events whose value has no rank (moved by a reshard, written by a
-        transaction) are skipped: dropping a write with all its reads
+        Events whose value has no rank (written by a transaction and never
+        moved) are skipped: dropping a write with all its reads
         keeps the check sound.  Unacked writes constrain nothing."""
         violations = []
         ranks = self.value_ranks()

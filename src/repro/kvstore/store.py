@@ -104,6 +104,12 @@ def _reply(command: Command, result: Mapping[str, Any]) -> ApplyResult:
     return reply
 
 
+def migrated_install_orders(command: Command) -> Mapping[str, Sequence[str]]:
+    """Each moved key's values in the donor's install order, as a
+    `MIGRATE_IN` carries them (`KVStore.import_range` installs them)."""
+    return payload_of(command).get("write_log", {})
+
+
 class DedupSession:
     """One client's at-most-once window: a sliding set of cached results.
 

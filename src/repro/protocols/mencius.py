@@ -9,10 +9,19 @@ commit after f acceptances (plus its own).
 Skips keep the log moving: whenever a replica observes a higher index in use,
 it advances its own next owned index, and per coordinated Paxos everyone may
 treat a default leader's unused indexes below its advertised frontier as
-chosen no-ops without any phase-2 wait.  The frontier (`next_own`) rides on
-every append/ack and on periodic `SkipNotice`s; FIFO links make the
-"no entry below the frontier ⇒ skipped" inference sound (the original
-Mencius assumption).
+chosen no-ops without any phase-2 wait.
+
+One rule resolves a slot, whatever the links lose:
+* every message carries the sender's frontier (`next_own`) and `since`, the
+  frontier it last broadcast.  A receiver infers skips below the frontier
+  only if it has recorded `since` — else a broadcast was lost and those
+  slots wait for catch-up — and never for a slot under a recovery promise;
+* commit news is (index, ballot) pairs: a receiver commits only the entry
+  it holds at that ballot, so a value a recovery replaced is never run;
+* one stall clock: the lowest unresolved slot, stuck for `REVOKE_TIMEOUT`,
+  is pulled from the peers; stuck for twice that, or owned by a replica
+  silent that long, it is revoked.
+On FIFO links that lose nothing this is the plain Mencius path.
 
 Execution:
 * **ordered mode** (contended workloads) — a command answers once every
@@ -22,20 +31,20 @@ Execution:
   — a write answers as soon as it commits and all earlier indexes are
   *known* (proposal or skip seen), the optimization §5.2 measures.
 
-Crash recovery: a replica that observes an unresolved index owned by a
-silent replica runs coordinated-Paxos phase 1 over the stalled range with a
-higher ballot and proposes no-ops (or any accepted value it finds).
+Revocation: the lowest-ranked replica other than the slot's owner runs
+coordinated-Paxos phase 1 over the stalled range with a higher ballot (a
+fresh one if a quorum is not gathered in time) and proposes no-ops (or any
+accepted value it finds).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.protocols.base import ReplicaBase
 from repro.protocols.config import (APPEND_FLUSH_INTERVAL, REVOKE_TIMEOUT,
                                     ClusterConfig)
 from repro.protocols.messages import (
-    CommitNotice,
     MenciusAck,
     MenciusAppend,
     MenciusCatchup,
@@ -55,6 +64,9 @@ STATUS_SKIPPED = "skipped"
 
 _PUT = OpType.PUT
 _NOP = OpType.NOP
+
+#: Most slots one catch-up answer carries; the asker pulls the next run.
+CATCHUP_BATCH = 512
 
 
 class MenciusReplica(ReplicaBase):
@@ -79,18 +91,18 @@ class MenciusReplica(ReplicaBase):
         self.rank = config.ranks[name]
         self.entries: Dict[int, Entry] = {}
         self.status: Dict[int, str] = {}
-        self.skip_tags: Dict[int, bool] = {}   # the ported skipTags array
-        self.executable: Set[int] = set()      # the ported executable set
         self.next_own = self.rank              # my next unused owned index
+        self._last_broadcast = self.rank       # the frontier I last broadcast
         self.frontier: Dict[str, int] = dict(config.ranks)
         self.promised: Dict[int, int] = {}     # per-index promised ballot
         self._acks: Dict[int, Set[str]] = {}
         self._batch: Dict[int, Entry] = {}
-        self._fresh_commits: List[int] = []
+        self._fresh_commits: List[Tuple[int, int]] = []   # (index, ballot)
         self._exec_frontier = -1               # all indexes <= this are applied
         self._reply_frontier = -1              # commutative-mode bookkeeping
         self._last_heard: Dict[str, int] = {n: 0 for n in config.names}
         self._recovering: Dict[str, dict] = {}
+        self._stall = (-1, 0)                  # (lowest unresolved, since when)
 
         self._flush_timer = self.timer("mencius-flush")
         self._skip_timer = self.timer("skip")
@@ -101,12 +113,10 @@ class MenciusReplica(ReplicaBase):
         self.register_handler(MenciusAppend, self._on_append)
         self.register_handler(MenciusAck, self._on_ack)
         self.register_handler(SkipNotice, self._on_skip_notice)
-        self.register_handler(CommitNotice, self._on_commit_notice)
         self.register_handler(MenciusPrepare, self._on_prepare)
         self.register_handler(MenciusPromise, self._on_promise)
         self.register_handler(MenciusCatchup, self._on_catchup)
         self.register_handler(MenciusState, self._on_state)
-        self._last_exec_seen = (-1, 0)  # (frontier, time) for lag detection
 
     # -- ownership helpers ----------------------------------------------------
 
@@ -145,28 +155,26 @@ class MenciusReplica(ReplicaBase):
             return
         batch, self._batch = self._batch, {}
         commits, self._fresh_commits = self._fresh_commits, []
-        message = MenciusAppend(
-            sender=self.name, owner=self.name, ballot=0,
-            items=batch, next_own=self.next_own, committed=commits,
-        )
+        self._broadcast(self.next_own, MenciusAppend(
+            sender=self.name, owner=self.name, ballot=0, items=batch,
+            next_own=self.next_own, since=self._last_broadcast,
+            committed=commits,
+        ))
+
+    def _broadcast(self, frontier: int, message) -> None:
+        """Send a message carrying `frontier` to every peer; the next
+        broadcast names it as its `since`."""
+        self._last_broadcast = frontier
         for peer in self.peers:
             self.send(peer, message)
 
     # -- accepting appends ----------------------------------------------------------------
 
     def _on_append(self, src: str, msg: MenciusAppend) -> None:
-        self._last_heard[msg.sender] = self.sim.now
+        sender = msg.sender
+        self._last_heard[sender] = self.sim.now
         items = msg.items
-        if not items:
-            # A commit-only broadcast (`_flush` with an empty batch):
-            # nothing to accept, nothing to ack.
-            self._note_frontier(msg.owner, msg.next_own)
-            self._note_commits(msg.committed)
-            self._maybe_skip_past(msg.next_own - 1)
-            self._advance()
-            return
         ballot = msg.ballot
-        is_default = msg.is_default
         promised = self.promised
         status = self.status
         entries = self.entries
@@ -187,28 +195,27 @@ class MenciusReplica(ReplicaBase):
             # Entries are never mutated in place (recovery restamps by
             # building new ones), so the sender's object is adopted as is.
             entries[index] = entry
-            if is_default and entry.command.op is _NOP:
-                # Coordinated Paxos: a default leader's no-op is learnable
-                # immediately (Figure 14 Phase2b lines 26-29).
-                self.skip_tags[index] = True
-                self.executable.add(index)
-                status[index] = STATUS_SKIPPED
-            else:
-                status[index] = STATUS_ACCEPTED
+            status[index] = STATUS_ACCEPTED
             accepted_ids.append(index)
             if ousted is not None:
                 self._repropose_ousted(ousted, entry)
-        self._note_frontier(msg.owner, msg.next_own)
+        # A recovery append's frontier is its sender's, not the revoked
+        # owner's.
+        self._note_frontier(sender, msg.next_own, msg.since)
         self._note_commits(msg.committed)
-        self._maybe_skip_past(max(items))
-        # Commit notices are never piggybacked here: they must reach
-        # every replica, so they only travel on the broadcast path
-        # (_flush), never on a point-to-point ack.
-        self.send(src, MenciusAck(
-            acker=self.name, owner=msg.owner, ballot=ballot,
-            indexes=accepted_ids, accepted=bool(accepted_ids),
-            next_own=self._advertised_frontier(),
-        ))
+        if not items:
+            # A commit-only broadcast (`_flush` with an empty batch):
+            # nothing accepted, nothing to ack.
+            self._maybe_skip_past(msg.next_own - 1)
+        else:
+            self._maybe_skip_past(max(items))
+            # Commit news is never piggybacked here: it must reach every
+            # replica, so it only travels on the broadcast path (_flush).
+            self.send(src, MenciusAck(
+                acker=self.name, ballot=ballot, indexes=accepted_ids,
+                next_own=self._advertised_frontier(),
+                since=self._last_broadcast,
+            ))
         self._advance()
 
     def _repropose_ousted(self, ousted: Entry, entry: Entry) -> None:
@@ -241,19 +248,16 @@ class MenciusReplica(ReplicaBase):
             op=_NOP, client_id="__skip__", seq=index, value_size=0,
         ), 0)
         self.status[index] = STATUS_SKIPPED
-        self.skip_tags[index] = True
-        self.executable.add(index)
 
     def _on_ack(self, src: str, msg: MenciusAck) -> None:
         acker = msg.acker
         self._last_heard[acker] = self.sim.now
-        self._note_frontier(acker, msg.next_own)
-        if msg.committed:
-            self._note_commits(msg.committed)
-        if msg.accepted:
+        self._note_frontier(acker, msg.next_own, msg.since)
+        if msg.indexes:
             status = self.status
             pending = self._acks
             majority = self.config.majority
+            ballot = msg.ballot
             for index in msg.indexes:
                 state = status.get(index)
                 if state is STATUS_COMMITTED or state is STATUS_SKIPPED:
@@ -267,7 +271,7 @@ class MenciusReplica(ReplicaBase):
                     # for the index stop at the status test above).
                     status[index] = STATUS_COMMITTED
                     del pending[index]
-                    self._fresh_commits.append(index)
+                    self._fresh_commits.append((index, ballot))
                     if not self._flush_timer.armed:
                         self._flush_timer.arm(
                             APPEND_FLUSH_INTERVAL, self._flush)
@@ -275,32 +279,34 @@ class MenciusReplica(ReplicaBase):
 
     # -- skip / commit dissemination ----------------------------------------------------
 
-    def _note_frontier(self, owner: str, next_own: int) -> None:
-        """Learn `owner`'s skip frontier: any of its owned indexes below
-        `next_own` for which we hold no entry was never proposed and is a
-        chosen no-op (sound on FIFO links)."""
-        old = self.frontier.get(owner, 0)
+    def _note_frontier(self, sender: str, next_own: int, since: int) -> None:
+        """Learn `sender`'s skip frontier.  Unless a broadcast was lost
+        (`since` is not the frontier we hold), its owned slots below it with
+        no entry and no recovery promise were never proposed: no-ops."""
+        old = self.frontier.get(sender, 0)
         if next_own <= old:
             return
-        self.frontier[owner] = next_own
+        self.frontier[sender] = next_own
+        if since > old:
+            return
         entries = self.entries
-        for index in self.config.slots_of(owner, old, next_own):
-            if index not in entries:
+        promised = self.promised
+        for index in self.config.slots_of(sender, old, next_own):
+            if index not in entries and index not in promised:
                 self._mark_skipped(index)
 
-    def _note_commits(self, indexes: List[int]) -> None:
+    def _note_commits(self, committed: List[Tuple[int, int]]) -> None:
         status = self.status
-        for index in indexes:
-            if status.get(index) is not STATUS_SKIPPED:
+        entries = self.entries
+        for index, ballot in committed:
+            entry = entries.get(index)
+            if (entry is not None and entry.ballot == ballot
+                    and status[index] is not STATUS_SKIPPED):
                 status[index] = STATUS_COMMITTED
 
     def _on_skip_notice(self, src: str, msg: SkipNotice) -> None:
         self._last_heard[msg.owner] = self.sim.now
-        self._note_frontier(msg.owner, msg.below)
-        self._advance()
-
-    def _on_commit_notice(self, src: str, msg: CommitNotice) -> None:
-        self._note_commits(msg.indexes)
+        self._note_frontier(msg.owner, msg.below, msg.since)
         self._advance()
 
     def _on_skip_tick(self) -> None:
@@ -308,9 +314,9 @@ class MenciusReplica(ReplicaBase):
         everyone else's execution."""
         max_seen = max([self.next_own - 1] + [f - 1 for f in self.frontier.values()])
         self._maybe_skip_past(max_seen)
-        notice = SkipNotice(owner=self.name, below=self._advertised_frontier())
-        for peer in self.peers:
-            self.send(peer, notice)
+        below = self._advertised_frontier()
+        self._broadcast(below, SkipNotice(owner=self.name, below=below,
+                                          since=self._last_broadcast))
         if self._fresh_commits and not self._flush_timer.armed:
             self._flush_timer.arm(APPEND_FLUSH_INTERVAL, self._flush)
         self._skip_timer.arm(self.config.skip_interval, self._on_skip_tick)
@@ -360,107 +366,90 @@ class MenciusReplica(ReplicaBase):
             entry = entries.get(index)
         self._reply_frontier = index - 1
 
-    # -- crash recovery (revocation) --------------------------------------------------------
+    # -- stalls: catch up, then revoke ------------------------------------------
+
+    def _behind(self) -> bool:
+        """Whether something is waiting on the lowest unresolved slot."""
+        return (self._exec_frontier + 1 < max(self.frontier.values())
+                or bool(self._batch))
 
     def _on_suspect_tick(self) -> None:
-        self._check_stalls()
-        self._maybe_catch_up()
+        """The one stall clock (module docstring).  Only the lowest-ranked
+        replica other than a slot's owner revokes it: no duelling."""
+        stalled = self._exec_frontier + 1
+        now = self.sim.now
+        if self._stall[0] != stalled:
+            self._stall = (stalled, now)
+        if self._behind():
+            stuck_for = now - self._stall[1]
+            if stuck_for >= REVOKE_TIMEOUT:
+                request = MenciusCatchup(start=stalled)
+                for peer in self.peers:
+                    self.send(peer, request)
+            owner = self.config.owner_of(stalled)
+            names = self.config.names
+            revoker = names[1] if owner == names[0] else names[0]
+            if revoker == self.name and (
+                    stuck_for >= 2 * REVOKE_TIMEOUT
+                    or now - self._last_heard[owner] >= REVOKE_TIMEOUT):
+                self._start_recovery(owner, stalled,
+                                     max(self.frontier.values()))
         self._suspect_timer.arm(REVOKE_TIMEOUT, self._on_suspect_tick)
 
-    # -- anti-entropy: catch up on resolved indexes we missed -------------------
-
-    def _maybe_catch_up(self) -> None:
-        """If our execution frontier has been stuck while peers advertise
-        higher frontiers, we probably missed commit/skip traffic (partition,
-        restart): ask a peer for the resolved range."""
-        frontier, seen_at = self._last_exec_seen
-        if self._exec_frontier > frontier:
-            self._last_exec_seen = (self._exec_frontier, self.sim.now)
-            return
-        behind = max(self.frontier.values()) - 1 > self._exec_frontier + 1
-        stuck_for = self.sim.now - seen_at
-        if behind and stuck_for >= REVOKE_TIMEOUT:
-            for peer in self.peers:
-                self.send(peer, MenciusCatchup(
-                    requester=self.name, start=self._exec_frontier + 1))
-            self._last_exec_seen = (self._exec_frontier, self.sim.now)
-
     def _on_catchup(self, src: str, msg: MenciusCatchup) -> None:
+        """Answer with the slots resolved here among the `CATCHUP_BATCH`
+        from `start`, unless `start` is not: that would not unstick it."""
+        status = self.status
+        start = msg.start
+        if status.get(start, STATUS_ACCEPTED) is STATUS_ACCEPTED:
+            return
+        entries = self.entries
         items = {}
-        for index in range(msg.start, self._exec_frontier + 1):
-            status = self.status.get(index)
-            if status in (STATUS_COMMITTED, STATUS_SKIPPED) and index in self.entries:
-                items[index] = (self.entries[index].copy(), status)
-            if len(items) >= 128:
-                break
-        if items:
-            self.send(src, MenciusState(items=items))
+        for index in range(start, start + CATCHUP_BATCH):
+            state = status.get(index)
+            if state is STATUS_COMMITTED or state is STATUS_SKIPPED:
+                items[index] = (entries[index], state)
+        self.send(src, MenciusState(items=items))
 
     def _on_state(self, src: str, msg: MenciusState) -> None:
-        for index, (entry, status) in msg.items.items():
-            if self.status.get(index) in (STATUS_COMMITTED, STATUS_SKIPPED):
+        status = self.status
+        entries = self.entries
+        before = self._exec_frontier
+        for index, (entry, state) in msg.items.items():
+            if status.get(index, STATUS_ACCEPTED) is not STATUS_ACCEPTED:
                 continue
-            ousted = self.entries.get(index)
-            self.entries[index] = entry.copy()
-            self.status[index] = status
-            if status == STATUS_SKIPPED:
-                self.skip_tags[index] = True
-                self.executable.add(index)
+            ousted = entries.get(index)
+            entries[index] = entry
+            status[index] = state
             if ousted is not None:
                 self._repropose_ousted(ousted, entry)
         self._advance()
-
-    def _check_stalls(self) -> None:
-        stalled = self._exec_frontier + 1
-        horizon = max(self.frontier.values()) if self.frontier else 0
-        if stalled >= horizon and not self._batch:
-            return
-        owner = self.config.owner_of(stalled)
-        if owner == self.name:
-            return
-        silent_for = self.sim.now - self._last_heard.get(owner, 0)
-        if silent_for < REVOKE_TIMEOUT:
-            return
-        # Only the lowest-ranked replica that is not the suspect initiates
-        # recovery, to avoid duelling recoveries in the common case.
-        for candidate in self.config.names:
-            if candidate != owner:
-                if candidate != self.name:
-                    return
-                break
-        self._start_recovery(owner, stalled, horizon)
+        if self._exec_frontier > before and self._behind():
+            self.send(src, MenciusCatchup(start=self._exec_frontier + 1))
 
     def _start_recovery(self, owner: str, start: int, horizon: int) -> None:
-        if owner in self._recovering:
-            return
+        now = self.sim.now
+        attempt = self._recovering.get(owner)
+        if attempt is not None and now - attempt["at"] < REVOKE_TIMEOUT:
+            return  # give a lost prepare or promise time before re-preparing
         end = max(horizon, start + self.config.n)
-        ballot = self.sim.now // 1000 + self.rank + 1  # unique, increasing
+        ballot = now // 1000 + self.rank + 1  # unique, increasing
         self._recovering[owner] = {
-            "ballot": ballot, "start": start, "end": end, "promises": {},
+            "ballot": ballot, "start": start, "end": end, "at": now,
+            "promises": {self.name: self._make_promise(ballot, owner, start, end)},
         }
-        message = MenciusPrepare(
-            ballot=ballot, proposer=self.name, owner=owner, start=start, end=end,
-        )
+        message = MenciusPrepare(ballot=ballot, owner=owner, start=start, end=end)
         for peer in self.peers:
             self.send(peer, message)
-        # our own promise
-        self._recovering[owner]["promises"][self.name] = self._make_promise(
-            ballot, owner, start, end,
-        )
 
     def _make_promise(self, ballot: int, owner: str, start: int, end: int) -> MenciusPromise:
         accepted = {}
-        skipped = []
         for index in self.config.slots_of(owner, start, end):
             self.promised[index] = max(self.promised.get(index, 0), ballot)
-            if self.status.get(index) == STATUS_SKIPPED:
-                skipped.append(index)
-            elif index in self.entries:
-                accepted[index] = self.entries[index].copy()
-        return MenciusPromise(
-            ballot=ballot, acceptor=self.name, owner=owner,
-            start=start, end=end, accepted=accepted, skipped=skipped,
-        )
+            if index in self.entries and self.status[index] is not STATUS_SKIPPED:
+                accepted[index] = self.entries[index]
+        return MenciusPromise(ballot=ballot, acceptor=self.name, owner=owner,
+                              accepted=accepted)
 
     def _on_prepare(self, src: str, msg: MenciusPrepare) -> None:
         for index in self.config.slots_of(msg.owner, msg.start, msg.end):
@@ -497,12 +486,11 @@ class MenciusReplica(ReplicaBase):
             self._acks[index] = {self.name}
         del self._recovering[msg.owner]
         if items:
-            message = MenciusAppend(
+            frontier = self._advertised_frontier()
+            self._broadcast(frontier, MenciusAppend(
                 sender=self.name, owner=msg.owner, ballot=state["ballot"],
-                items=items, next_own=self._advertised_frontier(), is_default=False,
-            )
-            for peer in self.peers:
-                self.send(peer, message)
+                items=items, next_own=frontier, since=self._last_broadcast,
+            ))
         self._advance()
 
     # -- lifecycle -------------------------------------------------------------------------

@@ -498,10 +498,13 @@ class CatchUpReply:
 class SkipNotice:
     """`owner` announces all its unused owned indexes below `below` are
     no-op.  Per coordinated Paxos, a default leader proposing no-op lets
-    everyone learn the no-op without waiting for phase 2."""
+    everyone learn the no-op without waiting for phase 2.  `since` is the
+    frontier `owner`'s previous broadcast carried: a receiver that has not
+    recorded it missed a broadcast and infers no skip from this one."""
 
     owner: str
     below: int
+    since: int
     _cpu: Optional[tuple] = _cost_memo()
 
     def size_bytes(self) -> int:
@@ -509,33 +512,22 @@ class SkipNotice:
 
 
 @dataclass(slots=True)
-class CommitNotice:
-    """`owner` announces indexes in `indexes` are committed (Mencius commit
-    dissemination; other replicas need it to order execution)."""
-
-    owner: str
-    indexes: List[int]
-    _cpu: Optional[tuple] = _cost_memo()
-
-    def size_bytes(self) -> int:
-        return HEADER_BYTES + 4 * len(self.indexes)
-
-
-@dataclass(slots=True)
 class MenciusAppend(SizedMessage):
     """A (default or recovery) leader proposes values for specific global
     indexes.  `ballot` 0 marks the default leader's coordinated instances;
-    recovery proposals carry a higher ballot.  `next_own` advertises the
-    sender's next unused owned index (its cumulative skip frontier), and
-    `committed` piggybacks its freshly committed indexes."""
+    recovery proposals carry a higher ballot.  `next_own` and `since` are
+    the sender's skip frontier now and at its previous broadcast (see
+    `SkipNotice`).  `committed` piggybacks its fresh commits as (index,
+    ballot) pairs, charged 4 bytes each: a receiver commits an index only
+    when it holds the entry at that ballot."""
 
     sender: str
     owner: str
     ballot: int
     items: Dict[int, Entry]
     next_own: int
-    committed: List[int] = field(default_factory=list)
-    is_default: bool = True
+    since: int
+    committed: List[Tuple[int, int]] = field(default_factory=list)
     _cpu: Optional[tuple] = _cost_memo()
 
     def _payload_bytes(self) -> int:
@@ -551,26 +543,25 @@ class MenciusAppend(SizedMessage):
 
 @dataclass(slots=True)
 class MenciusAck:
-    """Acceptance of `MenciusAppend` items; piggybacks the acker's own skip
-    frontier and fresh commits."""
+    """Acceptance of `MenciusAppend` items at `ballot`; piggybacks the
+    acker's skip frontier `next_own` and the frontier `since` its last
+    broadcast carried (see `SkipNotice`)."""
 
     acker: str
-    owner: str
     ballot: int
     indexes: List[int]
-    accepted: bool
     next_own: int
-    committed: List[int] = field(default_factory=list)
+    since: int
 
     def size_bytes(self) -> int:
-        return HEADER_BYTES + 4 * (len(self.indexes) + len(self.committed))
+        return HEADER_BYTES + 4 * len(self.indexes)
 
 
 @dataclass(slots=True)
 class MenciusCatchup:
-    """A lagging replica asks a peer for the resolved range above `start`."""
+    """A stalled replica asks a peer for the slots it has resolved from
+    `start` on (`MenciusReplica._on_catchup`)."""
 
-    requester: str
     start: int
 
     def size_bytes(self) -> int:
@@ -599,7 +590,6 @@ class MenciusPrepare:
     """Recovery phase-1 for a suspected-crashed owner's index range."""
 
     ballot: int
-    proposer: str
     owner: str
     start: int
     end: int
@@ -615,10 +605,7 @@ class MenciusPromise(SizedMessage):
     ballot: int
     acceptor: str
     owner: str
-    start: int
-    end: int
     accepted: Dict[int, Entry] = field(default_factory=dict)
-    skipped: List[int] = field(default_factory=list)
 
     def _payload_bytes(self) -> int:
         return _entries_size(self.accepted.values())

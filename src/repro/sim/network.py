@@ -45,10 +45,10 @@ class NetworkConfig:
         10b bottleneck reproduced at shard granularity).
     loss_rate: iid drop probability per message.
     fifo: per-(src,dst) in-order delivery.  Defaults to True: the paper's
-        systems all speak TCP, which is FIFO per connection, and Mencius'
-        skip inference additionally relies on it.  Set False to model an
-        adversarial datagram network (the formal specs in `repro.specs`
-        already cover arbitrary reordering by modelling messages as sets).
+        systems all speak TCP, which is FIFO per connection.  Set False to
+        model an adversarial datagram network (the formal specs in
+        `repro.specs` already cover arbitrary reordering by modelling
+        messages as sets).
     """
 
     bandwidth_bytes_per_sec: float = 750e6 / 8 / 20.0

@@ -214,6 +214,37 @@ def test_missing_key_read_after_a_completed_write_is_a_violation():
     assert violations[0].startswith("read by R seq 1 (log): key=k has rank -1")
 
 
+def moved_then_written(*reads):
+    """A reshard's target group: its replicas install key k's history
+    [a, b] through a `MIGRATE_IN` (written on the donor, moved here), then
+    apply a PUT of c.  `reads` are (client, value, start, end) GETs."""
+    import json
+
+    checker = HistoryChecker()
+    blob = json.dumps({"table": {"k": "b"}, "versions": {"k": 2},
+                       "sessions": {}, "write_log": {"k": ["a", "b"]}})
+    migrate = Command(op=OpType.MIGRATE_IN, key="reshard:2:0", value=blob,
+                      client_id="__reshard__", seq=2, value_size=len(blob))
+    for replica in ("s0", "s1", "s2"):
+        checker.record_apply(replica, 0, migrate)
+        checker.record_apply(replica, 1, put("k", "c", seq=1))
+    checker.record_event(event("W", 1, OpType.PUT, "c", 100, 110))
+    for seq, (client, value, start, end) in enumerate(reads, 1):
+        checker.record_event(event(client, seq, OpType.GET, value, start, end))
+    return checker
+
+
+def test_values_a_reshard_moved_are_ranked_by_the_install_order_it_carried():
+    checker = moved_then_written()
+    assert checker.value_ranks() == {"k": {"a": 0, "b": 1, "c": 2}}
+    violations = moved_then_written(("R", "b", 0, 10),
+                                    ("S", "a", 20, 30)).check_all()
+    assert len(violations) == 1 and violations[0].startswith(
+        "read by S seq 2 (log): key=k has rank 0 but rank 1")
+    assert moved_then_written(("R", "a", 0, 10), ("S", "b", 20, 30),
+                              ("T", "c", 120, 130)).check_all() == []
+
+
 # -- the sweep against references ----------------------------------------------
 
 

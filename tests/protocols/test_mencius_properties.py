@@ -53,12 +53,15 @@ def test_owned_slot_scan_equals_filtered_range_scan(n, data):
 @settings(deadline=None, max_examples=40)
 @given(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2),
        st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=60),
-       st.sets(st.integers(min_value=0, max_value=60)))
+       st.sets(st.integers(min_value=0, max_value=60)),
+       st.integers(min_value=0, max_value=60))
 def test_frontier_and_skip_scans_mark_what_the_filtered_scans_marked(
-        me, owner, old, bound, held):
+        me, owner, old, bound, held, since):
     """The same property through the replica: `_note_frontier` for a peer
     and `_maybe_skip_past` for ourselves, from an arbitrary prior frontier
-    over an arbitrary set of already-held indexes."""
+    over an arbitrary set of already-held indexes.  A `since` above the
+    recorded frontier (a lost broadcast) marks nothing but still advances
+    the frontier."""
     from tests.protocols.conftest import MiniCluster
 
     cluster = MiniCluster(RaftStarMenciusReplica, leader=None)
@@ -68,10 +71,10 @@ def test_frontier_and_skip_scans_mark_what_the_filtered_scans_marked(
         replica.entries[index] = Entry(term=0, command=put, ballot=0)
     name = f"s{owner}"
     replica.frontier[name] = old
-    replica._note_frontier(name, bound)
+    replica._note_frontier(name, bound, since)
     marked = sorted(i for i, s in replica.status.items() if s == STATUS_SKIPPED)
     assert marked == [i for i in range(old, bound)
-                      if i % 3 == owner and i not in held]
+                      if i % 3 == owner and i not in held and since <= old]
     assert replica.frontier[name] == max(old, bound)
 
     # Our own turn: observing `bound` in use skips our unused slots below it.
@@ -102,12 +105,13 @@ def test_frontier_scan_visits_only_the_owners_slots():
     replica = cluster["s0"]
     replica.entries = CountingDict()
     k, n = 40, 5
-    replica._note_frontier("s3", 3 + k * n)
+    old = replica.frontier["s3"]
+    replica._note_frontier("s3", 3 + k * n, since=old)
     assert CountingDict.probes == k
     assert len(replica.entries) == k
     assert all(index % n == 3 for index in replica.entries)
     # Nothing new below the frontier: no scan at all.
-    replica._note_frontier("s3", 3 + k * n)
+    replica._note_frontier("s3", 3 + k * n, since=old)
     assert CountingDict.probes == k
 
 

@@ -55,7 +55,8 @@ def test_accept_units():
 
 def test_mencius_append_units():
     msg = MenciusAppend(sender="s0", owner="s0", ballot=0,
-                        items={0: Entry(term=0, command=_put())}, next_own=5)
+                        items={0: Entry(term=0, command=_put())}, next_own=5,
+                        since=0)
     assert msg.command_count() == 0.25
 
 

@@ -20,7 +20,6 @@ from repro.protocols.messages import (
     CatchUpSnapshot,
     ClientReply,
     ClientRequest,
-    CommitNotice,
     ForwardBatch,
     HostEnvelope,
     Learn,
@@ -120,12 +119,12 @@ SIZED = [
     (lambda: CatchUpSnapshot(sender="s0", entries=(_E1, _E2),
                              commit_index=1), 150),
     (lambda: MenciusAppend(sender="s0", owner="s0", ballot=0,
-                           items={0: _E1, 5: _E2}, next_own=10,
-                           committed=[0, 5]), 158),
+                           items={0: _E1, 5: _E2}, next_own=10, since=0,
+                           committed=[(0, 0), (5, 0)]), 158),
     (lambda: MenciusState(items={0: (_E1, "committed"),
                                  1: (_E2, "skipped")}), 150),
-    (lambda: MenciusPromise(ballot=1, acceptor="s1", owner="s0", start=0,
-                            end=5, accepted={0: _E1}), 98),
+    (lambda: MenciusPromise(ballot=1, acceptor="s1", owner="s0",
+                            accepted={0: _E1}), 98),
 ]
 
 
@@ -223,13 +222,12 @@ def _fan_out(message, costs_of, monkeypatch):
 def _mencius_append() -> MenciusAppend:
     return MenciusAppend(sender="s0", owner="s0", ballot=0,
                          items={0: _entry("k", 1), 5: _entry("k2", 2)},
-                         next_own=10, committed=[0])
+                         next_own=10, since=0, committed=[(0, 0)])
 
 
 FANNED_OUT = [
     _mencius_append,
-    lambda: SkipNotice(owner="s0", below=10),
-    lambda: CommitNotice(owner="s0", indexes=[0, 5]),
+    lambda: SkipNotice(owner="s0", below=10, since=0),
     lambda: Learn(instance_ids=[], proposer="s0", commit_index=3),
     lambda: Accept(ballot=Ballot(1, "s0"), proposer="s0",
                    instances={0: _entry("k").command}, commit_index=-1),
@@ -237,6 +235,9 @@ FANNED_OUT = [
     # peer.
     lambda: Accept(ballot=Ballot(1, "s0"), proposer="s0", instances={},
                    commit_index=3),
+    # Mencius commit news with nothing to propose: a commit-only flush.
+    lambda: MenciusAppend(sender="s0", owner="s0", ballot=0, items={},
+                          next_own=10, since=5, committed=[(0, 0), (5, 7)]),
 ]
 
 
@@ -266,8 +267,7 @@ def test_cost_memo_is_per_cost_table(monkeypatch):
 def test_point_to_point_message_carries_no_cost_memo(monkeypatch):
     """Built per send and delivered once: nothing to amortize, no slot.
     A Raft leader builds an `AppendEntries` per peer, heartbeats included."""
-    ack = MenciusAck(acker="s1", owner="s0", ballot=0, indexes=[0],
-                     accepted=True, next_own=6)
+    ack = MenciusAck(acker="s1", ballot=0, indexes=[0], next_own=6, since=1)
     for message in (ack, _append([_entry("k")])):
         assert not hasattr(message, "_cpu")
         computed, _ = _fan_out(message, lambda i: NodeCosts(), monkeypatch)

@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.bench import experiments as ex
 from repro.bench.report import FigureTable, render_all
-from repro.protocols.registry import LEADERLESS, PROTOCOLS
+from repro.protocols.registry import MENCIUS_PROTOCOLS, PROTOCOLS
 from repro.shard.placement import PLACEMENTS
 from repro.specs import mapping, variants
 
@@ -167,7 +167,7 @@ FIGURES: Dict[str, Figure] = {figure.name: figure for figure in (
                scale, seed, **options)[0]),
            results=("membership_replacement",), options=(
         Option("--membership-protocol", "protocol", default="raft",
-               choices=tuple(sorted(set(PROTOCOLS) - LEADERLESS)),
+               choices=tuple(sorted(set(PROTOCOLS) - MENCIUS_PROTOCOLS)),
                help="protocol of the first timeline; the figure also runs "
                     "one protocol of the OTHER reconfiguration family, so "
                     "the joint vs α contrast always has both styles "

@@ -17,7 +17,7 @@ from repro.kvstore.checker import HistoryChecker, record_client_events
 from repro.metrics.recorder import MetricsRecorder
 from repro.obs import Observability, install_standard_gauges
 from repro.protocols.config import geo_cluster
-from repro.protocols.registry import LEADERLESS, MENCIUS_PROTOCOLS, PROTOCOLS
+from repro.protocols.registry import MENCIUS_PROTOCOLS, PROTOCOLS
 from repro.protocols.types import OpType
 from repro.sim.events import Simulator
 from repro.sim.network import Network, NetworkConfig
@@ -80,7 +80,7 @@ class Cluster:
         self.checker = HistoryChecker() if spec.check_history else None
 
         replica_cls = PROTOCOLS[spec.protocol]
-        leader = None if spec.protocol in LEADERLESS else f"r_{spec.leader_site}"
+        leader = None if spec.protocol in MENCIUS_PROTOCOLS else f"r_{spec.leader_site}"
         self.config = geo_cluster(self.topology.sites, initial_leader=leader)
         kwargs = {}
         if spec.protocol in MENCIUS_PROTOCOLS and spec.execution_mode is not None:

@@ -3,8 +3,10 @@
 The checker consumes per-replica apply streams and per-client operation
 histories and verifies the invariants the protocols promise:
 
-* **committed-prefix agreement** — any two replicas' applied sequences agree
-  on the common prefix (State Machine Safety);
+* **committed-prefix agreement** — every apply of an index, by any replica
+  or by one replaying after a crash, matches the group's one log, kept as
+  index -> first apply and checked as each apply arrives (State Machine
+  Safety);
 * **per-key linearizability** (`check_linearizability`) — every acked GET
   and PUT of a key, from any client and served by any path (lease-local or
   log), fits one order that respects real time and the log's write order:
@@ -43,19 +45,25 @@ class HistoryEvent:
 
 
 class HistoryChecker:
-    """Accumulates applies + client events, then checks invariants.
-
-    The read check ranks a key's values by the longest applied stream
-    (`value_ranks`), not by whichever replica recorded first."""
+    """Accumulates applies into the group's one log (`log`: index -> first
+    replica, command) and client events, then checks invariants."""
 
     def __init__(self) -> None:
-        self.applied: Dict[str, List[Tuple[int, Command]]] = {}
+        self.log: Dict[int, Tuple[str, Command]] = {}
         self.events: List[HistoryEvent] = []
+        self._forks: Dict[int, str] = {}  # first disagreement per index
 
     # -- recording ----------------------------------------------------------
 
     def record_apply(self, replica: str, index: int, command: Command) -> None:
-        self.applied.setdefault(replica, []).append((index, command))
+        first, held = self.log.setdefault(index, (replica, command))
+        if held is command or index in self._forks:
+            return  # the first apply, or one command delivered to both
+        if (held.client_id, held.seq, held.op, held.key, held.value) != (
+                command.client_id, command.seq, command.op, command.key,
+                command.value):
+            self._forks[index] = (f"replicas {first} and {replica} disagree "
+                                  f"at index {index}: {held} vs {command}")
 
     def record_event(self, event: HistoryEvent) -> None:
         self.events.append(event)
@@ -63,49 +71,18 @@ class HistoryChecker:
     # -- checks ---------------------------------------------------------------
 
     def check_prefix_agreement(self) -> List[str]:
-        """Return violation descriptions (empty list == safe)."""
-        violations = []
-        replicas = list(self.applied)
-        # Each replica's index -> command map is built once, not once per
-        # pair it takes part in.
-        by_index = {r: dict(self.applied[r]) for r in replicas}
-        indexes = {r: set(seq) for r, seq in by_index.items()}
-        for i, a in enumerate(replicas):
-            seq_a = by_index[a]
-            for b in replicas[i + 1:]:
-                seq_b = by_index[b]
-                for index in indexes[a] & indexes[b]:
-                    ca, cb = seq_a[index], seq_b[index]
-                    if ca is cb:  # one command, delivered to both
-                        continue
-                    if (ca.client_id, ca.seq, ca.op, ca.key, ca.value) != (
-                        cb.client_id,
-                        cb.seq,
-                        cb.op,
-                        cb.key,
-                        cb.value,
-                    ):
-                        violations.append(
-                            f"replicas {a} and {b} disagree at index {index}: "
-                            f"{ca} vs {cb}"
-                        )
-        return violations
+        """One violation per index an apply disagreed with the log at."""
+        return list(self._forks.values())
 
     def value_ranks(self) -> Dict[str, Dict[str, int]]:
         """Per key, each written value's position in the key's install
-        order — the order `check_linearizability` ranks values by.
-
-        Taken from the LONGEST applied stream: replicas agree on their
-        common prefix (`check_prefix_agreement`), so the longest stream is
-        the most complete, as in `TxnCluster.write_orders`.  A lagging
-        replica's stream — crashed, or cut off — would leave the newer
-        values unranked: a read of one would be skipped, and a read going
-        back from one would pass.  Values a reshard moved in rank in the
-        order their `MIGRATE_IN` carries.  Built afresh per check: one
-        sorted pass over one stream."""
-        longest = max(self.applied.values(), key=len, default=())
+        order, the order `check_linearizability` ranks values by: one
+        pass over the group's one log in index order.  Values a reshard
+        moved rank in the order their `MIGRATE_IN` carries."""
+        log = self.log
         ranks: Dict[str, Dict[str, int]] = {}
-        for _index, command in sorted(longest):
+        for index in sorted(log):
+            command = log[index][1]
             if command.op is OpType.PUT:
                 order = ranks.setdefault(command.key, {})
                 order.setdefault(command.value or "", len(order))

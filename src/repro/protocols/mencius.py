@@ -39,6 +39,7 @@ accepted value it finds).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.protocols.base import ReplicaBase
@@ -68,6 +69,11 @@ _NOP = OpType.NOP
 #: Most slots one catch-up answer carries; the asker pulls the next run.
 CATCHUP_BATCH = 512
 
+#: The one no-op a slot resolves to, skipped by its owner or filled by a
+#: revocation alike: ``noop_command(seq=index)``.  Two replicas that
+#: reached the same no-op by different routes hold equal commands.
+noop_command = partial(Command, op=_NOP, client_id="__skip__", value_size=0)
+
 
 class MenciusReplica(ReplicaBase):
     """A Mencius replica (default-leader + acceptor + learner in one)."""
@@ -76,8 +82,7 @@ class MenciusReplica(ReplicaBase):
     # beacon.  Skip/commit announcements already piggyback on the
     # protocol's own messages, which the host mux coalesces like any other
     # traffic — so Mencius groups are explicitly EXEMPT from beacon
-    # merging (pinned by tests/protocols/test_mux.py), mirroring the
-    # UnsupportedProtocolError precedent for leaderless resharding.
+    # merging (pinned by tests/protocols/test_mux.py).
     beacon_mergeable = False
 
     #: execution mode: "ordered" or "commutative"
@@ -94,7 +99,12 @@ class MenciusReplica(ReplicaBase):
         self.next_own = self.rank              # my next unused owned index
         self._last_broadcast = self.rank       # the frontier I last broadcast
         self.frontier: Dict[str, int] = dict(config.ranks)
-        self.promised: Dict[int, int] = {}     # per-index promised ballot
+        # Per-index promised ballot, kept after the slot resolves: it is
+        # what stops a resolved slot from acking a lower-ballot append that
+        # a recovered owner could count into a commit.
+        self.promised: Dict[int, int] = {}
+        # Ack sets of slots this replica proposed and still counts: dropped
+        # once the slot commits or is skipped, by whatever route.
         self._acks: Dict[int, Set[str]] = {}
         self._batch: Dict[int, Entry] = {}
         self._fresh_commits: List[Tuple[int, int]] = []   # (index, ballot)
@@ -244,9 +254,8 @@ class MenciusReplica(ReplicaBase):
         self.next_own = new_next
 
     def _mark_skipped(self, index: int) -> None:
-        self.entries[index] = Entry(0, Command(
-            op=_NOP, client_id="__skip__", seq=index, value_size=0,
-        ), 0)
+        # Only ever for a slot with no entry, so no ack set to drop.
+        self.entries[index] = Entry(0, noop_command(seq=index), 0)
         self.status[index] = STATUS_SKIPPED
 
     def _on_ack(self, src: str, msg: MenciusAck) -> None:
@@ -303,6 +312,7 @@ class MenciusReplica(ReplicaBase):
             if (entry is not None and entry.ballot == ballot
                     and status[index] is not STATUS_SKIPPED):
                 status[index] = STATUS_COMMITTED
+                self._acks.pop(index, None)
 
     def _on_skip_notice(self, src: str, msg: SkipNotice) -> None:
         self._last_heard[msg.owner] = self.sim.now
@@ -421,6 +431,7 @@ class MenciusReplica(ReplicaBase):
             ousted = entries.get(index)
             entries[index] = entry
             status[index] = state
+            self._acks.pop(index, None)
             if ousted is not None:
                 self._repropose_ousted(ousted, entry)
         self._advance()
@@ -475,9 +486,8 @@ class MenciusReplica(ReplicaBase):
                 entry = promise.accepted.get(index)
                 if entry is not None and (best is None or entry.ballot > best.ballot):
                     best = entry
-            command = best.command if best is not None else Command(
-                op=OpType.NOP, client_id="__revoke__", seq=index, value_size=0,
-            )
+            command = (best.command if best is not None
+                       else noop_command(seq=index))
             entry = Entry(term=state["ballot"], command=command, ballot=state["ballot"])
             items[index] = entry
             self.entries[index] = entry

@@ -349,9 +349,10 @@ class Accepted:
 
 @dataclass(slots=True)
 class Learn:
-    """Commit notification broadcast by the proposer."""
+    """The proposer's commit frontier at `ballot`.  From an acceptor to the
+    leader, a pull of the chosen values past its `commit_index`."""
 
-    instance_ids: List[int]
+    ballot: Ballot
     proposer: str
     commit_index: int
     _cpu: Optional[tuple] = _cost_memo()

@@ -58,10 +58,19 @@ class MultiPaxosReplica(ReplicaBase):
         # follower that missed the one frontier-news broadcast (loss, a
         # partition window) is healed within a bounded number of beats.
         self._last_idle_commit = -1
+        # The commit frontier at the last refresh tick (`_stalled`).
+        self._refresh_mark = -1
         self.instances: Dict[int, Entry] = {}  # accepted values
         self.chosen: Dict[int, Command] = {}
         self.commit_index = -1  # chosen-and-contiguous frontier
         self.log_tail = -1
+        # Unapplied instances accepted from the leader under the CURRENT
+        # ballot: the only ones its frontier news may apply (they are its
+        # proposals, hence the chosen values).  A hole, or an entry left
+        # from an older ballot, is pulled instead, at most once per
+        # heartbeat interval.  The leader's self-accepts never enter.
+        self._fresh: Set[int] = set()
+        self._pulled_at = -config.heartbeat_interval
 
         # Dynamic membership (α-bounded reconfiguration): None until the
         # first CONFIG entry applies — every quorum expression below keeps
@@ -140,6 +149,7 @@ class MultiPaxosReplica(ReplicaBase):
         self.ballot = ballot
         self.phase1_succeeded = False
         self._accept_counts = {}
+        self._fresh = set()
 
     # -- phase 1 ----------------------------------------------------------------------
 
@@ -151,14 +161,14 @@ class MultiPaxosReplica(ReplicaBase):
         unchosen = self.first_unchosen()
         for peer in self.peers:
             self.send(peer, Prepare(ballot=self.ballot, proposer=self.name, unchosen=unchosen))
-        # Promise to ourselves.
-        self._promises[self.name] = Promise(
-            ballot=self.ballot,
-            acceptor=self.name,
-            instances={i: e.copy() for i, e in self.instances.items() if i >= unchosen},
-            log_tail=self.log_tail,
-        )
+        self._promises[self.name] = self._promise(unchosen)  # to ourselves
         self._reset_leader_timeout()
+
+    def _promise(self, unchosen: int) -> Promise:
+        """Phase1b: every instance accepted from `unchosen` on."""
+        return Promise(ballot=self.ballot, acceptor=self.name, instances={
+            i: e.copy() for i, e in self.instances.items() if i >= unchosen
+        }, log_tail=self.log_tail)
 
     def _on_prepare(self, src: str, msg: Prepare) -> None:
         if msg.ballot <= self.ballot:
@@ -166,15 +176,7 @@ class MultiPaxosReplica(ReplicaBase):
         self._adopt_ballot(msg.ballot)
         self.leader_id = msg.proposer
         self._reset_leader_timeout()
-        reply = Promise(
-            ballot=msg.ballot,
-            acceptor=self.name,
-            instances={
-                i: e.copy() for i, e in self.instances.items() if i >= msg.unchosen
-            },
-            log_tail=self.log_tail,
-        )
-        self.send(src, reply)
+        self.send(src, self._promise(msg.unchosen))
 
     def _on_promise(self, src: str, msg: Promise) -> None:
         if msg.ballot != self.ballot or self.phase1_succeeded:
@@ -275,6 +277,8 @@ class MultiPaxosReplica(ReplicaBase):
         if not self.phase1_succeeded:
             return
         refresh = self.beacon_refresh_due()
+        if refresh:
+            self._accept_buffer.update(self._stalled())
         if self._accept_buffer:
             self._flush_accepts()
         else:
@@ -293,6 +297,18 @@ class MultiPaxosReplica(ReplicaBase):
             if sent_any:
                 self._last_idle_commit = self.commit_index
         self._heartbeat_timer.arm(self.config.heartbeat_interval, self._on_heartbeat)
+
+    def _stalled(self) -> Dict[int, Command]:
+        """The open instances (at most `MAX_ACCEPT_BATCH`) this refresh
+        tick proposes again: none unless the frontier stood still since the
+        last tick under an instance whose Accept or acceptOKs were lost."""
+        commit, mark = self.commit_index, self._refresh_mark
+        self._refresh_mark = commit
+        acks = self._accept_counts.get(commit + 1)
+        if commit != mark or not acks or self._accept_quorum(commit + 1, acks):
+            return {}
+        return {i: self.instances[i].command
+                for i in sorted(self._accept_counts)[:MAX_ACCEPT_BATCH]}
 
     def _accept_into_log(self, msg: Accept) -> None:
         """Phase2b's write: overwrite each instance with the proposer's
@@ -317,7 +333,8 @@ class MultiPaxosReplica(ReplicaBase):
         self.leader_id = msg.proposer
         self._reset_leader_timeout()
         self._accept_into_log(msg)
-        self._learn_commit_frontier(msg.commit_index)
+        self._fresh.update(i for i in msg.instances if i > self.commit_index)
+        self._learn_commit_frontier(src, msg.commit_index)
         if msg.instances:
             self.send(src, Accepted(
                 ballot=msg.ballot,
@@ -407,25 +424,45 @@ class MultiPaxosReplica(ReplicaBase):
         if self._accept_buffer:
             self._flush_accepts()
         else:
-            learn = Learn(instance_ids=[], proposer=self.name,
+            learn = Learn(ballot=self.ballot, proposer=self.name,
                           commit_index=self.commit_index)
             for peer in self.peers:
                 self.send(peer, learn)
 
-    def _learn_commit_frontier(self, commit_index: int) -> None:
-        """A follower learns chosen-ness through the leader's frontier."""
+    def _learn_commit_frontier(self, src: str, commit_index: int) -> None:
+        """A follower learns chosen-ness through the frontier `src` sent
+        at its ballot, applies up to it what is `_fresh`, and pulls the
+        rest from `src`."""
+        fresh = self._fresh
         while self.commit_index < commit_index:
             index = self.commit_index + 1
-            entry = self.instances.get(index)
-            if entry is None:
-                break  # hole: wait for a retransmit
+            if index not in fresh:
+                now = self.sim.now
+                if now - self._pulled_at >= self.config.heartbeat_interval:
+                    self._pulled_at = now
+                    self.send(src, Learn(ballot=self.ballot, proposer=self.name,
+                                         commit_index=self.commit_index))
+                break
+            fresh.remove(index)
+            entry = self.instances[index]
             self.chosen[index] = entry.command
             self.commit_index = index
             self.apply_entry(index, entry)
         self._frontier_advanced()
 
     def _on_learn(self, src: str, msg: Learn) -> None:
-        self._learn_commit_frontier(msg.commit_index)
+        if self.phase1_succeeded:
+            # A pull: re-propose, at this ballot, the chosen values past
+            # the puller's frontier (re-proposing a chosen value is safe).
+            start = msg.commit_index + 1
+            end = min(self.commit_index + 1, start + MAX_ACCEPT_BATCH)
+            if start < end:
+                self.send(src, Accept(
+                    ballot=self.ballot, proposer=self.name,
+                    instances={i: self.chosen[i] for i in range(start, end)},
+                    commit_index=self.commit_index))
+        elif msg.ballot == self.ballot:
+            self._learn_commit_frontier(src, msg.commit_index)
 
     # -- dynamic membership (α-bounded reconfiguration) ---------------------------
     #
@@ -484,7 +521,9 @@ class MultiPaxosReplica(ReplicaBase):
                 self.instances[index] = entry
                 self._entry_entered(index, entry.command)
             self.log_tail = len(msg.entries) - 1
-            self._learn_commit_frontier(msg.commit_index)
+            # The leader's prefix: chosen values, then its own proposals.
+            self._fresh.update(range(len(msg.entries)))
+            self._learn_commit_frontier(src, msg.commit_index)
         self.send(src, CatchUpReply(
             follower=self.name, last_index=self.commit_index,
             term=self.ballot.round))
@@ -513,17 +552,15 @@ class MultiPaxosReplica(ReplicaBase):
             None if log is None else replace(log, entries=list(log.entries)))
 
     def on_recover(self) -> None:
-        self.ballot = self.stable.get("ballot", Ballot(0, ""))
+        self._adopt_ballot(self.stable.get("ballot", Ballot(0, "")))
         self.instances = {i: e.copy() for i, e in self.stable.get("instances", {}).items()}
         self.log_tail = self.stable.get("log_tail", -1)
-        self.phase1_succeeded = False
         self.leader_id = None
         self.chosen = {}
         self.commit_index = -1
         self.last_applied = -1
         self.reset_store()
         self._promises = {}
-        self._accept_counts = {}
         self._accept_buffer = {}
         self._deferred_commands = []
         for index, entry in self.instances.items():

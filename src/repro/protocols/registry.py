@@ -31,4 +31,3 @@ PROTOCOLS: Dict[str, type] = {
 }
 
 MENCIUS_PROTOCOLS = {"mencius", "coorpaxos"}
-LEADERLESS = MENCIUS_PROTOCOLS

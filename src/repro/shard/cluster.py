@@ -42,7 +42,7 @@ from repro.protocols.config import geo_cluster
 from repro.protocols.messages import ConfigChange
 from repro.protocols.multipaxos import MultiPaxosReplica
 from repro.protocols.mux import GroupMux, MuxDirectory
-from repro.protocols.registry import LEADERLESS, PROTOCOLS
+from repro.protocols.registry import MENCIUS_PROTOCOLS, PROTOCOLS
 from repro.protocols.types import OpType
 from repro.shard.partition import VersionedPartitioner
 from repro.shard.placement import leader_sites
@@ -68,8 +68,8 @@ def shard_of_server(server: str) -> int:
 
 
 class UnsupportedProtocolError(RuntimeError):
-    """A shard-layer operation was requested on a protocol that cannot
-    serve it (e.g. live resharding of leaderless Mencius groups)."""
+    """A shard-layer operation a protocol cannot serve: membership changes
+    of Mencius groups, whose slot ownership is positional."""
 
 
 @dataclass
@@ -305,7 +305,7 @@ class ShardedCluster:
         spec = self.spec
         replica_cls = PROTOCOLS[spec.protocol]
         prefix = f"g{shard}_r"
-        leader = (None if spec.protocol in LEADERLESS
+        leader = (None if spec.protocol in MENCIUS_PROTOCOLS
                   else f"{prefix}_{leader_site}")
         extra = {}
         if self.host_plan is not None:
@@ -327,20 +327,26 @@ class ShardedCluster:
         if spec.coalesce:
             for name, replica in replicas.items():
                 self._mux_for(replica.host, config).register(replica, shard)
+        if spec.check_history:
+            self.checkers[shard] = HistoryChecker()
         for replica in replicas.values():
-            ownership = ShardOwnership(shard, versioned, owned=owned)
-            replica.store.set_key_filter(ownership.owns_key)
-            replica.ownership_guard = ownership.guard
-            replica.shard_info = ownership
-            replica.on_apply_hooks.append(ownership.on_apply)
-            self.ownerships[replica.name] = ownership
+            self._wire_replica(shard, replica, versioned, owned)
         self.configs[shard] = config
         self.groups[shard] = replicas
-        if spec.check_history:
-            checker = HistoryChecker()
-            for replica in replicas.values():
-                replica.on_apply_hooks.append(checker.record_apply)
-            self.checkers[shard] = checker
+
+    def _wire_replica(self, shard: int, replica,
+                      versioned: VersionedPartitioner, owned: bool) -> None:
+        """Founding and replacement replicas alike: `shard`'s epoch-versioned
+        ownership, and the shard's checker when history is checked."""
+        ownership = ShardOwnership(shard, versioned, owned=owned)
+        replica.store.set_key_filter(ownership.owns_key)
+        replica.ownership_guard = ownership.guard
+        replica.shard_info = ownership
+        replica.on_apply_hooks.append(ownership.on_apply)
+        self.ownerships[replica.name] = ownership
+        checker = self.checkers.get(shard)
+        if checker is not None:
+            replica.on_apply_hooks.append(checker.record_apply)
 
     def _host(self, host_name: str, site: str) -> Host:
         """Get-or-create a shared machine."""
@@ -366,17 +372,9 @@ class ShardedCluster:
     def reshard(self, new_num_shards: int, at: Optional[int] = None) -> None:
         """Transition to `new_num_shards` groups — immediately, or at sim
         time `at` (microseconds) so the migration runs under live load.
-
-        Raises `UnsupportedProtocolError` for leaderless protocols: the
-        migration coordinator drives MIGRATE_OUT/IN through each group's
-        leader (retrying until one answers), and a Mencius group has no
-        leader to converge on — the transition would silently wedge."""
-        if self.spec.protocol in LEADERLESS:
-            raise UnsupportedProtocolError(
-                f"live resharding is not supported for leaderless protocol "
-                f"{self.spec.protocol!r}: MIGRATE_OUT/IN need a group leader "
-                f"to serve the export snapshot; use a leader-based protocol "
-                f"or drain the group offline instead")
+        Any protocol: a step goes to one replica of a group, which forwards
+        it to its leader or, in Mencius, proposes it in its own slot; a
+        dead first hop is rotated off (DESIGN.md §5)."""
         if at is None:
             self._start_reshard(new_num_shards)
         else:
@@ -432,7 +430,7 @@ class ShardedCluster:
         joint consensus for the Raft family, α-bounded single-decree for
         the Paxos family.  Leaderless Mencius groups are refused — a
         config change must commit through a group leader."""
-        if self.spec.protocol in LEADERLESS:
+        if self.spec.protocol in MENCIUS_PROTOCOLS:
             raise UnsupportedProtocolError(
                 f"live membership changes are not supported for leaderless "
                 f"protocol {self.spec.protocol!r}: the change entry must "
@@ -538,15 +536,7 @@ class ShardedCluster:
             joiner._leader_timer.cancel()
             if spec.coalesce and new_host is not None:
                 self._mux_for(new_host, config).register(joiner, shard)
-            ownership = ShardOwnership(shard, self.versioned, owned=True)
-            joiner.store.set_key_filter(ownership.owns_key)
-            joiner.ownership_guard = ownership.guard
-            joiner.shard_info = ownership
-            joiner.on_apply_hooks.append(ownership.on_apply)
-            self.ownerships[replacement] = ownership
-            if spec.check_history and shard in self.checkers:
-                joiner.on_apply_hooks.append(
-                    self.checkers[shard].record_apply)
+            self._wire_replica(shard, joiner, self.versioned, owned=True)
             if self.obs is not None:
                 self.obs.install([joiner])
             group[replacement] = joiner

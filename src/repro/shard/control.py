@@ -56,7 +56,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.metrics.recorder import MetricsRecorder
 from repro.protocols.config import geo_cluster
 from repro.protocols.messages import ClientReply, ClientRequest
-from repro.protocols.registry import LEADERLESS, PROTOCOLS
+from repro.protocols.registry import MENCIUS_PROTOCOLS, PROTOCOLS
 from repro.protocols.types import Command, OpType, Payload, payload_of
 from repro.sim.node import Host, Node, NodeCosts
 from repro.sim.units import ms, sec
@@ -156,7 +156,7 @@ class ControlGroup:
     def __init__(self, tag: str, sim, network, sites, protocol: str,
                  members: Optional[List[str]] = None,
                  initial_owner: Optional[str] = None) -> None:
-        if protocol in LEADERLESS:
+        if protocol in MENCIUS_PROTOCOLS:
             # The journal needs a leader to converge on quickly; a
             # leaderless data plane still gets a leader-based control log
             # (heterogeneous stacks are the registry's whole point).

@@ -101,7 +101,8 @@ def lagging_first(checker):
 
 def test_lease_freshness_ranks_by_the_longest_applied_stream():
     """A correct local read of v2, made after both writes completed, is
-    fresh even though the first-recorded replica never applied v2."""
+    fresh even though the first-recorded replica never applied v2: the
+    group's one log holds what any replica applied."""
     checker = HistoryChecker()
     lagging_first(checker)
     checker.record_event(HistoryEvent("w", 1, OpType.PUT, "k", "v1", 0, 10, "s1"))
@@ -115,7 +116,8 @@ def test_lease_freshness_ranks_by_the_longest_applied_stream():
 
 def test_monotonic_reads_ranks_by_the_longest_applied_stream():
     """Reading v2 and then v1 in real time goes backwards, even though
-    the first-recorded replica never applied v2."""
+    the first-recorded replica never applied v2: the group's one log
+    ranks it."""
     checker = HistoryChecker()
     lagging_first(checker)
     checker.record_event(HistoryEvent("c", 1, OpType.GET, "k", "v2", 30, 35, "s1"))
@@ -411,6 +413,47 @@ def test_check_all_aggregates():
     checker.record_apply("a", 0, put("k", "v1"))
     checker.record_apply("b", 0, put("k", "OTHER"))
     assert len(checker.check_all()) >= 1
+
+
+def replayed_differently():
+    """Replica a applies X at index 0, crashes, and replays Y there; b
+    applies Y."""
+    checker = HistoryChecker()
+    checker.record_apply("a", 0, put("k", "X", seq=1))
+    checker.record_apply("a", 0, put("k", "Y", seq=2))
+    checker.record_apply("b", 0, put("k", "Y", seq=2))
+    return checker
+
+
+def test_a_replay_of_another_command_is_one_disagreement():
+    violations = replayed_differently().check_prefix_agreement()
+    assert len(violations) == 1
+    assert "disagree at index 0" in violations[0]
+
+
+def test_check_all_returns_on_a_replayed_index():
+    assert len(replayed_differently().check_all()) == 1
+
+
+def test_a_mencius_skip_and_a_revocation_noop_agree():
+    """s0 skips s2's slot 2 and s1 fills it by revoking it: two routes to
+    one no-op, which the checker must not read as a disagreement."""
+    from repro.protocols.mencius import RaftStarMenciusReplica
+    from repro.protocols.messages import MenciusPromise
+    from tests.protocols.conftest import MiniCluster
+
+    cluster = MiniCluster(RaftStarMenciusReplica, n=3, leader=None)
+    skipper, revoker = cluster["s0"], cluster["s1"]
+    skipper._mark_skipped(2)
+    revoker._start_recovery("s2", 2, 3)
+    ballot = revoker._recovering["s2"]["ballot"]
+    revoker._on_promise("s0", MenciusPromise(
+        ballot=ballot, acceptor="s0", owner="s2", accepted={}))
+    assert revoker.entries[2].ballot == ballot > 0
+    checker = HistoryChecker()
+    checker.record_apply("s0", 2, skipper.entries[2].command)
+    checker.record_apply("s1", 2, revoker.entries[2].command)
+    assert checker.check_prefix_agreement() == []
 
 
 # -- strict serializability of transactions (repro.shard.txn) -----------------

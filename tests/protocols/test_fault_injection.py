@@ -3,6 +3,7 @@
 import pytest
 
 from repro.kvstore.checker import HistoryChecker
+from repro.protocols.multipaxos import MultiPaxosReplica
 from repro.protocols.raft import RaftReplica, Role
 from repro.protocols.raftstar import RaftStarReplica
 from repro.sim.network import NetworkConfig
@@ -16,7 +17,12 @@ def attach_checker(cluster):
     return checker
 
 
-@pytest.mark.parametrize("replica_cls", [RaftReplica, RaftStarReplica])
+def store_digests(cluster):
+    return {replica.store.digest() for replica in cluster.values()}
+
+
+@pytest.mark.parametrize("replica_cls",
+                         [RaftReplica, RaftStarReplica, MultiPaxosReplica])
 def test_progress_under_message_loss(cluster_factory, replica_cls):
     cluster = cluster_factory(replica_cls)
     cluster.network.config.loss_rate = 0.05
@@ -31,9 +37,11 @@ def test_progress_under_message_loss(cluster_factory, replica_cls):
     replied = sum(1 for c in cmds if cluster.client.reply_for(c))
     assert replied >= 8  # loss slows things down but does not wedge them
     assert checker.check_prefix_agreement() == []
+    assert len(store_digests(cluster)) == 1  # and nobody is left behind
 
 
-@pytest.mark.parametrize("replica_cls", [RaftReplica, RaftStarReplica])
+@pytest.mark.parametrize("replica_cls",
+                         [RaftReplica, RaftStarReplica, MultiPaxosReplica])
 def test_repeated_leader_crashes_never_lose_commits(cluster_factory, replica_cls):
     cluster = cluster_factory(replica_cls, n=5)
     checker = attach_checker(cluster)
@@ -62,9 +70,54 @@ def test_repeated_leader_crashes_never_lose_commits(cluster_factory, replica_cls
 
 def leader_name(cluster):
     for name, replica in cluster.replicas.items():
-        if replica.alive and replica.role is Role.LEADER:
+        if replica.alive and replica.is_leader:
             return name
     return None
+
+
+@pytest.mark.parametrize("seed", [3, 4, 8])
+def test_multipaxos_every_replica_catches_up_after_loss(cluster_factory,
+                                                        seed):
+    """5 % loss over 50 puts, then a loss-free drain: every replica ends at
+    the leader's log tail.  At seed 3 followers lost Accepts below the
+    leader's frontier and pull them; at seeds 4 and 8 the leader's own
+    instance lost its acceptOKs and a refresh tick re-sends it."""
+    cluster = cluster_factory(MultiPaxosReplica, n=5, seed=seed)
+    cluster.network.config.loss_rate = 0.05
+    for i in range(50):
+        cluster.client.put("s0", f"k{i}", f"v{i}")
+        cluster.run_ms(20)
+    cluster.network.config.loss_rate = 0.0
+    cluster.run_ms(3000)
+    tail = cluster["s0"].log_tail
+    assert [replica.commit_index for replica in cluster.values()] == [tail] * 5
+    assert len(store_digests(cluster)) == 1
+
+
+@pytest.mark.parametrize("seed", [16, 18])
+def test_multipaxos_leader_crashes_under_loss_never_fork(cluster_factory,
+                                                         seed):
+    """10 % loss over 60 puts to the leader, which is crashed for 200 ms
+    before every 15th, then a loss-free drain.  A recovered replica holds
+    values accepted under an older ballot where the next leader chose a
+    fill no-op: it must pull the chosen values rather than apply its own."""
+    cluster = cluster_factory(MultiPaxosReplica, n=5, seed=seed)
+    checker = attach_checker(cluster)
+    cluster.run_ms(5)
+    cluster.network.config.loss_rate = 0.10
+    for i in range(60):
+        if i and i % 15 == 0:
+            victim = leader_name(cluster)
+            if victim:
+                cluster[victim].crash()
+                cluster.run_ms(200)
+                cluster[victim].recover()
+        cluster.client.put(leader_name(cluster) or "s0", f"k{i}", f"v{i}")
+        cluster.run_ms(20)
+    cluster.network.config.loss_rate = 0.0
+    cluster.run_ms(3000)
+    assert checker.check_prefix_agreement() == []
+    assert len(store_digests(cluster)) == 1
 
 
 def test_crashed_follower_recovers_and_catches_up(cluster_factory):

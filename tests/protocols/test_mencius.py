@@ -7,6 +7,7 @@ from repro.protocols.mencius import (
     CoordinatedPaxosReplica,
     MenciusReplica,
     RaftStarMenciusReplica,
+    STATUS_ACCEPTED,
     STATUS_COMMITTED,
     STATUS_SKIPPED,
 )
@@ -211,8 +212,12 @@ def test_revocation_mid_stream_keeps_resolved_prefixes_equal(cluster_factory, mo
 
     cluster = build(cluster_factory, mode=mode, n=5)
     checker = HistoryChecker()
+    applied = {name: [] for name in cluster.replicas}
     for replica in cluster.values():
         replica.on_apply_hooks.append(checker.record_apply)
+        replica.on_apply_hooks.append(
+            lambda name, index, command: applied[name].append(
+                (index, command)))
     client = cluster.client
     cluster.run_ms(5)
     warm = [client.put(f"s{i % 5}", f"k{i}", f"v{i}") for i in range(10)]
@@ -239,7 +244,7 @@ def test_revocation_mid_stream_keeps_resolved_prefixes_equal(cluster_factory, mo
 
     # s4 comes back and replays from its stable log: its apply stream is
     # counted from there.
-    replay_from = len(checker.applied["s4"])
+    replay_from = len(applied["s4"])
     cluster["s4"].recover()
     cluster.network.heal()
     cluster.run_ms(3000)
@@ -261,8 +266,9 @@ def test_revocation_mid_stream_keeps_resolved_prefixes_equal(cluster_factory, mo
     assert held > proposed_at and held % 5 == 2
 
     assert _agree(replicas) > 30
+    # Every apply, s4's replay included, agrees with the group's one log.
+    assert checker.check_prefix_agreement() == []
     # The apply streams agree too (no-ops compared as no-ops).
-    applied = dict(checker.applied)
     applied["s4"] = applied["s4"][replay_from:]
     streams = {name: {index: None if c.is_nop else c.request_id
                       for index, c in applies}
@@ -327,6 +333,11 @@ def test_random_loss_converges(cluster_factory, mode, seed):
     cluster.network.config.loss_rate = 0.0
     cluster.run_ms(4000)
     assert _agree(cluster.values()) > 1000
+    # An ack set lives only while its slot is open, whichever route
+    # resolved the slot.
+    for replica in cluster.values():
+        assert all(replica.status.get(index) is STATUS_ACCEPTED
+                   for index in replica._acks), replica.name
 
 
 def _step_until(cluster, done, limit_ms=3000.0):
@@ -393,6 +404,7 @@ def test_refused_proposal_under_a_recovery_promise_is_not_read_as_a_skip(
     assert replica.frontier["s4"] == 14
     assert 9 not in replica.status
     assert replica.status[4] is STATUS_SKIPPED   # never proposed: a skip
+    assert replica.entries[4].command == mencius.noop_command(seq=4)
 
 
 def test_recovery_append_advances_its_senders_frontier(cluster_factory):
@@ -400,11 +412,11 @@ def test_recovery_append_advances_its_senders_frontier(cluster_factory):
     owner's: the sender's unproposed slots below it are skips, the owner's
     frontier stays where the owner's own broadcasts left it."""
     from repro.protocols.messages import MenciusAppend
-    from repro.protocols.types import Command, Entry, OpType
+    from repro.protocols.types import Entry
 
     cluster = build(cluster_factory, n=5)
     replica = cluster["s2"]
-    noop = Command(op=OpType.NOP, client_id="__revoke__", seq=9, value_size=0)
+    noop = mencius.noop_command(seq=9)
     replica._on_append("s0", MenciusAppend(
         sender="s0", owner="s4", ballot=7, items={9: Entry(7, noop, 7)},
         next_own=20, since=replica.frontier["s0"]))

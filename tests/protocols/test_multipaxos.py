@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocols.messages import Accepted
+from repro.protocols.messages import Accept, Accepted, Learn
 from repro.protocols.multipaxos import MultiPaxosReplica
 from repro.protocols.quorum_lease import PaxosPQLReplica
 from repro.protocols.types import Ballot
@@ -151,3 +151,24 @@ def test_ack_sets_are_bounded_by_the_in_flight_window(cluster_factory, cls):
         assert len(leader._accept_counts) <= in_flight
     assert leader.commit_index == 199
     assert leader._accept_counts == {}
+    # Instances a follower may apply on frontier news leave the set as
+    # they apply; the leader's self-accepts never enter it.
+    cluster.run_ms(100)
+    assert all(replica._fresh == set() for replica in cluster.values())
+
+
+def test_frontier_news_at_another_ballot_applies_nothing(cluster_factory):
+    """s2 accepted x at instance 0 from s0 under ballot (1, s0) alone.  s1
+    may since have chosen a fill there under (2, s1) with a quorum that
+    never saw x: its frontier news must not make s2 apply x."""
+    from repro.protocols.types import Command, OpType
+
+    cluster = cluster_factory(MultiPaxosReplica)
+    follower = cluster["s2"]
+    x = Command(op=OpType.PUT, key="k", value="x", client_id="c", seq=1)
+    follower._on_accept("s0", Accept(ballot=Ballot(1, "s0"), proposer="s0",
+                                     instances={0: x}, commit_index=-1))
+    follower._on_learn("s1", Learn(ballot=Ballot(2, "s1"), proposer="s1",
+                                   commit_index=0))
+    assert follower.commit_index == -1
+    assert follower.store.read_local("k") is None

@@ -228,7 +228,7 @@ def _mencius_append() -> MenciusAppend:
 FANNED_OUT = [
     _mencius_append,
     lambda: SkipNotice(owner="s0", below=10, since=0),
-    lambda: Learn(instance_ids=[], proposer="s0", commit_index=3),
+    lambda: Learn(ballot=Ballot(1, "s0"), proposer="s0", commit_index=3),
     lambda: Accept(ballot=Ballot(1, "s0"), proposer="s0",
                    instances={0: _entry("k").command}, commit_index=-1),
     # MultiPaxos's idle keepalive: one empty Accept per tick, sent to every

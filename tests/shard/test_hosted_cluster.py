@@ -103,8 +103,7 @@ def test_coalescing_off_keeps_legacy_transport_on_shared_hosts():
 def test_mencius_groups_coalesce_but_are_beacon_exempt():
     # The leaderless satellite: Mencius has no leader keepalive to merge —
     # its skip/commit announcements ride the coalesced envelopes, and the
-    # beacon counters must stay ZERO (the pinned exemption, mirroring the
-    # UnsupportedProtocolError precedent for leaderless resharding).
+    # beacon counters must stay ZERO (the pinned exemption).
     result = ShardedCluster(spec(
         protocol="mencius", num_shards=2, duration_s=4.0,
         check_history=False)).run()

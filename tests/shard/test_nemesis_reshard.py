@@ -7,7 +7,8 @@ donor leader crashing after MIGRATE_OUT applied but before the reply, a
 recipient group electing mid-import, a partitioned leader accepting
 commands it can never commit.  Every seed must preserve the client-visible
 contract: zero duplicate executions, zero lost/duplicated acks, per-shard
-linearizability.
+linearizability.  The same schedules run on Mencius groups, where the
+victim is a random replica.
 
 `REPRO_BENCH_SCALE` (default 0.3 here: these are fault tests, not
 benchmarks) scales client counts and durations; the CI nemesis leg runs
@@ -27,9 +28,9 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.3"))
 SEEDS = range(20)
 
 
-def faulted_spec(seed: int) -> ReshardSpec:
+def faulted_spec(seed: int, protocol: str = "raft") -> ReshardSpec:
     return ReshardSpec(
-        protocol="raft", num_shards=2, placement="spread",
+        protocol=protocol, num_shards=2, placement="spread",
         clients_per_region=max(1, round(2 * SCALE / 0.3)),
         workload=WorkloadConfig(read_fraction=0.5, conflict_rate=0.0,
                                 records=400, value_size=64),
@@ -43,7 +44,19 @@ def faulted_spec(seed: int) -> ReshardSpec:
 def test_reshard_survives_random_leader_faults(seed):
     """2->4 split with 3 leader kills/partitions at random times in the
     [1s, 5.5s] window (straddling the 2s reshard trigger)."""
-    cluster = ShardedCluster(faulted_spec(seed))
+    check_faulted_reshard(seed, "raft")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mencius_reshard_survives_random_replica_faults(seed):
+    """The same schedules on leaderless groups: the nemesis crashes or cuts
+    off a random replica, which also takes down the slots it owns until
+    they are revoked."""
+    check_faulted_reshard(seed, "mencius")
+
+
+def check_faulted_reshard(seed: int, protocol: str) -> None:
+    cluster = ShardedCluster(faulted_spec(seed, protocol))
     reshard_nemesis(cluster, seed, window=(1.0, 5.5))
     result = run_reshard_experiment(cluster)
 

@@ -3,6 +3,8 @@ migration under load."""
 
 import json
 
+import pytest
+
 from repro.protocols.messages import ShardMap
 from repro.protocols.types import Command, OpType
 from repro.bench.live import ReshardSpec, run_reshard_experiment
@@ -192,8 +194,6 @@ def test_merge_returns_ranges_to_surviving_groups():
 
 
 def test_reshard_while_in_progress_rejected():
-    import pytest
-
     spec = reshard_spec()
     cluster = ShardedCluster(spec)
     cluster.reshard(4)
@@ -201,27 +201,23 @@ def test_reshard_while_in_progress_rejected():
         cluster.reshard(8)
 
 
-def test_mencius_reshard_raises_unsupported_protocol():
-    """Leaderless groups cannot serve MIGRATE_OUT/IN (there is no leader
-    for the coordinator's retries to converge on, so the transition would
-    silently wedge) — pin the behavior: a clear error at reshard time,
-    both immediate and scheduled, and no coordinator is ever created."""
-    import pytest
-
-    from repro.shard.cluster import UnsupportedProtocolError
-
-    spec = reshard_spec(protocol="mencius", clients_per_region=1,
-                        duration_s=1.0)
-    cluster = ShardedCluster(spec)
-    with pytest.raises(UnsupportedProtocolError, match="mencius"):
-        cluster.reshard(4)
-    with pytest.raises(UnsupportedProtocolError, match="leaderless"):
-        cluster.reshard(4, at=sec(0.5))
-    assert cluster.coordinator is None
-    assert cluster.versioned.epoch == 0
-    # the group still serves plain traffic untouched by the failed request
-    cluster.sim.run(until=sec(1.0))
-    assert len(cluster.metrics.records) > 0
+@pytest.mark.parametrize("shards", [(2, 4), (4, 2)], ids=["split", "merge"])
+@pytest.mark.parametrize("protocol", ["mencius", "coorpaxos"])
+def test_mencius_groups_reshard_live(protocol, shards):
+    """Mencius groups have no leader, and need none: the replica a step
+    reaches proposes it in its own slot, and the coordinator's ring
+    rotates off a dead first hop.  Split and merge keep the contract."""
+    num_shards, reshard_to = shards
+    result = run_reshard_experiment(ShardedCluster(reshard_spec(
+        protocol=protocol, num_shards=num_shards, reshard_to=reshard_to)))
+    assert result.reshard_completed
+    assert result.final_epoch == 1
+    assert result.acks_lost == 0
+    assert result.acks_duplicated == 0
+    assert result.duplicate_executions == 0
+    assert result.completed > 0
+    assert result.linearizable
+    assert set(result.violations) == set(range(max(shards)))
 
 
 # -- stale routing tables across an epoch boundary ---------------------------

@@ -23,7 +23,7 @@ import bisect
 import heapq
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.kvstore.store import migrated_install_orders
 from repro.protocols.types import Command, OpType
@@ -288,49 +288,48 @@ def check_strict_serializability(events: Sequence[TxnEvent],
     if violations:
         return violations
 
-    # Topological elimination over dep edges + implicit real-time edges:
-    # a transaction is removable once all its graph predecessors are gone
-    # AND no remaining transaction finished before it started.
+    remaining = unordered(txns, edges)
+    if remaining:
+        sample = sorted(remaining)[:6]
+        violations.append(
+            f"dependency/real-time cycle among committed transactions "
+            f"(no strict-serial order exists); {len(remaining)} involved, "
+            f"e.g. {sample}")
+    return violations
+
+
+def unordered(txns: Dict[str, TxnEvent], edges: Dict[str, set]) -> Set[str]:
+    """The transactions no strict-serial order reaches: what topological
+    elimination over the dependency `edges` plus the implicit real-time
+    edges leaves (empty iff the history is strictly serializable)."""
+    # A transaction is removable once all its graph predecessors are gone
+    # AND no remaining transaction finished before it started.  Removing
+    # one only ever unblocks others, so the removable set is one fixpoint,
+    # reached in one sweep: take the earliest-starting transaction with no
+    # remaining predecessor while nothing remaining ended before it
+    # started.  Once that one is blocked, so is every later starter, and
+    # what remains is stuck.  (An ack never precedes its own invocation,
+    # so a transaction never blocks itself.)
     indegree = {txn_id: 0 for txn_id in txns}
-    for a, outs in edges.items():
+    for outs in edges.values():
         for b in outs:
             indegree[b] += 1
     remaining = set(txns)
-    end_heap = [(txns[t].end, t) for t in remaining]
-    heapq.heapify(end_heap)
-
-    def min_ends() -> List[Tuple[int, str]]:
-        """The two smallest (end, txn) entries still remaining.  Entries
-        whose transaction was already eliminated are dropped for good —
-        `remaining` only shrinks — keeping the sweep near-linear."""
-        found: List[Tuple[int, str]] = []
-        while end_heap and len(found) < 2:
-            entry = heapq.heappop(end_heap)
-            if entry[1] in remaining:
-                found.append(entry)
-        for entry in found:
-            heapq.heappush(end_heap, entry)
-        return found
-
-    while remaining:
-        smallest = min_ends()
-
-        def rt_blocked(txn_id: str) -> bool:
-            for end, other in smallest:
-                if other != txn_id:
-                    return end < txns[txn_id].start
-            return False
-
-        ready = [t for t in remaining if indegree[t] == 0 and not rt_blocked(t)]
-        if not ready:
-            sample = sorted(remaining)[:6]
-            violations.append(
-                f"dependency/real-time cycle among committed transactions "
-                f"(no strict-serial order exists); {len(remaining)} involved, "
-                f"e.g. {sample}")
-            return violations
-        for txn_id in ready:
-            remaining.discard(txn_id)
-            for successor in edges[txn_id]:
-                indegree[successor] -= 1
-    return violations
+    ready = [(txns[t].start, t) for t in txns if indegree[t] == 0]
+    heapq.heapify(ready)
+    # Remaining ends, smallest first; eliminated ones are dropped lazily.
+    ends = [(txns[t].end, t) for t in txns]
+    heapq.heapify(ends)
+    while ready:
+        start, txn_id = ready[0]
+        while ends[0][1] not in remaining:
+            heapq.heappop(ends)
+        if ends[0][0] < start:
+            break
+        heapq.heappop(ready)
+        remaining.discard(txn_id)
+        for successor in edges[txn_id]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                heapq.heappush(ready, (txns[successor].start, successor))
+    return remaining

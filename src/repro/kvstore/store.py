@@ -16,10 +16,13 @@ Sharded deployments add three concerns:
 
 * a **key filter** restricting the store to the keys its group owns (a
   safety net behind the router and the replica ownership guard);
-* a per-key **install order** of every write, kept only by a store with a
-  key filter: range migration ships it and the strict-serializability
-  checker reads it, while a single group's checker derives write order
-  from the applied commands — so a single-group store never grows one;
+* an **install order** of every write, kept only by a store with a key
+  filter as one append-only record of ``(key, value)`` slots in apply
+  order: range migration ships each key's part of it and the
+  strict-serializability checker reads it, while a single group's checker
+  derives write order from the applied commands — so a single-group store
+  never grows one.  A member's version of a key is its number of installs,
+  derived from the record; any other store counts versions instead;
 * **range migration** (`MIGRATE_OUT` / `MIGRATE_IN` commands) for live
   resharding: a donor exports a hash range — the records *and* the
   dedup-window slots whose key lies in the range — and a recipient
@@ -59,7 +62,9 @@ released, and the retry must actually apply.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -108,6 +113,23 @@ def migrated_install_orders(command: Command) -> Mapping[str, Sequence[str]]:
     """Each moved key's values in the donor's install order, as a
     `MIGRATE_IN` carries them (`KVStore.import_range` installs them)."""
     return payload_of(command).get("write_log", {})
+
+
+def _install_slots(orders: Mapping[str, Sequence[str]],
+                   versions: Mapping[str, int]) -> List[str]:
+    """Per-key install orders as install-record slots (key, value, key,
+    value, ...).  A member's versions ARE its installs, so a payload whose
+    versions count writes it carries no order for (a donor that keeps
+    none) is refused rather than installed with its versions lost."""
+    for key, version in versions.items():
+        installs = len(orders.get(key, ()))
+        if installs != version:
+            raise ValueError(
+                f"key {key!r}: version {version} but {installs} installs in "
+                f"the order; a shard member takes its versions from the "
+                f"install order")
+    return [slot for key, values in orders.items()
+            for value in values for slot in (key, value)]
 
 
 class DedupSession:
@@ -195,18 +217,20 @@ class KVStore:
 
     def __init__(self, key_filter: Optional[Callable[[str], bool]] = None) -> None:
         self._table: Dict[str, str] = {}
-        self._versions: Dict[str, int] = {}
+        # A shard member's install order (see `set_key_filter`): every
+        # write (PUT or committed txn write) as two slots, key then value,
+        # in apply order — two references per write.  A member's version
+        # of a key is its number of installs; every other store counts
+        # versions and keeps no order.
+        self._installs: Optional[List[str]] = None
+        self._versions: Optional[Dict[str, int]] = {}
         # At-most-once state, one sliding window per client (see
         # `DedupSession`): retries of any in-window seq return the cached
         # result; the client-stamped low-water mark drives eviction.
         self._sessions: Dict[str, DedupSession] = {}
         self.applied_count = 0
-        self.key_filter = key_filter
         self.filtered_count = 0
-        # Per-key install order of every write (PUT or committed txn
-        # write), kept only by a shard member (see `set_key_filter`).
-        self._write_log: Optional[Dict[str, List[str]]] = (
-            None if key_filter is None else {})
+        self.set_key_filter(key_filter)
         # -- 2PC participant state (all advanced only by applied commands,
         #    so every replica of the group holds identical copies) --------
         self._locks: Dict[str, str] = {}          # key -> holding txn handle
@@ -234,14 +258,17 @@ class KVStore:
         of mutating state — a safety net behind the router: with correct
         shard routing it never fires, and `filtered_count` stays 0.
 
-        Becoming a shard member also starts the per-key install order:
-        reshard ships it with a range and the strict-serializability
-        checker reads it.  Both sharded build paths set the filter before
-        the group applies anything, so the order is whole.
+        Becoming a shard member also starts the install order (and stops
+        the version counts it replaces): reshard ships it with a range and
+        the strict-serializability checker reads it.  Both sharded build
+        paths set the filter before the group applies anything, so the
+        order is whole; a store filtered only after it wrote keeps
+        counting versions and records no order (`install_orders` raises).
         """
         self.key_filter = key_filter
-        if key_filter is not None and self._write_log is None:
-            self._write_log = {}
+        if key_filter is not None and self._installs is None and not self._versions:
+            self._installs = []
+            self._versions = None
 
     def owns(self, key: str) -> bool:
         return self.key_filter is None or self.key_filter(key)
@@ -352,14 +379,13 @@ class KVStore:
 
     def _put_local(self, key: str, value: str) -> None:
         self._table[key] = value
-        versions = self._versions
-        versions[key] = versions.get(key, 0) + 1
-        write_log = self._write_log
-        if write_log is not None:
-            log = write_log.get(key)
-            if log is None:
-                log = write_log[key] = []
-            log.append(value)
+        installs = self._installs
+        if installs is None:
+            versions = self._versions
+            versions[key] = versions.get(key, 0) + 1
+        else:
+            installs.append(key)
+            installs.append(value)
 
     # -- transactions (2PC participant) --------------------------------------
 
@@ -516,15 +542,25 @@ class KVStore:
 
         moved = sorted(k for k in self._table if lo <= key_point(k) < hi)
         table = {k: self._table.pop(k) for k in moved}
-        versions = {k: self._versions.pop(k) for k in moved if k in self._versions}
-        # The per-key install order travels too: the strict-serializability
-        # checker anchors on it, and a reshard must not amputate a key's
-        # history prefix.  (Keys can have a write log without a live table
-        # entry only transiently; sweep by hash range, not by `moved`.)
-        write_log = {}
-        for key in sorted(self._write_log or ()):
-            if lo <= key_point(key) < hi:
-                write_log[key] = self._write_log.pop(key)
+        write_log: Dict[str, List[str]] = {}
+        installs = self._installs
+        if installs is None:
+            versions = {k: self._versions.pop(k) for k in moved
+                        if k in self._versions}
+        else:
+            # The install order travels too: the strict-serializability
+            # checker anchors on it, and a reshard must not amputate a
+            # key's history prefix.  One pass splits the record by hash
+            # range, not by `moved`; the versions are the moved counts.
+            kept: List[str] = []
+            slots = iter(installs)
+            for key, value in zip(slots, slots):
+                if lo <= key_point(key) < hi:
+                    write_log.setdefault(key, []).append(value)
+                else:
+                    kept += (key, value)
+            self._installs = kept
+            versions = {k: len(write_log[k]) for k in moved if k in write_log}
         sessions = {}
         for client in sorted(self._sessions):
             # System clients (coordinators, reshard drivers — "__"-prefixed)
@@ -547,18 +583,23 @@ class KVStore:
                 "write_log": write_log}
 
     def import_range(self, payload: Dict) -> int:
-        """Install an exported range: records, versions, and dedup windows
-        (slots union, floors join by max — an already-present slot or a
-        higher floor never regresses)."""
-        self._table.update(payload.get("table", {}))
-        self._versions.update(payload.get("versions", {}))
-        write_log = self._write_log
-        if write_log is not None:
-            for key, log in payload.get("write_log", {}).items():
+        """Install an exported range: records, versions (a member: install
+        orders), and dedup windows (slots union, floors join by max — an
+        already-present slot or a higher floor never regresses)."""
+        installs = self._installs
+        if installs is None:
+            self._versions.update(payload.get("versions", {}))
+        else:
+            orders = payload.get("write_log", {})
+            imported = _install_slots(orders, payload.get("versions", {}))
+            if any(key in self._table for key in orders):
                 # The imported history is the key's prefix: writes the
                 # importer somehow already has (none, under correct
                 # routing) stay after.
-                write_log[key] = list(log) + write_log.get(key, [])
+                self._installs = imported + installs
+            else:
+                installs += imported
+        self._table.update(payload.get("table", {}))
         for client, exported in payload.get("sessions", {}).items():
             session = self._sessions.setdefault(client, DedupSession())
             session.merge(DedupSession.from_payload(exported))
@@ -608,27 +649,59 @@ class KVStore:
         return self._table.get(key)
 
     def version(self, key: str) -> int:
-        """Number of writes applied to `key` (used by safety checkers)."""
-        return self._versions.get(key, 0)
+        """Number of writes applied to `key` (used by safety checkers).  On
+        a shard member this scans the install record: to read many keys,
+        take `versions()` once."""
+        installs = self._installs
+        if installs is None:
+            return self._versions.get(key, 0)
+        return installs[::2].count(key)
 
-    def install_orders(self) -> Mapping[str, Sequence[str]]:
-        """Read-only view of every key's install order (key -> values in
-        apply order) — the per-key version order the strict-serializability
-        checker anchors on.  Only a shard member keeps one: on any other
-        store this raises rather than answer an empty order, which would
-        make that checker vacuous."""
-        if self._write_log is None:
+    def versions(self) -> Mapping[str, int]:
+        """Every written key's version, read-only.  A shard member derives
+        them in one pass over its install record, so whole-run accounting
+        takes them once per store."""
+        installs = self._installs
+        if installs is None:
+            return MappingProxyType(self._versions)
+        return MappingProxyType(Counter(islice(installs, 0, None, 2)))
+
+    def _record(self) -> List[str]:
+        if self._installs is None:
             raise RuntimeError(
                 "this store keeps no install order: only a shard member "
                 "(a store with a key filter) records one; a single group's "
                 "write order comes from its applied commands "
                 "(HistoryChecker)")
-        return MappingProxyType(self._write_log)
+        return self._installs
+
+    def _orders(self) -> Dict[str, List[str]]:
+        """Each key's installed values in apply order, in one pass over
+        the install record (fresh lists: nothing aliases the store)."""
+        orders: Dict[str, List[str]] = {}
+        slots = iter(self._record())
+        for key, value in zip(slots, slots):
+            order = orders.get(key)
+            if order is None:
+                orders[key] = [value]
+            else:
+                order.append(value)
+        return orders
+
+    def install_orders(self) -> Mapping[str, Sequence[str]]:
+        """Read-only map of every key's install order (key -> values in
+        apply order) — the per-key version order the strict-serializability
+        checker anchors on.  Only a shard member keeps one: on any other
+        store this raises rather than answer an empty order, which would
+        make that checker vacuous."""
+        return MappingProxyType(self._orders())
 
     def write_order(self, key: str) -> List[str]:
         """Every value installed at `key`, in apply order (a copy; see
         `install_orders`)."""
-        return list(self.install_orders().get(key, ()))
+        installs = self._record()
+        return [value for installed, value
+                in zip(installs[::2], installs[1::2]) if installed == key]
 
     def locked_keys(self) -> Dict[str, str]:
         """Current prepared-lock table (key -> holding handle)."""
@@ -654,28 +727,30 @@ class KVStore:
         suffix after the snapshot position reproduces the donor's state
         machine exactly (the property `tests/membership` pins with
         `digest`)."""
+        orders = None if self._installs is None else self._orders()
         snapshot = {
             "table": dict(self._table),
-            "versions": dict(self._versions),
+            "versions": (dict(self._versions) if orders is None else
+                         {key: len(order) for key, order in orders.items()}),
             "sessions": {client: session.export_payload(dict(session.entries))
                          for client, session in sorted(self._sessions.items())},
             "applied": self.applied_count,
         }
-        if self._write_log is not None:
-            snapshot["write_log"] = {key: list(log)
-                                     for key, log in self._write_log.items()}
+        if orders is not None:
+            snapshot["write_log"] = orders
         return snapshot
 
     def install_full(self, payload: Dict) -> None:
         """Install a catch-up snapshot into a FRESH store (replaces, not
-        merges — a joiner starts empty).  The install order is taken only
-        if this store keeps one."""
+        merges — a joiner starts empty).  A shard member takes the install
+        order (its versions are derived from it); any other store, the
+        versions."""
         self._table = dict(payload.get("table", {}))
-        self._versions = dict(payload.get("versions", {}))
-        if self._write_log is not None:
-            self._write_log = {
-                key: list(log)
-                for key, log in payload.get("write_log", {}).items()}
+        if self._installs is None:
+            self._versions = dict(payload.get("versions", {}))
+        else:
+            self._installs = _install_slots(payload.get("write_log", {}),
+                                            payload.get("versions", {}))
         self._sessions = {
             client: DedupSession.from_payload(exported)
             for client, exported in payload.get("sessions", {}).items()

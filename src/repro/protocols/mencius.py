@@ -19,8 +19,9 @@ One rule resolves a slot, whatever the links lose:
 * commit news is (index, ballot) pairs: a receiver commits only the entry
   it holds at that ballot, so a value a recovery replaced is never run;
 * one stall clock: the lowest unresolved slot, stuck for `REVOKE_TIMEOUT`,
-  is pulled from the peers; stuck for twice that, or owned by a replica
-  silent that long, it is revoked.
+  is pulled from the most advanced peer, and from every peer if it stays
+  stuck a tick longer; stuck for twice that, or owned by a replica silent
+  that long, it is revoked.
 On FIFO links that lose nothing this is the plain Mencius path.
 
 Execution:
@@ -112,7 +113,8 @@ class MenciusReplica(ReplicaBase):
         self._reply_frontier = -1              # commutative-mode bookkeeping
         self._last_heard: Dict[str, int] = {n: 0 for n in config.names}
         self._recovering: Dict[str, dict] = {}
-        self._stall = (-1, 0)                  # (lowest unresolved, since when)
+        # (lowest unresolved, since when, whether a catch-up was asked)
+        self._stall = (-1, 0, False)
 
         self._flush_timer = self.timer("mencius-flush")
         self._skip_timer = self.timer("skip")
@@ -389,12 +391,21 @@ class MenciusReplica(ReplicaBase):
         stalled = self._exec_frontier + 1
         now = self.sim.now
         if self._stall[0] != stalled:
-            self._stall = (stalled, now)
+            self._stall = (stalled, now, False)
         if self._behind():
-            stuck_for = now - self._stall[1]
-            if stuck_for >= REVOKE_TIMEOUT:
+            _, since, asked = self._stall
+            stuck_for = now - since
+            if stuck_for >= REVOKE_TIMEOUT and self.peers:
+                # Every peer answers the same window, so the first pull
+                # asks one, the most advanced.  If that left the slot
+                # stuck (silent, or as far behind), the next asks all.
+                peers = self.peers
+                if not asked:
+                    frontier = self.frontier
+                    peers = [max(peers, key=lambda peer: frontier.get(peer, 0))]
+                    self._stall = (stalled, since, True)
                 request = MenciusCatchup(start=stalled)
-                for peer in self.peers:
+                for peer in peers:
                     self.send(peer, request)
             owner = self.config.owner_of(stalled)
             names = self.config.names
@@ -509,13 +520,14 @@ class MenciusReplica(ReplicaBase):
         super().on_crash()
         for timer in (self._flush_timer, self._skip_timer, self._suspect_timer):
             timer.cancel()
-        self.stable["entries"] = {i: e.copy() for i, e in self.entries.items()}
+        # The map, not each entry: no code assigns an entry field.
+        self.stable["entries"] = dict(self.entries)
         self.stable["status"] = dict(self.status)
         self.stable["next_own"] = self.next_own
         self.stable["promised"] = dict(self.promised)
 
     def on_recover(self) -> None:
-        self.entries = {i: e.copy() for i, e in self.stable.get("entries", {}).items()}
+        self.entries = dict(self.stable.get("entries", {}))
         self.status = {
             i: (s if s != STATUS_COMMITTED else STATUS_ACCEPTED)
             for i, s in self.stable.get("status", {}).items()

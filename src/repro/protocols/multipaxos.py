@@ -545,7 +545,8 @@ class MultiPaxosReplica(ReplicaBase):
         self._heartbeat_timer.cancel()
         self._flush_timer.cancel()
         self.stable["ballot"] = self.ballot
-        self.stable["instances"] = {i: e.copy() for i, e in self.instances.items()}
+        # The map, not each entry: no code assigns an entry field.
+        self.stable["instances"] = dict(self.instances)
         self.stable["log_tail"] = self.log_tail
         log = self._config_log  # mutable: the crash keeps a copy
         self._save_membership(
@@ -553,7 +554,7 @@ class MultiPaxosReplica(ReplicaBase):
 
     def on_recover(self) -> None:
         self._adopt_ballot(self.stable.get("ballot", Ballot(0, "")))
-        self.instances = {i: e.copy() for i, e in self.stable.get("instances", {}).items()}
+        self.instances = dict(self.stable.get("instances", {}))
         self.log_tail = self.stable.get("log_tail", -1)
         self.leader_id = None
         self.chosen = {}

@@ -689,13 +689,14 @@ class RaftReplica(ReplicaBase):
         # Persist durable state (term, vote, log) across the crash.
         self.stable["term"] = self.current_term
         self.stable["voted_for"] = self.voted_for
-        self.stable["log"] = [entry.copy() for entry in self.log]
+        # The list, not each entry: no code assigns an entry field.
+        self.stable["log"] = list(self.log)
         self._save_membership(self._voters)  # VoterView is frozen
 
     def on_recover(self) -> None:
         self.current_term = self.stable.get("term", 0)
         self.voted_for = self.stable.get("voted_for")
-        self.log = [entry.copy() for entry in self.stable.get("log", [])]
+        self.log = list(self.stable.get("log", []))
         self.commit_index = -1
         self.last_applied = -1
         self.reset_store()

@@ -643,13 +643,21 @@ class ShardedCluster:
         being answered from the (possibly migrated) dedup cache — the
         failure the client-side ack identities cannot see."""
         acked, in_flight = self._writes()
+        by_shard: Dict[int, List[str]] = {}
+        for key in acked:
+            by_shard.setdefault(self.partitioner.shard_of(key), []).append(key)
         duplicates = 0
-        for key, acks in acked.items():
-            shard = self.partitioner.shard_of(key)
-            version = max((replica.store.version(key)
-                           for replica in self.groups[shard].values()),
-                          default=0)
-            duplicates += max(0, version - len(acks) - in_flight.get(key, 0))
+        for shard, keys in by_shard.items():
+            version = dict.fromkeys(keys, 0)
+            for replica in self.groups[shard].values():
+                # One store's versions at a time: a shard member derives
+                # them in one pass over its install record.
+                versions = replica.store.versions()
+                for key in keys:
+                    version[key] = max(version[key], versions.get(key, 0))
+            duplicates += sum(
+                max(0, version[key] - len(acked[key]) - in_flight.get(key, 0))
+                for key in keys)
         return duplicates
 
     def accounting(self) -> Accounting:

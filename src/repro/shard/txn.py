@@ -97,7 +97,8 @@ class _TxnState:
 
     __slots__ = ("txn_id", "client_node", "ops", "ts", "handle", "participants",
                  "home", "phase", "pending", "waiting", "reads", "seq",
-                 "seq_base", "retries", "trace", "winner", "route")
+                 "seq_base", "retries", "trace", "winner", "route",
+                 "command_key", "client_id")
 
     def __init__(self, txn_id: str, client_node: Optional[str], ops: TxnOps,
                  ts: int, handle: str, participants: Dict[int, TxnOps],
@@ -136,6 +137,10 @@ class _TxnState:
         # sweepers at the same fence issue identical commands and
         # converge through dedup.
         self.route = route or handle
+        # The key and client id of every command this attempt sends, built
+        # once: the commands (and the logs holding them) share the text.
+        self.command_key = f"txn:{handle}"
+        self.client_id = f"{TXN_CLIENT_PREFIX}{self.route}"
 
     @property
     def all_prepared(self) -> bool:
@@ -289,8 +294,8 @@ class TxnCoordinator(ReplicatedCoordinator):
             f"{state.handle}: sequence namespace overflow — more than "
             f"2**{SEQ_BITS} commands issued at one fence epoch")
         value = Payload(payload)
-        return Command(op=op, key=f"txn:{state.handle}", value=value,
-                       client_id=f"{TXN_CLIENT_PREFIX}{state.route}",
+        return Command(op=op, key=state.command_key, value=value,
+                       client_id=state.client_id,
                        seq=state.seq, value_size=len(value),
                        trace=state.trace)
 
@@ -918,18 +923,13 @@ class TxnCluster(ShardedCluster):
         orders: Dict[str, List[str]] = {}
         shard_of = self.partitioner.shard_of
         for shard, replicas in self.groups.items():
-            logs = [replica.store.install_orders()
-                    for replica in replicas.values()]
-            for key in set().union(*logs):
-                if shard_of(key) != shard:
-                    continue
-                # Lengths compared in place; only the winner is copied.
-                best: Sequence[str] = ()
-                for log in logs:
-                    order = log.get(key, ())
-                    if len(order) > len(best):
-                        best = order
-                orders[key] = list(best)
+            for replica in replicas.values():
+                # One store's orders at a time, each derived fresh from its
+                # install record: the winners are kept, nothing aliased.
+                for key, order in replica.store.install_orders().items():
+                    if (len(order) > len(orders.get(key, ()))
+                            and shard_of(key) == shard):
+                        orders[key] = order
         return orders
 
     def _writes(self) -> Tuple[Dict[str, set], Dict[str, int]]:

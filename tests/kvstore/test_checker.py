@@ -555,3 +555,98 @@ def test_unacknowledged_writers_constrain_nothing():
     ]
     orders = {"x": ["x1", "ghostwrite"]}  # middle writer never acked
     assert check_strict_serializability(events, orders) == []
+
+
+def unordered_by_rounds(txns, edges):
+    """The round-based elimination `unordered` replaced: each round
+    rescans every remaining transaction.  The reference it must equal."""
+    import heapq
+
+    indegree = {txn_id: 0 for txn_id in txns}
+    for a, outs in edges.items():
+        for b in outs:
+            indegree[b] += 1
+    remaining = set(txns)
+    end_heap = [(txns[t].end, t) for t in remaining]
+    heapq.heapify(end_heap)
+
+    def min_ends():
+        found = []
+        while end_heap and len(found) < 2:
+            entry = heapq.heappop(end_heap)
+            if entry[1] in remaining:
+                found.append(entry)
+        for entry in found:
+            heapq.heappush(end_heap, entry)
+        return found
+
+    while remaining:
+        smallest = min_ends()
+
+        def rt_blocked(txn_id):
+            for end, other in smallest:
+                if other != txn_id:
+                    return end < txns[txn_id].start
+            return False
+
+        ready = [t for t in remaining if indegree[t] == 0 and not rt_blocked(t)]
+        if not ready:
+            return remaining
+        for txn_id in ready:
+            remaining.discard(txn_id)
+            for successor in edges[txn_id]:
+                indegree[successor] -= 1
+    return remaining
+
+
+def random_txn_history(rng, size=30, keys=5):
+    """A strictly serializable history — overlapping transactions run
+    serially at a random point inside their real-time interval — with a
+    cycle planted half the time: two installs of a key swapped, or one
+    read sent back to an older value."""
+    spans = []
+    for i in range(size):
+        start = rng.randrange(1000)
+        end = start + rng.randint(1, 150)
+        spans.append((rng.randint(start, end), f"t{i}", start, end))
+    state, orders, events = {}, {}, []
+    for _, txn_id, start, end in sorted(spans):
+        ops = []
+        for key in rng.sample([f"k{k}" for k in range(keys)], rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                value = state[key] = f"{key}.{txn_id}"
+                orders.setdefault(key, []).append(value)
+                ops.append(("put", key, value))
+            else:
+                ops.append(("get", key, state.get(key)))
+        events.append(txn(txn_id, start, end, *ops))
+    if rng.random() < 0.5:
+        order = rng.choice(list(orders.values()))
+        if len(order) > 1:
+            at = rng.randrange(len(order) - 1)
+            order[at], order[at + 1] = order[at + 1], order[at]
+    else:
+        at = rng.randrange(len(events))
+        reads = [(op, key, rng.choice([None] + orders.get(key, []))
+                  if op == "get" else value)
+                 for op, key, value in events[at].ops]
+        events[at] = replace(events[at], ops=tuple(reads))
+    return events, orders
+
+
+def test_one_sweep_elimination_equals_the_rounds(monkeypatch):
+    from repro.kvstore import checker as checker_module
+
+    verdicts = {"clean": 0, "cycle": 0}
+    for seed in range(300):
+        events, orders = random_txn_history(random.Random(seed))
+        swept = check_strict_serializability(events, orders)
+        with monkeypatch.context() as patched:
+            patched.setattr(checker_module, "unordered", unordered_by_rounds)
+            rounds = check_strict_serializability(events, orders)
+        assert swept == rounds, seed
+        if not swept:
+            verdicts["clean"] += 1
+        elif "cycle" in swept[0]:
+            verdicts["cycle"] += 1
+    assert min(verdicts.values()) >= 30, verdicts

@@ -137,7 +137,9 @@ def test_window_survives_migrate_roundtrip(ops, split):
     """Windowed dedup state survives MIGRATE_OUT/IN: after moving a range,
     a retry of any applied seq — whichever side its key landed on — is
     answered from cache, and no write re-executes."""
-    donor = KVStore()
+    # A MIGRATE_OUT donor is a shard member too: the recipient takes its
+    # versions from the install order the export carries.
+    donor = KVStore(key_filter=lambda key: True)
     commands = []
     for seq, (key, client_id) in enumerate(ops, start=1):
         command = put(key, f"v{client_id}:{seq}", seq, client=f"c{client_id}")

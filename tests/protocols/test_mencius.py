@@ -439,6 +439,31 @@ def test_recovered_replica_pulls_its_log_in_chained_batches(cluster_factory):
     assert cluster["s4"]._exec_frontier >= behind
 
 
+def test_recovering_replica_is_answered_once_per_window(cluster_factory):
+    """A stall tick asks one peer, not all n-1: every peer would answer
+    the same window, and the asker would pay for each copy."""
+    from repro.protocols.messages import MenciusState
+
+    cluster = build(cluster_factory, n=5)
+    cluster.run_ms(5)
+    cluster["s4"].crash()
+    cluster.run_ms(4000)
+    behind = min(r._exec_frontier for r in cluster.values() if r.alive)
+    assert behind > 2 * mencius.CATCHUP_BATCH
+    windows = []
+    for replica in cluster.values():
+        def send(dst, message, send=replica.send):
+            if dst == "s4" and type(message) is MenciusState:
+                windows.append(min(message.items))
+            send(dst, message)
+        replica.send = send
+    cluster["s4"].recover()
+    cluster.run_ms(1500)
+    assert cluster["s4"]._exec_frontier >= behind
+    assert len(windows) > 2
+    assert len(windows) == len(set(windows)), sorted(windows)
+
+
 def test_catchup_answers_only_what_unsticks_the_asker(cluster_factory):
     """A peer answers with the slots it resolved among `CATCHUP_BATCH` from
     the asker's stall point, and with nothing when that slot is unresolved

@@ -59,7 +59,7 @@ def changed_fields(before: Accounting, after: Accounting) -> set:
 
 
 @pytest.mark.parametrize("build", [plain_cluster, txn_cluster])
-def test_each_planted_fault_flips_exactly_one_field(build):
+def test_each_planted_fault_flips_exactly_one_field(build, monkeypatch):
     cluster, swallow_ack, acked_key = build()
     healthy = cluster.accounting()
     assert healthy.completed > 0
@@ -80,7 +80,10 @@ def test_each_planted_fault_flips_exactly_one_field(build):
 
     # An acknowledged write installed once more than it was acked.
     owner = cluster.groups[cluster.partitioner.shard_of(acked_key)]
-    next(iter(owner.values())).store._versions[acked_key] += 1
+    store = next(iter(owner.values())).store
+    planted = dict(store.versions())
+    planted[acked_key] += 1
+    monkeypatch.setattr(store, "versions", lambda: planted)
     re_executed = cluster.accounting()
     assert changed_fields(duplicated, re_executed) == {"duplicate_executions"}
     assert re_executed.duplicate_executions == 1

@@ -362,6 +362,27 @@ def test_coordinator_retry_answered_from_windowed_cache():
     assert client.txns_committed == 1       # stale reply discarded client-side
 
 
+def test_an_attempts_commands_share_their_key_and_client_texts():
+    """Every command of one 2PC attempt names it by the same two strings,
+    built once per attempt: a log of its prepare, decide and commit keeps
+    one copy of each text, not one per command."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0, duration_s=4.0))
+    client = manual_client(cluster)
+    k0, k1 = find_key(cluster, 0), find_key(cluster, 1)
+    cluster.sim.schedule(ms(10), client.transact,
+                         [("put", k0, "a"), ("put", k1, "b")])
+    cluster.sim.run(until=sec(2))
+    assert client.txns_committed == 1
+    home = cluster.leader_replica(0)  # the lowest participant decides
+    commands = [entry.command for entry in home.log
+                if entry.command.client_id.startswith("__txn__:")]
+    assert len(commands) >= 3
+    first = commands[0]
+    assert all(command.key is first.key
+               and command.client_id is first.client_id
+               for command in commands)
+
+
 def test_retransmit_of_evicted_txn_seq_is_dropped_not_reexecuted():
     """Regression: once the client's acked_low_water stamp evicts a
     committed reply slot, a delayed retransmit of that txn_seq (reorder

@@ -364,15 +364,13 @@ class KVStore:
         return result
 
     def apply_batch(self, log, start: int, stop: int) -> None:
-        """Apply the committed entries ``log[start:stop]`` in order.
+        """Apply the committed entries ``log[start:stop]`` in order, one
+        `apply()` call per entry, discarding the results.
 
-        The replica's no-observers fast path (`_apply_committed` with no
-        apply hooks, no waiting clients/relays, and no obs collector):
-        semantically identical to one `apply()` call per entry — every
-        dedup, ownership, and lock decision is made per command exactly
-        as the scalar path would — with the per-entry loop overhead
-        hoisted out of the replica layer.  Results are discarded because
-        by construction nobody is waiting for them."""
+        Nothing in the runtime calls this: every family applies through
+        `ReplicaBase._apply_to`.  It stays only because the ledger
+        benchmark's tracer (`benchmarks/ledger/trace.py`) wraps it by
+        name; the two go together."""
         apply = self.apply
         for index in range(start, stop):
             apply(log[index].command)

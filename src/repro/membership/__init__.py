@@ -29,7 +29,7 @@ The wire/command encoding lives in `repro.protocols.messages`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (AbstractSet, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -131,6 +131,10 @@ class ConfigLog:
     # (effective_slot, voters, epoch), effective slots non-decreasing.
     entries: List[Tuple[int, FrozenSet[str], int]] = field(
         default_factory=list)
+
+    def __copy__(self) -> "ConfigLog":
+        # `decide` appends in place, so a copy keeps its own history.
+        return replace(self, entries=list(self.entries))
 
     def decide(self, slot: int, voters: Iterable[str], epoch: int) -> int:
         """Record a config decided at `slot`; returns its effective slot.

@@ -1,25 +1,29 @@
 """Common replica machinery.
 
-`ReplicaBase` implements everything the protocols share so each protocol
-module only contains consensus logic:
+`ReplicaBase` holds what the protocol families share, so each family
+module keeps only what differs between them: phase 1 / elections, log
+repair, its ack bookkeeping and `_commit_gate`, and the messages it puts
+on the wire.  Shared:
 
 * handler dispatch (message type -> bound method);
-* client sessions: requests received directly from clients, and requests
-  forwarded from a follower to the leader (etcd-style batched forwarding)
-  with replies routed back along the same path;
-* the apply pipeline into the replicated `KVStore` with exactly-once apply
-  and reply completion;
-* hooks for tests/metrics (`on_apply_hooks`);
-* what the leadered families (Raft, MultiPaxos) carry in common around
-  the ack -> commit -> apply loop: the randomized leader timeout, the
-  membership lifecycle (splice, retire, joiner -> voter, crash
-  save/restore), and the **kernel seam** — five no-op hooks both families
-  call at the same points of that loop, which an optimization overrides
-  once and binds to either family (DESIGN.md §14).
+* client sessions: direct requests, and requests forwarded from a
+  follower to the leader (etcd-style batched forwarding) with replies
+  routed back along the same path;
+* everything after a value commits, for Raft, MultiPaxos and Mencius
+  alike: one apply loop (`_apply_to`) advancing one applied cursor
+  (`last_applied`) with exactly-once reply completion and
+  `on_apply_hooks`; the durable lifecycle (`on_crash` / `on_recover` over
+  what a family names in `_durable`); the catch-up snapshot install
+  (`_on_catch_up`); and leader identity (`leader_id`, `beacon_info`);
+* around the leadered families' ack -> commit -> apply loop: the
+  randomized leader timeout, the membership lifecycle, and the **kernel
+  seam** — five hooks both families call at the same points, which an
+  optimization overrides once (DESIGN.md §14).
 """
 
 from __future__ import annotations
 
+from copy import copy
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.kvstore.store import KVStore
@@ -27,16 +31,24 @@ from repro.protocols.config import (BEACON_REFRESH_TICKS, FORWARD_BATCH_MAX,
                                     FORWARD_FLUSH_INTERVAL, ClusterConfig)
 from repro.protocols.messages import (
     NO_HOLDERS,
+    CatchUpReply,
+    CatchUpSnapshot,
     ClientReply,
     ClientRequest,
     ForwardBatch,
     ReplyRelay,
 )
 from repro.protocols.types import Command, Entry, OpType
-from repro.sim.node import Node
+from repro.sim.node import Node, Timer
 from repro.sim.rng import SplitRng
 
 RequestId = Tuple[str, int]
+
+#: What survives a crash in every family besides its own `_durable`: the
+#: membership state, so re-applying CONFIG entries during recovery replay
+#: is idempotent (the epoch guard in `_on_config_applied` skips completed
+#: transitions).
+_MEMBERSHIP = ("_membership_active", "config_epoch", "retired", "peers")
 
 
 class ReplicaBase(Node):
@@ -51,6 +63,13 @@ class ReplicaBase(Node):
     # its coalesced messages) stay False and keep their real keepalives.
     beacon_mergeable = False
 
+    #: The attributes that survive a crash, the log container first (a
+    #: list, or an index -> Entry dict where slots resolve out of order).
+    #: A crash keeps a copy of each value and recovery hands a copy back:
+    #: a new container, never a new entry (no code assigns an entry
+    #: field).
+    _durable: Tuple[str, ...] = ()
+
     def __init__(self, name, sim, network, config: ClusterConfig) -> None:
         super().__init__(
             name,
@@ -63,6 +82,9 @@ class ReplicaBase(Node):
         self.config = config
         self.peers = config.peers_of(name)
         self.store = KVStore()
+        # Every timer this replica arms; a crash cancels them all.
+        self._timers: List[Timer] = []
+        self.leader_id: Optional[str] = None
 
         # client sessions
         self._clients: Dict[RequestId, str] = {}
@@ -110,6 +132,10 @@ class ReplicaBase(Node):
         self.register_handler(ClientRequest, self._on_client_request)
         self.register_handler(ForwardBatch, self._on_forward_batch)
         self.register_handler(ReplyRelay, self._on_reply_relay)
+
+    def timer(self, name: str) -> Timer:
+        self._timers.append(Timer(self, name))
+        return self._timers[-1]
 
     # -- dispatch ------------------------------------------------------------
 
@@ -166,7 +192,7 @@ class ReplicaBase(Node):
 
     def leader_hint(self) -> Optional[str]:
         """Best current guess of the leader's name (None if unknown)."""
-        raise NotImplementedError
+        return self.leader_id
 
     # -- host-mux beacon merging ----------------------------------------------
 
@@ -174,7 +200,8 @@ class ReplicaBase(Node):
         """(leader name, term/round) when this replica currently leads a
         beacon-mergeable group; None otherwise.  The host mux polls this
         every beacon interval to build the merged `HostBeacon`."""
-        return None
+        return ((self.name, self.term)
+                if self.beacon_mergeable and self.is_leader else None)
 
     def on_host_beacon(self, leader: str, term: int) -> None:
         """A merged host beacon carried a beat for this replica's group:
@@ -276,25 +303,39 @@ class ReplicaBase(Node):
 
     # -- apply pipeline --------------------------------------------------------
 
-    def _fast_apply_eligible(self) -> bool:
-        """Whether committed entries nobody waits on may skip `apply_entry`
-        and go straight to the store: nobody is observing the applies (no
-        hooks — e.g. `ShardOwnership.on_apply`, which can flip the store's
-        key filter MID-batch — no obs collector) and no CONFIG entry needs
-        `_on_config_applied` to fire at its log position.  For such an
-        entry `apply_entry` reduces to `store.apply` plus the
-        `last_applied` bump; entries with a pending requester still take
-        the full path (callers check `_clients` / `_relays` per entry)."""
-        return (not self._membership_active and not self.on_apply_hooks
+    def _apply_to(self, frontier: int, log) -> None:
+        """Apply `log[last_applied + 1 .. frontier]`, all committed, in
+        order: the one apply loop of every family."""
+        # Fast path: while nothing observes the applies (no hooks — e.g.
+        # `ShardOwnership.on_apply`, which can flip the store's key filter
+        # mid-run — no obs collector, and no CONFIG entry that needs
+        # `_on_config_applied` at its position), an entry nobody waits on
+        # reduces to `store.apply` plus the cursor bump.  An entry with a
+        # pending requester still takes `apply_entry`: its completion is
+        # observable message flow.
+        fast = (not self._membership_active and not self.on_apply_hooks
                 and self.obs is None)
+        clients = self._clients
+        relays = self._relays
+        store_apply = self.store.apply
+        while self.last_applied < frontier:
+            index = self.last_applied + 1
+            entry = log[index]
+            if fast:
+                command = entry.command
+                rid = (command.client_id, command.seq)
+                if rid not in clients and rid not in relays:
+                    store_apply(command)
+                    self.last_applied = index
+                    continue
+            self.apply_entry(index, entry)
 
     def apply_entry(self, index: int, entry: Entry) -> None:
         """Apply a committed entry to the state machine and complete the
         originating request if it is ours to answer."""
         command = entry.command
         result = self.store.apply(command)
-        if index > self.last_applied:
-            self.last_applied = index
+        self.last_applied = index
         if command.op is OpType.CONFIG:
             # Membership changes act at APPLY time so every replica of the
             # group switches voter views at the same log position; the
@@ -324,13 +365,6 @@ class ReplicaBase(Node):
                 hint = self.ownership_guard(command)
             self.complete(command, ok=result.ok, value=result.value,
                           shard_hint=hint)
-
-    def reset_store(self) -> None:
-        """Fresh state machine for recovery replay, keeping the shard key
-        filter — and with it the install-order log a shard member keeps
-        (`KVStore.set_key_filter`): ownership survives a crash; the applied
-        state does not."""
-        self.store = KVStore(key_filter=self.store.key_filter)
 
     def _on_config_applied(self, index: int, command: Command) -> None:
         """A CONFIG entry reached the apply point.  Protocols that support
@@ -388,6 +422,17 @@ class ReplicaBase(Node):
 
     # -- leader timeout ------------------------------------------------------------
 
+    def _boot(self) -> None:
+        """A leadered family's last construction step: follow the agreed
+        initial leader from term/round 1 (`_seed_initial_leader`), so
+        benchmarks measure steady state, else start the leader timeout."""
+        leader = self.config.initial_leader
+        if leader is not None:
+            self.leader_id = leader
+            self._seed_initial_leader(leader)
+        if leader != self.name:
+            self._reset_leader_timeout()
+
     def _reset_leader_timeout(self) -> None:
         """(Re)arm the randomized leader-failure timeout."""
         if self.joining or self.retired:
@@ -432,31 +477,55 @@ class ReplicaBase(Node):
         self.joining = False
         self._leader_timer.cancel()
 
-    def _save_membership(self, view) -> None:
-        """Crash: the family's voter `view` and the membership state
-        survive (call with a copy if the view is mutable).  Re-applying
-        CONFIG entries during recovery replay is then idempotent: the
-        epoch guard in `_on_config_applied` skips completed transitions."""
-        if self._membership_active:
-            self.stable["membership"] = (
-                view, self.config_epoch, self.retired, list(self.peers))
-
-    def _restore_membership(self):
-        """Recovery: reinstall what `_save_membership` kept and return the
-        saved voter view (None when there was nothing to restore)."""
-        membership = self.stable.get("membership")
-        if membership is None:
-            return None
-        view, self.config_epoch, self.retired, peers = membership
-        self.peers = list(peers)
-        self._membership_active = True
-        return view
-
     # -- lifecycle ---------------------------------------------------------------
 
     def on_crash(self) -> None:
-        self._forward_timer.cancel()
-        self._leader_timer.cancel()
+        for timer in self._timers:
+            timer.cancel()
         self._clients.clear()
         self._relays.clear()
         self._forward_buffer.clear()
+        for name in self._durable + _MEMBERSHIP:
+            self.stable[name] = copy(getattr(self, name))
+
+    def on_recover(self) -> None:
+        for name in self._durable + _MEMBERSHIP:
+            setattr(self, name, copy(self.stable[name]))
+        self.leader_id = None
+        self.last_applied = -1
+        # A fresh state machine for the replay keeps the shard key filter,
+        # and with it the install record a shard member keeps
+        # (`KVStore.set_key_filter`): ownership survives a crash, the
+        # applied state does not.
+        self.store = KVStore(key_filter=self.store.key_filter)
+        self._reenter()
+        self._restart()
+
+    def _restart(self) -> None:
+        """Recovery's last step: reset volatile state, re-arm timers."""
+
+    def _reenter(self) -> None:
+        """Pass every entry of the log through `_entry_entered`."""
+        log = getattr(self, self._durable[0])
+        for index, entry in (enumerate(log) if isinstance(log, list)
+                             else log.items()):
+            self._entry_entered(index, entry.command)
+
+    # -- catch-up snapshot install -------------------------------------------
+
+    def _on_catch_up(self, src: str, msg: CatchUpSnapshot) -> None:
+        """Only an EMPTY log installs a leader's snapshot (the fresh
+        joiner); a lagging rejoiner keeps its log for ordinary repair."""
+        log = getattr(self, self._durable[0])
+        if not log:
+            if isinstance(log, list):
+                log.extend(msg.entries)
+            else:
+                log.update(enumerate(msg.entries))
+            self._reenter()
+            self._installed(src, msg)
+        self.send(src, CatchUpReply(self.name, self.last_index, msg.term))
+
+    def _installed(self, src: str, msg: CatchUpSnapshot) -> None:
+        """The snapshot is in the log: follow its sender, learn its frontier."""
+        raise NotImplementedError

@@ -126,7 +126,7 @@ class LeaseManager:
     # -- fault handling ---------------------------------------------------------
 
     def on_crash(self) -> None:
-        self.stop()
+        # The replica's crash has cancelled the renew timer.
         self.granted.clear()
         self.acked.clear()
         self.held.clear()

@@ -89,6 +89,8 @@ class MenciusReplica(ReplicaBase):
     #: execution mode: "ordered" or "commutative"
     execution_mode = "ordered"
 
+    _durable = ("entries", "status", "next_own", "promised")
+
     def __init__(self, name, sim, network, config: ClusterConfig,
                  execution_mode: Optional[str] = None) -> None:
         super().__init__(name, sim, network, config)
@@ -109,7 +111,6 @@ class MenciusReplica(ReplicaBase):
         self._acks: Dict[int, Set[str]] = {}
         self._batch: Dict[int, Entry] = {}
         self._fresh_commits: List[Tuple[int, int]] = []   # (index, ballot)
-        self._exec_frontier = -1               # all indexes <= this are applied
         self._reply_frontier = -1              # commutative-mode bookkeeping
         self._last_heard: Dict[str, int] = {n: 0 for n in config.names}
         self._recovering: Dict[str, dict] = {}
@@ -338,15 +339,11 @@ class MenciusReplica(ReplicaBase):
     def _advance(self) -> None:
         # Ordered execution: apply the longest resolved prefix.  Commands
         # answered early in commutative mode have already been popped from
-        # the pending tables, so apply_entry only updates the store for them.
-        status = self.status
-        index = self._exec_frontier + 1
-        state = status.get(index)
-        while state is STATUS_COMMITTED or state is STATUS_SKIPPED:
-            self._exec_frontier = index
-            self.apply_entry(index, self.entries[index])
+        # the pending tables, so applying them only updates the store.
+        index = self.last_applied + 1
+        while self.status.get(index) in (STATUS_COMMITTED, STATUS_SKIPPED):
             index += 1
-            state = status.get(index)
+        self._apply_to(index - 1, self.entries)
         if self.execution_mode == "commutative":
             self._advance_commutative()
 
@@ -362,12 +359,12 @@ class MenciusReplica(ReplicaBase):
         status = self.status
         n = self.config.n
         rank = self.rank
-        exec_frontier = self._exec_frontier
+        applied = self.last_applied
         while entry is not None:
             state = status.get(index)
             if state is STATUS_ACCEPTED and index % n == rank:
                 break  # our own entry must commit before we answer it
-            if index > exec_frontier and (state is STATUS_COMMITTED
+            if index > applied and (state is STATUS_COMMITTED
                                           or state is STATUS_SKIPPED):
                 command = entry.command
                 if command.op is _PUT:
@@ -382,13 +379,13 @@ class MenciusReplica(ReplicaBase):
 
     def _behind(self) -> bool:
         """Whether something is waiting on the lowest unresolved slot."""
-        return (self._exec_frontier + 1 < max(self.frontier.values())
+        return (self.last_applied + 1 < max(self.frontier.values())
                 or bool(self._batch))
 
     def _on_suspect_tick(self) -> None:
         """The one stall clock (module docstring).  Only the lowest-ranked
         replica other than a slot's owner revokes it: no duelling."""
-        stalled = self._exec_frontier + 1
+        stalled = self.last_applied + 1
         now = self.sim.now
         if self._stall[0] != stalled:
             self._stall = (stalled, now, False)
@@ -435,7 +432,7 @@ class MenciusReplica(ReplicaBase):
     def _on_state(self, src: str, msg: MenciusState) -> None:
         status = self.status
         entries = self.entries
-        before = self._exec_frontier
+        before = self.last_applied
         for index, (entry, state) in msg.items.items():
             if status.get(index, STATUS_ACCEPTED) is not STATUS_ACCEPTED:
                 continue
@@ -446,8 +443,8 @@ class MenciusReplica(ReplicaBase):
             if ousted is not None:
                 self._repropose_ousted(ousted, entry)
         self._advance()
-        if self._exec_frontier > before and self._behind():
-            self.send(src, MenciusCatchup(start=self._exec_frontier + 1))
+        if self.last_applied > before and self._behind():
+            self.send(src, MenciusCatchup(start=self.last_applied + 1))
 
     def _start_recovery(self, owner: str, start: int, horizon: int) -> None:
         now = self.sim.now
@@ -516,28 +513,12 @@ class MenciusReplica(ReplicaBase):
 
     # -- lifecycle -------------------------------------------------------------------------
 
-    def on_crash(self) -> None:
-        super().on_crash()
-        for timer in (self._flush_timer, self._skip_timer, self._suspect_timer):
-            timer.cancel()
-        # The map, not each entry: no code assigns an entry field.
-        self.stable["entries"] = dict(self.entries)
-        self.stable["status"] = dict(self.status)
-        self.stable["next_own"] = self.next_own
-        self.stable["promised"] = dict(self.promised)
-
-    def on_recover(self) -> None:
-        self.entries = dict(self.stable.get("entries", {}))
-        self.status = {
-            i: (s if s != STATUS_COMMITTED else STATUS_ACCEPTED)
-            for i, s in self.stable.get("status", {}).items()
-        }
-        self.next_own = self.stable.get("next_own", self.rank)
-        self.promised = dict(self.stable.get("promised", {}))
-        self.reset_store()
-        self._exec_frontier = -1
+    def _restart(self) -> None:
+        # Acceptance is durable, commit knowledge is not: commit news or
+        # catch-up resolves those slots again.
+        self.status = {i: (STATUS_ACCEPTED if s is STATUS_COMMITTED else s)
+                       for i, s in self.status.items()}
         self._reply_frontier = -1
-        self.last_applied = -1
         self._acks = {}
         self._batch = {}
         self._fresh_commits = []

@@ -451,17 +451,14 @@ class CatchUpSnapshot(SizedMessage):
     windows, and the config history exactly (the repo never compacts, so
     the log IS the canonical state; `KVStore.export_full` is the
     compaction-ready alternative the property tests also pin).  Paxos
-    side: the chosen instances and the commit frontier, same replay.
-
-    `config` carries the sender's serialized membership state so the
-    joiner starts from the right voter view even before the CONFIG
-    entries in the payload re-apply."""
+    side: the contiguous instance prefix and the frontier applied below
+    it, same replay.  The joiner's voter view comes from replaying the
+    CONFIG entries among them."""
 
     sender: str
     entries: Tuple[Entry, ...]
     commit_index: int
     term: int = 0
-    config: Optional[Dict[str, Any]] = None
 
     def _payload_bytes(self) -> int:
         return _entries_size(self.entries)

@@ -17,7 +17,6 @@ Structural differences from Raft that §3 calls out are visible here:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Set
 
 from repro.membership import DEFAULT_ALPHA, ConfigLog, is_quorum
@@ -26,7 +25,6 @@ from repro.protocols.config import APPEND_FLUSH_INTERVAL, ClusterConfig
 from repro.protocols.messages import (
     Accept,
     Accepted,
-    CatchUpReply,
     CatchUpSnapshot,
     ConfigChange,
     Learn,
@@ -47,11 +45,12 @@ class MultiPaxosReplica(ReplicaBase):
     # (its Accepted replies carry lease-holder sets).
     beacon_mergeable = True
 
+    _durable = ("instances", "ballot", "last_index", "_config_log")
+
     def __init__(self, name, sim, network, config: ClusterConfig) -> None:
         super().__init__(name, sim, network, config)
         self.ballot = Ballot(0, "")
         self.phase1_succeeded = False
-        self.leader_id: Optional[str] = None
         # Commit frontier last advertised by an (empty) heartbeat: beacon
         # suppression only applies while it is unchanged.  Refresh ticks
         # (`beacon_refresh_due`) still send real empty Accepts so a
@@ -63,7 +62,7 @@ class MultiPaxosReplica(ReplicaBase):
         self.instances: Dict[int, Entry] = {}  # accepted values
         self.chosen: Dict[int, Command] = {}
         self.commit_index = -1  # chosen-and-contiguous frontier
-        self.log_tail = -1
+        self.last_index = -1  # the highest instance accepted
         # Unapplied instances accepted from the leader under the CURRENT
         # ballot: the only ones its frontier news may apply (they are its
         # proposals, hence the chosen values).  A hole, or an entry left
@@ -98,23 +97,15 @@ class MultiPaxosReplica(ReplicaBase):
         self.register_handler(Accepted, self._on_accepted)
         self.register_handler(Learn, self._on_learn)
         self.register_handler(CatchUpSnapshot, self._on_catch_up)
-        self.register_handler(CatchUpReply, self._on_catch_up_reply)
-
-        if config.initial_leader is not None:
-            self._seed_initial_leader(config.initial_leader)
-        else:
-            self._reset_leader_timeout()
+        self._boot()
 
     # -- bootstrap --------------------------------------------------------------
 
     def _seed_initial_leader(self, leader: str) -> None:
         self.ballot = Ballot(1, leader)
-        self.leader_id = leader
         if self.name == leader:
             self.phase1_succeeded = True
             self._heartbeat_timer.arm(self.config.heartbeat_interval, self._on_heartbeat)
-        else:
-            self._reset_leader_timeout()
 
     # -- helpers --------------------------------------------------------------------
 
@@ -122,13 +113,9 @@ class MultiPaxosReplica(ReplicaBase):
     def is_leader(self) -> bool:
         return self.phase1_succeeded
 
-    def leader_hint(self) -> Optional[str]:
-        return self.leader_id
-
-    def beacon_info(self):
-        if self.beacon_mergeable and self.phase1_succeeded:
-            return (self.name, self.ballot.round)
-        return None
+    @property
+    def term(self) -> int:
+        return self.ballot.round
 
     def on_host_beacon(self, leader: str, term: int) -> None:
         # Only a beat matching the ballot we already follow counts; ballot
@@ -168,7 +155,7 @@ class MultiPaxosReplica(ReplicaBase):
         """Phase1b: every instance accepted from `unchosen` on."""
         return Promise(ballot=self.ballot, acceptor=self.name, instances={
             i: e.copy() for i, e in self.instances.items() if i >= unchosen
-        }, log_tail=self.log_tail)
+        }, log_tail=self.last_index)
 
     def _on_prepare(self, src: str, msg: Prepare) -> None:
         if msg.ballot <= self.ballot:
@@ -207,7 +194,7 @@ class MultiPaxosReplica(ReplicaBase):
         instance; fill holes with no-ops; re-propose everything."""
         promises = list(self._promises.values())
         start = self.first_unchosen()
-        end = max([p.log_tail for p in promises] + [self.log_tail])
+        end = max([p.log_tail for p in promises] + [self.last_index])
         recovered: Dict[int, Command] = {}
         for index in range(start, end + 1):
             best: Optional[Entry] = None
@@ -301,11 +288,13 @@ class MultiPaxosReplica(ReplicaBase):
     def _stalled(self) -> Dict[int, Command]:
         """The open instances (at most `MAX_ACCEPT_BATCH`) this refresh
         tick proposes again: none unless the frontier stood still since the
-        last tick under an instance whose Accept or acceptOKs were lost."""
+        last tick under an unchosen instance — its Accept or acceptOKs were
+        lost, or (PQL) a lease holder that missed the Accept holds it back
+        at the commit gate."""
         commit, mark = self.commit_index, self._refresh_mark
         self._refresh_mark = commit
         acks = self._accept_counts.get(commit + 1)
-        if commit != mark or not acks or self._accept_quorum(commit + 1, acks):
+        if commit != mark or not acks:
             return {}
         return {i: self.instances[i].command
                 for i in sorted(self._accept_counts)[:MAX_ACCEPT_BATCH]}
@@ -317,7 +306,7 @@ class MultiPaxosReplica(ReplicaBase):
         entered = self._entry_entered
         for index, command in msg.instances.items():
             self.instances[index] = Entry(round_, command, round_)
-            self.log_tail = max(self.log_tail, index)
+            self.last_index = max(self.last_index, index)
             entered(index, command)
 
     def _accept_locally(self, msg: Accept) -> None:
@@ -386,28 +375,10 @@ class MultiPaxosReplica(ReplicaBase):
         self._advance_commit_frontier()
 
     def _advance_commit_frontier(self) -> None:
-        advanced = False
-        # Entries nobody waits on (no hooks, no obs, no pending requester)
-        # reduce to `store.apply` + the `last_applied` bump — no throwaway
-        # Entry wrapper, no `apply_entry` frame.  Membership runs disable
-        # the shortcut so CONFIG entries reach `_on_config_applied`.
-        fast = self._fast_apply_eligible()
-        clients = self._clients
-        relays = self._relays
-        chosen = self.chosen
-        store_apply = self.store.apply
-        while (self.commit_index + 1) in chosen:
-            self.commit_index += 1
-            advanced = True
-            command = chosen[self.commit_index]
-            if fast:
-                rid = (command.client_id, command.seq)
-                if rid not in clients and rid not in relays:
-                    store_apply(command)
-                    if self.commit_index > self.last_applied:
-                        self.last_applied = self.commit_index
-                    continue
-            self.apply_entry(self.commit_index, Entry(0, command))
+        frontier = self.first_unchosen() - 1
+        advanced = frontier > self.commit_index
+        self.commit_index = frontier
+        self._apply_to(frontier, self.instances)
         if advanced and self._deferred_commands:
             # The α window may have re-opened: re-submit in arrival order
             # (still-closed windows simply re-defer).
@@ -434,20 +405,19 @@ class MultiPaxosReplica(ReplicaBase):
         at its ballot, applies up to it what is `_fresh`, and pulls the
         rest from `src`."""
         fresh = self._fresh
-        while self.commit_index < commit_index:
-            index = self.commit_index + 1
-            if index not in fresh:
-                now = self.sim.now
-                if now - self._pulled_at >= self.config.heartbeat_interval:
-                    self._pulled_at = now
-                    self.send(src, Learn(ballot=self.ballot, proposer=self.name,
-                                         commit_index=self.commit_index))
-                break
-            fresh.remove(index)
-            entry = self.instances[index]
-            self.chosen[index] = entry.command
-            self.commit_index = index
-            self.apply_entry(index, entry)
+        frontier = self.commit_index
+        while frontier < commit_index and frontier + 1 in fresh:
+            frontier += 1
+            fresh.remove(frontier)
+            self.chosen[frontier] = self.instances[frontier].command
+        self.commit_index = frontier
+        self._apply_to(frontier, self.instances)
+        now = self.sim.now
+        if (frontier < commit_index
+                and now - self._pulled_at >= self.config.heartbeat_interval):
+            self._pulled_at = now
+            self.send(src, Learn(ballot=self.ballot, proposer=self.name,
+                                 commit_index=frontier))
         self._frontier_advanced()
 
     def _on_learn(self, src: str, msg: Learn) -> None:
@@ -499,38 +469,27 @@ class MultiPaxosReplica(ReplicaBase):
         path (rebuilding store, dedup windows, and the config log), then
         receives new instances through the spliced accept fan-out."""
         entries: List[Entry] = []
-        for index in range(self.log_tail + 1):
+        for index in range(self.last_index + 1):
             entry = self.instances.get(index)
             if entry is None:
                 break  # hole: ship the contiguous prefix only
             entries.append(entry)
         snapshot = CatchUpSnapshot(
             sender=self.name, entries=tuple(entries),
-            commit_index=min(self.commit_index, len(entries) - 1),
+            # Sent from inside the CONFIG entry's apply: the frontier is
+            # what this leader has applied so far.
+            commit_index=min(self.last_applied, len(entries) - 1),
             term=self.ballot.round)
         for peer in sorted(joiners):
             self.send(peer, snapshot)
 
-    def _on_catch_up(self, src: str, msg: CatchUpSnapshot) -> None:
-        if not self.instances and not self.chosen:
-            # Install is only ever wholesale into an EMPTY replica (the
-            # fresh joiner).
-            self.ballot = Ballot(msg.term, msg.sender)
-            self.leader_id = msg.sender
-            for index, entry in enumerate(msg.entries):
-                self.instances[index] = entry
-                self._entry_entered(index, entry.command)
-            self.log_tail = len(msg.entries) - 1
-            # The leader's prefix: chosen values, then its own proposals.
-            self._fresh.update(range(len(msg.entries)))
-            self._learn_commit_frontier(src, msg.commit_index)
-        self.send(src, CatchUpReply(
-            follower=self.name, last_index=self.commit_index,
-            term=self.ballot.round))
-
-    def _on_catch_up_reply(self, src: str, msg: CatchUpReply) -> None:
-        """Paxos needs no per-peer match bookkeeping — acceptance counting
-        does the work — so the reply is just liveness news."""
+    def _installed(self, src: str, msg: CatchUpSnapshot) -> None:
+        self.ballot = Ballot(msg.term, msg.sender)
+        self.leader_id = msg.sender
+        self.last_index = len(msg.entries) - 1
+        # The leader's prefix: chosen values, then its own proposals.
+        self._fresh.update(range(len(msg.entries)))
+        self._learn_commit_frontier(src, msg.commit_index)
 
     def _retire(self) -> None:
         super()._retire()
@@ -540,33 +499,11 @@ class MultiPaxosReplica(ReplicaBase):
 
     # -- lifecycle -------------------------------------------------------------------
 
-    def on_crash(self) -> None:
-        super().on_crash()
-        self._heartbeat_timer.cancel()
-        self._flush_timer.cancel()
-        self.stable["ballot"] = self.ballot
-        # The map, not each entry: no code assigns an entry field.
-        self.stable["instances"] = dict(self.instances)
-        self.stable["log_tail"] = self.log_tail
-        log = self._config_log  # mutable: the crash keeps a copy
-        self._save_membership(
-            None if log is None else replace(log, entries=list(log.entries)))
-
-    def on_recover(self) -> None:
-        self._adopt_ballot(self.stable.get("ballot", Ballot(0, "")))
-        self.instances = dict(self.stable.get("instances", {}))
-        self.log_tail = self.stable.get("log_tail", -1)
-        self.leader_id = None
+    def _restart(self) -> None:
+        self._adopt_ballot(self.ballot)
         self.chosen = {}
         self.commit_index = -1
-        self.last_applied = -1
-        self.reset_store()
         self._promises = {}
         self._accept_buffer = {}
         self._deferred_commands = []
-        for index, entry in self.instances.items():
-            self._entry_entered(index, entry.command)
-        view = self._restore_membership()
-        if view is not None:
-            self._config_log = view
         self._reset_leader_timeout()

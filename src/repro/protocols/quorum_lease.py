@@ -235,24 +235,20 @@ class QuorumLease:
             self._commit_recheck_timer.arm(self.commit_recheck_interval,
                                            self._recheck_commit)
 
-    def _stop_leases(self) -> None:
-        self.leases.stop()
-        self._read_sweep_timer.cancel()
-        self._commit_recheck_timer.cancel()
-        self._pending_reads.clear()
-
     def _retire(self) -> None:
         super()._retire()
         # A retired replica must stop granting leases: a fresh grant
         # would re-enter other leaders' holder sets and let this fenced
         # replica keep serving LEASE_LOCAL reads.
-        self._stop_leases()
+        self.leases.stop()
+        self._read_sweep_timer.cancel()
+        self._commit_recheck_timer.cancel()
+        self._pending_reads.clear()
 
     def on_crash(self) -> None:
-        super().on_crash()
-        self._stop_leases()
+        super().on_crash()  # cancels every timer, the leases' own included
         self.leases.on_crash()
-        self._linger_timer.cancel()
+        self._pending_reads.clear()
         self._reported_holders.clear()
         self._awaited_own = None
         self._last_modified.clear()

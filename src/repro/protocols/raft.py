@@ -73,6 +73,8 @@ class RaftReplica(ReplicaBase):
     # (lease liveness, lease-holder sets) override this back to False.
     beacon_mergeable = True
 
+    _durable = ("log", "current_term", "voted_for", "_voters")
+
     def __init__(self, name, sim, network, config: ClusterConfig) -> None:
         super().__init__(name, sim, network, config)
         self.current_term = 0
@@ -80,7 +82,6 @@ class RaftReplica(ReplicaBase):
         self.log: List[Entry] = []
         self.commit_index = -1
         self.role = Role.FOLLOWER
-        self.leader_id: Optional[str] = None
 
         self._votes: set = set()
         # Leader-side per-peer replication state, one slotted record per
@@ -109,25 +110,16 @@ class RaftReplica(ReplicaBase):
         self.register_handler(AppendEntriesReply, self._on_append_reply)
         self.register_handler(CatchUpSnapshot, self._on_catch_up)
         self.register_handler(CatchUpReply, self._on_catch_up_reply)
-
-        if config.initial_leader is not None:
-            self._seed_initial_leader(config.initial_leader)
-        else:
-            self._reset_leader_timeout()
+        self._boot()
 
     # -- bootstrap ---------------------------------------------------------------
 
     def _seed_initial_leader(self, leader: str) -> None:
-        """Start the cluster with an agreed-upon term-1 leader so benchmarks
-        measure steady state rather than the first election."""
         self.current_term = 1
         self.voted_for = leader
-        self.leader_id = leader
         if self.name == leader:
             # Defer until every replica has registered with the network.
             self.sim.schedule(0, self._assume_leadership, True)
-        else:
-            self._reset_leader_timeout()
 
     # -- helpers --------------------------------------------------------------
 
@@ -142,17 +134,13 @@ class RaftReplica(ReplicaBase):
             return -2  # sentinel: no entry
         return self.log[index].term
 
-    def leader_hint(self) -> Optional[str]:
-        return self.leader_id
-
     @property
     def is_leader(self) -> bool:
         return self.role is Role.LEADER
 
-    def beacon_info(self):
-        if self.beacon_mergeable and self.role is Role.LEADER:
-            return (self.name, self.current_term)
-        return None
+    @property
+    def term(self) -> int:
+        return self.current_term
 
     def on_host_beacon(self, leader: str, term: int) -> None:
         # Conservative: only a beat for the current term resets the timer
@@ -422,18 +410,23 @@ class RaftReplica(ReplicaBase):
             leader_commit=commit,
         ))
 
+    def _heed(self, term: int, leader: str) -> bool:
+        """Follow `leader` at `term`, unless the term is stale (False)."""
+        if term < self.current_term:
+            return False
+        if term > self.current_term or self.role is not Role.FOLLOWER:
+            self._step_down(term, leader=leader)
+        self.leader_id = leader
+        self._reset_leader_timeout()
+        return True
+
     def _on_append_entries(self, src: str, msg: AppendEntries) -> None:
-        if msg.term < self.current_term:
+        if not self._heed(msg.term, msg.leader):
             self.send(src, AppendEntriesReply(
                 term=self.current_term, follower=self.name,
                 success=False, match_index=self.last_index,
             ))
             return
-        if msg.term > self.current_term or self.role is not Role.FOLLOWER:
-            self._step_down(msg.term, leader=msg.leader)
-        self.leader_id = msg.leader
-        self._reset_leader_timeout()
-
         success, match = self._try_append(msg)
         if success:
             self._advance_commit_follower(min(msg.leader_commit, match))
@@ -464,7 +457,7 @@ class RaftReplica(ReplicaBase):
     def _advance_commit_follower(self, new_commit: int) -> None:
         if new_commit > self.commit_index:
             self.commit_index = min(new_commit, self.last_index)
-            self._apply_committed()
+            self._apply_to(self.commit_index, self.log)
             self._frontier_advanced()
 
     def _on_append_reply(self, src: str, msg: AppendEntriesReply) -> None:
@@ -525,7 +518,7 @@ class RaftReplica(ReplicaBase):
         candidate = self._commit_gate(candidate)
         if candidate > self.commit_index:
             self.commit_index = candidate
-            self._apply_committed()
+            self._apply_to(candidate, self.log)
             self._frontier_advanced()
             self._schedule_flush()  # propagate the new commit index
 
@@ -602,24 +595,11 @@ class RaftReplica(ReplicaBase):
                 commit_index=self.commit_index, term=self.current_term))
 
     def _on_catch_up(self, src: str, msg: CatchUpSnapshot) -> None:
-        if msg.term < self.current_term:
-            return
-        if msg.term > self.current_term or self.role is not Role.FOLLOWER:
-            self._step_down(msg.term, leader=msg.sender)
-        self.leader_id = msg.sender
-        self._reset_leader_timeout()
-        if not self.log:
-            # Install is only ever wholesale into an EMPTY log (the fresh
-            # joiner); a lagging rejoiner keeps its log and lets ordinary
-            # append backtracking repair it.
-            self.log = list(msg.entries)
-            for index, entry in enumerate(self.log):
-                self._entry_entered(index, entry.command)
-            self._advance_commit_follower(
-                min(msg.commit_index, self.last_index))
-        self.send(src, CatchUpReply(
-            follower=self.name, last_index=self.last_index,
-            term=self.current_term))
+        if self._heed(msg.term, msg.sender):
+            super()._on_catch_up(src, msg)
+
+    def _installed(self, src: str, msg: CatchUpSnapshot) -> None:
+        self._advance_commit_follower(msg.commit_index)
 
     def _on_catch_up_reply(self, src: str, msg: CatchUpReply) -> None:
         if msg.term > self.current_term:
@@ -640,73 +620,9 @@ class RaftReplica(ReplicaBase):
         if self.role is Role.LEADER:
             self._step_down(self.current_term)
 
-    # -- apply --------------------------------------------------------------------
-
-    def _apply_committed(self) -> None:
-        commit = self.commit_index
-        applied = self.last_applied
-        if commit <= applied:
-            return
-        if self._fast_apply_eligible():
-            clients = self._clients
-            relays = self._relays
-            if not clients and not relays:
-                # Nobody is waiting on any completion: hand the store the
-                # whole contiguous batch instead of one `apply_entry`
-                # frame per entry.
-                self.store.apply_batch(self.log, applied + 1, commit + 1)
-                self.last_applied = commit
-                return
-            # Mixed case (the steady state: a leader with pending client
-            # requests, or a follower holding request records from before
-            # a redirect): entries someone waits on take the full
-            # `apply_entry` path — completion semantics are observable
-            # message flow — and everything else reduces to `store.apply`
-            # plus the `last_applied` bump.
-            log = self.log
-            store_apply = self.store.apply
-            while applied < commit:
-                applied += 1
-                entry = log[applied]
-                command = entry.command
-                rid = (command.client_id, command.seq)
-                if rid in clients or rid in relays:
-                    self.apply_entry(applied, entry)
-                else:
-                    store_apply(command)
-                    self.last_applied = applied
-            return
-        while self.last_applied < self.commit_index:
-            index = self.last_applied + 1
-            self.apply_entry(index, self.log[index])
-
     # -- lifecycle ------------------------------------------------------------------
 
-    def on_crash(self) -> None:
-        super().on_crash()
-        self._heartbeat_timer.cancel()
-        self._flush_timer.cancel()
-        # Persist durable state (term, vote, log) across the crash.
-        self.stable["term"] = self.current_term
-        self.stable["voted_for"] = self.voted_for
-        # The list, not each entry: no code assigns an entry field.
-        self.stable["log"] = list(self.log)
-        self._save_membership(self._voters)  # VoterView is frozen
-
-    def on_recover(self) -> None:
-        self.current_term = self.stable.get("term", 0)
-        self.voted_for = self.stable.get("voted_for")
-        self.log = list(self.stable.get("log", []))
+    def _restart(self) -> None:
         self.commit_index = -1
-        self.last_applied = -1
-        self.reset_store()
-        self.role = Role.FOLLOWER
-        self.leader_id = None
         self._votes = set()
-        self._batch_cache = None
-        for index, entry in enumerate(self.log):
-            self._entry_entered(index, entry.command)
-        view = self._restore_membership()
-        if view is not None:
-            self._voters = view
-        self._reset_leader_timeout()
+        self._step_down(self.current_term)

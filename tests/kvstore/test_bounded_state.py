@@ -43,7 +43,7 @@ def test_single_group_stores_keep_no_install_order(protocol):
     cluster.sim.run(until=sec(1.0))
     victim = next(iter(cluster.replicas.values()))
     victim.crash()
-    victim.recover()  # `reset_store`: a fresh store replays the log
+    victim.recover()  # a fresh store replays the log
     cluster.sim.run(until=sec(4.0))
     for replica in cluster.replicas.values():
         store = replica.store

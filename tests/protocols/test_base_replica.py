@@ -4,7 +4,10 @@ import pytest
 
 from repro.protocols import base
 from repro.protocols.base import ReplicaBase
+from repro.protocols.mencius import MenciusReplica
 from repro.protocols.messages import ClientReply, ForwardBatch, ReplyRelay
+from repro.protocols.multipaxos import MultiPaxosReplica
+from repro.protocols.raft import RaftReplica
 from repro.protocols.types import Command, Entry, OpType
 from repro.sim.units import ms
 
@@ -138,3 +141,52 @@ def test_nop_entries_do_not_reply(cluster_factory):
         op=OpType.NOP, client_id="x", seq=1)))
     cluster.run_ms(10)
     assert cluster.client.replies == []
+
+
+def _run_group(cluster_factory, replica_cls, observe):
+    """One seeded group: 40 puts spread over three replicas, so each
+    applies entries it answers for and entries nobody waits on.  Returns
+    each replica's (store digest, last_applied), the indexes an apply
+    hook saw (when `observe`), and the `apply_entry` calls made."""
+    cluster = cluster_factory(replica_cls, seed=5)
+    seen = {name: [] for name in cluster.replicas}
+    calls = {name: 0 for name in cluster.replicas}
+    for replica in cluster.values():
+        if observe:
+            replica.on_apply_hooks.append(
+                lambda server, index, command: seen[server].append(index))
+        original = replica.apply_entry
+
+        def counted(index, entry, name=replica.name, original=original):
+            calls[name] += 1
+            original(index, entry)
+
+        replica.apply_entry = counted
+    cluster.run_ms(5)
+    commands = []
+    for i in range(40):
+        commands.append(cluster.client.put(f"s{i % 3}", f"k{i % 7}", f"v{i}"))
+        cluster.run_ms(3)
+    cluster.run_ms(1000)
+    assert all(cluster.client.reply_for(command) for command in commands)
+    state = {replica.name: (replica.store.digest(), replica.last_applied)
+             for replica in cluster.values()}
+    return state, seen, calls
+
+
+@pytest.mark.parametrize("replica_cls",
+                         [RaftReplica, MultiPaxosReplica, MenciusReplica])
+def test_apply_fast_path_equals_per_entry_apply(cluster_factory, replica_cls):
+    """`_apply_to` hands an entry nobody waits on straight to the store
+    unless something observes the applies.  An apply hook forces every
+    entry through `apply_entry`: the stores must end the same either
+    way, and the hook sees each index once, in order."""
+    fast, _, fast_calls = _run_group(cluster_factory, replica_cls, False)
+    slow, seen, slow_calls = _run_group(cluster_factory, replica_cls, True)
+    assert fast == slow
+    for name, (_, last_applied) in slow.items():
+        assert seen[name] == list(range(last_applied + 1))
+        assert slow_calls[name] == last_applied + 1
+    # The unobserved run really took the fast path for some entries.
+    assert sum(fast_calls.values()) < sum(
+        last_applied + 1 for _, last_applied in fast.values())

@@ -172,7 +172,7 @@ def test_steady_state_keeps_no_ack_sets_or_ballot_zero_promises(cluster_factory)
     cluster.run_ms(600)
     assert all(cluster.client.reply_for(cmd).ok for cmd in cmds)
     for replica in cluster.values():
-        assert replica._exec_frontier >= 40
+        assert replica.last_applied >= 40
         assert replica._acks == {}
         assert replica.promised == {}
 
@@ -191,7 +191,7 @@ def _resolved_prefix(replica, upto):
 def _agree(replicas):
     """Every replica holds the same resolved prefix up to the lowest
     execution frontier, and the same store; returns that frontier."""
-    upto = min(r._exec_frontier for r in replicas)
+    upto = min(r.last_applied for r in replicas)
     prefixes = [_resolved_prefix(r, upto) for r in replicas]
     assert all(prefix == prefixes[0] for prefix in prefixes)
     assert len({r.store.digest() for r in replicas}) == 1
@@ -432,11 +432,11 @@ def test_recovered_replica_pulls_its_log_in_chained_batches(cluster_factory):
     cluster.run_ms(5)
     cluster["s4"].crash()
     cluster.run_ms(4000)
-    behind = min(r._exec_frontier for r in cluster.values() if r.alive)
+    behind = min(r.last_applied for r in cluster.values() if r.alive)
     assert behind > 2 * mencius.CATCHUP_BATCH
     cluster["s4"].recover()
     cluster.run_ms(1500)  # one stall detection, then the chained pulls
-    assert cluster["s4"]._exec_frontier >= behind
+    assert cluster["s4"].last_applied >= behind
 
 
 def test_recovering_replica_is_answered_once_per_window(cluster_factory):
@@ -448,7 +448,7 @@ def test_recovering_replica_is_answered_once_per_window(cluster_factory):
     cluster.run_ms(5)
     cluster["s4"].crash()
     cluster.run_ms(4000)
-    behind = min(r._exec_frontier for r in cluster.values() if r.alive)
+    behind = min(r.last_applied for r in cluster.values() if r.alive)
     assert behind > 2 * mencius.CATCHUP_BATCH
     windows = []
     for replica in cluster.values():
@@ -459,7 +459,7 @@ def test_recovering_replica_is_answered_once_per_window(cluster_factory):
         replica.send = send
     cluster["s4"].recover()
     cluster.run_ms(1500)
-    assert cluster["s4"]._exec_frontier >= behind
+    assert cluster["s4"].last_applied >= behind
     assert len(windows) > 2
     assert len(windows) == len(set(windows)), sorted(windows)
 

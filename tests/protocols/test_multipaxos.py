@@ -42,8 +42,8 @@ def test_instances_dense_under_single_leader(cluster_factory):
         cluster.client.put("s0", f"k{i}", f"v{i}")
     cluster.run_ms(300)
     leader = cluster["s0"]
-    assert leader.commit_index == leader.log_tail
-    assert set(leader.instances) == set(range(leader.log_tail + 1))
+    assert leader.commit_index == leader.last_index
+    assert set(leader.instances) == set(range(leader.last_index + 1))
 
 
 def test_failover_preserves_committed_values(cluster_factory):
@@ -83,7 +83,7 @@ def test_new_leader_fills_holes_with_nops(cluster_factory):
     cluster.run_ms(500)
     # the new leader's frontier is contiguous: every instance up to its
     # tail is chosen (values or no-ops)
-    assert new_leader.commit_index == new_leader.log_tail
+    assert new_leader.commit_index == new_leader.last_index
 
 
 def test_ballot_uniqueness_by_proposer():

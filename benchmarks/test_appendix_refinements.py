@@ -79,16 +79,17 @@ def test_figure5_coorraft_obligations(benchmark, save_figure):
     def check():
         machine = cr.build(cfg)
         to_b = check_refinement(machine, rs.build(cfg),
-                                cr.mapping_to_raftstar(cfg), max_states=5_000)
+                                cr.mapping_to_raftstar(cfg), max_states=10_000)
         to_ad = check_refinement(machine, cp.build(cfg),
                                  cr.mapping_to_coorpaxos(cfg),
-                                 max_states=2_000, max_high_steps=4)
+                                 max_states=10_000, max_high_steps=4)
         inv = Explorer(machine, invariants=cr.mencius_invariants(cfg),
-                       max_states=5_000).run()
+                       max_states=10_000).run()
         return to_b, to_ad, inv
 
     to_b, to_ad, inv = benchmark.pedantic(check, rounds=1, iterations=1)
     assert to_b.ok and to_ad.ok and inv.ok
+    assert to_b.complete and to_ad.complete and inv.complete
     save_figure("figure5_coorraft", "\n".join([
         to_b.summary(), to_ad.summary(),
         f"mencius invariants: ok over {inv.states_visited} states",

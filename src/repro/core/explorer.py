@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.machine import SpecMachine, Transition
 from repro.core.state import State
 
 Invariant = Callable[[State, Mapping], bool]
+Visit = Callable[[State, Iterable[Transition]], None]
 
 
 @dataclass
@@ -52,16 +53,21 @@ class Explorer:
 
     def __init__(self, machine: SpecMachine,
                  invariants: Optional[Dict[str, Invariant]] = None,
-                 max_states: int = 100_000,
-                 stop_at_first_violation: bool = True) -> None:
+                 max_states: int = 100_000) -> None:
         self.machine = machine
         self.invariants = invariants or {}
         self.max_states = max_states
-        self.stop_at_first_violation = stop_at_first_violation
         # parent pointers for trace reconstruction
         self._parent: Dict[State, Optional[Tuple[State, Transition]]] = {}
 
     def run(self) -> ExplorationResult:
+        return self._explore(None)
+
+    # The BFS.  `visit` (the refinement check's) sees each discovered
+    # state's transitions once, in discovery order: the states still on the
+    # frontier when `max_states` runs out too, though their successors are
+    # not discovered.
+    def _explore(self, visit: Optional[Visit]) -> ExplorationResult:
         machine = self.machine
         result = ExplorationResult(
             machine=machine.name, states_visited=0, transitions_explored=0, complete=False,
@@ -79,7 +85,11 @@ class Explorer:
 
         while frontier:
             state = frontier.popleft()
-            for transition in machine.transitions_from(state):
+            transitions = machine.transitions_from(state)
+            if visit is not None:
+                transitions = list(transitions)
+                visit(state, transitions)
+            for transition in transitions:
                 result.transitions_explored += 1
                 nxt = transition.next_state
                 if nxt in self._parent:
@@ -90,15 +100,18 @@ class Explorer:
                 result.states_visited += 1
                 if not self._check(nxt, result):
                     return result
-                if result.states_visited >= self.max_states:
-                    return result  # bounded: frontier not exhausted
                 frontier.append(nxt)
+                if result.states_visited >= self.max_states:
+                    if visit is not None:
+                        for left in frontier:
+                            visit(left, machine.transitions_from(left))
+                    return result  # bounded: frontier not exhausted
 
         result.complete = True
         return result
 
     def _check(self, state: State, result: ExplorationResult) -> bool:
-        """Returns False when exploration should stop."""
+        """Returns False, to stop exploring, at the first violation."""
         for name, predicate in self.invariants.items():
             try:
                 holds = predicate(state, self.machine.constants)
@@ -109,8 +122,7 @@ class Explorer:
                 result.violations.append(InvariantViolation(
                     invariant=name, state=state, trace=self.trace_to(state),
                 ))
-                if self.stop_at_first_violation:
-                    return False
+                return False
         return True
 
     def trace_to(self, state: State) -> List[Transition]:

@@ -14,9 +14,8 @@ steps.  k=1 is strict refinement.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.core.explorer import Explorer
 from repro.core.machine import SpecMachine, Transition
@@ -107,38 +106,36 @@ def check_refinement(
                 return result
 
     explorer = Explorer(low, max_states=max_states)
-    exploration = explorer.run()
-    result.complete = exploration.complete
+    # Each distinct high state's successors, in order (a dict as an ordered
+    # set): the high side expands a state at most once per check.
+    high_next: Dict[State, Dict[State, None]] = {}
 
-    # Memoized bounded reachability query in the high machine.
-    step_cache: Dict[Tuple[State, State], bool] = {}
-
+    # Whether f(s') is within `max_high_steps` high steps of f(s): a layer
+    # search over `high_next`.
     def high_reaches(src: State, dst: State) -> bool:
-        key = (src, dst)
-        if key in step_cache:
-            return step_cache[key]
         seen = {src}
-        frontier = deque([(src, 0)])
-        found = False
-        while frontier:
-            cursor, hops = frontier.popleft()
-            if hops >= max_high_steps:
-                continue
-            for nxt in high.successors(cursor):
-                if nxt == dst:
-                    found = True
-                    frontier.clear()
-                    break
-                if nxt not in seen and hops + 1 < max_high_steps:
-                    seen.add(nxt)
-                    frontier.append((nxt, hops + 1))
-        step_cache[key] = found
-        return found
+        layer = [src]
+        for _ in range(max_high_steps):
+            reached = []
+            for cursor in layer:
+                nexts = high_next.get(cursor)
+                if nexts is None:
+                    nexts = high_next[cursor] = dict.fromkeys(high.successors(cursor))
+                if dst in nexts:
+                    return True
+                reached += [nxt for nxt in nexts if nxt not in seen]
+                seen.update(nexts)
+            layer = reached
+        return False
 
-    for state in explorer.reachable_states():
+    def check(state: State, transitions: Iterable[Transition]) -> None:
+        """The explorer's visitor.  Past `max_failures` it checks nothing,
+        but exploration goes on, so `complete` keeps its meaning."""
+        if len(result.failures) >= max_failures:
+            return
         result.states_checked += 1
         mapped = mapping(state)
-        for transition in low.transitions_from(state):
+        for transition in transitions:
             result.transitions_checked += 1
             mapped_next = mapping(transition.next_state)
             if mapped_next == mapped:
@@ -152,15 +149,13 @@ def check_refinement(
                     transition.action, set()).update(names or ("(step)",))
                 continue
             result.failures.append(RefinementFailure(
-                transition=transition,
-                mapped_from=mapped,
-                mapped_to=mapped_next,
-                reason=f"f(s') not reachable from f(s) in <= {max_high_steps} "
-                       f"high step(s)",
-                trace=explorer.trace_to(state),
-            ))
+                transition=transition, mapped_from=mapped, mapped_to=mapped_next,
+                reason=f"f(s') not reachable from f(s) in <= {max_high_steps} high step(s)",
+                trace=explorer.trace_to(state)))
             if len(result.failures) >= max_failures:
-                return result
+                return
+
+    result.complete = explorer._explore(check).complete
     return result
 
 

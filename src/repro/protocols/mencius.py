@@ -525,6 +525,12 @@ class MenciusReplica(ReplicaBase):
         self._recovering = {}
         self._skip_timer.arm(self.config.skip_interval, self._on_skip_tick)
         self._suspect_timer.arm(REVOKE_TIMEOUT, self._on_suspect_tick)
+        # Behind by whatever it missed: pull at once from the most advanced
+        # peer; the stall clock asks every peer a tick later if still stuck.
+        self._stall = (self.last_applied + 1, self.sim.now, True)
+        if self.peers:
+            self.send(max(self.peers, key=lambda peer: self.frontier.get(peer, 0)),
+                      MenciusCatchup(start=self.last_applied + 1))
 
 
 class RaftStarMenciusReplica(MenciusReplica):

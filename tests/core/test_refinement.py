@@ -1,5 +1,7 @@
 """Refinement checking on purpose-built tiny machines."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.action import Action, Clause
@@ -10,6 +12,7 @@ from repro.core.refinement import (
     projection_mapping,
 )
 from repro.core.state import State
+from repro.specs import multipaxos as mp, raftstar as rs
 
 
 def counter(name, limit, step):
@@ -93,3 +96,34 @@ def test_max_failures_caps_reporting():
     high = counter("high", 10, 2)
     result = check_refinement(low, high, IDENTITY, max_failures=2)
     assert len(result.failures) == 2
+    assert result.complete  # checking stopped, exploration did not
+
+
+def test_bounded_check_covers_the_states_found_at_the_bound():
+    """The state discovered as `max_states` runs out is checked too."""
+    m = counter("m", 10, 1)
+    result = check_refinement(m, m, IDENTITY, max_states=4)
+    assert not result.complete
+    assert (result.states_checked, result.transitions_checked) == (4, 4)
+
+
+def test_each_state_is_expanded_once_per_check(monkeypatch):
+    """The check rides the explorer's one BFS: each low state is expanded
+    once, and each distinct high state at most once, however many low
+    steps map onto it (Appendix C's config)."""
+    cfg = mp.default_config(n=3, values=("a", "b"), max_ballot=2, max_index=0)
+    low, high = rs.build(cfg), mp.build(cfg)
+    expansions = {low.name: Counter(), high.name: Counter()}
+    transitions_from = SpecMachine.transitions_from
+
+    def counted(machine, state):
+        expansions[machine.name][state] += 1
+        return transitions_from(machine, state)
+
+    monkeypatch.setattr(SpecMachine, "transitions_from", counted)
+    result = check_refinement(low, high, rs.raftstar_to_multipaxos(cfg),
+                              max_states=30_000, max_high_steps=3)
+    assert result.ok and result.complete
+    assert result.states_checked == 2273
+    assert sum(expansions[low.name].values()) == result.states_checked
+    assert set(expansions[high.name].values()) == {1}

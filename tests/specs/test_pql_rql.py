@@ -85,15 +85,6 @@ def test_rql_refines_raftstar():
     assert result.ok
 
 
-def test_rql_refines_pql():
-    cfg = tiny()
-    result = check_refinement(
-        rql.build(cfg), pql.build(cfg), rql.mapping_to_pql(cfg),
-        max_states=1_500, max_high_steps=4,
-    )
-    assert result.ok
-
-
 def test_rql_inherits_lease_invariants():
     cfg = tiny()
     result = Explorer(rql.build(cfg),

@@ -27,7 +27,6 @@ from repro.bench.live import (
 )
 from repro.bench.report import FigureTable, render_timelines
 from repro.obs import PHASE_LABELS, tail_budget
-from repro.protocols.types import Consistency
 from repro.membership import DEFAULT_ALPHA
 from repro.shard.cluster import (
     ShardedCluster,
@@ -287,15 +286,14 @@ def mencius_pipeline(scale: float = 1.0, seed: int = 1,
 #: deep enough that the fleet, not the window, is never the limit.
 OPEN_LOOP_DEPTH = 8
 
-PIPELINE_SYSTEMS: Tuple[Tuple[str, str, Consistency], ...] = (
-    ("Raft", "raft", Consistency.DEFAULT),
-    ("MultiPaxos", "multipaxos", Consistency.DEFAULT),
-    ("Raft*-PQL (lease reads)", "raftstar-pql", Consistency.LEASE_LOCAL),
+PIPELINE_SYSTEMS: Tuple[Tuple[str, str], ...] = (
+    ("Raft", "raft"),
+    ("MultiPaxos", "multipaxos"),
+    ("Raft*-PQL (lease reads)", "raftstar-pql"),
 )
 
 
 def pipeline_spec(scale: float, seed: int, protocol: str, depth: int,
-                  read_consistency: Consistency = Consistency.DEFAULT,
                   offered_load: Optional[float] = None,
                   clients_per_region: int = 3) -> ExperimentSpec:
     """One pipelined trial on the tight-majority 3-site deployment
@@ -312,7 +310,6 @@ def pipeline_spec(scale: float, seed: int, protocol: str, depth: int,
         full_check=True,
         pipeline_depth=depth,
         offered_load=offered_load,
-        read_consistency=read_consistency,
     )
 
 
@@ -353,15 +350,14 @@ def pipeline_depth_sweep(scale: float = 1.0, seed: int = 1,
         "Closed-loop throughput (ops/s) vs session pipeline depth, "
         "3 sites, equal client count, 50% reads",
         PIPELINE_SYSTEMS, depths,
-        lambda protocol, consistency, depth: pipeline_spec(
-            scale, seed, protocol, depth, read_consistency=consistency))
+        lambda protocol, depth: pipeline_spec(scale, seed, protocol, depth))
     table.notes.append("equal client fleet on every cell — only the "
                        "per-session window differs; depth 1 is the "
                        "pre-session closed-loop client")
     table.notes.append("'linearizable' = full HistoryChecker (prefix "
                        "agreement + per-key real-time linearizability of "
                        "every client-observed read and write); the PQL "
-                       "row serves LEASE_LOCAL reads from leases while "
+                       "row serves its reads from leases while "
                        "pipelined")
     return table
 

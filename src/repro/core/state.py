@@ -8,7 +8,8 @@ reachable set and the refinement checker compare mapped states.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Tuple
+from collections.abc import Mapping
+from typing import Any, Dict, Iterator, Tuple
 
 
 def show(value: Any) -> str:

@@ -377,7 +377,7 @@ class ReplicaBase(Node):
         if self.retired:
             # Stale-voter fencing for the lease-read path: a removed
             # replica may still hold an unexpired lease from before the
-            # final config committed — answering LEASE_LOCAL reads from it
+            # final config committed — answering lease reads from it
             # would serve state the new voter set no longer guards.
             self.complete(command, ok=False, value=None)
             return

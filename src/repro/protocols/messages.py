@@ -31,10 +31,6 @@ from repro.sim.node import payload_command_count, payload_size_bytes
 
 HEADER_BYTES = 48
 
-#: Wire cost of referencing an entry already carried elsewhere in the same
-#: envelope (see `HostEnvelope`): a (group, index) back-reference.
-DEDUP_REF_BYTES = 8
-
 #: The ack payload of a replica that grants no leases (every protocol but
 #: the PQL bindings): one shared empty set, never a per-message allocation.
 NO_HOLDERS: FrozenSet[str] = frozenset()
@@ -258,10 +254,6 @@ class AppendEntries(SizedMessage):
         # Replicated entry processing is cheap relative to client handling.
         return 0.25 * len(self.entries)
 
-    def entry_batch(self) -> Iterable[Entry]:
-        """Entries eligible for cross-group envelope dedup."""
-        return self.entries
-
     @property
     def last_index(self) -> int:
         return self.prev_index + len(self.entries)
@@ -309,10 +301,6 @@ class Promise(SizedMessage):
 
     def _payload_bytes(self) -> int:
         return _entries_size(self.instances.values())
-
-    def entry_batch(self) -> Iterable[Entry]:
-        """Entries eligible for cross-group envelope dedup."""
-        return self.instances.values()
 
 
 @dataclass(slots=True)
@@ -468,10 +456,6 @@ class CatchUpSnapshot(SizedMessage):
         # append batch.
         return 0.25 * len(self.entries)
 
-    def entry_batch(self) -> Iterable[Entry]:
-        """Entries eligible for cross-group envelope dedup."""
-        return self.entries
-
 
 @dataclass(slots=True)
 class CatchUpReply:
@@ -534,10 +518,6 @@ class MenciusAppend(SizedMessage):
     def command_count(self) -> float:
         return 0.25 * len(self.items)
 
-    def entry_batch(self) -> Iterable[Entry]:
-        """Entries eligible for cross-group envelope dedup."""
-        return self.items.values()
-
 
 @dataclass(slots=True)
 class MenciusAck:
@@ -578,10 +558,6 @@ class MenciusState(SizedMessage):
     def command_count(self) -> float:
         return 0.25 * len(self.items)
 
-    def entry_batch(self) -> Iterable[Entry]:
-        """Entries eligible for cross-group envelope dedup."""
-        return [entry for entry, _ in self.items.values()]
-
 
 @dataclass(slots=True)
 class MenciusPrepare:
@@ -608,10 +584,6 @@ class MenciusPromise(SizedMessage):
     def _payload_bytes(self) -> int:
         return _entries_size(self.accepted.values())
 
-    def entry_batch(self) -> Iterable[Entry]:
-        """Entries eligible for cross-group envelope dedup."""
-        return self.accepted.values()
-
 
 # --------------------------------------------------------------------------
 # Host-multiplexed transport (repro.protocols.mux)
@@ -631,20 +603,6 @@ class MuxedMessage(NamedTuple):
     payload: Any
 
 
-# Per-type cache: whether a payload class exposes `entry_batch()` (entries
-# eligible for cross-group dedup inside one envelope).
-_HAS_BATCH: Dict[type, bool] = {}
-
-
-def _payload_entry_batch(payload: Any) -> Optional[Iterable[Entry]]:
-    tp = type(payload)
-    has = _HAS_BATCH.get(tp)
-    if has is None:
-        has = callable(getattr(payload, "entry_batch", None))
-        _HAS_BATCH[tp] = has
-    return payload.entry_batch() if has else None
-
-
 @dataclass(slots=True)
 class HostBeacon:
     """The merged keepalive of every colocated leader on one host.
@@ -662,7 +620,7 @@ class HostBeacon:
 
 
 @dataclass(slots=True)
-class HostEnvelope:
+class HostEnvelope(SizedMessage):
     """Everything one host sends another in one coalescing flush tick.
 
     The cost is the sum of the inner payloads plus ONE envelope header:
@@ -675,79 +633,18 @@ class HostEnvelope:
     messages without their own `size_bytes` / `command_count` contribute
     the cost model's fallbacks (64 B, 0 commands) rather than silently
     vanishing from the bill.
-
-    The one wire saving batching DOES earn: an entry that appears more
-    than once in the same envelope (the same Command object at the same
-    term/ballot, e.g. two followers of one group on one host, or groups
-    replicating a shared migration record) is carried once; later
-    occurrences cost a `DEDUP_REF_BYTES` back-reference.  One `seen` set
-    spans ALL items regardless of originating group or payload kind:
-    append streams (`AppendEntries`, `MenciusAppend`) and recovery /
-    catch-up payloads (`Promise`, `MenciusState`, `MenciusPromise`) all
-    participate via `entry_batch()`, so a shared record travels once even
-    when a steady-state stream and a catch-up reply from different groups
-    carry it in the same flush.  The key is strict (object identity AND
-    term AND ballot): equal *content* in distinct objects is not a safe
-    dedup (independent client commands may collide), and the same command
-    re-framed at a different ballot is a different wire payload.  The
-    per-flush saving is surfaced as `payload_dedup_bytes()` and
-    accumulated by the mux into the `coalesce_payload_dedup_bytes`
-    counter.
     """
 
     src_host: str
     dst_host: str
     items: Tuple[MuxedMessage, ...] = ()
     beacon: Optional[HostBeacon] = None
-    _size: int = _memo()
-    _dedup: int = _memo()
 
-    def _compute(self) -> None:
-        inner = 0
-        total = 0
-        batches = None
-        for item in self.items:
-            payload = item.payload
-            inner += payload_size_bytes(payload)
-            batch = _payload_entry_batch(payload)
-            if batch is None or not batch:
-                continue
-            total += len(batch)
-            if batches is None:
-                batches = [batch]
-            else:
-                batches.append(batch)
-        saved = 0
-        if total > 1:
-            # Two or more entries across the whole envelope: only then can
-            # a key repeat.  (Single-entry flushes — the common idle-ish
-            # tick — skip the key walk entirely.)
-            seen = set()
-            add = seen.add
-            for batch in batches:
-                for entry in batch:
-                    key = (id(entry.command), entry.term, entry.ballot)
-                    if key in seen:
-                        # Identical entry (same command, same framing): one
-                        # back-reference replaces the whole entry.
-                        saved += max(0, entry.wire_size() - DEDUP_REF_BYTES)
-                    else:
-                        add(key)
+    def _payload_bytes(self) -> int:
+        inner = sum(payload_size_bytes(m.payload) for m in self.items)
         if self.beacon is not None:
             inner += self.beacon.size_bytes()
-        self._dedup = saved
-        self._size = HEADER_BYTES + inner - saved
-
-    def size_bytes(self) -> int:
-        if self._size < 0:
-            self._compute()
-        return self._size
-
-    def payload_dedup_bytes(self) -> int:
-        """Wire bytes saved by entry dedup across this envelope's items."""
-        if self._dedup < 0:
-            self._compute()
-        return self._dedup
+        return inner
 
     def command_count(self) -> float:
         return sum(payload_command_count(m.payload) for m in self.items)

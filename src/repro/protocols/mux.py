@@ -62,9 +62,6 @@ class MuxDirectory:
         self.replica_to_mux: Dict[str, str] = {}
         self.group_of: Dict[str, int] = {}
 
-    def covers(self, name: str) -> bool:
-        return name in self.replica_to_mux
-
 
 class GroupMux(Node):
     """The shared transport of one host: many group replicas, one NIC,
@@ -113,10 +110,6 @@ class GroupMux(Node):
         self.directory.group_of[replica.name] = group
         self._routes.clear()
         replica.mux = self
-
-    def covers(self, dst: str) -> bool:
-        """Whether sends to `dst` should go through the mux layer."""
-        return self.directory.covers(dst)
 
     # -- outbound ------------------------------------------------------------
 
@@ -175,9 +168,6 @@ class GroupMux(Node):
                                     items, beacons.get(dst_mux))
             self._count("coalesce_envelopes")
             self._count("coalesce_messages", len(items))
-            saved = envelope.payload_dedup_bytes()
-            if saved:
-                self._count("coalesce_payload_dedup_bytes", saved)
             if envelope.beacon is not None:
                 self._count("coalesce_beacons")
                 self._count("coalesce_beacon_beats", len(envelope.beacon.beats))

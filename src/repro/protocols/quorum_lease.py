@@ -239,7 +239,7 @@ class QuorumLease:
         super()._retire()
         # A retired replica must stop granting leases: a fresh grant
         # would re-enter other leaders' holder sets and let this fenced
-        # replica keep serving LEASE_LOCAL reads.
+        # replica keep serving lease reads.
         self.leases.stop()
         self._read_sweep_timer.cancel()
         self._commit_recheck_timer.cancel()

@@ -57,15 +57,10 @@ class Consistency(enum.Enum):
                     is exactly the pre-session behaviour.
     LINEARIZABLE  — force the operation through the committed log even on
                     a protocol that could serve it from a lease.
-    LEASE_LOCAL   — ask for the lease-read path explicitly; on protocols
-                    without lease machinery (Raft, MultiPaxos, Mencius)
-                    this degrades to the log path, which is still
-                    linearizable — just slower.
     """
 
     DEFAULT = "default"
     LINEARIZABLE = "linearizable"
-    LEASE_LOCAL = "lease_local"
 
 
 @dataclass(frozen=True, slots=True)

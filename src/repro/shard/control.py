@@ -242,11 +242,6 @@ class ReplicatedCoordinator(Node):
         # failover latency is takeover time minus kill time).
         self.failovers = 0
         self.takeovers: List[Tuple[int, str]] = []
-        # Planned handoffs: ownership transfers this coordinator received
-        # via a committed handoff claim (no lease expiry involved).
-        self.handoffs = 0
-        self._handoff_to: Optional[str] = None
-        self._handoff_inflight = False
         self._lease_inflight = False
         self._lease_timer = self.timer("ctl-lease")
         self._arm_lease()
@@ -327,7 +322,6 @@ class ReplicatedCoordinator(Node):
 
     def _lease_tick(self) -> None:
         self.on_lease_tick()
-        self._maybe_handoff()
         self._arm_lease()
 
     def on_lease_tick(self) -> None:
@@ -359,46 +353,6 @@ class ReplicatedCoordinator(Node):
         if self.metrics is not None:
             self.metrics.incr("coordinator_failovers")
 
-    # -- planned handoff -----------------------------------------------------
-
-    def handoff(self, to: str) -> None:
-        """Planned ownership transfer: once in-flight work is drained
-        (`_handoff_ready`), journal a claim naming `to` at the successor
-        epoch, stamped as a handoff.  The receiver starts driving the
-        moment the claim commits — no lease has to expire first, which is
-        why a planned handoff's gap is bounded by a control-log commit
-        (milliseconds) instead of `LEASE_EXPIRY`."""
-        self._handoff_to = to
-        self._maybe_handoff()
-
-    def _handoff_ready(self) -> bool:
-        """Override: whether this coordinator's in-flight work is drained
-        enough to transfer ownership."""
-        return True
-
-    def _maybe_handoff(self) -> None:
-        if self._handoff_to is None:
-            return
-        if self.view.owner == self._handoff_to:
-            self._handoff_to = None  # transfer committed
-            return
-        if (self._handoff_inflight or not self.alive
-                or self.view.owner != self.name
-                or not self._handoff_ready()):
-            return
-        self._handoff_inflight = True
-
-        def landed() -> None:
-            self._handoff_inflight = False
-        self.journal({"k": "claim", "e": self.view.owner_epoch + 1,
-                      "o": self._handoff_to, "h": 1}, on_ok=landed)
-
-    def record_handoff(self, role: str) -> None:
-        self.handoffs += 1
-        self.takeovers.append((self.sim.now, f"handoff:{role}"))
-        if self.metrics is not None:
-            self.metrics.incr("coordinator_handoffs")
-
     # -- control-record dispatch ---------------------------------------------
 
     def _dispatch_control_record(self, record: Dict) -> None:
@@ -419,7 +373,6 @@ class ReplicatedCoordinator(Node):
         # not: a re-journaled transition gets a fresh slot).
         self._journal_pending.clear()
         self._lease_inflight = False
-        self._handoff_inflight = False
 
     def on_recover(self) -> None:
         self._arm_lease()

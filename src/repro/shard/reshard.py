@@ -163,10 +163,6 @@ class ReshardControlPlane:
     def failovers(self) -> int:
         return sum(c.failovers for c in self.coordinators)
 
-    @property
-    def handoffs(self) -> int:
-        return sum(c.handoffs for c in self.coordinators)
-
     def finish(self, now: int) -> None:
         if self.completed_at is not None:
             return
@@ -254,23 +250,13 @@ class ReshardCoordinator(ReplicatedCoordinator):
                 if record["e"] not in won:
                     won.add(record["e"])
                     if record["e"] > 1:
-                        if record.get("h"):
-                            # A planned transfer, not a lease expiry.
-                            self.record_handoff("reshard-owner")
-                        else:
-                            self.record_failover("reshard-owner")
+                        self.record_failover("reshard-owner")
                 self._drive()
 
     def _learn_step(self, step: int) -> None:
         if step > self._step:
             self._step = step
             self.stable["step"] = step
-
-    def _handoff_ready(self) -> bool:
-        # Drain before transferring: the committed cursor then names the
-        # exact step the receiver enters through, so the transfer never
-        # races an in-flight export/import reply.
-        return self._step_retry.request is None
 
     # -- driving the plan ----------------------------------------------------
 
@@ -281,11 +267,7 @@ class ReshardCoordinator(ReplicatedCoordinator):
 
     def _drive(self) -> None:
         if (not self.alive or not self.is_owner
-                or self._step_retry.request is not None or self.plane.done
-                or self._handoff_to is not None):
-            # A requested handoff stops new steps: the cursor drains, the
-            # next lease tick journals the transfer claim, the receiver
-            # resumes at the committed step.
+                or self._step_retry.request is not None or self.plane.done):
             return
         if self._step >= 2 * len(self.moves):
             self.plane.finish(self.sim.now)

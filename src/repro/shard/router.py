@@ -331,7 +331,6 @@ class ShardRoutedClient(ClosedLoopClient):
             self._coordinator_idx = ((self._coordinator_idx + 1)
                                      % len(self._coordinator_ring))
             self.coordinator = self._coordinator_ring[self._coordinator_idx]
-            self.metrics.incr("coordinator_rotations")
         if self.obs is not None:
             self.obs_phase(self._txn_trace(pending.request.txn_seq), "send")
         self.send(self.coordinator, pending.request)

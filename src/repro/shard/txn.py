@@ -400,7 +400,6 @@ class TxnCoordinator(ReplicatedCoordinator):
 
     def _abort_attempt(self, state: _TxnState) -> None:
         self.attempt_aborts += 1
-        self.metrics.incr("txn_attempt_aborts")
         state.phase = "abort"
         self._phase2(state, commit=False)
 
@@ -474,7 +473,6 @@ class TxnCoordinator(ReplicatedCoordinator):
             self._cache_reply(state.txn_id, reply)
             if committed:
                 self.commits += 1
-                self.metrics.incr("txn_commits")
                 # Mirror the commit into the control journal so the hot
                 # standbys cache the reply too — a client that rotates to
                 # one after we die is answered from cache, not re-executed.
@@ -590,7 +588,6 @@ class TxnCoordinator(ReplicatedCoordinator):
     def on_recover(self) -> None:
         super().on_recover()
         self.recoveries += 1
-        self.metrics.incr("txn_recoveries")
         self._recovering = True
         self._tick_timer.arm(self.RETRY, self._tick)
         self._refence()

@@ -5,8 +5,7 @@ derivation, per-site iteration) plus the fleet-wide session knobs:
 
 * `per_region` clients per site, named ``c_<site>_<i>`` with rng stream
   ``client:<name>`` (unchanged, so seeds reproduce);
-* pipeline `depth`, `RetryPolicy`, and default read `Consistency` for
-  every session in the fleet;
+* pipeline `depth` and `RetryPolicy` for every session in the fleet;
 * `offered_load` — when set, the fleet is **open-loop**: each client
   submits on a Poisson clock at ``offered_load / fleet_size`` ops/s
   instead of on completion.
@@ -28,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.protocols.types import Consistency
 from repro.sim.topology import Topology
 from repro.sim.units import sec
 from repro.workload.session import RetryPolicy
@@ -42,15 +40,13 @@ class ClientPlan:
     per_region: int = 10
     depth: int = 1
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    read_consistency: Consistency = Consistency.DEFAULT
     # Aggregate open-loop arrival rate (ops/s) across the whole fleet;
     # None = closed loop.
     offered_load: Optional[float] = None
 
     def session_kwargs(self) -> Dict:
         """The per-session constructor knobs this plan fixes fleet-wide."""
-        return {"depth": self.depth, "retry": self.retry,
-                "read_consistency": self.read_consistency}
+        return {"depth": self.depth, "retry": self.retry}
 
     def fleet_size(self, sites) -> int:
         return self.per_region * len(sites)
@@ -97,8 +93,6 @@ class FleetSpec:
     offered_load: Optional[float] = None
     # Per-spec retry/backoff schedule for every client session.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    # Default consistency level for the fleet's reads.
-    read_consistency: Consistency = Consistency.DEFAULT
     # Observability (repro.obs): collect request-lifecycle spans, queue
     # gauges, and a sim profile for this run.  Off by default — when off,
     # the only cost is one branch per instrumented point.
@@ -112,7 +106,6 @@ class FleetSpec:
             per_region=self.clients_per_region,
             depth=self.pipeline_depth,
             retry=self.retry,
-            read_consistency=self.read_consistency,
             offered_load=self.offered_load,
         )
 

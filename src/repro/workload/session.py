@@ -15,9 +15,9 @@ thin policy over.  It owns:
   acknowledged.  Each outgoing command is stamped with it
   (`Command.acked_low_water`), which is what lets the server's windowed
   dedup (`kvstore.store.DedupSession`) evict safely;
-* per-operation **consistency levels** (`Consistency`): DEFAULT keeps
-  today's behaviour, LINEARIZABLE forces the log, LEASE_LOCAL rides the
-  lease-read paths where the protocol has them;
+* per-operation **consistency levels** (`Consistency`): DEFAULT lets the
+  protocol serve a read from its lease where it has one, LINEARIZABLE
+  forces the log;
 * a **submit queue** for operations arriving while the window is full
   (open-loop drivers submit on their own clock; latency is measured from
   submission, so queueing delay — the knee of the latency-vs-offered-load
@@ -220,7 +220,6 @@ class Session(Node):
                  workload, sites, rng, metrics: MetricsRecorder,
                  stop_at: Optional[int] = None, depth: int = 1,
                  retry: Optional[RetryPolicy] = None,
-                 read_consistency: Consistency = Consistency.DEFAULT,
                  host: Optional[Host] = None) -> None:
         # Clients are not the measured resource: make their CPU free so the
         # servers are the only bottleneck.
@@ -235,7 +234,6 @@ class Session(Node):
         self.stop_at = stop_at
         self.depth = max(1, depth)
         self.retry = retry if retry is not None else RetryPolicy()
-        self.read_consistency = read_consistency
 
         # The workload's value size never changes mid-run: resolve the
         # per-op default once instead of a getattr per admission.
@@ -291,9 +289,9 @@ class Session(Node):
 
     # -- the session API -----------------------------------------------------
 
-    def get(self, key: str, consistency: Optional[Consistency] = None,
+    def get(self, key: str, consistency: Consistency = Consistency.DEFAULT,
             value_size: Optional[int] = None, on_done=None) -> None:
-        """Read `key` at the given consistency (session default if None)."""
+        """Read `key` at the given consistency."""
         self.submit("get", key, None, consistency=consistency,
                     value_size=value_size, on_done=on_done)
 
@@ -319,13 +317,10 @@ class Session(Node):
             "this session")
 
     def submit(self, kind: str, key: str, value: Optional[str],
-               consistency: Optional[Consistency] = None,
+               consistency: Consistency = Consistency.DEFAULT,
                value_size: Optional[int] = None, on_done=None) -> None:
         """Enqueue one operation; it enters the window as soon as a slot is
         free.  Latency counts from *now* (queueing delay included)."""
-        if consistency is None:
-            consistency = (self.read_consistency if kind == "get"
-                           else Consistency.DEFAULT)
         self.submitted += 1
         trace = None
         if self.obs is not None:

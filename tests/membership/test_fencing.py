@@ -1,9 +1,9 @@
-"""Stale-voter fencing: the LEASE_LOCAL regression.
+"""Stale-voter fencing: the lease-read regression.
 
 The dangerous window for lease protocols: the final config commits and
 the removed replica retires, but it still holds lease grants acked
 *before* the change — valid for up to one lease duration.  Unfenced, it
-would answer LEASE_LOCAL reads from state the new voter set no longer
+would answer lease reads from state the new voter set no longer
 guards.  These tests pin the fence on both client-facing paths (the
 request handler and the lease-read path) while the lease is provably
 still valid, plus the grant-side decay that closes the window for good:
@@ -56,10 +56,10 @@ def test_removed_replica_rejects_lease_reads(make_group, cls, kind):
 
     served_before = s2.local_reads_served
     read = group.client.get("s2", "fenced-key",
-                            consistency=Consistency.LEASE_LOCAL)
+                            consistency=Consistency.DEFAULT)
     group.run_for(200)
     reply = group.client.replies[read.request_id]
-    assert not reply.ok, "retired replica served a LEASE_LOCAL read"
+    assert not reply.ok, "retired replica served a lease read"
     assert reply.value is None
     assert s2.local_reads_served == served_before
 
@@ -88,7 +88,7 @@ def test_surviving_replica_still_serves_lease_reads(make_group, cls, kind):
     s1 = group.replicas["s1"]
     served_before = s1.local_reads_served
     read = group.client.get("s1", "fenced-key",
-                            consistency=Consistency.LEASE_LOCAL)
+                            consistency=Consistency.DEFAULT)
     group.run_for(300)
     reply = group.client.replies[read.request_id]
     assert reply.ok

@@ -1,15 +1,16 @@
 """Per-operation consistency levels against the lease-read protocols:
-DEFAULT/LEASE_LOCAL ride the lease paths, LINEARIZABLE forces the log."""
+DEFAULT rides the lease paths, LINEARIZABLE forces the log."""
 
 import pytest
 
 from repro.bench.harness import Cluster, ExperimentSpec
 from repro.protocols.types import Consistency
 from repro.sim.topology import uniform_topology
+from repro.workload.clients import ClosedLoopClient
 from repro.workload.ycsb import WorkloadConfig
 
 
-def run(protocol, consistency, depth=2):
+def run(protocol, depth=2):
     spec = ExperimentSpec(
         protocol=protocol,
         leader_site="s0",
@@ -21,32 +22,26 @@ def run(protocol, consistency, depth=2):
         seed=2,
         check_history=True, full_check=True,
         pipeline_depth=depth,
-        read_consistency=consistency,
     )
     return Cluster(spec).run()
 
 
 @pytest.mark.parametrize("protocol", ["leaderlease", "raftstar-pql"])
 def test_default_consistency_serves_lease_reads(protocol):
-    result = run(protocol, Consistency.DEFAULT)
+    result = run(protocol)
     assert result.local_read_fraction > 0.5
     assert not result.violations
 
 
 @pytest.mark.parametrize("protocol", ["leaderlease", "raftstar-pql"])
-def test_linearizable_forces_every_read_through_the_log(protocol):
-    result = run(protocol, Consistency.LINEARIZABLE)
+def test_linearizable_forces_every_read_through_the_log(protocol,
+                                                        monkeypatch):
+    # Every client asks for LINEARIZABLE on each operation it issues.
+    def issue_linearizable(client):
+        op, key, value = client._pick_op()
+        client.submit(op, key, value, consistency=Consistency.LINEARIZABLE)
+
+    monkeypatch.setattr(ClosedLoopClient, "_issue_one", issue_linearizable)
+    result = run(protocol)
     assert result.local_read_fraction == 0.0
-    assert not result.violations
-
-
-def test_lease_local_on_pql_serves_from_leases_while_pipelined():
-    result = run("raftstar-pql", Consistency.LEASE_LOCAL, depth=8)
-    assert result.local_read_fraction > 0.5
-    assert not result.violations
-
-
-def test_lease_local_degrades_to_log_on_raft():
-    result = run("raft", Consistency.LEASE_LOCAL)
-    assert result.local_read_fraction == 0.0  # no lease machinery to ride
     assert not result.violations

@@ -1,19 +1,14 @@
-"""Per-message size memoization and envelope payload dedup.
+"""Per-message size memoization.
 
 Every hot-path message memoizes its wire size per instance, so the three
 charging sites — the CPU cost model (`NodeCosts.cost`), the network's
 serialization estimate (`payload_size_bytes`), and the mux envelope sum —
-all read ONE cached number instead of re-walking the entry batch.
-
-A `HostEnvelope` additionally dedups entries shared across its items
-(same Command object at the same term/ballot): later occurrences cost a
-back-reference, and the saving is surfaced as `payload_dedup_bytes()`
-(accumulated by the mux into `coalesce_payload_dedup_bytes`)."""
+all read ONE cached number instead of re-walking the entry batch.  A
+`HostEnvelope` is one more such message: one header plus its inner sizes."""
 
 import pytest
 
 from repro.protocols.messages import (
-    DEDUP_REF_BYTES,
     HEADER_BYTES,
     Accept,
     AppendEntries,
@@ -21,6 +16,7 @@ from repro.protocols.messages import (
     ClientReply,
     ClientRequest,
     ForwardBatch,
+    HostBeacon,
     HostEnvelope,
     Learn,
     MenciusAck,
@@ -137,53 +133,21 @@ def test_size_bytes_pinned(make, size):
     assert message.size_bytes() == message._size == size
 
 
-def test_envelope_dedups_shared_entries_across_groups():
-    shared = Command(op=OpType.PUT, key="migrate", value="blob",
-                     client_id="coord", seq=9)
-    entry_a = Entry(term=1, command=shared, ballot=1)
-    entry_b = Entry(term=1, command=shared, ballot=1)
-    msg_a = _append([entry_a])
-    msg_b = _append([entry_b])
+def test_envelope_charges_header_plus_inner_sizes():
+    # Equal content, same command object or not: every inner message keeps
+    # its full size, and the envelope adds one header and its beacon.
+    shared = _command("same", 1)
+    msg_a = _append([_entry("same", command=shared)])
+    msg_b = _append([_entry("same", command=shared)])
+    beacon = HostBeacon(src_host="h1", beats={0: ("g0_r_a", 1)})
     envelope = HostEnvelope(
         src_host="h1", dst_host="h2",
         items=(MuxedMessage("g0_r_a", "g0_r_b", 0, msg_a),
-               MuxedMessage("g1_r_a", "g1_r_b", 1, msg_b)))
-
-    saved = envelope.payload_dedup_bytes()
-    assert saved == entry_b.wire_size() - DEDUP_REF_BYTES
-    assert saved > 0
-    # The envelope's wire size charges the shared entry once plus the
-    # back-reference, never twice.
-    full = HEADER_BYTES + msg_a.size_bytes() + msg_b.size_bytes()
-    assert envelope.size_bytes() == full - saved
-
-
-def test_envelope_no_dedup_for_distinct_commands():
-    # Equal *content* but distinct Command objects: identity-based dedup
-    # must not fire (distinct client commands may legitimately collide in
-    # content).
-    msg_a = _append([_entry("same", 1)])
-    msg_b = _append([_entry("same", 1)])
-    envelope = HostEnvelope(
-        src_host="h1", dst_host="h2",
-        items=(MuxedMessage("g0_r_a", "g0_r_b", 0, msg_a),
-               MuxedMessage("g1_r_a", "g1_r_b", 1, msg_b)))
-    assert envelope.payload_dedup_bytes() == 0
-    assert envelope.size_bytes() == (
-        HEADER_BYTES + msg_a.size_bytes() + msg_b.size_bytes())
-
-
-def test_envelope_no_dedup_across_different_ballots():
-    # The same command re-proposed at a different ballot is a different
-    # wire payload (Raft* restamps ballots): no dedup.
-    shared = Command(op=OpType.PUT, key="k", value="v", client_id="c", seq=1)
-    msg_a = _append([Entry(term=1, command=shared, ballot=1)])
-    msg_b = _append([Entry(term=2, command=shared, ballot=2)])
-    envelope = HostEnvelope(
-        src_host="h1", dst_host="h2",
-        items=(MuxedMessage("g0_r_a", "g0_r_b", 0, msg_a),
-               MuxedMessage("g1_r_a", "g1_r_b", 1, msg_b)))
-    assert envelope.payload_dedup_bytes() == 0
+               MuxedMessage("g1_r_a", "g1_r_b", 1, msg_b)),
+        beacon=beacon)
+    assert envelope.size_bytes() == envelope._size == (
+        HEADER_BYTES + msg_a.size_bytes() + msg_b.size_bytes()
+        + beacon.size_bytes())
 
 
 # -- CPU-cost memo: anything that reaches more than one receiver -------------

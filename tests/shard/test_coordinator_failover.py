@@ -207,55 +207,6 @@ def test_reshard_completes_while_first_hop_host_is_down():
     assert result.linearizable
 
 
-# -- planned handoff: ownership transfer without a lease expiry ---------------
-
-
-def test_reshard_owner_planned_handoff_beats_lease_expiry():
-    """`ReplicatedCoordinator.handoff(to)`: the owner drains its in-flight
-    step, journals a claim naming the receiver (stamped as a handoff), and
-    the receiver resumes at the committed cursor the moment the claim
-    applies.  The ownership gap must be bounded by a control-log commit —
-    strictly below `LEASE_EXPIRY`, the floor every unplanned lease-expiry
-    failover has to wait out before a standby may even try to claim."""
-    from repro.shard.control import ReplicatedCoordinator
-
-    spec = reshard_spec(9)
-    cluster = ShardedCluster(spec)
-    cluster.reshard(spec.reshard_to, at=sec(spec.reshard_at_s))
-    state = {}
-
-    def transfer() -> None:
-        plane = cluster.coordinator
-        active = plane.active if plane is not None else None
-        if active is None or plane.done:  # pragma: no cover - tuning
-            return
-        standby = next(m for m in plane.control.members if m != active.name)
-        state["requested_s"] = cluster.sim.now / 1e6
-        state["from"], state["to"] = active.name, standby
-        active.handoff(standby)
-    cluster.sim.schedule_at(sec(spec.reshard_at_s + 0.15), transfer)
-    cluster.sim.run(until=sec(spec.duration_s))
-
-    assert "requested_s" in state, "plan finished before the handoff fired"
-    plane = cluster.coordinator
-    assert plane.done
-    assert plane.handoffs == 1
-    assert plane.failovers == 0  # no lease expired anywhere in the run
-    receiver = next(c for c in plane.coordinators if c.name == state["to"])
-    assert receiver.handoffs == 1
-    handed_at = next(at for at, role in receiver.takeovers
-                     if role == "handoff:reshard-owner")
-    gap_ms = handed_at / 1e3 - state["requested_s"] * 1e3
-    expiry_ms = ReplicatedCoordinator.LEASE_EXPIRY / 1e3
-    assert gap_ms < expiry_ms, (
-        f"handoff took {gap_ms:.0f} ms, not below the {expiry_ms:.0f} ms "
-        f"lease-expiry floor of an unplanned failover")
-    assert cluster.metrics.counters.get("coordinator_handoffs", 0) == 1
-    # The receiver finished the plan it inherited.
-    assert cluster.reshard_completed_at is not None
-    assert cluster.router.epoch == 1
-
-
 # -- the composed schedule: both planes faulted in one run --------------------
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.bench.harness import Cluster, ExperimentSpec
 from repro.metrics.recorder import MetricsRecorder
-from repro.protocols.types import Consistency
 from repro.shard.cluster import ShardedCluster, ShardedSpec
 from repro.shard.router import ShardRoutedClient
 from repro.sim.events import Simulator
@@ -56,13 +55,11 @@ def test_plan_reproduces_legacy_fleet():
 
 def test_plan_threads_session_knobs():
     retry = RetryPolicy(jitter=0.0)
-    plan = ClientPlan(per_region=1, depth=5, retry=retry,
-                      read_consistency=Consistency.LINEARIZABLE)
+    plan = ClientPlan(per_region=1, depth=5, retry=retry)
     sim, servers, clients, metrics = spawn(plan)
     for client in clients:
         assert client.depth == 5
         assert client.retry is retry
-        assert client.read_consistency is Consistency.LINEARIZABLE
 
 
 def test_plan_open_loop_splits_offered_load():

@@ -177,32 +177,13 @@ def test_get_put_batch_pipeline_through_the_window():
 
 def test_consistency_levels_ride_the_command():
     sim, server, session = manual_session()
-    session.get("k")                                        # session default
+    session.get("k")
     session.get("k", consistency=Consistency.LINEARIZABLE)
-    session.get("k", consistency=Consistency.LEASE_LOCAL)
     sim.run(until=ms(10))
     levels = [c.consistency for c in server.commands]
-    assert levels == [Consistency.DEFAULT, Consistency.LINEARIZABLE,
-                      Consistency.LEASE_LOCAL]
-    assert not server.commands[1].allows_local_read
+    assert levels == [Consistency.DEFAULT, Consistency.LINEARIZABLE]
     assert server.commands[0].allows_local_read
-    assert server.commands[2].allows_local_read
-
-
-def test_session_read_consistency_default():
-    sim = Simulator()
-    net = Network(sim, symmetric_lan(2, rtt_ms_value=1.0), rng=SplitRng(2),
-                  config=NetworkConfig())
-    server = WindowServer("s0", sim, net)
-    session = Session("c0", sim, net, "s0", "s0", WORKLOAD, ["s0", "s1"],
-                      SplitRng(3).stream("c"), MetricsRecorder(),
-                      read_consistency=Consistency.LINEARIZABLE)
-    session.get("k")
-    session.put("k", "v")
-    sim.run(until=ms(10))
-    assert server.commands[0].consistency is Consistency.LINEARIZABLE
-    # writes always go through the log; the read default does not apply
-    assert server.commands[1].consistency is Consistency.DEFAULT
+    assert not server.commands[1].allows_local_read
 
 
 def test_submit_queue_overflows_the_window_and_drains():

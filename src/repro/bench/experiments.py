@@ -13,7 +13,6 @@ smoke runs (tests use scale=0.3-0.5; the benchmark harness uses 1.0).
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.harness import ExperimentSpec, run_experiment
@@ -952,7 +951,8 @@ def txn_scaling(scale: float = 1.0, seed: int = 1,
     table.notes.append("0% cross-shard = single-command fast path (one "
                        "atomic log entry per txn); 2PC prepares lock keys "
                        "wait-die, commits replicate the decision in the "
-                       "home shard before phase 2")
+                       "home shard and answer the client there (phase 2 "
+                       "finishes in the background)")
     table.notes.append("'strict-serializable' = Elle-style cycle check over "
                        "wr/ww/rw/real-time edges against the stores' "
                        "per-key install orders, plus ack accounting")

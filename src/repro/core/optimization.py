@@ -20,7 +20,7 @@ the new variables, which is what makes the §4.3 port automatically correct.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.action import Action, Clause
 from repro.core.machine import SpecMachine

@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.action import Action, Clause
 from repro.core.machine import SpecMachine
-from repro.core.optimization import OptimizationDiff, diff_optimization
+from repro.core.optimization import diff_optimization
 from repro.core.refinement import RefinementMapping, projection_mapping
 from repro.core.state import State
 

@@ -9,7 +9,7 @@ reachable set and the refinement checker compare mapped states.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator
 
 
 def show(value: Any) -> str:

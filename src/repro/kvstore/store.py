@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -76,8 +76,10 @@ from repro.sim.sha import sha1
 class ApplyResult:
     ok: bool
     value: Optional[str] = None
-    # True when the command was rejected because this store does not own
-    # its key — the replica turns this into a redirect, not a plain failure.
+    # True when this store does not own the command's key(s) — the replica
+    # turns this into a redirect that ships its partition map.  A refusal
+    # (`ok=False`) or a 2PC prepare's "no" vote, which the coordinator
+    # must be able to re-route by.
     wrong_shard: bool = False
     # True when the command was rejected because a prepared transaction
     # holds a lock on one of its keys.  Not dedup-recorded: the client's
@@ -92,13 +94,25 @@ _OK = ApplyResult(ok=True)
 _WRONG_SHARD = ApplyResult(ok=False, wrong_shard=True)
 _CONFLICT = ApplyResult(ok=False, conflict=True)
 _DONE = ApplyResult(ok=True, value=Payload({"done": True}))  # phase-2 acks
+_WRONG_SHARD_VOTE = ApplyResult(
+    ok=True, value=Payload({"vote": "no", "reason": "wrong_shard"}),
+    wrong_shard=True)
+# The transaction results with nothing per-transaction in them (a
+# write-only `TXN`, a write-only prepare's vote): shared like `_DONE`, not
+# a fresh result per command that its memo keeps alive as long as the log.
+_READLESS = (ApplyResult(ok=True, value=Payload({"reads": {}})),
+             ApplyResult(ok=True, value=Payload({"vote": "yes", "reads": {}})))
 
 
 def _reply(command: Command, result: Mapping[str, Any]) -> ApplyResult:
     """`result` as a JSON success, encoded once per command: the first store
     to answer leaves its answer on the command's `Payload`; a later replica
     takes it only if its OWN result is equal — one that diverged gives its
-    own.  The answer is a `Payload` too: its receiver reads it undecoded."""
+    own.  The answer is a `Payload` too: its receiver reads it undecoded;
+    a result with nothing per-transaction in it is a shared one."""
+    for shared in _READLESS:
+        if shared.value.data == result:
+            return shared
     value = command.value
     memo = getattr(value, "memo", None)
     if memo is not None and memo.value.data == result:
@@ -345,11 +359,12 @@ class KVStore:
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unknown op {op}")
 
-        if result.conflict or result.wrong_shard:
+        if not result.ok:
             # Retryable refusals — a held lock, a draining migration, a
             # misrouted or migrated-away key — NEVER burn the client's
             # dedup slot: the retry with the same sequence number must
             # actually apply once the lock clears or the client re-routes.
+            # (A prepare's wrong-shard vote is an answer, and is kept.)
             return result
 
         self.applied_count += 1
@@ -423,8 +438,11 @@ class KVStore:
                                     "reads": self._txn_meta[handle][1]})
         keys = [key for _, key, _ in meta["ops"]]
         if any(not self.owns(key) for key in keys):
+            # The key's range moved: the vote carries the map (see
+            # `ApplyResult.wrong_shard`) so the coordinator retries under
+            # the new owner instead of re-asking this group forever.
             self.filtered_count += 1
-            return _reply(command, {"vote": "no", "reason": "wrong_shard"})
+            return _WRONG_SHARD_VOTE
         if self._fenced(keys):
             # The key's range is draining for a refused migration: voting
             # no (die-and-retry) here is what lets the existing locks

@@ -24,7 +24,7 @@ expiry passes.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set
+from typing import Dict, FrozenSet
 
 from repro.protocols.messages import LeaseAck, LeaseGrant
 

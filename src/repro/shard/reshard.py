@@ -101,7 +101,8 @@ class ShardOwnership:
         else the owner under the newest map this replica knows (which can
         transiently be this very group, for a range awaiting import — the
         router's hop cap turns that into backoff rather than a spin).
-        Single-shard transactions are checked on every key they touch."""
+        Transactions — single-shard, and a 2PC prepare's share — are
+        checked on every key they touch."""
         for key in self._guarded_keys(command):
             if not self.owns_key(key):
                 return self.map.shard_of(key)
@@ -109,7 +110,7 @@ class ShardOwnership:
 
     @staticmethod
     def _guarded_keys(command: Command) -> List[str]:
-        if command.op is OpType.TXN:
+        if command.op is OpType.TXN or command.op is OpType.TXN_PREPARE:
             return [key for _, key, _ in payload_of(command).get("ops", [])]
         return [command.key]
 

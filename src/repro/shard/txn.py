@@ -20,6 +20,16 @@ properties the Howard & Mortier comparison says matter:
   coordinators' own control group (`repro.shard.control`) so every hot
   standby caches the committed reply.
 
+That logged decision is the **commit point**, and the client is answered
+there: two consensus rounds (prepare, decide), not three.  Phase 2
+(`TXN_COMMIT` at every participant) finishes in the background.  No
+log-ordered read can go around the early answer — the staged keys stay
+locked until `TXN_COMMIT` applies, so a later prepare or single-shard
+`TXN` touching them waits, dies or conflicts (a lease-local GET does not
+consult the locks; DESIGN.md §6) — and a coordinator that dies before
+phase 2 finishes leaves a logged commit decision that the recovery sweep
+below pushes through phase 2.
+
 The coordinator fleet has no single reliable node left.  Each site's
 coordinator shares a host with that site's control replica, renews a
 lease through the control journal, and watches its peers' leases; when
@@ -60,11 +70,11 @@ tracks plain sharded throughput.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.kvstore.checker import TxnEvent, check_strict_serializability
-from repro.metrics.recorder import MetricsRecorder, RequestRecord
+from repro.metrics.recorder import MetricsRecorder
 from repro.protocols.messages import ClientReply, ClientRequest, TxnReply, TxnRequest
 from repro.protocols.types import Command, OpType, Payload, payload_of
 from repro.shard.cluster import Accounting, ShardedCluster, ShardedSpec
@@ -96,8 +106,8 @@ class _TxnState:
     """One in-flight transaction attempt at the coordinator."""
 
     __slots__ = ("txn_id", "client_node", "ops", "ts", "handle", "participants",
-                 "home", "phase", "pending", "waiting", "reads", "seq",
-                 "seq_base", "retries", "trace", "winner", "route",
+                 "home", "phase", "pending", "sent_at", "waiting", "reads",
+                 "seq", "seq_base", "retries", "trace", "winner", "route",
                  "command_key", "client_id")
 
     def __init__(self, txn_id: str, client_node: Optional[str], ops: TxnOps,
@@ -118,6 +128,7 @@ class _TxnState:
         self.home = min(participants) if participants else 0
         self.phase = "prepare"          # prepare | decide | commit | abort
         self.pending: Dict[int, Command] = {}  # shard -> awaiting reply
+        self.sent_at: Dict[int, int] = {}      # shard -> last send time
         self.waiting: set = set()       # shards between a "wait" vote and
                                         # the re-prepare (no command in flight)
         self.reads: Dict[str, Optional[str]] = {}
@@ -152,12 +163,13 @@ class _Sweep:
     just-recovered) coordinator's shards, collecting its prepared
     transactions and logged decisions."""
 
-    __slots__ = ("victim", "fe", "pending", "prepared", "decisions")
+    __slots__ = ("victim", "fe", "pending", "sent_at", "prepared", "decisions")
 
     def __init__(self, victim: str, fe: int) -> None:
         self.victim = victim
         self.fe = fe
         self.pending: Dict[int, Command] = {}   # shard -> awaiting report
+        self.sent_at: Dict[int, int] = {}       # shard -> last send time
         self.prepared: Dict[str, Dict] = {}
         self.decisions: Dict[str, Dict] = {}
 
@@ -175,6 +187,7 @@ class TxnCoordinator(ReplicatedCoordinator):
     whichever standby journals the `take` first."""
 
     RETRY = sec(1)        # lost-message resend sweep
+    RESEND_AGE = ms(500)  # ...which re-sends only commands at least this old
     BACKOFF = ms(50)      # transport failures (no leader yet)
     WAIT_RETRY = ms(100)  # re-send a prepare that was told to wait
     DIE_BACKOFF = ms(20)  # base backoff before retrying a died attempt
@@ -299,7 +312,12 @@ class TxnCoordinator(ReplicatedCoordinator):
                        seq=state.seq, value_size=len(value),
                        trace=state.trace)
 
-    def _send_command(self, shard: int, command: Command) -> None:
+    def _send(self, holder: Union[_TxnState, _Sweep], shard: int,
+              command: Command) -> None:
+        """Send (or re-send) `command` to `shard` as the step `holder` — an
+        attempt or a sweep — awaits from it."""
+        holder.pending[shard] = command
+        holder.sent_at[shard] = self.sim.now
         self.send(self.router.server_for(shard, self.site),
                   ClientRequest(command=command, epoch=self.router.epoch))
 
@@ -312,17 +330,17 @@ class TxnCoordinator(ReplicatedCoordinator):
             "ops": state.participants[shard],
             "participants": sorted(state.participants), "home": state.home,
         })
-        state.pending[shard] = command
-        self._send_command(shard, command)
+        self._send(state, shard, command)
 
     def _tick(self) -> None:
-        """Lost-message sweep: re-send every outstanding command."""
-        for state in list(self._by_handle.values()):
-            for shard, command in state.pending.items():
-                self._send_command(shard, command)
-        for sweep in list(self._sweeps.values()):
-            for shard, command in sweep.pending.items():
-                self._send_command(shard, command)
+        """Lost-message sweep: re-send every command unanswered for
+        `RESEND_AGE`.  A younger one is still in flight — re-sending it
+        would only make its leader log the same (client, seq) twice."""
+        stale = self.sim.now - self.RESEND_AGE
+        for holder in [*self._by_handle.values(), *self._sweeps.values()]:
+            for shard, command in list(holder.pending.items()):
+                if holder.sent_at[shard] <= stale:
+                    self._send(holder, shard, command)
         self._tick_timer.arm(self.RETRY, self._tick)
 
     def _resend_later(self, state: _TxnState, shard: int, command: Command,
@@ -330,7 +348,7 @@ class TxnCoordinator(ReplicatedCoordinator):
         def resend() -> None:
             if (self._by_handle.get(state.route) is state
                     and state.pending.get(shard) is command):
-                self._send_command(shard, command)
+                self._send(state, shard, command)
         self.after(delay, resend)
 
     # -- replies -------------------------------------------------------------
@@ -412,8 +430,7 @@ class TxnCoordinator(ReplicatedCoordinator):
             self.obs_phase(state.trace, "txn_decide")
         command = self._command(state, OpType.TXN_DECIDE, self._decision_record(
             state, "commit"))
-        state.pending = {state.home: command}
-        self._send_command(state.home, command)
+        self._send(state, state.home, command)
 
     def _decision_record(self, state: _TxnState, outcome: str,
                          coord: Optional[str] = None) -> Dict:
@@ -429,20 +446,50 @@ class TxnCoordinator(ReplicatedCoordinator):
         state.reads = decision.get("reads") or state.reads
         if decision.get("outcome") == "commit":
             state.phase = "commit"
+            self._answer(state)
             self._phase2(state, commit=True)
         else:
             winner = decision.get("winner")
             if winner is not None:
                 # Another attempt of this transaction (through another
                 # coordinator, or our own pre-crash one) already committed:
-                # abort OUR staged writes and answer from the winner.
+                # answer from the winner and abort OUR staged writes.
                 state.winner = winner
                 state.reads = winner.get("reads") or {}
+                self._answer(state)
             # Our commit decision lost to a recovery abort (or to a
             # winning sibling attempt): phase-2 abort, then — winner-less
             # aborts only — retry the transaction as a fresh attempt.
             state.phase = "abort"
             self._phase2(state, commit=False)
+
+    def _answer(self, state: _TxnState) -> None:
+        """The commit point: a commit decision for the transaction is in
+        its home log — ours, or with `state.winner` a sibling attempt's —
+        so the client is answered now, before phase 2 (see the module
+        docstring for why no log-ordered read can go around it); a crash
+        before phase 2 finishes is repaired by the sweep
+        (`_finish_sweep`), which re-drives logged commits."""
+        if state.winner is None and state.ops:
+            # Counted by the attempt's own coordinator only: a cleanup
+            # cannot tell whether its (dead or fenced) owner already did.
+            self.commits += 1
+        client, txn_seq = state.txn_id.rsplit(":", 1)
+        reply = TxnReply(client=client, txn_seq=int(txn_seq), ok=True,
+                         committed=True, reads=dict(state.reads),
+                         server=self.name)
+        self._cache_reply(state.txn_id, reply)
+        if state.winner is None:
+            # Mirror the commit into the control journal (a winner's own
+            # coordinator does that for it) so the hot standbys cache the
+            # reply too — a client that rotates to one after we die is
+            # answered from cache, not re-executed.
+            self.journal({"k": "txnd", "txn": state.txn_id,
+                          "reads": dict(state.reads)})
+        if state.client_node is not None:
+            if self.obs is not None:
+                self.obs_phase(state.trace, "reply")
+            self.send(state.client_node, reply)
 
     def _phase2(self, state: _TxnState, commit: bool) -> None:
         op = OpType.TXN_COMMIT if commit else OpType.TXN_ABORT
@@ -451,9 +498,8 @@ class TxnCoordinator(ReplicatedCoordinator):
         state.pending = {}
         state.waiting.clear()
         for shard in sorted(state.participants):
-            command = self._command(state, op, {"handle": state.handle})
-            state.pending[shard] = command
-            self._send_command(shard, command)
+            self._send(state, shard,
+                       self._command(state, op, {"handle": state.handle}))
         if not state.pending:  # pragma: no cover - always has participants
             self._finish_phase2(state)
 
@@ -461,30 +507,10 @@ class TxnCoordinator(ReplicatedCoordinator):
         self._by_handle.pop(state.route, None)
         if self._active.get(state.txn_id) is state:
             del self._active[state.txn_id]
-        committed = state.phase == "commit"
-        if committed or state.winner is not None:
-            # With a winner the transaction committed under a sibling
-            # attempt and our staged writes are dropped: to the client this
-            # IS a commit — answer with the winner's reads, and never retry.
-            client, txn_seq = state.txn_id.rsplit(":", 1)
-            reply = TxnReply(client=client, txn_seq=int(txn_seq), ok=True,
-                             committed=True, reads=dict(state.reads),
-                             server=self.name)
-            self._cache_reply(state.txn_id, reply)
-            if committed:
-                self.commits += 1
-                # Mirror the commit into the control journal so the hot
-                # standbys cache the reply too — a client that rotates to
-                # one after we die is answered from cache, not re-executed.
-                self.journal({"k": "txnd", "txn": state.txn_id,
-                              "reads": dict(state.reads)})
-            if state.client_node is not None:
-                if self.obs is not None:
-                    self.obs_phase(state.trace, "reply")
-                self.send(state.client_node, reply)
+        if state.phase == "commit" or state.winner is not None or not state.ops:
+            # Answered at the commit point (`_answer`), or the recovery
+            # cleanup of an orphan attempt: nothing to retry.
             return
-        if not state.ops:
-            return  # recovery cleanup of an orphan attempt: nothing to retry
         # Aborted attempt: retry with the ORIGINAL timestamp after a jittered
         # backoff, so the transaction's wait-die priority only ever ages.
         delay = min(self.DIE_BACKOFF * (2 ** min(state.retries, 4)), ms(500))
@@ -625,8 +651,7 @@ class TxnCoordinator(ReplicatedCoordinator):
             command = Command(
                 op=OpType.TXN_RECOVER, key=f"txnrec:{victim}", value=value,
                 client_id=client_id, seq=shard + 1, value_size=len(value))
-            sweep.pending[shard] = command
-            self._send_command(shard, command)
+            self._send(sweep, shard, command)
 
     def _on_recover_reply(self, msg: ClientReply) -> None:
         client_id, _seq = msg.request_id
@@ -638,7 +663,7 @@ class TxnCoordinator(ReplicatedCoordinator):
         if shard is None:
             return
         if not msg.ok:
-            self._send_command(shard, sweep.pending[shard])
+            self._send(sweep, shard, sweep.pending[shard])
             return
         payload = payload_of(msg)
         del sweep.pending[shard]
@@ -683,6 +708,7 @@ class TxnCoordinator(ReplicatedCoordinator):
                 if self._active.get(state.txn_id) is None:
                     self._active[state.txn_id] = state
                 self._by_handle[state.route] = state
+                self._answer(state)
                 self._phase2(state, commit=True)
             else:
                 # An abort the victim decided but never finished delivering:
@@ -706,8 +732,7 @@ class TxnCoordinator(ReplicatedCoordinator):
             command = self._command(state, OpType.TXN_DECIDE,
                                     self._decision_record(state, "abort",
                                                           coord=sweep.victim))
-            state.pending = {int(meta["home"]): command}
-            self._send_command(int(meta["home"]), command)
+            self._send(state, int(meta["home"]), command)
         if sweep.victim == self.name:
             self._recovering = False
             queued, self._queued = self._queued, []

@@ -21,3 +21,5 @@ try:
         from _sha256 import sha256
 except ImportError:  # another interpreter: the heavy but portable path
     from hashlib import sha1, sha256
+
+__all__ = ["sha1", "sha256"]

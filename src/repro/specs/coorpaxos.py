@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Tuple
 
-from repro.core.action import Action, Clause
+from repro.core.action import Clause
 from repro.core.machine import SpecMachine
-from repro.core.state import FMap, State, fmap_const
+from repro.core.state import State, fmap_const
 from repro.specs import multipaxos as mp
 
 NOP = "nop"

@@ -21,7 +21,7 @@ things: the phase-1 quorum guard and the (derived) chosen-ness notion.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, Iterable, Tuple
+from typing import Any, Dict, FrozenSet, Tuple
 
 from repro.core.action import Clause
 from repro.core.machine import SpecMachine

@@ -21,7 +21,7 @@ from repro.core.action import Action, Clause
 from repro.core.machine import SpecMachine
 from repro.core.porting import PortSpec, port_optimization
 from repro.core.refinement import RefinementMapping
-from repro.core.state import FMap, State, fmap_const
+from repro.core.state import State, fmap_const
 
 EMPTY: Tuple = ()
 

@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterable, Tuple
 
 from repro.core.action import Action, Clause
 from repro.core.machine import SpecMachine
-from repro.core.state import FMap, State, fmap_const
+from repro.core.state import State, fmap_const
 from repro.specs import multipaxos as mp
 
 NEW_VARIABLES = ("timer", "leases", "applyIndex", "localReads")

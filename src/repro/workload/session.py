@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.metrics.recorder import MetricsRecorder, RequestRecord
 from repro.protocols.messages import ClientReply, ClientRequest

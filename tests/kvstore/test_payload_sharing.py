@@ -116,6 +116,25 @@ def test_coordinator_built_2pc_steps_cost_no_loads_and_one_dump_per_result(
         assert all(store.locked_keys() == {} for store in stores)
 
 
+def test_readless_replies_are_one_shared_result():
+    """A write-only `TXN`'s reply and a write-only prepare's yes vote hold
+    nothing per transaction: every one is the same shared result, not a
+    fresh one that its command's memo keeps alive as long as the log — and
+    its text is exactly what a fresh encoding gives."""
+    store = KVStore()
+    writes = [store.apply(Command(op=OpType.TXN, key=key, client_id="c",
+                                  seq=seq, value=Payload(
+                                      {"ops": [["put", key, "w"]]})))
+              for seq, key in enumerate("ab", start=1)]
+    votes = [store.apply(_prepare(f"t:{i}#co.1.1", [("put", f"k{i}", "w")],
+                                  ts=i)) for i in (1, 2)]
+    assert writes[0] is writes[1]
+    assert votes[0] is votes[1]
+    assert writes[0].value == json.dumps({"reads": {}}, sort_keys=True)
+    assert votes[0].value == json.dumps({"vote": "yes", "reads": {}},
+                                        sort_keys=True)
+
+
 def test_full_run_json_calls_per_committed_txn_stay_in_budget(monkeypatch):
     """A whole small `TxnCluster` run: the JSON calls left are one encode
     per payload built and one per distinct reply, and no decode at all (a

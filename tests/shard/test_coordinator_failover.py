@@ -33,6 +33,7 @@ from repro.shard.txn import (SEQ_BITS, SEQ_SPAN, TxnCluster, TxnSpec,
                              _TxnState, seq_namespace)
 from repro.sim.units import sec
 from repro.workload.ycsb import WorkloadConfig
+from tests.shard.test_txn_reshard import lost_installs
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.3"))
 
@@ -238,15 +239,6 @@ def test_coordinator_kills_mid_2pc_and_mid_reshard_same_run():
     assert_txn_contract(result)
     assert result.committed_total > 0 and result.commits_2pc > 0
 
-    # No ghost installs: every acked transactional write is in its key's
-    # final-owner install order.
-    orders = cluster.write_orders()
-    lost = [(event.txn_id, key, value)
-            for event in cluster.txn_events
-            for op, key, value in event.ops
-            if op == "put" and value not in orders.get(key, [])]
-    assert lost == []
-
     # Bounded ack-latency hole: the longest gap between consecutive
     # transaction acks must stay within the failover window plus retry
     # backoff — far below the 3 s the machines stayed dark (a wedged
@@ -256,3 +248,7 @@ def test_coordinator_kills_mid_2pc_and_mid_reshard_same_run():
     gaps = [b - a for a, b in zip(ends, ends[1:])]
     assert gaps, "no acks after warmup"
     assert max(gaps) < 2.5, f"ack hole of {max(gaps):.2f} s"
+
+    # No ghost installs: every acked transactional write is in its key's
+    # final-owner install order once phase 2 has finished.
+    assert lost_installs(cluster) == []

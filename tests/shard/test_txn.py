@@ -4,12 +4,14 @@ windows that motivate prepare-through-the-log and the logged decision."""
 import pytest
 
 from repro.protocols.messages import TxnRequest
+from repro.protocols.types import OpType
 from repro.shard.cluster import ShardedCluster
 from repro.shard.router import ShardRoutedClient
 from repro.shard.txn import TxnCluster, TxnSpec, run_txn_experiment
 from repro.sim.units import ms, sec
 from repro.workload.ycsb import WorkloadConfig
 from tests.shard.nemesis import txn_nemesis
+from tests.shard.test_txn_reshard import lost_installs
 
 WORKLOAD = WorkloadConfig(read_fraction=0.5, conflict_rate=0.0, records=500,
                           value_size=64)
@@ -210,6 +212,172 @@ def test_wait_vote_does_not_unblock_commit_decision():
     # once the re-prepare fires and votes yes, the decision may proceed
     cluster.sim.run(until=sec(1.0))
     assert state.phase != "prepare" or state.waiting or state.pending
+
+
+# -- the commit point ----------------------------------------------------------
+
+
+def test_client_is_answered_at_the_commit_point_before_phase2_applies():
+    """The reply leaves once the commit decision is logged in the home
+    shard: at that moment no participant has applied `TXN_COMMIT`, and
+    both writes are still staged under their locks."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0))
+    key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
+    client = manual_client(cluster)
+    commits_applied = []
+
+    def on_apply(replica, index, command):
+        if command.op is OpType.TXN_COMMIT:
+            commits_applied.append(replica)
+    for replicas in cluster.groups.values():
+        for replica in replicas.values():
+            replica.on_apply_hooks.append(on_apply)
+    at_answer = []
+    client.on_txn_complete_hooks.append(
+        lambda c, txn_id, ops, reads, start, end: at_answer.append(
+            (list(commits_applied),
+             [cluster.leader_replica(shard).store.locked_keys()
+              for shard in (0, 1)])))
+    cluster.sim.schedule(ms(10), client.transact,
+                         [("put", key0, "v0"), ("put", key1, "v1")])
+    cluster.sim.run(until=sec(3.0))
+
+    [(applied, (locks0, locks1))] = at_answer
+    assert applied == []
+    assert key0 in locks0 and key1 in locks1
+    # ...and phase 2 then finished in the background.
+    assert owner_version(cluster, key0) == 1
+    assert owner_version(cluster, key1) == 1
+    assert cluster.locks_left() == 0
+
+
+def test_coordinator_dead_between_answer_and_phase2_is_finished_by_janitor():
+    """The coordinator answers and dies before sending any `TXN_COMMIT`.
+    A peer's janitor sweep finds the logged commit decision and pushes
+    it through phase 2: the writes install once and the locks clear."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0))
+    key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
+    client = manual_client(cluster)
+    coordinator = cluster.coordinators[0]  # txnco_oregon, the client's
+    phase2 = coordinator._phase2
+
+    def die_before_commit(state, commit):
+        if commit:
+            coordinator.crash()
+        else:
+            phase2(state, commit)
+    coordinator._phase2 = die_before_commit
+    cluster.sim.schedule(ms(10), client.transact,
+                         [("put", key0, "v0"), ("put", key1, "v1")])
+    cluster.sim.run(until=sec(6.0))
+
+    assert client.txns_committed == 1
+    assert [r.server for r in cluster.metrics.records] == ["txnco_oregon"]
+    assert not coordinator.alive
+    assert sum(c.failovers for c in cluster.coordinators) >= 1
+    assert owner_version(cluster, key0) == 1
+    assert owner_version(cluster, key1) == 1
+    assert cluster.locks_left() == 0
+    assert cluster.accounting().duplicate_executions == 0
+
+
+def test_a_reader_that_starts_at_the_answer_sees_the_write():
+    """Readers started the instant the writer is answered — while its
+    keys are still locked — must see its writes: the single-shard `TXN`
+    conflicts and retries, the 2PC read waits or dies, until phase 2
+    installs them."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0))
+    key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
+    writer = manual_client(cluster, "c_writer", "oregon")
+    single = manual_client(cluster, "c_single", "seoul")
+    cross = manual_client(cluster, "c_cross", "ireland")
+    seen = {}
+
+    def answered(c, txn_id, ops, reads, start, end):
+        seen["locked"] = key0 in cluster.leader_replica(0).store.locked_keys()
+        cluster.sim.schedule(0, single.transact, [("get", key0, None)])
+        cluster.sim.schedule(0, cross.transact,
+                             [("get", key0, None), ("get", key1, None)])
+    writer.on_txn_complete_hooks.append(answered)
+    for reader in (single, cross):
+        reader.on_txn_complete_hooks.append(
+            lambda c, txn_id, ops, reads, start, end: seen.setdefault(
+                c.name, reads))
+    cluster.sim.schedule(ms(10), writer.transact,
+                         [("put", key0, "v0"), ("put", key1, "v1")])
+    cluster.sim.run(until=sec(6.0))
+
+    assert seen["locked"]
+    assert seen["c_single"] == {key0: "v0"}
+    assert seen["c_cross"] == {key0: "v0", key1: "v1"}
+
+
+def test_hot_keys_cannot_read_around_an_early_answer():
+    """Hot-key contention with mostly 2PC load: transactions keep starting
+    on keys whose writer is already answered but not yet installed, and
+    the acknowledged history stays strictly serializable (its real-time
+    edges are exactly the early answers)."""
+    cluster = TxnCluster(txn_spec(
+        workload=WorkloadConfig(read_fraction=0.5, conflict_rate=0.0,
+                                records=8, value_size=64),
+        cross_shard_ratio=0.8))
+    answered = set()
+    overlaps = []
+    for client in cluster.clients:
+        client.on_txn_complete_hooks.append(
+            lambda c, txn_id, ops, reads, start, end: answered.add(txn_id))
+
+        def watched(ops, transact=client.transact):
+            for _, key, _ in ops:
+                store = cluster.leader_replica(
+                    cluster.partitioner.shard_of(key)).store
+                holder = store.locked_keys().get(key)
+                if holder is not None and holder.split("#")[0] in answered:
+                    overlaps.append(key)
+            transact(ops)
+        client.transact = watched
+    result = cluster.run()
+
+    assert len(overlaps) > 10
+    assert result.waits > 0 and result.attempt_aborts > 0
+    assert result.strict_serializable
+    assert result.safe
+    assert lost_installs(cluster) == []
+
+
+def test_tick_resends_only_commands_unanswered_for_resend_age():
+    """The 1 s lost-message sweep skips a command sent moments ago (its
+    leader would log the same (client, seq) twice) and re-sends one that
+    was lost at the next sweep after it is `RESEND_AGE` old."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0))
+    key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
+    client = manual_client(cluster)
+    coordinator = cluster.coordinators[0]
+    prepares = []
+    send = coordinator.send
+
+    def lossy_send(dst, message):
+        command = getattr(message, "command", None)
+        if command is not None and command.op is OpType.TXN_PREPARE:
+            prepares.append((dst, cluster.sim.now))
+            if dst.startswith("g1_") and len(prepares) <= 2:
+                return  # the first prepare to shard 1 is lost
+        send(dst, message)
+    coordinator.send = lossy_send
+    # Sent 10 ms before the sweep at t = RETRY: fresh when it runs.
+    start = coordinator.RETRY - ms(10)
+    cluster.sim.schedule_at(start - ms(5), client.transact,
+                            [("put", key0, "v0"), ("put", key1, "v1")])
+    cluster.sim.run(until=sec(6.0))
+
+    to0 = [at for dst, at in prepares if dst.startswith("g0_")]
+    to1 = [at for dst, at in prepares if dst.startswith("g1_")]
+    assert len(to0) == 1                      # answered: never re-sent
+    assert len(to1) == 2                      # lost: re-sent once
+    assert to1[1] == 2 * coordinator.RETRY    # skipped fresh at t = RETRY
+    assert client.txns_committed == 1
+    assert owner_version(cluster, key0) == 1
+    assert cluster.locks_left() == 0
 
 
 # -- fault windows (nemesis-driven) -------------------------------------------

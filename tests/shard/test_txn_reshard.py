@@ -20,6 +20,7 @@ change: strict serializability, zero lost/duplicated acks, zero
 re-executed writes, no orphan locks.
 """
 
+import dataclasses
 import json
 import os
 
@@ -33,6 +34,10 @@ from repro.workload.ycsb import WorkloadConfig
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.3"))
 SEEDS = range(6)
+
+# Phase-2 drain after the horizon: a lost-message sweep plus a
+# coordinator failover (lease expiry and the janitor's sweep).
+DRAIN_S = 3.0
 
 WORKLOAD = WorkloadConfig(read_fraction=0.5, conflict_rate=0.0, records=500,
                           value_size=64)
@@ -72,18 +77,6 @@ def test_txn_load_across_live_reshard_stays_strictly_serializable(seed):
     assert result.commits_2pc > 0
     assert result.committed_total > 0
 
-    # The ghost-write detector with teeth: every acknowledged
-    # transactional write must appear in its key's FINAL-owner install
-    # order.  An export racing a voted participant would strand the
-    # staged write on the donor (installed where nobody reads), and this
-    # — not the cycle checker — is what catches it.
-    orders = cluster.write_orders()
-    lost_installs = [(event.txn_id, key, value)
-                     for event in cluster.txn_events
-                     for op, key, value in event.ops
-                     if op == "put" and value not in orders.get(key, [])]
-    assert lost_installs == []
-
     # The contract, across the epoch change:
     assert result.serializability_violations == []
     assert result.acks_lost == 0
@@ -93,6 +86,48 @@ def test_txn_load_across_live_reshard_stays_strictly_serializable(seed):
     # No orphan locks: whatever is still locked belongs to transactions
     # literally in flight at the horizon.
     assert result.locks_left <= len(cluster.clients)
+
+    # The ghost-write detector with teeth: every acknowledged
+    # transactional write must appear in its key's FINAL-owner install
+    # order.  An export racing a voted participant would strand the
+    # staged write on the donor (installed where nobody reads), and this
+    # — not the cycle checker — is what catches it.
+    assert lost_installs(cluster) == []
+
+
+def lost_installs(cluster, drain_s: float = DRAIN_S):
+    """(txn id, key, value) of every transactional write acknowledged by
+    the horizon that is not in its key's final-owner install order once
+    phase 2 has had `drain_s` more to finish (the client is answered at
+    the commit point, before `TXN_COMMIT` applies)."""
+    acked = list(cluster.txn_events)
+    cluster.sim.run(until=sec(cluster.spec.duration_s + drain_s))
+    orders = cluster.write_orders()
+    return [(event.txn_id, key, value)
+            for event in acked
+            for op, key, value in event.ops
+            if op == "put" and value not in orders.get(key, [])]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_all_cross_shard_load_follows_the_range_it_lost(seed):
+    """With every transaction 2PC, no single-shard redirect ever refreshes
+    the shared routing table: a participant's wrong-shard vote must ship
+    its partition map, or the coordinators re-prepare against the old
+    owner forever (they stalled at ~85 commits, routing epoch 0)."""
+    spec = dataclasses.replace(txn_reshard_spec(seed), cross_shard_ratio=1.0)
+    cluster = TxnCluster(spec)
+    cluster.reshard(4, at=sec(3.0))
+    result = cluster.run()
+
+    assert cluster.reshard_completed_at is not None
+    assert cluster.router.epoch == 1
+    assert result.single_shard == 0
+    after = [event for event in cluster.txn_events
+             if event.start >= cluster.reshard_completed_at]
+    assert len(after) >= 0.3 * result.committed_total
+    assert result.safe
+    assert lost_installs(cluster) == []
 
 
 def migrate_out(lo: int, hi: int, seq: int = 1) -> Command:

@@ -929,8 +929,8 @@ def txn_scaling(scale: float = 1.0, seed: int = 1,
     shard count, swept over the cross-shard ratio.  At 0 % every
     transaction takes the single-command fast path — one atomic log entry
     in the owning group — so the row tracks plain sharded throughput; the
-    50 % row pays two WAN round trips (prepare, commit) plus the logged
-    decision for half its transactions."""
+    50 % row pays a prepare round for half its transactions, answered at
+    the last logged yes vote (phase 2 runs after the answer)."""
     table = FigureTable(
         figure="Txn",
         title="Transactional throughput (ops/s) vs shard count, raft, "
@@ -950,9 +950,9 @@ def txn_scaling(scale: float = 1.0, seed: int = 1,
         table.add_row(f"{int(ratio * 100)}%", *cells, clean)
     table.notes.append("0% cross-shard = single-command fast path (one "
                        "atomic log entry per txn); 2PC prepares lock keys "
-                       "wait-die, commits replicate the decision in the "
-                       "home shard and answer the client there (phase 2 "
-                       "finishes in the background)")
+                       "wait-die and the client is answered at the last "
+                       "logged yes vote (phase 2 binds the decision in the "
+                       "home shard, then installs, in the background)")
     table.notes.append("'strict-serializable' = Elle-style cycle check over "
                        "wr/ww/rw/real-time edges against the stores' "
                        "per-key install orders, plus ack accounting")
@@ -962,7 +962,8 @@ def txn_scaling(scale: float = 1.0, seed: int = 1,
 def txn_fault_nemesis(cluster, seed: int = 1) -> Nemesis:
     """The figure's fault schedule: a shard leader killed mid-prepare
     traffic, the busiest coordinator killed mid-commit traffic, and a
-    leader partitioned later — recovery must replay the decision log."""
+    leader partitioned later — recovery must resolve the dead
+    coordinator's handles by their logged votes."""
     duration = cluster.spec.duration_s
     nemesis = Nemesis(cluster, seed=seed)
     nemesis.leader_kill_at(0.3 * duration)
@@ -1009,17 +1010,21 @@ def txn_faults(scale: float = 1.0, seed: int = 1, num_shards: int = 4,
     return table, result
 
 
-def _host_kill_takeover_ms(nemesis: Nemesis, takeovers) -> float:
-    """Wall time from the schedule's (only) host kill to the first role
-    takeover that follows it, in milliseconds."""
-    kills = [at_s for at_s, what in nemesis.log
+def _host_kill_takeover_ms(nemesis: Nemesis, coordinators) -> float:
+    """Wall time from the schedule's (only) host kill to the first
+    takeover of a coordinator that kill took down, in milliseconds — not
+    of a live peer some janitor suspected meanwhile."""
+    kills = [(at_s, what.split()[2]) for at_s, what in nemesis.log
              if what.startswith("host_kill: crashed")]
     if not kills:
         return float("nan")
-    after = [at for at, _role in takeovers if at / 1e6 >= kills[0]]
+    kill_s, host = kills[0]
+    killed = {c.name for c in coordinators if c.host.name == host}
+    after = [at for c in coordinators for at, victim in c.takeovers
+             if victim in killed and at / 1e6 >= kill_s]
     if not after:
         return float("nan")
-    return min(after) / 1e3 - kills[0] * 1e3
+    return min(after) / 1e3 - kill_s * 1e3
 
 
 def _txn_failover_trial(scale: float, seed: int):
@@ -1030,8 +1035,7 @@ def _txn_failover_trial(scale: float, seed: int):
     nemesis = Nemesis(cluster, seed=seed, host_down_s=0.4 * spec.duration_s)
     nemesis.coordinator_host_kill_at(0.45 * spec.duration_s, role="txn")
     result = cluster.run()
-    latency_ms = _host_kill_takeover_ms(
-        nemesis, [t for c in cluster.coordinators for t in c.takeovers])
+    latency_ms = _host_kill_takeover_ms(nemesis, cluster.coordinators)
     return latency_ms, result, nemesis
 
 
@@ -1048,9 +1052,8 @@ def _reshard_failover_trial(scale: float, seed: int):
     nemesis.leader_kill_at(spec.reshard_at_s + 0.1, shard=1)
     nemesis.coordinator_host_kill_at(spec.reshard_at_s + 1.6, role="reshard")
     result = run_reshard_experiment(cluster)
-    latency_ms = _host_kill_takeover_ms(
-        nemesis,
-        [t for c in cluster.coordinator.coordinators for t in c.takeovers])
+    latency_ms = _host_kill_takeover_ms(nemesis,
+                                        cluster.coordinator.coordinators)
     return latency_ms, result, nemesis
 
 

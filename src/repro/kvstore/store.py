@@ -39,16 +39,24 @@ identically on every replica of the group (and by crash-recovery replay):
   votes — conflicts are resolved **wait-die** (an older transaction's
   prepare is told to wait and retried by its coordinator while it keeps
   its other locks; a younger one "dies" and is retried from scratch with
-  its original priority, so it eventually becomes the oldest and wins);
+  its original priority, so it eventually becomes the oldest and wins).
+  A logged yes vote is the participant's half of the commit point: once
+  every participant has logged one, the transaction is committed (Paxos
+  Commit).  A prepare for a transaction another attempt already committed
+  here votes no with the winner attached;
 * `TXN_COMMIT` installs the staged writes and releases the locks;
-  `TXN_ABORT` drops them; both are idempotent;
-* `TXN_DECIDE` records the coordinator's decision in the transaction's
-  *home* shard — the first decision recorded wins, and the apply result
-  always returns the winner, which is how a recovered coordinator's
-  presumed-abort race against its own pre-crash decision stays safe;
+  `TXN_ABORT` drops them; both are idempotent.  The home shard's
+  `TXN_COMMIT` carries the decision record and binds it before it
+  releases anything (see `_bind_decision`), so every participant's
+  install comes after the home log knows the outcome;
+* `TXN_DECIDE` records a recovery sweep's abort decision in the
+  transaction's *home* shard — the first decision recorded for a handle
+  wins, and the apply result always returns the winner, which is how a
+  janitor's abort racing a commit already bound there stays safe;
 * `TXN_RECOVER` fences a coordinator incarnation (stale prepares from the
   crashed incarnation are refused, so they cannot leave orphan locks) and
-  reports the prepared transactions and logged decisions it must resolve.
+  reports the prepared transactions and logged decisions it must resolve:
+  an undecided handle is committed iff every participant reports it.
 
 Ordering matters: the duplicate check runs **before** the ownership check.
 A retried command whose original already applied, but whose key has since
@@ -371,10 +379,14 @@ class KVStore:
         if client:
             if session is None:
                 session = self._sessions[client] = DedupSession()
-            # Non-data commands (migration, 2PC steps) record no key: the
+            # A single-shard `TXN` records its routing key, so its slot
+            # moves with that key's range and a retry the client re-routes
+            # after a reshard is answered from it, not re-executed.  Other
+            # non-data commands (migration, 2PC steps) record no key: the
             # coordinator's dedup state stays on the group it talked to.
             session.record(command.seq,
-                           command.key if command.is_data else None, result)
+                           command.key if command.is_data or op is OpType.TXN
+                           else None, result)
             session.evict_upto(command.acked_low_water)
         return result
 
@@ -436,6 +448,14 @@ class KVStore:
             # sequence number): idempotent re-vote.
             return _reply(command, {"vote": "yes",
                                     "reads": self._txn_meta[handle][1]})
+        winner = self._txn_commits.get(meta["txn"])
+        if winner is not None and winner["handle"] != handle:
+            # Another attempt of this transaction committed here, in its
+            # home shard: a yes would let both be answered.  Sibling
+            # attempts lock the same keys here, so a sibling gets this far
+            # only once the winner's commit has released them.
+            return _reply(command, {"vote": "no", "reason": "committed",
+                                    "winner": winner})
         keys = [key for _, key, _ in meta["ops"]]
         if any(not self.owns(key) for key in keys):
             # The key's range moved: the vote carries the map (see
@@ -482,8 +502,19 @@ class KVStore:
     def _apply_txn_finish(self, command: Command, commit: bool) -> ApplyResult:
         """Phase 2: install (commit) or drop (abort) the staged writes and
         release the locks.  Idempotent — an unknown handle is a finished or
-        never-prepared attempt, both of which are no-ops."""
-        handle = payload_of(command)["handle"]
+        never-prepared attempt, both of which are no-ops.
+
+        The home shard's commit carries the decision record (it has an
+        `outcome`): it is bound first, and the writes install only if the
+        commit won; otherwise they are dropped and the reply carries the
+        record that did win."""
+        meta = payload_of(command)
+        handle = meta["handle"]
+        result = _DONE
+        if commit and "outcome" in meta:
+            bound = self._bind_decision(meta)
+            if bound["outcome"] != "commit":
+                commit, result = False, _reply(command, bound)
         staged = self._staged.pop(handle, None)
         if staged is not None:
             if commit:
@@ -496,24 +527,22 @@ class KVStore:
             for _, key, _ in self._txn_meta.pop(handle)[0]["ops"]:
                 if locks.get(key) == handle:
                     del locks[key]
-        return _DONE
+        return result
 
-    def _apply_txn_decide(self, command: Command) -> ApplyResult:
-        """Record the coordinator's decision; the FIRST decision for a
-        handle wins and the reply always carries the winner, so a recovered
-        coordinator racing its own pre-crash decision converges on one
+    def _bind_decision(self, meta: Mapping) -> Mapping:
+        """Record a decision for `meta["handle"]` unless one is recorded
+        already, and return the one that holds: the FIRST decision for a
+        handle wins, so a janitor's abort racing a commit converges on one
         outcome.
 
         Commits are additionally first-wins *per transaction*: with
         coordinator failover a client can retry one txn through a second
-        coordinator while the first attempt's commit is still in flight.
-        The second attempt's commit-decide finds the transaction already
-        committed under another handle and is bound to ABORT, with the
-        winning record attached so the losing coordinator can answer the
-        client from the winner's result.  Abort decisions bind only their
-        own handle — a presumed-abort of one attempt must not block the
-        transaction from committing on a later attempt."""
-        meta = payload_of(command)
+        coordinator.  A second handle's commit finds the transaction
+        already committed and is bound to ABORT, with the winning record
+        attached so its coordinator can answer the client from the
+        winner's result.  Abort decisions bind only their own handle — the
+        abort of one attempt must not block the transaction from
+        committing on a later attempt."""
         handle, txn = meta["handle"], meta.get("txn")
         existing = self._decisions.get(handle)
         if existing is None:
@@ -525,7 +554,12 @@ class KVStore:
                     meta = dict(meta, outcome="abort", winner=winner)
             self._decisions[handle] = meta
             existing = meta
-        return _reply(command, existing)
+        return existing
+
+    def _apply_txn_decide(self, command: Command) -> ApplyResult:
+        """A recovery sweep's decision for a handle (`_bind_decision`); the
+        reply always carries the decision that holds."""
+        return _reply(command, self._bind_decision(payload_of(command)))
 
     def _apply_txn_recover(self, command: Command) -> ApplyResult:
         """Fence the coordinator's crashed incarnations, then report every

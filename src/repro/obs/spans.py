@@ -8,6 +8,8 @@ cross-shard transaction) accumulated on its way through the system:
 
 plus the detour phases a request may pick up (`reject` + re-`send` on a
 leaderless backoff, `redirect` on a shard bounce, `txn_*` on the 2PC path).
+A cross-shard transaction's span ends at the answer its client gets at the
+last yes vote; the phase 2 that follows is traced by its own commands.
 Every phase record names the span it belongs to (`Command.trace_id`, which
 the session derives from its request ids and the transaction coordinator
 stamps into its child commands), so a retried, redirected, or
@@ -42,10 +44,8 @@ PHASE_LABELS: Dict[str, str] = {
     "commit": "committed, applying to the state machine",
     "reply": "reply on the wire back to the client",
     "complete": "client matched the reply (span end)",
-    "txn_begin": "transaction admitted at the coordinator",
     "txn_prepare": "2PC prepare round (locks + votes)",
-    "txn_decide": "2PC decision replicated in the home shard",
-    "txn_commit": "2PC phase 2: installing staged writes",
+    "txn_decide": "recovery: a sweep's abort logged in the home shard",
     "txn_abort": "2PC phase 2: dropping staged writes",
 }
 
@@ -62,10 +62,8 @@ BUDGET_OF: Dict[str, str] = {
     "append": "replication",
     "commit": "apply",
     "reply": "transport",
-    "txn_begin": "handling",
     "txn_prepare": "replication",
     "txn_decide": "replication",
-    "txn_commit": "apply",
     "txn_abort": "apply",
 }
 
@@ -142,15 +140,23 @@ class Span:
 
 class SpanReconstructor:
     """Joins `(time, trace, phase, node)` records into per-request
-    `Span`s."""
+    `Span`s.  A span ends at its first `complete`: a record of the same
+    trace after it (a server answering a retransmit the client already
+    had its reply for) is work off the client's path, not part of its
+    latency, and is left out."""
 
     def __init__(self, records: Iterable[Tuple[int, str, str, str]]) -> None:
         self._spans: Dict[str, Span] = {}
+        ended = set()
         for time, trace, phase, node in records:
+            if trace in ended:
+                continue
             span = self._spans.get(trace)
             if span is None:
                 span = self._spans[trace] = Span(trace)
             span.events.append((time, phase, node))
+            if phase == "complete":
+                ended.add(trace)
 
     def span(self, trace: str) -> Optional[Span]:
         return self._spans.get(trace)
@@ -166,7 +172,13 @@ class SpanReconstructor:
         return spans
 
     def incomplete(self) -> List[Span]:
-        return [s for s in self._spans.values() if s.events and not s.is_complete]
+        """Requests still in flight: spans a client submitted that did not
+        complete.  Records with no submit in front of them — work traced
+        by its own commands, like a transaction's phase 2 after its
+        answer, or a span whose head the ring evicted — are not."""
+        return [s for s in self._spans.values()
+                if s.events and s.events[0][1] == "submit"
+                and not s.is_complete]
 
     def __len__(self) -> int:
         return len(self._spans)

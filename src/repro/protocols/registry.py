@@ -15,7 +15,11 @@ from repro.protocols.mencius import (
     RaftStarMenciusReplica,
 )
 from repro.protocols.multipaxos import MultiPaxosReplica
-from repro.protocols.quorum_lease import PaxosPQLReplica, RaftStarPQLReplica
+from repro.protocols.quorum_lease import (
+    PaxosPQLReplica,
+    QuorumLease,
+    RaftStarPQLReplica,
+)
 from repro.protocols.raft import RaftReplica
 from repro.protocols.raftstar import RaftStarReplica
 
@@ -31,3 +35,9 @@ PROTOCOLS: Dict[str, type] = {
 }
 
 MENCIUS_PROTOCOLS = {"mencius", "coorpaxos"}
+
+#: The protocols that answer a GET from a lease holder's local state,
+#: without the log — and so without the 2PC lock table (DESIGN.md §6).
+LEASE_READ_PROTOCOLS = frozenset(
+    name for name, cls in PROTOCOLS.items()
+    if issubclass(cls, (QuorumLease, LeaderLeaseReplica)))

@@ -83,25 +83,19 @@ class ControlView:
         # member -> highest fence epoch journaled for it.  A member's
         # commands stamped below its fence are refused by the data plane.
         self.fence: Dict[str, int] = {}
-        # member -> newest journal-stamped liveness time (sender's clock).
+        # member -> newest journal-stamped liveness time (sender's clock),
+        # and when THIS observer applied it (local clock): see
+        # `ReplicatedCoordinator.lease_expired` for why expiry is judged
+        # by the second.
         self.lease_t: Dict[str, int] = {}
+        self.heard: Dict[str, int] = {}
         # victim -> (fence epoch, janitor) of the winning takeover.
         self.taken_by: Dict[str, Tuple[int, str]] = {}
         # Single-owner role (the reshard driver); epoch 1 is assigned at
         # construction without a journal round, deterministically.
         self.owner: Optional[str] = initial_owner
         self.owner_epoch: int = 1 if initial_owner is not None else 0
-        # When THIS observer learned of the current owner epoch (local
-        # clock, not the record's sender stamp).  Liveness stamps age by
-        # sender time, so right after a rotation the new owner's freshest
-        # evidence is the claim record itself — already one control-log
-        # commit plus a WAN propagation old when it applies here.  The
-        # grace below keeps standbys from reading that transport lag as
-        # expiry and stealing the role back (replay-safe: re-applying the
-        # log just re-stamps with the replay time, which only widens the
-        # grace).
         self.clock = clock if clock is not None else (lambda: 0)
-        self.owner_since: int = 0
         # Subclass-record listeners, called with every applied record
         # (duplicates included — listeners must be idempotent).
         self.listeners: List[Callable[[Dict], None]] = []
@@ -132,14 +126,16 @@ class ControlView:
             if record["e"] == self.owner_epoch + 1:
                 self.owner_epoch = record["e"]
                 self.owner = record["o"]
-                self.owner_since = self.clock()
             self._renew(record["o"], record["t"])
         for listener in self.listeners:
             listener(record)
 
     def _renew(self, member: str, t: int) -> None:
+        # Only a newer stamp counts as news: a replayed record re-applied
+        # from index 0 does not make its member look alive.
         if t > self.lease_t.get(member, 0):
             self.lease_t[member] = t
+            self.heard[member] = self.clock()
 
     def fence_of(self, member: str) -> int:
         return self.fence.get(member, 1)
@@ -238,8 +234,9 @@ class ReplicatedCoordinator(Node):
         self._journal_pending: Dict[Tuple[str, int], _PendingJournal] = {}
         self._ctl_floor = AckFloor()
         # Failover accounting: how many times this coordinator adopted a
-        # dead peer's duties, with the adoption sim-times (the figure's
-        # failover latency is takeover time minus kill time).
+        # peer's duties, with the adoption sim-time and the peer taken
+        # over (the figure's failover latency is the first takeover of the
+        # killed coordinator minus the kill time).
         self.failovers = 0
         self.takeovers: List[Tuple[int, str]] = []
         self._lease_inflight = False
@@ -328,28 +325,31 @@ class ReplicatedCoordinator(Node):
         """Override: renew own lease, watch peers, act on expiry."""
 
     def lease_expired(self, member: str) -> bool:
-        """Whether `member`'s last journaled liveness stamp is stale.  A
-        member that never journaled is not expired — there is nothing to
-        take over from it yet."""
-        t = self.view.lease_t.get(member)
-        return t is not None and self.sim.now - t > self.LEASE_EXPIRY
+        """Whether no renewal of `member`'s has reached this site for
+        `LEASE_EXPIRY`, by this site's clock.  A member that never
+        journaled is not expired — there is nothing to take over from it
+        yet.
+
+        Judged by arrival, not by the renewal's own stamp: a renewal is a
+        control-log commit plus a WAN hop old when it applies here, and a
+        far member's renewal round (one append in flight) runs 250-300 ms
+        under load, so by its stamp a live far member would look expired
+        before every arrival.  The arrival gap is the renewal round
+        itself; a dead member still goes silent one expiry after its last
+        renewal lands."""
+        heard = self.view.heard.get(member)
+        return heard is not None and self.sim.now - heard > self.LEASE_EXPIRY
 
     def owner_lease_expired(self) -> bool:
-        """`lease_expired` for the single-owner role, with a rotation
-        grace: after observing a claim, a standby gives the new owner one
-        full expiry (by its OWN clock) to land a fresh lease before
-        reading staleness into the sender-stamped evidence — the claim
-        record is already a commit plus a WAN hop old on arrival."""
+        """`lease_expired` for the single-owner role.  A fresh owner's
+        claim record is itself a renewal, heard when it applies here, so
+        the new owner gets one full expiry to land its first lease."""
         owner = self.view.owner
-        if owner is None:
-            return False
-        if self.sim.now - self.view.owner_since <= self.LEASE_EXPIRY:
-            return False
-        return self.lease_expired(owner)
+        return owner is not None and self.lease_expired(owner)
 
-    def record_failover(self, role: str) -> None:
+    def record_failover(self, victim: str) -> None:
         self.failovers += 1
-        self.takeovers.append((self.sim.now, role))
+        self.takeovers.append((self.sim.now, victim))
         if self.metrics is not None:
             self.metrics.incr("coordinator_failovers")
 

@@ -201,7 +201,8 @@ class ReshardCoordinator(ReplicatedCoordinator):
         self._step = self.stable.get("step", 0)
         # The migration step in flight (idle between steps).
         self._step_retry = RingRetry(self, "reshard-retry", retry, rng)
-        self._claiming = False
+        # The owner a claim of ours in flight takes the role from.
+        self._claiming: Optional[str] = None
         plane.coordinators.append(self)
         if self.is_owner:
             self.sim.schedule(0, self._drive)
@@ -229,9 +230,9 @@ class ReshardCoordinator(ReplicatedCoordinator):
             # with no step in flight, resumes here.
             if self._step_retry.request is None:
                 self._drive()
-        elif (self.view.owner is not None and not self._claiming
+        elif (self.view.owner is not None and self._claiming is None
               and self.owner_lease_expired()):
-            self._claiming = True
+            self._claiming = self.view.owner
             self.journal({"k": "claim", "e": self.view.owner_epoch + 1,
                           "o": self.name})
 
@@ -242,7 +243,7 @@ class ReshardCoordinator(ReplicatedCoordinator):
             if record["s"] >= 2 * len(self.moves):
                 self.plane.finish(self.sim.now)
         elif kind == "claim" and record.get("o") == self.name:
-            self._claiming = False
+            claimed_from, self._claiming = self._claiming, None
             if (self.view.owner == self.name
                     and self.view.owner_epoch == record["e"]):
                 # We won the rotation (first committed claim at this
@@ -251,7 +252,7 @@ class ReshardCoordinator(ReplicatedCoordinator):
                 if record["e"] not in won:
                     won.add(record["e"])
                     if record["e"] > 1:
-                        self.record_failover("reshard-owner")
+                        self.record_failover(claimed_from or "")
                 self._drive()
 
     def _learn_step(self, step: int) -> None:
@@ -340,7 +341,7 @@ class ReshardCoordinator(ReplicatedCoordinator):
     def on_crash(self) -> None:
         super().on_crash()
         self._step_retry.abandon()
-        self._claiming = False
+        self._claiming = None
 
     def on_recover(self) -> None:
         super().on_recover()

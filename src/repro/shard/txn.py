@@ -14,21 +14,22 @@ properties the Howard & Mortier comparison says matter:
   PREPARE (locks + staged writes + vote) is replicated state, so the new
   leader answers the coordinator's retry from the same lock table (or the
   dedup cache, if the crashed leader already applied it);
-* the **decision is replicated too**: before sending any COMMIT, the
-  coordinator logs a `TXN_DECIDE` record in the transaction's *home*
-  shard, and mirrors each commit as a journal record through the
-  coordinators' own control group (`repro.shard.control`) so every hot
-  standby caches the committed reply.
+* the **votes are replicated too**, so they are the decision: this is
+  Gray & Lamport's Paxos Commit, with each group's log as the acceptors
+  of its participant's vote.  Once every participant has logged a yes
+  vote the transaction is committed, whoever learns it.
 
-That logged decision is the **commit point**, and the client is answered
-there: two consensus rounds (prepare, decide), not three.  Phase 2
-(`TXN_COMMIT` at every participant) finishes in the background.  No
-log-ordered read can go around the early answer — the staged keys stay
-locked until `TXN_COMMIT` applies, so a later prepare or single-shard
-`TXN` touching them waits, dies or conflicts (a lease-local GET does not
-consult the locks; DESIGN.md §6) — and a coordinator that dies before
-phase 2 finishes leaves a logged commit decision that the recovery sweep
-below pushes through phase 2.
+So the last yes vote is the **commit point**, and the client is answered
+there: one consensus round (prepare) on its path.  The coordinator mirrors
+each commit as a journal record through the coordinators' own control
+group (`repro.shard.control`), so every hot standby caches the committed
+reply, and phase 2 finishes in the background: the home shard's
+`TXN_COMMIT` carries the decision record and binds it in the home log,
+then the other participants install.  No log-ordered read can go around
+the early answer — the staged keys stay locked until `TXN_COMMIT` applies,
+so a later prepare or single-shard `TXN` touching them waits, dies or
+conflicts (lease-local GETs do not consult the locks, so `TxnCluster`
+refuses the protocols that serve them; DESIGN.md §6).
 
 The coordinator fleet has no single reliable node left.  Each site's
 coordinator shares a host with that site's control replica, renews a
@@ -37,19 +38,21 @@ one expires, a standby journals a `take` that raises the victim's fence
 epoch, and the winning janitor sweeps every shard with `TXN_RECOVER` —
 which raises the store-side fence (in-flight prepares stamped below it
 are refused rather than left holding orphan locks) and reports the
-victim's prepared transactions and logged decisions.  Undecided prepared
-transactions are resolved **presumed abort** (the first decision recorded
-in the home log wins, so a racing pre-crash commit decision is honored if
-it got there first).  A recovered coordinator runs the same sweep on
-itself under a fresh fence epoch granted by the control journal.
+victim's prepared transactions and logged decisions.  An undecided handle
+that every participant reports prepared is committed; any other is
+aborted, and the abort is logged in the home shard first, where the first
+decision recorded wins (so a commit already bound there is honored).  A
+recovered coordinator runs the same sweep on itself under a fresh fence
+epoch granted by the control journal.
 
 Clients hold a coordinator ring and rotate to another site's coordinator
 after a few unanswered sends, so a dead coordinator host costs
 milliseconds, not a crash-restart window.  The rotated retry is kept
-at-most-once by the store: commit decisions bind first-wins *per
-transaction*, so the second attempt's commit-decide is bound to abort
-with the winning record attached, and the losing coordinator answers the
-client from the winner.
+at-most-once by the home shard: sibling attempts lock the same home keys,
+so only one holds them at a time, and the one that commits binds the
+transaction there before its home locks release; a later sibling's home
+prepare votes no with the winning record attached, and its coordinator
+answers the client from the winner.
 
 Conflicts are resolved wait-die (see `store.py`): the older transaction
 re-sends the conflicted prepare while keeping its other locks; the
@@ -76,6 +79,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.kvstore.checker import TxnEvent, check_strict_serializability
 from repro.metrics.recorder import MetricsRecorder
 from repro.protocols.messages import ClientReply, ClientRequest, TxnReply, TxnRequest
+from repro.protocols.registry import LEASE_READ_PROTOCOLS
 from repro.protocols.types import Command, OpType, Payload, payload_of
 from repro.shard.cluster import Accounting, ShardedCluster, ShardedSpec
 from repro.shard.control import ControlGroup, ReplicatedCoordinator
@@ -108,12 +112,13 @@ class _TxnState:
     __slots__ = ("txn_id", "client_node", "ops", "ts", "handle", "participants",
                  "home", "phase", "pending", "sent_at", "waiting", "reads",
                  "seq", "seq_base", "retries", "trace", "winner", "route",
-                 "command_key", "client_id")
+                 "command_key", "client_id", "inc", "coord")
 
     def __init__(self, txn_id: str, client_node: Optional[str], ops: TxnOps,
                  ts: int, handle: str, participants: Dict[int, TxnOps],
                  seq_base: int, retries: int = 0,
-                 route: Optional[str] = None) -> None:
+                 route: Optional[str] = None, inc: int = 0,
+                 coord: str = "") -> None:
         self.txn_id = txn_id
         # Span id (repro.obs): same derivation the issuing client uses, so
         # coordinator-side phases and the stamped child commands' replica
@@ -126,7 +131,9 @@ class _TxnState:
         self.handle = handle
         self.participants = participants
         self.home = min(participants) if participants else 0
-        self.phase = "prepare"          # prepare | decide | commit | abort
+        # prepare | bind (home TXN_COMMIT) | commit (the other participants)
+        # | decide (a sweep's abort) | abort
+        self.phase = "prepare"
         self.pending: Dict[int, Command] = {}  # shard -> awaiting reply
         self.sent_at: Dict[int, int] = {}      # shard -> last send time
         self.waiting: set = set()       # shards between a "wait" vote and
@@ -152,6 +159,15 @@ class _TxnState:
         # once: the commands (and the logs holding them) share the text.
         self.command_key = f"txn:{handle}"
         self.client_id = f"{TXN_CLIENT_PREFIX}{self.route}"
+        # The fence epoch every prepare of this attempt is stamped with —
+        # the one it started under, never a later one: once a janitor's
+        # fence has read a participant as unprepared, no re-prepare of the
+        # attempt may land there and complete its yes votes.
+        self.inc = inc
+        # The coordinator a decision for this handle is logged under: the
+        # attempt's owner, also when a janitor cleans it up, so the
+        # owner's own later sweep still sees it.
+        self.coord = coord
 
     @property
     def all_prepared(self) -> bool:
@@ -161,7 +177,8 @@ class _TxnState:
 class _Sweep:
     """One in-flight `TXN_RECOVER` fan-out: the fenced sweep of a dead (or
     just-recovered) coordinator's shards, collecting its prepared
-    transactions and logged decisions."""
+    transactions (with the shards that report each) and logged
+    decisions."""
 
     __slots__ = ("victim", "fe", "pending", "sent_at", "prepared", "decisions")
 
@@ -170,7 +187,7 @@ class _Sweep:
         self.fe = fe
         self.pending: Dict[int, Command] = {}   # shard -> awaiting report
         self.sent_at: Dict[int, int] = {}       # shard -> last send time
-        self.prepared: Dict[str, Dict] = {}
+        self.prepared: Dict[str, Dict[int, Dict]] = {}  # handle -> shard -> meta
         self.decisions: Dict[str, Dict] = {}
 
 
@@ -293,7 +310,8 @@ class TxnCoordinator(ReplicatedCoordinator):
         for op in ops:
             participants.setdefault(self.router.shard_of(op[1]), []).append(list(op))
         state = _TxnState(txn_id, client_node, ops, ts, handle, participants,
-                          seq_base=seq_namespace(self.epoch), retries=retries)
+                          seq_base=seq_namespace(self.epoch), retries=retries,
+                          inc=self.epoch, coord=self.name)
         self._active[txn_id] = state
         self._by_handle[handle] = state
         for shard in sorted(participants):
@@ -307,9 +325,14 @@ class TxnCoordinator(ReplicatedCoordinator):
             f"{state.handle}: sequence namespace overflow — more than "
             f"2**{SEQ_BITS} commands issued at one fence epoch")
         value = Payload(payload)
+        # A phase-2 command settles every earlier step of the attempt: its
+        # low-water mark lets the participant drop their cached answers,
+        # and a late duplicate of one is answered without applying.
+        settled = op is OpType.TXN_COMMIT or op is OpType.TXN_ABORT
         return Command(op=op, key=state.command_key, value=value,
                        client_id=state.client_id,
                        seq=state.seq, value_size=len(value),
+                       acked_low_water=state.seq - 1 if settled else -1,
                        trace=state.trace)
 
     def _send(self, holder: Union[_TxnState, _Sweep], shard: int,
@@ -326,7 +349,7 @@ class TxnCoordinator(ReplicatedCoordinator):
             self.obs_phase(state.trace, "txn_prepare")
         command = self._command(state, OpType.TXN_PREPARE, {
             "handle": state.handle, "txn": state.txn_id, "coord": self.name,
-            "inc": self.epoch, "ts": state.ts,
+            "inc": state.inc, "ts": state.ts,
             "ops": state.participants[shard],
             "participants": sorted(state.participants), "home": state.home,
         })
@@ -377,13 +400,19 @@ class TxnCoordinator(ReplicatedCoordinator):
         payload = payload_of(msg)
         if state.phase == "prepare":
             self._on_vote(state, shard, payload)
-        elif state.phase == "decide":
-            state.pending.pop(shard, None)
+            return
+        state.pending.pop(shard, None)
+        if state.phase == "decide":
             self._on_decision(state, payload)
-        else:  # commit / abort phase-2 acks
-            state.pending.pop(shard, None)
-            if not state.pending:
-                self._finish_phase2(state)
+        elif state.phase == "bind":
+            if payload.get("outcome", "commit") == "commit":
+                self._install_rest(state)
+            else:
+                # The home log holds another decision for this handle (the
+                # first-decision-wins tie-break): obey it.
+                self._on_decision(state, payload)
+        elif not state.pending:  # commit / abort phase-2 acks
+            self._finish_phase2(state)
 
     def _on_vote(self, state: _TxnState, shard: int, payload: Dict) -> None:
         vote = payload.get("vote")
@@ -391,7 +420,8 @@ class TxnCoordinator(ReplicatedCoordinator):
             state.pending.pop(shard, None)
             state.reads.update(payload.get("reads") or {})
             if state.all_prepared:
-                self._log_decision(state)
+                # Every participant's yes is in its log: committed.
+                self._commit(state)
         elif vote == "wait":
             # We are older than the lock holder: keep our other locks and
             # re-prepare this shard until the holder decides (wait-die).
@@ -411,6 +441,10 @@ class TxnCoordinator(ReplicatedCoordinator):
                     state.waiting.discard(shard)
                     self._send_prepare(state, shard)
             self.after(self.WAIT_RETRY, again)
+        elif payload.get("winner") is not None:
+            # Another attempt of this transaction committed in its home
+            # shard: answer from the winner and drop our staged writes.
+            self._on_decision(state, payload)
         else:
             # "no": we are younger than a holder (die), fenced, or misrouted
             # — abort this attempt everywhere and retry from scratch.
@@ -421,33 +455,33 @@ class TxnCoordinator(ReplicatedCoordinator):
         state.phase = "abort"
         self._phase2(state, commit=False)
 
-    def _log_decision(self, state: _TxnState) -> None:
-        """All participants voted yes: replicate the commit decision in the
-        home shard before any COMMIT is sent.  The reply carries whichever
-        decision the home log recorded FIRST, and we obey it."""
-        state.phase = "decide"
-        if self.obs is not None:
-            self.obs_phase(state.trace, "txn_decide")
-        command = self._command(state, OpType.TXN_DECIDE, self._decision_record(
-            state, "commit"))
-        self._send(state, state.home, command)
+    def _commit(self, state: _TxnState) -> None:
+        """The transaction is committed (every participant logged a yes
+        vote): answer the client, then run phase 2."""
+        self._answer(state)
+        self._phase2(state, commit=True)
 
-    def _decision_record(self, state: _TxnState, outcome: str,
-                         coord: Optional[str] = None) -> Dict:
-        # `coord` tags the decision's owner: a janitor cleaning up a dead
-        # peer's handle logs the decision under the PEER's name, so the
-        # peer's own later sweep still sees it.
+    def _decision_record(self, state: _TxnState, outcome: str) -> Dict:
         return {"handle": state.handle, "txn": state.txn_id,
-                "coord": coord or self.name,
+                "coord": state.coord,
                 "participants": sorted(state.participants), "outcome": outcome,
                 "reads": state.reads}
 
+    def _decide_abort(self, state: _TxnState) -> None:
+        """A sweep aborts an undecided handle: log the abort in the home
+        shard first and obey whichever decision the home log holds."""
+        state.phase = "decide"
+        if self.obs is not None:
+            self.obs_phase(state.trace, "txn_decide")
+        self._send(state, state.home, self._command(
+            state, OpType.TXN_DECIDE, self._decision_record(state, "abort")))
+
     def _on_decision(self, state: _TxnState, decision: Dict) -> None:
-        state.reads = decision.get("reads") or state.reads
+        """Obey a decision the home shard returned in place of ours."""
         if decision.get("outcome") == "commit":
-            state.phase = "commit"
-            self._answer(state)
-            self._phase2(state, commit=True)
+            # A sweep's abort lost to a commit bound first.
+            state.reads = decision.get("reads") or state.reads
+            self._commit(state)
         else:
             winner = decision.get("winner")
             if winner is not None:
@@ -457,19 +491,20 @@ class TxnCoordinator(ReplicatedCoordinator):
                 state.winner = winner
                 state.reads = winner.get("reads") or {}
                 self._answer(state)
-            # Our commit decision lost to a recovery abort (or to a
-            # winning sibling attempt): phase-2 abort, then — winner-less
-            # aborts only — retry the transaction as a fresh attempt.
+            # A sweep's abort holds (or a sibling attempt won): phase-2
+            # abort, then — a client's winner-less attempt only — retry
+            # the transaction as a fresh attempt.
             state.phase = "abort"
             self._phase2(state, commit=False)
 
     def _answer(self, state: _TxnState) -> None:
-        """The commit point: a commit decision for the transaction is in
-        its home log — ours, or with `state.winner` a sibling attempt's —
-        so the client is answered now, before phase 2 (see the module
-        docstring for why no log-ordered read can go around it); a crash
-        before phase 2 finishes is repaired by the sweep
-        (`_finish_sweep`), which re-drives logged commits."""
+        """The commit point: every participant logged a yes vote for the
+        transaction — our attempt, or with `state.winner` a sibling
+        attempt — so the client is answered now, before phase 2 (see the
+        module docstring for why no log-ordered read can go around it); a
+        crash before phase 2 finishes is repaired by the sweep
+        (`_finish_sweep`), which commits every handle all of whose
+        participants report it prepared."""
         if state.winner is None and state.ops:
             # Counted by the attempt's own coordinator only: a cleanup
             # cannot tell whether its (dead or fenced) owner already did.
@@ -490,17 +525,38 @@ class TxnCoordinator(ReplicatedCoordinator):
             if self.obs is not None:
                 self.obs_phase(state.trace, "reply")
             self.send(state.client_node, reply)
+        # What follows (phase 2) runs after the answer, off the client's
+        # path: its commands are traced as themselves, not into the
+        # transaction's span, whose phases sum to the client's latency.
+        state.trace = None
 
     def _phase2(self, state: _TxnState, commit: bool) -> None:
-        op = OpType.TXN_COMMIT if commit else OpType.TXN_ABORT
-        if self.obs is not None:
-            self.obs_phase(state.trace, "txn_commit" if commit else "txn_abort")
+        """Abort: drop the staged writes everywhere at once.  Commit: the
+        home shard first, its `TXN_COMMIT` carrying the decision record to
+        bind there, then the others (`_install_rest`) — so no participant
+        releases a committed handle before the home log knows the outcome,
+        and a sweep that finds the handle gone somewhere finds the decision
+        at home."""
         state.pending = {}
         state.waiting.clear()
+        if commit:
+            state.phase = "bind"
+            self._send(state, state.home, self._command(
+                state, OpType.TXN_COMMIT, self._decision_record(state, "commit")))
+            return
+        if self.obs is not None:
+            self.obs_phase(state.trace, "txn_abort")
         for shard in sorted(state.participants):
-            self._send(state, shard,
-                       self._command(state, op, {"handle": state.handle}))
-        if not state.pending:  # pragma: no cover - always has participants
+            self._send(state, shard, self._command(
+                state, OpType.TXN_ABORT, {"handle": state.handle}))
+
+    def _install_rest(self, state: _TxnState) -> None:
+        state.phase = "commit"
+        for shard in sorted(state.participants):
+            if shard != state.home:
+                self._send(state, shard, self._command(
+                    state, OpType.TXN_COMMIT, {"handle": state.handle}))
+        if not state.pending:
             self._finish_phase2(state)
 
     def _finish_phase2(self, state: _TxnState) -> None:
@@ -563,7 +619,15 @@ class TxnCoordinator(ReplicatedCoordinator):
                     if self.view.fence_of(self.name) >= self._refence_want:
                         self._refence()
                 else:
-                    self.epoch = max(self.epoch, self.view.fence_of(self.name))
+                    fe = self.view.fence_of(self.name)
+                    self.epoch = max(self.epoch, fe)
+                    if self.view.taken_by.get(self.name, (0, ""))[0] >= fe:
+                        # Taken over while alive.  Journal a fence of our
+                        # own above the take: until the current fence is no
+                        # longer a takeover, `on_lease_tick` skips us, and
+                        # our real death would never be swept.
+                        self.journal({"k": "fence", "o": self.name,
+                                      "fe": fe + 1})
                 return
             if (record.get("by") == self.name
                     and self.view.taken_by.get(victim)
@@ -574,7 +638,7 @@ class TxnCoordinator(ReplicatedCoordinator):
                 swept = self.stable.setdefault("swept", set())
                 if (victim, record["fe"]) not in swept:
                     swept.add((victim, record["fe"]))
-                    self.record_failover("txn-janitor")
+                    self.record_failover(victim)
                     self._begin_sweep(victim, record["fe"])
         elif kind == "fence":
             if (record.get("o") == self.name and self._recovering
@@ -636,6 +700,21 @@ class TxnCoordinator(ReplicatedCoordinator):
         self.epoch = fe
         self._begin_sweep(self.name, fe)
 
+    def _cleanup(self, sweep: _Sweep, handle: str, txn_id: str,
+                 participants) -> _TxnState:
+        """A state that finishes `handle` for the sweep: no client, no ops,
+        logged under the victim's name.  It runs in its own
+        `{handle}!s{fence}` dedup session (see `_TxnState.route`): the
+        victim may have burned arbitrary sequence numbers in the handle's
+        own session, and a colliding janitor command would be answered
+        from the dedup cache with a stale vote instead of applying."""
+        state = _TxnState(txn_id, None, [], 0, handle,
+                          {int(s): [] for s in participants},
+                          seq_base=seq_namespace(sweep.fe),
+                          route=f"{handle}!s{sweep.fe}", coord=sweep.victim)
+        self._by_handle[state.route] = state
+        return state
+
     def _begin_sweep(self, victim: str, fe: int) -> None:
         """Fan a fenced `TXN_RECOVER` out to every shard for `victim`.
         Store-side this raises the victim's fence to `fe` and reports its
@@ -668,7 +747,7 @@ class TxnCoordinator(ReplicatedCoordinator):
         payload = payload_of(msg)
         del sweep.pending[shard]
         for meta in payload.get("prepared", []):
-            sweep.prepared[meta["handle"]] = meta
+            sweep.prepared.setdefault(meta["handle"], {})[shard] = meta
         for record in payload.get("decisions", []):
             sweep.decisions[record["handle"]] = record
         if not sweep.pending:
@@ -676,11 +755,14 @@ class TxnCoordinator(ReplicatedCoordinator):
             self._finish_sweep(sweep)
 
     def _finish_sweep(self, sweep: _Sweep) -> None:
-        """Replay the victim's decision log (the victim may be ourselves):
-        decided-commit transactions are pushed through phase 2 again
-        (idempotent) and their replies re-cached for client retries;
-        prepared-but-undecided transactions are resolved presumed-abort,
-        releasing their locks."""
+        """Resolve the victim's handles (the victim may be ourselves).  A
+        decided handle obeys its decision: a commit's reply is re-cached
+        for client retries and, if a participant still holds it, phase 2
+        is re-driven (idempotent).  An undecided handle is committed iff
+        every one of its participants reports it prepared — the fence
+        makes each report final, so that is exactly "every participant
+        logged a yes vote" — and aborted otherwise, the abort logged in
+        the home shard first (`_decide_abort`)."""
         prepared, decisions = sweep.prepared, sweep.decisions
         for handle in sorted(decisions):
             record = decisions[handle]
@@ -693,46 +775,29 @@ class TxnCoordinator(ReplicatedCoordinator):
                 # finished before the crash.  Skipping it keeps the sweep
                 # O(in-flight), not O(every decision ever logged).
                 continue
-            # Cleanup states run in their own `{handle}!s{fence}` dedup
-            # session (see `_TxnState.route`): the victim may have burned
-            # arbitrary sequence numbers in the handle's own session, and a
-            # colliding janitor command would be answered from the dedup
-            # cache with a stale vote instead of applying.
-            state = _TxnState(record["txn"], None, [], 0, handle,
-                              {int(s): [] for s in record["participants"]},
-                              seq_base=seq_namespace(sweep.fe),
-                              route=f"{handle}!s{sweep.fe}")
+            state = self._cleanup(sweep, handle, record["txn"],
+                                  record["participants"])
             state.reads = record.get("reads") or {}
             if record["outcome"] == "commit":
-                state.phase = "commit"
-                if self._active.get(state.txn_id) is None:
-                    self._active[state.txn_id] = state
-                self._by_handle[state.route] = state
-                self._answer(state)
-                self._phase2(state, commit=True)
+                self._commit(state)
             else:
                 # An abort the victim decided but never finished delivering:
                 # release the surviving locks.
                 state.phase = "abort"
-                state.retries = 10**6  # a cleanup, not a client retry loop
-                self._by_handle[state.route] = state
                 self._phase2(state, commit=False)
         for handle in sorted(prepared):
             if handle in decisions:
                 continue
-            meta = prepared[handle]
-            if self._active.get(meta["txn"]) is not None:
-                continue  # a commit resumption for this txn is already running
-            state = _TxnState(meta["txn"], None, [], meta.get("ts", 0), handle,
-                              {int(s): [] for s in meta["participants"]},
-                              seq_base=seq_namespace(sweep.fe),
-                              route=f"{handle}!s{sweep.fe}")
-            state.phase = "decide"
-            self._by_handle[state.route] = state
-            command = self._command(state, OpType.TXN_DECIDE,
-                                    self._decision_record(state, "abort",
-                                                          coord=sweep.victim))
-            self._send(state, int(meta["home"]), command)
+            reports = prepared[handle]
+            meta = next(iter(reports.values()))
+            state = self._cleanup(sweep, handle, meta["txn"],
+                                  meta["participants"])
+            if set(state.participants) <= set(reports):
+                for report in reports.values():
+                    state.reads.update(report.get("reads") or {})
+                self._commit(state)
+            else:
+                self._decide_abort(state)
         if sweep.victim == self.name:
             self._recovering = False
             queued, self._queued = self._queued, []
@@ -887,6 +952,13 @@ class TxnCluster(ShardedCluster):
         if spec.offered_load is not None:
             raise ValueError("transactional fleets are closed-loop: "
                              "offered_load is not supported for TxnSpec")
+        if spec.protocol in LEASE_READ_PROTOCOLS:
+            # A lease-local GET ignores the lock table, so between a
+            # transaction's answer and its `TXN_COMMIT` it would read the
+            # value the answered write replaced (DESIGN.md §6).
+            raise ValueError(f"{spec.protocol} serves lease-local reads, "
+                             f"which bypass the 2PC lock table: not "
+                             f"supported for TxnSpec")
         super().__init__(spec)
 
     def _build_fleet(self) -> List:

@@ -64,17 +64,31 @@ def key_on(cluster, shard: int, start: int = 0) -> str:
 
 def coordinator_steps(cluster, txn_id="c_x:1"):
     """One cross-shard transaction's commands exactly as a `TxnCoordinator`
-    builds them: ({shard: prepare}, decide, {shard: commit}, home shard)."""
+    builds them: ({shard: prepare}, {shard: commit}, home shard).  The
+    home shard's commit carries the decision record."""
     coordinator = cluster.coordinators[0]
     key0, key1 = key_on(cluster, 0), key_on(cluster, 1)
     coordinator._start_attempt(
         txn_id, None, [("put", key0, "v0"), ("get", key1, None)], ts=100)
     state = coordinator._active[txn_id]
     prepares = dict(state.pending)
-    coordinator._log_decision(state)
-    decide = state.pending[state.home]
     coordinator._phase2(state, commit=True)
-    return prepares, decide, dict(state.pending), state.home
+    commits = dict(state.pending)
+    coordinator._install_rest(state)
+    commits.update(state.pending)
+    return prepares, commits, state.home
+
+
+def sweep_abort(cluster, txn_id="c_x:9"):
+    """A recovery sweep's `TXN_DECIDE` (an abort) for one attempt, as the
+    coordinator builds it."""
+    coordinator = cluster.coordinators[0]
+    key0, key1 = key_on(cluster, 0), key_on(cluster, 1)
+    coordinator._start_attempt(
+        txn_id, None, [("put", key0, "v0"), ("get", key1, None)], ts=100)
+    state = coordinator._active[txn_id]
+    coordinator._decide_abort(state)
+    return state.pending[state.home]
 
 
 def plain(command: Command) -> Command:
@@ -91,29 +105,35 @@ def plain(command: Command) -> Command:
 def test_coordinator_built_2pc_steps_cost_no_loads_and_one_dump_per_result(
         monkeypatch):
     cluster = small_txn_cluster()
-    prepares, decide, commits, home = coordinator_steps(cluster)
+    prepares, commits, home = coordinator_steps(cluster)
+    decide = sweep_abort(cluster)
     groups = {shard: [KVStore() for _ in range(REPLICAS)] for shard in prepares}
     calls = JsonCalls(monkeypatch)
 
     results = []
     for shard, stores in groups.items():
         results.append([store.apply(prepares[shard]) for store in stores])
-    results.append([store.apply(decide) for store in groups[home]])
     for shard, stores in groups.items():
         results.append([store.apply(commits[shard]) for store in stores])
+    results.append([store.apply(decide) for store in groups[home]])
 
     assert calls.loads == 0
-    # Distinct results: one vote per participant group and one decision
-    # record; the phase-2 acks are a constant and cost nothing.
+    # Distinct results: one vote per participant group and one sweep
+    # decision; the phase-2 acks (the home's binding commit too) are a
+    # constant and cost nothing.
     assert calls.dumps <= len(prepares) + 1
     for per_group in results:
         # ...and the five replicas of a group hand out one shared answer.
         assert all(result is per_group[0] for result in per_group)
     assert json.loads(results[0][0].value)["vote"] == "yes"
-    assert json.loads(results[2][0].value)["outcome"] == "commit"
-    assert results[-1][0].value == '{"done": true}'
+    assert all(per_group[0].value == '{"done": true}'
+               for per_group in results[2:4])
+    assert json.loads(results[-1][0].value)["outcome"] == "abort"
     for stores in groups.values():
         assert all(store.locked_keys() == {} for store in stores)
+    # The home shard bound the decision its commit carried.
+    assert groups[home][0]._decisions[payload_of(commits[home])["handle"]][
+        "outcome"] == "commit"
 
 
 def test_readless_replies_are_one_shared_result():
@@ -325,12 +345,13 @@ def _observe(store: KVStore):
 
 def test_hand_built_commands_match_coordinator_built_ones():
     cluster = small_txn_cluster()
-    prepares, decide, commits, home = coordinator_steps(cluster)
+    prepares, commits, home = coordinator_steps(cluster)
+    decide = sweep_abort(cluster)
     client = Command(op=OpType.TXN, key="a", client_id="c_manual", seq=1,
                      value=Payload({"ops": [["put", "a", "1"],
                                             ["get", "a", None]]}))
-    sequence = [client, prepares[home], prepares[home], decide, commits[home],
-                decide, client]
+    sequence = [client, prepares[home], prepares[home], commits[home],
+                decide, commits[home], client]
     built, by_hand = KVStore(), KVStore()
     for command in sequence:
         ours, theirs = built.apply(command), by_hand.apply(plain(command))
@@ -361,24 +382,25 @@ def test_payload_of_decodes_plain_strings_on_the_spot():
 
 # -- (e) TXN_RECOVER's reply text ---------------------------------------------
 
-#: The reply a store gave, BEFORE payloads were shared, to the recovery
-#: sweep of `recover_scenario` below (captured from the parent commit).
-PARENT_RECOVER_REPLY = (
+#: The reply a store gives to the recovery sweep of `recover_scenario`
+#: below.  First captured before payloads were shared; re-captured when the
+#: home shard's `TXN_COMMIT` began binding the decision it carries, which
+#: releases the committed handle, so only the undecided one is reported
+#: prepared.
+PINNED_RECOVER_REPLY = (
     '{"decisions": [{"coord": "txnco_oregon", "handle": '
     '"c_x:2#txnco_oregon.1.2", "outcome": "commit", "participants": [0, 1], '
     '"reads": {"K1": null}, "txn": "c_x:2"}], "prepared": [{"coord": '
     '"txnco_oregon", "handle": "c_x:1#txnco_oregon.1.1", "home": 0, "inc": 1, '
     '"ops": [["put", "K0", "v0"]], "participants": [0, 1], "reads": {}, '
-    '"ts": 100, "txn": "c_x:1"}, {"coord": "txnco_oregon", "handle": '
-    '"c_x:2#txnco_oregon.1.2", "home": 0, "inc": 1, "ops": [["put", "K0b", '
-    '"w0"]], "participants": [0, 1], "reads": {}, "ts": 200, "txn": '
-    '"c_x:2"}]}')
+    '"ts": 100, "txn": "c_x:1"}]}')
 
 
 def recover_scenario():
     """A coordinator crashes holding two attempts on the home shard: one
-    prepared and undecided, one prepared with its commit decision logged
-    but phase 2 never sent.  Returns (commands applied before the crash,
+    prepared and undecided, one committed whose home `TXN_COMMIT` bound
+    the decision record (and installed) while the other participant's
+    commit was never sent.  Returns (commands applied before the crash,
     the janitor's TXN_RECOVER for the home shard, key renaming)."""
     cluster = small_txn_cluster()
     coordinator = cluster.coordinators[0]
@@ -394,16 +416,16 @@ def recover_scenario():
     state = coordinator._active["c_x:2"]
     prepared = state.pending[0]
     state.reads = {key1: None}
-    coordinator._log_decision(state)
-    decided = state.pending[0]
+    coordinator._phase2(state, commit=True)
+    bound = state.pending[0]
     janitor = cluster.coordinators[1]
     janitor._begin_sweep(coordinator.name, 2)
     (sweep,) = janitor._sweeps.values()
     names = {key0: "K0", key0b: "K0b", key1: "K1"}
-    return [undecided, prepared, decided], sweep.pending[0], names
+    return [undecided, prepared, bound], sweep.pending[0], names
 
 
-def test_recover_reply_text_is_byte_equal_to_the_parents():
+def test_recover_reply_text_is_byte_equal_to_the_pinned_text():
     before_crash, recover, names = recover_scenario()
     assert payload_of(before_crash[0])["coord"] == "txnco_oregon"
     store = KVStore()
@@ -412,7 +434,7 @@ def test_recover_reply_text_is_byte_equal_to_the_parents():
     reply = store.apply(recover).value
     for key, name in names.items():
         reply = reply.replace(f'"{key}"', f'"{name}"')
-    assert reply == PARENT_RECOVER_REPLY
+    assert reply == PINNED_RECOVER_REPLY
     # Hand-built (plain string) commands give the same text, and a second
     # replica shares the first one's answer.
     by_hand, second = KVStore(), KVStore()

@@ -139,6 +139,22 @@ def test_export_import_moves_records_and_dedup_state():
     assert recipient.version("k") == 1
 
 
+def test_single_shard_txn_dedup_slot_moves_with_its_routing_key():
+    """A single-shard `TXN` whose reply was lost, retried after its range
+    moved: the client re-routes by the command's key, so the slot must
+    travel with that key's range, or the recipient re-executes it."""
+    donor = KVStore()
+    txn = Command(op=OpType.TXN, key="k",
+                  value=json.dumps({"ops": [["put", "k", "v"]]}),
+                  client_id="c", seq=3)
+    assert donor.apply(txn).ok
+    point = key_point("k")
+    recipient = KVStore()
+    recipient.import_range(donor.export_range(point, point + 1))
+    assert recipient.apply(txn).ok
+    assert recipient.version("k") == 1
+
+
 def test_export_leaves_unrelated_state():
     store = KVStore()
     store.apply(put("k", "v", client="c1", seq=1))
@@ -344,6 +360,73 @@ def test_decide_first_recorded_wins():
     assert json.loads(first.value)["outcome"] == "commit"
     # the losing decision is answered with the winner, not recorded
     assert json.loads(second.value)["outcome"] == "commit"
+
+
+def home_commit(handle, seq, reads=None, low_water=-1):
+    """The home shard's phase-2 commit: it carries the decision record."""
+    value = json.dumps({"handle": handle, "txn": handle.split("#")[0],
+                        "coord": "co", "participants": [0, 1],
+                        "outcome": "commit", "reads": reads or {}})
+    return Command(op=OpType.TXN_COMMIT, key=f"txn:{handle}", value=value,
+                   client_id=f"__txn__:{handle}", seq=seq,
+                   acked_low_water=low_water)
+
+
+def test_home_commit_binds_its_decision_before_installing():
+    store = KVStore()
+    store.apply(prepare("t:1#a.1", [("put", "a", "v")], seq=1))
+    assert store.apply(home_commit("t:1#a.1", seq=2)).ok
+    assert store.read_local("a") == "v"
+    assert store._decisions["t:1#a.1"]["outcome"] == "commit"
+    assert store._txn_commits["t:1"]["handle"] == "t:1#a.1"
+
+
+def test_home_commit_obeys_an_abort_bound_first():
+    """A sweep's abort logged first wins the tie-break: the commit then
+    drops the staged writes and answers with the abort."""
+    store = KVStore()
+    store.apply(prepare("t:1#a.1", [("put", "a", "v")], seq=1))
+    abort = json.dumps({"handle": "t:1#a.1", "txn": "t:1", "coord": "co",
+                        "participants": [0, 1], "outcome": "abort",
+                        "reads": {}})
+    store.apply(Command(op=OpType.TXN_DECIDE, key="txn:t:1#a.1", value=abort,
+                        client_id="__txn__:t:1#a.1!s2", seq=1))
+    result = store.apply(home_commit("t:1#a.1", seq=2))
+    assert json.loads(result.value)["outcome"] == "abort"
+    assert store.read_local("a") is None
+    assert store.locked_keys() == {}
+
+
+def test_home_prepare_of_a_committed_txns_sibling_votes_no_with_winner():
+    """Two attempts of one transaction (a client's rotated retry): once
+    the first is committed in its home shard, the second's home prepare
+    must not vote yes — both would be answered — and carries the winner
+    instead, reads included."""
+    store = KVStore()
+    store.apply(put("b", "seen", seq=1))
+    store.apply(prepare("t:1#a.1", [("put", "a", "v"), ("get", "b", None)],
+                        seq=1))
+    store.apply(home_commit("t:1#a.1", seq=2, reads={"b": "seen"}))
+    sibling = json.loads(store.apply(prepare(
+        "t:1#b.1", [("put", "a", "v"), ("get", "b", None)], seq=1)).value)
+    assert sibling["vote"] == "no"
+    assert sibling["winner"]["handle"] == "t:1#a.1"
+    assert sibling["winner"]["reads"] == {"b": "seen"}
+    assert store.locked_keys() == {}
+    assert store.version("a") == 1
+
+
+def test_phase2_low_water_settles_the_attempts_earlier_answers():
+    """A phase-2 command's low-water mark drops the attempt's cached
+    prepare vote, and a late duplicate of that prepare is answered
+    without re-locking the finished handle."""
+    store = KVStore()
+    store.apply(prepare("t:1#a.1", [("put", "a", "v")], seq=1))
+    store.apply(home_commit("t:1#a.1", seq=2, low_water=1))
+    assert list(store._sessions["__txn__:t:1#a.1"].entries) == [2]
+    assert store.apply(prepare("t:1#a.1", [("put", "a", "v")], seq=1)).ok
+    assert store.locked_keys() == {}
+    assert store.version("a") == 1
 
 
 def test_recover_reports_prepared_and_decisions_for_coordinator():

@@ -14,6 +14,7 @@ from repro.protocols.registry import PROTOCOLS
 from repro.shard.cluster import ShardedCluster, ShardedSpec
 from repro.shard.partition import Partitioner
 from repro.shard.router import ShardRoutedClient, ShardRouter
+from repro.shard.txn import TxnCluster, TxnSpec
 from repro.sim.units import ms, sec
 from repro.workload.session import RetryPolicy
 from repro.workload.ycsb import WorkloadConfig
@@ -140,3 +141,32 @@ def test_spans_survive_leader_kill_mid_request():
     # One span per completion, still (no duplicates across the election).
     records = {(r.client, r.start, r.end) for r in result.obs.metrics.records}
     assert len(spans) == len(records)
+
+
+def test_every_acked_cross_shard_txn_has_one_complete_span():
+    """A cross-shard transaction's span runs submit -> complete, its
+    phases summing to the client's latency, although phase 2 goes on
+    after the answer: one complete span per acknowledged transaction,
+    with the ack's own start and end."""
+    cluster = TxnCluster(TxnSpec(
+        protocol="raft", num_shards=2, placement="spread",
+        clients_per_region=2,
+        workload=WorkloadConfig(read_fraction=0.5, conflict_rate=0.0,
+                                records=500, value_size=64),
+        duration_s=4.0, warmup_s=1.0, cooldown_s=0.5, seed=3,
+        txn_size=2, cross_shard_ratio=0.5, obs=True))
+    cluster.run()
+    acked = {(r.client, r.start, r.end) for r in cluster.metrics.records
+             if r.server.startswith("txnco_")}
+    assert len(acked) > 20
+    spans = [s for s in cluster.obs.reconstruct().spans() if ":t" in s.trace]
+    _assert_well_formed(spans)
+    assert {(s.trace.split(":")[0], s.start, s.end) for s in spans} == acked
+    assert len(spans) == len(acked)
+    for span in spans:
+        assert span.phases.count("complete") == 1
+        assert "txn_prepare" in span.phases
+        # The answer leaves at the last yes vote: no phase-2 step or
+        # decide round is on the client's path.
+        assert "txn_decide" not in span.phases, span.phases
+

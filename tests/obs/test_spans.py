@@ -59,6 +59,32 @@ def test_complete_only_filtering():
     assert [s.trace for s in recon.incomplete()] == ["c:cut"]
 
 
+def test_a_span_ends_at_its_first_complete():
+    """A record of the same trace after `complete` (a server answering a
+    retransmit the client already had its reply for) is not part of the
+    request's latency: the span stays complete and its phases still sum
+    to the latency."""
+    log = make_log(1)
+    log.append((200, "c:0", "server_recv", "r2"))
+    log.append((201, "c:0", "reply", "r2"))
+    (span,) = SpanReconstructor(log).spans()
+    assert span.is_complete
+    assert span.phases == [phase for _, phase, _ in REQUEST]
+    assert sum(span.phase_durations().values()) == span.latency_us == 120
+
+
+def test_records_without_a_submit_are_not_requests_in_flight():
+    """Work traced by its own commands (a transaction's phase 2 after the
+    answer) or a span whose head the ring evicted is not a request in
+    flight."""
+    log = make_log(1)
+    _log_request(log, "c:cut", 9000, REQUEST[:-1])
+    _log_request(log, "__txn__:h:3", 9000, REQUEST[3:6])
+    recon = SpanReconstructor(log)
+    assert [s.trace for s in recon.incomplete()] == ["c:cut"]
+    assert len(recon.spans(complete_only=False)) == 3
+
+
 def test_retry_accumulates_into_one_span():
     log = []
     _log_request(log, "c:0", 0, (

@@ -1,11 +1,13 @@
 """Cross-shard transactions: the 2PC layer end to end, including the fault
-windows that motivate prepare-through-the-log and the logged decision."""
+windows that motivate prepare-through-the-log and the votes as the commit
+point."""
 
 import pytest
 
-from repro.protocols.messages import TxnRequest
+from repro.kvstore.checker import check_strict_serializability
+from repro.protocols.messages import TxnReply, TxnRequest
+from repro.protocols.registry import LEASE_READ_PROTOCOLS
 from repro.protocols.types import OpType
-from repro.shard.cluster import ShardedCluster
 from repro.shard.router import ShardRoutedClient
 from repro.shard.txn import TxnCluster, TxnSpec, run_txn_experiment
 from repro.sim.units import ms, sec
@@ -71,6 +73,17 @@ def test_txn_cluster_rejects_offered_load_at_construction():
     with pytest.raises(ValueError, match="closed-loop"):
         TxnCluster(TxnSpec(offered_load=100.0, num_shards=2,
                            clients_per_region=1, duration_s=1.0))
+
+
+@pytest.mark.parametrize("protocol", sorted(LEASE_READ_PROTOCOLS))
+def test_txn_cluster_refuses_lease_read_protocols_at_construction(protocol):
+    """A lease-local GET does not consult the 2PC lock table, so between a
+    transaction's answer and its `TXN_COMMIT` it would read the value the
+    answered write replaced: that cell is refused, not run."""
+    assert LEASE_READ_PROTOCOLS == {"raftstar-pql", "paxos-pql",
+                                    "leaderlease"}
+    with pytest.raises(ValueError, match="lease-local reads"):
+        TxnCluster(txn_spec(protocol=protocol))
 
 
 def test_zero_cross_ratio_never_touches_the_coordinator():
@@ -218,9 +231,9 @@ def test_wait_vote_does_not_unblock_commit_decision():
 
 
 def test_client_is_answered_at_the_commit_point_before_phase2_applies():
-    """The reply leaves once the commit decision is logged in the home
-    shard: at that moment no participant has applied `TXN_COMMIT`, and
-    both writes are still staged under their locks."""
+    """The reply leaves once every participant's yes vote is logged: at
+    that moment no participant has applied `TXN_COMMIT`, and both writes
+    are still staged under their locks."""
     cluster = TxnCluster(txn_spec(clients_per_region=0))
     key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
     client = manual_client(cluster)
@@ -253,8 +266,9 @@ def test_client_is_answered_at_the_commit_point_before_phase2_applies():
 
 def test_coordinator_dead_between_answer_and_phase2_is_finished_by_janitor():
     """The coordinator answers and dies before sending any `TXN_COMMIT`.
-    A peer's janitor sweep finds the logged commit decision and pushes
-    it through phase 2: the writes install once and the locks clear."""
+    A peer's janitor sweep finds the handle prepared at every participant
+    — committed — and pushes it through phase 2: the writes install once
+    and the locks clear."""
     cluster = TxnCluster(txn_spec(clients_per_region=0))
     key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
     client = manual_client(cluster)
@@ -380,6 +394,246 @@ def test_tick_resends_only_commands_unanswered_for_resend_age():
     assert cluster.locks_left() == 0
 
 
+# -- the votes are the commit point: crash points and sibling attempts -------
+
+
+def replies_seen(client):
+    """Every `TxnReply` the client receives, stale duplicates included."""
+    seen = []
+    on_message = client.on_message
+
+    def counted(src, message):
+        if isinstance(message, TxnReply):
+            seen.append(message)
+        on_message(src, message)
+    client.on_message = counted
+    return seen
+
+
+def assert_one_execution(cluster, client, replies, keys):
+    """Strictly serializable, one answer the client acted on (any other
+    reply it got carried the same reads), every written key installed
+    exactly once, and every acknowledged write installed and unlocked
+    after the drain."""
+    assert client.txns_committed == 1
+    assert check_strict_serializability(cluster.txn_events,
+                                        cluster.write_orders()) == []
+    assert replies and all(r.reads == replies[0].reads for r in replies)
+    assert lost_installs(cluster) == []
+    for key in keys:
+        assert owner_version(cluster, key) == 1
+    assert cluster.locks_left() == 0
+    assert cluster.accounting().duplicate_executions == 0
+
+
+def crash_once(coordinator, name, when):
+    """Replace `coordinator.<name>` by a hook that crashes the coordinator
+    (instead of running the step) the first time `when(*args)` holds,
+    then puts the original back."""
+    original = getattr(coordinator, name)
+
+    def hooked(*args, **kwargs):
+        if when(*args, **kwargs):
+            setattr(coordinator, name, original)
+            coordinator.crash()
+        else:
+            original(*args, **kwargs)
+    setattr(coordinator, name, hooked)
+
+
+def crash_after_first_yes(coordinator):
+    # The second participant's vote arrives to a dead coordinator.
+    crash_once(coordinator, "_on_vote",
+               lambda state, shard, payload: (payload.get("vote") == "yes"
+                                              and len(state.pending) == 2))
+
+
+def crash_after_last_yes(coordinator):
+    crash_once(coordinator, "_commit", lambda state: True)
+
+
+def crash_after_answer(coordinator):
+    crash_once(coordinator, "_phase2", lambda state, commit: commit)
+
+
+def crash_after_home_bind(coordinator):
+    crash_once(coordinator, "_install_rest", lambda state: True)
+
+
+@pytest.mark.parametrize("crash", [
+    crash_after_first_yes, crash_after_last_yes, crash_after_answer,
+    crash_after_home_bind,
+], ids=["after-first-yes", "after-last-yes", "after-answer",
+        "after-home-bind"])
+def test_coordinator_crash_at_each_point_of_the_commit(crash):
+    """Crash the client's coordinator (and restart it 1 s later) at each
+    step from the first yes vote to phase 2: after the first yes, after
+    the last yes but before the answer, after the answer but before the
+    home shard binds the decision, and after the bind but before the
+    other participant installs.  Whoever resolves the handle — a peer's
+    janitor or the coordinator's own recovery sweep — the transaction
+    executes once."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0, duration_s=12.0))
+    key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
+    client = manual_client(cluster)
+    replies = replies_seen(client)
+    coordinator = cluster.coordinators[0]  # txnco_oregon, the client's
+    crash(coordinator)
+    cluster.sim.schedule(ms(10), client.transact,
+                         [("put", key0, "v0"), ("put", key1, "v1")])
+
+    def restart():
+        if not coordinator.alive:
+            coordinator.recover()
+    cluster.sim.schedule_at(sec(1.5), restart)
+    cluster.sim.run(until=sec(12.0))
+
+    assert coordinator.alive and coordinator.recoveries == 1
+    assert_one_execution(cluster, client, replies, [key0, key1])
+
+
+def test_sibling_attempt_through_a_second_coordinator_executes_once():
+    """A client's rotated retry reaches a second coordinator while the
+    first is still running the same transaction.  The two attempts meet
+    at the home shard's keys, where only one can hold them: one commits,
+    and the other either dies there or, once the winner is bound, gets a
+    no vote with the winner attached.  The transaction executes once, and
+    every reply either coordinator gives carries the winner's reads."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0))
+    key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
+    writer = manual_client(cluster, "c_writer", "ohio")
+    client = manual_client(cluster)
+    replies = replies_seen(client)
+    cluster.sim.schedule(ms(10), writer.transact, [("put", key1, "w1")])
+    ops = [["put", key0, "v0"], ["get", key1, None]]
+
+    def both():
+        request = TxnRequest(client=client.name, txn_seq=1,
+                             ts=cluster.sim.now, ops=ops)
+        client.send("txnco_oregon", request)
+        client.send("txnco_ohio", request)
+    cluster.sim.schedule_at(sec(1.0), both)
+    cluster.sim.schedule_at(sec(4.0), both)  # the client's retries
+    cluster.sim.run(until=sec(6.0))
+
+    winners = [c for c in cluster.coordinators if c.commits]
+    assert len(winners) == 1
+    assert {r.server for r in replies} == {"txnco_oregon", "txnco_ohio"}
+    assert all(r.reads == {key1: "w1"} for r in replies)
+    assert owner_version(cluster, key0) == 1
+    assert cluster.locks_left() == 0
+    home = cluster.leader_replica(0).store
+    assert len([h for h, d in home._decisions.items()
+                if d["txn"] == "c_manual:1" and d["outcome"] == "commit"]) == 1
+
+
+def test_sibling_started_after_the_winner_is_bound_gets_it_from_the_vote():
+    """The rotated retry reaches a coordinator that has not yet learned
+    the winner's journal record, after the winner bound the transaction
+    in its home shard.  The sibling's home prepare votes no with the
+    winner attached, and its coordinator answers from the winner."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0))
+    key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
+    writer = manual_client(cluster, "c_writer", "ohio")
+    client = manual_client(cluster)
+    replies = replies_seen(client)
+    by_name = {c.name: c for c in cluster.coordinators}
+    first, second = by_name["txnco_ohio"], by_name["txnco_oregon"]
+    second._learn_commit = lambda record: None  # the record is still on its way
+    request = TxnRequest(client=client.name, txn_seq=1, ts=sec(1.0),
+                         ops=[["put", key0, "v0"], ["get", key1, None]])
+    install_rest = first._install_rest
+
+    def bound(state):
+        install_rest(state)
+        client.send(second.name, request)
+    first._install_rest = bound
+    cluster.sim.schedule(ms(10), writer.transact, [("put", key1, "w1")])
+    cluster.sim.schedule_at(sec(1.0), client.send, first.name, request)
+    cluster.sim.run(until=sec(6.0))
+
+    assert (first.commits, second.commits) == (1, 0)
+    assert [r.server for r in replies] == [first.name, second.name]
+    assert all(r.reads == {key1: "w1"} for r in replies)
+    assert owner_version(cluster, key0) == 1
+    assert cluster.locks_left() == 0
+
+
+def false_take(cluster, janitor, victim):
+    """Journal a takeover of the live `victim` by `janitor`, as a janitor
+    misreading a slow lease would."""
+    janitor.journal({"k": "take", "v": victim.name, "by": janitor.name,
+                     "fe": janitor.view.fence_of(victim.name) + 1})
+
+
+def test_false_takeover_of_an_answered_coordinator_commits():
+    """A janitor takes over a live coordinator that has answered its
+    client and is slow to run phase 2.  Every participant reports the
+    handle prepared, so the janitor commits it — an abort here would
+    lose an acknowledged write."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0))
+    key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
+    client = manual_client(cluster)
+    replies = replies_seen(client)
+    victim, janitor = cluster.coordinators[0], cluster.coordinators[1]
+    aborts = []
+    for replicas in cluster.groups.values():
+        for replica in replicas.values():
+            replica.on_apply_hooks.append(
+                lambda r, i, command: command.op in (OpType.TXN_ABORT,
+                                                     OpType.TXN_DECIDE)
+                and aborts.append(command))
+    stalled = []
+    phase2 = victim._phase2
+
+    def slow_phase2(state, commit):
+        if commit and not stalled:
+            stalled.append(state)
+            false_take(cluster, janitor, victim)
+            cluster.sim.schedule(sec(2.0), phase2, state, commit)
+        else:
+            phase2(state, commit)
+    victim._phase2 = slow_phase2
+    cluster.sim.schedule(ms(10), client.transact,
+                         [("put", key0, "v0"), ("put", key1, "v1")])
+    cluster.sim.run(until=sec(6.0))
+
+    assert stalled and victim.alive
+    assert janitor.failovers == 1
+    assert aborts == []
+    home = cluster.leader_replica(0).store
+    assert home._decisions[stalled[0].handle]["outcome"] == "commit"
+    assert_one_execution(cluster, client, replies, [key0, key1])
+
+
+def test_falsely_taken_coordinator_is_taken_again_when_it_dies():
+    """A coordinator taken over while alive journals a fence of its own
+    above the take, so when it really dies later — holding prepared
+    locks — a peer takes it over again and the locks clear."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0, duration_s=8.0))
+    key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
+    client = manual_client(cluster)
+    victim, janitor = cluster.coordinators[0], cluster.coordinators[1]
+    takes = []
+    victim.view.listeners.append(
+        lambda record: record.get("k") == "take"
+        and record["v"] == victim.name and takes.append(record["fe"]))
+    cluster.sim.schedule_at(sec(1.0), false_take, cluster, janitor, victim)
+    crash_after_first_yes(victim)
+    cluster.sim.schedule_at(sec(2.0), client.transact,
+                            [("put", key0, "v0"), ("put", key1, "v1")])
+    at = sec(2.0)
+    while victim.alive:
+        at += ms(5)
+        cluster.sim.run(until=at)
+    assert cluster.locks_left() > 0  # the first yes holds its locks
+
+    cluster.sim.run(until=sec(8.0))
+    first, *later = sorted(set(takes))
+    assert later and later[0] > first  # taken again, above its own fence
+    assert cluster.locks_left() == 0
+
+
 # -- fault windows (nemesis-driven) -------------------------------------------
 
 
@@ -408,10 +662,11 @@ def test_nemesis_leader_kill_mid_prepare_commits_exactly_once():
 
 
 def test_nemesis_coordinator_kill_mid_commit_recovers_from_decision_log():
-    """Crash the coordinator after it logged the commit decision but (in
-    general) before phase 2 finished: recovery must replay the decision
-    log, push the commit through, and answer the client's retry from the
-    rebuilt cache — exactly one installed write per key."""
+    """Crash the coordinator after the commit point but (in general)
+    before phase 2 finished: recovery must find the votes or the decision
+    bound in the home log, push the commit through, and answer the
+    client's retry from the rebuilt cache — exactly one installed write
+    per key."""
     cluster = TxnCluster(txn_spec(clients_per_region=0))
     key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
     client = manual_client(cluster)
@@ -423,8 +678,8 @@ def test_nemesis_coordinator_kill_mid_commit_recovers_from_decision_log():
         if coordinator.alive:
             coordinator.crash()
             cluster.sim.schedule(sec(1.0), coordinator.recover)
-    # Prepare RTT + decide RTT: ~500ms in, the decision is logged and
-    # phase 2 is (at most) in flight.
+    # ~500ms in, both votes are logged and phase 2 is (at most) in
+    # flight.
     cluster.sim.schedule_at(ms(520), kill)
     cluster.sim.run(until=sec(12.0))
     assert client.txns_committed == 1
@@ -435,10 +690,11 @@ def test_nemesis_coordinator_kill_mid_commit_recovers_from_decision_log():
 
 
 def test_nemesis_coordinator_kill_mid_prepare_releases_orphan_locks():
-    """Crash the coordinator BEFORE it decides: the prepared participant
-    holds locks for a transaction nobody will finish.  Recovery's fenced
-    TXN_RECOVER must presumed-abort it, releasing the locks, and the
-    client's retried transaction then commits exactly once."""
+    """Crash the coordinator mid-prepare: a prepared participant holds
+    locks for a transaction nobody will finish.  Recovery's fenced
+    TXN_RECOVER resolves it by the votes — committed if every prepare
+    landed before the fence, aborted otherwise — releasing the locks, and
+    the client's transaction commits exactly once either way."""
     cluster = TxnCluster(txn_spec(clients_per_region=0))
     key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
     client = manual_client(cluster)
@@ -532,8 +788,8 @@ def test_coordinator_retry_answered_from_windowed_cache():
 
 def test_an_attempts_commands_share_their_key_and_client_texts():
     """Every command of one 2PC attempt names it by the same two strings,
-    built once per attempt: a log of its prepare, decide and commit keeps
-    one copy of each text, not one per command."""
+    built once per attempt: a log of its prepare and commit keeps one copy
+    of each text, not one per command."""
     cluster = TxnCluster(txn_spec(clients_per_region=0, duration_s=4.0))
     client = manual_client(cluster)
     k0, k1 = find_key(cluster, 0), find_key(cluster, 1)
@@ -541,10 +797,11 @@ def test_an_attempts_commands_share_their_key_and_client_texts():
                          [("put", k0, "a"), ("put", k1, "b")])
     cluster.sim.run(until=sec(2))
     assert client.txns_committed == 1
-    home = cluster.leader_replica(0)  # the lowest participant decides
+    home = cluster.leader_replica(0)  # the lowest participant binds
     commands = [entry.command for entry in home.log
                 if entry.command.client_id.startswith("__txn__:")]
-    assert len(commands) >= 3
+    assert [command.op for command in commands] == [OpType.TXN_PREPARE,
+                                                    OpType.TXN_COMMIT]
     first = commands[0]
     assert all(command.key is first.key
                and command.client_id is first.client_id

@@ -1014,11 +1014,9 @@ def _host_kill_takeover_ms(nemesis: Nemesis, coordinators) -> float:
     """Wall time from the schedule's (only) host kill to the first
     takeover of a coordinator that kill took down, in milliseconds — not
     of a live peer some janitor suspected meanwhile."""
-    kills = [(at_s, what.split()[2]) for at_s, what in nemesis.log
-             if what.startswith("host_kill: crashed")]
-    if not kills:
+    if not nemesis.killed_hosts:
         return float("nan")
-    kill_s, host = kills[0]
+    kill_s, host = nemesis.killed_hosts[0]
     killed = {c.name for c in coordinators if c.host.name == host}
     after = [at for c in coordinators for at, victim in c.takeovers
              if victim in killed and at / 1e6 >= kill_s]

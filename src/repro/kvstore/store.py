@@ -45,18 +45,19 @@ identically on every replica of the group (and by crash-recovery replay):
   Commit).  A prepare for a transaction another attempt already committed
   here votes no with the winner attached;
 * `TXN_COMMIT` installs the staged writes and releases the locks;
-  `TXN_ABORT` drops them; both are idempotent.  The home shard's
-  `TXN_COMMIT` carries the decision record and binds it before it
-  releases anything (see `_bind_decision`), so every participant's
-  install comes after the home log knows the outcome;
-* `TXN_DECIDE` records a recovery sweep's abort decision in the
-  transaction's *home* shard — the first decision recorded for a handle
-  wins, and the apply result always returns the winner, which is how a
-  janitor's abort racing a commit already bound there stays safe;
+  `TXN_ABORT` drops them; both are idempotent.  A decided handle's phase
+  2 starts in its *home* shard with a `TXN_COMMIT` (or, for a recovery
+  sweep's abort, a `TXN_ABORT`) that carries the decision record and
+  binds it before it releases anything (see `_bind_decision`): the first
+  decision recorded for a handle wins, and a losing one is answered with
+  the winner — which is how a janitor's abort racing a commit already
+  bound there stays safe — and every other participant is released only
+  after the home log knows the outcome;
 * `TXN_RECOVER` fences a coordinator incarnation (stale prepares from the
   crashed incarnation are refused, so they cannot leave orphan locks) and
-  reports the prepared transactions and logged decisions it must resolve:
-  an undecided handle is committed iff every participant reports it.
+  reports the prepared transactions that fence covers and the logged
+  decisions it must resolve: an undecided handle is committed iff every
+  participant reports it.
 
 Ordering matters: the duplicate check runs **before** the ownership check.
 A retried command whose original already applied, but whose key has since
@@ -351,8 +352,6 @@ class KVStore:
             result = self._apply_txn_finish(command, commit=True)
         elif op is OpType.TXN_ABORT:
             result = self._apply_txn_finish(command, commit=False)
-        elif op is OpType.TXN_DECIDE:
-            result = self._apply_txn_decide(command)
         elif op is OpType.TXN_RECOVER:
             result = self._apply_txn_recover(command)
         elif op is OpType.TXN:
@@ -504,17 +503,18 @@ class KVStore:
         release the locks.  Idempotent — an unknown handle is a finished or
         never-prepared attempt, both of which are no-ops.
 
-        The home shard's commit carries the decision record (it has an
-        `outcome`): it is bound first, and the writes install only if the
-        commit won; otherwise they are dropped and the reply carries the
-        record that did win."""
+        The home shard's step carries the decision record (it has an
+        `outcome`): it is bound first, and the handle is finished by the
+        decision that holds — when that is not the one carried, the reply
+        carries the record that did win."""
         meta = payload_of(command)
         handle = meta["handle"]
         result = _DONE
-        if commit and "outcome" in meta:
+        if "outcome" in meta:
             bound = self._bind_decision(meta)
-            if bound["outcome"] != "commit":
-                commit, result = False, _reply(command, bound)
+            if bound["outcome"] != meta["outcome"]:
+                commit = bound["outcome"] == "commit"
+                result = _reply(command, bound)
         staged = self._staged.pop(handle, None)
         if staged is not None:
             if commit:
@@ -556,24 +556,27 @@ class KVStore:
             existing = meta
         return existing
 
-    def _apply_txn_decide(self, command: Command) -> ApplyResult:
-        """A recovery sweep's decision for a handle (`_bind_decision`); the
-        reply always carries the decision that holds."""
-        return _reply(command, self._bind_decision(payload_of(command)))
-
     def _apply_txn_recover(self, command: Command) -> ApplyResult:
-        """Fence the coordinator's crashed incarnations, then report every
-        prepared transaction and logged decision it owns.  Ordered through
-        the log, so any prepare committed before this query is visible in
-        the report and any prepare still in flight behind it is fenced."""
+        """Fence the coordinator's incarnations below `inc`, then report
+        every prepared transaction stamped below it and every logged
+        decision the coordinator owns.  Ordered through the log, so any
+        prepare committed before this query is visible in the report and
+        any prepare still in flight behind it is fenced.
+
+        A prepare stamped at or above the fence is left out: the fence
+        does not stop that attempt's other prepares, so the report would
+        not be final.  It
+        belongs to a coordinator that outlived the take and adopted the
+        new epoch — that coordinator finishes it, and a later take, at a
+        higher fence, covers it if it dies."""
         meta = payload_of(command)
-        coord = meta["coord"]
-        self._txn_fence[coord] = max(self._txn_fence.get(coord, -1), meta["inc"])
+        coord, inc = meta["coord"], meta["inc"]
+        self._txn_fence[coord] = max(self._txn_fence.get(coord, -1), inc)
         # Tuples, as a frozen payload carries arrays: `_reply` compares this
         # report with the one the group's first replica left.
         prepared = tuple(dict(held, reads=reads)
                          for _, (held, reads) in sorted(self._txn_meta.items())
-                         if held.get("coord") == coord)
+                         if held.get("coord") == coord and held["inc"] < inc)
         decisions = tuple(self._decisions[handle]
                           for handle in sorted(self._decisions)
                           if self._decisions[handle].get("coord") == coord)

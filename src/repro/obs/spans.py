@@ -45,7 +45,6 @@ PHASE_LABELS: Dict[str, str] = {
     "reply": "reply on the wire back to the client",
     "complete": "client matched the reply (span end)",
     "txn_prepare": "2PC prepare round (locks + votes)",
-    "txn_decide": "recovery: a sweep's abort logged in the home shard",
     "txn_abort": "2PC phase 2: dropping staged writes",
 }
 
@@ -63,7 +62,6 @@ BUDGET_OF: Dict[str, str] = {
     "commit": "apply",
     "reply": "transport",
     "txn_prepare": "replication",
-    "txn_decide": "replication",
     "txn_abort": "apply",
 }
 

@@ -27,17 +27,16 @@ class OpType(enum.Enum):
     # participant survives its leader crashing mid-transaction:
     #   TXN_PREPARE  lock keys + stage writes + vote (participant log);
     #   TXN_COMMIT   install staged writes, release locks;
-    #   TXN_ABORT    drop staged writes, release locks;
-    #   TXN_DECIDE   the coordinator's commit/abort decision, replicated
-    #                in the transaction's *home* shard (first decision
-    #                recorded wins — recovery replays this log);
+    #   TXN_ABORT    drop staged writes, release locks (in the
+    #                transaction's *home* shard, either one may carry
+    #                the decision record, bound there first — the first
+    #                decision recorded wins);
     #   TXN_RECOVER  a restarted coordinator's fenced query for its
     #                prepared transactions and logged decisions.
     TXN = "txn"
     TXN_PREPARE = "txn_prepare"
     TXN_COMMIT = "txn_commit"
     TXN_ABORT = "txn_abort"
-    TXN_DECIDE = "txn_decide"
     TXN_RECOVER = "txn_recover"
     # Dynamic membership (repro.membership): a logged voter-set change.
     # The command's value carries the `ConfigChange` JSON payload (kind,
@@ -165,7 +164,7 @@ _VALUE_CARRYING_OPS = frozenset(
 _DATA_OPS = frozenset({OpType.PUT, OpType.GET})
 _TXN_OPS = frozenset(
     {OpType.TXN, OpType.TXN_PREPARE, OpType.TXN_COMMIT, OpType.TXN_ABORT,
-     OpType.TXN_DECIDE, OpType.TXN_RECOVER})
+     OpType.TXN_RECOVER})
 _SHARD_CHECKED_OPS = frozenset({OpType.PUT, OpType.GET, OpType.TXN})
 
 

@@ -91,6 +91,11 @@ class ControlView:
         self.heard: Dict[str, int] = {}
         # victim -> (fence epoch, janitor) of the winning takeover.
         self.taken_by: Dict[str, Tuple[int, str]] = {}
+        # member -> the take epochs it outlived: each a takeover proved
+        # false by the member's own fence above it (a set, so a replayed
+        # record counts once).  `ReplicatedCoordinator.lease_expired`
+        # doubles the member's expiry per proof.
+        self.outlived: Dict[str, set] = {}
         # Single-owner role (the reshard driver); epoch 1 is assigned at
         # construction without a journal round, deterministically.
         self.owner: Optional[str] = initial_owner
@@ -113,6 +118,8 @@ class ControlView:
             member, fe = record["o"], record["fe"]
             if fe > self.fence.get(member, 1):
                 self.fence[member] = fe
+            if "outlived" in record:
+                self.outlived.setdefault(member, set()).add(record["outlived"])
             self._renew(member, record["t"])
         elif kind == "take":
             victim, fe = record["v"], record["fe"]
@@ -219,6 +226,8 @@ class ReplicatedCoordinator(Node):
 
     LEASE_INTERVAL = ms(80)
     LEASE_EXPIRY = ms(320)
+    #: Cap on a member's expiry doublings (`lease_expired`): 320 ms -> 2.56 s.
+    MAX_EXPIRY_DOUBLINGS = 3
 
     def __init__(self, name, sim, network, site: str, control: ControlGroup,
                  rng, metrics: Optional[MetricsRecorder] = None,
@@ -336,9 +345,20 @@ class ReplicatedCoordinator(Node):
         under load, so by its stamp a live far member would look expired
         before every arrival.  The arrival gap is the renewal round
         itself; a dead member still goes silent one expiry after its last
-        renewal lands."""
+        renewal lands.
+
+        A member whose renewal round outlasts the expiry anyway (a far
+        member while the control leader is far too) would be taken over
+        again after every arrival.  So each takeover the member outlived
+        (`ControlView.outlived`) doubles its expiry, up to
+        `MAX_EXPIRY_DOUBLINGS` — the timeout of an eventually perfect
+        failure detector grows on every false suspicion."""
         heard = self.view.heard.get(member)
-        return heard is not None and self.sim.now - heard > self.LEASE_EXPIRY
+        if heard is None:
+            return False
+        doublings = min(len(self.view.outlived.get(member, ())),
+                        self.MAX_EXPIRY_DOUBLINGS)
+        return self.sim.now - heard > self.LEASE_EXPIRY << doublings
 
     def owner_lease_expired(self) -> bool:
         """`lease_expired` for the single-owner role.  A fresh owner's

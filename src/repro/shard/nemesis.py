@@ -58,6 +58,8 @@ class Nemesis:
         self.coordinator_down_s = coordinator_down_s
         self.host_down_s = host_down_s
         self.log: List[Tuple[float, str]] = []
+        # (sim-seconds, host name) of every machine `_host_kill` took down.
+        self.killed_hosts: List[Tuple[float, str]] = []
         self.kills = 0
         self.partitions = 0
         self.coordinator_kills = 0
@@ -180,6 +182,7 @@ class Nemesis:
         victims = [node for node in host.nodes if node.alive]
         host.crash()
         self.host_kills += 1
+        self.killed_hosts.append((self.cluster.sim.now / 1e6, host_name))
         self._note(f"host_kill: crashed {host_name} "
                    f"({len(victims)} colocated nodes)")
 

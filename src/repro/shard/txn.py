@@ -38,12 +38,15 @@ one expires, a standby journals a `take` that raises the victim's fence
 epoch, and the winning janitor sweeps every shard with `TXN_RECOVER` —
 which raises the store-side fence (in-flight prepares stamped below it
 are refused rather than left holding orphan locks) and reports the
-victim's prepared transactions and logged decisions.  An undecided handle
-that every participant reports prepared is committed; any other is
-aborted, and the abort is logged in the home shard first, where the first
-decision recorded wins (so a commit already bound there is honored).  A
-recovered coordinator runs the same sweep on itself under a fresh fence
-epoch granted by the control journal.
+victim's transactions prepared below the fence and its logged decisions.
+An undecided handle that every participant reports prepared is
+committed; any other is aborted, and the abort is bound in the home shard
+first, where the first decision recorded wins (so a commit already bound
+there is honored).  A victim that was alive after all keeps its newer
+attempts — stamped at the take's epoch, so the fence does not make their
+reports final — and finishes them itself.  A recovered coordinator runs
+the same sweep on itself under a fresh fence epoch granted by the
+control journal.
 
 Clients hold a coordinator ring and rotate to another site's coordinator
 after a few unanswered sends, so a dead coordinator host costs
@@ -112,7 +115,7 @@ class _TxnState:
     __slots__ = ("txn_id", "client_node", "ops", "ts", "handle", "participants",
                  "home", "phase", "pending", "sent_at", "waiting", "reads",
                  "seq", "seq_base", "retries", "trace", "winner", "route",
-                 "command_key", "client_id", "inc", "coord")
+                 "command_key", "client_id", "inc", "coord", "outcome")
 
     def __init__(self, txn_id: str, client_node: Optional[str], ops: TxnOps,
                  ts: int, handle: str, participants: Dict[int, TxnOps],
@@ -131,9 +134,11 @@ class _TxnState:
         self.handle = handle
         self.participants = participants
         self.home = min(participants) if participants else 0
-        # prepare | bind (home TXN_COMMIT) | commit (the other participants)
-        # | decide (a sweep's abort) | abort
+        # prepare | bind (the home shard's decision-carrying phase-2 step)
+        # | commit / abort (the rest of phase 2)
         self.phase = "prepare"
+        # The decision a `bind` carries to the home shard.
+        self.outcome = "commit"
         self.pending: Dict[int, Command] = {}  # shard -> awaiting reply
         self.sent_at: Dict[int, int] = {}      # shard -> last send time
         self.waiting: set = set()       # shards between a "wait" vote and
@@ -143,11 +148,11 @@ class _TxnState:
         self.seq_base = seq_base
         self.retries = retries
         # The committed decision of ANOTHER attempt of this transaction,
-        # when our commit-decide lost the per-transaction first-wins race.
+        # when our home commit lost the per-transaction first-wins race.
         self.winner: Optional[Dict] = None
         # Dedup-session key for this attempt's commands.  The owning
         # attempt uses the handle itself; a janitor cleaning up a swept
-        # handle uses a `{handle}!s{fence}` session so its decide/phase-2
+        # handle uses a `{handle}!s{fence}` session so its phase-2
         # commands can NEVER collide with sequence numbers the victim
         # already burned in the handle's own session (a collision would be
         # answered from the dedup cache with a stale vote instead of
@@ -402,15 +407,13 @@ class TxnCoordinator(ReplicatedCoordinator):
             self._on_vote(state, shard, payload)
             return
         state.pending.pop(shard, None)
-        if state.phase == "decide":
-            self._on_decision(state, payload)
-        elif state.phase == "bind":
-            if payload.get("outcome", "commit") == "commit":
-                self._install_rest(state)
-            else:
+        if state.phase == "bind":
+            if "outcome" in payload:
                 # The home log holds another decision for this handle (the
                 # first-decision-wins tie-break): obey it.
                 self._on_decision(state, payload)
+            else:
+                self._release_rest(state)
         elif not state.pending:  # commit / abort phase-2 acks
             self._finish_phase2(state)
 
@@ -452,29 +455,19 @@ class TxnCoordinator(ReplicatedCoordinator):
 
     def _abort_attempt(self, state: _TxnState) -> None:
         self.attempt_aborts += 1
-        state.phase = "abort"
-        self._phase2(state, commit=False)
+        self._drop(state)
 
     def _commit(self, state: _TxnState) -> None:
         """The transaction is committed (every participant logged a yes
         vote): answer the client, then run phase 2."""
         self._answer(state)
-        self._phase2(state, commit=True)
+        self._bind(state, "commit")
 
     def _decision_record(self, state: _TxnState, outcome: str) -> Dict:
         return {"handle": state.handle, "txn": state.txn_id,
                 "coord": state.coord,
                 "participants": sorted(state.participants), "outcome": outcome,
                 "reads": state.reads}
-
-    def _decide_abort(self, state: _TxnState) -> None:
-        """A sweep aborts an undecided handle: log the abort in the home
-        shard first and obey whichever decision the home log holds."""
-        state.phase = "decide"
-        if self.obs is not None:
-            self.obs_phase(state.trace, "txn_decide")
-        self._send(state, state.home, self._command(
-            state, OpType.TXN_DECIDE, self._decision_record(state, "abort")))
 
     def _on_decision(self, state: _TxnState, decision: Dict) -> None:
         """Obey a decision the home shard returned in place of ours."""
@@ -494,8 +487,7 @@ class TxnCoordinator(ReplicatedCoordinator):
             # A sweep's abort holds (or a sibling attempt won): phase-2
             # abort, then — a client's winner-less attempt only — retry
             # the transaction as a fresh attempt.
-            state.phase = "abort"
-            self._phase2(state, commit=False)
+            self._drop(state)
 
     def _answer(self, state: _TxnState) -> None:
         """The commit point: every participant logged a yes vote for the
@@ -530,34 +522,43 @@ class TxnCoordinator(ReplicatedCoordinator):
         # transaction's span, whose phases sum to the client's latency.
         state.trace = None
 
-    def _phase2(self, state: _TxnState, commit: bool) -> None:
-        """Abort: drop the staged writes everywhere at once.  Commit: the
-        home shard first, its `TXN_COMMIT` carrying the decision record to
-        bind there, then the others (`_install_rest`) — so no participant
-        releases a committed handle before the home log knows the outcome,
-        and a sweep that finds the handle gone somewhere finds the decision
-        at home."""
+    def _bind(self, state: _TxnState, outcome: str) -> None:
+        """Phase 2 of a decided handle: the home shard first, its
+        `TXN_COMMIT` (or `TXN_ABORT`) carrying the decision record to bind
+        there, then the others (`_release_rest`) — so no participant
+        releases the handle before the home log knows the outcome, and a
+        sweep that finds the handle gone somewhere finds the decision at
+        home."""
         state.pending = {}
         state.waiting.clear()
-        if commit:
-            state.phase = "bind"
-            self._send(state, state.home, self._command(
-                state, OpType.TXN_COMMIT, self._decision_record(state, "commit")))
-            return
+        state.phase, state.outcome = "bind", outcome
+        op = OpType.TXN_COMMIT if outcome == "commit" else OpType.TXN_ABORT
+        self._send(state, state.home, self._command(
+            state, op, self._decision_record(state, outcome)))
+
+    def _release_rest(self, state: _TxnState) -> None:
+        """The home log holds our decision: finish the other participants."""
+        state.phase = state.outcome
+        op = OpType.TXN_COMMIT if state.outcome == "commit" else OpType.TXN_ABORT
+        for shard in sorted(state.participants):
+            if shard != state.home:
+                self._send(state, shard, self._command(
+                    state, op, {"handle": state.handle}))
+        if not state.pending:
+            self._finish_phase2(state)
+
+    def _drop(self, state: _TxnState) -> None:
+        """Phase 2 with no decision to bind — an attempt that did not get
+        every yes vote, or a handle whose abort the home log already
+        holds: drop the staged writes everywhere at once."""
+        state.pending = {}
+        state.waiting.clear()
+        state.phase = "abort"
         if self.obs is not None:
             self.obs_phase(state.trace, "txn_abort")
         for shard in sorted(state.participants):
             self._send(state, shard, self._command(
                 state, OpType.TXN_ABORT, {"handle": state.handle}))
-
-    def _install_rest(self, state: _TxnState) -> None:
-        state.phase = "commit"
-        for shard in sorted(state.participants):
-            if shard != state.home:
-                self._send(state, shard, self._command(
-                    state, OpType.TXN_COMMIT, {"handle": state.handle}))
-        if not state.pending:
-            self._finish_phase2(state)
 
     def _finish_phase2(self, state: _TxnState) -> None:
         self._by_handle.pop(state.route, None)
@@ -625,9 +626,11 @@ class TxnCoordinator(ReplicatedCoordinator):
                         # Taken over while alive.  Journal a fence of our
                         # own above the take: until the current fence is no
                         # longer a takeover, `on_lease_tick` skips us, and
-                        # our real death would never be swept.
+                        # our real death would never be swept.  The record
+                        # proves the take false, which lengthens our lease
+                        # expiry at every peer (`lease_expired`).
                         self.journal({"k": "fence", "o": self.name,
-                                      "fe": fe + 1})
+                                      "fe": fe + 1, "outlived": fe})
                 return
             if (record.get("by") == self.name
                     and self.view.taken_by.get(victim)
@@ -759,10 +762,11 @@ class TxnCoordinator(ReplicatedCoordinator):
         decided handle obeys its decision: a commit's reply is re-cached
         for client retries and, if a participant still holds it, phase 2
         is re-driven (idempotent).  An undecided handle is committed iff
-        every one of its participants reports it prepared — the fence
-        makes each report final, so that is exactly "every participant
-        logged a yes vote" — and aborted otherwise, the abort logged in
-        the home shard first (`_decide_abort`)."""
+        every one of its participants reports it prepared — the stores
+        report only handles stamped below the sweep's fence, whose reports
+        the fence makes final, so that is exactly "every participant
+        logged a yes vote" — and aborted otherwise, the abort bound in the
+        home shard first (`_bind`)."""
         prepared, decisions = sweep.prepared, sweep.decisions
         for handle in sorted(decisions):
             record = decisions[handle]
@@ -783,8 +787,7 @@ class TxnCoordinator(ReplicatedCoordinator):
             else:
                 # An abort the victim decided but never finished delivering:
                 # release the surviving locks.
-                state.phase = "abort"
-                self._phase2(state, commit=False)
+                self._drop(state)
         for handle in sorted(prepared):
             if handle in decisions:
                 continue
@@ -797,7 +800,7 @@ class TxnCoordinator(ReplicatedCoordinator):
                     state.reads.update(report.get("reads") or {})
                 self._commit(state)
             else:
-                self._decide_abort(state)
+                self._bind(state, "abort")
         if sweep.victim == self.name:
             self._recovering = False
             queued, self._queued = self._queued, []
@@ -984,14 +987,6 @@ class TxnCluster(ShardedCluster):
         # Per-shard key pools so single-shard transactions can draw all
         # their keys from one group without rejection sampling.
         self._pools = key_pools(self.partitioner, spec.workload.records)
-
-        def record_event(client, txn_id, ops, reads, start, end) -> None:
-            self.txn_events.append(TxnEvent(
-                txn_id=txn_id, start=start, end=end,
-                ops=tuple((op, key,
-                           value if op == "put" else reads.get(key))
-                          for op, key, value in ops)))
-
         stop_at = sec(spec.duration_s)
         clients = spec.client_plan().spawn(
             sites, self.rng,
@@ -1005,8 +1000,17 @@ class TxnCluster(ShardedCluster):
                               [site] + [s for s in sites if s != site]],
                 stop_at=stop_at, **knobs))
         for client in clients:
-            client.on_txn_complete_hooks.append(record_event)
+            client.on_txn_complete_hooks.append(self.record_txn_event)
         return clients
+
+    def record_txn_event(self, client, txn_id, ops, reads, start,
+                         end) -> None:
+        """`on_txn_complete_hooks` hook: keep an acknowledged transaction
+        for the strict-serializability check."""
+        self.txn_events.append(TxnEvent(
+            txn_id=txn_id, start=start, end=end,
+            ops=tuple((op, key, value if op == "put" else reads.get(key))
+                      for op, key, value in ops)))
 
     # -- safety accounting ---------------------------------------------------
 

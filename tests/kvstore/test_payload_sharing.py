@@ -72,22 +72,22 @@ def coordinator_steps(cluster, txn_id="c_x:1"):
         txn_id, None, [("put", key0, "v0"), ("get", key1, None)], ts=100)
     state = coordinator._active[txn_id]
     prepares = dict(state.pending)
-    coordinator._phase2(state, commit=True)
+    coordinator._bind(state, "commit")
     commits = dict(state.pending)
-    coordinator._install_rest(state)
+    coordinator._release_rest(state)
     commits.update(state.pending)
     return prepares, commits, state.home
 
 
 def sweep_abort(cluster, txn_id="c_x:9"):
-    """A recovery sweep's `TXN_DECIDE` (an abort) for one attempt, as the
-    coordinator builds it."""
+    """A recovery sweep's home `TXN_ABORT` (carrying the abort decision)
+    for one attempt, as the coordinator builds it."""
     coordinator = cluster.coordinators[0]
     key0, key1 = key_on(cluster, 0), key_on(cluster, 1)
     coordinator._start_attempt(
         txn_id, None, [("put", key0, "v0"), ("get", key1, None)], ts=100)
     state = coordinator._active[txn_id]
-    coordinator._decide_abort(state)
+    coordinator._bind(state, "abort")
     return state.pending[state.home]
 
 
@@ -118,22 +118,23 @@ def test_coordinator_built_2pc_steps_cost_no_loads_and_one_dump_per_result(
     results.append([store.apply(decide) for store in groups[home]])
 
     assert calls.loads == 0
-    # Distinct results: one vote per participant group and one sweep
-    # decision; the phase-2 acks (the home's binding commit too) are a
+    # Distinct results: one vote per participant group; the phase-2 acks
+    # (the home's binding commit and the sweep's binding abort too) are a
     # constant and cost nothing.
-    assert calls.dumps <= len(prepares) + 1
+    assert calls.dumps <= len(prepares)
     for per_group in results:
         # ...and the five replicas of a group hand out one shared answer.
         assert all(result is per_group[0] for result in per_group)
     assert json.loads(results[0][0].value)["vote"] == "yes"
     assert all(per_group[0].value == '{"done": true}'
-               for per_group in results[2:4])
-    assert json.loads(results[-1][0].value)["outcome"] == "abort"
+               for per_group in results[2:])
     for stores in groups.values():
         assert all(store.locked_keys() == {} for store in stores)
-    # The home shard bound the decision its commit carried.
-    assert groups[home][0]._decisions[payload_of(commits[home])["handle"]][
+    # The home shard bound the decisions its commit and abort carried.
+    decisions = groups[home][0]._decisions
+    assert decisions[payload_of(commits[home])["handle"]][
         "outcome"] == "commit"
+    assert decisions[payload_of(decide)["handle"]]["outcome"] == "abort"
 
 
 def test_readless_replies_are_one_shared_result():
@@ -416,7 +417,7 @@ def recover_scenario():
     state = coordinator._active["c_x:2"]
     prepared = state.pending[0]
     state.reads = {key1: None}
-    coordinator._phase2(state, commit=True)
+    coordinator._bind(state, "commit")
     bound = state.pending[0]
     janitor = cluster.coordinators[1]
     janitor._begin_sweep(coordinator.name, 2)

@@ -345,31 +345,30 @@ def test_fenced_incarnation_prepare_refused():
     assert vote_of(fresh) == "yes"
 
 
-def test_decide_first_recorded_wins():
-    store = KVStore()
-
-    def decide(outcome, seq):
-        value = json.dumps({"handle": "t:1#0.1", "txn": "t:1", "coord": "co",
-                            "participants": [0, 1], "outcome": outcome,
-                            "reads": {}})
-        return Command(op=OpType.TXN_DECIDE, key="txn:t:1#0.1", value=value,
-                       client_id=f"__txnd__:{seq}", seq=1)
-
-    first = store.apply(decide("commit", 1))
-    second = store.apply(decide("abort", 2))
-    assert json.loads(first.value)["outcome"] == "commit"
-    # the losing decision is answered with the winner, not recorded
-    assert json.loads(second.value)["outcome"] == "commit"
-
-
-def home_commit(handle, seq, reads=None, low_water=-1):
-    """The home shard's phase-2 commit: it carries the decision record."""
+def home_commit(handle, seq, reads=None, low_water=-1, outcome="commit",
+                client_id=None):
+    """The home shard's first phase-2 step: a `TXN_COMMIT` (or, for a
+    recovery sweep's abort, a `TXN_ABORT`) carrying the decision record."""
     value = json.dumps({"handle": handle, "txn": handle.split("#")[0],
                         "coord": "co", "participants": [0, 1],
-                        "outcome": "commit", "reads": reads or {}})
-    return Command(op=OpType.TXN_COMMIT, key=f"txn:{handle}", value=value,
-                   client_id=f"__txn__:{handle}", seq=seq,
+                        "outcome": outcome, "reads": reads or {}})
+    op = OpType.TXN_COMMIT if outcome == "commit" else OpType.TXN_ABORT
+    return Command(op=op, key=f"txn:{handle}", value=value,
+                   client_id=client_id or f"__txn__:{handle}", seq=seq,
                    acked_low_water=low_water)
+
+
+def test_decide_first_recorded_wins():
+    """A sweep's abort reaching the home shard after the commit was bound
+    there is answered with the commit, and changes nothing."""
+    store = KVStore()
+    store.apply(prepare("t:1#a.1", [("put", "a", "v")], seq=1))
+    assert store.apply(home_commit("t:1#a.1", seq=2)).value == '{"done": true}'
+    late = store.apply(home_commit("t:1#a.1", seq=1, outcome="abort",
+                                   client_id="__txn__:t:1#a.1!s2"))
+    assert json.loads(late.value)["outcome"] == "commit"
+    assert store._decisions["t:1#a.1"]["outcome"] == "commit"
+    assert store.read_local("a") == "v"
 
 
 def test_home_commit_binds_its_decision_before_installing():
@@ -386,11 +385,10 @@ def test_home_commit_obeys_an_abort_bound_first():
     drops the staged writes and answers with the abort."""
     store = KVStore()
     store.apply(prepare("t:1#a.1", [("put", "a", "v")], seq=1))
-    abort = json.dumps({"handle": "t:1#a.1", "txn": "t:1", "coord": "co",
-                        "participants": [0, 1], "outcome": "abort",
-                        "reads": {}})
-    store.apply(Command(op=OpType.TXN_DECIDE, key="txn:t:1#a.1", value=abort,
-                        client_id="__txn__:t:1#a.1!s2", seq=1))
+    assert store.apply(home_commit(
+        "t:1#a.1", seq=1, outcome="abort",
+        client_id="__txn__:t:1#a.1!s2")).value == '{"done": true}'
+    assert store.locked_keys() == {}
     result = store.apply(home_commit("t:1#a.1", seq=2))
     assert json.loads(result.value)["outcome"] == "abort"
     assert store.read_local("a") is None

@@ -166,7 +166,7 @@ def test_every_acked_cross_shard_txn_has_one_complete_span():
     for span in spans:
         assert span.phases.count("complete") == 1
         assert "txn_prepare" in span.phases
-        # The answer leaves at the last yes vote: no phase-2 step or
-        # decide round is on the client's path.
-        assert "txn_decide" not in span.phases, span.phases
+        # The answer leaves at the last yes vote: no phase-2 step is on
+        # the client's path.
+        assert span.phases[-2:] == ["reply", "complete"], span.phases
 

@@ -40,11 +40,15 @@ def find_key(cluster, shard: int, start: int = 0) -> str:
 
 def manual_client(cluster, name="c_manual", site="oregon") -> ShardRoutedClient:
     """A client that only transacts when told to (stop_at=0 suppresses the
-    closed-loop generator)."""
-    return ShardRoutedClient(
+    closed-loop generator).  Its acknowledged transactions join the
+    cluster's history, so `lost_installs` and the serializability check
+    see them."""
+    client = ShardRoutedClient(
         name, cluster.sim, cluster.network, site, cluster.router,
         WORKLOAD, cluster.topology.sites, cluster.rng.stream(f"client:{name}"),
         cluster.metrics, stop_at=0, coordinator=f"txnco_{site}")
+    client.on_txn_complete_hooks.append(cluster.record_txn_event)
+    return client
 
 
 def owner_version(cluster, key: str) -> int:
@@ -273,14 +277,14 @@ def test_coordinator_dead_between_answer_and_phase2_is_finished_by_janitor():
     key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
     client = manual_client(cluster)
     coordinator = cluster.coordinators[0]  # txnco_oregon, the client's
-    phase2 = coordinator._phase2
+    bind = coordinator._bind
 
-    def die_before_commit(state, commit):
-        if commit:
+    def die_before_commit(state, outcome):
+        if outcome == "commit":
             coordinator.crash()
         else:
-            phase2(state, commit)
-    coordinator._phase2 = die_before_commit
+            bind(state, outcome)
+    coordinator._bind = die_before_commit
     cluster.sim.schedule(ms(10), client.transact,
                          [("put", key0, "v0"), ("put", key1, "v1")])
     cluster.sim.run(until=sec(6.0))
@@ -415,7 +419,7 @@ def assert_one_execution(cluster, client, replies, keys):
     reply it got carried the same reads), every written key installed
     exactly once, and every acknowledged write installed and unlocked
     after the drain."""
-    assert client.txns_committed == 1
+    assert client.txns_committed == 1 and len(cluster.txn_events) == 1
     assert check_strict_serializability(cluster.txn_events,
                                         cluster.write_orders()) == []
     assert replies and all(r.reads == replies[0].reads for r in replies)
@@ -453,11 +457,11 @@ def crash_after_last_yes(coordinator):
 
 
 def crash_after_answer(coordinator):
-    crash_once(coordinator, "_phase2", lambda state, commit: commit)
+    crash_once(coordinator, "_bind", lambda state, outcome: outcome == "commit")
 
 
 def crash_after_home_bind(coordinator):
-    crash_once(coordinator, "_install_rest", lambda state: True)
+    crash_once(coordinator, "_release_rest", lambda state: True)
 
 
 @pytest.mark.parametrize("crash", [
@@ -542,12 +546,12 @@ def test_sibling_started_after_the_winner_is_bound_gets_it_from_the_vote():
     second._learn_commit = lambda record: None  # the record is still on its way
     request = TxnRequest(client=client.name, txn_seq=1, ts=sec(1.0),
                          ops=[["put", key0, "v0"], ["get", key1, None]])
-    install_rest = first._install_rest
+    release_rest = first._release_rest
 
     def bound(state):
-        install_rest(state)
+        release_rest(state)
         client.send(second.name, request)
-    first._install_rest = bound
+    first._release_rest = bound
     cluster.sim.schedule(ms(10), writer.transact, [("put", key1, "w1")])
     cluster.sim.schedule_at(sec(1.0), client.send, first.name, request)
     cluster.sim.run(until=sec(6.0))
@@ -580,20 +584,19 @@ def test_false_takeover_of_an_answered_coordinator_commits():
     for replicas in cluster.groups.values():
         for replica in replicas.values():
             replica.on_apply_hooks.append(
-                lambda r, i, command: command.op in (OpType.TXN_ABORT,
-                                                     OpType.TXN_DECIDE)
+                lambda r, i, command: command.op is OpType.TXN_ABORT
                 and aborts.append(command))
     stalled = []
-    phase2 = victim._phase2
+    bind = victim._bind
 
-    def slow_phase2(state, commit):
-        if commit and not stalled:
+    def slow_bind(state, outcome):
+        if outcome == "commit" and not stalled:
             stalled.append(state)
             false_take(cluster, janitor, victim)
-            cluster.sim.schedule(sec(2.0), phase2, state, commit)
+            cluster.sim.schedule(sec(2.0), bind, state, outcome)
         else:
-            phase2(state, commit)
-    victim._phase2 = slow_phase2
+            bind(state, outcome)
+    victim._bind = slow_bind
     cluster.sim.schedule(ms(10), client.transact,
                          [("put", key0, "v0"), ("put", key1, "v1")])
     cluster.sim.run(until=sec(6.0))
@@ -603,6 +606,92 @@ def test_false_takeover_of_an_answered_coordinator_commits():
     assert aborts == []
     home = cluster.leader_replica(0).store
     assert home._decisions[stalled[0].handle]["outcome"] == "commit"
+    assert_one_execution(cluster, client, replies, [key0, key1])
+
+
+def test_false_takeover_leaves_the_victims_new_attempts_to_it():
+    """A falsely taken coordinator lives on under the take's fence epoch,
+    and its new attempt's prepares straddle the janitor's `TXN_RECOVER`:
+    the home shard logs the prepare before the sweep's query, the other
+    participant after it.  The fence does not stop such a prepare, so the
+    home report is not final and the sweep must leave the handle to its
+    live owner: aborting it would drop the writes of a transaction the
+    owner answers once the second yes lands."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0, duration_s=8.0))
+    key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
+    client = manual_client(cluster)
+    replies = replies_seen(client)
+    victim, janitor = cluster.coordinators[0], cluster.coordinators[1]
+    applied = []   # (shard, op, client id) in apply order, first replica
+    for shard, replicas in cluster.groups.items():
+        for replica in replicas.values():
+            replica.on_apply_hooks.append(
+                lambda r, i, command, shard=shard: applied.append(
+                    (shard, command.op, command.client_id)))
+
+    def landed(shard, op, prefix):
+        return any(s == shard and o is op and c.startswith(prefix)
+                   for s, o, c in applied)
+
+    def hold(node, name, until, release):
+        """Run `node.<name>(...)` calls for which `release(*args)` holds
+        only once `until()` does (polled every millisecond)."""
+        original = getattr(node, name)
+
+        def held(*args):
+            if release(*args) and not until():
+                cluster.sim.schedule(ms(1), held, *args)
+            else:
+                original(*args)
+        setattr(node, name, held)
+
+    recover = "__txnrec__:"
+    attempt = f"__txn__:c_manual:1#{victim.name}"
+    # The sweep's query reaches the home shard only after the victim's
+    # prepare has applied there...
+    hold(janitor, "_send", lambda: landed(0, OpType.TXN_PREPARE, attempt),
+         lambda holder, shard, command: command.client_id.startswith(recover)
+         and shard == 0)
+    # ...and the victim's other prepare only after the query applied there.
+    hold(victim, "_send", lambda: landed(1, OpType.TXN_RECOVER, recover),
+         lambda holder, shard, command: command.op is OpType.TXN_PREPARE
+         and shard == 1)
+    # The victim binds its commit only after the sweep has resolved and
+    # finished what it saw, so a wrong abort would be bound at home first.
+    swept = []
+    finish_sweep = janitor._finish_sweep
+    janitor._finish_sweep = lambda sweep: (swept.append(sweep.victim),
+                                           finish_sweep(sweep))
+    hold(victim, "_bind",
+         lambda: swept and not any("!s" in route
+                                   for route in janitor._by_handle),
+         lambda state, outcome: outcome == "commit")
+
+    taken = []
+    on_record = victim.on_control_record
+
+    def adopt_then_transact(record):
+        on_record(record)
+        if record.get("k") == "take" and not taken:
+            taken.append(victim.epoch)
+            client.transact([("put", key0, "v0"), ("put", key1, "v1")])
+    victim.on_control_record = adopt_then_transact
+    cluster.sim.schedule_at(sec(1.0), false_take, cluster, janitor, victim)
+    cluster.sim.run(until=sec(8.0))
+
+    assert taken and swept == [victim.name]
+    assert janitor.failovers == 1
+    handle = next(c for s, o, c in applied if c.startswith(attempt))
+    assert f".{taken[0]}." in handle  # stamped with the take's epoch
+
+    def first(shard, op, prefix):
+        return next(i for i, (s, o, c) in enumerate(applied)
+                    if s == shard and o is op and c.startswith(prefix))
+    assert (first(0, OpType.TXN_PREPARE, attempt)
+            < first(0, OpType.TXN_RECOVER, recover))
+    assert (first(1, OpType.TXN_RECOVER, recover)
+            < first(1, OpType.TXN_PREPARE, attempt))
+    assert lost_installs(cluster) == []
     assert_one_execution(cluster, client, replies, [key0, key1])
 
 
@@ -632,6 +721,29 @@ def test_falsely_taken_coordinator_is_taken_again_when_it_dies():
     first, *later = sorted(set(takes))
     assert later and later[0] > first  # taken again, above its own fence
     assert cluster.locks_left() == 0
+
+
+def test_each_take_a_coordinator_outlived_doubles_its_lease_expiry():
+    """A falsely taken coordinator's fence above the take names the take
+    it outlived, and every peer doubles its lease expiry for it: a member
+    whose renewal round outlasts the base expiry is then not taken again
+    after every arrival.  Its real death is still swept, one doubled
+    expiry after its last renewal landed."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0, duration_s=6.0))
+    victim, janitor = cluster.coordinators[0], cluster.coordinators[1]
+    cluster.sim.schedule_at(sec(1.0), false_take, cluster, janitor, victim)
+    cluster.sim.run(until=sec(2.0))
+    assert all(len(c.view.outlived[victim.name]) == 1
+               for c in cluster.coordinators)
+
+    victim.crash()
+    heard = {c.name: c.view.heard[victim.name] for c in cluster.coordinators}
+    cluster.sim.run(until=sec(6.0))
+    (at, by), = [(at, c.name) for c in cluster.coordinators
+                 for at, taken in c.takeovers
+                 if taken == victim.name and at > sec(2.0)]
+    expiry = victim.LEASE_EXPIRY
+    assert 2 * expiry < at - heard[by] < 2 * expiry + ms(400)
 
 
 # -- fault windows (nemesis-driven) -------------------------------------------
@@ -732,6 +844,24 @@ def test_nemesis_random_faults_keep_txns_safe(seed):
     assert result.duplicate_executions == 0
     assert result.strict_serializable
     assert all(not v for v in result.prefix_violations.values())
+
+
+@pytest.mark.parametrize("seed", [7, 18, 26])
+def test_nemesis_host_kill_and_false_takeovers_lose_no_acked_write(seed):
+    """Leader faults, two coordinator crashes and a coordinator host kill:
+    the control-log stalls make janitors take live coordinators too, and
+    those keep running attempts under the take's epoch.  A sweep that
+    aborted such an attempt from a non-final report dropped the writes of
+    a transaction its owner answered (on these seeds, one or two); every
+    acknowledged write must install."""
+    cluster = TxnCluster(txn_spec(seed=seed, duration_s=8.0))
+    nemesis = txn_nemesis(cluster, seed, window=(1.0, 5.0), events=4,
+                          coordinator_kills=2)
+    nemesis.random_schedule(1, 1.0, 5.0, kinds=("coordinator_host_kill",))
+    result = cluster.run()
+    assert result.failovers > 0
+    assert result.safe and result.duplicate_executions == 0
+    assert lost_installs(cluster) == []
 
 
 # -- windowed committed-reply cache (pipelined sessions) ----------------------

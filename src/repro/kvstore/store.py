@@ -55,9 +55,10 @@ identically on every replica of the group (and by crash-recovery replay):
   after the home log knows the outcome;
 * `TXN_RECOVER` fences a coordinator incarnation (stale prepares from the
   crashed incarnation are refused, so they cannot leave orphan locks) and
-  reports the prepared transactions that fence covers and the logged
-  decisions it must resolve: an undecided handle is committed iff every
-  participant reports it.
+  reports the prepared transactions that fence covers: a handle is
+  committed iff every participant reports it.  The home commit record
+  (`_txn_commits`) names the home keys and migrates with them: it answers
+  every later attempt of the transaction.
 
 Ordering matters: the duplicate check runs **before** the ownership check.
 A retried command whose original already applied, but whose key has since
@@ -449,10 +450,11 @@ class KVStore:
                                     "reads": self._txn_meta[handle][1]})
         winner = self._txn_commits.get(meta["txn"])
         if winner is not None and winner["handle"] != handle:
-            # Another attempt of this transaction committed here, in its
-            # home shard: a yes would let both be answered.  Sibling
-            # attempts lock the same keys here, so a sibling gets this far
-            # only once the winner's commit has released them.
+            # Another attempt of this transaction committed with its home
+            # keys here (bound here, or migrated with the keys): a yes
+            # would let both be answered.  Sibling attempts lock the same
+            # home keys, so a sibling gets this far only once the winner's
+            # commit has released them.
             return _reply(command, {"vote": "no", "reason": "committed",
                                     "winner": winner})
         keys = [key for _, key, _ in meta["ops"]]
@@ -558,17 +560,15 @@ class KVStore:
 
     def _apply_txn_recover(self, command: Command) -> ApplyResult:
         """Fence the coordinator's incarnations below `inc`, then report
-        every prepared transaction stamped below it and every logged
-        decision the coordinator owns.  Ordered through the log, so any
-        prepare committed before this query is visible in the report and
-        any prepare still in flight behind it is fenced.
+        every prepared transaction stamped below it.  Ordered through the
+        log, so any prepare committed before this query is visible in the
+        report and any prepare still in flight behind it is fenced.
 
         A prepare stamped at or above the fence is left out: the fence
         does not stop that attempt's other prepares, so the report would
-        not be final.  It
-        belongs to a coordinator that outlived the take and adopted the
-        new epoch — that coordinator finishes it, and a later take, at a
-        higher fence, covers it if it dies."""
+        not be final.  It belongs to a coordinator that was taken over
+        while alive and adopted the new epoch — that coordinator finishes
+        it, and a later take, at a higher fence, covers it if it dies."""
         meta = payload_of(command)
         coord, inc = meta["coord"], meta["inc"]
         self._txn_fence[coord] = max(self._txn_fence.get(coord, -1), inc)
@@ -577,10 +577,7 @@ class KVStore:
         prepared = tuple(dict(held, reads=reads)
                          for _, (held, reads) in sorted(self._txn_meta.items())
                          if held.get("coord") == coord and held["inc"] < inc)
-        decisions = tuple(self._decisions[handle]
-                          for handle in sorted(self._decisions)
-                          if self._decisions[handle].get("coord") == coord)
-        return _reply(command, {"prepared": prepared, "decisions": decisions})
+        return _reply(command, {"prepared": prepared})
 
     # -- range migration ----------------------------------------------------
 
@@ -588,7 +585,8 @@ class KVStore:
         """Remove and return everything owned in hash range [lo, hi): the
         records, their versions, and every client's dedup-window slots
         whose key lies in the range (the low-water mark is copied, not
-        moved — both sides keep the floor, which only ever rises).
+        moved — both sides keep the floor, which only ever rises), and a
+        copy of every txn commit record naming a key in it.
         Deterministic: replicas applying the same log prefix export
         identical snapshots."""
         from repro.shard.partition import key_point  # lazy: kvstore sits below shard
@@ -632,13 +630,18 @@ class KVStore:
             for seq in taken:
                 del session.entries[seq]
             sessions[client] = session.export_payload(taken)
-        return {"table": table, "versions": versions, "sessions": sessions,
-                "write_log": write_log}
+        export = {"table": table, "versions": versions, "sessions": sessions,
+                  "write_log": write_log}
+        commits = {txn: record for txn, record in self._txn_commits.items()
+                   if any(lo <= key_point(key) < hi for key in record["keys"])}
+        if commits:  # a reshard without 2PC ships no extra bytes
+            export["txn_commits"] = commits
+        return export
 
     def import_range(self, payload: Dict) -> int:
         """Install an exported range: records, versions (a member: install
-        orders), and dedup windows (slots union, floors join by max — an
-        already-present slot or a higher floor never regresses)."""
+        orders), dedup windows and txn commit records (slots union, floors
+        join by max — a present slot or record, a higher floor wins)."""
         installs = self._installs
         if installs is None:
             self._versions.update(payload.get("versions", {}))
@@ -656,6 +659,8 @@ class KVStore:
         for client, exported in payload.get("sessions", {}).items():
             session = self._sessions.setdefault(client, DedupSession())
             session.merge(DedupSession.from_payload(exported))
+        for txn, record in payload.get("txn_commits", {}).items():
+            self._txn_commits.setdefault(txn, record)
         return len(payload.get("table", {}))
 
     def _apply_migrate_out(self, command: Command) -> ApplyResult:

@@ -141,18 +141,15 @@ class TxnRequest(SizedMessage):
     None for reads).  `ts` is the transaction's wait-die priority — fixed
     at the *first* attempt and reused on every retry so a transaction's
     priority ages rather than resets (the property wound-wait/wait-die
-    liveness rests on).  Retries reuse `txn_seq`; the coordinator caches
-    committed replies per (client, txn_seq)."""
+    liveness rests on).  Retries reuse `txn_seq`: a retry of an answered
+    transaction starts a fresh attempt, which the home shard's commit
+    record answers with the first attempt's outcome and reads."""
 
     client: str
     txn_seq: int
     ts: int
     ops: List[Tuple[str, str, Optional[str]]]
     epoch: Optional[int] = None
-    # Pipelined sessions: every txn_seq <= this is acknowledged, so the
-    # coordinator may evict those committed-reply cache slots (the txn
-    # counterpart of `Command.acked_low_water`).
-    acked_low_water: int = -1
 
     def _payload_bytes(self) -> int:
         return sum(24 + len(k) + (len(v) if v else 0) for _, k, v in self.ops)

@@ -33,13 +33,14 @@ the unmodified protocol stack underneath:
 
 The journal record schema (JSON, discriminated by `"k"`):
 
-    {"k": "lease", "o": <member>, "t": <us>}            liveness renewal
-    {"k": "fence", "o": <member>, "fe": <epoch>, ...}   member (re)join
-    {"k": "take",  "v": <victim>, "by": <member>,
-     "fe": <epoch>, ...}                                peer-fence takeover
-    {"k": "claim", "o": <member>, "e": <owner epoch>,
-     ...}                                               single-owner claim
-    anything else                                       subclass records
+    {"k": "lease", "o": <member>}                        liveness renewal
+    {"k": "fence", "o": <member>, "fe": <epoch>}         (re)join / re-take
+    {"k": "take",  "v": <victim>, "by": <member>, "fe": <epoch>}  takeover
+    {"k": "claim", "o": <member>, "e": <owner epoch>}    single-owner claim
+    {"k": "adv",   "s": <step>}                          reshard cursor
+
+Each also carries its journal stamp `"t"`.  Only liveness and ownership
+facts: a transaction's outcome lives in its home shard's log alone.
 
 `fence`/`take` raise a per-member fence epoch (max-merge): commands
 stamped with an older epoch are refused by the data-plane stores, which is
@@ -91,11 +92,6 @@ class ControlView:
         self.heard: Dict[str, int] = {}
         # victim -> (fence epoch, janitor) of the winning takeover.
         self.taken_by: Dict[str, Tuple[int, str]] = {}
-        # member -> the take epochs it outlived: each a takeover proved
-        # false by the member's own fence above it (a set, so a replayed
-        # record counts once).  `ReplicatedCoordinator.lease_expired`
-        # doubles the member's expiry per proof.
-        self.outlived: Dict[str, set] = {}
         # Single-owner role (the reshard driver); epoch 1 is assigned at
         # construction without a journal round, deterministically.
         self.owner: Optional[str] = initial_owner
@@ -118,8 +114,6 @@ class ControlView:
             member, fe = record["o"], record["fe"]
             if fe > self.fence.get(member, 1):
                 self.fence[member] = fe
-            if "outlived" in record:
-                self.outlived.setdefault(member, set()).add(record["outlived"])
             self._renew(member, record["t"])
         elif kind == "take":
             victim, fe = record["v"], record["fe"]
@@ -205,12 +199,11 @@ class ControlGroup:
 
 
 class _PendingJournal:
-    __slots__ = ("command", "timer", "on_ok", "attempts", "rejections")
+    __slots__ = ("command", "timer", "attempts", "rejections")
 
-    def __init__(self, command: Command, timer, on_ok) -> None:
+    def __init__(self, command: Command, timer) -> None:
         self.command = command
         self.timer = timer
-        self.on_ok = on_ok
         self.attempts = 0
         self.rejections = 0
 
@@ -226,8 +219,6 @@ class ReplicatedCoordinator(Node):
 
     LEASE_INTERVAL = ms(80)
     LEASE_EXPIRY = ms(320)
-    #: Cap on a member's expiry doublings (`lease_expired`): 320 ms -> 2.56 s.
-    MAX_EXPIRY_DOUBLINGS = 3
 
     def __init__(self, name, sim, network, site: str, control: ControlGroup,
                  rng, metrics: Optional[MetricsRecorder] = None,
@@ -248,18 +239,18 @@ class ReplicatedCoordinator(Node):
         # killed coordinator minus the kill time).
         self.failovers = 0
         self.takeovers: List[Tuple[int, str]] = []
-        self._lease_inflight = False
+        self._lease_pending: Optional[_PendingJournal] = None
         self._lease_timer = self.timer("ctl-lease")
         self._arm_lease()
 
     # -- journaling ----------------------------------------------------------
 
-    def journal(self, record: Dict,
-                on_ok: Optional[Callable[[], None]] = None) -> None:
+    def journal(self, record: Dict) -> _PendingJournal:
         """Append `record` to the control log (at-most-once, retried until
-        committed).  The sequence number comes from stable storage, so a
-        crash-restarted coordinator cannot reuse a slot and have a fresh
-        record suppressed by its predecessor's dedup entry."""
+        committed); returns the pending append.  The sequence number
+        comes from stable storage, so a crash-restarted coordinator cannot
+        reuse a slot and have a fresh record suppressed by its
+        predecessor's dedup entry."""
         seq = self.stable.get("ctl_seq", 0) + 1
         self.stable["ctl_seq"] = seq
         value = Payload(dict(record, t=self.sim.now))
@@ -267,9 +258,10 @@ class ReplicatedCoordinator(Node):
             op=OpType.PUT, key=f"ctl:{self.name}", value=value,
             client_id=f"{CONTROL_CLIENT_PREFIX}{self.name}", seq=seq,
             value_size=len(value), acked_low_water=self._ctl_floor.floor)
-        pending = _PendingJournal(command, self.timer(f"ctl-j{seq}"), on_ok)
+        pending = _PendingJournal(command, self.timer(f"ctl-j{seq}"))
         self._journal_pending[command.request_id] = pending
         self._journal_send(pending)
+        return pending
 
     def _journal_send(self, pending: _PendingJournal) -> None:
         if self._journal_pending.get(pending.command.request_id) is not pending:
@@ -302,23 +294,20 @@ class ReplicatedCoordinator(Node):
         pending.timer.cancel()
         del self._journal_pending[message.request_id]
         self._ctl_floor.ack(seq)
-        if pending.on_ok is not None:
-            pending.on_ok()
         return True
 
     # -- leases / takeover ---------------------------------------------------
 
     def journal_lease(self) -> None:
-        """Renew this member's liveness claim, at most one append in
-        flight: while the control group is electing, ticks must not pile
-        a retrying lease record on top of the last one."""
-        if self._lease_inflight:
-            return
-        self._lease_inflight = True
-
-        def landed() -> None:
-            self._lease_inflight = False
-        self.journal({"k": "lease", "o": self.name}, on_ok=landed)
+        """Renew this member's liveness claim.  A renewal still pending is
+        replaced, its seq acked in the dedup floor (nothing retries it),
+        so at most one lease record retries while the group elects."""
+        stale = self._lease_pending
+        if stale is not None and self._journal_pending.pop(
+                stale.command.request_id, None) is stale:
+            stale.timer.cancel()
+            self._ctl_floor.ack(stale.command.seq)
+        self._lease_pending = self.journal({"k": "lease", "o": self.name})
 
     def _arm_lease(self) -> None:
         # Jittered so a site's coordinators don't tick in lockstep.
@@ -335,30 +324,16 @@ class ReplicatedCoordinator(Node):
 
     def lease_expired(self, member: str) -> bool:
         """Whether no renewal of `member`'s has reached this site for
-        `LEASE_EXPIRY`, by this site's clock.  A member that never
-        journaled is not expired — there is nothing to take over from it
-        yet.
-
-        Judged by arrival, not by the renewal's own stamp: a renewal is a
-        control-log commit plus a WAN hop old when it applies here, and a
-        far member's renewal round (one append in flight) runs 250-300 ms
-        under load, so by its stamp a live far member would look expired
-        before every arrival.  The arrival gap is the renewal round
-        itself; a dead member still goes silent one expiry after its last
-        renewal lands.
-
-        A member whose renewal round outlasts the expiry anyway (a far
-        member while the control leader is far too) would be taken over
-        again after every arrival.  So each takeover the member outlived
-        (`ControlView.outlived`) doubles its expiry, up to
-        `MAX_EXPIRY_DOUBLINGS` — the timeout of an eventually perfect
-        failure detector grows on every false suspicion."""
+        `LEASE_EXPIRY`, by this site's clock (a member that never
+        journaled is not expired).  Judged by arrival, not by the
+        renewal's own stamp, which is a control-log commit plus a WAN hop
+        old when it lands: a far member's round runs 250-300 ms under
+        load.  Renewals go out every tick (`journal_lease`), so they
+        arrive about a tick apart however long the round is."""
         heard = self.view.heard.get(member)
         if heard is None:
             return False
-        doublings = min(len(self.view.outlived.get(member, ())),
-                        self.MAX_EXPIRY_DOUBLINGS)
-        return self.sim.now - heard > self.LEASE_EXPIRY << doublings
+        return self.sim.now - heard > self.LEASE_EXPIRY
 
     def owner_lease_expired(self) -> bool:
         """`lease_expired` for the single-owner role.  A fresh owner's
@@ -392,7 +367,7 @@ class ReplicatedCoordinator(Node):
         # In-flight journal appends are volatile (their stable seqs are
         # not: a re-journaled transition gets a fresh slot).
         self._journal_pending.clear()
-        self._lease_inflight = False
+        self._lease_pending = None
 
     def on_recover(self) -> None:
         self._arm_lease()

@@ -38,8 +38,8 @@ retries safe at any pipeline depth.
 single-shard transaction is one atomic `TXN` command through the owning
 group (sharing the window, the seq namespace, and the dedup path of
 ordinary commands), while cross-shard transactions go to the 2PC
-coordinator under their own (client, txn_seq) namespace — also windowed,
-so transactions pipeline like everything else.
+coordinator under their own (client, txn_seq) namespace; a retry keeps
+its txn_seq, and the home shard's commit record keeps it at-most-once.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from repro.protocols.messages import (
 from repro.protocols.types import Command, OpType, Payload, payload_of
 from repro.shard.partition import HashRangePartitioner, Partitioner, VersionedPartitioner
 from repro.workload.clients import ClosedLoopClient
-from repro.workload.session import AckFloor, PendingRequest
+from repro.workload.session import PendingRequest
 from repro.workload.ycsb import WorkloadConfig
 
 # One transaction operation: ("put"|"get", key, value-or-None).
@@ -159,7 +159,7 @@ class ShardRoutedClient(ClosedLoopClient):
         # `coordinators` is the failover ring (ordered, preferred first):
         # after COORD_ROTATE_AFTER unanswered sends the client moves to
         # the next member and keeps retrying the same txn_seq there — the
-        # coordinators' shared at-most-once machinery makes that safe.
+        # home shard's commit record answers a retry of an answered one.
         self._coordinator_ring: List[str] = (
             list(coordinators) if coordinators
             else ([coordinator] if coordinator else []))
@@ -168,8 +168,6 @@ class ShardRoutedClient(ClosedLoopClient):
                             else (self._coordinator_ring[0]
                                   if self._coordinator_ring else None))
         self.txn_seq = 0
-        # txn_seqs start at 1: the vacuous acked floor is 0 (evicts nothing).
-        self._txn_floor = AckFloor()
         self._txn_pending: Dict[int, _PendingTxn] = {}
         self.txns_issued = 0
         self.txns_committed = 0
@@ -270,10 +268,6 @@ class ShardRoutedClient(ClosedLoopClient):
         return super().outstanding + len(self._txn_pending)
 
     @property
-    def txn_acked_floor(self) -> int:
-        return self._txn_floor.floor
-
-    @property
     def txns_outstanding(self) -> int:
         """Transactions issued but not yet acknowledged: cross-shard 2PC
         requests plus single-shard TXN commands in the window or queue."""
@@ -290,8 +284,9 @@ class ShardRoutedClient(ClosedLoopClient):
         owning group — the full epoch/redirect/dedup/pipelining machinery
         of ordinary commands applies unchanged.  Cross-shard transactions
         go to the transaction coordinator, which runs 2PC through the
-        participant groups' logs; the client's retry (same `txn_seq`) is
-        answered from the coordinator's windowed committed-reply cache."""
+        participant groups' logs; the client's retry (same `txn_seq`) of
+        an answered transaction is answered from its home shard's commit
+        record."""
         ops = [tuple(op) for op in ops]
         if not ops:
             return
@@ -308,8 +303,7 @@ class ShardRoutedClient(ClosedLoopClient):
         self.txn_seq += 1
         request = TxnRequest(
             client=self.name, txn_seq=self.txn_seq, ts=self.sim.now,
-            ops=[list(op) for op in ops], epoch=self.router.epoch,
-            acked_low_water=self.txn_acked_floor)
+            ops=[list(op) for op in ops], epoch=self.router.epoch)
         pending = _PendingTxn(request, self.sim.now,
                               self.timer(f"txn-retry:{self.txn_seq}"))
         self._txn_pending[self.txn_seq] = pending
@@ -378,7 +372,6 @@ class ShardRoutedClient(ClosedLoopClient):
         del self._txn_pending[message.txn_seq]
         if self.obs is not None:
             self.obs_phase(self._txn_trace(message.txn_seq), "complete")
-        self._txn_floor.ack(message.txn_seq)
         request = pending.request
         start, end = pending.submitted_at, self.sim.now
         self.metrics.add(RequestRecord(

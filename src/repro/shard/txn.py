@@ -20,16 +20,16 @@ properties the Howard & Mortier comparison says matter:
   vote the transaction is committed, whoever learns it.
 
 So the last yes vote is the **commit point**, and the client is answered
-there: one consensus round (prepare) on its path.  The coordinator mirrors
-each commit as a journal record through the coordinators' own control
-group (`repro.shard.control`), so every hot standby caches the committed
-reply, and phase 2 finishes in the background: the home shard's
-`TXN_COMMIT` carries the decision record and binds it in the home log,
-then the other participants install.  No log-ordered read can go around
-the early answer — the staged keys stay locked until `TXN_COMMIT` applies,
-so a later prepare or single-shard `TXN` touching them waits, dies or
-conflicts (lease-local GETs do not consult the locks, so `TxnCluster`
-refuses the protocols that serve them; DESIGN.md §6).
+there: one consensus round (prepare) on its path.  Phase 2 finishes in
+the background: the home shard's `TXN_COMMIT` carries the decision record
+and binds it in the home log, then the other participants install.  That
+home record is the one record of the transaction's outcome: no
+coordinator caches a reply or journals the commit anywhere else.  No
+log-ordered read can go around the early answer — the staged keys stay
+locked until `TXN_COMMIT` applies, so a later prepare or single-shard
+`TXN` touching them waits, dies or conflicts (lease-local GETs do not
+consult the locks, so `TxnCluster` refuses the protocols that serve
+them; DESIGN.md §6).
 
 The coordinator fleet has no single reliable node left.  Each site's
 coordinator shares a host with that site's control replica, renews a
@@ -38,11 +38,10 @@ one expires, a standby journals a `take` that raises the victim's fence
 epoch, and the winning janitor sweeps every shard with `TXN_RECOVER` —
 which raises the store-side fence (in-flight prepares stamped below it
 are refused rather than left holding orphan locks) and reports the
-victim's transactions prepared below the fence and its logged decisions.
-An undecided handle that every participant reports prepared is
-committed; any other is aborted, and the abort is bound in the home shard
-first, where the first decision recorded wins (so a commit already bound
-there is honored).  A victim that was alive after all keeps its newer
+victim's transactions prepared below the fence.  A handle that every
+participant reports prepared is committed; any other is aborted, and the
+abort is bound in the home shard first, where the first decision recorded
+wins (so a commit already bound there is honored and finished).  A victim that was alive after all keeps its newer
 attempts — stamped at the take's epoch, so the fence does not make their
 reports final — and finishes them itself.  A recovered coordinator runs
 the same sweep on itself under a fresh fence epoch granted by the
@@ -50,12 +49,15 @@ control journal.
 
 Clients hold a coordinator ring and rotate to another site's coordinator
 after a few unanswered sends, so a dead coordinator host costs
-milliseconds, not a crash-restart window.  The rotated retry is kept
-at-most-once by the home shard: sibling attempts lock the same home keys,
-so only one holds them at a time, and the one that commits binds the
-transaction there before its home locks release; a later sibling's home
+milliseconds, not a crash-restart window.  Every retry — to the same
+coordinator, a rotated one or a recovered one — starts a fresh attempt,
+kept at-most-once by the home shard: sibling attempts lock the same home
+keys, so only one holds them at a time, and the one that commits binds
+the transaction there before its home locks release; a later sibling's
 prepare votes no with the winning record attached, and its coordinator
-answers the client from the winner.
+answers the client from the winner.  The record names the home keys and
+moves with their range in a reshard, so it meets the retry wherever
+those keys live.
 
 Conflicts are resolved wait-die (see `store.py`): the older transaction
 re-sends the conflicted prepare while keeping its other locks; the
@@ -182,10 +184,9 @@ class _TxnState:
 class _Sweep:
     """One in-flight `TXN_RECOVER` fan-out: the fenced sweep of a dead (or
     just-recovered) coordinator's shards, collecting its prepared
-    transactions (with the shards that report each) and logged
-    decisions."""
+    transactions with the shards that report each."""
 
-    __slots__ = ("victim", "fe", "pending", "sent_at", "prepared", "decisions")
+    __slots__ = ("victim", "fe", "pending", "sent_at", "prepared")
 
     def __init__(self, victim: str, fe: int) -> None:
         self.victim = victim
@@ -193,7 +194,6 @@ class _Sweep:
         self.pending: Dict[int, Command] = {}   # shard -> awaiting report
         self.sent_at: Dict[int, int] = {}       # shard -> last send time
         self.prepared: Dict[str, Dict[int, Dict]] = {}  # handle -> shard -> meta
-        self.decisions: Dict[str, Dict] = {}
 
 
 class TxnCoordinator(ReplicatedCoordinator):
@@ -204,8 +204,8 @@ class TxnCoordinator(ReplicatedCoordinator):
     ordinary simulated process with the default CPU cost model (it is
     part of the measured serving path, unlike the bench clients), sharing
     a host with its site's control replica.  Its fence epoch comes from
-    the control journal: `on_recover` re-fences itself and replays its
-    own decision log; a peer whose lease expires is fenced and swept by
+    the control journal: `on_recover` re-fences itself and sweeps its own
+    prepared handles; a peer whose lease expires is fenced and swept by
     whichever standby journals the `take` first."""
 
     RETRY = sec(1)        # lost-message resend sweep
@@ -228,17 +228,6 @@ class TxnCoordinator(ReplicatedCoordinator):
         self._taking: set = set()               # peers with a take in flight
         self._active: Dict[str, _TxnState] = {}     # txn_id -> state
         self._by_handle: Dict[str, _TxnState] = {}  # handle -> state
-        # Committed-reply cache, windowed per client: client -> txn_seq ->
-        # reply.  Retries of any un-acked txn_seq are answered from here;
-        # the client's `TxnRequest.acked_low_water` stamp evicts the acked
-        # slots (the coordinator-side counterpart of the stores' windowed
-        # dedup, so pipelined transactions stay at-most-once too).  The
-        # floor below which slots were evicted is remembered per client:
-        # a delayed retransmit of an acked txn_seq must be DROPPED, not
-        # treated as a fresh transaction (mirrors DedupSession.lookup's
-        # seq <= low_water marker).
-        self._completed: Dict[str, Dict[int, TxnReply]] = {}
-        self._completed_floor: Dict[str, int] = {}
         self._queued: List[Tuple[str, TxnRequest]] = []
         self._recovering = False
         self._attempts = 0
@@ -258,43 +247,15 @@ class TxnCoordinator(ReplicatedCoordinator):
                 return
             self._on_reply(message)
 
-    def _cache_reply(self, txn_id: str, reply: TxnReply) -> None:
-        client, txn_seq = txn_id.rsplit(":", 1)
-        self._completed.setdefault(client, {})[int(txn_seq)] = reply
-
-    def _cached_reply(self, txn_id: str) -> Optional[TxnReply]:
-        client, txn_seq = txn_id.rsplit(":", 1)
-        return self._completed.get(client, {}).get(int(txn_seq))
-
-    def _evict_completed(self, client: str, acked_low_water: int) -> None:
-        if acked_low_water > self._completed_floor.get(client, 0):
-            self._completed_floor[client] = acked_low_water
-        window = self._completed.get(client)
-        if window is None:
-            return
-        for txn_seq in [seq for seq in window if seq <= acked_low_water]:
-            del window[txn_seq]
-        if not window:
-            del self._completed[client]
-
     def _on_request(self, src: str, msg: TxnRequest) -> None:
         txn_id = f"{msg.client}:{msg.txn_seq}"
         if self._recovering:
-            # Don't start work until the decision-log replay has rebuilt
-            # the committed cache — re-running a decided transaction here
-            # would be the double-execution this design exists to prevent.
+            # Don't start work until the journal has granted our new fence
+            # epoch and the self-sweep has resolved our old handles: an
+            # attempt stamped with the old epoch would be fenced by that
+            # very sweep.  A retry of a transaction answered before the
+            # crash is then a fresh attempt the home record answers.
             self._queued.append((src, msg))
-            return
-        self._evict_completed(msg.client, msg.acked_low_water)
-        if msg.txn_seq <= self._completed_floor.get(msg.client, 0):
-            # An acked txn_seq (its slot was evicted on the client's own
-            # low-water stamp): only a stale retransmit of an answered
-            # request can present it — starting a fresh attempt here would
-            # re-execute a committed transaction.  Drop it.
-            return
-        cached = self._cached_reply(txn_id)
-        if cached is not None:
-            self.send(src, cached)
             return
         active = self._active.get(txn_id)
         if active is not None:
@@ -451,11 +412,8 @@ class TxnCoordinator(ReplicatedCoordinator):
         else:
             # "no": we are younger than a holder (die), fenced, or misrouted
             # — abort this attempt everywhere and retry from scratch.
-            self._abort_attempt(state)
-
-    def _abort_attempt(self, state: _TxnState) -> None:
-        self.attempt_aborts += 1
-        self._drop(state)
+            self.attempt_aborts += 1
+            self._drop(state)
 
     def _commit(self, state: _TxnState) -> None:
         """The transaction is committed (every participant logged a yes
@@ -464,17 +422,22 @@ class TxnCoordinator(ReplicatedCoordinator):
         self._bind(state, "commit")
 
     def _decision_record(self, state: _TxnState, outcome: str) -> Dict:
+        # `keys` are the home keys: the record moves with their range in a
+        # reshard (`KVStore.export_range`), so it meets every later attempt
+        # of the transaction, whose ops name the same keys.
         return {"handle": state.handle, "txn": state.txn_id,
                 "coord": state.coord,
                 "participants": sorted(state.participants), "outcome": outcome,
-                "reads": state.reads}
+                "reads": state.reads,
+                "keys": [op[1] for op in state.participants[state.home]]}
 
     def _on_decision(self, state: _TxnState, decision: Dict) -> None:
         """Obey a decision the home shard returned in place of ours."""
         if decision.get("outcome") == "commit":
-            # A sweep's abort lost to a commit bound first.
-            state.reads = decision.get("reads") or state.reads
-            self._commit(state)
+            # A sweep's abort lost to a commit bound first: the home log
+            # already holds it, so finish the other participants.
+            state.outcome = "commit"
+            self._release_rest(state)
         else:
             winner = decision.get("winner")
             if winner is not None:
@@ -496,27 +459,19 @@ class TxnCoordinator(ReplicatedCoordinator):
         module docstring for why no log-ordered read can go around it); a
         crash before phase 2 finishes is repaired by the sweep
         (`_finish_sweep`), which commits every handle all of whose
-        participants report it prepared."""
+        participants report it prepared.  Nothing keeps the reply: a
+        retry is a fresh attempt that the home record answers."""
         if state.winner is None and state.ops:
             # Counted by the attempt's own coordinator only: a cleanup
             # cannot tell whether its (dead or fenced) owner already did.
             self.commits += 1
-        client, txn_seq = state.txn_id.rsplit(":", 1)
-        reply = TxnReply(client=client, txn_seq=int(txn_seq), ok=True,
-                         committed=True, reads=dict(state.reads),
-                         server=self.name)
-        self._cache_reply(state.txn_id, reply)
-        if state.winner is None:
-            # Mirror the commit into the control journal (a winner's own
-            # coordinator does that for it) so the hot standbys cache the
-            # reply too — a client that rotates to one after we die is
-            # answered from cache, not re-executed.
-            self.journal({"k": "txnd", "txn": state.txn_id,
-                          "reads": dict(state.reads)})
         if state.client_node is not None:
+            client, txn_seq = state.txn_id.rsplit(":", 1)
             if self.obs is not None:
                 self.obs_phase(state.trace, "reply")
-            self.send(state.client_node, reply)
+            self.send(state.client_node, TxnReply(
+                client=client, txn_seq=int(txn_seq), ok=True, committed=True,
+                reads=dict(state.reads), server=self.name))
         # What follows (phase 2) runs after the answer, off the client's
         # path: its commands are traced as themselves, not into the
         # transaction's span, whose phases sum to the client's latency.
@@ -574,9 +529,7 @@ class TxnCoordinator(ReplicatedCoordinator):
         delay += self.rng.randint(0, int(ms(20)))
 
         def retry() -> None:
-            if (state.txn_id not in self._active
-                    and self._cached_reply(state.txn_id) is None
-                    and not self._recovering):
+            if state.txn_id not in self._active and not self._recovering:
                 self._start_attempt(state.txn_id, state.client_node, state.ops,
                                     state.ts, retries=state.retries + 1)
         self.after(delay, retry)
@@ -626,11 +579,9 @@ class TxnCoordinator(ReplicatedCoordinator):
                         # Taken over while alive.  Journal a fence of our
                         # own above the take: until the current fence is no
                         # longer a takeover, `on_lease_tick` skips us, and
-                        # our real death would never be swept.  The record
-                        # proves the take false, which lengthens our lease
-                        # expiry at every peer (`lease_expired`).
+                        # our real death would never be swept.
                         self.journal({"k": "fence", "o": self.name,
-                                      "fe": fe + 1, "outlived": fe})
+                                      "fe": fe + 1})
                 return
             if (record.get("by") == self.name
                     and self.view.taken_by.get(victim)
@@ -647,33 +598,16 @@ class TxnCoordinator(ReplicatedCoordinator):
             if (record.get("o") == self.name and self._recovering
                     and self.view.fence_of(self.name) >= self._refence_want):
                 self._adopt_epoch(self.view.fence_of(self.name))
-        elif kind == "txnd":
-            self._learn_commit(record)
-
-    def _learn_commit(self, record: Dict) -> None:
-        """A fleet member journaled a commit: cache the reply so a client
-        that rotates here is answered instead of re-executed."""
-        txn_id = record["txn"]
-        client, txn_seq = txn_id.rsplit(":", 1)
-        if int(txn_seq) <= self._completed_floor.get(client, 0):
-            return  # already acked and evicted: a replayed journal record
-        if self._cached_reply(txn_id) is None:
-            self._cache_reply(txn_id, TxnReply(
-                client=client, txn_seq=int(txn_seq), ok=True, committed=True,
-                reads=record.get("reads") or {}, server=self.name))
 
     # -- crash / recovery ----------------------------------------------------
 
     def on_crash(self) -> None:
-        # Volatile state is lost; the decision log in the home shards is
-        # not (recovery re-caches every committed decision, so stale
-        # retransmits of acked transactions still hit the cache even
-        # though the eviction floors are forgotten with it).
+        # Volatile state is lost; the votes and decisions in the shard logs
+        # are not (the recovery sweep resolves our prepared handles, and
+        # the home records answer any retry of an answered transaction).
         super().on_crash()
         self._active.clear()
         self._by_handle.clear()
-        self._completed.clear()
-        self._completed_floor.clear()
         self._queued.clear()
         self._sweeps.clear()
         self._taking.clear()
@@ -703,16 +637,20 @@ class TxnCoordinator(ReplicatedCoordinator):
         self.epoch = fe
         self._begin_sweep(self.name, fe)
 
-    def _cleanup(self, sweep: _Sweep, handle: str, txn_id: str,
-                 participants) -> _TxnState:
+    def _cleanup(self, sweep: _Sweep, handle: str,
+                 reports: Dict[int, Dict]) -> _TxnState:
         """A state that finishes `handle` for the sweep: no client, no ops,
-        logged under the victim's name.  It runs in its own
-        `{handle}!s{fence}` dedup session (see `_TxnState.route`): the
-        victim may have burned arbitrary sequence numbers in the handle's
-        own session, and a colliding janitor command would be answered
-        from the dedup cache with a stale vote instead of applying."""
-        state = _TxnState(txn_id, None, [], 0, handle,
-                          {int(s): [] for s in participants},
+        logged under the victim's name, each participant's ops as its
+        prepare report gives them (the decision record names the home
+        keys).  It runs in its own `{handle}!s{fence}` dedup session (see
+        `_TxnState.route`): the victim may have burned arbitrary sequence
+        numbers in the handle's own session, and a colliding janitor
+        command would be answered from the dedup cache with a stale vote
+        instead of applying."""
+        meta = next(iter(reports.values()))
+        participants = {int(s): list(reports[s]["ops"]) if s in reports
+                        else [] for s in meta["participants"]}
+        state = _TxnState(meta["txn"], None, [], 0, handle, participants,
                           seq_base=seq_namespace(sweep.fe),
                           route=f"{handle}!s{sweep.fe}", coord=sweep.victim)
         self._by_handle[state.route] = state
@@ -721,8 +659,7 @@ class TxnCoordinator(ReplicatedCoordinator):
     def _begin_sweep(self, victim: str, fe: int) -> None:
         """Fan a fenced `TXN_RECOVER` out to every shard for `victim`.
         Store-side this raises the victim's fence to `fe` and reports its
-        prepared transactions and logged decisions; `_finish_sweep` then
-        resolves them."""
+        prepared transactions; `_finish_sweep` then resolves them."""
         client_id = f"{TXN_RECOVER_PREFIX}{victim}:{fe}"
         if client_id in self._sweeps:
             return
@@ -751,50 +688,24 @@ class TxnCoordinator(ReplicatedCoordinator):
         del sweep.pending[shard]
         for meta in payload.get("prepared", []):
             sweep.prepared.setdefault(meta["handle"], {})[shard] = meta
-        for record in payload.get("decisions", []):
-            sweep.decisions[record["handle"]] = record
         if not sweep.pending:
             del self._sweeps[client_id]
             self._finish_sweep(sweep)
 
     def _finish_sweep(self, sweep: _Sweep) -> None:
-        """Resolve the victim's handles (the victim may be ourselves).  A
-        decided handle obeys its decision: a commit's reply is re-cached
-        for client retries and, if a participant still holds it, phase 2
-        is re-driven (idempotent).  An undecided handle is committed iff
-        every one of its participants reports it prepared — the stores
-        report only handles stamped below the sweep's fence, whose reports
-        the fence makes final, so that is exactly "every participant
-        logged a yes vote" — and aborted otherwise, the abort bound in the
-        home shard first (`_bind`)."""
-        prepared, decisions = sweep.prepared, sweep.decisions
-        for handle in sorted(decisions):
-            record = decisions[handle]
-            if record["outcome"] == "commit":
-                # Re-cache the committed reply for client retries whether or
-                # not phase 2 needs finishing.
-                self._learn_commit(record)
-            if handle not in prepared:
-                # No participant still holds state for this handle: phase 2
-                # finished before the crash.  Skipping it keeps the sweep
-                # O(in-flight), not O(every decision ever logged).
-                continue
-            state = self._cleanup(sweep, handle, record["txn"],
-                                  record["participants"])
-            state.reads = record.get("reads") or {}
-            if record["outcome"] == "commit":
-                self._commit(state)
-            else:
-                # An abort the victim decided but never finished delivering:
-                # release the surviving locks.
-                self._drop(state)
-        for handle in sorted(prepared):
-            if handle in decisions:
-                continue
-            reports = prepared[handle]
-            meta = next(iter(reports.values()))
-            state = self._cleanup(sweep, handle, meta["txn"],
-                                  meta["participants"])
+        """Resolve the victim's prepared handles (the victim may be
+        ourselves).  A handle is committed iff every one of its
+        participants reports it prepared — the stores report only handles
+        stamped below the sweep's fence, whose reports the fence makes
+        final, so that is exactly "every participant logged a yes vote" —
+        and aborted otherwise, the abort bound in the home shard first
+        (`_bind`).  A handle whose commit the home log already holds (the
+        victim died between the home bind and the other installs) no
+        longer reports there, so it takes the abort path, and the home
+        answers with the commit bound first (`_on_decision`)."""
+        for handle in sorted(sweep.prepared):
+            reports = sweep.prepared[handle]
+            state = self._cleanup(sweep, handle, reports)
             if set(state.participants) <= set(reports):
                 for report in reports.values():
                     state.reads.update(report.get("reads") or {})

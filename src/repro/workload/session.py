@@ -156,7 +156,7 @@ class AckFloor:
     """The contiguous-acknowledgement floor of a pipelined namespace:
     the largest L such that every seq <= L is acked, maintained under
     out-of-order ack arrivals.  Shared by the session's command seqs and
-    the shard client's txn_seqs — it is the value stamped into outgoing
+    the control journal's appends — it is the value stamped into outgoing
     requests to drive the server-side dedup-window eviction."""
 
     __slots__ = ("floor", "_above")

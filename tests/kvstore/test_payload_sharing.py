@@ -387,12 +387,11 @@ def test_payload_of_decodes_plain_strings_on_the_spot():
 #: below.  First captured before payloads were shared; re-captured when the
 #: home shard's `TXN_COMMIT` began binding the decision it carries, which
 #: releases the committed handle, so only the undecided one is reported
-#: prepared.
+#: prepared; and again when the report stopped carrying the logged
+#: decisions (the committed handle's record stays in the home log alone).
 PINNED_RECOVER_REPLY = (
-    '{"decisions": [{"coord": "txnco_oregon", "handle": '
-    '"c_x:2#txnco_oregon.1.2", "outcome": "commit", "participants": [0, 1], '
-    '"reads": {"K1": null}, "txn": "c_x:2"}], "prepared": [{"coord": '
-    '"txnco_oregon", "handle": "c_x:1#txnco_oregon.1.1", "home": 0, "inc": 1, '
+    '{"prepared": [{"coord": "txnco_oregon", "handle": '
+    '"c_x:1#txnco_oregon.1.1", "home": 0, "inc": 1, '
     '"ops": [["put", "K0", "v0"]], "participants": [0, 1], "reads": {}, '
     '"ts": 100, "txn": "c_x:1"}]}')
 

@@ -346,12 +346,13 @@ def test_fenced_incarnation_prepare_refused():
 
 
 def home_commit(handle, seq, reads=None, low_water=-1, outcome="commit",
-                client_id=None):
+                client_id=None, keys=("a",)):
     """The home shard's first phase-2 step: a `TXN_COMMIT` (or, for a
     recovery sweep's abort, a `TXN_ABORT`) carrying the decision record."""
     value = json.dumps({"handle": handle, "txn": handle.split("#")[0],
                         "coord": "co", "participants": [0, 1],
-                        "outcome": outcome, "reads": reads or {}})
+                        "outcome": outcome, "reads": reads or {},
+                        "keys": list(keys)})
     op = OpType.TXN_COMMIT if outcome == "commit" else OpType.TXN_ABORT
     return Command(op=op, key=f"txn:{handle}", value=value,
                    client_id=client_id or f"__txn__:{handle}", seq=seq,
@@ -427,16 +428,45 @@ def test_phase2_low_water_settles_the_attempts_earlier_answers():
     assert store.version("a") == 1
 
 
-def test_recover_reports_prepared_and_decisions_for_coordinator():
+def test_recover_reports_only_the_coordinators_prepared_handles():
+    """The report is the coordinator's still-prepared handles and nothing
+    else: a handle its home commit already bound and released is not in
+    it, nor is any logged decision."""
     store = KVStore()
     store.apply(prepare("t:1#0.1", [("put", "a", "v")], coord="co", seq=1))
     store.apply(prepare("u:9#0.4", [("put", "b", "w")], coord="other", seq=1))
+    store.apply(prepare("t:2#0.2", [("put", "c", "x")], coord="co", seq=1))
+    store.apply(home_commit("t:2#0.2", seq=2, keys=("c",)))
     recover = Command(op=OpType.TXN_RECOVER, key="txnrec",
                       value=json.dumps({"coord": "co", "inc": 2}),
                       client_id="__txnrec__:co:2", seq=1)
     report = json.loads(store.apply(recover).value)
+    assert list(report) == ["prepared"]
     assert [meta["handle"] for meta in report["prepared"]] == ["t:1#0.1"]
-    assert report["decisions"] == []
+
+
+def test_commit_records_move_with_their_home_keys():
+    """A range export copies every transaction commit record that names a
+    key in the range, and the importer's prepare of a later attempt of
+    that transaction votes no with the winner; a range holding no such
+    key exports no `txn_commits` at all."""
+    from repro.shard.partition import key_point
+
+    donor = KVStore(key_filter=lambda key: True)
+    donor.apply(prepare("t:1#a.1", [("put", "a", "v")], seq=1))
+    donor.apply(home_commit("t:1#a.1", seq=2, keys=("a",)))
+    point = key_point("a")
+    export = donor.export_range(point, point + 1)
+    assert list(export["txn_commits"]) == ["t:1"]
+    assert "txn_commits" not in donor.export_range(0, point)
+
+    importer = KVStore(key_filter=lambda key: True)
+    importer.import_range(json.loads(json.dumps(export)))
+    retry = json.loads(importer.apply(
+        prepare("t:1#b.1", [("put", "a", "v")], seq=1)).value)
+    assert retry["vote"] == "no"
+    assert retry["winner"]["handle"] == "t:1#a.1"
+    assert importer.locked_keys() == {}
 
 
 def test_plain_ops_conflict_against_prepared_locks_without_dedup():

@@ -252,6 +252,11 @@ def test_coordinator_kills_mid_2pc_and_mid_reshard_same_run():
     # Both planes actually failed over.
     assert nemesis.host_kills == 2
     assert result.failovers > 0                      # txn janitor takeover
+    # The txn kill also took the control-log leader's host: the janitors
+    # take every live peer once the log elects again (4 takes), plus the
+    # killed coordinator before and after its restart.  A live member
+    # taken again after every slow renewal would push this far past 6.
+    assert result.failovers <= 6
     assert cluster.coordinator is not None
     assert cluster.coordinator.failovers > 0         # reshard owner claim
     assert cluster.reshard_completed_at is not None

@@ -286,3 +286,47 @@ def test_import_prepends_migrated_write_log():
                         client_id="c", seq=1))
     assert store.write_order("k") == ["a", "b", "c"]
     assert store.version("k") == 3
+
+
+def test_rotated_retry_after_the_home_range_moved_executes_once():
+    """The client's reply from one coordinator is lost, the home key's
+    range then moves in a 2 -> 4 reshard, and the client's retry reaches
+    another coordinator, which starts a fresh attempt under the new map.
+    The home shard's commit record moved with the key, so the attempt
+    meets it and is answered from it: one install per key, and the
+    retry's answer carries the first attempt's reads."""
+    from repro.protocols.messages import ShardMap
+    from repro.shard.partition import HashRangePartitioner
+    from tests.shard.test_txn import (drop_first_reply, find_key,
+                                      manual_client, replies_seen)
+
+    cluster = TxnCluster(dataclasses.replace(
+        txn_reshard_spec(0), clients_per_region=0, duration_s=12.0))
+    after = HashRangePartitioner(4)
+    key0 = next(f"k{i}" for i in range(10_000)
+                if cluster.partitioner.shard_of(f"k{i}") == 0
+                and after.shard_of(f"k{i}") != 0)
+    key1 = find_key(cluster, 1)
+    client = manual_client(cluster, site="ohio")
+    replies = replies_seen(client)
+    dropped = drop_first_reply(client)
+    cluster.sim.schedule(sec(0.01), client.transact,
+                         [("put", key0, "v0"), ("get", key1, None),
+                          ("put", key1, "v1")])
+    cluster.reshard(4, at=sec(1.5))
+    cluster.sim.run(until=sec(4.0))
+    assert [r.server for r in dropped] == ["txnco_ohio"]
+    assert cluster.reshard_completed_at is not None
+    assert cluster.partitioner.shard_of(key0) != 0  # the home key moved
+
+    cluster.router.refresh(ShardMap(epoch=1, num_shards=4))
+    (pending,) = client._txn_pending.values()
+    client.send("txnco_oregon", pending.request)
+    cluster.sim.run(until=sec(8.0))
+
+    assert [r.server for r in replies] == ["txnco_oregon"]
+    assert replies[0].reads == dropped[0].reads == {key1: None}
+    assert client.txns_committed == 1
+    orders = cluster.write_orders()
+    assert orders[key0] == ["v0"] and orders[key1] == ["v1"]
+    assert cluster.locks_left() == 0

@@ -52,7 +52,10 @@ identically on every replica of the group (and by crash-recovery replay):
   decision recorded for a handle wins, and a losing one is answered with
   the winner — which is how a janitor's abort racing a commit already
   bound there stays safe — and every other participant is released only
-  after the home log knows the outcome;
+  after the home log knows the outcome.  A finished handle (and its
+  decision) is kept only until its coordinator's low-water passes the
+  step that finished it (`_hold`), so the 2PC state follows what is in
+  flight;
 * `TXN_RECOVER` fences a coordinator incarnation (stale prepares from the
   crashed incarnation are refused, so they cannot leave orphan locks) and
   reports the prepared transactions that fence covers: a handle is
@@ -203,10 +206,16 @@ class DedupSession:
             return
         self.low_water = low_water
         entries = self.entries
-        # In place, not a dict rebuild: this runs on nearly every apply
-        # (the floor advances with the client's pipeline) and the window
-        # holds only a pipeline-depth of slots.
-        acked = [seq for seq in entries if seq <= low_water]
+        # From the front, in place: this runs on nearly every apply, and
+        # slots are recorded in apply order, which is seq order but for a
+        # retried straggler — a straggler the floor passed waits behind
+        # the next newer slot until the floor passes that one too
+        # (`lookup` answers it by the floor meanwhile).
+        acked = []
+        for seq in entries:
+            if seq > low_water:
+                break
+            acked.append(seq)
         for seq in acked:
             del entries[seq]
 
@@ -266,6 +275,13 @@ class KVStore:
         self._txn_meta: Dict[str, Tuple[Mapping, Dict]] = {}
         self._decisions: Dict[str, Mapping] = {}
         self._txn_commits: Dict[str, Mapping] = {}
+        # A handle finished here, by the (client, seq) slot of the phase-2
+        # command that finished it — or, at home, bound its decision — and
+        # per client those slots (seq -> handle).  The handle and its
+        # decision are forgotten once that client's low-water passes the
+        # slot (`_release`): until then a late prepare of it votes no.
+        self._settled: Dict[str, Tuple[str, int]] = {}
+        self._holds: Dict[str, Dict[int, str]] = {}
         self._txn_fence: Dict[str, int] = {}      # coordinator -> min incarnation
         # Hash ranges a refused MIGRATE_OUT is draining: new prepares for
         # fenced keys die so the existing locks can clear and the export's
@@ -387,7 +403,11 @@ class KVStore:
             session.record(command.seq,
                            command.key if command.is_data or op is OpType.TXN
                            else None, result)
-            session.evict_upto(command.acked_low_water)
+            if command.acked_low_water > session.low_water:
+                session.evict_upto(command.acked_low_water)
+                holds = self._holds.get(client)
+                if holds:
+                    self._release(client, holds, command.acked_low_water)
         return result
 
     def apply_batch(self, log, start: int, stop: int) -> None:
@@ -443,6 +463,11 @@ class KVStore:
             # A prepare from a fenced (crashed) coordinator incarnation:
             # refusing it here is what keeps orphan locks impossible.
             return _reply(command, {"vote": "no", "reason": "fenced"})
+        if handle in self._settled:
+            # A late copy of a prepare whose handle phase 2 already
+            # finished here (logged behind it): granting it would lock
+            # keys nobody releases.
+            return _reply(command, {"vote": "no", "reason": "settled"})
         if handle in self._staged:
             # Re-prepare of an already-granted attempt (lost reply, new
             # sequence number): idempotent re-vote.
@@ -513,10 +538,12 @@ class KVStore:
         handle = meta["handle"]
         result = _DONE
         if "outcome" in meta:
-            bound = self._bind_decision(meta)
+            bound = self._bind_decision(meta, command)
             if bound["outcome"] != meta["outcome"]:
                 commit = bound["outcome"] == "commit"
                 result = _reply(command, bound)
+        elif handle not in self._settled:
+            self._hold(handle, command)
         staged = self._staged.pop(handle, None)
         if staged is not None:
             if commit:
@@ -531,11 +558,13 @@ class KVStore:
                     del locks[key]
         return result
 
-    def _bind_decision(self, meta: Mapping) -> Mapping:
+    def _bind_decision(self, meta: Mapping, command: Command) -> Mapping:
         """Record a decision for `meta["handle"]` unless one is recorded
         already, and return the one that holds: the FIRST decision for a
         handle wins, so a janitor's abort racing a commit converges on one
-        outcome.
+        outcome.  The decision lives as long as `command`'s slot: its
+        coordinator keeps the slot open until every participant has
+        released the handle, so no later abort can bind first.
 
         Commits are additionally first-wins *per transaction*: with
         coordinator failover a client can retry one txn through a second
@@ -555,8 +584,33 @@ class KVStore:
                 elif winner["handle"] != handle:
                     meta = dict(meta, outcome="abort", winner=winner)
             self._decisions[handle] = meta
+            self._hold(handle, command)
             existing = meta
         return existing
+
+    def _hold(self, handle: str, command: Command) -> None:
+        """Keep `handle` settled here until the low-water of `command`'s
+        client passes its seq (a decision moves the hold to its own slot:
+        an abort bound after a plain one is a janitor's, whose sweep has
+        fenced the handle's prepares everywhere)."""
+        client = command.client_id
+        if not client:
+            return
+        old = self._settled.get(handle)
+        if old is not None:
+            self._holds[old[0]].pop(old[1], None)
+        self._settled[handle] = (client, command.seq)
+        self._holds.setdefault(client, {})[command.seq] = handle
+
+    def _release(self, client: str, holds: Dict[int, str],
+                 low_water: int) -> None:
+        """`client` acked every slot up to `low_water`: no copy of its
+        earlier commands can apply any more, so the handles those slots
+        settled (and their decisions) are forgotten."""
+        for seq in [seq for seq in holds if seq <= low_water]:
+            handle = holds.pop(seq)
+            del self._settled[handle]
+            self._decisions.pop(handle, None)
 
     def _apply_txn_recover(self, command: Command) -> ApplyResult:
         """Fence the coordinator's incarnations below `inc`, then report

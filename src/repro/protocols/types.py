@@ -81,8 +81,8 @@ class Command:
     # its at-most-once dedup window.  Rides inside the command (not the
     # transport envelope) because eviction must be deterministic across a
     # group's replicas — it happens at apply time, from the log.  -1 means
-    # "no information" (legacy single-slot clients, coordinator commands):
-    # nothing is ever evicted on its account.
+    # "no information" (legacy single-slot clients, one-shot system
+    # commands): nothing is ever evicted on its account.
     acked_low_water: int = -1
     # Per-operation consistency level (reads only; see `Consistency`).
     consistency: Consistency = Consistency.DEFAULT

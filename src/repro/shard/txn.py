@@ -97,33 +97,18 @@ from repro.workload.ycsb import WorkloadConfig
 TXN_CLIENT_PREFIX = "__txn__:"
 TXN_RECOVER_PREFIX = "__txnrec__:"
 
-#: Width of the per-epoch command-sequence namespace.  2**32 commands per
-#: fence epoch, and `TxnCoordinator._command` asserts the bound instead of
-#: silently colliding with the next epoch's dedup slots (the old scheme —
-#: ``incarnation * 1_000_000`` — overflowed quietly past 1M commands).
-SEQ_BITS = 32
-SEQ_SPAN = 1 << SEQ_BITS
-
-
-def seq_namespace(epoch: int) -> int:
-    """Base of the dedup sequence namespace for commands issued at fence
-    `epoch`: a lossless (epoch, seq) encoding into one integer."""
-    return epoch << SEQ_BITS
-
 
 class _TxnState:
     """One in-flight transaction attempt at the coordinator."""
 
     __slots__ = ("txn_id", "client_node", "ops", "ts", "handle", "participants",
                  "home", "phase", "pending", "sent_at", "waiting", "reads",
-                 "seq", "seq_base", "retries", "trace", "winner", "route",
-                 "command_key", "client_id", "inc", "coord", "outcome")
+                 "retries", "trace", "winner", "command_key", "inc", "coord",
+                 "outcome", "bind_seq")
 
     def __init__(self, txn_id: str, client_node: Optional[str], ops: TxnOps,
                  ts: int, handle: str, participants: Dict[int, TxnOps],
-                 seq_base: int, retries: int = 0,
-                 route: Optional[str] = None, inc: int = 0,
-                 coord: str = "") -> None:
+                 retries: int = 0, inc: int = 0, coord: str = "") -> None:
         self.txn_id = txn_id
         # Span id (repro.obs): same derivation the issuing client uses, so
         # coordinator-side phases and the stamped child commands' replica
@@ -146,26 +131,13 @@ class _TxnState:
         self.waiting: set = set()       # shards between a "wait" vote and
                                         # the re-prepare (no command in flight)
         self.reads: Dict[str, Optional[str]] = {}
-        self.seq = seq_base
-        self.seq_base = seq_base
         self.retries = retries
         # The committed decision of ANOTHER attempt of this transaction,
         # when our home commit lost the per-transaction first-wins race.
         self.winner: Optional[Dict] = None
-        # Dedup-session key for this attempt's commands.  The owning
-        # attempt uses the handle itself; a janitor cleaning up a swept
-        # handle uses a `{handle}!s{fence}` session so its phase-2
-        # commands can NEVER collide with sequence numbers the victim
-        # already burned in the handle's own session (a collision would be
-        # answered from the dedup cache with a stale vote instead of
-        # applying).  Deterministic per (handle, fence): concurrent
-        # sweepers at the same fence issue identical commands and
-        # converge through dedup.
-        self.route = route or handle
-        # The key and client id of every command this attempt sends, built
-        # once: the commands (and the logs holding them) share the text.
+        # The key of every command this attempt sends, built once: the
+        # commands (and the logs holding them) share the text.
         self.command_key = f"txn:{handle}"
-        self.client_id = f"{TXN_CLIENT_PREFIX}{self.route}"
         # The fence epoch every prepare of this attempt is stamped with —
         # the one it started under, never a later one: once a janitor's
         # fence has read a participant as unprepared, no re-prepare of the
@@ -175,6 +147,10 @@ class _TxnState:
         # attempt's owner, also when a janitor cleans it up, so the
         # owner's own later sweep still sees it.
         self.coord = coord
+        # The seq of the home step that bound the decision: its slot stays
+        # open until phase 2 is done, and the home store keeps the
+        # decision while it is (`KVStore._bind_decision`).
+        self.bind_seq = 0
 
     @property
     def all_prepared(self) -> bool:
@@ -231,6 +207,7 @@ class TxnCoordinator(ReplicatedCoordinator):
         self._queued: List[Tuple[str, TxnRequest]] = []
         self._recovering = False
         self._attempts = 0
+        self._new_incarnation()
         self.commits = 0
         self.attempt_aborts = 0
         self.recoveries = 0
@@ -276,8 +253,7 @@ class TxnCoordinator(ReplicatedCoordinator):
         for op in ops:
             participants.setdefault(self.router.shard_of(op[1]), []).append(list(op))
         state = _TxnState(txn_id, client_node, ops, ts, handle, participants,
-                          seq_base=seq_namespace(self.epoch), retries=retries,
-                          inc=self.epoch, coord=self.name)
+                          retries=retries, inc=self.epoch, coord=self.name)
         self._active[txn_id] = state
         self._by_handle[handle] = state
         for shard in sorted(participants):
@@ -285,21 +261,44 @@ class TxnCoordinator(ReplicatedCoordinator):
 
     # -- command plumbing ----------------------------------------------------
 
-    def _command(self, state: _TxnState, op: OpType, payload: Dict) -> Command:
-        state.seq += 1
-        assert state.seq < state.seq_base + SEQ_SPAN, (
-            f"{state.handle}: sequence namespace overflow — more than "
-            f"2**{SEQ_BITS} commands issued at one fence epoch")
+    def _new_incarnation(self) -> None:
+        """Start a dedup session of our own: every 2PC command this
+        incarnation sends — its attempts' and its janitor cleanups' —
+        takes the next seq of one counter under one client id.  The
+        incarnation number comes from stable storage, so a restarted
+        coordinator never reuses a slot its predecessor burned."""
+        incarnation = self.stable.get("incarnation", 0) + 1
+        self.stable["incarnation"] = incarnation
+        self._client_id = f"{TXN_CLIENT_PREFIX}{self.name}.{incarnation}"
+        self._seq = 0
+        # shard -> seq -> attempt, in seq order: every command we still
+        # await from (or may re-send to) that shard, and each decided
+        # handle's home bind until its phase 2 is done.
+        self._open: Dict[int, Dict[int, _TxnState]] = {}
+
+    def _command(self, state: _TxnState, shard: int, op: OpType,
+                 payload: Dict) -> Command:
+        self._seq += 1
+        slots = self._open.setdefault(shard, {})
+        slots[self._seq] = state
         value = Payload(payload)
-        # A phase-2 command settles every earlier step of the attempt: its
-        # low-water mark lets the participant drop their cached answers,
-        # and a late duplicate of one is answered without applying.
-        settled = op is OpType.TXN_COMMIT or op is OpType.TXN_ABORT
+        # The acked low-water is one below the oldest open slot at this
+        # shard: the store forgets its answers below that, and a late copy
+        # of one is answered without applying.
         return Command(op=op, key=state.command_key, value=value,
-                       client_id=state.client_id,
-                       seq=state.seq, value_size=len(value),
-                       acked_low_water=state.seq - 1 if settled else -1,
+                       client_id=self._client_id,
+                       seq=self._seq, value_size=len(value),
+                       acked_low_water=next(iter(slots)) - 1,
                        trace=state.trace)
+
+    def _settle(self, state: _TxnState, shard: int) -> None:
+        """`state` no longer awaits `shard`: close the pending command's
+        slot (the home bind's stays open until `_finish_phase2`).  A late
+        copy of a closed prepare is voted down by the settled handle, or
+        answered by the low-water once that passes it."""
+        command = state.pending.pop(shard, None)
+        if command is not None and command.seq != state.bind_seq:
+            del self._open[shard][command.seq]
 
     def _send(self, holder: Union[_TxnState, _Sweep], shard: int,
               command: Command) -> None:
@@ -313,7 +312,7 @@ class TxnCoordinator(ReplicatedCoordinator):
     def _send_prepare(self, state: _TxnState, shard: int) -> None:
         if self.obs is not None:
             self.obs_phase(state.trace, "txn_prepare")
-        command = self._command(state, OpType.TXN_PREPARE, {
+        command = self._command(state, shard, OpType.TXN_PREPARE, {
             "handle": state.handle, "txn": state.txn_id, "coord": self.name,
             "inc": state.inc, "ts": state.ts,
             "ops": state.participants[shard],
@@ -335,7 +334,7 @@ class TxnCoordinator(ReplicatedCoordinator):
     def _resend_later(self, state: _TxnState, shard: int, command: Command,
                       delay: int) -> None:
         def resend() -> None:
-            if (self._by_handle.get(state.route) is state
+            if (self._by_handle.get(state.handle) is state
                     and state.pending.get(shard) is command):
                 self._send(state, shard, command)
         self.after(delay, resend)
@@ -343,19 +342,21 @@ class TxnCoordinator(ReplicatedCoordinator):
     # -- replies -------------------------------------------------------------
 
     def _on_reply(self, msg: ClientReply) -> None:
-        client_id, _seq = msg.request_id
+        client_id, seq = msg.request_id
         if client_id.startswith(TXN_RECOVER_PREFIX):
             self._on_recover_reply(msg)
             return
-        if not client_id.startswith(TXN_CLIENT_PREFIX):
-            return
-        state = self._by_handle.get(client_id[len(TXN_CLIENT_PREFIX):])
-        if state is None:
-            return
-        shard = next((s for s, c in state.pending.items()
-                      if c.request_id == msg.request_id), None)
-        if shard is None:
+        if client_id != self._client_id:
+            return  # a predecessor incarnation's
+        for shard, slots in self._open.items():
+            state = slots.get(seq)
+            if state is not None:
+                break
+        else:
             return  # stale reply from an already-answered step
+        command = state.pending.get(shard)
+        if command is None or command.seq != seq:
+            return  # a late copy of the answered home bind
         if msg.shard_map is not None:
             self.router.refresh(msg.shard_map)
         if not msg.ok:
@@ -367,7 +368,7 @@ class TxnCoordinator(ReplicatedCoordinator):
         if state.phase == "prepare":
             self._on_vote(state, shard, payload)
             return
-        state.pending.pop(shard, None)
+        self._settle(state, shard)
         if state.phase == "bind":
             if "outcome" in payload:
                 # The home log holds another decision for this handle (the
@@ -381,7 +382,7 @@ class TxnCoordinator(ReplicatedCoordinator):
     def _on_vote(self, state: _TxnState, shard: int, payload: Dict) -> None:
         vote = payload.get("vote")
         if vote == "yes":
-            state.pending.pop(shard, None)
+            self._settle(state, shard)
             state.reads.update(payload.get("reads") or {})
             if state.all_prepared:
                 # Every participant's yes is in its log: committed.
@@ -395,7 +396,7 @@ class TxnCoordinator(ReplicatedCoordinator):
             # a "yes" from the last other participant must not read an
             # empty `pending` as all-prepared and commit without us.
             self.metrics.incr("txn_waits")
-            state.pending.pop(shard, None)
+            self._settle(state, shard)
             state.waiting.add(shard)
 
             def again() -> None:
@@ -484,12 +485,15 @@ class TxnCoordinator(ReplicatedCoordinator):
         releases the handle before the home log knows the outcome, and a
         sweep that finds the handle gone somewhere finds the decision at
         home."""
-        state.pending = {}
+        for shard in list(state.pending):
+            self._settle(state, shard)
         state.waiting.clear()
         state.phase, state.outcome = "bind", outcome
         op = OpType.TXN_COMMIT if outcome == "commit" else OpType.TXN_ABORT
-        self._send(state, state.home, self._command(
-            state, op, self._decision_record(state, outcome)))
+        command = self._command(state, state.home, op,
+                                self._decision_record(state, outcome))
+        state.bind_seq = command.seq
+        self._send(state, state.home, command)
 
     def _release_rest(self, state: _TxnState) -> None:
         """The home log holds our decision: finish the other participants."""
@@ -498,7 +502,7 @@ class TxnCoordinator(ReplicatedCoordinator):
         for shard in sorted(state.participants):
             if shard != state.home:
                 self._send(state, shard, self._command(
-                    state, op, {"handle": state.handle}))
+                    state, shard, op, {"handle": state.handle}))
         if not state.pending:
             self._finish_phase2(state)
 
@@ -506,17 +510,22 @@ class TxnCoordinator(ReplicatedCoordinator):
         """Phase 2 with no decision to bind — an attempt that did not get
         every yes vote, or a handle whose abort the home log already
         holds: drop the staged writes everywhere at once."""
-        state.pending = {}
+        for shard in list(state.pending):
+            self._settle(state, shard)
         state.waiting.clear()
         state.phase = "abort"
         if self.obs is not None:
             self.obs_phase(state.trace, "txn_abort")
         for shard in sorted(state.participants):
             self._send(state, shard, self._command(
-                state, OpType.TXN_ABORT, {"handle": state.handle}))
+                state, shard, OpType.TXN_ABORT, {"handle": state.handle}))
 
     def _finish_phase2(self, state: _TxnState) -> None:
-        self._by_handle.pop(state.route, None)
+        if state.bind_seq:
+            # Every participant has released the handle: the home store
+            # may forget the decision once the low-water passes its bind.
+            del self._open[state.home][state.bind_seq]
+        self._by_handle.pop(state.handle, None)
         if self._active.get(state.txn_id) is state:
             del self._active[state.txn_id]
         if state.phase == "commit" or state.winner is not None or not state.ops:
@@ -544,7 +553,9 @@ class TxnCoordinator(ReplicatedCoordinator):
             # stamped below it die on the store-side fence and retry
             # re-stamped; the janitor's sweep released their orphan locks.
             self.epoch = fe
-        if not self._recovering:
+        if not self._recovering or self.epoch >= self._refence_want:
+            # A recovering coordinator renews from the moment its re-fence
+            # is adopted: its self-sweep may outlast the lease expiry.
             self.journal_lease()
         for peer in self.control.members:
             if peer == self.name or peer in self._taking:
@@ -616,6 +627,7 @@ class TxnCoordinator(ReplicatedCoordinator):
         super().on_recover()
         self.recoveries += 1
         self._recovering = True
+        self._new_incarnation()
         self._tick_timer.arm(self.RETRY, self._tick)
         self._refence()
 
@@ -638,22 +650,22 @@ class TxnCoordinator(ReplicatedCoordinator):
         self._begin_sweep(self.name, fe)
 
     def _cleanup(self, sweep: _Sweep, handle: str,
-                 reports: Dict[int, Dict]) -> _TxnState:
+                 reports: Dict[int, Dict]) -> Optional[_TxnState]:
         """A state that finishes `handle` for the sweep: no client, no ops,
         logged under the victim's name, each participant's ops as its
         prepare report gives them (the decision record names the home
-        keys).  It runs in its own `{handle}!s{fence}` dedup session (see
-        `_TxnState.route`): the victim may have burned arbitrary sequence
-        numbers in the handle's own session, and a colliding janitor
-        command would be answered from the dedup cache with a stale vote
-        instead of applying."""
+        keys).  Its commands are ours, in our own dedup session, so none
+        can meet a slot the victim burned.  None if an earlier sweep's
+        cleanup of the handle is still running here: that one finishes
+        it, as this one would (the first decision bound at home holds)."""
+        if handle in self._by_handle:
+            return None
         meta = next(iter(reports.values()))
         participants = {int(s): list(reports[s]["ops"]) if s in reports
                         else [] for s in meta["participants"]}
         state = _TxnState(meta["txn"], None, [], 0, handle, participants,
-                          seq_base=seq_namespace(sweep.fe),
-                          route=f"{handle}!s{sweep.fe}", coord=sweep.victim)
-        self._by_handle[state.route] = state
+                          coord=sweep.victim)
+        self._by_handle[handle] = state
         return state
 
     def _begin_sweep(self, victim: str, fe: int) -> None:
@@ -706,6 +718,8 @@ class TxnCoordinator(ReplicatedCoordinator):
         for handle in sorted(sweep.prepared):
             reports = sweep.prepared[handle]
             state = self._cleanup(sweep, handle, reports)
+            if state is None:
+                continue
             if set(state.participants) <= set(reports):
                 for report in reports.values():
                     state.reads.update(report.get("reads") or {})

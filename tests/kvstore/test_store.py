@@ -1,5 +1,6 @@
 """KV store state machine."""
 
+import dataclasses
 import json
 
 from hypothesis import given, strategies as st
@@ -366,7 +367,7 @@ def test_decide_first_recorded_wins():
     store.apply(prepare("t:1#a.1", [("put", "a", "v")], seq=1))
     assert store.apply(home_commit("t:1#a.1", seq=2)).value == '{"done": true}'
     late = store.apply(home_commit("t:1#a.1", seq=1, outcome="abort",
-                                   client_id="__txn__:t:1#a.1!s2"))
+                                   client_id="__txn__:janitor.1"))
     assert json.loads(late.value)["outcome"] == "commit"
     assert store._decisions["t:1#a.1"]["outcome"] == "commit"
     assert store.read_local("a") == "v"
@@ -388,7 +389,7 @@ def test_home_commit_obeys_an_abort_bound_first():
     store.apply(prepare("t:1#a.1", [("put", "a", "v")], seq=1))
     assert store.apply(home_commit(
         "t:1#a.1", seq=1, outcome="abort",
-        client_id="__txn__:t:1#a.1!s2")).value == '{"done": true}'
+        client_id="__txn__:janitor.1")).value == '{"done": true}'
     assert store.locked_keys() == {}
     result = store.apply(home_commit("t:1#a.1", seq=2))
     assert json.loads(result.value)["outcome"] == "abort"
@@ -426,6 +427,76 @@ def test_phase2_low_water_settles_the_attempts_earlier_answers():
     assert store.apply(prepare("t:1#a.1", [("put", "a", "v")], seq=1)).ok
     assert store.locked_keys() == {}
     assert store.version("a") == 1
+
+
+#: One coordinator incarnation's dedup session: every 2PC step it sends,
+#: whatever the handle, takes the next seq of one counter.
+SESSION = "__txn__:co.1"
+
+
+def step(command, seq, low_water):
+    """`command` as the incarnation's session sends it: its seq, and the
+    acked low-water one below its oldest open slot at this shard."""
+    return dataclasses.replace(command, client_id=SESSION, seq=seq,
+                               acked_low_water=low_water)
+
+
+def test_late_copies_of_steps_below_the_low_water_are_never_reexecuted():
+    """Once the session's low-water passes a handle's prepare and commit,
+    the window holds neither, and a delayed copy of either is answered
+    without applying: no lock is re-taken, and the staged writes are not
+    installed a second time."""
+    store = KVStore()
+    t1 = "t:1#co.1.1"
+    store.apply(step(prepare(t1, [("put", "a", "v")]), 1, 0))
+    store.apply(step(finish(t1, OpType.TXN_COMMIT, 0), 2, 1))
+    # The next attempt's prepare: every earlier slot here is acked.
+    store.apply(step(prepare("t:2#co.1.2", [("put", "b", "w")]), 3, 2))
+    assert list(store._sessions[SESSION].entries) == [3]
+    assert store._settled == {}
+    applied = store.applied_count
+    for late in (step(prepare(t1, [("put", "a", "v")]), 1, 0),
+                 step(finish(t1, OpType.TXN_COMMIT, 0), 2, 1)):
+        assert store.apply(late).ok
+    assert store.applied_count == applied
+    assert store.locked_keys() == {"b": "t:2#co.1.2"}
+    assert store.version("a") == 1
+
+
+def test_a_late_prepare_behind_its_handles_abort_votes_no():
+    """An attempt dropped with its prepare still in flight: the abort is
+    logged first, and the low-water cannot pass the prepare yet (another
+    attempt's older slot is open).  The late prepare meets the settled
+    handle and votes no, locking nothing; the handle is forgotten once
+    the low-water passes the abort."""
+    store = KVStore()
+    t1, t2 = "t:1#co.1.1", "t:2#co.1.2"
+    store.apply(step(prepare(t1, [("put", "a", "v")]), 1, 0))
+    store.apply(step(finish(t2, OpType.TXN_ABORT, 0), 3, 0))
+    late = store.apply(step(prepare(t2, [("put", "b", "w")]), 2, 0))
+    assert vote_of(late) == "no"
+    assert store.locked_keys() == {"a": t1}
+    store.apply(step(finish(t1, OpType.TXN_COMMIT, 0), 4, 3))
+    assert store._settled == {t1: (SESSION, 4)}
+    assert store.version("a") == 1 and store.version("b") == 0
+
+
+def test_a_decision_lives_as_long_as_the_slot_that_bound_it():
+    """The home commit's slot binds the decision; a janitor's abort that
+    arrives while the slot is open is answered with the commit.  Once
+    the low-water passes the slot, the decision is gone (the commit
+    record stays: it answers every later attempt)."""
+    store = KVStore()
+    t1 = "t:1#co.1.1"
+    store.apply(step(prepare(t1, [("put", "a", "v")]), 1, 0))
+    store.apply(step(home_commit(t1, 0), 2, 1))
+    late = store.apply(home_commit(t1, seq=1, outcome="abort",
+                                   client_id="__txn__:janitor.1"))
+    assert json.loads(late.value)["outcome"] == "commit"
+    assert store._decisions[t1]["outcome"] == "commit"
+    store.apply(step(prepare("t:2#co.1.2", [("put", "b", "w")]), 3, 2))
+    assert t1 not in store._decisions and t1 not in store._settled
+    assert store._txn_commits["t:1"]["handle"] == t1
 
 
 def test_recover_reports_only_the_coordinators_prepared_handles():

@@ -13,9 +13,8 @@ DESIGN.md §11:
   acks, zero duplicate executions, strict serializability;
 * the reshard send-ring rotates off a dead first-hop host instead of
   wedging (the PR's motivating bug);
-* the per-epoch sequence namespace is lossless and asserts its bound
-  instead of silently colliding (the old ``incarnation * 1_000_000``
-  scheme overflowed past a million commands).
+* each coordinator incarnation numbers its 2PC commands from one counter
+  in one dedup session, which a restart replaces.
 
 `REPRO_BENCH_SCALE` (default 0.3: fault tests, not benchmarks) scales
 client counts and durations, matching the CI nemesis leg.
@@ -30,9 +29,8 @@ from repro.bench.experiments import txn_spec as bench_txn_spec
 from repro.bench.live import ReshardSpec, run_reshard_experiment
 from repro.shard.cluster import ShardedCluster
 from repro.shard.nemesis import Nemesis
-from repro.shard.txn import (SEQ_BITS, SEQ_SPAN, TxnCluster, TxnSpec,
-                             _TxnState, seq_namespace)
-from repro.sim.units import sec
+from repro.shard.txn import TxnCluster, TxnSpec
+from repro.sim.units import ms, sec
 from repro.workload.ycsb import WorkloadConfig
 from tests.shard.test_txn_reshard import lost_installs
 
@@ -71,34 +69,62 @@ def first_takeover_latency_ms(nemesis, takeovers) -> float:
     return taken_at / 1e3 - kill_s * 1e3
 
 
-# -- the sequence namespace (the old 1M-stride collision) ---------------------
+# -- one dedup session per coordinator incarnation ---------------------------
 
 
-def test_seq_namespace_is_disjoint_and_lossless():
-    for epoch in (1, 2, 7, 10_000):
-        base = seq_namespace(epoch)
-        assert base == epoch << SEQ_BITS
-        # Adjacent epochs' namespaces touch but never overlap, and any
-        # sequence number decodes back to its fence epoch.
-        assert seq_namespace(epoch + 1) == base + SEQ_SPAN
-        for offset in (0, 1, SEQ_SPAN - 1):
-            assert (base + offset) >> SEQ_BITS == epoch
-    # The regression this replaces: with `incarnation * 1_000_000` bases,
-    # epoch 1's 1,000,001st command lands on epoch 2's first dedup slot.
-    assert 1 * 1_000_000 + 1_000_000 == 2 * 1_000_000
-
-
-def test_seq_namespace_overflow_asserts_instead_of_colliding():
-    """A coordinator that somehow burns 2**32 sequence numbers at one
-    fence epoch must die loudly, not wrap into the next epoch's dedup
-    namespace."""
-    cluster = TxnCluster(txn_spec(0, duration_s=1.0))
+def test_each_incarnation_numbers_its_2pc_commands_from_one_counter():
+    """Every 2PC command one coordinator incarnation sends takes the next
+    seq of one counter under one client id, with an acked low-water one
+    below its oldest open slot at that shard; once its attempts are done
+    no slot is open.  A restart opens the next incarnation's session,
+    numbered from stable storage, and its counter starts over."""
+    cluster = TxnCluster(txn_spec(0, duration_s=4.0, clients_per_region=0))
     coordinator = cluster.coordinators[0]
-    state = _TxnState("c:1", None, [], 0, "c:1#x.1.1", {},
-                      seq_base=seq_namespace(1))
-    state.seq = state.seq_base + SEQ_SPAN - 1  # next command hits the bound
-    with pytest.raises(AssertionError, match="sequence namespace overflow"):
-        coordinator._command(state, OpType.TXN_ABORT, {})
+    shard_of = cluster.partitioner.shard_of
+    keys = {0: [], 1: []}
+    for key_id in range(1000):
+        key = f"k{key_id}"
+        if len(keys[shard_of(key)]) < 2:
+            keys[shard_of(key)].append(key)
+    sent = []
+    send = coordinator.send
+
+    def capture(dst, message):
+        command = getattr(message, "command", None)
+        if command is not None and command.client_id.startswith("__txn__:"):
+            sent.append(command)
+        send(dst, message)
+    coordinator.send = capture
+    for n in (1, 2):
+        cluster.sim.schedule(ms(10), coordinator._start_attempt, f"c:{n}",
+                             None, [["put", keys[0][n - 1], "v"],
+                                    ["put", keys[1][n - 1], "v"]], n)
+    cluster.sim.run(until=sec(1.5))
+
+    assert coordinator.commits == 2
+    assert {c.client_id for c in sent} == {f"__txn__:{coordinator.name}.1"}
+    firsts = list({c.seq: c for c in sent}.values())
+    assert [c.seq for c in firsts] == list(range(1, len(firsts) + 1))
+    # Both attempts' prepares are out before any answer: the second
+    # attempt's low-water waits below the first's open slot at each shard.
+    assert [(c.op, c.acked_low_water) for c in firsts[:4]] == [
+        (OpType.TXN_PREPARE, 0), (OpType.TXN_PREPARE, 1),
+        (OpType.TXN_PREPARE, 0), (OpType.TXN_PREPARE, 1)]
+    assert all(c.acked_low_water < c.seq for c in firsts)
+    assert not any(coordinator._open.values())
+
+    coordinator.crash()
+    coordinator.recover()
+    cluster.sim.run(until=sec(2.5))
+    assert not coordinator._recovering
+    sent.clear()
+    cluster.sim.schedule(ms(10), coordinator._start_attempt, "c:3", None,
+                         [["put", keys[0][0], "w"], ["put", keys[1][0], "w"]],
+                         3)
+    cluster.sim.run(until=sec(4.0))
+    assert coordinator.commits == 3
+    assert {c.client_id for c in sent} == {f"__txn__:{coordinator.name}.2"}
+    assert min(c.seq for c in sent) == 1
 
 
 # -- txn coordinator host kill mid-2PC ----------------------------------------
@@ -254,9 +280,15 @@ def test_coordinator_kills_mid_2pc_and_mid_reshard_same_run():
     assert result.failovers > 0                      # txn janitor takeover
     # The txn kill also took the control-log leader's host: the janitors
     # take every live peer once the log elects again (4 takes), plus the
-    # killed coordinator before and after its restart.  A live member
-    # taken again after every slow renewal would push this far past 6.
-    assert result.failovers <= 6
+    # killed coordinator.  Restarted, it renews its lease from the moment
+    # its re-fence is adopted, so its self-sweep does not outlast the
+    # expiry and nobody takes it again.  A live member taken again after
+    # every slow renewal would push this far past 5.
+    assert result.failovers <= 5
+    restarted = next(at_s for at_s, what in nemesis.log
+                     if what.startswith("host_kill: recovered txnctl_"))
+    assert all(at < sec(restarted) for c in cluster.coordinators
+               for at, _victim in c.takeovers)
     assert cluster.coordinator is not None
     assert cluster.coordinator.failovers > 0         # reshard owner claim
     assert cluster.reshard_completed_at is not None

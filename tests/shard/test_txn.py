@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from benchmarks.ledger.workloads import BY_NAME
 from repro.kvstore.checker import check_strict_serializability
 from repro.protocols.messages import TxnReply, TxnRequest
 from repro.protocols.registry import LEASE_READ_PROTOCOLS
@@ -602,9 +603,10 @@ def test_sibling_attempt_through_a_second_coordinator_executes_once():
     assert all(r.reads == {key1: "w1"} for r in replies)
     assert owner_version(cluster, key0) == 1
     assert cluster.locks_left() == 0
-    home = cluster.leader_replica(0).store
-    assert len([h for h, d in home._decisions.items()
-                if d["txn"] == "c_manual:1" and d["outcome"] == "commit"]) == 1
+    # One commit record, the winner's (the decisions are gone once each
+    # coordinator's low-water at home passed its binds).
+    record = cluster.leader_replica(0).store._txn_commits["c_manual:1"]
+    assert (record["outcome"], record["coord"]) == ("commit", winners[0].name)
 
 
 def test_sibling_started_after_the_winner_is_bound_gets_it_from_the_vote():
@@ -685,6 +687,50 @@ def test_false_takeover_of_an_answered_coordinator_commits():
     assert_one_execution(cluster, client, replies, [key0, key1])
 
 
+def test_a_janitors_abort_after_the_home_bind_is_answered_with_the_commit():
+    """The home store keeps a bound decision while the bind's slot is
+    open, and its coordinator keeps that slot open until every
+    participant has released the handle, not just until the home shard
+    answers.  Here the coordinator binds a commit at home, sends a next
+    attempt's prepare there (whose low-water would pass the bind had the
+    slot closed at the home reply) and stalls before releasing the other
+    participant.  A janitor that takes it over sees the handle prepared
+    there only, and binds an abort at home: it must be answered with the
+    commit and install it, not drop an answered transaction's writes."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0, duration_s=8.0))
+    key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
+    next0 = find_key(cluster, 0, start=int(key0[1:]) + 1)
+    next1 = find_key(cluster, 1, start=int(key1[1:]) + 1)
+    client = manual_client(cluster)
+    replies = replies_seen(client)
+    victim, janitor = cluster.coordinators[0], cluster.coordinators[1]
+    answered = []
+    on_decision = janitor._on_decision
+    janitor._on_decision = lambda state, decision: (
+        answered.append(decision.get("outcome")), on_decision(state, decision))
+    stalled = []
+    release_rest = victim._release_rest
+
+    def stall(state):
+        if stalled:
+            release_rest(state)
+            return
+        stalled.append(state)
+        victim._start_attempt("x:1", None, [["put", next0, "x"],
+                                            ["put", next1, "y"]],
+                              cluster.sim.now)
+        cluster.sim.schedule(ms(300), false_take, cluster, janitor, victim)
+        cluster.sim.schedule(sec(3.0), release_rest, state)
+    victim._release_rest = stall
+    cluster.sim.schedule(ms(10), client.transact,
+                         [("put", key0, "v0"), ("put", key1, "v1")])
+    cluster.sim.run(until=sec(8.0))
+
+    assert stalled and janitor.failovers == 1
+    assert answered == ["commit"]
+    assert_one_execution(cluster, client, replies, [key0, key1])
+
+
 def test_false_takeover_leaves_the_victims_new_attempts_to_it():
     """A falsely taken coordinator lives on under the take's fence epoch,
     and its new attempt's prepares straddle the janitor's `TXN_RECOVER`:
@@ -698,12 +744,14 @@ def test_false_takeover_leaves_the_victims_new_attempts_to_it():
     client = manual_client(cluster)
     replies = replies_seen(client)
     victim, janitor = cluster.coordinators[0], cluster.coordinators[1]
-    applied = []   # (shard, op, client id) in apply order, first replica
+    applied = []   # (shard, op, client id or handle) in apply order
     for shard, replicas in cluster.groups.items():
         for replica in replicas.values():
             replica.on_apply_hooks.append(
                 lambda r, i, command, shard=shard: applied.append(
-                    (shard, command.op, command.client_id)))
+                    (shard, command.op, command.client_id
+                     if command.op is not OpType.TXN_PREPARE
+                     else payload_of(command)["handle"])))
 
     def landed(shard, op, prefix):
         return any(s == shard and o is op and c.startswith(prefix)
@@ -722,7 +770,7 @@ def test_false_takeover_leaves_the_victims_new_attempts_to_it():
         setattr(node, name, held)
 
     recover = "__txnrec__:"
-    attempt = f"__txn__:c_manual:1#{victim.name}"
+    attempt = f"c_manual:1#{victim.name}"
     # The sweep's query reaches the home shard only after the victim's
     # prepare has applied there...
     hold(janitor, "_send", lambda: landed(0, OpType.TXN_PREPARE, attempt),
@@ -739,8 +787,7 @@ def test_false_takeover_leaves_the_victims_new_attempts_to_it():
     janitor._finish_sweep = lambda sweep: (swept.append(sweep.victim),
                                            finish_sweep(sweep))
     hold(victim, "_bind",
-         lambda: swept and not any("!s" in route
-                                   for route in janitor._by_handle),
+         lambda: swept and not janitor._by_handle,
          lambda state, outcome: outcome == "commit")
 
     taken = []
@@ -995,6 +1042,42 @@ def test_retransmit_of_evicted_txn_seq_is_dropped_not_reexecuted():
     assert owner_version(cluster, k1) == 2
     # and the attempt the retransmit started is finished
     assert "c_manual:1" not in coordinator._active
+
+
+# -- participant state follows what is in flight ------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_home_decisions_stay_flat_as_the_run_goes_on(seed):
+    """A home replica keeps a decision only while the slot that bound it
+    is open, so their number follows the transactions in flight, not the
+    ones the run has committed (kept for the life of the store, they were
+    172 at 5 s and 355 at 10 s on seed 1)."""
+    cluster = TxnCluster(txn_spec(seed=seed, duration_s=10.0))
+    counts = []
+    for at in (5.0, 10.0):
+        cluster.sim.run(until=sec(at))
+        counts.append(max(len(replica.store._decisions)
+                          for replica in cluster.groups[0].values()))
+    assert max(counts) <= 2 * len(cluster.clients)
+    assert counts[1] <= counts[0] + 5
+
+
+def test_participant_sessions_follow_the_fleet_not_the_run_length():
+    """One dedup session per client and per coordinator incarnation: on
+    the ledger's `mux-txn-colocated` workload (seed 1) the largest store
+    holds as many sessions at 6.5 s as at 4 s, at most one per client and
+    coordinator (a session per 2PC attempt made that 604, then 887)."""
+    workload = BY_NAME["mux-txn-colocated"]
+    cluster = workload.build(workload.sizing(1, 1.0), False)
+    counts = []
+    for at in (4.0, 6.5):
+        cluster.sim.run(until=sec(at))
+        counts.append(max(len(replica.store._sessions)
+                          for replicas in cluster.groups.values()
+                          for replica in replicas.values()))
+    assert counts[0] == counts[1]
+    assert counts[1] <= len(cluster.clients) + len(cluster.coordinators)
 
 
 # -- end-of-run accounting ------------------------------------------------------

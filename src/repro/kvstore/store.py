@@ -54,8 +54,8 @@ identically on every replica of the group (and by crash-recovery replay):
   bound there stays safe — and every other participant is released only
   after the home log knows the outcome.  A finished handle (and its
   decision) is kept only until its coordinator's low-water passes the
-  step that finished it (`_hold`), so the 2PC state follows what is in
-  flight;
+  step that finished it (`_release`), so the 2PC state follows what is
+  in flight;
 * `TXN_RECOVER` fences a coordinator incarnation (stale prepares from the
   crashed incarnation are refused, so they cannot leave orphan locks) and
   reports the prepared transactions that fence covers: a handle is
@@ -275,12 +275,12 @@ class KVStore:
         self._txn_meta: Dict[str, Tuple[Mapping, Dict]] = {}
         self._decisions: Dict[str, Mapping] = {}
         self._txn_commits: Dict[str, Mapping] = {}
-        # A handle finished here, by the (client, seq) slot of the phase-2
-        # command that finished it — or, at home, bound its decision — and
-        # per client those slots (seq -> handle).  The handle and its
-        # decision are forgotten once that client's low-water passes the
-        # slot (`_release`): until then a late prepare of it votes no.
-        self._settled: Dict[str, Tuple[str, int]] = {}
+        # The handles finished here, and per client the slot (seq ->
+        # handle) of the phase-2 command that first finished each.  A
+        # handle and its decision are forgotten once that client's
+        # low-water passes its slot (`_release`): until then a late
+        # prepare of it votes no.
+        self._settled: set = set()
         self._holds: Dict[str, Dict[int, str]] = {}
         self._txn_fence: Dict[str, int] = {}      # coordinator -> min incarnation
         # Hash ranges a refused MIGRATE_OUT is draining: new prepares for
@@ -407,7 +407,7 @@ class KVStore:
                 session.evict_upto(command.acked_low_water)
                 holds = self._holds.get(client)
                 if holds:
-                    self._release(client, holds, command.acked_low_water)
+                    self._release(holds, command.acked_low_water)
         return result
 
     def apply_batch(self, log, start: int, stop: int) -> None:
@@ -538,12 +538,13 @@ class KVStore:
         handle = meta["handle"]
         result = _DONE
         if "outcome" in meta:
-            bound = self._bind_decision(meta, command)
+            bound = self._bind_decision(meta)
             if bound["outcome"] != meta["outcome"]:
                 commit = bound["outcome"] == "commit"
                 result = _reply(command, bound)
-        elif handle not in self._settled:
-            self._hold(handle, command)
+        if handle not in self._settled and command.client_id:
+            self._settled.add(handle)
+            self._holds.setdefault(command.client_id, {})[command.seq] = handle
         staged = self._staged.pop(handle, None)
         if staged is not None:
             if commit:
@@ -558,13 +559,16 @@ class KVStore:
                     del locks[key]
         return result
 
-    def _bind_decision(self, meta: Mapping, command: Command) -> Mapping:
+    def _bind_decision(self, meta: Mapping) -> Mapping:
         """Record a decision for `meta["handle"]` unless one is recorded
         already, and return the one that holds: the FIRST decision for a
         handle wins, so a janitor's abort racing a commit converges on one
-        outcome.  The decision lives as long as `command`'s slot: its
+        outcome.  A commit is bound by the step that first finishes its
+        handle here, and lives as long as that step's slot (`_holds`): its
         coordinator keeps the slot open until every participant has
-        released the handle, so no later abort can bind first.
+        released the handle, so no later abort can bind first.  (A plain
+        abort can finish a handle here before an abort decision binds;
+        nothing can commit that handle any more.)
 
         Commits are additionally first-wins *per transaction*: with
         coordinator failover a client can retry one txn through a second
@@ -584,32 +588,16 @@ class KVStore:
                 elif winner["handle"] != handle:
                     meta = dict(meta, outcome="abort", winner=winner)
             self._decisions[handle] = meta
-            self._hold(handle, command)
             existing = meta
         return existing
 
-    def _hold(self, handle: str, command: Command) -> None:
-        """Keep `handle` settled here until the low-water of `command`'s
-        client passes its seq (a decision moves the hold to its own slot:
-        an abort bound after a plain one is a janitor's, whose sweep has
-        fenced the handle's prepares everywhere)."""
-        client = command.client_id
-        if not client:
-            return
-        old = self._settled.get(handle)
-        if old is not None:
-            self._holds[old[0]].pop(old[1], None)
-        self._settled[handle] = (client, command.seq)
-        self._holds.setdefault(client, {})[command.seq] = handle
-
-    def _release(self, client: str, holds: Dict[int, str],
-                 low_water: int) -> None:
+    def _release(self, holds: Dict[int, str], low_water: int) -> None:
         """`client` acked every slot up to `low_water`: no copy of its
         earlier commands can apply any more, so the handles those slots
         settled (and their decisions) are forgotten."""
         for seq in [seq for seq in holds if seq <= low_water]:
             handle = holds.pop(seq)
-            del self._settled[handle]
+            self._settled.remove(handle)
             self._decisions.pop(handle, None)
 
     def _apply_txn_recover(self, command: Command) -> ApplyResult:

@@ -453,7 +453,7 @@ def test_late_copies_of_steps_below_the_low_water_are_never_reexecuted():
     # The next attempt's prepare: every earlier slot here is acked.
     store.apply(step(prepare("t:2#co.1.2", [("put", "b", "w")]), 3, 2))
     assert list(store._sessions[SESSION].entries) == [3]
-    assert store._settled == {}
+    assert store._settled == set()
     applied = store.applied_count
     for late in (step(prepare(t1, [("put", "a", "v")]), 1, 0),
                  step(finish(t1, OpType.TXN_COMMIT, 0), 2, 1)):
@@ -477,7 +477,7 @@ def test_a_late_prepare_behind_its_handles_abort_votes_no():
     assert vote_of(late) == "no"
     assert store.locked_keys() == {"a": t1}
     store.apply(step(finish(t1, OpType.TXN_COMMIT, 0), 4, 3))
-    assert store._settled == {t1: (SESSION, 4)}
+    assert store._settled == {t1} and store._holds[SESSION] == {4: t1}
     assert store.version("a") == 1 and store.version("b") == 0
 
 

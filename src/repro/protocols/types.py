@@ -118,9 +118,11 @@ class Command:
         base = 24 + len(self.key)
         if self.op in _VALUE_CARRYING_OPS:
             # MIGRATE_IN carries the exported range snapshot as its value,
-            # TXN/TXN_PREPARE the transaction's operation list; `value_size`
-            # is set to the blob's real size at construction so replicating
-            # the payload costs realistic bytes.
+            # TXN/TXN_PREPARE the transaction's operation list, a 2PC
+            # phase-2 step its handle (the home step the whole decision
+            # record); `value_size` is set to the blob's real size at
+            # construction so replicating the payload costs realistic
+            # bytes.
             return base + self.value_size
         return base
 
@@ -160,7 +162,7 @@ class Command:
 # rebuilt on every membership test).
 _VALUE_CARRYING_OPS = frozenset(
     {OpType.PUT, OpType.MIGRATE_IN, OpType.TXN, OpType.TXN_PREPARE,
-     OpType.CONFIG})
+     OpType.TXN_COMMIT, OpType.TXN_ABORT, OpType.CONFIG})
 _DATA_OPS = frozenset({OpType.PUT, OpType.GET})
 _TXN_OPS = frozenset(
     {OpType.TXN, OpType.TXN_PREPARE, OpType.TXN_COMMIT, OpType.TXN_ABORT,

@@ -137,6 +137,23 @@ def test_coordinator_built_2pc_steps_cost_no_loads_and_one_dump_per_result(
     assert decisions[payload_of(decide)["handle"]]["outcome"] == "abort"
 
 
+def test_phase2_steps_are_charged_their_value_bytes():
+    """The home shard's phase-2 step carries the whole decision record
+    (handle, txn, participants, reads, home keys): its wire size counts
+    that value, as a prepare's counts its operation list.  Charged only
+    its key, it cost 50 bytes on the wire."""
+    cluster = small_txn_cluster()
+    prepares, commits, home = coordinator_steps(cluster)
+    step = commits[home]
+    assert step.value_size == len(step.value) == 151
+    assert step.wire_size() == 24 + len(step.key) + 151 == 201
+    for shard, command in commits.items():
+        assert command.wire_size() == (24 + len(command.key)
+                                       + command.value_size)
+    abort = sweep_abort(cluster)
+    assert abort.wire_size() == 24 + len(abort.key) + abort.value_size
+
+
 def test_readless_replies_are_one_shared_result():
     """A write-only `TXN`'s reply and a write-only prepare's yes vote hold
     nothing per transaction: every one is the same shared result, not a

@@ -83,9 +83,6 @@ def test_txn_load_across_live_reshard_stays_strictly_serializable(seed):
     assert result.acks_duplicated == 0
     assert result.duplicate_executions == 0
     assert all(not v for v in result.prefix_violations.values())
-    # No orphan locks: whatever is still locked belongs to transactions
-    # literally in flight at the horizon.
-    assert result.locks_left <= len(cluster.clients)
 
     # The ghost-write detector with teeth: every acknowledged
     # transactional write must appear in its key's FINAL-owner install
@@ -93,6 +90,11 @@ def test_txn_load_across_live_reshard_stays_strictly_serializable(seed):
     # staged write on the donor (installed where nobody reads), and this
     # — not the cycle checker — is what catches it.
     assert lost_installs(cluster) == []
+    # No orphan locks: once phase 2 has drained, nothing is locked.  (At
+    # the horizon a client can hold locks for two transactions — the one
+    # answered at its commit point, still in phase 2, and its next — so
+    # the count there is no orphan test.)
+    assert cluster.locks_left() == 0
 
 
 def lost_installs(cluster, drain_s: float = DRAIN_S):

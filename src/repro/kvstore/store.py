@@ -592,9 +592,9 @@ class KVStore:
         return existing
 
     def _release(self, holds: Dict[int, str], low_water: int) -> None:
-        """`client` acked every slot up to `low_water`: no copy of its
-        earlier commands can apply any more, so the handles those slots
-        settled (and their decisions) are forgotten."""
+        """A client acked every slot of its up to `low_water`: no copy of
+        those commands can apply any more, so the handles they settled
+        (and their decisions) are forgotten."""
         for seq in [seq for seq in holds if seq <= low_water]:
             handle = holds.pop(seq)
             self._settled.remove(handle)

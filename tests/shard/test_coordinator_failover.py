@@ -22,8 +22,6 @@ client counts and durations, matching the CI nemesis leg.
 
 import os
 
-import pytest
-
 from repro.protocols.types import OpType
 from repro.bench.experiments import txn_spec as bench_txn_spec
 from repro.bench.live import ReshardSpec, run_reshard_experiment

@@ -138,11 +138,6 @@ class ShardRoutedClient(ClosedLoopClient):
     group's local replica serves each request.
     """
 
-    #: Unanswered sends to one coordinator before rotating to the next in
-    #: the ring (when a ring was given): a dead coordinator host costs two
-    #: retry timeouts, not the whole run.
-    COORD_ROTATE_AFTER = 2
-
     def __init__(self, name, sim, network, site, router: ShardRouter,
                  workload: WorkloadConfig, sites, rng, metrics,
                  stop_at: Optional[int] = None,
@@ -157,9 +152,10 @@ class ShardRoutedClient(ClosedLoopClient):
         # only when transact() actually crosses shards); single-shard ones
         # ride the ordinary command path as one atomic TXN command.
         # `coordinators` is the failover ring (ordered, preferred first):
-        # after COORD_ROTATE_AFTER unanswered sends the client moves to
-        # the next member and keeps retrying the same txn_seq there — the
-        # home shard's commit record answers a retry of an answered one.
+        # every unanswered send moves the client to the next member, which
+        # gets the same txn_seq — the home shard's commit record answers a
+        # retry of an answered one — so a dead coordinator host costs one
+        # retry timeout.
         self._coordinator_ring: List[str] = (
             list(coordinators) if coordinators
             else ([coordinator] if coordinator else []))
@@ -320,8 +316,7 @@ class ShardRoutedClient(ClosedLoopClient):
 
     def _send_txn(self, pending: _PendingTxn) -> None:
         pending.attempts += 1
-        if (len(self._coordinator_ring) > 1 and pending.attempts > 1
-                and (pending.attempts - 1) % self.COORD_ROTATE_AFTER == 0):
+        if len(self._coordinator_ring) > 1 and pending.attempts > 1:
             self._coordinator_idx = ((self._coordinator_idx + 1)
                                      % len(self._coordinator_ring))
             self.coordinator = self._coordinator_ring[self._coordinator_idx]

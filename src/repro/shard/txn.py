@@ -47,9 +47,9 @@ reports final — and finishes them itself.  A recovered coordinator runs
 the same sweep on itself under a fresh fence epoch granted by the
 control journal.
 
-Clients hold a coordinator ring and rotate to another site's coordinator
-after a few unanswered sends, so a dead coordinator host costs
-milliseconds, not a crash-restart window.  Every retry — to the same
+Clients hold a coordinator ring and move to the next site's coordinator
+on every unanswered send, so a dead coordinator host costs one client
+retry timeout (5 s by default), not a crash-restart window.  Every retry — to the same
 coordinator, a rotated one or a recovered one — starts a fresh attempt,
 kept at-most-once by the home shard: sibling attempts lock the same home
 keys, so only one holds them at a time, and the one that commits binds
@@ -176,7 +176,9 @@ class TxnCoordinator(ReplicatedCoordinator):
     """Drives 2PC for its clients' cross-shard transactions.
 
     One coordinator per site, each a hot standby for the others; clients
-    talk to the local one and rotate on silence.  The coordinator is an
+    talk to the local one and move to the next one in their ring each
+    time a send goes unanswered for a client retry timeout (5 s by
+    default).  The coordinator is an
     ordinary simulated process with the default CPU cost model (it is
     part of the measured serving path, unlike the bench clients), sharing
     a host with its site's control replica.  Its fence epoch comes from

@@ -42,15 +42,22 @@ def find_key(cluster, shard: int, start: int = 0) -> str:
     raise AssertionError(f"no key for shard {shard}")
 
 
-def manual_client(cluster, name="c_manual", site="oregon") -> ShardRoutedClient:
+def manual_client(cluster, name="c_manual", site="oregon",
+                  ring=False) -> ShardRoutedClient:
     """A client that only transacts when told to (stop_at=0 suppresses the
     closed-loop generator).  Its acknowledged transactions join the
     cluster's history, so `lost_installs` and the serializability check
-    see them."""
+    see them.  `ring` gives it every site's coordinator, its own first,
+    as the closed-loop clients have."""
+    sites = cluster.topology.sites
+    coordinators = ([f"txnco_{s}" for s in
+                     [site] + [s for s in sites if s != site]]
+                    if ring else None)
     client = ShardRoutedClient(
         name, cluster.sim, cluster.network, site, cluster.router,
-        WORKLOAD, cluster.topology.sites, cluster.rng.stream(f"client:{name}"),
-        cluster.metrics, stop_at=0, coordinator=f"txnco_{site}")
+        WORKLOAD, sites, cluster.rng.stream(f"client:{name}"),
+        cluster.metrics, stop_at=0, coordinator=f"txnco_{site}",
+        coordinators=coordinators)
     client.on_txn_complete_hooks.append(cluster.record_txn_event)
     return client
 
@@ -534,6 +541,32 @@ def test_coordinator_crash_at_each_point_of_the_commit(crash):
     cluster.sim.run(until=sec(12.0))
 
     assert coordinator.alive and coordinator.recoveries == 1
+    assert_one_execution(cluster, client, replies, [key0, key1])
+
+
+def test_a_ring_client_leaves_a_dead_coordinator_after_one_retry_timeout():
+    """The client's coordinator dies as the last yes vote arrives and
+    stays dead.  A peer's janitor finishes the transaction; the client's
+    first resend, one retry timeout (5 s, jittered by 10 %) after it
+    submitted, goes to the next coordinator in its ring, which is
+    answered from the home shard's record."""
+    cluster = TxnCluster(txn_spec(clients_per_region=0, duration_s=12.0))
+    key0, key1 = find_key(cluster, 0), find_key(cluster, 1)
+    client = manual_client(cluster, ring=True)
+    replies = replies_seen(client)
+    answered = []
+    client.on_txn_complete_hooks.append(
+        lambda *args: answered.append(cluster.sim.now))
+    coordinator = cluster.coordinators[0]  # txnco_oregon, the client's
+    crash_after_last_yes(coordinator)
+    submitted = ms(10)
+    cluster.sim.schedule(submitted, client.transact,
+                         [("put", key0, "v0"), ("put", key1, "v1")])
+    cluster.sim.run(until=sec(12.0))
+
+    assert not coordinator.alive
+    assert replies[0].server != coordinator.name
+    assert answered and answered[0] - submitted <= sec(6)
     assert_one_execution(cluster, client, replies, [key0, key1])
 
 

@@ -39,12 +39,15 @@ BEACON_REFRESH_TICKS = 10
 class ClusterConfig:
     """Static configuration of a replica group.
 
-    `replicas` maps replica name -> site name.  Quorums are majorities
-    (f = (n-1)//2, quorum = f+1), matching the paper's setup.
+    `replicas` maps replica name -> site name: the founding members.
+    `majority` is ``(n - 1) // 2 + 1``, the quorum size Mencius and the
+    PQL lease quorum count; the leadered families count quorums through
+    their voter view (`repro.membership`), which a logged config change
+    replaces.
 
     The membership is fixed at construction (`dataclasses.replace` builds
-    a new config): `names`, `n`, `f`, `majority` and `ranks` are derived
-    from `replicas` once, so the per-message paths read plain attributes.
+    a new config): `names`, `n`, `majority` and `ranks` are derived from
+    `replicas` once, so the per-message paths read plain attributes.
     """
 
     replicas: Dict[str, str]
@@ -80,7 +83,6 @@ class ClusterConfig:
     # Derived in `__post_init__`, never passed in.
     names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
     n: int = field(init=False, repr=False, compare=False)
-    f: int = field(init=False, repr=False, compare=False)
     majority: int = field(init=False, repr=False, compare=False)
     #: replica name -> its round-robin rank (Mencius slot ownership).
     ranks: Dict[str, int] = field(init=False, repr=False, compare=False)
@@ -92,8 +94,7 @@ class ClusterConfig:
             raise ValueError(f"initial leader {self.initial_leader!r} not in replica set")
         self.names = tuple(self.replicas)
         self.n = len(self.names)
-        self.f = (self.n - 1) // 2
-        self.majority = self.f + 1
+        self.majority = (self.n - 1) // 2 + 1
         self.ranks = {name: rank for rank, name in enumerate(self.names)}
 
     def peers_of(self, name: str) -> Tuple[str, ...]:

@@ -7,7 +7,8 @@ lease is valid.
 
 The lease here is the standard heartbeat-majority lease: the leader considers
 itself lease-holder while it has heard append acknowledgements from a
-majority within the last `lease_duration`.
+majority of its voters (of Cold and of Cnew while joint) within the last
+`lease_duration`.
 """
 
 from __future__ import annotations
@@ -36,11 +37,16 @@ class LeaderLeaseReplica(RaftStarReplica):
         self._last_heard[peer] = self.sim.now
 
     def has_leader_lease(self) -> bool:
+        """Whether a quorum of every voter group, self included, acked
+        within the last `lease_duration`: a non-voter's ack (a catching-up
+        joiner, a retired replica) does not count."""
         if not self.is_leader:
             return False
         horizon = self.sim.now - self.config.lease_duration
-        fresh = sum(1 for at in self._last_heard.values() if at >= horizon)
-        return fresh >= self.config.f
+        fresh = {peer for peer, at in self._last_heard.items()
+                 if at >= horizon}
+        fresh.add(self.name)
+        return self._voters.quorum(fresh)
 
     def submit_command(self, command: Command) -> None:
         # LINEARIZABLE reads opt out of the lease path and go through

@@ -42,9 +42,8 @@ class LeaseManager:
         self.acked: Dict[str, int] = {}
         # grants I hold: grantor -> expiry
         self.held: Dict[str, int] = {}
-        # Derived from `held`: grants from `_quorum_size` replicas stay
+        # Derived from `held`: grants from a majority of replicas stay
         # valid through `_quorum_until` (-1: fewer than that many held).
-        self._quorum_size = 0
         self._quorum_until = -1
         # Derived from `acked`: the holder set, exact through
         # `_holders_until` (its earliest expiry; -1: recompute).
@@ -112,14 +111,11 @@ class LeaseManager:
     def has_quorum_lease(self) -> bool:
         """PQL Figure 8 line 3: validLeasesNum >= f + 1 (self included) —
         i.e. the (f+1)-th latest held expiry has not passed."""
-        if self.replica.config.majority != self._quorum_size:
-            self._refresh_quorum()
         return self.replica.sim.now <= self._quorum_until
 
     def _refresh_quorum(self) -> None:
         majority = self.replica.config.majority
         expiries = sorted(self.held.values(), reverse=True)
-        self._quorum_size = majority
         self._quorum_until = (expiries[majority - 1]
                               if len(expiries) >= majority else -1)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.membership import DEFAULT_ALPHA, ConfigLog, is_quorum
+from repro.membership import ConfigLog, is_quorum
 from repro.protocols.base import ReplicaBase
 from repro.protocols.config import APPEND_FLUSH_INTERVAL, ClusterConfig
 from repro.protocols.messages import (
@@ -71,13 +71,12 @@ class MultiPaxosReplica(ReplicaBase):
         self._fresh: Set[int] = set()
         self._pulled_at = -config.heartbeat_interval
 
-        # Dynamic membership (α-bounded reconfiguration): None until the
-        # first CONFIG entry applies — every quorum expression below keeps
-        # its original static-`config.majority` form while this is None.
-        # A config decided at slot s governs slots >= s+α; the proposer
-        # defers commands that would open a slot past frontier+α so the
-        # slot→voters mapping stays sound.
-        self._config_log: Optional[ConfigLog] = None
+        # Who votes (α-bounded reconfiguration): the founding members
+        # govern every slot until a decided config takes over.  A config
+        # decided at slot s governs slots >= s+α; the proposer defers
+        # commands that would open a slot past frontier+α, from slot 0 on,
+        # so the slot→voters mapping stays sound.
+        self._config_log = ConfigLog(initial=frozenset(config.names))
         self._deferred_commands: List[Command] = []
 
         # proposer state
@@ -169,10 +168,7 @@ class MultiPaxosReplica(ReplicaBase):
         if msg.ballot != self.ballot or self.phase1_succeeded:
             return
         self._promises[msg.acceptor] = msg
-        if self._config_log is None:
-            if len(self._promises) >= self.config.majority:
-                self._phase1_succeed()
-        elif self._phase1_quorum():
+        if self._phase1_quorum():
             self._phase1_succeed()
 
     def _phase1_quorum(self) -> bool:
@@ -225,9 +221,8 @@ class MultiPaxosReplica(ReplicaBase):
         if not self.phase1_succeeded:
             self.forward_to_leader(command)
             return
-        if (self._config_log is not None
-                and not self._config_log.window_open(self.next_instance,
-                                                     self.commit_index)):
+        if not self._config_log.window_open(self.next_instance,
+                                            self.commit_index):
             # The α gate: opening this slot would outrun the window that
             # makes the slot→voters mapping sound.  Defer; the frontier
             # advance drains the buffer.
@@ -348,19 +343,14 @@ class MultiPaxosReplica(ReplicaBase):
         self._try_choose(index)
 
     def _try_choose(self, index: int) -> None:
-        """Choose unchosen `index` if a quorum accepted it and the commit
-        gate lets it through."""
-        if (self._accept_quorum(index, self._accept_counts[index])
+        """Choose unchosen `index` if a quorum of the config governing
+        that slot accepted it (acks from non-voters — a catching-up
+        joiner, a retired replica — are inert) and the commit gate lets
+        it through."""
+        if (is_quorum(self._config_log.voters_at(index),
+                      self._accept_counts[index])
                 and self._commit_gate(index)):
             self._choose(index)
-
-    def _accept_quorum(self, index: int, voters: Set[str]) -> bool:
-        """Whether `voters` is an accept quorum for `index` under the
-        config governing that slot — α-aware: acks from non-voters (a
-        catching-up joiner, a retired replica) are inert."""
-        if self._config_log is not None:
-            return is_quorum(self._config_log.voters_at(index), voters)
-        return len(voters) >= self.config.majority
 
     def _commit_gate(self, index: int) -> bool:
         """Whether instance `index`, accepted by a quorum, may be chosen."""
@@ -445,13 +435,13 @@ class MultiPaxosReplica(ReplicaBase):
 
     def _on_config_applied(self, index: int, command: Command) -> None:
         change = ConfigChange.decode(command)
-        if self._config_log is None:
-            self._config_log = ConfigLog(
-                initial=frozenset([self.name, *self.peers]),
-                alpha=change.alpha or DEFAULT_ALPHA)
         log = self._config_log
         if change.epoch != log.epoch + 1:
             return  # replay of a completed epoch, or a stale retry
+        if not log.entries and change.alpha:
+            # The first decided change may bring its own α (the window
+            # stays `DEFAULT_ALPHA` until then, and from then on).
+            log.alpha = change.alpha
         log.decide(index, change.new, change.epoch)
         self.config_epoch = change.epoch
         new = frozenset(change.new)

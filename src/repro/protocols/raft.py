@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional
 
-from repro.membership import VoterView
+from repro.membership import VoterView, majority_of
 from repro.protocols.base import ReplicaBase
 from repro.protocols.config import APPEND_FLUSH_INTERVAL, ClusterConfig
 from repro.protocols.messages import (
@@ -88,18 +88,17 @@ class RaftReplica(ReplicaBase):
         # peer (next/match index, pipelining high-water marks, stall
         # detection) — see `_PeerState`.
         self._peer_state: Dict[str, _PeerState] = {}
-        self._peer_records: List[_PeerState] = []
         # Entries-tuple reuse for `_send_append`: (start, stop, tuple) of
         # the last window built from the log.  Valid while this replica
         # leads (its log is append-only for the term, so a (start, stop)
         # slice never changes content); reset on any role change.
         self._batch_cache: Optional[tuple] = None
 
-        # Dynamic membership (joint consensus): None until the first CONFIG
-        # entry applies — every quorum expression below keeps its original
-        # static-`config.majority` form while this is None, so a run without
-        # membership changes is bit-identical to the pre-membership code.
-        self._voters: Optional[VoterView] = None
+        # Who votes (joint consensus): the founding members until a CONFIG
+        # entry applies.  Every election and commit counts through it; a
+        # leader counts commits through `_quorum_groups` (`_count_quorums`).
+        self._voters = VoterView.stable(config.names)
+        self._quorum_groups: List[tuple] = []
 
         self._heartbeat_timer = self.timer("heartbeat")
         self._flush_timer = self.timer("append-flush")
@@ -221,13 +220,11 @@ class RaftReplica(ReplicaBase):
             return
         self._votes.add(msg.voter)
         self._merge_vote_extras(msg)
-        if self._voters is None:
-            if len(self._votes) >= self.config.majority:
-                self._assume_leadership()
-        elif self._voters.quorum(self._votes):
-            # Joint rule while a change is in flight: a majority of Cold
-            # AND of Cnew — two leaders on disjoint voter views cannot
-            # both win because any two joint quorums intersect.
+        if self._voters.quorum(self._votes):
+            # While a change is in flight this is the joint rule: a
+            # majority of Cold AND of Cnew — two leaders on disjoint voter
+            # views cannot both win because any two joint quorums
+            # intersect.
             self._assume_leadership()
 
     def _merge_vote_extras(self, msg: RequestVoteReply) -> None:
@@ -243,14 +240,14 @@ class RaftReplica(ReplicaBase):
                              sent_hwm=self.last_index)
             for peer in self.peers
         }
-        self._peer_records = list(self._peer_state.values())
+        self._count_quorums()
         if not initial:
             # Commit-liveness no-op: gives the new term an entry to count.
             self._append_to_log(Command(
                 op=OpType.NOP, client_id=f"__leader__{self.name}", seq=self.current_term,
                 value_size=0,
             ))
-        if self._voters is not None and self._voters.phase == "joint":
+        if self._voters.phase == "joint":
             # Safety net: the previous leader died between committing the
             # joint config and appending the final one — the new leader
             # finishes the transition so the group cannot stay joint
@@ -338,7 +335,6 @@ class RaftReplica(ReplicaBase):
         if state is None:
             state = self._peer_state[peer] = _PeerState(
                 next_index=self.last_index + 1)
-            self._peer_records.append(state)
         return state
 
     def _send_append(self, peer: str, heartbeat: bool = False) -> None:
@@ -490,31 +486,27 @@ class RaftReplica(ReplicaBase):
     def _handle_append_reject(self, peer: str, msg: AppendEntriesReply) -> None:
         """Hook for Raft* (reject-because-longer needs no-op padding)."""
 
+    def _count_quorums(self) -> None:
+        """Per voter group, once per leadership and per view: the records
+        of its members other than self, and how many of those a quorum
+        needs (self has all it logged; non-voters' acks are inert)."""
+        own = self.name
+        self._quorum_groups = [
+            ([self._peer(name) for name in sorted(group) if name != own],
+             majority_of(group) - (own in group))
+            for group in self._voters.groups]
+
     def _leader_advance_commit(self) -> None:
-        """Advance commit_index to the highest majority-replicated index
-        the commit gate lets through."""
-        if self._voters is not None:
-            # Membership-aware commit rule: the highest index replicated
-            # on a quorum of EVERY active voter group (one group when
-            # stable, Cold and Cnew while joint).  Acks from non-voters
-            # (a catching-up joiner, a retired replica) are inert.
-            peer_state = self._peer_state
-            last = self.last_index
-            own = self.name
-
-            def match_of(name: str) -> int:
-                if name == own:
-                    return last
-                state = peer_state.get(name)
-                return state.match_index if state is not None else -1
-
-            candidate = min(self._voters.commit_index(match_of), last)
-        else:
-            matches = sorted(state.match_index for state in self._peer_records)
-            # Index replicated on at least `majority` replicas including
-            # self: the f-th largest peer match (0-indexed from the end).
-            candidate = matches[len(matches) - self.config.f]
-            candidate = min(candidate, self.last_index)
+        """Advance commit_index to the highest index on a quorum of EVERY
+        voter group (Cold and Cnew while joint) that the commit gate lets
+        through: `VoterView.commit_index`, one sort per group."""
+        candidate = self.last_index
+        for records, need in self._quorum_groups:
+            if need:
+                matches = sorted([state.match_index for state in records])
+                group_candidate = matches[len(matches) - need]
+                if group_candidate < candidate:
+                    candidate = group_candidate
         candidate = self._commit_gate(candidate)
         if candidate > self.commit_index:
             self.commit_index = candidate
@@ -549,7 +541,7 @@ class RaftReplica(ReplicaBase):
         if change.kind == "joint":
             if change.epoch != self.config_epoch + 1:
                 return  # replay of a completed epoch, or a stale retry
-            if self._voters is not None and self._voters.phase == "joint":
+            if self._voters.phase == "joint":
                 return
             old = frozenset(change.old)
             new = frozenset(change.new)
@@ -572,12 +564,13 @@ class RaftReplica(ReplicaBase):
 
     def _splice_peers(self, members) -> None:
         """Leader-side records for new peers are created on demand;
-        records of removed peers become inert — the membership-aware
-        commit rule only consults voter names."""
+        records of removed peers become inert — the commit rule only
+        consults voter names, recounted here for the view just applied."""
         super()._splice_peers(members)
         if self.role is Role.LEADER:
             for peer in self.peers:
                 self._peer(peer)
+            self._count_quorums()
         self._batch_cache = None
 
     def _catch_up_new_peers(self, joiners) -> None:

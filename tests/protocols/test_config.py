@@ -7,17 +7,17 @@ from repro.protocols.config import ClusterConfig, geo_cluster, single_site_clust
 
 def test_quorum_math_odd():
     cfg = single_site_cluster(5)
-    assert cfg.n == 5 and cfg.f == 2 and cfg.majority == 3
+    assert cfg.n == 5 and cfg.majority == 3
 
 
 def test_quorum_math_even():
     cfg = single_site_cluster(4)
-    assert cfg.f == 1 and cfg.majority == 2
+    assert cfg.majority == 2
 
 
 def test_quorum_math_three():
     cfg = single_site_cluster(3)
-    assert cfg.f == 1 and cfg.majority == 2
+    assert cfg.majority == 2
 
 
 def test_peers_of_excludes_self():

@@ -130,7 +130,7 @@ def test_config_builds_its_name_tuple_once(monkeypatch):
     for index in range(1000):
         assert cfg.owner_of(index) == f"s{index % 5}"
         assert cfg.names[index % 5] == f"s{index % 5}"
-    assert (cfg.n, cfg.f, cfg.majority) == (5, 2, 3)
+    assert (cfg.n, cfg.majority) == (5, 3)
     assert cfg.ranks == {f"s{i}": i for i in range(5)}
     assert built == [1]
 

@@ -439,8 +439,8 @@ class MultiPaxosReplica(ReplicaBase):
         if change.epoch != log.epoch + 1:
             return  # replay of a completed epoch, or a stale retry
         if not log.entries and change.alpha:
-            # The first decided change may bring its own α (the window
-            # stays `DEFAULT_ALPHA` until then, and from then on).
+            # The first decided change may set α; without one, and for
+            # every later change, the window keeps the α it has.
             log.alpha = change.alpha
         log.decide(index, change.new, change.epoch)
         self.config_epoch = change.epoch

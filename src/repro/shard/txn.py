@@ -49,15 +49,15 @@ control journal.
 
 Clients hold a coordinator ring and move to the next site's coordinator
 on every unanswered send, so a dead coordinator host costs one client
-retry timeout (5 s by default), not a crash-restart window.  Every retry — to the same
-coordinator, a rotated one or a recovered one — starts a fresh attempt,
-kept at-most-once by the home shard: sibling attempts lock the same home
-keys, so only one holds them at a time, and the one that commits binds
-the transaction there before its home locks release; a later sibling's
-prepare votes no with the winning record attached, and its coordinator
-answers the client from the winner.  The record names the home keys and
-moves with their range in a reshard, so it meets the retry wherever
-those keys live.
+retry timeout (5 s by default), not a crash-restart window.  Every retry
+— to the same coordinator, a rotated one or a recovered one — starts a
+fresh attempt, kept at-most-once by the home shard: sibling attempts
+lock the same home keys, so only one holds them at a time, and the one
+that commits binds the transaction there before its home locks release;
+a later sibling's prepare votes no with the winning record attached, and
+its coordinator answers the client from the winner.  The record names the
+home keys and moves with their range in a reshard, so it meets the retry
+wherever those keys live.
 
 Conflicts are resolved wait-die (see `store.py`): the older transaction
 re-sends the conflicted prepare while keeping its other locks; the
@@ -178,13 +178,13 @@ class TxnCoordinator(ReplicatedCoordinator):
     One coordinator per site, each a hot standby for the others; clients
     talk to the local one and move to the next one in their ring each
     time a send goes unanswered for a client retry timeout (5 s by
-    default).  The coordinator is an
-    ordinary simulated process with the default CPU cost model (it is
-    part of the measured serving path, unlike the bench clients), sharing
-    a host with its site's control replica.  Its fence epoch comes from
-    the control journal: `on_recover` re-fences itself and sweeps its own
-    prepared handles; a peer whose lease expires is fenced and swept by
-    whichever standby journals the `take` first."""
+    default).  The coordinator is an ordinary simulated process with the
+    default CPU cost model (it is part of the measured serving path,
+    unlike the bench clients), sharing a host with its site's control
+    replica.  Its fence epoch comes from the control journal:
+    `on_recover` re-fences itself and sweeps its own prepared handles; a
+    peer whose lease expires is fenced and swept by whichever standby
+    journals the `take` first."""
 
     RETRY = sec(1)        # lost-message resend sweep
     RESEND_AGE = ms(500)  # ...which re-sends only commands at least this old
